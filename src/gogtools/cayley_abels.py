@@ -357,7 +357,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
             w_i = verts[i].rep
             inv_i = w_i.inverse()
             for x in range(Gv.order):
-                d = reduce_word(word * GroupWord(gog, lam_v, x) * inv_i, gog, T).word
+                d = reduce_word(word * GroupWord(gog, lam_v, x) * inv_i, gog, T)
                 if in_kernel(d):
                     return i
         return None
@@ -374,7 +374,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
             ident_t = gog.vgroup(tv).identity
             for rep in fan[e]:
                 step = GroupWord(gog, v, rep, [(e, ident_t)])
-                nf = reduce_word(w * step, gog, T).word
+                nf = reduce_word(w * step, gog, T)
                 cand = canonical_coset_word(nf, gog, T)
                 out.append((cand, tv, e))
         return out

@@ -14,7 +14,9 @@ Conventions
   in this module.  An unresolvable reference is a defect of the job
   file, not of the toolkit, and exits like a schema violation.
 * Rational parameters travel as strings "p/q" and are parsed exactly;
-  no floats enter any verdict.
+  no floats enter any verdict.  The one floated number in a report is the
+  least-squares fit of dehn-sample (``fit.slope`` and ``fit.intercept``,
+  rounded to 6 places).
 * Reports are deterministic: keys sorted, fractions rendered through
   ``str``, frozensets as sorted lists, and every file written atomically
   (temp file + rename in the target directory).  Rerunning a job byte-
@@ -211,7 +213,7 @@ def _word(gog, desc, T):
         raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
     m = desc.get("power", 1)
     if m != 1:
-        w = word_power(reduce_word(w, gog, T).word, m, gog, T)
+        w = word_power(reduce_word(w, gog, T), m, gog, T)
     return w
 
 
@@ -497,7 +499,7 @@ def _cmd_cprime(params, ctx):
     result = check_cprime(r, params["m"], Fraction(params["lam"]), gog,
                           transversals=T)
     if params.get("hypothesis"):
-        tc = compute_M(gog, reduce_word(r, gog, T).word, T)
+        tc = compute_M(gog, reduce_word(r, gog, T), T)
         result["hypothesis"] = dict(thmb_hypothesis(result["lam"], tc.M), M=tc.M)
     return result, {}, f"verdict={result['verdict']} (lam*={result['lam_star']})"
 
@@ -522,7 +524,7 @@ def _cmd_dehn(params, ctx):
     guard = params.get("guard", 10 ** 6)
     ctx["caps"]["guard"] = guard
     r = _word(gog, params["relator"], T)
-    rm = word_power(reduce_word(r, gog, T).word, params.get("power", 1), gog, T)
+    rm = word_power(reduce_word(r, gog, T), params.get("power", 1), gog, T)
     S = symmetrize(rm, gog, T)
     rows = []
     for desc in params["words"]:
@@ -532,7 +534,7 @@ def _cmd_dehn(params, ctx):
             "word": desc,
             "trivial": res.is_trivial,
             "area": res.area,
-            "final_syllables": syllable_length(reduce_word(res.word, gog, T)),
+            "final_syllables": syllable_length(res.word),
             "trace_length": len(res.trace),
         })
     result = {"words": rows}
@@ -551,7 +553,7 @@ def _px_complex(params, ctx):
         # relator-power quotients can serve their own word problem
         base = _word(gog, params["relators"][0], T)
         wp = KernelOracle(gog, base, params["power"], transversals=T).in_kernel
-        relators = [word_power(reduce_word(base, gog, T).word,
+        relators = [word_power(reduce_word(base, gog, T),
                                params["power"], gog, T)]
     return gog, T, presentation_complex_ball(gog, relators, params["radius"],
                                              wp=wp, transversals=T, cap=cap)
@@ -579,7 +581,7 @@ def _cmd_px_complex(params, ctx):
 def _cmd_m_thin(params, ctx):
     gog = _model(params["model"])
     T = fix_transversals(gog)
-    r = reduce_word(_word(gog, params["word"], T), gog, T).word
+    r = reduce_word(_word(gog, params["word"], T), gog, T)
     m = params["power"]
     R = params["radius"]
     oracle = KernelOracle(gog, r, m, transversals=T)

@@ -586,15 +586,13 @@ def _loop_words_upto(gog, max_syllables, start, transversals, cap):
             )
         if vertex == start:
             for h in range(G0.order):
-                nf = reduce_word(GroupWord(gog, start, h, pairs), gog,
-                                 transversals)
-                w = nf.word
-                wid = (w.start, w.head, w.pairs)
-                if wid in seen:
+                w = reduce_word(GroupWord(gog, start, h, pairs), gog,
+                                transversals)
+                if w in seen:
                     continue
-                seen.add(wid)
-                if syllable_length(nf) <= max_syllables:
-                    out.append(nf)
+                seen.add(w)
+                if syllable_length(w) <= max_syllables:
+                    out.append(w)
         if len(pairs) >= depth:
             return
         for e in g.edges_at(vertex):
@@ -624,7 +622,7 @@ def _random_loop(gog, rng, out_steps, start, transversals):
         pairs.append((eb, rng.randrange(gog.vgroup(g.t(eb)).order)))
     head = rng.randrange(gog.vgroup(start).order)
     return reduce_word(GroupWord(gog, start, head, tuple(pairs)), gog,
-                       transversals).word
+                       transversals)
 
 
 def _linear_fit(points):
@@ -669,11 +667,11 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
     observed = []
     failures = 0
     if mode == "exhaustive":
-        for nf in _loop_words_upto(gog, top, base, T, cap):
-            n = syllable_length(nf)
-            if n == 0 or not wp(nf.word):
+        for w in _loop_words_upto(gog, top, base, T, cap):
+            n = syllable_length(w)
+            if n == 0 or not wp(w):
                 continue
-            a = area_oracle(nf.word)
+            a = area_oracle(w)
             if a is None:
                 failures += 1
             else:
@@ -690,12 +688,11 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
                 s = relators[rng.randrange(len(relators))]
                 if rng.randrange(2):
                     s = s.inverse()
-                acc = reduce_word(acc * c * s * c.inverse(), gog, T).word
-            nf = reduce_word(acc, gog, T)
-            n = syllable_length(nf)
+                acc = reduce_word(acc * c * s * c.inverse(), gog, T)
+            n = syllable_length(acc)
             if n == 0 or n > top:
                 continue
-            a = area_oracle(nf.word)
+            a = area_oracle(acc)
             if a is None:
                 failures += 1
             else:

@@ -151,7 +151,7 @@ class QuotientWords:
         return identity_word(self.gog, self.base)
 
     def _reduce(self, w: GroupWord) -> GroupWord:
-        return reduce_word(w, self.gog, self.transversals).word
+        return reduce_word(w, self.gog, self.transversals)
 
     def op(self, x, y):
         return self._reduce(x * y)

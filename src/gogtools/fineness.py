@@ -307,10 +307,10 @@ class TreeBallAction:
         self._index = {v.rep: i for i, v in enumerate(self.ball.verts)}
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
-        return reduce_word(a * b, self.gog, self.T).word
+        return reduce_word(a * b, self.gog, self.T)
 
     def inv(self, a: GroupWord) -> GroupWord:
-        return reduce_word(a.inverse(), self.gog, self.T).word
+        return reduce_word(a.inverse(), self.gog, self.T)
 
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""

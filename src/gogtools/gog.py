@@ -11,18 +11,20 @@ of t(ei); the edges form a path in the underlying graph.  Elements of the
 fundamental group are the loop words; open words (used as coset
 representatives for tree vertices) carry distinct start/end vertices.
 
-Reduction implements the Britton pinch  f · η_f(c) · f̄  →  η_f̄(c)  until no
-pinch applies, then decomposes every syllable against a fixed right-coset
+Reduction makes one left-to-right pass over a stack, as in free reduction:
+each incoming syllable is tested against the top of the stack for the
+Britton pinch  f · η_f(c) · f̄  →  η_f̄(c), so no pinch survives the pass.  It
+then decomposes every syllable, right to left, against a fixed right-coset
 transversal of the incoming edge image, pushing edge-group corrections to the
-left.  The result is the canonical normal form: head element followed by
-alternating (edge, transversal representative) pairs.  Transversal
-representatives are least-element-index, with the identity representing the
-coset of the image subgroup itself, so normal forms are reproducible across
-runs.  The syllable length of a normal form counts its nontrivial
-vertex-group syllables (the head plus representatives); stable letters of an
-HNN word therefore contribute edges but not syllables, which matches the
-translation-length reading for cyclically reduced words over amalgams and
-free products.
+left.  The result is the canonical normal form, itself a ``GroupWord``: head
+element followed by alternating (edge, transversal representative) pairs.
+Transversal representatives are least-element-index, with the identity
+representing the coset of the image subgroup itself, so normal forms are
+reproducible across runs.  The syllable length of a normal form counts its
+nontrivial vertex-group syllables (the head plus representatives); stable
+letters of an HNN word therefore contribute edges but not syllables, which
+matches the translation-length reading for cyclically reduced words over
+amalgams and free products.
 """
 
 from __future__ import annotations
@@ -110,14 +112,6 @@ class GraphOfGroups:
         if e not in self._images:
             self._images[e] = frozenset(self.inj[e].map)
         return self._images[e]
-
-    def classify(self) -> str:
-        g = self.graph
-        if g.num_vertices == 2 and len(g.pairs) == 1 and g.pairs[0][0] != g.pairs[0][1]:
-            return "amalgam"
-        if g.num_vertices == 1 and len(g.pairs) == 1:
-            return "hnn"
-        return "general"
 
 
 def validate(gog: GraphOfGroups):
@@ -253,11 +247,8 @@ class Transversals:
     index, except the coset H itself which the identity represents.
     """
 
-    def __init__(self, gog: GraphOfGroups, seed: int = 0):
-        # seed is accepted for interface stability; the least-index rule is
-        # already deterministic so it changes nothing.
+    def __init__(self, gog: GraphOfGroups):
         self.gog = gog
-        self.seed = seed
         self.reps = {}
         self.decomp = {}
         g = gog.graph
@@ -285,84 +276,43 @@ class Transversals:
             self.decomp[e] = table
 
 
-def fix_transversals(gog: GraphOfGroups, seed: int = 0) -> Transversals:
-    return Transversals(gog, seed)
+def fix_transversals(gog: GraphOfGroups) -> Transversals:
+    return Transversals(gog)
 
 
-class NormalForm:
-    """Canonical reduced word plus bookkeeping."""
-
-    __slots__ = ("word", "kind", "transversals")
-
-    def __init__(self, word: GroupWord, kind: str, transversals: Transversals):
-        self.word = word
-        self.kind = kind
-        self.transversals = transversals
-
-    def key(self):
-        return self.word.key()
-
-    def __eq__(self, other):
-        return isinstance(other, NormalForm) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __repr__(self):
-        return f"NormalForm({self.word!r}, {self.kind})"
-
-
-def _pinch_pass(gog, head, items, order):
-    """Apply Britton pinches until none fire.  items is a mutable list of
-    [edge, element].  Returns the new head."""
-    g = gog.graph
-    changed = True
-    while changed:
-        changed = False
-        indices = range(len(items) - 1)
-        if order == "rl":
-            indices = range(len(items) - 2, -1, -1)
-        for j in indices:
-            e1, h1 = items[j]
-            e2, _ = items[j + 1]
-            if e2 != g.bar(e1):
-                continue
-            if h1 not in gog.image(e1):
-                continue
-            inj = gog.inj[e1]
-            c = inj.map.index(h1)
-            corr = gog.inj[g.bar(e1)].map[c]
-            Gm = gog.vgroup(g.o(e1))
-            h2 = items[j + 1][1]
-            merged = Gm.op(corr, h2)
-            if j == 0:
-                head = Gm.op(head, merged)
-            else:
-                items[j - 1][1] = Gm.op(items[j - 1][1], merged)
-            del items[j : j + 2]
-            changed = True
-            break
-    return head
-
-
-def reduce_word(w: GroupWord, gog: GraphOfGroups, transversals: Transversals,
-                order: str = "rl") -> NormalForm:
+def reduce_word(w: GroupWord, gog: GraphOfGroups,
+                transversals: Transversals) -> GroupWord:
     """Reduce to the canonical normal form.
 
-    ``order`` chooses the pinch scanning direction ("lr" or "rl"); both reach
-    the same normal form (asserted by the property tests), the parameter
-    exists so that the confluence claim is testable.
+    One left-to-right pass over a stack, as in free reduction: an incoming
+    (e, x) pinches against the top (e1, h1) when e = ē1 and h1 lies in the
+    image of e1; the top is popped and η_e(c)·x multiplied into the new
+    top (or the head).  The stack never holds a pinch, so one pass leaves
+    a reduced word; the transversal sweep then makes it canonical.
     """
-    if order not in ("lr", "rl"):
-        raise ValueError(f"unknown sweep order {order!r}")
     g = gog.graph
+    decomp = transversals.decomp
     head = w.head
-    items = [[e, x] for e, x in w.pairs]
-    head = _pinch_pass(gog, head, items, order)
+    items = []
+    for e, x in w.pairs:
+        if items:
+            e1, h1 = items[-1]
+            if e == g.bar(e1) and h1 in gog.image(e1):
+                # h1 = η_e1(c); its coset representative is the identity
+                c = decomp[e1][h1][0]
+                items.pop()
+                Gm = gog.vgroup(g.t(e))
+                merged = Gm.op(gog.inj[e].map[c], x)
+                if items:
+                    items[-1][1] = Gm.op(items[-1][1], merged)
+                else:
+                    head = Gm.op(head, merged)
+                continue
+        items.append([e, x])
     # canonical decomposition sweep, right to left, corrections pushed left
     for j in range(len(items) - 1, -1, -1):
         e, x = items[j]
-        c, rep = transversals.decomp[e][x]
+        c, rep = decomp[e][x]
         items[j][1] = rep
         corr = gog.inj[g.bar(e)].map[c]
         Gm = gog.vgroup(g.o(e))
@@ -370,20 +320,19 @@ def reduce_word(w: GroupWord, gog: GraphOfGroups, transversals: Transversals,
             head = Gm.op(head, corr)
         else:
             items[j - 1][1] = Gm.op(items[j - 1][1], corr)
-    out = GroupWord(gog, w.start, head, [(e, x) for e, x in items])
-    return NormalForm(out, gog.classify(), transversals)
+    return GroupWord(gog, w.start, head, items)
 
 
 def words_equal(u: GroupWord, w: GroupWord, gog: GraphOfGroups,
                 transversals: Transversals) -> bool:
     if u.start != w.start:
         raise ValueError(f"basepoint mismatch: {u.start} vs {w.start}")
-    return reduce_word(u, gog, transversals).word == reduce_word(w, gog, transversals).word
+    return reduce_word(u, gog, transversals) == reduce_word(w, gog, transversals)
 
 
-def syllable_length(nf: NormalForm) -> int:
-    """Number of nontrivial vertex-group syllables of the canonical form."""
-    w = nf.word
+def syllable_length(w: GroupWord) -> int:
+    """Number of nontrivial vertex-group syllables of w (the head plus the
+    element after each edge); use it on canonical forms."""
     gog = w.gog
     n = 0
     if w.head != gog.vgroup(w.start).identity:
@@ -393,6 +342,28 @@ def syllable_length(nf: NormalForm) -> int:
         if x != gog.vgroup(g.t(e)).identity:
             n += 1
     return n
+
+
+def rotate_once(w: GroupWord, gog: GraphOfGroups,
+                transversals: Transversals) -> GroupWord:
+    """Rotate a reduced loop by one edge step: conjugate by head·(first
+    edge), landing at the next vertex of the loop.  The seam is merged into
+    the last syllable and the rotated word ends with (first edge, 1)."""
+    if not w.pairs:
+        return w
+    g = gog.graph
+    e1, x1 = w.pairs[0]
+    v1 = g.t(e1)
+    id1 = gog.vgroup(v1).identity
+    rest = list(w.pairs[1:])
+    if rest:
+        e_n, x_n = rest[-1]
+        rest[-1] = (e_n, gog.vgroup(g.t(e_n)).op(x_n, w.head))
+        rotated = GroupWord(gog, v1, x1, rest + [(e1, id1)])
+    else:
+        rotated = GroupWord(gog, v1, gog.vgroup(v1).op(x1, w.head),
+                            [(e1, id1)])
+    return reduce_word(rotated, gog, transversals)
 
 
 def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
@@ -407,7 +378,7 @@ def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
     if not w.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
     g = gog.graph
-    cur = reduce_word(w, gog, transversals).word
+    cur = reduce_word(w, gog, transversals)
     conj = identity_word(gog, w.start)
     guard = 0
     while cur.pairs:
@@ -422,23 +393,11 @@ def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
         pinchable = n >= 2 and f1 == g.bar(e_last) and seam in gog.image(e_last)
         if not pinchable and x_last == G_at.identity:
             break
-        # rotate one notch: conjugate by the prefix p = (head, first edge);
-        # the rotated word merges the seam syllable and ends with (f1, 1)
-        p = GroupWord(gog, cur.start, cur.head,
-                      ((f1, gog.vgroup(g.t(f1)).identity),))
-        id_t = gog.vgroup(g.t(f1)).identity
-        if n == 1:
-            rotated = GroupWord(gog, g.t(f1),
-                                gog.vgroup(g.t(f1)).op(cur.pairs[0][1], cur.head),
-                                ((f1, id_t),))
-        else:
-            rotated = GroupWord(
-                gog, g.t(f1), cur.pairs[0][1],
-                tuple(cur.pairs[1:-1]) + ((e_last, seam), (f1, id_t)),
-            )
-        conj = conj * p
-        cur = reduce_word(rotated, gog, transversals).word
-    return cur, reduce_word(conj, gog, transversals).word
+        # conjugate by the prefix p = (head, first edge)
+        conj = conj * GroupWord(gog, cur.start, cur.head,
+                                ((f1, gog.vgroup(g.t(f1)).identity),))
+        cur = rotate_once(cur, gog, transversals)
+    return cur, reduce_word(conj, gog, transversals)
 
 
 # -- word JSON --------------------------------------------------------------

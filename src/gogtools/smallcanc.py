@@ -48,6 +48,7 @@ from .gog import (
     fix_transversals,
     identity_word,
     reduce_word,
+    rotate_once,
     syllable_length,
     words_equal,
 )
@@ -64,7 +65,7 @@ def word_power(w: GroupWord, m: int, gog, T) -> GroupWord:
         raise ValueError(f"powers need a loop word, got {w.start} -> {w.end}")
     acc = identity_word(gog, w.start)
     for _ in range(m):
-        acc = reduce_word(acc * w, gog, T).word
+        acc = reduce_word(acc * w, gog, T)
     return acc
 
 
@@ -75,35 +76,6 @@ def positions(w: GroupWord, gog):
     for e, x in w.pairs:
         out.append((g.t(e), x, e))
     return out
-
-
-def _syl(w: GroupWord, gog) -> int:
-    n = 0
-    for v, x, _e in positions(w, gog):
-        if x != gog.vgroup(v).identity:
-            n += 1
-    return n
-
-
-def rotate_once(w: GroupWord, gog, T) -> GroupWord:
-    """Rotate a reduced loop by one edge step: conjugate by head·(first
-    edge), landing at the next vertex of the loop."""
-    if not w.pairs:
-        return w
-    g = gog.graph
-    e1, x1 = w.pairs[0]
-    v1 = g.t(e1)
-    id1 = gog.vgroup(v1).identity
-    rest = list(w.pairs[1:])
-    if rest:
-        e_n, x_n = rest[-1]
-        Gn = gog.vgroup(g.t(e_n))
-        rest[-1] = (e_n, Gn.op(x_n, w.head))
-        rotated = GroupWord(gog, v1, x1, rest + [(e1, id1)])
-    else:
-        rotated = GroupWord(gog, v1, gog.vgroup(v1).op(x1, w.head),
-                            [(e1, id1)])
-    return reduce_word(rotated, gog, T).word
 
 
 def rotations(w: GroupWord, gog, T):
@@ -125,12 +97,11 @@ class SymmetrizedSet:
     least member under the word key — the canonical cyclic conjugate the
     rest of the module refers back to."""
 
-    def __init__(self, gog, transversals, members, base, source):
+    def __init__(self, gog, transversals, members, base):
         self.gog = gog
         self.transversals = transversals
         self.members = tuple(members)
         self.base = base
-        self.source = source
 
     def __len__(self):
         return len(self.members)
@@ -141,7 +112,7 @@ class SymmetrizedSet:
     def member_length(self) -> int:
         """Common syllable length of the members (they are all rotations
         of one cyclic word or its inverse)."""
-        return min(_syl(w, self.gog) for w in self.members)
+        return min(syllable_length(w) for w in self.members)
 
     def __repr__(self):
         return f"SymmetrizedSet({len(self.members)} members, base={self.base!r})"
@@ -155,12 +126,10 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
     """Smallest symmetrized set containing r: all cyclic rotations of the
     cyclically reduced r and of its inverse, deduplicated."""
     T = transversals if transversals is not None else fix_transversals(gog)
-    red = reduce_word(r, gog, T).word
-    core, _conj = cyclically_reduce(red, gog, T)
+    core, _conj = cyclically_reduce(r, gog, T)
     if not core.pairs and core.head == gog.vgroup(core.start).identity:
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
-    inv_core, _ = cyclically_reduce(
-        reduce_word(core.inverse(), gog, T).word, gog, T)
+    inv_core, _ = cyclically_reduce(core.inverse(), gog, T)
     seen = {}
     for w0 in (core, inv_core):
         for w in rotations(w0, gog, T):
@@ -172,7 +141,7 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
             seen.setdefault(_word_id(w), w)
     members = sorted(seen.values(), key=lambda w: (w.start, w.key()))
     base = min(members, key=lambda w: w.key())
-    return SymmetrizedSet(gog, T, members, base, red)
+    return SymmetrizedSet(gog, T, members, base)
 
 
 # -- pieces -----------------------------------------------------------------
@@ -310,7 +279,7 @@ def check_cprime(r: GroupWord, m: int, lam, gog, transversals=None) -> dict:
         raise ValueError(f"power must be >= 1, got {m}")
     lam = Fraction(lam)
     T = transversals if transversals is not None else fix_transversals(gog)
-    rm = word_power(reduce_word(r, gog, T).word, m, gog, T)
+    rm = word_power(reduce_word(r, gog, T), m, gog, T)
     S = symmetrize(rm, gog, T)
     rep = pieces(S)
     L = rep.min_length
@@ -367,7 +336,7 @@ def edge_stabilizer_words(gog, T, prefix: GroupWord, e: int):
     out = []
     for c in range(gog.egroup(e).order):
         h = GroupWord(gog, v_o, emb[c])
-        out.append(reduce_word(prefix * h * inv, gog, T).word)
+        out.append(reduce_word(prefix * h * inv, gog, T))
     return out
 
 
@@ -381,11 +350,10 @@ def compute_M(gog, r: GroupWord, transversals=None) -> ThinnessConstant:
     built.
     """
     T = transversals if transversals is not None else fix_transversals(gog)
-    red = reduce_word(r, gog, T).word
-    core, _ = cyclically_reduce(red, gog, T)
+    core, _ = cyclically_reduce(r, gog, T)
     if not core.pairs and core.head == gog.vgroup(core.start).identity:
         raise ValueError(f"empty relator: {r!r}")
-    r_len = _syl(core, gog)
+    r_len = syllable_length(core)
     if not core.pairs:
         return ThinnessConstant(1, r_len, [], [],
                                 note="relator fixes the basepoint "
@@ -513,7 +481,7 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
     if not w.is_loop():
         raise ValueError(f"words must be loops, got {w.start} -> {w.end}")
     tab, mempos = _match_table(S)
-    cur = reduce_word(w, gog, T).word
+    cur = reduce_word(w, gog, T)
     original = cur
     trace = []
     area = 0
@@ -528,14 +496,14 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
         if found is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
             core, conj = cyclically_reduce(cur, gog, T)
-            if _syl(core, gog) < _syl(cur, gog):
+            if syllable_length(core) < syllable_length(cur):
                 trace.append(("conjugate", conj))
                 cur = core
                 continue
             break
         i, (l, idx, _matched) = found
         s, ps, _syls, _tot = mempos[idx]
-        before = _syl(cur, gog)
+        before = syllable_length(cur)
         # cur = Â·u·Ĉ, exactly as unreduced words: Â covers positions
         # 0..i with the element at i cut down to the leftover p, u is the
         # l-position prefix of s, Ĉ restarts at position i+l-1 with the
@@ -553,12 +521,12 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
         q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
         C_hat = GroupWord(gog, ps[l - 1][0], q_elt,
                           tuple(cur.pairs[i + l - 1:]))
-        t_comp = reduce_word(u.inverse() * s, gog, T).word
-        cur = reduce_word(A_hat * t_comp.inverse() * C_hat, gog, T).word
-        if _syl(cur, gog) >= before:
+        t_comp = reduce_word(u.inverse() * s, gog, T)
+        cur = reduce_word(A_hat * t_comp.inverse() * C_hat, gog, T)
+        if syllable_length(cur) >= before:
             raise RuntimeError(
                 f"replacement failed to shorten ({before} -> "
-                f"{_syl(cur, gog)}); matcher and member disagree"
+                f"{syllable_length(cur)}); matcher and member disagree"
             )
         trace.append(("relator", A_hat, idx))
         area += 1
@@ -579,10 +547,10 @@ def replay_trace(result: DehnResult) -> bool:
         if step[0] == "relator":
             _kind, g, idx = step
             s = S.members[idx]
-            cur = reduce_word(g * s * g.inverse() * cur, gog, T).word
+            cur = reduce_word(g * s * g.inverse() * cur, gog, T)
         elif step[0] == "conjugate":
             _kind, conj = step
-            cur = reduce_word(conj * cur * conj.inverse(), gog, T).word
+            cur = reduce_word(conj * cur * conj.inverse(), gog, T)
         else:
             raise ValueError(f"unknown trace step {step[0]!r}")
     return words_equal(cur, result.original, gog, T)
@@ -609,7 +577,7 @@ class KernelOracle:
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
         self.gog = gog
         self.T = transversals if transversals is not None else fix_transversals(gog)
-        self.r = reduce_word(r, gog, self.T).word
+        self.r = reduce_word(r, gog, self.T)
         self.m = m
         self.rm = word_power(self.r, m, gog, self.T)
         self.S = symmetrize(self.rm, gog, self.T)
@@ -650,14 +618,14 @@ class KernelOracle:
 
     def certificate(self, w: GroupWord) -> dict:
         gog, T = self.gog, self.T
-        red = reduce_word(w, gog, T).word
+        red = reduce_word(w, gog, T)
         if (not red.pairs
                 and red.head == gog.vgroup(red.start).identity):
             return {"in_kernel": True, "method": "trivial"}
         if self.abelian and self._h1_image(red) not in self._r_subgroup:
             return {"in_kernel": False, "method": "abelianized-image"}
         core, _ = cyclically_reduce(red, gog, T)
-        n = _syl(core, gog)
+        n = syllable_length(core)
         if n > 0 and Fraction(n) <= self.length_gate:
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
@@ -675,7 +643,7 @@ class KernelOracle:
 def _relator_boundary(gog, T, rel: GroupWord):
     """Cyclically reduced relator, its prefix words q_0..q_{n-1} (n = edge
     length), and the Λ-vertices they end at."""
-    core, _ = cyclically_reduce(reduce_word(rel, gog, T).word, gog, T)
+    core, _ = cyclically_reduce(rel, gog, T)
     if not core.pairs:
         raise ValueError(
             f"relator {rel!r} has no edges; its boundary bounds no 2-cell"
@@ -732,7 +700,7 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
             inv_i = w_i.inverse()
             for x in range(Gv.order):
                 d = reduce_word(cand * GroupWord(gog, lam_v, x) * inv_i,
-                                gog, T).word
+                                gog, T)
                 if in_kernel(d):
                     return i
         return None
@@ -753,10 +721,10 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
             if v.tag != "T/v0":
                 continue
             for h in range(G0.order):
-                g = reduce_word(v.rep * GroupWord(gog, 0, h), gog, T).word
+                g = reduce_word(v.rep * GroupWord(gog, 0, h), gog, T)
                 cycle = []
                 for q, lv in zip(prefixes, lam):
-                    idx = find_vertex(reduce_word(g * q, gog, T).word, lv)
+                    idx = find_vertex(reduce_word(g * q, gog, T), lv)
                     if idx is None:
                         cycle = None
                         break
@@ -787,7 +755,7 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
     gog, T = oracle.gog, oracle.T
     for s in range(oracle.m):
         cand = reduce_word(delta * word_power(oracle.r, s, gog, T).inverse(),
-                           gog, T).word
+                           gog, T)
         cert = oracle.certificate(cand)
         if cert["in_kernel"]:
             return s
@@ -862,9 +830,9 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             for c in range(G_o.order):
                 cand = reduce_word(
                     x_o * GroupWord(gog, lam_o, c) * q_j.inverse(), gog, T
-                ).word
+                )
                 img = canonical_coset_word(
-                    reduce_word(cand * q_next, gog, T).word, gog, T)
+                    reduce_word(cand * q_next, gog, T), gog, T)
                 if img == canonical_coset_word(x_t, gog, T):
                     g = cand
                     break
@@ -876,7 +844,7 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             placed = False
             for cls in classes:
                 _j0, g0 = cls[0]
-                delta = reduce_word(g0.inverse() * g, gog, T).word
+                delta = reduce_word(g0.inverse() * g, gog, T)
                 if _disc_stabilizer_power(oracle, delta) is not None:
                     cls.append((j, g))
                     placed = True
@@ -975,7 +943,7 @@ def claim_audit(X: TwoComplexBall, gog, r: GroupWord, m: int,
         for j in range(p):
             lhs = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j + p]))
             q_j = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
-            rhs = reduce_word(core * q_j, gog, T).word
+            rhs = reduce_word(core * q_j, gog, T)
             if not words_equal(lhs, rhs, gog, T):
                 collapse_ok = False
                 break

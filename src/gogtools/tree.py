@@ -111,7 +111,7 @@ def canonical_coset_word(word: GroupWord, gog: GraphOfGroups,
     G = gog.vgroup(v)
     best = None
     for g in range(G.order):
-        cand = reduce_word(word * GroupWord(gog, v, g), gog, transversals).word
+        cand = reduce_word(word * GroupWord(gog, v, g), gog, transversals)
         if best is None or cand.key() < best.key():
             best = cand
     return best
@@ -125,7 +125,7 @@ def canonical_edge_word(word: GroupWord, e: int, gog: GraphOfGroups,
         raise ValueError(f"edge word must end at o({e}) = {g.o(e)}, ends at {word.end}")
     best = None
     for h in sorted(gog.image(g.bar(e))):
-        cand = reduce_word(word * GroupWord(gog, word.end, h), gog, transversals).word
+        cand = reduce_word(word * GroupWord(gog, word.end, h), gog, transversals)
         if best is None or cand.key() < best.key():
             best = cand
     return best
@@ -234,7 +234,7 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
                 ident_t = gog.vgroup(tv).identity
                 for rep in fan[e]:
                     step = GroupWord(gog, v, rep, [(e, ident_t)])
-                    nf = reduce_word(w * step, gog, T).word
+                    nf = reduce_word(w * step, gog, T)
                     if len(nf.pairs) != len(w.pairs) + 1:
                         continue  # folded back toward the center
                     child = canonical_coset_word(nf, gog, T)
@@ -336,10 +336,10 @@ def stabilizer(cell, ball: TreeBall) -> StabilizerData:
         def embed(c):
             return GroupWord(gog, side, inj.map[c])
 
-    inv = reduce_word(conj.inverse(), gog, T).word
+    inv = reduce_word(conj.inverse(), gog, T)
     elements = []
     for x in gens:
-        loop = reduce_word(conj * embed(x) * inv, gog, T).word
+        loop = reduce_word(conj * embed(x) * inv, gog, T)
         elements.append(loop)
     return StabilizerData(cell, conj, G, name, elements)
 

@@ -34,6 +34,7 @@ from fixtures import (
     sl2z_gog,
     sl2z_matrix,
 )
+from test_words import agrees_with_oracle
 from gogtools import cli
 from gogtools.cayley_abels import quotient_tree_ball
 from gogtools.complexes import bounded_trivial, omega_k, pi1_presentation
@@ -123,11 +124,7 @@ def test_criterion_02_normal_forms_match_matrix_oracle():
     T = fix_transversals(gog)
     rng = random.Random(0x51)
     words = [random_amalgam_word(gog, rng) for _ in range(10 ** 4)]
-    sweep_ok = all(
-        reduce_word(w, gog, T, order="rl").word
-        == reduce_word(w, gog, T, order="lr").word
-        for w in words
-    )
+    sweep_ok = all(agrees_with_oracle(w, gog, T) for w in words)
     agree = 0
     pairs = 0
     for i in range(0, len(words), 2):
@@ -135,9 +132,10 @@ def test_criterion_02_normal_forms_match_matrix_oracle():
         pairs += 1
         if words_equal(u, w, gog, T) == (sl2z_matrix(u) == sl2z_matrix(w)):
             agree += 1
-    _verdict(2, "10^4 random words: matrix oracle agreement and sweep order",
+    _verdict(2, "10^4 random words: matrix oracle and fixpoint-pinch oracle",
              agree == pairs and sweep_ok,
-             f"{agree}/{pairs} pairs, sweep invariant on {len(words)} words")
+             f"{agree}/{pairs} pairs, fixpoint oracle agrees on "
+             f"{len(words)} words")
 
 
 # -- 3: fineness stabilization, positive and negative -----------------------
@@ -297,7 +295,7 @@ def test_criterion_06_pieces_and_cprime():
     T = fix_transversals(gog)
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
     ok = True
-    for w in (r, word_power(reduce_word(r, gog, T).word, 12, gog, T)):
+    for w in (r, word_power(reduce_word(r, gog, T), 12, gog, T)):
         S = symmetrize(w, gog, T)
         if pieces(S).max_piece != _oracle_max_piece(S):
             ok = False
@@ -326,7 +324,7 @@ def test_criterion_06_proper_power_clause():
 def _oracle_k_tree_ball(gog, T, r):
     """Recompute k through the ball action: geodesic cells and BFS-built
     stabilizers, nothing shared with the prefix-conjugation route."""
-    core, _ = cyclically_reduce(reduce_word(r, gog, T).word, gog, T)
+    core, _ = cyclically_reduce(reduce_word(r, gog, T), gog, T)
     r2 = word_power(core, 2, gog, T)
     ball = build_tree_ball(gog, 2 * len(core.pairs) + 1, base=core.start,
                            transversals=T)
@@ -379,7 +377,7 @@ def test_criterion_07_thinness_constant_M():
 def test_criterion_08_presentation_complex_is_M_thin():
     gog = c4_c6_free()
     T = fix_transversals(gog)
-    r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]), gog, T).word
+    r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]), gog, T)
     M = compute_M(gog, r, T).M
     oracle = KernelOracle(gog, r, 12, transversals=T)
     rm = word_power(r, 12, gog, T)
@@ -405,7 +403,7 @@ def test_criterion_09_dehn_kernel_decisions():
     T = fix_transversals(gog)
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
     oracle = KernelOracle(gog, r, 12, transversals=T)
-    rm_inv = reduce_word(oracle.rm.inverse(), gog, T).word
+    rm_inv = reduce_word(oracle.rm.inverse(), gog, T)
     rng = random.Random(0xD0E)
 
     kernel_hits = 0
@@ -416,7 +414,7 @@ def test_criterion_09_dehn_kernel_decisions():
             base = oracle.rm if rng.randrange(2) == 0 else rm_inv
             factor = c * base * c.inverse()
             prod = factor if prod is None else prod * factor
-            prod = reduce_word(prod, gog, T).word
+            prod = reduce_word(prod, gog, T)
         if dehn_reduce(prod, oracle.S).is_trivial:
             kernel_hits += 1
 
@@ -424,7 +422,7 @@ def test_criterion_09_dehn_kernel_decisions():
     nonkernel_total = 0
     while nonkernel_total < 10 ** 3:
         w = reduce_word(random_amalgam_word(gog, rng, max_syllables=10),
-                        gog, T).word
+                        gog, T)
         cert = oracle.certificate(w)
         if cert["in_kernel"] or cert["method"] == "dehn":
             continue  # only independently certified non-kernel words count

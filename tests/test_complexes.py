@@ -367,8 +367,8 @@ def _d3_conjugates(gog, T, st3):
         conjugators.append(ab_word(gog, [0] + [1] * k))
     out = {}
     for u in conjugators:
-        for s in (st3, reduce_word(st3.inverse(), gog, T).word):
-            w = reduce_word(u * s * u.inverse(), gog, T).word
+        for s in (st3, reduce_word(st3.inverse(), gog, T)):
+            w = reduce_word(u * s * u.inverse(), gog, T)
             out[(w.start, w.head, w.pairs)] = w
     return list(out.values())
 
@@ -376,9 +376,9 @@ def _d3_conjugates(gog, T, st3):
 def oracle_brute_area(gog, T, conjugates, target, max_area=4, max_syl=20):
     """Minimal number of relator-conjugate factors multiplying to the
     target, by plain BFS — no Dehn greediness anywhere."""
-    tnf = reduce_word(target, gog, T).word
+    tnf = reduce_word(target, gog, T)
     tid = (tnf.start, tnf.head, tnf.pairs)
-    e = reduce_word(ab_word(gog, []), gog, T).word
+    e = reduce_word(ab_word(gog, []), gog, T)
     if tid == (e.start, e.head, e.pairs):
         return 0
     seen = {(e.start, e.head, e.pairs)}
@@ -387,12 +387,11 @@ def oracle_brute_area(gog, T, conjugates, target, max_area=4, max_syl=20):
         nxt = []
         for w in level:
             for c in conjugates:
-                nf = reduce_word(w * c, gog, T)
-                z = nf.word
+                z = reduce_word(w * c, gog, T)
                 zid = (z.start, z.head, z.pairs)
                 if zid == tid:
                     return area
-                if zid in seen or syllable_length(nf) > max_syl:
+                if zid in seen or syllable_length(z) > max_syl:
                     continue
                 seen.add(zid)
                 nxt.append(z)

@@ -112,7 +112,7 @@ def test_symmetrize_relator_and_inverse_agree():
     gog, T = _free()
     r = _relator(gog)
     S1 = symmetrize(r, gog, T)
-    S2 = symmetrize(reduce_word(r.inverse(), gog, T).word, gog, T)
+    S2 = symmetrize(reduce_word(r.inverse(), gog, T), gog, T)
     ids1 = {(w.start, w.head, tuple(w.pairs)) for w in S1.members}
     ids2 = {(w.start, w.head, tuple(w.pairs)) for w in S2.members}
     assert ids1 == ids2
@@ -167,7 +167,7 @@ def test_symmetrize_closed_under_rotation_and_inverse():
             v = rotate_once(u, gog, T)
             assert (v.start, v.head, tuple(v.pairs)) in ids
             core, _ = cyclically_reduce(
-                reduce_word(u.inverse(), gog, T).word, gog, T)
+                reduce_word(u.inverse(), gog, T), gog, T)
             assert (core.start, core.head, tuple(core.pairs)) in ids
 
 
@@ -229,12 +229,12 @@ def test_pieces_seam_fudge_on_amalgam():
     T = fix_transversals(gog)
     from gogtools.smallcanc import common_prefix_syllables
 
-    u = reduce_word(ab_word(gog, [1, 1]), gog, T).word
-    w = reduce_word(ab_word(gog, [3, 1]), gog, T).word
+    u = reduce_word(ab_word(gog, [1, 1]), gog, T)
+    w = reduce_word(ab_word(gog, [3, 1]), gog, T)
     assert u.head != w.head
     assert common_prefix_syllables(u, w, gog) == 1
 
-    v = reduce_word(ab_word(gog, [1, 2]), gog, T).word
+    v = reduce_word(ab_word(gog, [1, 2]), gog, T)
     assert v.head == u.head
     assert common_prefix_syllables(u, v, gog) == 1
 
@@ -295,7 +295,7 @@ def test_thmb_hypothesis_exact():
 def oracle_k_tree_ball(gog, T, r):
     """Recompute k through the ball action: geodesic cells and BFS-built
     stabilizers, nothing shared with the prefix-conjugation route."""
-    core, _ = cyclically_reduce(reduce_word(r, gog, T).word, gog, T)
+    core, _ = cyclically_reduce(reduce_word(r, gog, T), gog, T)
     r2 = word_power(core, 2, gog, T)
     ball = build_tree_ball(gog, 2 * len(core.pairs) + 1, base=core.start,
                            transversals=T)
@@ -352,7 +352,7 @@ def test_compute_M_shift_invariant():
     gog, T = _free()
     r = _relator(gog)
     base = compute_M(gog, r, T)
-    core, _ = cyclically_reduce(reduce_word(r, gog, T).word, gog, T)
+    core, _ = cyclically_reduce(reduce_word(r, gog, T), gog, T)
     for w in rotations(core, gog, T):
         tc = compute_M(gog, w, T)
         assert (tc.k, tc.M) == (base.k, base.M)
@@ -387,7 +387,7 @@ def test_dehn_kills_relator_power():
 def test_dehn_kills_conjugate():
     gog, T, r, r12, S = _kernel_setup()
     g = ab_word(gog, [2, 3])
-    w = reduce_word(g * r12 * g.inverse(), gog, T).word
+    w = reduce_word(g * r12 * g.inverse(), gog, T)
     res = dehn_reduce(w, S)
     assert res.is_trivial
     assert replay_trace(res)
@@ -395,9 +395,9 @@ def test_dehn_kills_conjugate():
 
 def test_dehn_kills_product_of_conjugates():
     gog, T, r, r12, S = _kernel_setup()
-    r12i = reduce_word(r12.inverse(), gog, T).word
+    r12i = reduce_word(r12.inverse(), gog, T)
     g = ab_word(gog, [3, 1])
-    w = reduce_word(g * r12i * g.inverse() * r12, gog, T).word
+    w = reduce_word(g * r12i * g.inverse() * r12, gog, T)
     res = dehn_reduce(w, S)
     assert res.is_trivial
     assert res.area == 2
@@ -407,7 +407,7 @@ def test_dehn_kills_product_of_conjugates():
 def test_dehn_stuck_word_with_conjugate_step():
     gog, T, r, r12, S = _kernel_setup()
     c = ab_word(gog, [1, 1])
-    w = reduce_word(c * r * c.inverse(), gog, T).word
+    w = reduce_word(c * r * c.inverse(), gog, T)
     res = dehn_reduce(w, S)
     assert not res.is_trivial
     assert _syl(res.word, gog) == 6  # back to a rotation of r
@@ -440,8 +440,8 @@ def test_dehn_areas_scale_with_conjugate_count():
         w = None
         for _ in range(count):
             g = ab_word(gog, [rng.randrange(1, 4), rng.randrange(1, 6)])
-            c = reduce_word(g * r12 * g.inverse(), gog, T).word
-            w = c if w is None else reduce_word(w * c, gog, T).word
+            c = reduce_word(g * r12 * g.inverse(), gog, T)
+            w = c if w is None else reduce_word(w * c, gog, T)
         res = dehn_reduce(w, S)
         assert res.is_trivial
         assert replay_trace(res)
@@ -466,7 +466,7 @@ def test_kernel_oracle_certificates():
     # a short commutator-like loop with trivial abelianized image is
     # caught by the Greendlinger length gate, not by Dehn
     w = reduce_word(
-        ab_word(gog, [1, 1]) * ab_word(gog, [3, 5]), gog, T).word
+        ab_word(gog, [1, 1]) * ab_word(gog, [3, 5]), gog, T)
     if ko.abelian and ko._h1_image(w) in ko._r_subgroup:
         assert ko.certificate(w)["method"] == "length-gate"
     assert not ko.in_kernel(w)

@@ -127,7 +127,7 @@ def test_coset_reps_pairwise_inequivalent():
                 continue
             G = gog.vgroup(u.end)
             for g in range(G.order):
-                shifted = reduce_word(w * GroupWord(gog, w.end, g), gog, T).word
+                shifted = reduce_word(w * GroupWord(gog, w.end, g), gog, T)
                 assert shifted != u
 
 

@@ -1,4 +1,8 @@
-"""Words, reduction, normal forms: unit examples plus the oracle properties."""
+"""Words, reduction, normal forms: unit examples plus the oracle properties.
+
+The fixpoint pinch pass that the one-pass stack reduction replaced is kept
+here, in both scan orders, as a reference oracle for ``reduce_word``.
+"""
 
 import random
 
@@ -28,9 +32,69 @@ from fixtures import (
     loop_word,
     random_amalgam_word,
     random_hnn_word,
+    s3_d4_amalgam,
     sl2z_gog,
     sl2z_matrix,
 )
+
+
+def _pinch_pass(gog, head, items, order):
+    """Apply Britton pinches until none fire, restarting the scan ("lr" or
+    "rl") after each one.  items is a mutable list of [edge, element].
+    Returns the new head."""
+    g = gog.graph
+    changed = True
+    while changed:
+        changed = False
+        indices = range(len(items) - 1)
+        if order == "rl":
+            indices = range(len(items) - 2, -1, -1)
+        for j in indices:
+            e1, h1 = items[j]
+            e2, _ = items[j + 1]
+            if e2 != g.bar(e1):
+                continue
+            if h1 not in gog.image(e1):
+                continue
+            inj = gog.inj[e1]
+            c = inj.map.index(h1)
+            corr = gog.inj[g.bar(e1)].map[c]
+            Gm = gog.vgroup(g.o(e1))
+            h2 = items[j + 1][1]
+            merged = Gm.op(corr, h2)
+            if j == 0:
+                head = Gm.op(head, merged)
+            else:
+                items[j - 1][1] = Gm.op(items[j - 1][1], merged)
+            del items[j : j + 2]
+            changed = True
+            break
+    return head
+
+
+def oracle_reduce(w, gog, tr, order):
+    """Reference normal form: the fixpoint pinch pass in the given scan
+    order, then the right-to-left transversal sweep."""
+    g = gog.graph
+    items = [[e, x] for e, x in w.pairs]
+    head = _pinch_pass(gog, w.head, items, order)
+    for j in range(len(items) - 1, -1, -1):
+        e, x = items[j]
+        c, rep = tr.decomp[e][x]
+        items[j][1] = rep
+        corr = gog.inj[g.bar(e)].map[c]
+        Gm = gog.vgroup(g.o(e))
+        if j == 0:
+            head = Gm.op(head, corr)
+        else:
+            items[j - 1][1] = Gm.op(items[j - 1][1], corr)
+    return GroupWord(gog, w.start, head, items)
+
+
+def agrees_with_oracle(w, gog, tr):
+    """reduce_word matches the fixpoint oracle in both scan orders."""
+    nf = reduce_word(w, gog, tr)
+    return nf == oracle_reduce(w, gog, tr, "lr") == oracle_reduce(w, gog, tr, "rl")
 
 
 def test_validate_ok():
@@ -87,9 +151,7 @@ def test_reduce_relation_word():
     gog = sl2z_gog()
     tr = fix_transversals(gog)
     w = ab_word(gog, [2, 3])
-    nf = reduce_word(w, gog, tr)
-    assert nf.word == identity_word(gog, 0)
-    assert nf.kind == "amalgam"
+    assert reduce_word(w, gog, tr) == identity_word(gog, 0)
 
 
 def test_reduce_gg_inverse():
@@ -99,7 +161,7 @@ def test_reduce_gg_inverse():
     for _ in range(50):
         w = random_amalgam_word(gog, rng)
         prod = w * w.inverse()
-        assert reduce_word(prod, gog, tr).word == identity_word(gog, w.start)
+        assert reduce_word(prod, gog, tr) == identity_word(gog, w.start)
 
 
 def test_britton_pinch_hnn():
@@ -107,9 +169,7 @@ def test_britton_pinch_hnn():
     gog = hnn_c6()
     tr = fix_transversals(gog)
     w = GroupWord(gog, 0, 0, ((1, 2), (0, 0)))
-    nf = reduce_word(w, gog, tr)
-    assert nf.word == GroupWord(gog, 0, 4, ())
-    assert nf.kind == "hnn"
+    assert reduce_word(w, gog, tr) == GroupWord(gog, 0, 4, ())
 
 
 def test_no_t1t_inverse_left():
@@ -119,7 +179,7 @@ def test_no_t1t_inverse_left():
     rng = random.Random(11)
     for _ in range(300):
         w = random_hnn_word(gog, rng)
-        nf = reduce_word(w, gog, tr).word
+        nf = reduce_word(w, gog, tr)
         for (e1, x1), (e2, _) in zip(nf.pairs, nf.pairs[1:]):
             if e2 == gog.graph.bar(e1):
                 assert x1 not in gog.image(e1)
@@ -173,7 +233,7 @@ def test_cyclically_reduce_already_reduced():
     tr = fix_transversals(free)
     w = ab_word(free, [1, 1])
     core, conj = cyclically_reduce(w, free, tr)
-    assert core == reduce_word(w, free, tr).word
+    assert core == reduce_word(w, free, tr)
     assert conj == identity_word(free, 0)
 
 
@@ -186,6 +246,62 @@ def test_cyclically_reduce_seam():
     assert core == GroupWord(free, 0, 1, ((0, 1), (1, 0)))
     back = conj * core * conj.inverse()
     assert words_equal(back, w, free, tr)
+
+
+def _random_loop(gog, rng):
+    """Random loop word, half of them conjugates u·v·u⁻¹ so that the
+    conjugator has work to do."""
+    if gog.graph.num_vertices == 1:
+        u, v = random_hnn_word(gog, rng, 6), random_hnn_word(gog, rng, 6)
+    else:
+        start = rng.randrange(2)
+        u = random_amalgam_word(gog, rng, 6, start=start)
+        v = random_amalgam_word(gog, rng, 6, start=start)
+    return u * v * u.inverse() if rng.randrange(2) else v
+
+
+@pytest.mark.parametrize("make", [sl2z_gog, s3_d4_amalgam, hnn_c6])
+def test_cyclically_reduce_properties(make):
+    gog = make()
+    tr = fix_transversals(gog)
+    g = gog.graph
+    rng = random.Random(0xC0DE)
+    for _ in range(500):
+        w = _random_loop(gog, rng)
+        core, conj = cyclically_reduce(w, gog, tr)
+        assert words_equal(conj * core * conj.inverse(), w, gog, tr), w
+        assert core == reduce_word(core, gog, tr)
+        if not core.pairs:
+            continue
+        e_last, x_last = core.pairs[-1]
+        assert x_last == gog.vgroup(core.start).identity, core
+        # no pinch across the seam (last edge, head, first edge)
+        if len(core.pairs) >= 2 and core.pairs[0][0] == g.bar(e_last):
+            assert core.head not in gog.image(e_last), core
+
+
+def _long_word(gog, rng, n):
+    """Loop word with n random vertex-group syllables; exponents may be
+    trivial, so unreduced stretches occur."""
+    if gog.graph.num_vertices == 1:
+        B = gog.vgroup(0)
+        return GroupWord(gog, 0, rng.randrange(B.order),
+                         [(rng.randrange(2), rng.randrange(B.order))
+                          for _ in range(n)])
+    return ab_word(gog, [rng.randrange(24) for _ in range(n)])
+
+
+@pytest.mark.parametrize("make", [c4_c6_free, s3_d4_amalgam, hnn_c6])
+def test_full_cancellation_long_words(make):
+    gog = make()
+    tr = fix_transversals(gog)
+    rng = random.Random(0x1000)
+    for n in (1, 10, 100, 500):
+        w = _long_word(gog, rng, n)
+        ident = identity_word(gog, w.start)
+        assert reduce_word(w * w.inverse(), gog, tr) == ident
+        assert reduce_word(w.inverse() * w, gog, tr) == ident
+        assert reduce_word(w * w * w.inverse(), gog, tr) == reduce_word(w, gog, tr)
 
 
 def test_word_json_roundtrip():
@@ -209,12 +325,13 @@ def test_word_json_rejects_garbage():
 
 
 def test_sweep_order_invariance_amalgam():
+    # the stack pass against the fixpoint oracle in both scan orders
     gog = sl2z_gog()
     tr = fix_transversals(gog)
     rng = random.Random(0xBEEF)
     for _ in range(10_000):
         w = random_amalgam_word(gog, rng, max_syllables=10)
-        assert reduce_word(w, gog, tr, "lr").word == reduce_word(w, gog, tr, "rl").word
+        assert agrees_with_oracle(w, gog, tr), w
 
 
 def test_sweep_order_invariance_hnn():
@@ -223,7 +340,7 @@ def test_sweep_order_invariance_hnn():
     rng = random.Random(0xF00D)
     for _ in range(10_000):
         w = random_hnn_word(gog, rng, max_letters=8)
-        assert reduce_word(w, gog, tr, "lr").word == reduce_word(w, gog, tr, "rl").word
+        assert agrees_with_oracle(w, gog, tr), w
 
 
 def test_reduce_idempotent_and_homomorphic():
@@ -233,10 +350,10 @@ def test_reduce_idempotent_and_homomorphic():
     for _ in range(2_000):
         u = random_amalgam_word(gog, rng, max_syllables=8)
         w = random_amalgam_word(gog, rng, max_syllables=8)
-        ru = reduce_word(u, gog, tr).word
-        rw = reduce_word(w, gog, tr).word
-        assert reduce_word(ru, gog, tr).word == ru
-        assert reduce_word(u * w, gog, tr).word == reduce_word(ru * rw, gog, tr).word
+        ru = reduce_word(u, gog, tr)
+        rw = reduce_word(w, gog, tr)
+        assert reduce_word(ru, gog, tr) == ru
+        assert reduce_word(u * w, gog, tr) == reduce_word(ru * rw, gog, tr)
 
 
 def test_matrix_oracle_agreement():
