@@ -16,7 +16,10 @@ coned-off plane is "grid ball plus cones".
 ``quotient_tree_ball`` quotients the tree-ball construction by the normal
 closure of a relator list, membership being decided by a caller-supplied
 word-problem callable (True / False / None="cannot decide", the last aborts).
-With no relators it reproduces the tree ball verbatim.
+With no relators it reproduces the tree ball verbatim: it walks the tree with
+the child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
+the one place that finds a vertex again modulo the kernel; the presentation
+complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.
 
 Cells and determinism
 ---------------------
@@ -31,7 +34,6 @@ from fractions import Fraction
 
 from .concrete import SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
-from .finite import Subgroup, left_transversal
 from .gog import (
     GraphOfGroups,
     GroupWord,
@@ -40,7 +42,7 @@ from .gog import (
     reduce_word,
     word_to_json,
 )
-from .tree import canonical_coset_word
+from .tree import _child_steps, _fan_table, canonical_coset_word
 
 
 class GVertex:
@@ -290,6 +292,49 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
     return GGraphBall(verts, edges, adjacency, R, notes)
 
 
+class _KernelLookup:
+    """Quotient-ball vertices by canonical tree word, found again modulo the
+    kernel ⟨⟨R⟩⟩: an exact hit on the word, else the first vertex at the
+    same Λ-vertex v whose word w_i has word·x·w_i⁻¹ in the kernel for some
+    x in G_v.  With no relators only exact hits count."""
+
+    def __init__(self, gog: GraphOfGroups, T, relators, wp):
+        self.gog = gog
+        self.T = T
+        self.wp = wp if relators else None
+        self.exact = {}     # canonical tree word -> index
+        self.by_lam = {}    # Λ-vertex -> [(word, index)]
+
+    def add(self, word: GroupWord, idx: int):
+        self.exact[word] = idx
+        self.by_lam.setdefault(word.end, []).append((word, idx))
+
+    def in_kernel(self, word: GroupWord) -> bool:
+        if word.is_identity():
+            return True
+        verdict = self.wp(word)
+        if verdict is None:
+            raise UnsupportedInput(
+                f"word-problem oracle could not decide {word!r}; "
+                "quotient construction aborted"
+            )
+        return bool(verdict)
+
+    def find(self, word: GroupWord):
+        """Index of the vertex equal to word·G_v modulo the kernel, or None."""
+        j = self.exact.get(word)
+        if j is not None or self.wp is None:
+            return j
+        gog, v = self.gog, word.end
+        for w_i, i in self.by_lam.get(v, ()):
+            inv_i = w_i.inverse()
+            for x in range(gog.vgroup(v).order):
+                d = reduce_word(word * GroupWord(gog, v, x) * inv_i, gog, self.T)
+                if self.in_kernel(d):
+                    return i
+        return None
+
+
 def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                        base: int = 0, transversals=None,
                        cap: int = 10 ** 6) -> GGraphBall:
@@ -300,93 +345,43 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     if relators and wp is None:
         raise ValueError("nonempty relator list needs a word-problem callable")
     T = transversals if transversals is not None else fix_transversals(gog)
-    g = gog.graph
-
-    def in_kernel(word: GroupWord) -> bool:
-        if not word.pairs and word.head == gog.vgroup(word.start).identity:
-            return True
-        if not relators:
-            return False
-        verdict = wp(word)
-        if verdict is None:
-            raise UnsupportedInput(
-                f"word-problem oracle could not decide {word!r}; "
-                "quotient construction aborted"
-            )
-        return bool(verdict)
-
-    fan = {}
-    for e in range(g.num_edges):
-        Gv = gog.vgroup(g.o(e))
-        H = Subgroup(Gv, sorted(gog.image(g.bar(e))))
-        fan[e] = left_transversal(Gv, H)
+    fan = _fan_table(gog)
+    lookup = _KernelLookup(gog, T, relators, wp)
 
     verts = []
     adjacency = []
     edges = []
     eindex = {}
     notes = []
-    exact = {}      # canonical tree word -> index
-    by_lam = {}     # Λ-vertex -> [indices]
 
-    def add_vertex(word, lam_v, dist):
+    def add_vertex(word, dist):
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
                 f"quotient ball exceeded cap of {cap} vertices",
                 detail={"vertices": idx, "radius_reached": dist - 1},
             )
+        lam_v = word.end
         verts.append(
             GVertex(f"T/v{lam_v}", word, word, dist, f"vgroup[{lam_v}]",
                     gog.vgroup(lam_v).order)
         )
         adjacency.append([])
-        exact[word] = idx
-        by_lam.setdefault(lam_v, []).append(idx)
+        lookup.add(word, idx)
         return idx
 
-    def find(word, lam_v):
-        """Index of the existing vertex equal to word·G_v modulo the kernel."""
-        j = exact.get(word)
-        if j is not None:
-            return j
-        if not relators:
-            return None
-        Gv = gog.vgroup(lam_v)
-        for i in by_lam.get(lam_v, []):
-            w_i = verts[i].rep
-            inv_i = w_i.inverse()
-            for x in range(Gv.order):
-                d = reduce_word(word * GroupWord(gog, lam_v, x) * inv_i, gog, T)
-                if in_kernel(d):
-                    return i
-        return None
+    add_vertex(canonical_coset_word(identity_word(gog, base), gog, T), 0)
 
-    center = canonical_coset_word(identity_word(gog, base), gog, T)
-    add_vertex(center, base, 0)
-
-    def neighbor_words(i):
-        w = verts[i].rep
-        v = w.end
-        out = []
-        for e in g.edges_at(v):
-            tv = g.t(e)
-            ident_t = gog.vgroup(tv).identity
-            for rep in fan[e]:
-                step = GroupWord(gog, v, rep, [(e, ident_t)])
-                nf = reduce_word(w * step, gog, T)
-                cand = canonical_coset_word(nf, gog, T)
-                out.append((cand, tv, e))
-        return out
-
+    # a vertex's step back toward the tree center reaches the vertex it was
+    # discovered from, so only the steps away from the center are walked
     frontier = [0]
     for dist in range(1, R + 1):
         nxt = []
         for i in frontier:
-            for cand, tv, e in neighbor_words(i):
-                j = find(cand, tv)
+            for e, _rep, cand in _child_steps(verts[i].rep, fan, gog, T):
+                j = lookup.find(cand)
                 if j is None:
-                    j = add_vertex(cand, tv, dist)
+                    j = add_vertex(cand, dist)
                     nxt.append(j)
                 _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,
                              gog.egroup(e).order, notes)
@@ -394,8 +389,8 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
 
     # induced pass over the boundary so cycle-closing edges are present
     for i in frontier:
-        for cand, tv, e in neighbor_words(i):
-            j = find(cand, tv)
+        for e, _rep, cand in _child_steps(verts[i].rep, fan, gog, T):
+            j = lookup.find(cand)
             if j is not None:
                 _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,
                              gog.egroup(e).order, notes)

@@ -81,7 +81,6 @@ from .gog import (
     free_product,
     hnn_sub,
     identity_word,
-    reduce_word,
     syllable_length,
     word_to_json,
 )
@@ -213,7 +212,7 @@ def _word(gog, desc, T):
         raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
     m = desc.get("power", 1)
     if m != 1:
-        w = word_power(reduce_word(w, gog, T), m, gog, T)
+        w = word_power(w, m, gog, T)
     return w
 
 
@@ -499,7 +498,7 @@ def _cmd_cprime(params, ctx):
     result = check_cprime(r, params["m"], Fraction(params["lam"]), gog,
                           transversals=T)
     if params.get("hypothesis"):
-        tc = compute_M(gog, reduce_word(r, gog, T), T)
+        tc = compute_M(gog, r, T)
         result["hypothesis"] = dict(thmb_hypothesis(result["lam"], tc.M), M=tc.M)
     return result, {}, f"verdict={result['verdict']} (lam*={result['lam_star']})"
 
@@ -524,7 +523,7 @@ def _cmd_dehn(params, ctx):
     guard = params.get("guard", 10 ** 6)
     ctx["caps"]["guard"] = guard
     r = _word(gog, params["relator"], T)
-    rm = word_power(reduce_word(r, gog, T), params.get("power", 1), gog, T)
+    rm = word_power(r, params.get("power", 1), gog, T)
     S = symmetrize(rm, gog, T)
     rows = []
     for desc in params["words"]:
@@ -551,10 +550,9 @@ def _px_complex(params, ctx):
     wp = _wp(gog, params.get("wp"))
     if wp is None and params.get("power") and params.get("relators"):
         # relator-power quotients can serve their own word problem
-        base = _word(gog, params["relators"][0], T)
-        wp = KernelOracle(gog, base, params["power"], transversals=T).in_kernel
-        relators = [word_power(reduce_word(base, gog, T),
-                               params["power"], gog, T)]
+        oracle = KernelOracle(gog, _word(gog, params["relators"][0], T),
+                              params["power"], transversals=T)
+        wp, relators = oracle.in_kernel, [oracle.rm]
     return gog, T, presentation_complex_ball(gog, relators, params["radius"],
                                              wp=wp, transversals=T, cap=cap)
 
@@ -581,12 +579,11 @@ def _cmd_px_complex(params, ctx):
 def _cmd_m_thin(params, ctx):
     gog = _model(params["model"])
     T = fix_transversals(gog)
-    r = reduce_word(_word(gog, params["word"], T), gog, T)
+    r = _word(gog, params["word"], T)
     m = params["power"]
     R = params["radius"]
     oracle = KernelOracle(gog, r, m, transversals=T)
-    rm = word_power(r, m, gog, T)
-    X = presentation_complex_ball(gog, [rm], R, wp=oracle.in_kernel,
+    X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle.in_kernel,
                                   transversals=T)
     X.incidence = thinness_incidence(gog, r, m, R, oracle=oracle,
                                      transversals=T, ball=X.skeleton)
@@ -603,7 +600,7 @@ def _cmd_claim_audit(params, ctx):
     gog = _model(params["model"])
     T = fix_transversals(gog)
     r = _word(gog, params["word"], T)
-    result = claim_audit(None, gog, r, params["power"], transversals=T)
+    result = claim_audit(gog, r, params["power"], transversals=T)
     verdicts = [result["orbit_bound"]["verdict"], result["injection"]["verdict"],
                 result["index_bound"]["verdict"]]
     return result, {}, f"claims {verdicts}, M={result['M']}"

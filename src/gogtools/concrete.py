@@ -161,7 +161,7 @@ class QuotientWords:
 
     def eq(self, x, y):
         d = self._reduce(x * y.inverse())
-        if not d.pairs and d.head == self.gog.vgroup(self.base).identity:
+        if d.is_identity():
             return True
         if self.wp is None:
             return False

@@ -175,6 +175,11 @@ class GroupWord:
     def is_loop(self) -> bool:
         return self.end == self.start
 
+    def is_identity(self) -> bool:
+        """No edges and a trivial head; for a reduced word this is the test
+        for the identity element."""
+        return not self.pairs and self.head == self.gog.vgroup(self.start).identity
+
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if other.start != self.end:
             raise ValueError(

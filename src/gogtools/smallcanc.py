@@ -52,7 +52,7 @@ from .gog import (
     syllable_length,
     words_equal,
 )
-from .cayley_abels import quotient_tree_ball
+from .cayley_abels import _KernelLookup, quotient_tree_ball
 from .tree import canonical_coset_word
 
 
@@ -127,7 +127,7 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
     cyclically reduced r and of its inverse, deduplicated."""
     T = transversals if transversals is not None else fix_transversals(gog)
     core, _conj = cyclically_reduce(r, gog, T)
-    if not core.pairs and core.head == gog.vgroup(core.start).identity:
+    if core.is_identity():
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
     inv_core, _ = cyclically_reduce(core.inverse(), gog, T)
     seen = {}
@@ -279,7 +279,7 @@ def check_cprime(r: GroupWord, m: int, lam, gog, transversals=None) -> dict:
         raise ValueError(f"power must be >= 1, got {m}")
     lam = Fraction(lam)
     T = transversals if transversals is not None else fix_transversals(gog)
-    rm = word_power(reduce_word(r, gog, T), m, gog, T)
+    rm = word_power(r, m, gog, T)
     S = symmetrize(rm, gog, T)
     rep = pieces(S)
     L = rep.min_length
@@ -351,7 +351,7 @@ def compute_M(gog, r: GroupWord, transversals=None) -> ThinnessConstant:
     """
     T = transversals if transversals is not None else fix_transversals(gog)
     core, _ = cyclically_reduce(r, gog, T)
-    if not core.pairs and core.head == gog.vgroup(core.start).identity:
+    if core.is_identity():
         raise ValueError(f"empty relator: {r!r}")
     r_len = syllable_length(core)
     if not core.pairs:
@@ -400,9 +400,7 @@ class DehnResult:
 
     @property
     def is_trivial(self) -> bool:
-        w = self.word
-        return (not w.pairs
-                and w.head == w.gog.vgroup(w.start).identity)
+        return self.word.is_identity()
 
     def __repr__(self):
         return f"DehnResult(area={self.area}, trivial={self.is_trivial})"
@@ -564,15 +562,21 @@ def _is_abelian(G) -> bool:
                for a in range(G.order) for b in range(G.order))
 
 
+def _trivial_edge_groups(gog) -> bool:
+    return all(gog.egroup(e).order == 1 for e in range(gog.graph.num_edges))
+
+
 class KernelOracle:
     """Word problem for gog modulo ⟨⟨r^m⟩⟩ under C'(1/6).
 
     Decisions stack cheapest first: free-product triviality, the
-    abelianized image (when every vertex group is abelian), the
-    Greendlinger length gate — a nontrivial kernel word must contain more
-    than (1-3λ*) of a member, so anything shorter is certified outside —
-    and finally full Dehn reduction.  ``certificate`` names which stage
-    decided."""
+    abelianized image (only when every vertex group is abelian and every
+    edge group is trivial: a pinch across a nontrivial edge group moves
+    η_f(c) from t(f) to η_f̄(c) at o(f), so the per-vertex image is no
+    invariant there), the Greendlinger length gate — a nontrivial kernel
+    word must contain more than (1-3λ*) of a member, so anything shorter
+    is certified outside — and finally full Dehn reduction.
+    ``certificate`` names which stage decided."""
 
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
         self.gog = gog
@@ -589,8 +593,8 @@ class KernelOracle:
             )
         L = self.S.member_length()
         self.length_gate = (1 - 3 * self.report.lam_star) * L
-        self.abelian = all(_is_abelian(gog.vgroup(v))
-                           for v in range(gog.graph.num_vertices))
+        self.abelian = _trivial_edge_groups(gog) and all(
+            _is_abelian(gog.vgroup(v)) for v in range(gog.graph.num_vertices))
         if self.abelian:
             self._r_image = self._h1_image(self.rm)
             self._r_subgroup = self._cyclic_span(self._r_image)
@@ -619,8 +623,7 @@ class KernelOracle:
     def certificate(self, w: GroupWord) -> dict:
         gog, T = self.gog, self.T
         red = reduce_word(w, gog, T)
-        if (not red.pairs
-                and red.head == gog.vgroup(red.start).identity):
+        if red.is_identity():
             return {"in_kernel": True, "method": "trivial"}
         if self.abelian and self._h1_image(red) not in self._r_subgroup:
             return {"in_kernel": False, "method": "abelianized-image"}
@@ -671,44 +674,14 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     relators = list(relators)
     ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0,
                               transversals=T, cap=cap)
-
-    def in_kernel(word):
-        if not word.pairs and word.head == gog.vgroup(word.start).identity:
-            return True
-        if not relators:
-            return False
-        verdict = wp(word)
-        if verdict is None:
-            raise UnsupportedInput(
-                f"word-problem oracle could not decide {word!r}"
-            )
-        return bool(verdict)
-
-    exact = {v.rep: i for i, v in enumerate(ball.verts)}
-    by_lam = {}
+    lookup = _KernelLookup(gog, T, relators, wp)
     for i, v in enumerate(ball.verts):
-        by_lam.setdefault(v.tag, []).append(i)
-
-    def find_vertex(word, lam_v):
-        cand = canonical_coset_word(word, gog, T)
-        j = exact.get(cand)
-        if j is not None or not relators:
-            return j
-        Gv = gog.vgroup(lam_v)
-        for i in by_lam.get(f"T/v{lam_v}", []):
-            w_i = ball.verts[i].rep
-            inv_i = w_i.inverse()
-            for x in range(Gv.order):
-                d = reduce_word(cand * GroupWord(gog, lam_v, x) * inv_i,
-                                gog, T)
-                if in_kernel(d):
-                    return i
-        return None
+        lookup.add(v.rep, i)
 
     cells = {}
     full_span = 0
     for rel_idx, rel in enumerate(relators):
-        core, prefixes, lam = _relator_boundary(gog, T, rel)
+        core, prefixes, _lam = _relator_boundary(gog, T, rel)
         full_span = max(full_span, len(core.pairs))
         if core.start != 0:
             raise ValueError(
@@ -723,8 +696,8 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
             for h in range(G0.order):
                 g = reduce_word(v.rep * GroupWord(gog, 0, h), gog, T)
                 cycle = []
-                for q, lv in zip(prefixes, lam):
-                    idx = find_vertex(reduce_word(g * q, gog, T), lv)
+                for q in prefixes:
+                    idx = lookup.find(canonical_coset_word(g * q, gog, T))
                     if idx is None:
                         cycle = None
                         break
@@ -743,10 +716,6 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
 
 
 # -- transporter-local thinness ---------------------------------------------
-
-
-def _trivial_edge_groups(gog) -> bool:
-    return all(gog.egroup(e).order == 1 for e in range(gog.graph.num_edges))
 
 
 def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
@@ -833,7 +802,8 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
                 )
                 img = canonical_coset_word(
                     reduce_word(cand * q_next, gog, T), gog, T)
-                if img == canonical_coset_word(x_t, gog, T):
+                # quotient-ball reps are canonical coset words already
+                if img == x_t:
                     g = cand
                     break
             if g is None:
@@ -914,8 +884,8 @@ def check_M_thin(X: TwoComplexBall, M: int) -> dict:
 # -- the three thinness claims ----------------------------------------------
 
 
-def claim_audit(X: TwoComplexBall, gog, r: GroupWord, m: int,
-                transversals=None, oracle: KernelOracle = None) -> dict:
+def claim_audit(gog, r: GroupWord, m: int, transversals=None,
+                oracle: KernelOracle = None) -> dict:
     """Audit of the three counting claims behind M = k|r| on the base
     relator disc D (boundary = the loop of r^m):
 

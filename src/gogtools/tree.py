@@ -197,6 +197,31 @@ class TreeBall:
         return problems
 
 
+def _fan_table(gog: GraphOfGroups):
+    """Per directed edge e, the left transversal of im(inj(ē)) in
+    vgroup(o(e)): the expansion fan at an o(e)-side vertex."""
+    g = gog.graph
+    fan = {}
+    for e in range(g.num_edges):
+        G = gog.vgroup(g.o(e))
+        fan[e] = left_transversal(G, Subgroup(G, sorted(gog.image(g.bar(e)))))
+    return fan
+
+
+def _child_steps(w: GroupWord, fan, gog: GraphOfGroups, T: Transversals):
+    """The neighbours of the vertex with canonical word w that lie one step
+    farther from the center, as (e, rep, canonical child word) in edge then
+    fan order; the one step that folds back toward the center is skipped."""
+    g = gog.graph
+    v = w.end
+    for e in g.edges_at(v):
+        ident_t = gog.vgroup(g.t(e)).identity
+        for rep in fan[e]:
+            nf = reduce_word(w * GroupWord(gog, v, rep, [(e, ident_t)]), gog, T)
+            if len(nf.pairs) == len(w.pairs) + 1:
+                yield e, rep, canonical_coset_word(nf, gog, T)
+
+
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
                     transversals: Transversals | None = None,
                     cap: int = 10 ** 6) -> TreeBall:
@@ -215,51 +240,35 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
     edges = []
     adjacency = [[]]
 
-    # left-transversal cache per directed edge e: reps of im(inj(ē)) in
-    # vgroup(o(e)), the expansion fan at an o(e)-side vertex
-    fan = {}
-    for e in range(g.num_edges):
-        G = gog.vgroup(g.o(e))
-        H = Subgroup(G, sorted(gog.image(g.bar(e))))
-        fan[e] = left_transversal(G, H)
-
+    fan = _fan_table(gog)
     frontier = [0]
     for dist in range(1, radius + 1):
         nxt = []
         for i in frontier:
             w = verts[i].word
-            v = verts[i].lam_vertex
-            for e in g.edges_at(v):
-                tv = g.t(e)
-                ident_t = gog.vgroup(tv).identity
-                for rep in fan[e]:
-                    step = GroupWord(gog, v, rep, [(e, ident_t)])
-                    nf = reduce_word(w * step, gog, T)
-                    if len(nf.pairs) != len(w.pairs) + 1:
-                        continue  # folded back toward the center
-                    child = canonical_coset_word(nf, gog, T)
-                    if child in vindex:
-                        raise RuntimeError(
-                            f"ball construction produced a cycle at {child!r}; "
-                            "reduction is broken"
-                        )
-                    if len(verts) + 1 > cap:
-                        raise CapExceeded(
-                            f"tree ball exceeded cap of {cap} vertices at radius {dist}",
-                            detail={"vertices": len(verts), "radius_reached": dist - 1},
-                        )
-                    j = len(verts)
-                    verts.append(TreeVertex(child, tv, dist))
-                    vindex[child] = j
-                    adjacency.append([])
-                    eword = canonical_edge_word(
-                        w * GroupWord(gog, v, rep), e, gog, T
+            for e, rep, child in _child_steps(w, fan, gog, T):
+                if child in vindex:
+                    raise RuntimeError(
+                        f"ball construction produced a cycle at {child!r}; "
+                        "reduction is broken"
                     )
-                    k = len(edges)
-                    edges.append(TreeEdge(eword, e, i, j))
-                    adjacency[i].append((j, k))
-                    adjacency[j].append((i, k))
-                    nxt.append(j)
+                if len(verts) + 1 > cap:
+                    raise CapExceeded(
+                        f"tree ball exceeded cap of {cap} vertices at radius {dist}",
+                        detail={"vertices": len(verts), "radius_reached": dist - 1},
+                    )
+                j = len(verts)
+                verts.append(TreeVertex(child, g.t(e), dist))
+                vindex[child] = j
+                adjacency.append([])
+                eword = canonical_edge_word(
+                    w * GroupWord(gog, w.end, rep), e, gog, T
+                )
+                k = len(edges)
+                edges.append(TreeEdge(eword, e, i, j))
+                adjacency[i].append((j, k))
+                adjacency[j].append((i, k))
+                nxt.append(j)
         frontier = nxt
     return TreeBall(gog, T, base, radius, verts, edges, adjacency)
 

@@ -386,7 +386,7 @@ def test_criterion_08_presentation_complex_is_M_thin():
     X.incidence = thinness_incidence(gog, r, 12, 2, oracle=oracle,
                                      transversals=T, ball=X.skeleton)
     thin = check_M_thin(X, M)
-    aud = claim_audit(None, gog, r, 12, transversals=T, oracle=oracle)
+    aud = claim_audit(gog, r, 12, transversals=T, oracle=oracle)
     claims_ok = (aud["orbit_bound"]["verdict"] and aud["injection"]["verdict"]
                  and aud["index_bound"]["verdict"] and aud["M"] == M)
     _verdict(8, "every audited edge borders <= M = 6 cells; claims confirmed",

@@ -16,7 +16,10 @@ from fixtures import (
     c2_c2_free,
     c4_c6_free,
     coned_plane_ball,
+    free_rank2,
+    hnn_c6,
     line_ball,
+    s3_d4_amalgam,
     sl2z_gog,
 )
 from gogtools.cayley_abels import (
@@ -40,8 +43,8 @@ from gogtools.concrete import (
 )
 from gogtools.errors import CapExceeded, UnsupportedInput
 from gogtools.finite import make_cyclic, make_dihedral
-from gogtools.gog import reduce_word, syllable_length
-from gogtools.tree import build_tree_ball
+from gogtools.gog import fix_transversals, reduce_word, syllable_length
+from gogtools.tree import build_tree_ball, canonical_coset_word
 
 
 # -- coset construction -----------------------------------------------------
@@ -164,14 +167,26 @@ def test_constructions_agree_on_subdivided_tree():
 # -- quotient construction --------------------------------------------------
 
 
-def test_quotient_no_relators_matches_tree():
-    gog = sl2z_gog()
-    qball = quotient_tree_ball(gog, [], 4)
-    tball = build_tree_ball(gog, 4)
+@pytest.mark.parametrize("R", [0, 1, 4])
+@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
+                                   s3_d4_amalgam, hnn_c6, free_rank2])
+def test_quotient_no_relators_matches_tree(make, R):
+    # the HNN and free-group loops (o = t) are where the step that folds
+    # back toward the center is easiest to get wrong
+    gog = make()
+    T = fix_transversals(gog)
+    qball = quotient_tree_ball(gog, [], R, transversals=T)
+    tball = build_tree_ball(gog, R, transversals=T)
     assert [v.rep for v in qball.verts] == [tv.word for tv in tball.verts]
+    assert [v.dist for v in qball.verts] == [tv.dist for tv in tball.verts]
     assert [(e.u, e.v) for e in qball.edges] == [
         (te.u, te.v) for te in tball.edges
     ]
+    assert [e.tag for e in qball.edges] == [
+        f"T/e{te.lam_edge >> 1}" for te in tball.edges
+    ]
+    assert all(canonical_coset_word(v.rep, gog, T) == v.rep
+               for v in qball.verts)
 
 
 def test_quotient_dihedral_hexagon():

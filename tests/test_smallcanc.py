@@ -19,7 +19,10 @@ from fixtures import (
     ab_word,
     c2_c2_free,
     c4_c6_free,
+    hnn_c6,
     loop_word,
+    random_amalgam_word,
+    random_hnn_word,
     s3_d4_amalgam,
     sl2z_gog,
 )
@@ -486,6 +489,31 @@ def test_kernel_oracle_gate():
         KernelOracle(gog, _relator(gog), 1, T)
 
 
+@pytest.mark.parametrize("model", ["sl2z", "hnn_c6"])
+def test_kernel_oracle_conjugates_over_nontrivial_edge_groups(model):
+    # the per-vertex abelianized image is not invariant under a pinch
+    # across a nontrivial edge group, so it must not refute these
+    if model == "sl2z":
+        gog = sl2z_gog()
+        r = ab_word(gog, [1, 1, 1, 2, 1, 1, 1, 2])
+
+        def conjugator(rng):
+            return random_amalgam_word(gog, rng, 6)
+    else:
+        gog = hnn_c6()
+        r = GroupWord(gog, 0, 0, [(0, 0), (0, 3)])  # t·t·b^3
+
+        def conjugator(rng):
+            return random_hnn_word(gog, rng, 4)
+    T = fix_transversals(gog)
+    ko = KernelOracle(gog, r, 7, T)
+    rng = random.Random(5)
+    for _ in range(40):
+        c = conjugator(rng)
+        w = c * ko.rm * c.inverse()
+        assert ko.in_kernel(w), (c, ko.certificate(w))
+
+
 # -- presentation complexes -------------------------------------------------
 
 
@@ -606,7 +634,7 @@ def test_claim_audit_free_product():
     gog, T = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12, T)
-    aud = claim_audit(None, gog, r, 12, transversals=T, oracle=ko)
+    aud = claim_audit(gog, r, 12, transversals=T, oracle=ko)
     assert aud["orbit_bound"]["verdict"]
     assert aud["orbit_bound"]["orbits"] == 6
     assert aud["orbit_bound"]["collapse_checked"]
@@ -620,7 +648,7 @@ def test_claim_audit_amalgam():
     gog = s3_d4_amalgam()
     T = fix_transversals(gog)
     r = loop_word(gog, [(0, 1), (1, 1)])
-    aud = claim_audit(None, gog, r, 2, transversals=T)
+    aud = claim_audit(gog, r, 2, transversals=T)
     assert aud["orbit_bound"]["verdict"]
     assert aud["index_bound"]["max_index"] == 2
     assert aud["k"] == 2 and aud["M"] == 4
