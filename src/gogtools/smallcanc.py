@@ -25,7 +25,10 @@ by position on canonical forms, with the first and last matched syllables
 allowed to split inside their vertex group; for amalgams with nontrivial
 seams this matcher is conservative (it may miss a match that exists after
 seam shuffling), which is sound — a word it reduces to empty is in the
-kernel — and complete on the trivial-seam fixtures the oracles cover.
+kernel — and complete on the trivial-seam fixtures the oracles cover.  A
+word it gets stuck on is therefore outside the kernel only when every edge
+group is trivial; elsewhere the kernel oracle refuses to decide it rather
+than refute it.
 
 The thinness audit is transporter-local: the 2-cells of the presentation
 complex through a 1-cell x are the translates g·D of the base relator
@@ -95,13 +98,16 @@ class SymmetrizedSet:
     """Closure of a relator under inversion and cyclic rotation, every
     member cyclically reduced and in canonical form.  ``base`` is the
     least member under the word key — the canonical cyclic conjugate the
-    rest of the module refers back to."""
+    rest of the module refers back to.  The members are an immutable
+    tuple, so the piece report is computed once, by :func:`pieces`, and
+    kept here."""
 
     def __init__(self, gog, transversals, members, base):
         self.gog = gog
         self.transversals = transversals
         self.members = tuple(members)
         self.base = base
+        self.piece_report = None
 
     def __len__(self):
         return len(self.members)
@@ -239,6 +245,13 @@ class PieceReport:
 
 
 def pieces(S: SymmetrizedSet) -> PieceReport:
+    """The piece report of S, computed on the first call and cached on S."""
+    if S.piece_report is None:
+        S.piece_report = _piece_report(S)
+    return S.piece_report
+
+
+def _piece_report(S: SymmetrizedSet) -> PieceReport:
     if len(S) < 1:
         raise ValueError("piece report needs a nonempty symmetrized set")
     gog, T = S.gog, S.transversals
@@ -463,11 +476,40 @@ def _best_match_at(wpos, i, tab, mempos):
     return best
 
 
+def _replace(cur, wpos, i, l, member, gog, T):
+    """Rewrite the l-position match of member at position i of cur by the
+    member's complement; returns (Â, the reduced new word).
+
+    cur = Â·u·Ĉ, exactly as unreduced words: Â covers positions 0..i with
+    the element at i cut down to the leftover p, u is the l-position
+    prefix of the member s, Ĉ restarts at position i+l-1 with the leftover
+    q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ."""
+    s, ps, _syls, _tot = member
+    u = _subword(s, gog, 0, l - 1)
+    Gv = gog.vgroup(ps[0][0])
+    p_elt = Gv.op(wpos[i][1], Gv.inverse(ps[0][1]))
+    if i == 0:
+        A_hat = GroupWord(gog, cur.start, p_elt)
+    else:
+        e_i = wpos[i][2]
+        A_hat = GroupWord(gog, cur.start, cur.head,
+                          tuple(cur.pairs[:i - 1]) + ((e_i, p_elt),))
+    Gq = gog.vgroup(ps[l - 1][0])
+    q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
+    C_hat = GroupWord(gog, ps[l - 1][0], q_elt,
+                      tuple(cur.pairs[i + l - 1:]))
+    t_comp = reduce_word(u.inverse() * s, gog, T)
+    return A_hat, reduce_word(A_hat * t_comp.inverse() * C_hat, gog, T)
+
+
 def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
     """Greedy Dehn reduction under C'(1/6): replace the leftmost longest
-    subword matching more than half of a member by the complement, until
-    stuck; a stuck nonempty cyclically reduced word is outside the normal
-    closure (Greendlinger).  The trace replays to an exact witness — see
+    subword matching more than half of a member by the complement,
+    skipping a match whose replacement would not shorten the word, until
+    stuck; over trivial edge groups a stuck nonempty cyclically reduced
+    word is outside the normal closure (Greendlinger), while over
+    nontrivial ones the seam matcher is conservative and a stuck word is
+    undecided.  The trace replays to an exact witness — see
     :func:`replay_trace`."""
     gog, T = S.gog, S.transversals
     rep = pieces(S)
@@ -485,47 +527,29 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
     area = 0
     for _step in range(guard):
         wpos = positions(cur, gog)
-        found = None
+        before = syllable_length(cur)
+        step = None
         for i in range(len(wpos)):
             hit = _best_match_at(wpos, i, tab, mempos)
-            if hit is not None:
-                found = (i, hit)
+            if hit is None:
+                continue
+            l, idx, _matched = hit
+            A_hat, nxt = _replace(cur, wpos, i, l, mempos[idx], gog, T)
+            # a match just over half a member need not shorten the word:
+            # a split end syllable that is trivial in the word saves
+            # nothing; that is no Dehn step, so the scan moves on
+            if syllable_length(nxt) < before:
+                step = (A_hat, idx, nxt)
                 break
-        if found is None:
+        if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
             core, conj = cyclically_reduce(cur, gog, T)
-            if syllable_length(core) < syllable_length(cur):
+            if syllable_length(core) < before:
                 trace.append(("conjugate", conj))
                 cur = core
                 continue
             break
-        i, (l, idx, _matched) = found
-        s, ps, _syls, _tot = mempos[idx]
-        before = syllable_length(cur)
-        # cur = Â·u·Ĉ, exactly as unreduced words: Â covers positions
-        # 0..i with the element at i cut down to the leftover p, u is the
-        # l-position prefix of s, Ĉ restarts at position i+l-1 with the
-        # leftover q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ
-        u = _subword(s, gog, 0, l - 1)
-        Gv = gog.vgroup(ps[0][0])
-        p_elt = Gv.op(wpos[i][1], Gv.inverse(ps[0][1]))
-        if i == 0:
-            A_hat = GroupWord(gog, cur.start, p_elt)
-        else:
-            e_i = wpos[i][2]
-            A_hat = GroupWord(gog, cur.start, cur.head,
-                              tuple(cur.pairs[:i - 1]) + ((e_i, p_elt),))
-        Gq = gog.vgroup(ps[l - 1][0])
-        q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
-        C_hat = GroupWord(gog, ps[l - 1][0], q_elt,
-                          tuple(cur.pairs[i + l - 1:]))
-        t_comp = reduce_word(u.inverse() * s, gog, T)
-        cur = reduce_word(A_hat * t_comp.inverse() * C_hat, gog, T)
-        if syllable_length(cur) >= before:
-            raise RuntimeError(
-                f"replacement failed to shorten ({before} -> "
-                f"{syllable_length(cur)}); matcher and member disagree"
-            )
+        A_hat, idx, cur = step
         trace.append(("relator", A_hat, idx))
         area += 1
     else:
@@ -576,7 +600,14 @@ class KernelOracle:
     invariant there), the Greendlinger length gate — a nontrivial kernel
     word must contain more than (1-3λ*) of a member, so anything shorter
     is certified outside — and finally full Dehn reduction.
-    ``certificate`` names which stage decided."""
+    ``certificate`` names which stage decided.  Dehn reduction refutes
+    only over trivial edge groups; elsewhere its seam matcher is
+    conservative, so a word it gets stuck on raises
+    :class:`UnsupportedInput` instead of coming back False.
+
+    The powers r⁻ˢ used by the thinness audit are built on demand, one
+    reduction per step, and kept in a list that grows only as far as an
+    audit asks."""
 
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
         self.gog = gog
@@ -593,11 +624,24 @@ class KernelOracle:
             )
         L = self.S.member_length()
         self.length_gate = (1 - 3 * self.report.lam_star) * L
-        self.abelian = _trivial_edge_groups(gog) and all(
+        self.trivial_seams = _trivial_edge_groups(gog)
+        self.abelian = self.trivial_seams and all(
             _is_abelian(gog.vgroup(v)) for v in range(gog.graph.num_vertices))
         if self.abelian:
-            self._r_image = self._h1_image(self.rm)
-            self._r_subgroup = self._cyclic_span(self._r_image)
+            self._r_subgroup = self._cyclic_span(self._h1_image(self.rm))
+            self._r_inv_image = tuple(
+                gog.vgroup(v).inverse(x)
+                for v, x in enumerate(self._h1_image(self.r)))
+        self._r_inv_powers = [identity_word(gog, self.r.start)]
+
+    def _r_inv_power(self, s: int) -> GroupWord:
+        """Reduced r⁻ˢ, extending the cached powers one step at a time."""
+        pw = self._r_inv_powers
+        if s >= len(pw):
+            r_inv = self.r.inverse()
+            while s >= len(pw):
+                pw.append(reduce_word(pw[-1] * r_inv, self.gog, self.T))
+        return pw[s]
 
     # abelianized invariants ------------------------------------------------
 
@@ -633,6 +677,13 @@ class KernelOracle:
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
         res = dehn_reduce(red, self.S)
+        if not res.is_trivial and not self.trivial_seams:
+            raise UnsupportedInput(
+                f"Dehn reduction got stuck at {syllable_length(res.word)} "
+                "syllables over nontrivial edge groups, where the seam "
+                "matcher is conservative; that is no proof the word lies "
+                "outside the kernel"
+            )
         return {"in_kernel": res.is_trivial, "method": "dehn",
                 "area": res.area}
 
@@ -719,14 +770,24 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
 
 
 def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
-    """The s with delta ≡ r^s modulo the kernel, or None.  Screens by the
-    abelianized image before spending a Dehn call."""
+    """The s in 0..m-1 with delta ≡ r^s modulo the kernel, or None.
+
+    When the oracle's abelianized image applies, h1 is a homomorphism, so
+    h1(delta·r⁻ˢ) = h1(delta)·h1(r)⁻ˢ is carried forward one vertex-group
+    operation per vertex per step, and an s whose image leaves the image
+    of ⟨r^m⟩ is skipped — exactly the refutation ``certificate`` would
+    give.  Only the other s build delta·r⁻ˢ and ask the oracle."""
     gog, T = oracle.gog, oracle.T
+    img = oracle._h1_image(delta) if oracle.abelian else None
     for s in range(oracle.m):
-        cand = reduce_word(delta * word_power(oracle.r, s, gog, T).inverse(),
-                           gog, T)
-        cert = oracle.certificate(cand)
-        if cert["in_kernel"]:
+        if img is not None:
+            if s:
+                img = tuple(gog.vgroup(v).op(x, y) for v, (x, y)
+                            in enumerate(zip(img, oracle._r_inv_image)))
+            if img not in oracle._r_subgroup:
+                continue
+        cand = reduce_word(delta * oracle._r_inv_power(s), gog, T)
+        if oracle.certificate(cand)["in_kernel"]:
             return s
     return None
 

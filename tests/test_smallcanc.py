@@ -9,6 +9,7 @@ back to a product-of-conjugates witness.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,9 +33,11 @@ from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
     fix_transversals,
+    identity_word,
     reduce_word,
     words_equal,
 )
+import gogtools.smallcanc as smallcanc
 from gogtools.smallcanc import (
     KernelOracle,
     check_M_thin,
@@ -418,6 +421,20 @@ def test_dehn_stuck_word_with_conjugate_step():
     assert replay_trace(res)
 
 
+def test_dehn_proper_powers_stuck_without_error():
+    # r^{±6} is half of a member of the r^12 set; the first match there is
+    # just over half, with a split end that saves nothing, and must be
+    # passed over rather than end the reduction with an internal error
+    gog, T, r, r12, S = _kernel_setup()
+    for s in range(1, 12):
+        rs = word_power(r, s, gog, T)
+        for w in (rs, reduce_word(rs.inverse(), gog, T)):
+            res = dehn_reduce(w, S)
+            assert _syl(res.word, gog) == 6 * min(s, 12 - s)
+            assert res.area == (1 if s > 6 else 0)
+            assert replay_trace(res)
+
+
 def test_dehn_short_word_unchanged():
     gog, T, r, r12, S = _kernel_setup()
     w = loop_word(gog, [(0, 2)])
@@ -450,6 +467,41 @@ def test_dehn_areas_scale_with_conjugate_count():
         assert replay_trace(res)
         areas.append(res.area)
     assert areas[0] <= areas[1] <= areas[2]
+
+
+def _counting(monkeypatch, name):
+    """Replace every gogtools binding of ``name`` with a wrapper that counts
+    its calls; returns the one-element call-count list."""
+    calls = [0]
+    original = getattr(smallcanc, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith("gogtools")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_piece_report_computed_once_per_set(monkeypatch):
+    gog, T, r, r12, S = _kernel_setup()
+    calls = _counting(monkeypatch, "common_prefix_syllables")
+    g = ab_word(gog, [2, 3])
+    w = reduce_word(g * r12 * g.inverse(), gog, T)
+    assert dehn_reduce(w, S).is_trivial
+    assert calls[0] > 0  # the first reduction computes the report
+    calls[0] = 0
+    assert dehn_reduce(w, S).is_trivial
+    assert calls[0] == 0
+    ko = KernelOracle(gog, r, 12, T)
+    calls[0] = 0
+    assert dehn_reduce(w, ko.S).is_trivial
+    assert ko.certificate(w)["in_kernel"]
+    assert calls[0] == 0
+    assert pieces(ko.S) is ko.report
 
 
 # -- kernel oracle ----------------------------------------------------------
@@ -512,6 +564,28 @@ def test_kernel_oracle_conjugates_over_nontrivial_edge_groups(model):
         c = conjugator(rng)
         w = c * ko.rm * c.inverse()
         assert ko.in_kernel(w), (c, ko.certificate(w))
+
+
+def test_kernel_oracle_no_dehn_refutation_over_nontrivial_edge_groups():
+    # over hnn_c6 the seam matcher gets stuck on true members of the
+    # kernel; a stuck word must not be reported as outside it
+    gog = hnn_c6()
+    T = fix_transversals(gog)
+    r = GroupWord(gog, 0, 1, [(0, 1), (1, 1), (0, 3)])  # b·t·b·t̄·b·t·b³
+    ko = KernelOracle(gog, r, 7, T)
+    rng = random.Random(0)
+    undecided = 0
+    for _ in range(40):
+        c = random_hnn_word(gog, rng, 5)
+        w = c * ko.rm * c.inverse()
+        try:
+            cert = ko.certificate(w)
+        except UnsupportedInput as exc:
+            assert "conservative" in str(exc)
+            undecided += 1
+            continue
+        assert cert["in_kernel"], (c, cert)
+    assert undecided > 0  # the guard is reached on this input
 
 
 # -- presentation complexes -------------------------------------------------
@@ -625,6 +699,57 @@ def test_check_M_thin_with_certificate():
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
     assert rep["max_count"] == 6
+
+
+def oracle_disc_stabilizer_power(ko, delta):
+    """The brute-force search: r^s rebuilt by word_power for every s, and
+    every candidate delta·r⁻ˢ sent to the oracle."""
+    gog, T = ko.gog, ko.T
+    for s in range(ko.m):
+        cand = reduce_word(delta * word_power(ko.r, s, gog, T).inverse(),
+                           gog, T)
+        if ko.certificate(cand)["in_kernel"]:
+            return s
+    return None
+
+
+def test_disc_stabilizer_power_matches_brute_force():
+    gog, T = _free()
+    r = _relator(gog)
+    ko = KernelOracle(gog, r, 12, T)
+    rm_inv = reduce_word(ko.rm.inverse(), gog, T)
+    rng = random.Random(0xD15C)
+    for s in range(12):
+        for _ in range(2):
+            k = identity_word(gog, 0)
+            for _f in range(rng.randrange(3)):
+                c = random_amalgam_word(gog, rng, max_syllables=4)
+                base = ko.rm if rng.randrange(2) == 0 else rm_inv
+                k = k * c * base * c.inverse()
+            delta = reduce_word(word_power(r, s, gog, T) * k, gog, T)
+            assert smallcanc._disc_stabilizer_power(ko, delta) == s
+            assert oracle_disc_stabilizer_power(ko, delta) == s
+    for _ in range(30):
+        delta = reduce_word(random_amalgam_word(gog, rng, max_syllables=8),
+                            gog, T)
+        if rng.randrange(2):
+            delta = reduce_word(
+                word_power(r, rng.randrange(12), gog, T) * delta, gog, T)
+        assert (smallcanc._disc_stabilizer_power(ko, delta)
+                == oracle_disc_stabilizer_power(ko, delta))
+
+
+def test_incidence_work_bound(monkeypatch):
+    gog, T = _free()
+    r = _relator(gog)
+    ko = KernelOracle(gog, r, 12, T)
+    powers = _counting(monkeypatch, "word_power")
+    reductions = _counting(monkeypatch, "reduce_word")
+    inc = thinness_incidence(gog, r, 12, 2, oracle=ko, transversals=T)
+    assert inc["max_count"] == 6
+    assert powers[0] == 0
+    # the per-s word_power search made 43,130 reductions here
+    assert reductions[0] <= 43130 // 4
 
 
 # -- claim audit ------------------------------------------------------------
