@@ -86,10 +86,10 @@ from .gog import (
 )
 from .smallcanc import (
     KernelOracle,
+    _compute_M,
     check_cprime,
     check_M_thin,
     claim_audit,
-    compute_M,
     dehn_reduce,
     evaluation_wp,
     presentation_complex_ball,
@@ -198,9 +198,10 @@ def _ab_word(gog, exponents, start=0):
 
 
 def _word(gog, desc, T):
-    """Resolve a word descriptor: {"ab": [...]} alternating exponents on a
-    two-vertex model, or {"syllables": [[vertex, element], ...]}; an
-    optional "power" raises the resolved word."""
+    """Resolve a word descriptor to its canonical form: {"ab": [...]}
+    alternating exponents on a two-vertex model, or {"syllables":
+    [[vertex, element], ...]}; an optional "power" raises the resolved
+    word."""
     if not isinstance(desc, dict):
         raise JobError(f"word descriptor must be an object, got {desc!r}")
     if "ab" in desc:
@@ -210,10 +211,7 @@ def _word(gog, desc, T):
                        start=desc.get("start", 0))
     else:
         raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
-    m = desc.get("power", 1)
-    if m != 1:
-        w = word_power(w, m, gog, T)
-    return w
+    return word_power(w, desc.get("power", 1), gog, T)
 
 
 # -- ball families ----------------------------------------------------------
@@ -498,7 +496,7 @@ def _cmd_cprime(params, ctx):
     result = check_cprime(r, params["m"], Fraction(params["lam"]), gog,
                           transversals=T)
     if params.get("hypothesis"):
-        tc = compute_M(gog, r, T)
+        tc = _compute_M(gog, r, T)
         result["hypothesis"] = dict(thmb_hypothesis(result["lam"], tc.M), M=tc.M)
     return result, {}, f"verdict={result['verdict']} (lam*={result['lam_star']})"
 
@@ -506,7 +504,7 @@ def _cmd_cprime(params, ctx):
 def _cmd_compute_m(params, ctx):
     gog = _model(params["model"])
     T = fix_transversals(gog)
-    tc = compute_M(gog, _word(gog, params["word"], T), T)
+    tc = _compute_M(gog, _word(gog, params["word"], T), T)
     result = {
         "k": tc.k,
         "r_syllables": tc.r_syllables,
@@ -589,7 +587,7 @@ def _cmd_m_thin(params, ctx):
                                      transversals=T, ball=X.skeleton)
     M = params.get("M")
     if M is None:
-        M = compute_M(gog, r, T).M
+        M = _compute_M(gog, r, T).M
     result = check_M_thin(X, M)
     result["per_edge"] = {str(k): v for k, v in sorted(result["per_edge"].items())}
     return result, {"complex": to_complex_json(X)}, (

@@ -349,26 +349,55 @@ def syllable_length(w: GroupWord) -> int:
     return n
 
 
+def _notch(head, items, gog: GraphOfGroups, decomp):
+    """Rotate the canonical loop ``head, items`` by one edge step, in
+    place; return (new start vertex, new head).  ``items`` is a list of
+    [edge, element] lists with at least one entry.
+
+    Only the seam changes: the old head merges into the last pair, which
+    is the one place the returning first edge can pinch.  The transversal
+    sweep then runs leftward from the changed pair and stops at the first
+    identity correction, because every pair to its left is canonical
+    already.  Over trivial edge groups a notch is O(1) plus the shift."""
+    g = gog.graph
+    e1, new_head = items.pop(0)
+    v1 = g.t(e1)
+    G1 = gog.vgroup(v1)
+    if not items:
+        items.append([e1, G1.identity])
+        return v1, G1.op(new_head, head)
+    e_n, x_n = items[-1]
+    seam = gog.vgroup(g.t(e_n)).op(x_n, head)
+    if e1 == g.bar(e_n) and seam in gog.image(e_n):
+        # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
+        items.pop()
+        j, corr = len(items) - 1, gog.inj[e1].map[decomp[e_n][seam][0]]
+    else:
+        items.append([e1, G1.identity])
+        j, corr = len(items) - 2, head
+    while j >= 0:
+        e, x = items[j]
+        x = gog.vgroup(g.t(e)).op(x, corr)
+        c, rep = decomp[e][x]
+        items[j][1] = rep
+        if rep == x:
+            return v1, new_head
+        corr = gog.inj[g.bar(e)].map[c]
+        j -= 1
+    return v1, G1.op(new_head, corr)
+
+
 def rotate_once(w: GroupWord, gog: GraphOfGroups,
                 transversals: Transversals) -> GroupWord:
-    """Rotate a reduced loop by one edge step: conjugate by head·(first
+    """Rotate a canonical loop by one edge step: conjugate by head·(first
     edge), landing at the next vertex of the loop.  The seam is merged into
-    the last syllable and the rotated word ends with (first edge, 1)."""
+    the last syllable and the rotated word ends with (first edge, 1); the
+    result is again canonical."""
     if not w.pairs:
         return w
-    g = gog.graph
-    e1, x1 = w.pairs[0]
-    v1 = g.t(e1)
-    id1 = gog.vgroup(v1).identity
-    rest = list(w.pairs[1:])
-    if rest:
-        e_n, x_n = rest[-1]
-        rest[-1] = (e_n, gog.vgroup(g.t(e_n)).op(x_n, w.head))
-        rotated = GroupWord(gog, v1, x1, rest + [(e1, id1)])
-    else:
-        rotated = GroupWord(gog, v1, gog.vgroup(v1).op(x1, w.head),
-                            [(e1, id1)])
-    return reduce_word(rotated, gog, transversals)
+    items = [list(p) for p in w.pairs]
+    start, head = _notch(w.head, items, gog, transversals.decomp)
+    return GroupWord(gog, start, head, items)
 
 
 def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
@@ -380,29 +409,47 @@ def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
     (so the seam between the last and first syllables is fully merged).
     The conjugator is an open word from w's basepoint to the core's.
     """
-    if not w.is_loop():
+    return _cyclic_core(reduce_word(w, gog, transversals), gog, transversals)
+
+
+def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
+                 transversals: Transversals):
+    """:func:`cyclically_reduce` of a word already in canonical form.
+
+    Rotates one notch at a time until no pinch applies at the seam and the
+    trailing element is the identity.  A notch that does not pinch leaves
+    a trailing identity, so there are at most n + 1 notches for n edges.
+    The conjugator is the product of the (head, first edge) steps, built
+    as one word and reduced once."""
+    if not red.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
     g = gog.graph
-    cur = reduce_word(w, gog, transversals)
-    conj = identity_word(gog, w.start)
-    guard = 0
-    while cur.pairs:
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("cyclic reduction failed to stabilize")
-        n = len(cur.pairs)
-        e_last, x_last = cur.pairs[-1]
-        G_at = gog.vgroup(cur.start)
-        f1 = cur.pairs[0][0]
-        seam = G_at.op(x_last, cur.head)
-        pinchable = n >= 2 and f1 == g.bar(e_last) and seam in gog.image(e_last)
+    start, head = red.start, red.head
+    items = [list(p) for p in red.pairs]
+    steps = []
+    for _ in range(len(items) + 2):
+        if not items:
+            break
+        e_last, x_last = items[-1]
+        G_at = gog.vgroup(start)
+        f1 = items[0][0]
+        pinchable = (len(items) >= 2 and f1 == g.bar(e_last)
+                     and G_at.op(x_last, head) in gog.image(e_last))
         if not pinchable and x_last == G_at.identity:
             break
-        # conjugate by the prefix p = (head, first edge)
-        conj = conj * GroupWord(gog, cur.start, cur.head,
-                                ((f1, gog.vgroup(g.t(f1)).identity),))
-        cur = rotate_once(cur, gog, transversals)
-    return cur, reduce_word(conj, gog, transversals)
+        steps.append((head, f1))
+        start, head = _notch(head, items, gog, transversals.decomp)
+    else:
+        raise RuntimeError("cyclic reduction failed to stabilize")
+    if not steps:
+        return red, identity_word(gog, red.start)
+    # (h1; f1, 1)·(h2; f2, 1)···(hk; fk, 1) = (h1; (f1, h2), ..., (fk, 1))
+    pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
+    f_k = steps[-1][1]
+    pairs.append((f_k, gog.vgroup(g.t(f_k)).identity))
+    conj = GroupWord(gog, red.start, steps[0][0], pairs)
+    return (GroupWord(gog, start, head, items),
+            reduce_word(conj, gog, transversals))
 
 
 # -- word JSON --------------------------------------------------------------

@@ -6,17 +6,20 @@ Relators are loop words at a chosen basepoint.  Cyclic rotation acts one
 edge-step at a time on the trailing-identity representation produced by
 ``cyclically_reduce`` (head, then pairs whose last element is the identity
 carried by the returning edge), so a rotation is again a reduced loop of
-the same length, based at the next vertex along the loop.
+the same length, based at the next vertex along the loop.  A rotation
+changes only the seam, so it costs a short transversal sweep, not a full
+reduction, and a symmetrized set holds one rotation orbit of the relator
+and one of its inverse, each stopping where it closes.
 
 Piece lengths are measured in syllables of canonical normal form.  Two
 members share a prefix of length l when their first l syllables agree as
 group elements up to right multiplication by an edge-group element at the
 seam; for free products (trivial edge groups) this is plain syllable
 equality, which is the fast path.  Only *distinct* members of the
-symmetrized set contribute pieces.  The linear overlap of a member with
-its own rotations (the classical border function) and proper-power
-periodicity are reported separately — they are diagnostics, not pieces,
-and do not enter λ*.
+symmetrized set contribute pieces.  The self-overlap of a member (the
+longest common prefix of the word and a proper suffix of it, maximized
+over shifts) and proper-power periodicity are reported separately — they
+are diagnostics, not pieces, and do not enter λ*.
 
 Dehn reduction replaces the leftmost, longest subword matching more than
 half of a member by the shorter complement, recording a trace that replays
@@ -47,6 +50,7 @@ from .complexes import Cell2, TwoComplexBall, cycle_key
 from .errors import UnsupportedInput
 from .gog import (
     GroupWord,
+    _cyclic_core,
     cyclically_reduce,
     fix_transversals,
     identity_word,
@@ -63,13 +67,23 @@ from .tree import canonical_coset_word
 
 
 def word_power(w: GroupWord, m: int, gog, T) -> GroupWord:
-    """Reduced w^m for a loop word w (m >= 0)."""
+    """Reduced w^m for a loop word w (m >= 0): the raw product w·w···w,
+    merging the last element with the head at each junction, reduced once
+    (the canonical form of an element is unique)."""
     if not w.is_loop():
         raise ValueError(f"powers need a loop word, got {w.start} -> {w.end}")
-    acc = identity_word(gog, w.start)
-    for _ in range(m):
-        acc = reduce_word(acc * w, gog, T)
-    return acc
+    if m < 1:
+        return identity_word(gog, w.start)
+    G = gog.vgroup(w.start)
+    head, pairs = w.head, list(w.pairs)
+    for _ in range(m - 1):
+        if pairs:
+            e_n, x_n = pairs[-1]
+            pairs[-1] = (e_n, G.op(x_n, w.head))
+            pairs.extend(w.pairs)
+        else:
+            head = G.op(head, w.head)
+    return reduce_word(GroupWord(gog, w.start, head, pairs), gog, T)
 
 
 def positions(w: GroupWord, gog):
@@ -82,11 +96,16 @@ def positions(w: GroupWord, gog):
 
 
 def rotations(w: GroupWord, gog, T):
-    """All edge-step rotations of a reduced loop (w itself first)."""
+    """The edge-step rotation orbit of a canonical cyclically reduced loop,
+    w itself first.  Rotation is deterministic, so once the orbit returns
+    to w every later rotation repeats it; the orbit stops there, after at
+    most one rotation per edge.  It is shorter than the edge count when w
+    repeats itself under rotation (a proper power)."""
     out = [w]
-    cur = w
     for _ in range(len(w.pairs) - 1):
-        cur = rotate_once(cur, gog, T)
+        cur = rotate_once(out[-1], gog, T)
+        if cur == w:
+            break
         out.append(cur)
     return out
 
@@ -99,15 +118,19 @@ class SymmetrizedSet:
     member cyclically reduced and in canonical form.  ``base`` is the
     least member under the word key — the canonical cyclic conjugate the
     rest of the module refers back to.  The members are an immutable
-    tuple, so the piece report is computed once, by :func:`pieces`, and
-    kept here."""
+    tuple, so the piece report (:func:`pieces`) and the Dehn match table
+    are computed once and kept here.  ``proper_power`` is filled in by
+    :func:`symmetrize`, which sees the rotation orbits: it is True when an
+    orbit is shorter than the edge count."""
 
     def __init__(self, gog, transversals, members, base):
         self.gog = gog
         self.transversals = transversals
         self.members = tuple(members)
         self.base = base
+        self.proper_power = None
         self.piece_report = None
+        self.match_table = None
 
     def __len__(self):
         return len(self.members)
@@ -137,8 +160,11 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
     inv_core, _ = cyclically_reduce(core.inverse(), gog, T)
     seen = {}
+    proper = False
     for w0 in (core, inv_core):
-        for w in rotations(w0, gog, T):
+        orbit = rotations(w0, gog, T)
+        proper = proper or len(orbit) < len(w0.pairs)
+        for w in orbit:
             if len(w.pairs) != len(core.pairs):
                 raise RuntimeError(
                     f"rotation changed length for {w0!r}; cyclic reduction "
@@ -147,7 +173,9 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
             seen.setdefault(_word_id(w), w)
     members = sorted(seen.values(), key=lambda w: (w.start, w.key()))
     base = min(members, key=lambda w: w.key())
-    return SymmetrizedSet(gog, T, members, base)
+    S = SymmetrizedSet(gog, T, members, base)
+    S.proper_power = proper
+    return S
 
 
 # -- pieces -----------------------------------------------------------------
@@ -178,9 +206,15 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord, gog,
     """
     if w1.start != w2.start:
         return 0
-    p1, p2 = positions(w1, gog), positions(w2, gog)
     if fudge is None:
         fudge = _fudge_sets(gog)
+    return _prefix_syllables(positions(w1, gog), positions(w2, gog), gog,
+                             fudge)
+
+
+def _prefix_syllables(p1, p2, gog, fudge) -> int:
+    """:func:`common_prefix_syllables` on two position lists (different
+    start vertices fail at position 0)."""
     syl = 0
     for j in range(min(len(p1), len(p2))):
         v1, x1, e1 = p1[j]
@@ -200,21 +234,32 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord, gog,
 
 
 def self_overlap(w: GroupWord, gog) -> int:
-    """Longest linear overlap of w with a shift of itself (max border of
-    the syllable sequence), in syllables."""
+    """Longest linear overlap of w with a shift of itself, in syllables:
+    the maximum over shifts s >= 1 of the longest common prefix of the
+    position list and its suffix from s.  That prefix need not reach the
+    end of the word, so this is the maximum of the Z-array, not a border.
+    Position 0 (the head) is compared by vertex and element only.
+
+    The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
+    Trees and Sequences*, §1.4); a prefix sum turns lengths into
+    syllables."""
     pos = positions(w, gog)
     n = len(pos)
-    best = 0
-    for shift in range(1, n):
-        syl = 0
-        for i in range(n - shift):
-            v1, x1, e1 = pos[shift + i]
-            v2, x2, e2 = pos[i]
-            if v1 != v2 or x1 != x2 or (i > 0 and e1 != e2):
-                break
-            if x1 != gog.vgroup(v1).identity:
-                syl += 1
-        best = max(best, syl)
+    syl = [0]
+    for v, x, _e in pos:
+        syl.append(syl[-1] + (x != gog.vgroup(v).identity))
+    head = pos[0][:2]
+    z = [0] * n
+    best = lo = hi = 0  # [lo, hi) is the rightmost matched window
+    for s in range(1, n):
+        k = min(hi - s, z[s - lo]) if s < hi else 0
+        while s + k < n and (pos[s + k] == pos[k] if k
+                             else pos[s][:2] == head):
+            k += 1
+        z[s] = k
+        if s + k > hi:
+            lo, hi = s, s + k
+        best = max(best, syl[k])
     return best
 
 
@@ -254,35 +299,40 @@ def pieces(S: SymmetrizedSet) -> PieceReport:
 def _piece_report(S: SymmetrizedSet) -> PieceReport:
     if len(S) < 1:
         raise ValueError("piece report needs a nonempty symmetrized set")
-    gog, T = S.gog, S.transversals
+    gog = S.gog
+    members = S.members
     fudge = _fudge_sets(gog)
+    pos = [positions(w, gog) for w in members]
     pair_lengths = {}
     max_piece, witness = 0, None
-    members = S.members
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            l = common_prefix_syllables(members[i], members[j], gog, fudge)
+            l = _prefix_syllables(pos[i], pos[j], gog, fudge)
             pair_lengths[(i, j)] = l
             if l > max_piece:
                 max_piece, witness = l, (i, j)
     min_length = S.member_length()
     if len(members) > 1 and max_piece >= min_length:
+        if not members[0].pairs:
+            raise UnsupportedInput(
+                f"relator {S.base!r} has no edges: it is elliptic, so its "
+                "members are single vertex-group elements, which a seam "
+                "correction matches in full; the piece measure needs a "
+                "relator that crosses an edge"
+            )
+        if min_length == 0:
+            raise UnsupportedInput(
+                f"relator {S.base!r} is made of stable letters only: it has "
+                "no nontrivial vertex-group syllable, so every member has "
+                "syllable length 0 and λ* is undefined"
+            )
         raise RuntimeError(
             f"piece of length {max_piece} reaches the member length "
             f"{min_length}; two listed members coincide"
         )
     so = max(self_overlap(w, gog) for w in members)
-    proper = False
-    for w in members:
-        ident = _word_id(w)
-        for k, rot in enumerate(rotations(w, gog, T)):
-            if k > 0 and _word_id(rot) == ident:
-                proper = True
-                break
-        if proper:
-            break
     return PieceReport(pair_lengths, max_piece, witness, min_length,
-                       len(members), so, proper)
+                       len(members), so, S.proper_power)
 
 
 def check_cprime(r: GroupWord, m: int, lam, gog, transversals=None) -> dict:
@@ -363,7 +413,12 @@ def compute_M(gog, r: GroupWord, transversals=None) -> ThinnessConstant:
     built.
     """
     T = transversals if transversals is not None else fix_transversals(gog)
-    core, _ = cyclically_reduce(r, gog, T)
+    return _compute_M(gog, reduce_word(r, gog, T), T)
+
+
+def _compute_M(gog, r: GroupWord, T) -> ThinnessConstant:
+    """:func:`compute_M` of a relator already in canonical form."""
+    core, _ = _cyclic_core(r, gog, T)
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r}")
     r_len = syllable_length(core)
@@ -428,7 +483,14 @@ def _subword(w: GroupWord, gog, lo: int, hi: int) -> GroupWord:
 
 def _match_table(S: SymmetrizedSet):
     """Anchor index: (edge, element) of each member's second position ->
-    members starting that way, with their position lists."""
+    members starting that way, with their position lists; built once per
+    set and kept on it."""
+    if S.match_table is None:
+        S.match_table = _build_match_table(S)
+    return S.match_table
+
+
+def _build_match_table(S: SymmetrizedSet):
     gog = S.gog
     tab = {}
     mempos = []
@@ -511,7 +573,6 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
     nontrivial ones the seam matcher is conservative and a stuck word is
     undecided.  The trace replays to an exact witness — see
     :func:`replay_trace`."""
-    gog, T = S.gog, S.transversals
     rep = pieces(S)
     if rep.lam_star >= Fraction(1, 6):
         raise UnsupportedInput(
@@ -520,8 +581,14 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
         )
     if not w.is_loop():
         raise ValueError(f"words must be loops, got {w.start} -> {w.end}")
+    return _dehn_reduce(reduce_word(w, S.gog, S.transversals), S, guard)
+
+
+def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
+    """:func:`dehn_reduce` of a canonical loop against a set whose piece
+    report is known to satisfy C'(1/6)."""
+    gog, T = S.gog, S.transversals
     tab, mempos = _match_table(S)
-    cur = reduce_word(w, gog, T)
     original = cur
     trace = []
     area = 0
@@ -543,7 +610,7 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
                 break
         if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
-            core, conj = cyclically_reduce(cur, gog, T)
+            core, conj = _cyclic_core(cur, gog, T)
             if syllable_length(core) < before:
                 trace.append(("conjugate", conj))
                 cur = core
@@ -671,12 +738,12 @@ class KernelOracle:
             return {"in_kernel": True, "method": "trivial"}
         if self.abelian and self._h1_image(red) not in self._r_subgroup:
             return {"in_kernel": False, "method": "abelianized-image"}
-        core, _ = cyclically_reduce(red, gog, T)
+        core, _ = _cyclic_core(red, gog, T)
         n = syllable_length(core)
         if n > 0 and Fraction(n) <= self.length_gate:
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
-        res = dehn_reduce(red, self.S)
+        res = _dehn_reduce(red, self.S)
         if not res.is_trivial and not self.trivial_seams:
             raise UnsupportedInput(
                 f"Dehn reduction got stuck at {syllable_length(res.word)} "
@@ -961,7 +1028,7 @@ def claim_audit(gog, r: GroupWord, m: int, transversals=None,
     T = transversals if transversals is not None else fix_transversals(gog)
     core, _prefixes, _lam = _relator_boundary(gog, T, r)
     p = len(core.pairs)
-    tc = compute_M(gog, core, T)
+    tc = _compute_M(gog, core, T)
     r_len = tc.r_syllables
 
     # claim 1: period collapse and orbit count.  Boundary prefixes follow

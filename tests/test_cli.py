@@ -235,6 +235,24 @@ def test_unsupported_oracle_exit_4(tmp_path, monkeypatch):
     assert "C'(1/6)" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("model, word, cause", [
+    ("sl2z", {"ab": [1]}, "no edges"),
+    ("free_rank2", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),
+    ("hnn_c6", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),
+])
+def test_cprime_degenerate_relator_exit_4(tmp_path, monkeypatch, model, word,
+                                          cause):
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": "cprime",
+        "parameters": {"model": model, "word": word, "m": 3, "lam": "1/6"},
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "unsupported"
+    assert cause in report["error"]["message"]
+
+
 # -- resolved fixtures behave like the library ------------------------------
 
 

@@ -488,19 +488,20 @@ def _counting(monkeypatch, name):
 
 def test_piece_report_computed_once_per_set(monkeypatch):
     gog, T, r, r12, S = _kernel_setup()
-    calls = _counting(monkeypatch, "common_prefix_syllables")
+    reports = _counting(monkeypatch, "_piece_report")
+    tables = _counting(monkeypatch, "_build_match_table")
     g = ab_word(gog, [2, 3])
     w = reduce_word(g * r12 * g.inverse(), gog, T)
     assert dehn_reduce(w, S).is_trivial
-    assert calls[0] > 0  # the first reduction computes the report
-    calls[0] = 0
+    # the first reduction computes the report and the match table
+    assert reports[0] == 1 and tables[0] == 1
     assert dehn_reduce(w, S).is_trivial
-    assert calls[0] == 0
+    assert reports[0] == 1 and tables[0] == 1
     ko = KernelOracle(gog, r, 12, T)
-    calls[0] = 0
+    assert reports[0] == 2
     assert dehn_reduce(w, ko.S).is_trivial
     assert ko.certificate(w)["in_kernel"]
-    assert calls[0] == 0
+    assert reports[0] == 2 and tables[0] == 2
     assert pieces(ko.S) is ko.report
 
 
@@ -750,6 +751,21 @@ def test_incidence_work_bound(monkeypatch):
     assert powers[0] == 0
     # the per-s word_power search made 43,130 reductions here
     assert reductions[0] <= 43130 // 4
+
+
+def test_kernel_oracle_construction_work_bound(monkeypatch):
+    gog, T = _free()
+    r = _relator(gog)
+    reductions = _counting(monkeypatch, "reduce_word")
+    counts = []
+    for m in (48, 96):
+        reductions[0] = 0
+        ko = KernelOracle(gog, r, m, T)
+        assert len(ko.S) == 12 and ko.report.proper_power
+        counts.append(reductions[0])
+    # one notch per rotation works at the seam only; the rotation-by-
+    # reduction construction made 19m + 3 reductions (915 and 1,827)
+    assert counts[0] == counts[1] <= 8
 
 
 # -- claim audit ------------------------------------------------------------
