@@ -19,7 +19,11 @@ word-problem callable (True / False / None="cannot decide", the last aborts).
 With no relators it reproduces the tree ball verbatim: it walks the tree with
 the child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel; the presentation
-complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.
+complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.  For an
+evaluation oracle (a callable with ``image(word)``, as ``evaluation_wp``
+returns) the lookup is keyed by the vertex's coset in the finite target, one
+evaluation per lookup; for any other callable it scans the vertices at the
+same Λ-vertex, one word-problem call per candidate and vertex-group element.
 
 Cells and determinism
 ---------------------
@@ -294,20 +298,54 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
 
 class _KernelLookup:
     """Quotient-ball vertices by canonical tree word, found again modulo the
-    kernel ⟨⟨R⟩⟩: an exact hit on the word, else the first vertex at the
-    same Λ-vertex v whose word w_i has word·x·w_i⁻¹ in the kernel for some
-    x in G_v.  With no relators only exact hits count."""
+    kernel ⟨⟨R⟩⟩.  An exact hit on the word comes first; with no relators
+    only exact hits count.
+
+    When the word-problem callable is an evaluation oracle (it has
+    ``image(word)``, the element of its finite ``target`` that the word
+    evaluates to), a vertex is keyed by (v, least element of the left coset
+    image(word)·image(G_v)), and ``find`` is one evaluation and one dict
+    lookup.  Any other callable, such as the Dehn oracle, gets the scan:
+    the first vertex at the same Λ-vertex v whose word w_i has
+    reduce(word·x·w_i⁻¹) in the kernel for some x in G_v.
+
+    Both give the same index.  Evaluation does not change under
+    ``reduce_word``: pinches and the transversal sweep move edge-group
+    elements across edges, and the images agree on edge groups.  It is
+    multiplicative under ``*`` and ``inverse``.  So, with ker(evaluation) =
+    ⟨⟨R⟩⟩, the scan accepts (w_i, x) exactly when image(word)·image(x) =
+    image(w_i), that is, when the two cosets image(·)·image(G_v) are
+    equal.  Coset equality is an equivalence relation, so at most one
+    stored vertex has a given key, and it is the one the scan finds."""
 
     def __init__(self, gog: GraphOfGroups, T, relators, wp):
         self.gog = gog
         self.T = T
         self.wp = wp if relators else None
+        self.image = getattr(self.wp, "image", None)
         self.exact = {}     # canonical tree word -> index
-        self.by_lam = {}    # Λ-vertex -> [(word, index)]
+        self.by_lam = {}    # Λ-vertex -> [(word, index)], for the scan
+        self.keyed = {}     # (Λ-vertex, least coset element) -> index
+        if self.image is not None:
+            # image(G_v), once per Λ-vertex
+            self.vimage = [
+                sorted({self.image(GroupWord(gog, v, x))
+                        for x in range(gog.vgroup(v).order)})
+                for v in range(gog.graph.num_vertices)
+            ]
+
+    def key(self, word: GroupWord):
+        v = word.end
+        op = self.wp.target.op
+        g = self.image(word)
+        return v, min(op(g, h) for h in self.vimage[v])
 
     def add(self, word: GroupWord, idx: int):
         self.exact[word] = idx
-        self.by_lam.setdefault(word.end, []).append((word, idx))
+        if self.image is not None:
+            self.keyed.setdefault(self.key(word), idx)
+        elif self.wp is not None:
+            self.by_lam.setdefault(word.end, []).append((word, idx))
 
     def in_kernel(self, word: GroupWord) -> bool:
         if word.is_identity():
@@ -325,6 +363,8 @@ class _KernelLookup:
         j = self.exact.get(word)
         if j is not None or self.wp is None:
             return j
+        if self.image is not None:
+            return self.keyed.get(self.key(word))
         gog, v = self.gog, word.end
         for w_i, i in self.by_lam.get(v, ()):
             inv_i = w_i.inverse()
@@ -345,7 +385,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     if relators and wp is None:
         raise ValueError("nonempty relator list needs a word-problem callable")
     T = transversals if transversals is not None else fix_transversals(gog)
-    fan = _fan_table(gog)
+    fan = _fan_table(gog, T)
     lookup = _KernelLookup(gog, T, relators, wp)
 
     verts = []

@@ -409,18 +409,21 @@ def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
     (so the seam between the last and first syllables is fully merged).
     The conjugator is an open word from w's basepoint to the core's.
     """
-    return _cyclic_core(reduce_word(w, gog, transversals), gog, transversals)
+    red = reduce_word(w, gog, transversals)
+    core, steps = _cyclic_core(red, gog, transversals)
+    return core, _conjugator(red.start, steps, gog, transversals)
 
 
 def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
                  transversals: Transversals):
-    """:func:`cyclically_reduce` of a word already in canonical form.
+    """The core of :func:`cyclically_reduce` for a word already in
+    canonical form, with the notch steps taken as (head, first edge)
+    pairs; :func:`_conjugator` turns the steps into the conjugator for
+    the callers that need it.
 
     Rotates one notch at a time until no pinch applies at the seam and the
     trailing element is the identity.  A notch that does not pinch leaves
-    a trailing identity, so there are at most n + 1 notches for n edges.
-    The conjugator is the product of the (head, first edge) steps, built
-    as one word and reduced once."""
+    a trailing identity, so there are at most n + 1 notches for n edges."""
     if not red.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
     g = gog.graph
@@ -442,14 +445,23 @@ def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
     else:
         raise RuntimeError("cyclic reduction failed to stabilize")
     if not steps:
-        return red, identity_word(gog, red.start)
+        return red, steps
+    return GroupWord(gog, start, head, items), steps
+
+
+def _conjugator(start: int, steps, gog: GraphOfGroups,
+                transversals: Transversals) -> GroupWord:
+    """The product of the notch steps of :func:`_cyclic_core`, from the
+    basepoint ``start``, built as one word and reduced once."""
+    if not steps:
+        return identity_word(gog, start)
+    g = gog.graph
     # (h1; f1, 1)·(h2; f2, 1)···(hk; fk, 1) = (h1; (f1, h2), ..., (fk, 1))
     pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
     f_k = steps[-1][1]
     pairs.append((f_k, gog.vgroup(g.t(f_k)).identity))
-    conj = GroupWord(gog, red.start, steps[0][0], pairs)
-    return (GroupWord(gog, start, head, items),
-            reduce_word(conj, gog, transversals))
+    return reduce_word(GroupWord(gog, start, steps[0][0], pairs), gog,
+                       transversals)
 
 
 # -- word JSON --------------------------------------------------------------

@@ -50,8 +50,9 @@ from .complexes import Cell2, TwoComplexBall, cycle_key
 from .errors import UnsupportedInput
 from .gog import (
     GroupWord,
+    _conjugator,
     _cyclic_core,
-    cyclically_reduce,
+    cyclically_reduce,  # re-exported
     fix_transversals,
     identity_word,
     reduce_word,
@@ -155,10 +156,10 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
     """Smallest symmetrized set containing r: all cyclic rotations of the
     cyclically reduced r and of its inverse, deduplicated."""
     T = transversals if transversals is not None else fix_transversals(gog)
-    core, _conj = cyclically_reduce(r, gog, T)
+    core, _ = _cyclic_core(reduce_word(r, gog, T), gog, T)
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
-    inv_core, _ = cyclically_reduce(core.inverse(), gog, T)
+    inv_core, _ = _cyclic_core(reduce_word(core.inverse(), gog, T), gog, T)
     seen = {}
     proper = False
     for w0 in (core, inv_core):
@@ -326,9 +327,17 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
                 "no nontrivial vertex-group syllable, so every member has "
                 "syllable length 0 and λ* is undefined"
             )
-        raise RuntimeError(
-            f"piece of length {max_piece} reaches the member length "
-            f"{min_length}; two listed members coincide"
+        a, b = (members[k] for k in witness)
+        if a == b:
+            raise RuntimeError(
+                f"piece of length {max_piece} reaches the member length "
+                f"{min_length}; two listed members coincide"
+            )
+        raise UnsupportedInput(
+            f"distinct members {a!r} and {b!r} share a piece as long as "
+            f"the members ({max_piece} syllables): the syllable measure "
+            "does not count stable letters, so it cannot tell these "
+            "members apart and λ* is not measured"
         )
     so = max(self_overlap(w, gog) for w in members)
     return PieceReport(pair_lengths, max_piece, witness, min_length,
@@ -610,9 +619,10 @@ def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> Deh
                 break
         if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
-            core, conj = _cyclic_core(cur, gog, T)
+            core, steps = _cyclic_core(cur, gog, T)
             if syllable_length(core) < before:
-                trace.append(("conjugate", conj))
+                trace.append(("conjugate", _conjugator(cur.start, steps,
+                                                       gog, T)))
                 cur = core
                 continue
             break
@@ -764,7 +774,7 @@ class KernelOracle:
 def _relator_boundary(gog, T, rel: GroupWord):
     """Cyclically reduced relator, its prefix words q_0..q_{n-1} (n = edge
     length), and the Λ-vertices they end at."""
-    core, _ = cyclically_reduce(rel, gog, T)
+    core, _ = _cyclic_core(reduce_word(rel, gog, T), gog, T)
     if not core.pairs:
         raise ValueError(
             f"relator {rel!r} has no edges; its boundary bounds no 2-cell"
@@ -1113,13 +1123,43 @@ def claim_audit(gog, r: GroupWord, m: int, transversals=None,
 # -- homomorphism word problems ---------------------------------------------
 
 
+class Evaluation:
+    """Evaluation of loop words in a finite target, as built by
+    :func:`evaluation_wp`.  Calling it answers the word problem (True when
+    the word evaluates to the identity); ``image(word)`` is the target
+    element itself."""
+
+    __slots__ = ("target", "images", "_by_edge")
+
+    def __init__(self, gog, target, images):
+        self.target = target
+        self.images = images
+        g = gog.graph
+        self._by_edge = tuple(images[g.t(e)] for e in range(g.num_edges))
+
+    def image(self, w: GroupWord) -> int:
+        table, by_edge = self.target.table, self._by_edge
+        acc = self.images[w.start][w.head]
+        for e, x in w.pairs:
+            acc = table[acc][by_edge[e][x]]
+        return acc
+
+    def __call__(self, w: GroupWord) -> bool:
+        return self.image(w) == self.target.identity
+
+
 def evaluation_wp(gog, target, images):
     """Word problem by evaluation in a finite quotient: ``images[v][x]``
     is the target element of vertex-group element x at Λ-vertex v.  The
-    maps must be homomorphisms agreeing on edge-group images (checked);
-    the kernel of evaluation is then a normal subgroup containing the
-    relators the caller quotients by — for presentations onto the target
-    this *is* the word problem."""
+    maps must be homomorphisms agreeing on edge-group images (checked).
+    The kernel of evaluation is then a normal subgroup containing the
+    relators the caller quotients by.  That it *is* ⟨⟨R⟩⟩, so that
+    evaluation solves the word problem of the quotient, is assumed, not
+    checked; it holds when the relators present the target.
+
+    Returns an :class:`Evaluation`: called on a word it returns a bool,
+    and its ``image(word)`` lets quotient balls key vertices by their
+    target coset instead of scanning."""
     g = gog.graph
     for v in range(g.num_vertices):
         G = gog.vgroup(v)
@@ -1145,10 +1185,4 @@ def evaluation_wp(gog, target, images):
                     f"edge {e}: images disagree on edge-group element {c}"
                 )
 
-    def wp(w: GroupWord) -> bool:
-        acc = images[w.start][w.head]
-        for e, x in w.pairs:
-            acc = target.op(acc, images[g.t(e)][x])
-        return acc == target.identity
-
-    return wp
+    return Evaluation(gog, target, tuple(tuple(row) for row in images))

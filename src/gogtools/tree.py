@@ -197,29 +197,73 @@ class TreeBall:
         return problems
 
 
-def _fan_table(gog: GraphOfGroups):
-    """Per directed edge e, the left transversal of im(inj(ē)) in
-    vgroup(o(e)): the expansion fan at an o(e)-side vertex."""
+def _fan_table(gog: GraphOfGroups, T: Transversals):
+    """Per directed edge e, the expansion fan at an o(e)-side vertex: the
+    left transversal of im(inj(ē)) in vgroup(o(e)), each representative
+    paired with the set of last edges (None at the center) after which
+    :func:`_child_steps` must still canonicalize the child word.
+
+    Why the set is usually empty.  Let w be a canonical word at v whose
+    last edge is k, with last element m (the head at the center); m is
+    the least transversal representative of im(k), or the least element
+    of vgroup(v) at the center.  The child coset of w·rep·e consists of
+    the words reduce(w·y·e·s) with y in rep·im(inj(ē)) and s in the
+    transversal of im(e): an edge-group factor of the last element moves
+    across e into y.  ``GroupWord.key`` compares the part before e first,
+    so the least word takes the least s, and the y whose reduce(w·y) is
+    least.  Write m·y = η_k(c)·r with r in the transversal of im(k); then
+    reduce(w·y) = reduce(u·η_k̄(c))·(k, r), where w = u·(k, m).  Distinct
+    c give distinct elements, and w is least in its coset, so the prefix
+    is least exactly at c = 1; among the y with c = 1, the least r = m·y
+    wins.  Hence reduce(w·rep·e·1) is already canonical when the identity
+    is the least transversal representative of im(e), c = 1 for m·rep,
+    and m·rep is least among the m·y with c = 1 (at the center: m·rep is
+    least in m·rep·im(inj(ē))).  That holds on every built-in model, but
+    not for every labelling of a non-normal edge image, so the steps
+    where it fails keep the canonicalization."""
     g = gog.graph
     fan = {}
     for e in range(g.num_edges):
-        G = gog.vgroup(g.o(e))
-        fan[e] = left_transversal(G, Subgroup(G, sorted(gog.image(g.bar(e)))))
+        v = g.o(e)
+        G = gog.vgroup(v)
+        image = sorted(gog.image(g.bar(e)))
+        child_ok = min(T.reps[e]) == gog.vgroup(g.t(e)).identity
+        fan[e] = []
+        for rep in left_transversal(G, Subgroup(G, image)):
+            coset = [G.op(rep, h) for h in image]
+            unproven = set()
+            for k in [None] + [f for f in range(g.num_edges) if g.t(f) == v]:
+                if k is None:
+                    m, free = 0, coset
+                else:
+                    m = min(T.reps[k])
+                    ident_c = gog.egroup(k).identity
+                    free = [y for y in coset
+                            if T.decomp[k][G.op(m, y)][0] == ident_c]
+                if not (child_ok and rep in free
+                        and G.op(m, rep) == min(G.op(m, y) for y in free)):
+                    unproven.add(k)
+            fan[e].append((rep, frozenset(unproven)))
     return fan
 
 
 def _child_steps(w: GroupWord, fan, gog: GraphOfGroups, T: Transversals):
     """The neighbours of the vertex with canonical word w that lie one step
     farther from the center, as (e, rep, canonical child word) in edge then
-    fan order; the one step that folds back toward the center is skipped."""
+    fan order; the one step that folds back toward the center is skipped.
+    The reduced word w·rep·e·1 is the canonical child except on the steps
+    :func:`_fan_table` could not prove."""
     g = gog.graph
     v = w.end
+    last = w.pairs[-1][0] if w.pairs else None
     for e in g.edges_at(v):
         ident_t = gog.vgroup(g.t(e)).identity
-        for rep in fan[e]:
+        for rep, unproven in fan[e]:
             nf = reduce_word(w * GroupWord(gog, v, rep, [(e, ident_t)]), gog, T)
             if len(nf.pairs) == len(w.pairs) + 1:
-                yield e, rep, canonical_coset_word(nf, gog, T)
+                if last in unproven:
+                    nf = canonical_coset_word(nf, gog, T)
+                yield e, rep, nf
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
@@ -240,7 +284,7 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
     edges = []
     adjacency = [[]]
 
-    fan = _fan_table(gog)
+    fan = _fan_table(gog, T)
     frontier = [0]
     for dist in range(1, radius + 1):
         nxt = []

@@ -239,6 +239,7 @@ def test_unsupported_oracle_exit_4(tmp_path, monkeypatch):
     ("sl2z", {"ab": [1]}, "no edges"),
     ("free_rank2", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),
     ("hnn_c6", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),
+    ("hnn_c6", {"syllables": [[0, 4], [0, 0]]}, "does not count stable letters"),
 ])
 def test_cprime_degenerate_relator_exit_4(tmp_path, monkeypatch, model, word,
                                           cause):

@@ -27,6 +27,8 @@ from fixtures import (
     s3_d4_amalgam,
     sl2z_gog,
 )
+from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
+from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
 from gogtools.finite import make_dihedral
 from gogtools.gog import (
@@ -608,6 +610,83 @@ def test_evaluation_wp_checks_homomorphism():
         evaluation_wp(gog, make_dihedral(3), [[0, 1], [0, 4]])
 
 
+# -- keyed quotient lookup --------------------------------------------------
+
+
+def _dihedral(n):
+    """C2∗C2 with (ab)^n and evaluation onto D_n (a, b to two reflections)."""
+    gog = c2_c2_free()
+    ev = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
+    return gog, fix_transversals(gog), ab_word(gog, [1] * (2 * n)), ev
+
+
+def test_evaluation_wp_image():
+    gog, T, rel, ev = _dihedral(5)
+    D5 = make_dihedral(5)
+    assert ev.image(rel) == D5.identity and ev(rel) is True
+    a, b = ab_word(gog, [1]), ab_word(gog, [0, 1])
+    assert ev.image(a * b) == D5.op(5, 6) == D5.op(ev.image(a), ev.image(b))
+    assert ev.image(reduce_word(a * b * a, gog, T)) == ev.image(a * b * a)
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_keyed_lookup_matches_scan(n):
+    # the lambda has no ``image``, so the lookup scans
+    gog, T, rel, ev = _dihedral(n)
+    keyed = quotient_tree_ball(gog, [rel], n, wp=ev, transversals=T)
+    scanned = quotient_tree_ball(gog, [rel], n, wp=lambda w: ev(w),
+                                 transversals=T)
+    assert keyed.vertex_count() == 2 * n
+    assert ca_to_json(keyed) == ca_to_json(scanned)
+
+
+@pytest.mark.parametrize("R", [3, 6])
+def test_keyed_lookup_matches_scan_on_complex(R):
+    gog, T, st3, wp = _d3_setup()
+    keyed = presentation_complex_ball(gog, [st3], R, wp=wp, transversals=T)
+    scanned = presentation_complex_ball(gog, [st3], R, wp=lambda w: wp(w),
+                                        transversals=T)
+    assert to_complex_json(keyed) == to_complex_json(scanned)
+
+
+def _lookup_work(monkeypatch, n, wp_of):
+    """(ball, reductions inside find, evaluations) for the D_n ball."""
+    gog, T, rel, ev = _dihedral(n)
+    reductions = _counting(monkeypatch, "reduce_word")
+    in_find, evaluations = [0], [0]
+    find, image = _KernelLookup.find, smallcanc.Evaluation.image
+
+    def counted_find(self, word):
+        before = reductions[0]
+        try:
+            return find(self, word)
+        finally:
+            in_find[0] += reductions[0] - before
+
+    def counted_image(self, w):
+        evaluations[0] += 1
+        return image(self, w)
+
+    monkeypatch.setattr(_KernelLookup, "find", counted_find)
+    monkeypatch.setattr(smallcanc.Evaluation, "image", counted_image)
+    ball = quotient_tree_ball(gog, [rel], n, wp=wp_of(ev), transversals=T)
+    return ball, in_find[0], evaluations[0]
+
+
+def test_keyed_lookup_work_bound(monkeypatch):
+    ball, in_find, evaluations = _lookup_work(monkeypatch, 40, lambda ev: ev)
+    assert ball.vertex_count() == 80
+    assert in_find == 0
+    assert 0 < evaluations <= 2 * (ball.vertex_count() + ball.edge_count())
+
+
+def test_scan_lookup_work_is_counted(monkeypatch):
+    # the counters above see the scan's reductions when it runs
+    _ball, in_find, _ = _lookup_work(monkeypatch, 10,
+                                     lambda ev: (lambda w: ev(w)))
+    assert in_find > 0
+
+
 def test_hexagon_complex():
     gog, T, st3, wp = _d3_setup()
     X = presentation_complex_ball(gog, [st3], 3, wp=wp, transversals=T)
@@ -764,8 +843,18 @@ def test_kernel_oracle_construction_work_bound(monkeypatch):
         assert len(ko.S) == 12 and ko.report.proper_power
         counts.append(reductions[0])
     # one notch per rotation works at the seam only; the rotation-by-
-    # reduction construction made 19m + 3 reductions (915 and 1,827)
-    assert counts[0] == counts[1] <= 8
+    # reduction construction made 19m + 3 reductions (915 and 1,827); no
+    # conjugator is built, since nothing here reads one
+    assert counts[0] == counts[1] == 4
+
+
+def test_cprime_hnn_members_equal_in_syllables_unsupported():
+    # b⁴·t and b⁴·t̄ are distinct members with the same one syllable
+    gog = hnn_c6()
+    T = fix_transversals(gog)
+    r = GroupWord(gog, 0, 4, [(0, 0)])
+    with pytest.raises(UnsupportedInput, match="does not count stable letters"):
+        check_cprime(r, 1, Fraction(1, 6), gog, T)
 
 
 # -- claim audit ------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from fixtures import (
     ab_word,
     c2_c2_free,
+    c4_c6_free,
     free_rank2,
     hnn_c6,
     random_amalgam_word,
@@ -20,11 +21,21 @@ from fixtures import (
     sl2z_gog,
 )
 from gogtools.errors import CapExceeded
-from gogtools.gog import GroupWord, fix_transversals, identity_word, reduce_word
+from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
+from gogtools.gog import (
+    GroupWord,
+    amalgam,
+    fix_transversals,
+    identity_word,
+    reduce_word,
+)
 from gogtools.tree import (
     OUT_OF_BALL,
+    _child_steps,
+    _fan_table,
     act,
     build_tree_ball,
+    canonical_coset_word,
     degree_formula,
     geodesic,
     stabilizer,
@@ -129,6 +140,68 @@ def test_coset_reps_pairwise_inequivalent():
             for g in range(G.order):
                 shifted = reduce_word(w * GroupWord(gog, w.end, g), gog, T)
                 assert shifted != u
+
+
+def _sampled_children(gog, T, fan, rng, radius=5, width=30):
+    """(parent, e, rep, child) over a seeded sample of each level of the
+    tree balls around every base vertex."""
+    out = []
+    for base in range(gog.graph.num_vertices):
+        level = [canonical_coset_word(identity_word(gog, base), gog, T)]
+        for _ in range(radius):
+            nxt = []
+            for w in level:
+                for e, rep, child in _child_steps(w, fan, gog, T):
+                    out.append((w, e, rep, child))
+                    nxt.append(child)
+            level = rng.sample(nxt, min(width, len(nxt)))
+    return out
+
+
+@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
+                                   s3_d4_amalgam, hnn_c6, free_rank2])
+def test_child_steps_skip_canonicalization(make):
+    # every step is proven on the built-in models, so no child word is
+    # canonicalized, yet each is already the least word of its coset
+    gog = make()
+    T = fix_transversals(gog)
+    fan = _fan_table(gog, T)
+    assert all(not unproven for e in fan for _rep, unproven in fan[e])
+    children = _sampled_children(gog, T, fan, random.Random(11))
+    assert children
+    for _w, _e, _rep, child in children:
+        assert canonical_coset_word(child, gog, T) == child
+
+
+def _relabelled_s3_d4():
+    """S3 ∗_{C2} D4 with S3 relabelled as 1, s, sr, r, rs, r²: the least
+    element r of the left coset {r, rs} of the non-normal ⟨s⟩ is not
+    the representative of its right coset {r, sr}."""
+    S3 = make_dihedral(3)
+    s, r = 3, 1
+    order = [S3.identity, s, S3.op(s, r), r, S3.op(r, s), S3.op(r, r)]
+    new = {old: i for i, old in enumerate(order)}
+    table = [[new[S3.op(order[a], order[b])] for b in range(6)]
+             for a in range(6)]
+    return amalgam(FiniteGroup(table), make_dihedral(4), make_cyclic(2),
+                   [0, new[s]], [0, 2])
+
+
+def test_child_steps_keep_canonicalization_where_unproven():
+    gog = _relabelled_s3_d4()
+    T = fix_transversals(gog)
+    fan = _fan_table(gog, T)
+    assert any(unproven for e in fan for _rep, unproven in fan[e])
+    bypassed = 0
+    for w, e, rep, child in _sampled_children(gog, T, fan, random.Random(11)):
+        assert canonical_coset_word(child, gog, T) == child
+        g = gog.graph
+        raw = reduce_word(w * GroupWord(gog, w.end, rep,
+                                        [(e, gog.vgroup(g.t(e)).identity)]),
+                          gog, T)
+        bypassed += raw != child
+    # the fallback is what makes those children canonical
+    assert bypassed > 0
 
 
 # -- action -----------------------------------------------------------------
