@@ -41,7 +41,7 @@ from .errors import CapExceeded, UnsupportedInput
 from .gog import (
     GraphOfGroups,
     GroupWord,
-    fix_transversals,
+    _own_table,
     identity_word,
     reduce_word,
     word_to_json,
@@ -318,9 +318,8 @@ class _KernelLookup:
     equal.  Coset equality is an equivalence relation, so at most one
     stored vertex has a given key, and it is the one the scan finds."""
 
-    def __init__(self, gog: GraphOfGroups, T, relators, wp):
+    def __init__(self, gog: GraphOfGroups, relators, wp):
         self.gog = gog
-        self.T = T
         self.wp = wp if relators else None
         self.image = getattr(self.wp, "image", None)
         self.exact = {}     # canonical tree word -> index
@@ -369,7 +368,7 @@ class _KernelLookup:
         for w_i, i in self.by_lam.get(v, ()):
             inv_i = w_i.inverse()
             for x in range(gog.vgroup(v).order):
-                d = reduce_word(word * GroupWord(gog, v, x) * inv_i, gog, self.T)
+                d = reduce_word(word * GroupWord(gog, v, x) * inv_i)
                 if self.in_kernel(d):
                     return i
         return None
@@ -378,15 +377,16 @@ class _KernelLookup:
 def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                        base: int = 0, transversals=None,
                        cap: int = 10 ** 6) -> GGraphBall:
-    """Ball of the tree quotiented by the normal closure of ``relators``."""
+    """Ball of the tree quotiented by the normal closure of ``relators``.
+    ``transversals``, if given, must be ``gog.transversals``."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
     if relators and wp is None:
         raise ValueError("nonempty relator list needs a word-problem callable")
-    T = transversals if transversals is not None else fix_transversals(gog)
-    fan = _fan_table(gog, T)
-    lookup = _KernelLookup(gog, T, relators, wp)
+    _own_table(gog, transversals)
+    fan = _fan_table(gog)
+    lookup = _KernelLookup(gog, relators, wp)
 
     verts = []
     adjacency = []
@@ -410,7 +410,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         lookup.add(word, idx)
         return idx
 
-    add_vertex(canonical_coset_word(identity_word(gog, base), gog, T), 0)
+    add_vertex(canonical_coset_word(identity_word(gog, base)), 0)
 
     # a vertex's step back toward the tree center reaches the vertex it was
     # discovered from, so only the steps away from the center are walked
@@ -418,7 +418,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     for dist in range(1, R + 1):
         nxt = []
         for i in frontier:
-            for e, _rep, cand in _child_steps(verts[i].rep, fan, gog, T):
+            for e, _rep, cand in _child_steps(verts[i].rep, fan):
                 j = lookup.find(cand)
                 if j is None:
                     j = add_vertex(cand, dist)
@@ -429,7 +429,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
 
     # induced pass over the boundary so cycle-closing edges are present
     for i in frontier:
-        for e, _rep, cand in _child_steps(verts[i].rep, fan, gog, T):
+        for e, _rep, cand in _child_steps(verts[i].rep, fan):
             j = lookup.find(cand)
             if j is not None:
                 _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,

@@ -77,7 +77,6 @@ from .finite import make_cyclic, make_dihedral
 from .gog import (
     GroupWord,
     amalgam,
-    fix_transversals,
     free_product,
     hnn_sub,
     identity_word,
@@ -197,7 +196,7 @@ def _ab_word(gog, exponents, start=0):
     return _loop_word(gog, syl, start=start)
 
 
-def _word(gog, desc, T):
+def _word(gog, desc):
     """Resolve a word descriptor to its canonical form: {"ab": [...]}
     alternating exponents on a two-vertex model, or {"syllables":
     [[vertex, element], ...]}; an optional "power" raises the resolved
@@ -211,7 +210,7 @@ def _word(gog, desc, T):
                        start=desc.get("start", 0))
     else:
         raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
-    return word_power(w, desc.get("power", 1), gog, T)
+    return word_power(w, desc.get("power", 1))
 
 
 # -- ball families ----------------------------------------------------------
@@ -366,11 +365,10 @@ def _ca_ball(params, ctx):
         return _build_ball(params["ball"], cap=cap)
     if variant == "quotient":
         gog = _model(params["model"])
-        T = fix_transversals(gog)
-        relators = [_word(gog, d, T) for d in params.get("relators", [])]
+        relators = [_word(gog, d) for d in params.get("relators", [])]
         wp = _wp(gog, params.get("wp"))
         return quotient_tree_ball(gog, relators, params["radius"], wp=wp,
-                                  transversals=T, cap=cap)
+                                  cap=cap)
     raise JobError(f"build-ca variant must be 'coset' or 'quotient', got {variant!r}")
 
 
@@ -477,9 +475,8 @@ def _cmd_wz_audit(params, ctx):
 
 def _cmd_symmetrize(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    w = _word(gog, params["word"], T)
-    S = symmetrize(w, gog, T)
+    w = _word(gog, params["word"])
+    S = symmetrize(w)
     members = sorted(word_to_json(m) for m in S.members)
     result = {
         "count": len(members),
@@ -491,20 +488,17 @@ def _cmd_symmetrize(params, ctx):
 
 def _cmd_cprime(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    r = _word(gog, params["word"], T)
-    result = check_cprime(r, params["m"], Fraction(params["lam"]), gog,
-                          transversals=T)
+    r = _word(gog, params["word"])
+    result = check_cprime(r, params["m"], Fraction(params["lam"]), gog)
     if params.get("hypothesis"):
-        tc = _compute_M(gog, r, T)
+        tc = _compute_M(r)
         result["hypothesis"] = dict(thmb_hypothesis(result["lam"], tc.M), M=tc.M)
     return result, {}, f"verdict={result['verdict']} (lam*={result['lam_star']})"
 
 
 def _cmd_compute_m(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    tc = _compute_M(gog, _word(gog, params["word"], T), T)
+    tc = _compute_M(_word(gog, params["word"]))
     result = {
         "k": tc.k,
         "r_syllables": tc.r_syllables,
@@ -517,15 +511,13 @@ def _cmd_compute_m(params, ctx):
 
 def _cmd_dehn(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
     guard = params.get("guard", 10 ** 6)
     ctx["caps"]["guard"] = guard
-    r = _word(gog, params["relator"], T)
-    rm = word_power(r, params.get("power", 1), gog, T)
-    S = symmetrize(rm, gog, T)
+    r = _word(gog, params["relator"])
+    S = symmetrize(word_power(r, params.get("power", 1)))
     rows = []
     for desc in params["words"]:
-        w = _word(gog, desc, T)
+        w = _word(gog, desc)
         res = dehn_reduce(w, S, guard=guard)
         rows.append({
             "word": desc,
@@ -541,18 +533,17 @@ def _cmd_dehn(params, ctx):
 
 def _px_complex(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    relators = [_word(gog, d, T) for d in params.get("relators", [])]
+    relators = [_word(gog, d) for d in params.get("relators", [])]
     wp = _wp(gog, params.get("wp"))
     if wp is None and params.get("power") and params.get("relators"):
         # relator-power quotients can serve their own word problem
-        oracle = KernelOracle(gog, _word(gog, params["relators"][0], T),
-                              params["power"], transversals=T)
+        oracle = KernelOracle(gog, _word(gog, params["relators"][0]),
+                              params["power"])
         wp, relators = oracle.in_kernel, [oracle.rm]
-    return gog, T, presentation_complex_ball(gog, relators, params["radius"],
-                                             wp=wp, transversals=T, cap=cap)
+    return presentation_complex_ball(gog, relators, params["radius"], wp=wp,
+                                     cap=cap)
 
 
 def _complex_summary(X):
@@ -567,7 +558,7 @@ def _complex_summary(X):
 
 
 def _cmd_px_complex(params, ctx):
-    _, _, X = _px_complex(params, ctx)
+    X = _px_complex(params, ctx)
     result = _complex_summary(X)
     extras = {"complex": to_complex_json(X), "off": to_off(X)}
     return result, extras, (
@@ -576,18 +567,16 @@ def _cmd_px_complex(params, ctx):
 
 def _cmd_m_thin(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    r = _word(gog, params["word"], T)
+    r = _word(gog, params["word"])
     m = params["power"]
     R = params["radius"]
-    oracle = KernelOracle(gog, r, m, transversals=T)
-    X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle.in_kernel,
-                                  transversals=T)
+    oracle = KernelOracle(gog, r, m)
+    X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle.in_kernel)
     X.incidence = thinness_incidence(gog, r, m, R, oracle=oracle,
-                                     transversals=T, ball=X.skeleton)
+                                     ball=X.skeleton)
     M = params.get("M")
     if M is None:
-        M = _compute_M(gog, r, T).M
+        M = _compute_M(r).M
     result = check_M_thin(X, M)
     result["per_edge"] = {str(k): v for k, v in sorted(result["per_edge"].items())}
     return result, {"complex": to_complex_json(X)}, (
@@ -596,9 +585,8 @@ def _cmd_m_thin(params, ctx):
 
 def _cmd_claim_audit(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    r = _word(gog, params["word"], T)
-    result = claim_audit(gog, r, params["power"], transversals=T)
+    r = _word(gog, params["word"])
+    result = claim_audit(gog, r, params["power"])
     verdicts = [result["orbit_bound"]["verdict"], result["injection"]["verdict"],
                 result["index_bound"]["verdict"]]
     return result, {}, f"claims {verdicts}, M={result['M']}"
@@ -658,17 +646,15 @@ def _cmd_pi1(params, ctx):
 
 def _cmd_dehn_sample(params, ctx):
     gog = _model(params["model"])
-    T = fix_transversals(gog)
-    r = _word(gog, params["relator"], T)
-    oracle = KernelOracle(gog, r, params["power"], transversals=T)
+    r = _word(gog, params["relator"])
+    oracle = KernelOracle(gog, r, params["power"])
 
     def area(w):
         res = dehn_reduce(w, oracle.S)
         return res.area if res.is_trivial else None
 
     mode = params.get("mode", "sample")
-    kwargs = {"mode": mode, "transversals": T,
-              "cap": params.get("cap", 200000)}
+    kwargs = {"mode": mode, "cap": params.get("cap", 200000)}
     ctx["caps"]["cap"] = kwargs["cap"]
     if mode == "sample":
         kwargs["seed"] = params.get("seed", 0xCA1)

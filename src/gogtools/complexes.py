@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded
-from .gog import GroupWord, fix_transversals, identity_word, reduce_word, \
-    syllable_length
+from .gog import GroupWord, identity_word, reduce_word, syllable_length
 
 
 def cycle_key(seq):
@@ -566,7 +565,7 @@ def bounded_trivial(pres, effort=10**4):
 # -- Dehn function sampling --------------------------------------------------
 
 
-def _loop_words_upto(gog, max_syllables, start, transversals, cap):
+def _loop_words_upto(gog, max_syllables, start, cap):
     """All canonical loop words at ``start`` with at most ``max_syllables``
     syllables, by raw-walk enumeration and reduction.  Exponential in the
     length — desk scale only, guarded by ``cap`` raw walks."""
@@ -586,8 +585,7 @@ def _loop_words_upto(gog, max_syllables, start, transversals, cap):
             )
         if vertex == start:
             for h in range(G0.order):
-                w = reduce_word(GroupWord(gog, start, h, pairs), gog,
-                                transversals)
+                w = reduce_word(GroupWord(gog, start, h, pairs))
                 if w in seen:
                     continue
                 seen.add(w)
@@ -604,7 +602,7 @@ def _loop_words_upto(gog, max_syllables, start, transversals, cap):
     return out
 
 
-def _random_loop(gog, rng, out_steps, start, transversals):
+def _random_loop(gog, rng, out_steps, start):
     """Random loop word: walk out ``out_steps`` edges, then retrace them,
     with uniformly random vertex-group elements throughout."""
     g = gog.graph
@@ -621,8 +619,7 @@ def _random_loop(gog, rng, out_steps, start, transversals):
         eb = g.bar(e)
         pairs.append((eb, rng.randrange(gog.vgroup(g.t(eb)).order)))
     head = rng.randrange(gog.vgroup(start).order)
-    return reduce_word(GroupWord(gog, start, head, tuple(pairs)), gog,
-                       transversals)
+    return reduce_word(GroupWord(gog, start, head, tuple(pairs)))
 
 
 def _linear_fit(points):
@@ -643,7 +640,7 @@ def _linear_fit(points):
 
 def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
                          mode="exhaustive", seed=0xCA1, samples=64,
-                         conj_steps=3, transversals=None, cap=200000):
+                         conj_steps=3, cap=200000):
     """Observed isoperimetric table: length → max filling area.
 
     ``wp`` decides kernel membership of a loop word; ``area_oracle`` maps
@@ -659,7 +656,6 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
         raise ValueError("need at least one length")
     lengths = sorted({int(x) for x in lengths})
     top = lengths[-1]
-    T = transversals if transversals is not None else fix_transversals(gog)
     base = relators[0].start if relators else 0
     for r in relators:
         if not r.is_loop() or r.start != base:
@@ -667,7 +663,7 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
     observed = []
     failures = 0
     if mode == "exhaustive":
-        for w in _loop_words_upto(gog, top, base, T, cap):
+        for w in _loop_words_upto(gog, top, base, cap):
             n = syllable_length(w)
             if n == 0 or not wp(w):
                 continue
@@ -684,11 +680,11 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
             acc = identity_word(gog, base)
             for _ in range(1 + rng.randrange(3)):
                 c = _random_loop(gog, rng, rng.randrange(conj_steps + 1),
-                                 base, T)
+                                 base)
                 s = relators[rng.randrange(len(relators))]
                 if rng.randrange(2):
                     s = s.inverse()
-                acc = reduce_word(acc * c * s * c.inverse(), gog, T)
+                acc = reduce_word(acc * c * s * c.inverse())
             n = syllable_length(acc)
             if n == 0 or n > top:
                 continue

@@ -21,7 +21,7 @@ canonical names (e.g. lines in ℤ²).
 from __future__ import annotations
 
 from .finite import FiniteGroup
-from .gog import GraphOfGroups, GroupWord, fix_transversals, identity_word, reduce_word
+from .gog import GraphOfGroups, GroupWord, identity_word, reduce_word
 
 
 class FiniteConcrete:
@@ -136,13 +136,10 @@ class QuotientWords:
     """
 
     def __init__(self, gog: GraphOfGroups, base: int = 0, wp=None,
-                 transversals=None, generators=None):
+                 generators=None):
         self.gog = gog
         self.base = base
         self.wp = wp
-        self.transversals = (
-            transversals if transversals is not None else fix_transversals(gog)
-        )
         self.has_canon = wp is None
         self.generators = list(generators) if generators is not None else []
 
@@ -151,7 +148,7 @@ class QuotientWords:
         return identity_word(self.gog, self.base)
 
     def _reduce(self, w: GroupWord) -> GroupWord:
-        return reduce_word(w, self.gog, self.transversals)
+        return reduce_word(w)
 
     def op(self, x, y):
         return self._reduce(x * y)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from .concrete import FreeAbelian, QuotientWords, SubgroupHandle
 from .errors import CapExceeded
-from .gog import GroupWord, fix_transversals, reduce_word
+from .gog import GroupWord, reduce_word
 from .tree import canonical_coset_word
 
 
@@ -297,24 +297,23 @@ class TreeBallAction:
     sets, which is all the attachment and W/Z machinery needs.
     """
 
-    def __init__(self, gog, R: int, base: int = 0, transversals=None):
+    def __init__(self, gog, R: int, base: int = 0):
         self.gog = gog
         self.base = base
-        self.T = transversals if transversals is not None else fix_transversals(gog)
-        self.ball = quotient_tree_ball(gog, [], R, base=base, transversals=self.T)
-        self.concrete = QuotientWords(gog, base, None, self.T)
+        self.ball = quotient_tree_ball(gog, [], R, base=base)
+        self.concrete = QuotientWords(gog, base)
         self.identity = self.concrete.identity
         self._index = {v.rep: i for i, v in enumerate(self.ball.verts)}
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
-        return reduce_word(a * b, self.gog, self.T)
+        return reduce_word(a * b)
 
     def inv(self, a: GroupWord) -> GroupWord:
-        return reduce_word(a.inverse(), self.gog, self.T)
+        return reduce_word(a.inverse())
 
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""
-        word = canonical_coset_word(g * self.ball.verts[i].rep, self.gog, self.T)
+        word = canonical_coset_word(g * self.ball.verts[i].rep)
         return self._index.get(word)
 
     def stab_elements(self, i: int):

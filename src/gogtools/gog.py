@@ -20,7 +20,10 @@ left.  The result is the canonical normal form, itself a ``GroupWord``: head
 element followed by alternating (edge, transversal representative) pairs.
 Transversal representatives are least-element-index, with the identity
 representing the coset of the image subgroup itself, so normal forms are
-reproducible across runs.  The syllable length of a normal form counts its
+reproducible across runs.  The transversal table depends on the graph of
+groups alone, so the graph owns it (``GraphOfGroups.transversals``, built on
+first use and kept), and every word operation reads the graph and its table
+from the word itself.  The syllable length of a normal form counts its
 nontrivial vertex-group syllables (the head plus representatives); stable
 letters of an HNN word therefore contribute edges but not syllables, which
 matches the translation-length reading for cyclically reduced words over
@@ -100,6 +103,7 @@ class GraphOfGroups:
         if len(self.inj) != graph.num_edges:
             raise ValueError("one monomorphism per directed edge required")
         self._images = {}
+        self._transversals = None
 
     def vgroup(self, v: int) -> FiniteGroup:
         return self.vgroups[v]
@@ -112,6 +116,15 @@ class GraphOfGroups:
         if e not in self._images:
             self._images[e] = frozenset(self.inj[e].map)
         return self._images[e]
+
+    @property
+    def transversals(self) -> "Transversals":
+        """The right-coset transversal table, built on first use and kept
+        (not by the constructor: :func:`validate` reports on graphs whose
+        injections are broken, where no table can be built)."""
+        if self._transversals is None:
+            self._transversals = Transversals(self)
+        return self._transversals
 
 
 def validate(gog: GraphOfGroups):
@@ -282,11 +295,18 @@ class Transversals:
 
 
 def fix_transversals(gog: GraphOfGroups) -> Transversals:
-    return Transversals(gog)
+    """The graph's own table, ``gog.transversals``."""
+    return gog.transversals
 
 
-def reduce_word(w: GroupWord, gog: GraphOfGroups,
-                transversals: Transversals) -> GroupWord:
+def _own_table(gog: GraphOfGroups, transversals) -> None:
+    """Reject a ``transversals`` argument other than the graph's own table,
+    which every word over ``gog`` is reduced against."""
+    if transversals is not None and transversals is not gog.transversals:
+        raise ValueError("transversals must be None or gog.transversals")
+
+
+def reduce_word(w: GroupWord) -> GroupWord:
     """Reduce to the canonical normal form.
 
     One left-to-right pass over a stack, as in free reduction: an incoming
@@ -295,8 +315,9 @@ def reduce_word(w: GroupWord, gog: GraphOfGroups,
     top (or the head).  The stack never holds a pinch, so one pass leaves
     a reduced word; the transversal sweep then makes it canonical.
     """
+    gog = w.gog
     g = gog.graph
-    decomp = transversals.decomp
+    decomp = gog.transversals.decomp
     head = w.head
     items = []
     for e, x in w.pairs:
@@ -328,11 +349,10 @@ def reduce_word(w: GroupWord, gog: GraphOfGroups,
     return GroupWord(gog, w.start, head, items)
 
 
-def words_equal(u: GroupWord, w: GroupWord, gog: GraphOfGroups,
-                transversals: Transversals) -> bool:
+def words_equal(u: GroupWord, w: GroupWord) -> bool:
     if u.start != w.start:
         raise ValueError(f"basepoint mismatch: {u.start} vs {w.start}")
-    return reduce_word(u, gog, transversals) == reduce_word(w, gog, transversals)
+    return reduce_word(u) == reduce_word(w)
 
 
 def syllable_length(w: GroupWord) -> int:
@@ -349,7 +369,7 @@ def syllable_length(w: GroupWord) -> int:
     return n
 
 
-def _notch(head, items, gog: GraphOfGroups, decomp):
+def _notch(head, items, gog: GraphOfGroups):
     """Rotate the canonical loop ``head, items`` by one edge step, in
     place; return (new start vertex, new head).  ``items`` is a list of
     [edge, element] lists with at least one entry.
@@ -360,6 +380,7 @@ def _notch(head, items, gog: GraphOfGroups, decomp):
     identity correction, because every pair to its left is canonical
     already.  Over trivial edge groups a notch is O(1) plus the shift."""
     g = gog.graph
+    decomp = gog.transversals.decomp
     e1, new_head = items.pop(0)
     v1 = g.t(e1)
     G1 = gog.vgroup(v1)
@@ -387,8 +408,7 @@ def _notch(head, items, gog: GraphOfGroups, decomp):
     return v1, G1.op(new_head, corr)
 
 
-def rotate_once(w: GroupWord, gog: GraphOfGroups,
-                transversals: Transversals) -> GroupWord:
+def rotate_once(w: GroupWord) -> GroupWord:
     """Rotate a canonical loop by one edge step: conjugate by head·(first
     edge), landing at the next vertex of the loop.  The seam is merged into
     the last syllable and the rotated word ends with (first edge, 1); the
@@ -396,12 +416,11 @@ def rotate_once(w: GroupWord, gog: GraphOfGroups,
     if not w.pairs:
         return w
     items = [list(p) for p in w.pairs]
-    start, head = _notch(w.head, items, gog, transversals.decomp)
-    return GroupWord(gog, start, head, items)
+    start, head = _notch(w.head, items, w.gog)
+    return GroupWord(w.gog, start, head, items)
 
 
-def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
-                      transversals: Transversals):
+def cyclically_reduce(w: GroupWord):
     """Return (core, conjugator) with w = conjugator · core · conjugator⁻¹.
 
     The core is cyclically reduced: no Britton pinch applies to the cyclic
@@ -409,13 +428,12 @@ def cyclically_reduce(w: GroupWord, gog: GraphOfGroups,
     (so the seam between the last and first syllables is fully merged).
     The conjugator is an open word from w's basepoint to the core's.
     """
-    red = reduce_word(w, gog, transversals)
-    core, steps = _cyclic_core(red, gog, transversals)
-    return core, _conjugator(red.start, steps, gog, transversals)
+    red = reduce_word(w)
+    core, steps = _cyclic_core(red)
+    return core, _conjugator(red, steps)
 
 
-def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
-                 transversals: Transversals):
+def _cyclic_core(red: GroupWord):
     """The core of :func:`cyclically_reduce` for a word already in
     canonical form, with the notch steps taken as (head, first edge)
     pairs; :func:`_conjugator` turns the steps into the conjugator for
@@ -426,6 +444,7 @@ def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
     a trailing identity, so there are at most n + 1 notches for n edges."""
     if not red.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
+    gog = red.gog
     g = gog.graph
     start, head = red.start, red.head
     items = [list(p) for p in red.pairs]
@@ -441,7 +460,7 @@ def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
         if not pinchable and x_last == G_at.identity:
             break
         steps.append((head, f1))
-        start, head = _notch(head, items, gog, transversals.decomp)
+        start, head = _notch(head, items, gog)
     else:
         raise RuntimeError("cyclic reduction failed to stabilize")
     if not steps:
@@ -449,10 +468,10 @@ def _cyclic_core(red: GroupWord, gog: GraphOfGroups,
     return GroupWord(gog, start, head, items), steps
 
 
-def _conjugator(start: int, steps, gog: GraphOfGroups,
-                transversals: Transversals) -> GroupWord:
-    """The product of the notch steps of :func:`_cyclic_core`, from the
-    basepoint ``start``, built as one word and reduced once."""
+def _conjugator(red: GroupWord, steps) -> GroupWord:
+    """The product of the notch steps that :func:`_cyclic_core` took on
+    ``red``, from its basepoint, built as one word and reduced once."""
+    gog, start = red.gog, red.start
     if not steps:
         return identity_word(gog, start)
     g = gog.graph
@@ -460,8 +479,7 @@ def _conjugator(start: int, steps, gog: GraphOfGroups,
     pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
     f_k = steps[-1][1]
     pairs.append((f_k, gog.vgroup(g.t(f_k)).identity))
-    return reduce_word(GroupWord(gog, start, steps[0][0], pairs), gog,
-                       transversals)
+    return reduce_word(GroupWord(gog, start, steps[0][0], pairs))
 
 
 # -- word JSON --------------------------------------------------------------

@@ -52,8 +52,8 @@ from .gog import (
     GroupWord,
     _conjugator,
     _cyclic_core,
+    _own_table,
     cyclically_reduce,  # re-exported
-    fix_transversals,
     identity_word,
     reduce_word,
     rotate_once,
@@ -67,12 +67,18 @@ from .tree import canonical_coset_word
 # -- loop-word plumbing -----------------------------------------------------
 
 
-def word_power(w: GroupWord, m: int, gog, T) -> GroupWord:
+def _same_graph(r: GroupWord, gog) -> None:
+    if r.gog is not gog:
+        raise ValueError(f"{r!r} is a word over another graph of groups")
+
+
+def word_power(w: GroupWord, m: int) -> GroupWord:
     """Reduced w^m for a loop word w (m >= 0): the raw product w·w···w,
     merging the last element with the head at each junction, reduced once
     (the canonical form of an element is unique)."""
     if not w.is_loop():
         raise ValueError(f"powers need a loop word, got {w.start} -> {w.end}")
+    gog = w.gog
     if m < 1:
         return identity_word(gog, w.start)
     G = gog.vgroup(w.start)
@@ -84,19 +90,19 @@ def word_power(w: GroupWord, m: int, gog, T) -> GroupWord:
             pairs.extend(w.pairs)
         else:
             head = G.op(head, w.head)
-    return reduce_word(GroupWord(gog, w.start, head, pairs), gog, T)
+    return reduce_word(GroupWord(gog, w.start, head, pairs))
 
 
-def positions(w: GroupWord, gog):
+def positions(w: GroupWord):
     """The word as a list of (vertex, element, incoming edge or None)."""
-    g = gog.graph
+    g = w.gog.graph
     out = [(w.start, w.head, None)]
     for e, x in w.pairs:
         out.append((g.t(e), x, e))
     return out
 
 
-def rotations(w: GroupWord, gog, T):
+def rotations(w: GroupWord):
     """The edge-step rotation orbit of a canonical cyclically reduced loop,
     w itself first.  Rotation is deterministic, so once the orbit returns
     to w every later rotation repeats it; the orbit stops there, after at
@@ -104,7 +110,7 @@ def rotations(w: GroupWord, gog, T):
     repeats itself under rotation (a proper power)."""
     out = [w]
     for _ in range(len(w.pairs) - 1):
-        cur = rotate_once(out[-1], gog, T)
+        cur = rotate_once(out[-1])
         if cur == w:
             break
         out.append(cur)
@@ -124,9 +130,8 @@ class SymmetrizedSet:
     :func:`symmetrize`, which sees the rotation orbits: it is True when an
     orbit is shorter than the edge count."""
 
-    def __init__(self, gog, transversals, members, base):
+    def __init__(self, gog, members, base):
         self.gog = gog
-        self.transversals = transversals
         self.members = tuple(members)
         self.base = base
         self.proper_power = None
@@ -152,18 +157,17 @@ def _word_id(w: GroupWord):
     return (w.start, w.head, tuple(w.pairs))
 
 
-def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
+def symmetrize(r: GroupWord) -> SymmetrizedSet:
     """Smallest symmetrized set containing r: all cyclic rotations of the
     cyclically reduced r and of its inverse, deduplicated."""
-    T = transversals if transversals is not None else fix_transversals(gog)
-    core, _ = _cyclic_core(reduce_word(r, gog, T), gog, T)
+    core, _ = _cyclic_core(reduce_word(r))
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
-    inv_core, _ = _cyclic_core(reduce_word(core.inverse(), gog, T), gog, T)
+    inv_core, _ = _cyclic_core(reduce_word(core.inverse()))
     seen = {}
     proper = False
     for w0 in (core, inv_core):
-        orbit = rotations(w0, gog, T)
+        orbit = rotations(w0)
         proper = proper or len(orbit) < len(w0.pairs)
         for w in orbit:
             if len(w.pairs) != len(core.pairs):
@@ -174,7 +178,7 @@ def symmetrize(r: GroupWord, gog, transversals=None) -> SymmetrizedSet:
             seen.setdefault(_word_id(w), w)
     members = sorted(seen.values(), key=lambda w: (w.start, w.key()))
     base = min(members, key=lambda w: w.key())
-    S = SymmetrizedSet(gog, T, members, base)
+    S = SymmetrizedSet(r.gog, members, base)
     S.proper_power = proper
     return S
 
@@ -196,7 +200,7 @@ def _fudge_sets(gog):
     return out
 
 
-def common_prefix_syllables(w1: GroupWord, w2: GroupWord, gog,
+def common_prefix_syllables(w1: GroupWord, w2: GroupWord,
                             fudge=None) -> int:
     """Maximal common prefix of two reduced words, in syllables.
 
@@ -207,10 +211,10 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord, gog,
     """
     if w1.start != w2.start:
         return 0
+    gog = w1.gog
     if fudge is None:
         fudge = _fudge_sets(gog)
-    return _prefix_syllables(positions(w1, gog), positions(w2, gog), gog,
-                             fudge)
+    return _prefix_syllables(positions(w1), positions(w2), gog, fudge)
 
 
 def _prefix_syllables(p1, p2, gog, fudge) -> int:
@@ -234,7 +238,7 @@ def _prefix_syllables(p1, p2, gog, fudge) -> int:
     return syl
 
 
-def self_overlap(w: GroupWord, gog) -> int:
+def self_overlap(w: GroupWord) -> int:
     """Longest linear overlap of w with a shift of itself, in syllables:
     the maximum over shifts s >= 1 of the longest common prefix of the
     position list and its suffix from s.  That prefix need not reach the
@@ -244,7 +248,8 @@ def self_overlap(w: GroupWord, gog) -> int:
     The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
     Trees and Sequences*, §1.4); a prefix sum turns lengths into
     syllables."""
-    pos = positions(w, gog)
+    gog = w.gog
+    pos = positions(w)
     n = len(pos)
     syl = [0]
     for v, x, _e in pos:
@@ -303,7 +308,7 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
     gog = S.gog
     members = S.members
     fudge = _fudge_sets(gog)
-    pos = [positions(w, gog) for w in members]
+    pos = [positions(w) for w in members]
     pair_lengths = {}
     max_piece, witness = 0, None
     for i in range(len(members)):
@@ -339,20 +344,20 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
             "does not count stable letters, so it cannot tell these "
             "members apart and λ* is not measured"
         )
-    so = max(self_overlap(w, gog) for w in members)
+    so = max(self_overlap(w) for w in members)
     return PieceReport(pair_lengths, max_piece, witness, min_length,
                        len(members), so, S.proper_power)
 
 
-def check_cprime(r: GroupWord, m: int, lam, gog, transversals=None) -> dict:
+def check_cprime(r: GroupWord, m: int, lam, gog) -> dict:
     """C'(λ) verdict for the symmetrized set of r^m: every piece shorter
-    than λ·|r^m|, with exact rational arithmetic."""
+    than λ·|r^m|, with exact rational arithmetic.  r must be a word over
+    ``gog``."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
+    _same_graph(r, gog)
     lam = Fraction(lam)
-    T = transversals if transversals is not None else fix_transversals(gog)
-    rm = word_power(r, m, gog, T)
-    S = symmetrize(rm, gog, T)
+    S = symmetrize(word_power(r, m))
     rep = pieces(S)
     L = rep.min_length
     verdict = Fraction(rep.max_piece) < lam * L
@@ -392,11 +397,12 @@ class ThinnessConstant:
         return f"ThinnessConstant(k={self.k}, |r|={self.r_syllables}, M={self.M})"
 
 
-def edge_stabilizer_words(gog, T, prefix: GroupWord, e: int):
+def edge_stabilizer_words(prefix: GroupWord, e: int):
     """Stabilizer of the tree edge crossed from prefix's endpoint along
     the directed edge e, as canonical reduced words:
     prefix·ι(E_e)·prefix⁻¹, ι the embedding into the origin vertex
     group."""
+    gog = prefix.gog
     g = gog.graph
     v_o = g.o(e)
     if prefix.end != v_o:
@@ -408,26 +414,27 @@ def edge_stabilizer_words(gog, T, prefix: GroupWord, e: int):
     out = []
     for c in range(gog.egroup(e).order):
         h = GroupWord(gog, v_o, emb[c])
-        out.append(reduce_word(prefix * h * inv, gog, T))
+        out.append(reduce_word(prefix * h * inv))
     return out
 
 
-def compute_M(gog, r: GroupWord, transversals=None) -> ThinnessConstant:
+def compute_M(gog, r: GroupWord) -> ThinnessConstant:
     """G̃_γ along the witness geodesic γ = [y, r²y], and k its largest
     index in an edge stabilizer on the way.
 
     A cyclically reduced loop word with at least one edge is hyperbolic
     on the tree, so γ is exactly the path of the concatenated word r·r
     and the stabilizers come straight off the prefixes — no ball is
-    built.
+    built.  r must be a word over ``gog``.
     """
-    T = transversals if transversals is not None else fix_transversals(gog)
-    return _compute_M(gog, reduce_word(r, gog, T), T)
+    _same_graph(r, gog)
+    return _compute_M(reduce_word(r))
 
 
-def _compute_M(gog, r: GroupWord, T) -> ThinnessConstant:
+def _compute_M(r: GroupWord) -> ThinnessConstant:
     """:func:`compute_M` of a relator already in canonical form."""
-    core, _ = _cyclic_core(r, gog, T)
+    gog = r.gog
+    core, _ = _cyclic_core(r)
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r}")
     r_len = syllable_length(core)
@@ -442,7 +449,7 @@ def _compute_M(gog, r: GroupWord, T) -> ThinnessConstant:
         prefix = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
         gamma.append((j, e, gog.graph.o(e)))
         stabs.append(frozenset(
-            _word_id(w) for w in edge_stabilizer_words(gog, T, prefix, e)
+            _word_id(w) for w in edge_stabilizer_words(prefix, e)
         ))
     g_gamma = frozenset.intersection(*stabs)
     indices = []
@@ -483,11 +490,10 @@ class DehnResult:
         return f"DehnResult(area={self.area}, trivial={self.is_trivial})"
 
 
-def _subword(w: GroupWord, gog, lo: int, hi: int) -> GroupWord:
+def _subword(w: GroupWord, lo: int, hi: int) -> GroupWord:
     """Positions lo..hi of w as a word (position 0 is the head)."""
-    pos = positions(w, gog)
-    v, x, _e = pos[lo]
-    return GroupWord(gog, v, x, tuple(w.pairs[lo:hi]))
+    v, x, _e = positions(w)[lo]
+    return GroupWord(w.gog, v, x, tuple(w.pairs[lo:hi]))
 
 
 def _match_table(S: SymmetrizedSet):
@@ -504,7 +510,7 @@ def _build_match_table(S: SymmetrizedSet):
     tab = {}
     mempos = []
     for idx, s in enumerate(S.members):
-        ps = positions(s, gog)
+        ps = positions(s)
         syls = [1 if x != gog.vgroup(v).identity else 0 for v, x, _ in ps]
         mempos.append((s, ps, syls, sum(syls)))
         if len(ps) > 1:
@@ -513,15 +519,21 @@ def _build_match_table(S: SymmetrizedSet):
     return tab, mempos
 
 
-def _best_match_at(wpos, i, tab, mempos):
+def _best_match_at(wpos, wsyl, i, tab, mempos):
     """Longest legal (>half) prefix match of a member at position i of w;
-    returns (l, member index, matched syllables) or None."""
+    returns (l, member index, matched syllables) or None.  ``wsyl[k]`` is
+    1 where w's element at position k is not the identity.
+
+    The member's head and its last matched syllable may split inside
+    their vertex group; each counts as matched only where w's element at
+    that position is not the identity, since replacing a split syllable
+    that w does not carry saves nothing."""
     if i + 1 >= len(wpos):
         return None
     key = (wpos[i + 1][2], wpos[i + 1][1])
     best = None
     for idx in tab.get(key, ()):
-        s, ps, syls, total = mempos[idx]
+        _s, ps, syls, total = mempos[idx]
         if ps[0][0] != wpos[i][0]:
             continue
         # run of exact (edge, element) agreement from position 1
@@ -538,7 +550,8 @@ def _best_match_at(wpos, i, tab, mempos):
                 continue
             if l < 2:
                 continue
-            matched = sum(syls[:l])
+            matched = (syls[0] * wsyl[i] + sum(syls[1:l - 1])
+                       + syls[l - 1] * wsyl[i + l - 1])
             if 2 * matched <= total:
                 continue
             if best is None or l > best[0]:
@@ -547,7 +560,7 @@ def _best_match_at(wpos, i, tab, mempos):
     return best
 
 
-def _replace(cur, wpos, i, l, member, gog, T):
+def _replace(cur, wpos, i, l, member):
     """Rewrite the l-position match of member at position i of cur by the
     member's complement; returns (Â, the reduced new word).
 
@@ -556,7 +569,8 @@ def _replace(cur, wpos, i, l, member, gog, T):
     prefix of the member s, Ĉ restarts at position i+l-1 with the leftover
     q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ."""
     s, ps, _syls, _tot = member
-    u = _subword(s, gog, 0, l - 1)
+    gog = cur.gog
+    u = _subword(s, 0, l - 1)
     Gv = gog.vgroup(ps[0][0])
     p_elt = Gv.op(wpos[i][1], Gv.inverse(ps[0][1]))
     if i == 0:
@@ -569,8 +583,8 @@ def _replace(cur, wpos, i, l, member, gog, T):
     q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
     C_hat = GroupWord(gog, ps[l - 1][0], q_elt,
                       tuple(cur.pairs[i + l - 1:]))
-    t_comp = reduce_word(u.inverse() * s, gog, T)
-    return A_hat, reduce_word(A_hat * t_comp.inverse() * C_hat, gog, T)
+    t_comp = reduce_word(u.inverse() * s)
+    return A_hat, reduce_word(A_hat * t_comp.inverse() * C_hat)
 
 
 def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
@@ -590,39 +604,38 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
         )
     if not w.is_loop():
         raise ValueError(f"words must be loops, got {w.start} -> {w.end}")
-    return _dehn_reduce(reduce_word(w, S.gog, S.transversals), S, guard)
+    return _dehn_reduce(reduce_word(w), S, guard)
 
 
 def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
     """:func:`dehn_reduce` of a canonical loop against a set whose piece
     report is known to satisfy C'(1/6)."""
-    gog, T = S.gog, S.transversals
+    vgroup = S.gog.vgroup
     tab, mempos = _match_table(S)
     original = cur
     trace = []
     area = 0
     for _step in range(guard):
-        wpos = positions(cur, gog)
-        before = syllable_length(cur)
+        wpos = positions(cur)
+        wsyl = [1 if x != vgroup(v).identity else 0 for v, x, _e in wpos]
+        before = sum(wsyl)
         step = None
         for i in range(len(wpos)):
-            hit = _best_match_at(wpos, i, tab, mempos)
+            hit = _best_match_at(wpos, wsyl, i, tab, mempos)
             if hit is None:
                 continue
             l, idx, _matched = hit
-            A_hat, nxt = _replace(cur, wpos, i, l, mempos[idx], gog, T)
-            # a match just over half a member need not shorten the word:
-            # a split end syllable that is trivial in the word saves
-            # nothing; that is no Dehn step, so the scan moves on
+            A_hat, nxt = _replace(cur, wpos, i, l, mempos[idx])
+            # guard: a replacement that does not shorten the word is no
+            # Dehn step, so the scan moves on
             if syllable_length(nxt) < before:
                 step = (A_hat, idx, nxt)
                 break
         if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
-            core, steps = _cyclic_core(cur, gog, T)
+            core, steps = _cyclic_core(cur)
             if syllable_length(core) < before:
-                trace.append(("conjugate", _conjugator(cur.start, steps,
-                                                       gog, T)))
+                trace.append(("conjugate", _conjugator(cur, steps)))
                 cur = core
                 continue
             break
@@ -640,19 +653,18 @@ def replay_trace(result: DehnResult) -> bool:
     cyclic step a conjugation.  True iff the product reproduces the
     original — the van-Kampen-style area witness."""
     S = result.symmetrized
-    gog, T = S.gog, S.transversals
     cur = result.word
     for step in reversed(result.trace):
         if step[0] == "relator":
             _kind, g, idx = step
             s = S.members[idx]
-            cur = reduce_word(g * s * g.inverse() * cur, gog, T)
+            cur = reduce_word(g * s * g.inverse() * cur)
         elif step[0] == "conjugate":
             _kind, conj = step
-            cur = reduce_word(conj * cur * conj.inverse(), gog, T)
+            cur = reduce_word(conj * cur * conj.inverse())
         else:
             raise ValueError(f"unknown trace step {step[0]!r}")
-    return words_equal(cur, result.original, gog, T)
+    return words_equal(cur, result.original)
 
 
 # -- kernel oracle ----------------------------------------------------------
@@ -684,22 +696,22 @@ class KernelOracle:
 
     The powers r⁻ˢ used by the thinness audit are built on demand, one
     reduction per step, and kept in a list that grows only as far as an
-    audit asks."""
+    audit asks.  ``transversals``, if given, must be ``gog.transversals``."""
 
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
+        _own_table(gog, transversals)
         self.gog = gog
-        self.T = transversals if transversals is not None else fix_transversals(gog)
-        self.r = reduce_word(r, gog, self.T)
+        self.r = reduce_word(r)
         self.m = m
-        self.rm = word_power(self.r, m, gog, self.T)
-        self.S = symmetrize(self.rm, gog, self.T)
+        self.rm = word_power(self.r, m)
+        self.S = symmetrize(self.rm)
         self.report = pieces(self.S)
         if self.report.lam_star >= Fraction(1, 6):
             raise UnsupportedInput(
                 f"C'(1/6) fails (λ* = {self.report.lam_star}); "
                 "the kernel oracle needs the Greendlinger guarantee"
             )
-        L = self.S.member_length()
+        L = self.report.min_length
         self.length_gate = (1 - 3 * self.report.lam_star) * L
         self.trivial_seams = _trivial_edge_groups(gog)
         self.abelian = self.trivial_seams and all(
@@ -717,7 +729,7 @@ class KernelOracle:
         if s >= len(pw):
             r_inv = self.r.inverse()
             while s >= len(pw):
-                pw.append(reduce_word(pw[-1] * r_inv, self.gog, self.T))
+                pw.append(reduce_word(pw[-1] * r_inv))
         return pw[s]
 
     # abelianized invariants ------------------------------------------------
@@ -725,7 +737,7 @@ class KernelOracle:
     def _h1_image(self, w: GroupWord):
         gog = self.gog
         img = [gog.vgroup(v).identity for v in range(gog.graph.num_vertices)]
-        for v, x, _e in positions(w, gog):
+        for v, x, _e in positions(w):
             img[v] = gog.vgroup(v).op(img[v], x)
         return tuple(img)
 
@@ -742,13 +754,12 @@ class KernelOracle:
     # the oracle ------------------------------------------------------------
 
     def certificate(self, w: GroupWord) -> dict:
-        gog, T = self.gog, self.T
-        red = reduce_word(w, gog, T)
+        red = reduce_word(w)
         if red.is_identity():
             return {"in_kernel": True, "method": "trivial"}
         if self.abelian and self._h1_image(red) not in self._r_subgroup:
             return {"in_kernel": False, "method": "abelianized-image"}
-        core, _ = _cyclic_core(red, gog, T)
+        core, _ = _cyclic_core(red)
         n = syllable_length(core)
         if n > 0 and Fraction(n) <= self.length_gate:
             return {"in_kernel": False, "method": "length-gate",
@@ -771,25 +782,25 @@ class KernelOracle:
 # -- presentation complexes -------------------------------------------------
 
 
-def _relator_boundary(gog, T, rel: GroupWord):
+def _relator_boundary(rel: GroupWord):
     """Cyclically reduced relator, its prefix words q_0..q_{n-1} (n = edge
     length), and the Λ-vertices they end at."""
-    core, _ = _cyclic_core(reduce_word(rel, gog, T), gog, T)
+    core, _ = _cyclic_core(reduce_word(rel))
     if not core.pairs:
         raise ValueError(
             f"relator {rel!r} has no edges; its boundary bounds no 2-cell"
         )
-    pos = positions(core, gog)
+    pos = positions(core)
     prefixes, lam = [], []
     for j in range(len(core.pairs)):
-        prefixes.append(GroupWord(gog, core.start, core.head,
+        prefixes.append(GroupWord(core.gog, core.start, core.head,
                                   tuple(core.pairs[:j])))
         lam.append(pos[j][0])
     return core, prefixes, lam
 
 
 def presentation_complex_ball(gog, relators, R: int, wp=None,
-                              transversals=None, cap: int = 10 ** 6) -> TwoComplexBall:
+                              cap: int = 10 ** 6) -> TwoComplexBall:
     """Quotient tree ball with a 2-cell along every in-ball translate of
     every relator loop, deduplicated by boundary (rotation and reversal).
 
@@ -798,18 +809,16 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     edges is guaranteed to be in range too (endpoint distance + half the
     relator span within the radius).
     """
-    T = transversals if transversals is not None else fix_transversals(gog)
     relators = list(relators)
-    ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0,
-                              transversals=T, cap=cap)
-    lookup = _KernelLookup(gog, T, relators, wp)
+    ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0, cap=cap)
+    lookup = _KernelLookup(gog, relators, wp)
     for i, v in enumerate(ball.verts):
         lookup.add(v.rep, i)
 
     cells = {}
     full_span = 0
     for rel_idx, rel in enumerate(relators):
-        core, prefixes, _lam = _relator_boundary(gog, T, rel)
+        core, prefixes, _lam = _relator_boundary(rel)
         full_span = max(full_span, len(core.pairs))
         if core.start != 0:
             raise ValueError(
@@ -822,10 +831,10 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
             if v.tag != "T/v0":
                 continue
             for h in range(G0.order):
-                g = reduce_word(v.rep * GroupWord(gog, 0, h), gog, T)
+                g = reduce_word(v.rep * GroupWord(gog, 0, h))
                 cycle = []
                 for q in prefixes:
-                    idx = lookup.find(canonical_coset_word(g * q, gog, T))
+                    idx = lookup.find(canonical_coset_word(g * q))
                     if idx is None:
                         cycle = None
                         break
@@ -854,7 +863,7 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
     operation per vertex per step, and an s whose image leaves the image
     of ⟨r^m⟩ is skipped — exactly the refutation ``certificate`` would
     give.  Only the other s build delta·r⁻ˢ and ask the oracle."""
-    gog, T = oracle.gog, oracle.T
+    gog = oracle.gog
     img = oracle._h1_image(delta) if oracle.abelian else None
     for s in range(oracle.m):
         if img is not None:
@@ -863,15 +872,14 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
                             in enumerate(zip(img, oracle._r_inv_image)))
             if img not in oracle._r_subgroup:
                 continue
-        cand = reduce_word(delta * oracle._r_inv_power(s), gog, T)
+        cand = reduce_word(delta * oracle._r_inv_power(s))
         if oracle.certificate(cand)["in_kernel"]:
             return s
     return None
 
 
 def thinness_incidence(gog, r: GroupWord, m: int, R: int,
-                       oracle: KernelOracle = None, transversals=None,
-                       ball=None) -> dict:
+                       oracle: KernelOracle = None, ball=None) -> dict:
     """Exact per-edge 2-cell counts for the presentation complex of
     gog/⟨⟨r^m⟩⟩, computed transporter-locally over a radius-R ball.
 
@@ -893,10 +901,9 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             "transporter orientation matching needs distinct endpoint "
             "vertices on every underlying edge"
         )
-    T = transversals if transversals is not None else fix_transversals(gog)
     if oracle is None:
-        oracle = KernelOracle(gog, r, m, T)
-    core, prefixes, lam = _relator_boundary(gog, T, oracle.r)
+        oracle = KernelOracle(gog, r, m)
+    core, prefixes, lam = _relator_boundary(oracle.r)
     p = len(core.pairs)
     if ball is not None:
         R = ball.radius
@@ -912,7 +919,7 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
         )
     if ball is None:
         ball = quotient_tree_ball(gog, [oracle.rm], R, wp=oracle.in_kernel,
-                                  base=core.start, transversals=T)
+                                  base=core.start)
     g_graph = gog.graph
     step_edges = [e for e, _x in core.pairs]
     counts = {}
@@ -933,15 +940,14 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             q_next = GroupWord(gog, core.start, core.head,
                                tuple(core.pairs[:j + 1]))
             G_o = gog.vgroup(lam_o)
+            x_t_inv = x_t.inverse()
             g = None
             for c in range(G_o.order):
                 cand = reduce_word(
-                    x_o * GroupWord(gog, lam_o, c) * q_j.inverse(), gog, T
-                )
-                img = canonical_coset_word(
-                    reduce_word(cand * q_next, gog, T), gog, T)
-                # quotient-ball reps are canonical coset words already
-                if img == x_t:
+                    x_o * GroupWord(gog, lam_o, c) * q_j.inverse())
+                # cand·q_next lies in the coset x_t·G_t exactly when the
+                # loop x_t⁻¹·cand·q_next has a normal form without edges
+                if not reduce_word(x_t_inv * cand * q_next).pairs:
                     g = cand
                     break
             if g is None:
@@ -952,7 +958,7 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             placed = False
             for cls in classes:
                 _j0, g0 = cls[0]
-                delta = reduce_word(g0.inverse() * g, gog, T)
+                delta = reduce_word(g0.inverse() * g)
                 if _disc_stabilizer_power(oracle, delta) is not None:
                     cls.append((j, g))
                     placed = True
@@ -1022,7 +1028,7 @@ def check_M_thin(X: TwoComplexBall, M: int) -> dict:
 # -- the three thinness claims ----------------------------------------------
 
 
-def claim_audit(gog, r: GroupWord, m: int, transversals=None,
+def claim_audit(gog, r: GroupWord, m: int,
                 oracle: KernelOracle = None) -> dict:
     """Audit of the three counting claims behind M = k|r| on the base
     relator disc D (boundary = the loop of r^m):
@@ -1035,10 +1041,9 @@ def claim_audit(gog, r: GroupWord, m: int, transversals=None,
     3. per boundary edge t, [G̃_t : G̃_γ] with γ the compute_M geodesic
        stays within k, exhibiting the worst edge.
     """
-    T = transversals if transversals is not None else fix_transversals(gog)
-    core, _prefixes, _lam = _relator_boundary(gog, T, r)
+    core, _prefixes, _lam = _relator_boundary(r)
     p = len(core.pairs)
-    tc = _compute_M(gog, core, T)
+    tc = _compute_M(core)
     r_len = tc.r_syllables
 
     # claim 1: period collapse and orbit count.  Boundary prefixes follow
@@ -1051,8 +1056,8 @@ def claim_audit(gog, r: GroupWord, m: int, transversals=None,
         for j in range(p):
             lhs = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j + p]))
             q_j = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
-            rhs = reduce_word(core * q_j, gog, T)
-            if not words_equal(lhs, rhs, gog, T):
+            rhs = reduce_word(core * q_j)
+            if not words_equal(lhs, rhs):
                 collapse_ok = False
                 break
     # the p first-period boundary edges are pairwise distinct: a reduced
@@ -1073,9 +1078,8 @@ def claim_audit(gog, r: GroupWord, m: int, transversals=None,
                  "note": None}
     if _trivial_edge_groups(gog):
         if oracle is None:
-            oracle = KernelOracle(gog, core, m, T)
-        inc = thinness_incidence(gog, core, m, 2, oracle=oracle,
-                                 transversals=T)
+            oracle = KernelOracle(gog, core, m)
+        inc = thinness_incidence(gog, core, m, 2, oracle=oracle)
         sample = inc["argmax_edge"]
         classes = inc["positions"].get(sample, [])
         injection = {

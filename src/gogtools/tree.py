@@ -14,6 +14,8 @@ Geometric tree edges are recorded once, oriented away from the center as
 discovered: the record keeps the Λ-edge e together with the canonical edge
 word, the minimum of reduce(u·h) over h in the image of inj(ē) inside the
 origin-side vertex group (u any word ending at o(e) picking out the edge).
+It is the canonical far endpoint's word with its last pair dropped (see
+:func:`build_tree_ball`).
 Since a tree has no multi-edges, an edge is also addressable by its unordered
 endpoint pair, which is how the action on edges is resolved.
 
@@ -28,8 +30,7 @@ from .finite import FiniteGroup, Subgroup, left_transversal
 from .gog import (
     GraphOfGroups,
     GroupWord,
-    Transversals,
-    fix_transversals,
+    _own_table,
     identity_word,
     reduce_word,
     word_to_json,
@@ -104,28 +105,13 @@ def degree_formula(gog: GraphOfGroups, v: int) -> int:
     return total
 
 
-def canonical_coset_word(word: GroupWord, gog: GraphOfGroups,
-                         transversals: Transversals) -> GroupWord:
+def canonical_coset_word(word: GroupWord) -> GroupWord:
     """Minimum of reduce(word·g) over g in the vertex group at word.end."""
-    v = word.end
+    gog, v = word.gog, word.end
     G = gog.vgroup(v)
     best = None
     for g in range(G.order):
-        cand = reduce_word(word * GroupWord(gog, v, g), gog, transversals)
-        if best is None or cand.key() < best.key():
-            best = cand
-    return best
-
-
-def canonical_edge_word(word: GroupWord, e: int, gog: GraphOfGroups,
-                        transversals: Transversals) -> GroupWord:
-    """Minimum of reduce(word·h) over h in im(inj(ē)) ≤ vgroup(o(e))."""
-    g = gog.graph
-    if word.end != g.o(e):
-        raise ValueError(f"edge word must end at o({e}) = {g.o(e)}, ends at {word.end}")
-    best = None
-    for h in sorted(gog.image(g.bar(e))):
-        cand = reduce_word(word * GroupWord(gog, word.end, h), gog, transversals)
+        cand = reduce_word(word * GroupWord(gog, v, g))
         if best is None or cand.key() < best.key():
             best = cand
     return best
@@ -134,10 +120,9 @@ def canonical_edge_word(word: GroupWord, e: int, gog: GraphOfGroups,
 class TreeBall:
     """Immutable ball of the tree; construct via :func:`build_tree_ball`."""
 
-    def __init__(self, gog: GraphOfGroups, transversals: Transversals,
-                 base: int, radius: int, verts, edges, adjacency):
+    def __init__(self, gog: GraphOfGroups, base: int, radius: int, verts,
+                 edges, adjacency):
         self.gog = gog
-        self.transversals = transversals
         self.base = base
         self.radius = radius
         self.verts = tuple(verts)
@@ -197,7 +182,7 @@ class TreeBall:
         return problems
 
 
-def _fan_table(gog: GraphOfGroups, T: Transversals):
+def _fan_table(gog: GraphOfGroups):
     """Per directed edge e, the expansion fan at an o(e)-side vertex: the
     left transversal of im(inj(ē)) in vgroup(o(e)), each representative
     paired with the set of last edges (None at the center) after which
@@ -222,6 +207,7 @@ def _fan_table(gog: GraphOfGroups, T: Transversals):
     not for every labelling of a non-normal edge image, so the steps
     where it fails keep the canonicalization."""
     g = gog.graph
+    T = gog.transversals
     fan = {}
     for e in range(g.num_edges):
         v = g.o(e)
@@ -247,50 +233,60 @@ def _fan_table(gog: GraphOfGroups, T: Transversals):
     return fan
 
 
-def _child_steps(w: GroupWord, fan, gog: GraphOfGroups, T: Transversals):
+def _child_steps(w: GroupWord, fan):
     """The neighbours of the vertex with canonical word w that lie one step
     farther from the center, as (e, rep, canonical child word) in edge then
     fan order; the one step that folds back toward the center is skipped.
     The reduced word w·rep·e·1 is the canonical child except on the steps
     :func:`_fan_table` could not prove."""
+    gog = w.gog
     g = gog.graph
     v = w.end
     last = w.pairs[-1][0] if w.pairs else None
     for e in g.edges_at(v):
         ident_t = gog.vgroup(g.t(e)).identity
         for rep, unproven in fan[e]:
-            nf = reduce_word(w * GroupWord(gog, v, rep, [(e, ident_t)]), gog, T)
+            nf = reduce_word(w * GroupWord(gog, v, rep, [(e, ident_t)]))
             if len(nf.pairs) == len(w.pairs) + 1:
                 if last in unproven:
-                    nf = canonical_coset_word(nf, gog, T)
+                    nf = canonical_coset_word(nf)
                 yield e, rep, nf
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
-                    transversals: Transversals | None = None,
-                    cap: int = 10 ** 6) -> TreeBall:
+                    transversals=None, cap: int = 10 ** 6) -> TreeBall:
     """Breadth-first ball of radius ``radius`` around the coset of
-    vgroup(base).  Aborts with :class:`CapExceeded` past ``cap`` vertices."""
+    vgroup(base).  Aborts with :class:`CapExceeded` past ``cap`` vertices.
+    ``transversals``, if given, must be ``gog.transversals``.
+
+    Edge words are read off the children.  The child coset of w·rep·e is
+    the set of words reduce(w·y)·(e, s) with y in rep·im(inj(ē)) and s in
+    the transversal of im(e) (an edge-group factor of the last element
+    moves across e into y).  All of them have the same length, and
+    ``GroupWord.key`` compares the part before e first, so the canonical
+    child is (least reduce(w·y))·(e, least s).  Dropping its last pair
+    leaves the least reduce(w·y) over y in rep·im(inj(ē)), which is the
+    canonical edge word."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     g = gog.graph
     if not 0 <= base < g.num_vertices:
         raise ValueError(f"base vertex {base} out of range")
-    T = transversals if transversals is not None else fix_transversals(gog)
+    _own_table(gog, transversals)
 
-    center = canonical_coset_word(identity_word(gog, base), gog, T)
+    center = canonical_coset_word(identity_word(gog, base))
     verts = [TreeVertex(center, base, 0)]
     vindex = {center: 0}
     edges = []
     adjacency = [[]]
 
-    fan = _fan_table(gog, T)
+    fan = _fan_table(gog)
     frontier = [0]
     for dist in range(1, radius + 1):
         nxt = []
         for i in frontier:
             w = verts[i].word
-            for e, rep, child in _child_steps(w, fan, gog, T):
+            for e, _rep, child in _child_steps(w, fan):
                 if child in vindex:
                     raise RuntimeError(
                         f"ball construction produced a cycle at {child!r}; "
@@ -305,16 +301,15 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
                 verts.append(TreeVertex(child, g.t(e), dist))
                 vindex[child] = j
                 adjacency.append([])
-                eword = canonical_edge_word(
-                    w * GroupWord(gog, w.end, rep), e, gog, T
-                )
+                eword = GroupWord(gog, child.start, child.head,
+                                  child.pairs[:-1])
                 k = len(edges)
                 edges.append(TreeEdge(eword, e, i, j))
                 adjacency[i].append((j, k))
                 adjacency[j].append((i, k))
                 nxt.append(j)
         frontier = nxt
-    return TreeBall(gog, T, base, radius, verts, edges, adjacency)
+    return TreeBall(gog, base, radius, verts, edges, adjacency)
 
 
 def _require_cell(cell, ball: TreeBall):
@@ -341,9 +336,8 @@ def act(w: GroupWord, cell, ball: TreeBall):
         )
     _require_cell(cell, ball)
     kind, i = cell
-    gog, T = ball.gog, ball.transversals
     if kind == "v":
-        img = canonical_coset_word(w * ball.verts[i].word, gog, T)
+        img = canonical_coset_word(w * ball.verts[i].word)
         j = ball.vindex.get(img)
         return OUT_OF_BALL if j is None else ("v", j)
     te = ball.edges[i]
@@ -366,7 +360,7 @@ def stabilizer(cell, ball: TreeBall) -> StabilizerData:
     enumerated as reduced loop words at the base vertex."""
     _require_cell(cell, ball)
     kind, i = cell
-    gog, T = ball.gog, ball.transversals
+    gog = ball.gog
     g = gog.graph
     if kind == "v":
         tv = ball.verts[i]
@@ -389,10 +383,10 @@ def stabilizer(cell, ball: TreeBall) -> StabilizerData:
         def embed(c):
             return GroupWord(gog, side, inj.map[c])
 
-    inv = reduce_word(conj.inverse(), gog, T)
+    inv = reduce_word(conj.inverse())
     elements = []
     for x in gens:
-        loop = reduce_word(conj * embed(x) * inv, gog, T)
+        loop = reduce_word(conj * embed(x) * inv)
         elements.append(loop)
     return StabilizerData(cell, conj, G, name, elements)
 

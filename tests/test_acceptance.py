@@ -130,7 +130,7 @@ def test_criterion_02_normal_forms_match_matrix_oracle():
     for i in range(0, len(words), 2):
         u, w = words[i], words[i + 1]
         pairs += 1
-        if words_equal(u, w, gog, T) == (sl2z_matrix(u) == sl2z_matrix(w)):
+        if words_equal(u, w) == (sl2z_matrix(u) == sl2z_matrix(w)):
             agree += 1
     _verdict(2, "10^4 random words: matrix oracle and fixpoint-pinch oracle",
              agree == pairs and sweep_ok,
@@ -273,7 +273,7 @@ def _trivial_line_handle(action):
 
 def _oracle_max_piece(S):
     """Exhaustive pair/prefix enumeration, sharing nothing with pieces()."""
-    gog, T = S.gog, S.transversals
+    gog = S.gog
     best = 0
     members = S.members
     for i in range(len(members)):
@@ -284,7 +284,7 @@ def _oracle_max_piece(S):
             for n in range(min(len(w1.pairs), len(w2.pairs)) + 1):
                 u1 = GroupWord(gog, w1.start, w1.head, tuple(w1.pairs[:n]))
                 u2 = GroupWord(gog, w2.start, w2.head, tuple(w2.pairs[:n]))
-                if u1.end != u2.end or not words_equal(u1, u2, gog, T):
+                if u1.end != u2.end or not words_equal(u1, u2):
                     break
                 best = max(best, _syl(u1, gog))
     return best
@@ -292,14 +292,13 @@ def _oracle_max_piece(S):
 
 def test_criterion_06_pieces_and_cprime():
     gog = c4_c6_free()
-    T = fix_transversals(gog)
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
     ok = True
-    for w in (r, word_power(reduce_word(r, gog, T), 12, gog, T)):
-        S = symmetrize(w, gog, T)
+    for w in (r, word_power(reduce_word(r), 12)):
+        S = symmetrize(w)
         if pieces(S).max_piece != _oracle_max_piece(S):
             ok = False
-    verdict_r = check_cprime(r, 12, "1/12", gog, transversals=T)["verdict"]
+    verdict_r = check_cprime(r, 12, "1/12", gog)["verdict"]
     _verdict(6, "pieces match the exhaustive oracle; C'(1/12) holds for r^12",
              ok and verdict_r is True,
              "max pieces oracle-exact")
@@ -313,21 +312,19 @@ def test_criterion_06_pieces_and_cprime():
     "of the same shape — see the build ledger"))
 def test_criterion_06_proper_power_clause():
     gog = c4_c6_free()
-    T = fix_transversals(gog)
-    rep = check_cprime(ab_word(gog, [1, 1]), 12, "1/12", gog, transversals=T)
+    rep = check_cprime(ab_word(gog, [1, 1]), 12, "1/12", gog)
     assert rep["verdict"] is False
 
 
 # -- 7: the constant M ------------------------------------------------------
 
 
-def _oracle_k_tree_ball(gog, T, r):
+def _oracle_k_tree_ball(gog, r):
     """Recompute k through the ball action: geodesic cells and BFS-built
     stabilizers, nothing shared with the prefix-conjugation route."""
-    core, _ = cyclically_reduce(reduce_word(r, gog, T), gog, T)
-    r2 = word_power(core, 2, gog, T)
-    ball = build_tree_ball(gog, 2 * len(core.pairs) + 1, base=core.start,
-                           transversals=T)
+    core, _ = cyclically_reduce(reduce_word(r))
+    r2 = word_power(core, 2)
+    ball = build_tree_ball(gog, 2 * len(core.pairs) + 1, base=core.start)
     target = act(r2, ("v", 0), ball)
     gamma = geodesic(("v", 0), target, ball)
     stabs = []
@@ -340,28 +337,25 @@ def _oracle_k_tree_ball(gog, T, r):
 
 def test_criterion_07_thinness_constant_M():
     free = c4_c6_free()
-    T_free = fix_transversals(free)
     r = ab_word(free, [1, 1, 2, 2, 3, 3])
-    tc_free = compute_M(free, r, T_free)
+    tc_free = compute_M(free, r)
 
     sl2 = sl2z_gog()
-    T_sl2 = fix_transversals(sl2)
-    tc_central = compute_M(sl2, ab_word(sl2, [1, 1]), T_sl2)
+    tc_central = compute_M(sl2, ab_word(sl2, [1, 1]))
 
     s3d4 = s3_d4_amalgam()
-    T_s3 = fix_transversals(s3d4)
     r_s3 = loop_word(s3d4, [(0, 1), (1, 1)])
-    tc_s3 = compute_M(s3d4, r_s3, T_s3)
+    tc_s3 = compute_M(s3d4, r_s3)
 
     # brute stabilizer/intersection oracle on the tree-ball-sized words;
     # the 6-syllable relator is covered structurally: trivial edge groups
     # force every index to 1, which compute_M must report verbatim
     brute_ok = True
-    for gog_i, T_i, r_i in ((free, T_free, ab_word(free, [1, 1])),
-                            (sl2, T_sl2, ab_word(sl2, [1, 1])),
-                            (s3d4, T_s3, r_s3)):
-        tc_i = compute_M(gog_i, r_i, T_i)
-        n, idx = _oracle_k_tree_ball(gog_i, T_i, r_i)
+    for gog_i, r_i in ((free, ab_word(free, [1, 1])),
+                       (sl2, ab_word(sl2, [1, 1])),
+                       (s3d4, r_s3)):
+        tc_i = compute_M(gog_i, r_i)
+        n, idx = _oracle_k_tree_ball(gog_i, r_i)
         if len(tc_i.gamma) != n or tc_i.indices != idx or tc_i.k != max(idx):
             brute_ok = False
     forced_ok = tc_free.indices == [1] * 12
@@ -376,17 +370,15 @@ def test_criterion_07_thinness_constant_M():
 
 def test_criterion_08_presentation_complex_is_M_thin():
     gog = c4_c6_free()
-    T = fix_transversals(gog)
-    r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]), gog, T)
-    M = compute_M(gog, r, T).M
-    oracle = KernelOracle(gog, r, 12, transversals=T)
-    rm = word_power(r, 12, gog, T)
-    X = presentation_complex_ball(gog, [rm], 2, wp=oracle.in_kernel,
-                                  transversals=T)
+    r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]))
+    M = compute_M(gog, r).M
+    oracle = KernelOracle(gog, r, 12)
+    rm = word_power(r, 12)
+    X = presentation_complex_ball(gog, [rm], 2, wp=oracle.in_kernel)
     X.incidence = thinness_incidence(gog, r, 12, 2, oracle=oracle,
-                                     transversals=T, ball=X.skeleton)
+                                     ball=X.skeleton)
     thin = check_M_thin(X, M)
-    aud = claim_audit(gog, r, 12, transversals=T, oracle=oracle)
+    aud = claim_audit(gog, r, 12, oracle=oracle)
     claims_ok = (aud["orbit_bound"]["verdict"] and aud["injection"]["verdict"]
                  and aud["index_bound"]["verdict"] and aud["M"] == M)
     _verdict(8, "every audited edge borders <= M = 6 cells; claims confirmed",
@@ -400,10 +392,9 @@ def test_criterion_08_presentation_complex_is_M_thin():
 
 def test_criterion_09_dehn_kernel_decisions():
     gog = c4_c6_free()
-    T = fix_transversals(gog)
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
-    oracle = KernelOracle(gog, r, 12, transversals=T)
-    rm_inv = reduce_word(oracle.rm.inverse(), gog, T)
+    oracle = KernelOracle(gog, r, 12)
+    rm_inv = reduce_word(oracle.rm.inverse())
     rng = random.Random(0xD0E)
 
     kernel_hits = 0
@@ -414,15 +405,14 @@ def test_criterion_09_dehn_kernel_decisions():
             base = oracle.rm if rng.randrange(2) == 0 else rm_inv
             factor = c * base * c.inverse()
             prod = factor if prod is None else prod * factor
-            prod = reduce_word(prod, gog, T)
+            prod = reduce_word(prod)
         if dehn_reduce(prod, oracle.S).is_trivial:
             kernel_hits += 1
 
     nonkernel_hits = 0
     nonkernel_total = 0
     while nonkernel_total < 10 ** 3:
-        w = reduce_word(random_amalgam_word(gog, rng, max_syllables=10),
-                        gog, T)
+        w = reduce_word(random_amalgam_word(gog, rng, max_syllables=10))
         cert = oracle.certificate(w)
         if cert["in_kernel"] or cert["method"] == "dehn":
             continue  # only independently certified non-kernel words count

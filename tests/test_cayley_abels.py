@@ -43,7 +43,7 @@ from gogtools.concrete import (
 )
 from gogtools.errors import CapExceeded, UnsupportedInput
 from gogtools.finite import make_cyclic, make_dihedral
-from gogtools.gog import fix_transversals, reduce_word, syllable_length
+from gogtools.gog import reduce_word, syllable_length
 from gogtools.tree import build_tree_ball, canonical_coset_word
 
 
@@ -174,9 +174,8 @@ def test_quotient_no_relators_matches_tree(make, R):
     # the HNN and free-group loops (o = t) are where the step that folds
     # back toward the center is easiest to get wrong
     gog = make()
-    T = fix_transversals(gog)
-    qball = quotient_tree_ball(gog, [], R, transversals=T)
-    tball = build_tree_ball(gog, R, transversals=T)
+    qball = quotient_tree_ball(gog, [], R)
+    tball = build_tree_ball(gog, R)
     assert [v.rep for v in qball.verts] == [tv.word for tv in tball.verts]
     assert [v.dist for v in qball.verts] == [tv.dist for tv in tball.verts]
     assert [(e.u, e.v) for e in qball.edges] == [
@@ -185,7 +184,7 @@ def test_quotient_no_relators_matches_tree(make, R):
     assert [e.tag for e in qball.edges] == [
         f"T/e{te.lam_edge >> 1}" for te in tball.edges
     ]
-    assert all(canonical_coset_word(v.rep, gog, T) == v.rep
+    assert all(canonical_coset_word(v.rep) == v.rep
                for v in qball.verts)
 
 
@@ -224,14 +223,11 @@ def test_quotient_long_relator_no_identification():
     r12 = r
     for _ in range(11):
         r12 = r12 * r
-    from gogtools.gog import fix_transversals
-
-    T = fix_transversals(gog)
 
     def wp(w):
         # any nontrivial element of the normal closure has dozens of
         # syllables; everything this radius-3 construction asks about is short
-        assert syllable_length(reduce_word(w, gog, T)) < 63
+        assert syllable_length(reduce_word(w)) < 63
         return False
 
     qball = quotient_tree_ball(gog, [r12], 3, wp=wp)

@@ -284,3 +284,13 @@ def test_qi_attach_certificate_ell_2(tmp_path, monkeypatch):
     result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert result["ell"] in (2, "2")  # exact rationals render through str
     assert result["violations"] == []
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's "Library use" example is executed as written, so its
+    # signatures and printed results cannot drift from the library
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["43", "True 1/24"]

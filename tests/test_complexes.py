@@ -37,7 +37,6 @@ from gogtools.complexes import (
     to_off,
 )
 from gogtools.gog import (
-    fix_transversals,
     reduce_word,
     syllable_length,
 )
@@ -58,10 +57,9 @@ def _wheel5():
 
 def _d3_setup():
     gog = c2_c2_free()
-    T = fix_transversals(gog)
     st3 = ab_word(gog, [1, 1, 1, 1, 1, 1])
     wp = evaluation_wp(gog, make_dihedral(3), [[0, 3], [0, 4]])
-    return gog, T, st3, wp
+    return gog, st3, wp
 
 
 # -- coning ------------------------------------------------------------------
@@ -163,8 +161,8 @@ def test_link_single_square_corner():
 
 
 def test_link_degree_sum_identity():
-    gog, T, st3, wp = _d3_setup()
-    hexX = presentation_complex_ball(gog, [st3], 6, wp=wp, transversals=T)
+    gog, st3, wp = _d3_setup()
+    hexX = presentation_complex_ball(gog, [st3], 6, wp=wp)
     for X, sigma in ((_wheel5(), 0), (hexX, 0),
                      (omega_k(plain_grid_ball(2), 4), 0)):
         lk = link(X, sigma)
@@ -225,8 +223,8 @@ def test_correspondence_bare_cycle_fails_injectivity():
 
 
 def test_correspondence_hexagon_true_orbit():
-    gog, T, st3, wp = _d3_setup()
-    X = presentation_complex_ball(gog, [st3], 6, wp=wp, transversals=T)
+    gog, st3, wp = _d3_setup()
+    X = presentation_complex_ball(gog, [st3], 6, wp=wp)
     rep = link_component_correspondence(X, 0)
     assert rep["orbit_size"] == 3
     assert rep["link_components"] == 1
@@ -257,8 +255,8 @@ def test_pi1_disconnected_raises():
 
 
 def test_pi1_hexagon_one_killed_generator():
-    gog, T, st3, wp = _d3_setup()
-    X = presentation_complex_ball(gog, [st3], 6, wp=wp, transversals=T)
+    gog, st3, wp = _d3_setup()
+    X = presentation_complex_ball(gog, [st3], 6, wp=wp)
     p = pi1_presentation(X)
     assert len(p.generators) == 1
     assert len(p.relators) == 1
@@ -358,7 +356,7 @@ def test_least_coning_k_is_reported_not_assumed():
 # -- Dehn function sampling --------------------------------------------------
 
 
-def _d3_conjugates(gog, T, st3):
+def _d3_conjugates(gog, st3):
     """Explicit relator conjugates u·(st)³·u⁻¹ over short loop words u,
     both signs, deduplicated."""
     conjugators = [ab_word(gog, [])]
@@ -367,18 +365,18 @@ def _d3_conjugates(gog, T, st3):
         conjugators.append(ab_word(gog, [0] + [1] * k))
     out = {}
     for u in conjugators:
-        for s in (st3, reduce_word(st3.inverse(), gog, T)):
-            w = reduce_word(u * s * u.inverse(), gog, T)
+        for s in (st3, reduce_word(st3.inverse())):
+            w = reduce_word(u * s * u.inverse())
             out[(w.start, w.head, w.pairs)] = w
     return list(out.values())
 
 
-def oracle_brute_area(gog, T, conjugates, target, max_area=4, max_syl=20):
+def oracle_brute_area(gog, conjugates, target, max_area=4, max_syl=20):
     """Minimal number of relator-conjugate factors multiplying to the
     target, by plain BFS — no Dehn greediness anywhere."""
-    tnf = reduce_word(target, gog, T)
+    tnf = reduce_word(target)
     tid = (tnf.start, tnf.head, tnf.pairs)
-    e = reduce_word(ab_word(gog, []), gog, T)
+    e = reduce_word(ab_word(gog, []))
     if tid == (e.start, e.head, e.pairs):
         return 0
     seen = {(e.start, e.head, e.pairs)}
@@ -387,7 +385,7 @@ def oracle_brute_area(gog, T, conjugates, target, max_area=4, max_syl=20):
         nxt = []
         for w in level:
             for c in conjugates:
-                z = reduce_word(w * c, gog, T)
+                z = reduce_word(w * c)
                 zid = (z.start, z.head, z.pairs)
                 if zid == tid:
                     return area
@@ -400,12 +398,12 @@ def oracle_brute_area(gog, T, conjugates, target, max_area=4, max_syl=20):
 
 
 def test_dehn_sample_d3_exhaustive_vs_brute_oracle():
-    gog, T, st3, wp = _d3_setup()
-    conjugates = _d3_conjugates(gog, T, st3)
+    gog, st3, wp = _d3_setup()
+    conjugates = _d3_conjugates(gog, st3)
     rep = dehn_function_sample(
         gog, [st3], [2, 4, 6, 8], wp,
-        lambda w: oracle_brute_area(gog, T, conjugates, w),
-        mode="exhaustive", transversals=T)
+        lambda w: oracle_brute_area(gog, conjugates, w),
+        mode="exhaustive")
     assert rep["table"][2] == {"count": 0, "max_area": None}
     assert rep["table"][4] == {"count": 0, "max_area": None}
     # exactly (st)³ and (ts)³ are the kernel words up to 8 syllables
@@ -415,9 +413,9 @@ def test_dehn_sample_d3_exhaustive_vs_brute_oracle():
 
 
 def test_dehn_sample_no_relators_all_absent():
-    gog, T, st3, wp = _d3_setup()
+    gog, st3, wp = _d3_setup()
     rep = dehn_function_sample(gog, [], [2, 4], lambda w: False, lambda w: 0,
-                               mode="exhaustive", transversals=T)
+                               mode="exhaustive")
     assert all(row == {"count": 0, "max_area": None}
                for row in rep["table"].values())
     assert rep["fit"] is None
@@ -425,10 +423,9 @@ def test_dehn_sample_no_relators_all_absent():
 
 def test_dehn_sample_cprime_fixture_sampled():
     gog = c4_c6_free()
-    T = fix_transversals(gog)
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
-    rm = word_power(r, 12, gog, T)
-    oracle = KernelOracle(gog, r, 12, transversals=T)
+    rm = word_power(r, 12)
+    oracle = KernelOracle(gog, r, 12)
 
     def area(w):
         res = dehn_reduce(w, oracle.S)
@@ -436,8 +433,7 @@ def test_dehn_sample_cprime_fixture_sampled():
 
     lengths = [80, 160, 240]
     rep = dehn_function_sample(gog, [rm], lengths, oracle.in_kernel, area,
-                               mode="sample", seed=0xCA1, samples=40,
-                               transversals=T)
+                               mode="sample", seed=0xCA1, samples=40)
     assert rep["seed"] == 0xCA1
     assert rep["oracle_failures"] == 0
     counts = [rep["table"][L]["count"] for L in lengths]
@@ -447,22 +443,20 @@ def test_dehn_sample_cprime_fixture_sampled():
     assert areas == sorted(areas)
     assert rep["fit"] is not None and rep["fit"]["slope"] > 0
     again = dehn_function_sample(gog, [rm], lengths, oracle.in_kernel, area,
-                                 mode="sample", seed=0xCA1, samples=40,
-                                 transversals=T)
+                                 mode="sample", seed=0xCA1, samples=40)
     assert again == rep
 
 
 def test_dehn_sample_argument_errors():
-    gog, T, st3, wp = _d3_setup()
+    gog, st3, wp = _d3_setup()
     with pytest.raises(ValueError):
-        dehn_function_sample(gog, [st3], [], wp, lambda w: 1,
-                             transversals=T)
+        dehn_function_sample(gog, [st3], [], wp, lambda w: 1)
     with pytest.raises(ValueError):
         dehn_function_sample(gog, [st3], [4], wp, lambda w: 1,
-                             mode="nope", transversals=T)
+                             mode="nope")
     with pytest.raises(ValueError):
         dehn_function_sample(gog, [], [4], wp, lambda w: 1,
-                             mode="sample", transversals=T)
+                             mode="sample")
 
 
 # -- hyperbolicity estimate --------------------------------------------------

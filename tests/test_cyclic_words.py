@@ -26,7 +26,6 @@ from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
-    fix_transversals,
     identity_word,
     reduce_word,
     rotate_once,
@@ -49,7 +48,7 @@ FIXTURES = [sl2z_gog, s3_d4_amalgam, hnn_c6, c4_c6_free, c2_c2_free,
 # -- reference implementations ----------------------------------------------
 
 
-def oracle_rotate_once(w, gog, T):
+def oracle_rotate_once(w, gog):
     if not w.pairs:
         return w
     g = gog.graph
@@ -64,12 +63,12 @@ def oracle_rotate_once(w, gog, T):
     else:
         rotated = GroupWord(gog, v1, gog.vgroup(v1).op(x1, w.head),
                             [(e1, id1)])
-    return reduce_word(rotated, gog, T)
+    return reduce_word(rotated)
 
 
-def oracle_cyclically_reduce(w, gog, T):
+def oracle_cyclically_reduce(w, gog):
     g = gog.graph
-    cur = reduce_word(w, gog, T)
+    cur = reduce_word(w)
     conj = identity_word(gog, w.start)
     while cur.pairs:
         n = len(cur.pairs)
@@ -83,21 +82,21 @@ def oracle_cyclically_reduce(w, gog, T):
             break
         conj = conj * GroupWord(gog, cur.start, cur.head,
                                 ((f1, gog.vgroup(g.t(f1)).identity),))
-        cur = oracle_rotate_once(cur, gog, T)
-    return cur, reduce_word(conj, gog, T)
+        cur = oracle_rotate_once(cur, gog)
+    return cur, reduce_word(conj)
 
 
-def oracle_rotations(w, gog, T):
+def oracle_rotations(w, gog):
     out = [w]
     cur = w
     for _ in range(len(w.pairs) - 1):
-        cur = oracle_rotate_once(cur, gog, T)
+        cur = oracle_rotate_once(cur, gog)
         out.append(cur)
     return out
 
 
 def oracle_self_overlap(w, gog):
-    pos = positions(w, gog)
+    pos = positions(w)
     n = len(pos)
     best = 0
     for shift in range(1, n):
@@ -113,33 +112,33 @@ def oracle_self_overlap(w, gog):
     return best
 
 
-def oracle_word_power(w, m, gog, T):
+def oracle_word_power(w, m, gog):
     acc = identity_word(gog, w.start)
     for _ in range(m):
-        acc = reduce_word(acc * w, gog, T)
+        acc = reduce_word(acc * w)
     return acc
 
 
-def oracle_symmetrize(core, gog, T):
+def oracle_symmetrize(core, gog):
     """(members, base) from the reference rotations and cyclic reduction,
     given the reference core."""
-    inv_core, _ = oracle_cyclically_reduce(core.inverse(), gog, T)
+    inv_core, _ = oracle_cyclically_reduce(core.inverse(), gog)
     seen = {}
     for w0 in (core, inv_core):
-        for w in oracle_rotations(w0, gog, T):
+        for w in oracle_rotations(w0, gog):
             seen.setdefault((w.start, w.head, w.pairs), w)
     members = sorted(seen.values(), key=lambda w: (w.start, w.key()))
     return tuple(members), min(members, key=lambda w: w.key())
 
 
-def oracle_piece_report(members, gog, T):
+def oracle_piece_report(members, gog):
     """Every pair, every member's self-overlap, and a proper power found by
     rotating every member through all its edges."""
     pair_lengths = {}
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            l = common_prefix_syllables(members[i], members[j], gog)
+            l = common_prefix_syllables(members[i], members[j])
             pair_lengths[(i, j)] = l
             if l > max_piece:
                 max_piece, witness = l, (i, j)
@@ -149,13 +148,13 @@ def oracle_piece_report(members, gog, T):
     so = max(oracle_self_overlap(w, gog) for w in members)
     proper = any(rot == w
                  for w in members
-                 for rot in oracle_rotations(w, gog, T)[1:])
+                 for rot in oracle_rotations(w, gog)[1:])
     return PieceReport(pair_lengths, max_piece, witness, min_length,
                        len(members), so, proper)
 
 
 def _syl(w, gog):
-    return sum(1 for v, x, _e in positions(w, gog)
+    return sum(1 for v, x, _e in positions(w)
                if x != gog.vgroup(v).identity)
 
 
@@ -181,7 +180,7 @@ def _random_loop(gog, rng, n, start=0):
                      pairs)
 
 
-def _long_conjugator(gog, rng, T):
+def _long_conjugator(gog, rng):
     """A reduced loop of at least 60 edges: a walk that never steps back
     across an edge it can pinch with, its elements outside the edge image
     wherever the vertex group allows."""
@@ -199,17 +198,17 @@ def _long_conjugator(gog, rng, T):
             pairs.append((e, x))
             at = g.t(e)
         c = reduce_word(GroupWord(gog, 0, rng.randrange(gog.vgroup(0).order),
-                                  pairs), gog, T)
+                                  pairs))
         if len(c.pairs) >= 60:
             return c
 
 
-def _seeded_loops(gog, T, seed, count):
+def _seeded_loops(gog, seed, count):
     rng = random.Random(seed)
     for k in range(count):
         u = _random_loop(gog, rng, rng.randrange(0, 9))
         if k % 2:
-            c = _long_conjugator(gog, rng, T)
+            c = _long_conjugator(gog, rng)
             yield c * u * c.inverse()
         else:
             yield u
@@ -226,37 +225,36 @@ def _report_fields(rep):
 @pytest.mark.parametrize("make", FIXTURES)
 def test_cyclic_words_match_reference(make):
     gog = make()
-    T = fix_transversals(gog)
     compared = 0
-    for w in _seeded_loops(gog, T, 0x5EA4 + FIXTURES.index(make), 12):
-        core, conj = cyclically_reduce(w, gog, T)
-        o_core, o_conj = oracle_cyclically_reduce(w, gog, T)
+    for w in _seeded_loops(gog, 0x5EA4 + FIXTURES.index(make), 12):
+        core, conj = cyclically_reduce(w)
+        o_core, o_conj = oracle_cyclically_reduce(w, gog)
         assert core == o_core and conj == o_conj, w
         for m in range(5):
-            wm = word_power(w, m, gog, T)
-            assert wm == oracle_word_power(w, m, gog, T), (w, m)
+            wm = word_power(w, m)
+            assert wm == oracle_word_power(w, m, gog), (w, m)
             if m == 0:
                 continue
-            core_m, conj_m = cyclically_reduce(wm, gog, T)
-            o_core_m, o_conj_m = oracle_cyclically_reduce(wm, gog, T)
+            core_m, conj_m = cyclically_reduce(wm)
+            o_core_m, o_conj_m = oracle_cyclically_reduce(wm, gog)
             assert core_m == o_core_m and conj_m == o_conj_m
             if o_core_m.is_identity():
                 with pytest.raises(ValueError):
-                    symmetrize(wm, gog, T)
+                    symmetrize(wm)
                 continue
-            S = symmetrize(wm, gog, T)
-            members, base = oracle_symmetrize(o_core_m, gog, T)
+            S = symmetrize(wm)
+            members, base = oracle_symmetrize(o_core_m, gog)
             assert S.members == members and S.base == base
             for u in members:
-                assert (rotate_once(u, gog, T)
-                        == oracle_rotate_once(u, gog, T))
-                assert self_overlap(u, gog) == oracle_self_overlap(u, gog)
-                orbit = rotations(u, gog, T)
-                full = oracle_rotations(u, gog, T)
+                assert (rotate_once(u)
+                        == oracle_rotate_once(u, gog))
+                assert self_overlap(u) == oracle_self_overlap(u, gog)
+                orbit = rotations(u)
+                full = oracle_rotations(u, gog)
                 assert orbit == full[:len(orbit)]
                 assert set(orbit) == set(full)
             try:
-                expected = oracle_piece_report(members, gog, T)
+                expected = oracle_piece_report(members, gog)
             except RuntimeError:
                 # a piece reaches the member length; elliptic and
                 # stable-letter-only relators name that cause
@@ -274,14 +272,13 @@ def test_long_conjugators_peel_in_one_pass():
     equal to the reference's, over an amalgam and an HNN extension."""
     for make in (sl2z_gog, s3_d4_amalgam, hnn_c6):
         gog = make()
-        T = fix_transversals(gog)
         rng = random.Random(0xC0C0)
         for _ in range(6):
-            u = reduce_word(_random_loop(gog, rng, 5), gog, T)
-            c = _long_conjugator(gog, rng, T)
+            u = reduce_word(_random_loop(gog, rng, 5))
+            c = _long_conjugator(gog, rng)
             w = c * u * c.inverse()
-            core, conj = cyclically_reduce(w, gog, T)
-            o_core, o_conj = oracle_cyclically_reduce(w, gog, T)
+            core, conj = cyclically_reduce(w)
+            o_core, o_conj = oracle_cyclically_reduce(w, gog)
             assert core == o_core and conj == o_conj
             assert _syl(conj, gog) >= 50
 
@@ -293,10 +290,8 @@ def test_self_overlap_on_repetitive_words():
     rng = random.Random(0x2A)
     for make in (c4_c6_free, sl2z_gog, hnn_c6):
         gog = make()
-        T = fix_transversals(gog)
         for _ in range(60):
             u = _random_loop(gog, rng, rng.randrange(1, 5))
-            w = reduce_word(word_power(u, rng.randrange(1, 5), gog, T)
-                            * _random_loop(gog, rng, rng.randrange(0, 3)),
-                            gog, T)
-            assert self_overlap(w, gog) == oracle_self_overlap(w, gog), w
+            w = reduce_word(word_power(u, rng.randrange(1, 5))
+                            * _random_loop(gog, rng, rng.randrange(0, 3)))
+            assert self_overlap(w) == oracle_self_overlap(w, gog), w

@@ -25,7 +25,6 @@ from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
 from gogtools.gog import (
     GroupWord,
     amalgam,
-    fix_transversals,
     identity_word,
     reduce_word,
 )
@@ -129,8 +128,7 @@ def test_radius_zero_and_cap():
 
 def test_coset_reps_pairwise_inequivalent():
     gog = sl2z_gog()
-    T = fix_transversals(gog)
-    ball = build_tree_ball(gog, 3, transversals=T)
+    ball = build_tree_ball(gog, 3)
     words = [tv.word for tv in ball.verts]
     for i, u in enumerate(words):
         for w in words[i + 1:]:
@@ -138,20 +136,20 @@ def test_coset_reps_pairwise_inequivalent():
                 continue
             G = gog.vgroup(u.end)
             for g in range(G.order):
-                shifted = reduce_word(w * GroupWord(gog, w.end, g), gog, T)
+                shifted = reduce_word(w * GroupWord(gog, w.end, g))
                 assert shifted != u
 
 
-def _sampled_children(gog, T, fan, rng, radius=5, width=30):
+def _sampled_children(gog, fan, rng, radius=5, width=30):
     """(parent, e, rep, child) over a seeded sample of each level of the
     tree balls around every base vertex."""
     out = []
     for base in range(gog.graph.num_vertices):
-        level = [canonical_coset_word(identity_word(gog, base), gog, T)]
+        level = [canonical_coset_word(identity_word(gog, base))]
         for _ in range(radius):
             nxt = []
             for w in level:
-                for e, rep, child in _child_steps(w, fan, gog, T):
+                for e, rep, child in _child_steps(w, fan):
                     out.append((w, e, rep, child))
                     nxt.append(child)
             level = rng.sample(nxt, min(width, len(nxt)))
@@ -164,13 +162,12 @@ def test_child_steps_skip_canonicalization(make):
     # every step is proven on the built-in models, so no child word is
     # canonicalized, yet each is already the least word of its coset
     gog = make()
-    T = fix_transversals(gog)
-    fan = _fan_table(gog, T)
+    fan = _fan_table(gog)
     assert all(not unproven for e in fan for _rep, unproven in fan[e])
-    children = _sampled_children(gog, T, fan, random.Random(11))
+    children = _sampled_children(gog, fan, random.Random(11))
     assert children
     for _w, _e, _rep, child in children:
-        assert canonical_coset_word(child, gog, T) == child
+        assert canonical_coset_word(child) == child
 
 
 def _relabelled_s3_d4():
@@ -189,19 +186,56 @@ def _relabelled_s3_d4():
 
 def test_child_steps_keep_canonicalization_where_unproven():
     gog = _relabelled_s3_d4()
-    T = fix_transversals(gog)
-    fan = _fan_table(gog, T)
+    fan = _fan_table(gog)
     assert any(unproven for e in fan for _rep, unproven in fan[e])
     bypassed = 0
-    for w, e, rep, child in _sampled_children(gog, T, fan, random.Random(11)):
-        assert canonical_coset_word(child, gog, T) == child
+    for w, e, rep, child in _sampled_children(gog, fan, random.Random(11)):
+        assert canonical_coset_word(child) == child
         g = gog.graph
         raw = reduce_word(w * GroupWord(gog, w.end, rep,
-                                        [(e, gog.vgroup(g.t(e)).identity)]),
-                          gog, T)
+                                        [(e, gog.vgroup(g.t(e)).identity)]))
         bypassed += raw != child
     # the fallback is what makes those children canonical
     assert bypassed > 0
+
+
+def oracle_canonical_edge_word(word, e):
+    """Minimum of reduce(word·h) over h in im(inj(ē)) ≤ vgroup(o(e))."""
+    gog = word.gog
+    g = gog.graph
+    assert word.end == g.o(e)
+    best = None
+    for h in sorted(gog.image(g.bar(e))):
+        cand = reduce_word(word * GroupWord(gog, word.end, h))
+        if best is None or cand.key() < best.key():
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
+                                   s3_d4_amalgam, hnn_c6, free_rank2,
+                                   _relabelled_s3_d4])
+def test_edge_words_match_oracle(make):
+    # the ball reads each edge word off the canonical child; the oracle
+    # finds a y in vgroup(o(e)) with w·y·e in the child's coset and takes
+    # the least word over y·im(inj(ē))
+    gog = make()
+    g = gog.graph
+    checked = 0
+    for base in range(g.num_vertices):
+        ball = build_tree_ball(gog, 4, base=base)
+        for te in ball.edges:
+            w, e = ball.verts[te.u].word, te.lam_edge
+            child = ball.verts[te.v].word
+            ident_t = gog.vgroup(g.t(e)).identity
+            y = next(y for y in range(gog.vgroup(g.o(e)).order)
+                     if canonical_coset_word(reduce_word(
+                         w * GroupWord(gog, w.end, y, [(e, ident_t)])))
+                     == child)
+            assert te.word == oracle_canonical_edge_word(
+                w * GroupWord(gog, w.end, y), e)
+            checked += 1
+    assert checked
 
 
 # -- action -----------------------------------------------------------------

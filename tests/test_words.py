@@ -13,6 +13,7 @@ from gogtools.gog import (
     GroupWord,
     SerreGraph,
     GraphOfGroups,
+    Transversals,
     amalgam,
     cyclically_reduce,
     fix_transversals,
@@ -93,7 +94,7 @@ def oracle_reduce(w, gog, tr, order):
 
 def agrees_with_oracle(w, gog, tr):
     """reduce_word matches the fixpoint oracle in both scan orders."""
-    nf = reduce_word(w, gog, tr)
+    nf = reduce_word(w)
     return nf == oracle_reduce(w, gog, tr, "lr") == oracle_reduce(w, gog, tr, "rl")
 
 
@@ -146,40 +147,71 @@ def test_transversal_trivial_image():
     assert sorted(tr.reps[1]) == [0, 1, 2, 3]
 
 
+def test_graph_owns_its_table():
+    gog = sl2z_gog()
+    table = gog.transversals
+    assert gog.transversals is table
+    assert fix_transversals(gog) is table
+    # the constructor builds no table, so validate() still reports on a
+    # graph whose injection is not injective
+    bad = amalgam(make_cyclic(4), make_cyclic(6), make_cyclic(2),
+                  [0, 0], [0, 3])
+    assert bad._transversals is None
+    assert validate(bad)
+
+
+def test_entry_points_take_only_the_graphs_table():
+    from gogtools.cayley_abels import quotient_tree_ball
+    from gogtools.smallcanc import KernelOracle
+    from gogtools.tree import build_tree_ball
+
+    gog = c4_c6_free()
+    r = ab_word(gog, [1, 1, 2, 2, 3, 3])
+    own = gog.transversals
+    assert (build_tree_ball(gog, 2, transversals=own).vertex_count()
+            == build_tree_ball(gog, 2).vertex_count())
+    assert (quotient_tree_ball(gog, [], 2, transversals=own).verts[-1].rep
+            == quotient_tree_ball(gog, [], 2).verts[-1].rep)
+    assert KernelOracle(gog, r, 12, own).rm == KernelOracle(gog, r, 12).rm
+    other = Transversals(gog)
+    with pytest.raises(ValueError):
+        build_tree_ball(gog, 2, transversals=other)
+    with pytest.raises(ValueError):
+        quotient_tree_ball(gog, [], 2, transversals=other)
+    with pytest.raises(ValueError):
+        KernelOracle(gog, r, 12, other)
+
+
 def test_reduce_relation_word():
     # a^2 b^3 = c * c = identity in C4 *_{C2} C6
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
     w = ab_word(gog, [2, 3])
-    assert reduce_word(w, gog, tr) == identity_word(gog, 0)
+    assert reduce_word(w) == identity_word(gog, 0)
 
 
 def test_reduce_gg_inverse():
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
     rng = random.Random(7)
     for _ in range(50):
         w = random_amalgam_word(gog, rng)
         prod = w * w.inverse()
-        assert reduce_word(prod, gog, tr) == identity_word(gog, w.start)
+        assert reduce_word(prod) == identity_word(gog, w.start)
 
 
 def test_britton_pinch_hnn():
     # t^-1 b^2 t -> b^4 in the HNN of C6 over <b^2>, alpha(b^2) = b^4
     gog = hnn_c6()
-    tr = fix_transversals(gog)
     w = GroupWord(gog, 0, 0, ((1, 2), (0, 0)))
-    assert reduce_word(w, gog, tr) == GroupWord(gog, 0, 4, ())
+    assert reduce_word(w) == GroupWord(gog, 0, 4, ())
 
 
 def test_no_t1t_inverse_left():
     # after reduction no consecutive t^eps 1 t^-eps survives
     gog = hnn_c6()
-    tr = fix_transversals(gog)
     rng = random.Random(11)
     for _ in range(300):
         w = random_hnn_word(gog, rng)
-        nf = reduce_word(w, gog, tr)
+        nf = reduce_word(w)
         for (e1, x1), (e2, _) in zip(nf.pairs, nf.pairs[1:]):
             if e2 == gog.graph.bar(e1):
                 assert x1 not in gog.image(e1)
@@ -187,65 +219,57 @@ def test_no_t1t_inverse_left():
 
 def test_words_equal_basics():
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
-    assert words_equal(ab_word(gog, [2, 3]), identity_word(gog, 0), gog, tr)
+    assert words_equal(ab_word(gog, [2, 3]), identity_word(gog, 0))
     free = c4_c6_free()
-    trf = fix_transversals(free)
     a = loop_word(free, [(0, 1)])
     b = loop_word(free, [(1, 1)])
-    assert not words_equal(a, b, free, trf)
-    assert words_equal(a, a, free, trf)
+    assert not words_equal(a, b)
+    assert words_equal(a, a)
 
 
 def test_words_equal_basepoint_mismatch():
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
     with pytest.raises(ValueError):
-        words_equal(identity_word(gog, 0), identity_word(gog, 1), gog, tr)
+        words_equal(identity_word(gog, 0), identity_word(gog, 1))
 
 
 def test_syllable_length_examples():
     free = c4_c6_free()
-    trf = fix_transversals(free)
-    assert syllable_length(reduce_word(identity_word(free, 0), free, trf)) == 0
+    assert syllable_length(reduce_word(identity_word(free, 0))) == 0
     r = ab_word(free, [1, 1, 2, 2, 3, 3])
-    assert syllable_length(reduce_word(r, free, trf)) == 6
+    assert syllable_length(reduce_word(r)) == 6
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
-    assert syllable_length(reduce_word(ab_word(gog, [2, 3]), gog, tr)) == 0
+    assert syllable_length(reduce_word(ab_word(gog, [2, 3]))) == 0
 
 
 def test_cyclically_reduce_conjugate():
     free = c4_c6_free()
-    tr = fix_transversals(free)
     # a b a^-1 -> core b at the C6 vertex, conjugator a
     w = loop_word(free, [(0, 1), (1, 1), (0, 3)])
-    core, conj = cyclically_reduce(w, free, tr)
+    core, conj = cyclically_reduce(w)
     assert core == GroupWord(free, 1, 1, ())
     assert conj == GroupWord(free, 0, 1, ((0, 0),))
     # conj * core * conj^-1 == w
     back = conj * core * conj.inverse()
-    assert words_equal(back, w, free, tr)
+    assert words_equal(back, w)
 
 
 def test_cyclically_reduce_already_reduced():
     free = c4_c6_free()
-    tr = fix_transversals(free)
     w = ab_word(free, [1, 1])
-    core, conj = cyclically_reduce(w, free, tr)
-    assert core == reduce_word(w, free, tr)
+    core, conj = cyclically_reduce(w)
+    assert core == reduce_word(w)
     assert conj == identity_word(free, 0)
 
 
 def test_cyclically_reduce_seam():
     free = c4_c6_free()
-    tr = fix_transversals(free)
     # b^3 a b^-2 based at the C6 vertex: core a*b after the seam merge
     w = loop_word(free, [(1, 3), (0, 1), (1, 4)], start=1)
-    core, conj = cyclically_reduce(w, free, tr)
+    core, conj = cyclically_reduce(w)
     assert core == GroupWord(free, 0, 1, ((0, 1), (1, 0)))
     back = conj * core * conj.inverse()
-    assert words_equal(back, w, free, tr)
+    assert words_equal(back, w)
 
 
 def _random_loop(gog, rng):
@@ -263,14 +287,13 @@ def _random_loop(gog, rng):
 @pytest.mark.parametrize("make", [sl2z_gog, s3_d4_amalgam, hnn_c6])
 def test_cyclically_reduce_properties(make):
     gog = make()
-    tr = fix_transversals(gog)
     g = gog.graph
     rng = random.Random(0xC0DE)
     for _ in range(500):
         w = _random_loop(gog, rng)
-        core, conj = cyclically_reduce(w, gog, tr)
-        assert words_equal(conj * core * conj.inverse(), w, gog, tr), w
-        assert core == reduce_word(core, gog, tr)
+        core, conj = cyclically_reduce(w)
+        assert words_equal(conj * core * conj.inverse(), w), w
+        assert core == reduce_word(core)
         if not core.pairs:
             continue
         e_last, x_last = core.pairs[-1]
@@ -294,14 +317,13 @@ def _long_word(gog, rng, n):
 @pytest.mark.parametrize("make", [c4_c6_free, s3_d4_amalgam, hnn_c6])
 def test_full_cancellation_long_words(make):
     gog = make()
-    tr = fix_transversals(gog)
     rng = random.Random(0x1000)
     for n in (1, 10, 100, 500):
         w = _long_word(gog, rng, n)
         ident = identity_word(gog, w.start)
-        assert reduce_word(w * w.inverse(), gog, tr) == ident
-        assert reduce_word(w.inverse() * w, gog, tr) == ident
-        assert reduce_word(w * w * w.inverse(), gog, tr) == reduce_word(w, gog, tr)
+        assert reduce_word(w * w.inverse()) == ident
+        assert reduce_word(w.inverse() * w) == ident
+        assert reduce_word(w * w * w.inverse()) == reduce_word(w)
 
 
 def test_word_json_roundtrip():
@@ -345,20 +367,18 @@ def test_sweep_order_invariance_hnn():
 
 def test_reduce_idempotent_and_homomorphic():
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
     rng = random.Random(0xACE)
     for _ in range(2_000):
         u = random_amalgam_word(gog, rng, max_syllables=8)
         w = random_amalgam_word(gog, rng, max_syllables=8)
-        ru = reduce_word(u, gog, tr)
-        rw = reduce_word(w, gog, tr)
-        assert reduce_word(ru, gog, tr) == ru
-        assert reduce_word(u * w, gog, tr) == reduce_word(ru * rw, gog, tr)
+        ru = reduce_word(u)
+        rw = reduce_word(w)
+        assert reduce_word(ru) == ru
+        assert reduce_word(u * w) == reduce_word(ru * rw)
 
 
 def test_matrix_oracle_agreement():
     gog = sl2z_gog()
-    tr = fix_transversals(gog)
     rng = random.Random(0x51E2)
     for i in range(10_000):
         u = random_amalgam_word(gog, rng, max_syllables=8)
@@ -368,6 +388,6 @@ def test_matrix_oracle_agreement():
             w = u * (z * z.inverse())
         else:
             w = random_amalgam_word(gog, rng, max_syllables=8)
-        ours = words_equal(u, w, gog, tr)
+        ours = words_equal(u, w)
         oracle = sl2z_matrix(u) == sl2z_matrix(w)
         assert ours == oracle
