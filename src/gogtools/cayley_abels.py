@@ -117,33 +117,6 @@ class GGraphBall:
         return sum(1 for j, _ in self.adjacency[i] if self.verts[j].dist <= rho)
 
 
-class _Family:
-    """Coset dedup store for one orbit tag."""
-
-    def __init__(self, tag, G, handle: SubgroupHandle):
-        self.tag = tag
-        self.G = G
-        self.handle = handle
-        self.by_key = {}
-        self.scan = []  # (rep, idx) fallback when no canonical key exists
-
-    def lookup(self, rep):
-        """Return (index or None, key or None) for the coset rep·H."""
-        key = self.handle.key_of(self.G, rep)
-        if key is not None:
-            return self.by_key.get(key), key
-        for r, i in self.scan:
-            if self.handle.same_coset(self.G, r, rep):
-                return i, None
-        return None, None
-
-    def register(self, rep, idx, key):
-        if key is not None:
-            self.by_key[key] = idx
-        else:
-            self.scan.append((rep, idx))
-
-
 def _edge_insert(edges, eindex, adjacency, tag, u, v, stab_order, notes):
     if u == v:
         note = f"dropped loop edge at vertex {u} (tag {tag})"
@@ -168,11 +141,9 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         raise ValueError("U must be finite with an explicit enumeration")
     S = list(S)
     hs = list(hs)
-
-    fam_u = _Family("G/U", G, U)
-    fams = {"G/U": fam_u}
+    handles = {"G/U": U}
     for i, h in enumerate(hs):
-        fams[f"G/H{i}"] = _Family(f"G/H{i}", G, h)
+        handles[f"G/H{i}"] = h
 
     # per-orbit edge stabilizer orders, computable from U's enumeration
     s_stab = []
@@ -188,9 +159,9 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
     edges = []
     eindex = {}
     notes = []
+    index = {}      # (tag, coset key) -> vertex
 
     def add_vertex(tag, rep, key, dist):
-        fam = fams[tag]
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
@@ -200,12 +171,12 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         if tag == "G/U":
             stab_name, stab_order = U.name, len(U.elements)
         else:
-            h = fam.handle
+            h = handles[tag]
             stab_name = h.name
             stab_order = h.order if h.is_finite else None
         verts.append(GVertex(tag, rep, key, dist, stab_name, stab_order))
         adjacency.append([])
-        fam.register(rep, idx, key)
+        index[tag, key] = idx
         return idx
 
     def candidates(i):
@@ -233,51 +204,26 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         return out
 
     ident = G.identity
-    k0 = fam_u.handle.key_of(G, ident)
-    add_vertex("G/U", ident, k0, 0)
+    add_vertex("G/U", ident, U.key_of(G, ident), 0)
 
     frontier = [0]
     for dist in range(1, R + 1):
-        staged = []          # [{tag, rep, key, sources: [(src, etag, estab)]}]
-        staged_keyed = {}
+        staged = {}     # (tag, key) -> (rep, [(src, etag, estab)])
         for i in frontier:
             for tag, rep, etag, estab in candidates(i):
-                fam = fams[tag]
-                found, key = fam.lookup(rep)
+                key = handles[tag].key_of(G, rep)
+                found = index.get((tag, key))
                 if found is not None:
                     _edge_insert(edges, eindex, adjacency, etag, i, found,
                                  estab, notes)
                     continue
-                if key is not None:
-                    entry = staged_keyed.get((tag, key))
-                    if entry is None:
-                        entry = {"tag": tag, "rep": rep, "key": key,
-                                 "sources": []}
-                        staged_keyed[(tag, key)] = entry
-                        staged.append(entry)
-                    entry["sources"].append((i, etag, estab))
-                else:
-                    for entry in staged:
-                        if entry["tag"] == tag and entry["key"] is None and \
-                                fam.handle.same_coset(G, entry["rep"], rep):
-                            entry["sources"].append((i, etag, estab))
-                            break
-                    else:
-                        staged.append({"tag": tag, "rep": rep, "key": None,
-                                       "sources": [(i, etag, estab)]})
-        order = sorted(
-            range(len(staged)),
-            key=lambda n: (
-                staged[n]["tag"],
-                repr(staged[n]["key"]) if staged[n]["key"] is not None
-                else f"~{n:09d}",
-            ),
-        )
+                staged.setdefault((tag, key), (rep, []))[1].append(
+                    (i, etag, estab))
         frontier = []
-        for n in order:
-            entry = staged[n]
-            j = add_vertex(entry["tag"], entry["rep"], entry["key"], dist)
-            for src, etag, estab in entry["sources"]:
+        for tag, key in sorted(staged, key=lambda tk: (tk[0], repr(tk[1]))):
+            rep, sources = staged[tag, key]
+            j = add_vertex(tag, rep, key, dist)
+            for src, etag, estab in sources:
                 _edge_insert(edges, eindex, adjacency, etag, src, j, estab,
                              notes)
             frontier.append(j)
@@ -288,7 +234,7 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         if verts[i].tag != "G/U":
             continue
         for tag, rep, etag, estab in candidates(i):
-            found, _ = fams[tag].lookup(rep)
+            found = index.get((tag, handles[tag].key_of(G, rep)))
             if found is not None:
                 _edge_insert(edges, eindex, adjacency, etag, i, found, estab,
                              notes)
@@ -427,13 +373,16 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                              gog.egroup(e).order, notes)
         frontier = nxt
 
-    # induced pass over the boundary so cycle-closing edges are present
-    for i in frontier:
-        for e, _rep, cand in _child_steps(verts[i].rep, fan):
-            j = lookup.find(cand)
-            if j is not None:
-                _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,
-                             gog.egroup(e).order, notes)
+    # induced pass over the boundary so cycle-closing edges are present.
+    # With no relators only exact words match, and a child of a boundary
+    # vertex is never in the ball, so a tree ball has no such edges.
+    if relators:
+        for i in frontier:
+            for e, _rep, cand in _child_steps(verts[i].rep, fan):
+                j = lookup.find(cand)
+                if j is not None:
+                    _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}",
+                                 i, j, gog.egroup(e).order, notes)
 
     return GGraphBall(verts, edges, adjacency, R, notes)
 

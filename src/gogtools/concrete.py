@@ -7,31 +7,27 @@ the coset-graph builder:
     op(x, y), inv(x)    -- multiplication and inverse
     eq(x, y)            -- equality of elements (an equivalence compatible
                            with op)
-    has_canon           -- bool; when True, canon(x) returns a hashable
-                           canonical form constant on equality classes
-    canon(x)            -- canonical form (only meaningful if has_canon)
-    generators          -- default generating list (may be empty)
+    canon(x)            -- a hashable canonical form, constant on equality
+                           classes
 
-Subgroups travel as :class:`SubgroupHandle`: a membership predicate plus,
-when finite, a full element enumeration, and optionally a direct coset-key
-function for the infinite-subgroup cases where cosets still have obvious
-canonical names (e.g. lines in ℤ²).
+Subgroups travel as :class:`SubgroupHandle`: a membership predicate plus a
+way to name cosets, either a full element enumeration (finite subgroups) or
+a direct coset-key function for the infinite-subgroup cases where cosets
+still have obvious canonical names (e.g. lines in ℤ²).  A handle with
+neither is refused at construction.
 """
 
 from __future__ import annotations
 
 from .finite import FiniteGroup
-from .gog import GraphOfGroups, GroupWord, identity_word, reduce_word
+from .gog import GraphOfGroups, identity_word, reduce_word
 
 
 class FiniteConcrete:
     """A finite group table as a concrete group; elements are indices."""
 
-    has_canon = True
-
-    def __init__(self, group: FiniteGroup, generators=None):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.generators = list(generators) if generators is not None else []
 
     @property
     def identity(self):
@@ -53,17 +49,10 @@ class FiniteConcrete:
 class FreeAbelian:
     """Free abelian group of finite rank; elements are integer tuples."""
 
-    has_canon = True
-
-    def __init__(self, rank: int, generators=None):
+    def __init__(self, rank: int):
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         self.rank = rank
-        if generators is None:
-            generators = [
-                tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-            ]
-        self.generators = [tuple(g) for g in generators]
 
     @property
     def identity(self):
@@ -84,19 +73,6 @@ class FreeAbelian:
 
 class MatrixGroup:
     """2×2 integer matrices of determinant 1; elements are ((a,b),(c,d))."""
-
-    has_canon = True
-
-    def __init__(self, generators=None):
-        self.generators = [self._check(m) for m in (generators or [])]
-
-    @staticmethod
-    def _check(m):
-        m = (tuple(m[0]), tuple(m[1]))
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det != 1:
-            raise ValueError(f"matrix {m} has determinant {det}, expected 1")
-        return m
 
     @property
     def identity(self):
@@ -126,62 +102,37 @@ class MatrixGroup:
 
 
 class QuotientWords:
-    """Loops of a graph of groups at a base vertex, modulo the normal closure
-    of a relator set decided by a word-problem callable.
+    """Loops of a graph of groups at a base vertex, as reduced words: the
+    fundamental group, where a reduced word is its own canonical form."""
 
-    ``wp`` takes a loop word and returns True (the word lies in the normal
-    closure), False, or None for "cannot decide", which is surfaced as a
-    ValueError.  With ``wp=None`` the kernel is trivial and reduced words are
-    themselves canonical, so ``has_canon`` flips on.
-    """
-
-    def __init__(self, gog: GraphOfGroups, base: int = 0, wp=None,
-                 generators=None):
+    def __init__(self, gog: GraphOfGroups, base: int = 0):
         self.gog = gog
         self.base = base
-        self.wp = wp
-        self.has_canon = wp is None
-        self.generators = list(generators) if generators is not None else []
 
     @property
     def identity(self):
         return identity_word(self.gog, self.base)
 
-    def _reduce(self, w: GroupWord) -> GroupWord:
-        return reduce_word(w)
-
     def op(self, x, y):
-        return self._reduce(x * y)
+        return reduce_word(x * y)
 
     def inv(self, x):
-        return self._reduce(x.inverse())
+        return reduce_word(x.inverse())
 
     def eq(self, x, y):
-        d = self._reduce(x * y.inverse())
-        if d.is_identity():
-            return True
-        if self.wp is None:
-            return False
-        verdict = self.wp(d)
-        if verdict is None:
-            raise ValueError(
-                f"word-problem oracle could not decide membership for {d!r}"
-            )
-        return verdict
+        return reduce_word(x * y.inverse()).is_identity()
 
     def canon(self, x):
-        return self._reduce(x)
+        return reduce_word(x)
 
 
 class SubgroupHandle:
-    """Subgroup as a membership predicate, with optional finite enumeration
-    and optional direct coset naming.
+    """Subgroup as a membership predicate that can name its left cosets.
 
     ``coset_key(x)`` — when given — must name the left coset x·H canonically.
-    Otherwise, for finite H inside a group with canonical forms, the key is
-    the minimum of canon(x·h) over the enumeration.  When neither route
-    exists, :meth:`key_of` returns None and callers fall back to predicate
-    scans.
+    Otherwise the key is the minimum of canon(x·h) over the enumeration
+    ``elements``.  A handle with neither is refused: :meth:`key_of` always
+    returns a key.
     """
 
     def __init__(self, name: str, contains, elements=None, coset_key=None,
@@ -190,6 +141,11 @@ class SubgroupHandle:
         self.contains = contains
         self.elements = list(elements) if elements is not None else None
         self.coset_key = coset_key
+        if coset_key is None and self.elements is None:
+            raise ValueError(
+                f"subgroup handle {name!r} cannot name its cosets: "
+                "give coset_key or elements"
+            )
         if is_finite is None:
             is_finite = elements is not None
         self.is_finite = bool(is_finite)
@@ -203,13 +159,7 @@ class SubgroupHandle:
     def key_of(self, G, x):
         if self.coset_key is not None:
             return ("ck", self.coset_key(x))
-        if self.elements is not None and G.has_canon:
-            return ("min", min(G.canon(G.op(x, h)) for h in self.elements))
-        return None
-
-    def same_coset(self, G, x, y):
-        """x·H = y·H, decided by membership of x⁻¹y."""
-        return bool(self.contains(G.op(G.inv(x), y)))
+        return ("min", min(G.canon(G.op(x, h)) for h in self.elements))
 
     def __repr__(self):
         size = self.order if self.is_finite else "inf"
@@ -224,10 +174,8 @@ def trivial_handle(G) -> SubgroupHandle:
 
 
 def generated_handle(name: str, G, gens, cap: int = 10 ** 5) -> SubgroupHandle:
-    """Closure of finitely many elements, for provably finite subgroups.
-    Requires canonical forms; aborts past ``cap`` elements."""
-    if not G.has_canon:
-        raise ValueError("generated_handle needs canonical forms to close a set")
+    """Closure of finitely many elements, for provably finite subgroups;
+    aborts past ``cap`` elements."""
     seen = {G.canon(G.identity): G.identity}
     frontier = [G.identity]
     gens = list(gens) + [G.inv(g) for g in gens]

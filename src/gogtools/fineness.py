@@ -352,12 +352,6 @@ class AbelianBallAction:
         self.concrete = FreeAbelian(rank)
         self.identity = self.concrete.identity
 
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
-
     def apply(self, g, i: int):
         v = self.ball.verts[i]
         if v.tag != "G/U":
@@ -382,10 +376,10 @@ class Attachment:
     W/Z machinery and α-replacement consume."""
 
     __slots__ = ("kind", "gamma", "delta", "action", "new_edges", "cones",
-                 "rep_cone", "H", "outside_theorem")
+                 "rep_cone", "outside_theorem")
 
     def __init__(self, kind, gamma, delta, action, new_edges, cones=None,
-                 rep_cone=None, H=None, outside_theorem=False):
+                 rep_cone=None, outside_theorem=False):
         self.kind = kind
         self.gamma = gamma
         self.delta = delta
@@ -393,7 +387,6 @@ class Attachment:
         self.new_edges = tuple(new_edges)
         self.cones = dict(cones or {})
         self.rep_cone = rep_cone
-        self.H = H
         self.outside_theorem = outside_theorem
 
 
@@ -467,11 +460,6 @@ def attach_edge_orbit(action, spec) -> Attachment:
     for x in range(ball.vertex_count()):
         for t in action.transporters(u, x):
             key = H.key_of(G, t)
-            if key is None:
-                raise ValueError(
-                    f"subgroup handle {H.name!r} cannot name cosets "
-                    "(no coset_key and no usable enumeration)"
-                )
             if key not in cones:
                 cones[key] = {"nbrs": set(), "rep": t}
                 order.append(key)
@@ -512,7 +500,7 @@ def attach_edge_orbit(action, spec) -> Attachment:
         for key in order
     }
     return Attachment("uH", ball, delta, action, new_edges, cones=cone_table,
-                      rep_cone=rep_key, H=H, outside_theorem=outside)
+                      rep_cone=rep_key, outside_theorem=outside)
 
 
 def _bfs_path(ball: GGraphBall, src: int, dst: int):

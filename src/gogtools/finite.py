@@ -105,22 +105,12 @@ class FiniteGroup:
     def inverse(self, g):
         return self.inv[g]
 
-    def conj(self, g, x):
-        """x * g * x^-1."""
-        return self.table[self.table[x][g]][self.inv[x]]
-
     def element_order(self, g):
         k, x = 1, g
         while x != self.identity:
             x = self.table[x][g]
             k += 1
         return k
-
-    def name_of(self, g):
-        return self.names[g] if self.names is not None else str(g)
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -152,36 +142,8 @@ class Subgroup:
         if G.order % len(self.elements) != 0:
             raise ValueError("subgroup size does not divide group order")
 
-    def contains(self, g):
-        return g in self._elset
-
-    @property
-    def _elset(self):
-        # lazily cached set for O(1) membership
-        s = getattr(self, "_elset_cache", None)
-        if s is None:
-            s = frozenset(self.elements)
-            self._elset_cache = s
-        return s
-
-    def index(self):
-        return self.parent.order // len(self.elements)
-
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and other.parent is self.parent
-            and other.elements == self.elements
-        )
-
-    def __hash__(self):
-        return hash((id(self.parent), self.elements))
 
     def __repr__(self):
         return f"Subgroup({list(self.elements)})"
@@ -190,8 +152,8 @@ class Subgroup:
 class GroupHom:
     """A map between finite groups as a source-indexed array of target indices.
 
-    Construction does not validate; call :func:`check_hom` (or ``.check()``) to
-    get a verdict plus the first violating pair.
+    Construction does not validate; call :func:`check_hom` to get a verdict
+    plus the first violating pair.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, map):
@@ -206,23 +168,8 @@ class GroupHom:
             if not 0 <= y < target.order:
                 raise ValueError(f"map value {y} out of range")
 
-    def __call__(self, g):
-        return self.map[g]
-
-    def check(self):
-        return check_hom(self)
-
     def is_injective(self):
         return len(set(self.map)) == len(self.map)
-
-    def image(self) -> Subgroup:
-        ok, pair = self.check()
-        if not ok:
-            raise ValueError(f"not a homomorphism, first violation at {pair}")
-        return Subgroup(self.target, set(self.map))
-
-    def preimage(self, y):
-        return [x for x in range(self.source.order) if self.map[x] == y]
 
     def __repr__(self):
         return f"GroupHom({list(self.map)})"
@@ -303,21 +250,6 @@ def left_cosets(G: FiniteGroup, H: Subgroup):
 def left_transversal(G: FiniteGroup, H: Subgroup):
     """Least-index representative per left coset, identity first."""
     return [c[0] if G.identity not in c else G.identity for c in left_cosets(G, H)]
-
-
-def right_cosets(G: FiniteGroup, H: Subgroup):
-    """Partition into right cosets Hg, H first, then by least representative."""
-    if H.parent is not G:
-        raise ValueError("subgroup parent mismatch")
-    seen = set()
-    cosets = []
-    for g in [G.identity] + list(range(G.order)):
-        if g in seen:
-            continue
-        coset = sorted(G.table[h][g] for h in H.elements)
-        cosets.append(coset)
-        seen.update(coset)
-    return cosets
 
 
 def check_hom(h: GroupHom):

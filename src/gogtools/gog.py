@@ -55,9 +55,6 @@ class SerreGraph:
     def bar(self, e: int) -> int:
         return e ^ 1
 
-    def geometric(self, e: int) -> int:
-        return e >> 1
-
     def o(self, e: int) -> int:
         o, t = self.pairs[e >> 1]
         return o if (e & 1) == 0 else t

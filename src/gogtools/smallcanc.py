@@ -141,9 +141,6 @@ class SymmetrizedSet:
     def __len__(self):
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def member_length(self) -> int:
         """Common syllable length of the members (they are all rotations
         of one cyclic word or its inverse)."""
@@ -153,10 +150,6 @@ class SymmetrizedSet:
         return f"SymmetrizedSet({len(self.members)} members, base={self.base!r})"
 
 
-def _word_id(w: GroupWord):
-    return (w.start, w.head, tuple(w.pairs))
-
-
 def symmetrize(r: GroupWord) -> SymmetrizedSet:
     """Smallest symmetrized set containing r: all cyclic rotations of the
     cyclically reduced r and of its inverse, deduplicated."""
@@ -164,7 +157,7 @@ def symmetrize(r: GroupWord) -> SymmetrizedSet:
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
     inv_core, _ = _cyclic_core(reduce_word(core.inverse()))
-    seen = {}
+    seen = set()
     proper = False
     for w0 in (core, inv_core):
         orbit = rotations(w0)
@@ -175,8 +168,8 @@ def symmetrize(r: GroupWord) -> SymmetrizedSet:
                     f"rotation changed length for {w0!r}; cyclic reduction "
                     "is broken"
                 )
-            seen.setdefault(_word_id(w), w)
-    members = sorted(seen.values(), key=lambda w: (w.start, w.key()))
+            seen.add(w)
+    members = sorted(seen, key=lambda w: (w.start, w.key()))
     base = min(members, key=lambda w: w.key())
     S = SymmetrizedSet(r.gog, members, base)
     S.proper_power = proper
@@ -381,7 +374,7 @@ class ThinnessConstant:
     """k = max over 1-cells t of the witness geodesic γ of [G̃_t : G̃_γ],
     and M = k·|r| in syllables.  ``gamma`` lists the crossed edges as
     (step, directed edge, origin Λ-vertex); ``stab_sets`` holds their
-    stabilizers as frozensets of canonical word ids."""
+    stabilizers as frozensets of canonical words."""
 
     def __init__(self, k, r_syllables, gamma, indices, stab_sets=(),
                  note=None):
@@ -448,9 +441,7 @@ def _compute_M(r: GroupWord) -> ThinnessConstant:
         e = cc.pairs[j][0]
         prefix = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
         gamma.append((j, e, gog.graph.o(e)))
-        stabs.append(frozenset(
-            _word_id(w) for w in edge_stabilizer_words(prefix, e)
-        ))
+        stabs.append(frozenset(edge_stabilizer_words(prefix, e)))
     g_gamma = frozenset.intersection(*stabs)
     indices = []
     for s in stabs:

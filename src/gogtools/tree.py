@@ -133,10 +133,6 @@ class TreeBall:
         for i, te in enumerate(self.edges):
             self.eindex[(min(te.u, te.v), max(te.u, te.v))] = i
 
-    @property
-    def center(self):
-        return ("v", 0)
-
     def vertex_count(self) -> int:
         return len(self.verts)
 

@@ -463,6 +463,12 @@ def test_criterion_11_golden_jobs_byte_identical(tmp_path, monkeypatch):
                 seen[str(f.relative_to(workdir))] = hashlib.sha256(
                     f.read_bytes()).hexdigest()
         digests.append(seen)
-    ok = digests[0] == digests[1] == digests[2] and len(digests[0]) > 0
-    _verdict(11, "every golden job byte-identical across 3 reruns",
+    golden = {}
+    recorded = json.loads((REPO / "perfbench" / "digests.json").read_text())
+    for files in recorded["jobs"].values():
+        golden.update(files)
+    ok = (digests[0] == golden
+          and digests[0] == digests[1] == digests[2] and len(digests[0]) > 0)
+    _verdict(11, "every golden job byte-identical to its recorded digests "
+                 "and across 3 reruns",
              ok, f"{len(jobs)} jobs, {len(digests[0])} output files")

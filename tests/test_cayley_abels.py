@@ -106,6 +106,14 @@ def test_cyclic_triangle():
     assert check_ca_conditions(ball)["all_pass"]
 
 
+def test_handle_without_coset_names_refused():
+    # a handle must name its cosets, by key or by enumeration
+    with pytest.raises(ValueError, match="'line'"):
+        SubgroupHandle("line", contains=lambda x: x[1] == 0, is_finite=False)
+    with pytest.raises(ValueError, match="'H'"):
+        SubgroupHandle("H", contains=lambda x: True)
+
+
 def test_coset_ball_cap():
     Z2 = FreeAbelian(2)
     with pytest.raises(CapExceeded):
