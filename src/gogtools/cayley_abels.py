@@ -15,7 +15,8 @@ coned-off plane is "grid ball plus cones".
 
 ``quotient_tree_ball`` quotients the tree-ball construction by the normal
 closure of a relator list, membership being decided by a caller-supplied
-word-problem callable (True / False / None="cannot decide", the last aborts).
+word-problem callable (True / False / None="cannot decide", the last aborts),
+which may be handed words that are not reduced.
 With no relators it reproduces the tree ball verbatim: it walks the tree with
 the child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel; the presentation
@@ -43,7 +44,6 @@ from .gog import (
     GroupWord,
     _own_table,
     identity_word,
-    reduce_word,
     word_to_json,
 )
 from .tree import _child_steps, _fan_table, canonical_coset_word
@@ -253,7 +253,9 @@ class _KernelLookup:
     image(word)·image(G_v)), and ``find`` is one evaluation and one dict
     lookup.  Any other callable, such as the Dehn oracle, gets the scan:
     the first vertex at the same Λ-vertex v whose word w_i has
-    reduce(word·x·w_i⁻¹) in the kernel for some x in G_v.
+    word·x·w_i⁻¹ in the kernel for some x in G_v.  The product is handed
+    to the callable unreduced: a word-problem callable decides an element,
+    whatever word represents it, and the Dehn oracle reduces once itself.
 
     Both give the same index.  Evaluation does not change under
     ``reduce_word``: pinches and the transversal sweep move edge-group
@@ -274,7 +276,7 @@ class _KernelLookup:
         if self.image is not None:
             # image(G_v), once per Λ-vertex
             self.vimage = [
-                sorted({self.image(GroupWord(gog, v, x))
+                sorted({self.image(GroupWord._trusted(gog, v, x))
                         for x in range(gog.vgroup(v).order)})
                 for v in range(gog.graph.num_vertices)
             ]
@@ -314,8 +316,7 @@ class _KernelLookup:
         for w_i, i in self.by_lam.get(v, ()):
             inv_i = w_i.inverse()
             for x in range(gog.vgroup(v).order):
-                d = reduce_word(word * GroupWord(gog, v, x) * inv_i)
-                if self.in_kernel(d):
+                if self.in_kernel(word * GroupWord._trusted(gog, v, x) * inv_i):
                     return i
         return None
 
@@ -330,6 +331,8 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     relators = list(relators)
     if relators and wp is None:
         raise ValueError("nonempty relator list needs a word-problem callable")
+    if not 0 <= base < gog.graph.num_vertices:
+        raise ValueError(f"base vertex {base} out of range")
     _own_table(gog, transversals)
     fan = _fan_table(gog)
     lookup = _KernelLookup(gog, relators, wp)

@@ -187,15 +187,6 @@ def _loop_word(gog, syllables, start=0):
     return GroupWord(gog, start, head, pairs)
 
 
-def _ab_word(gog, exponents, start=0):
-    syl = []
-    side = 0
-    for k in exponents:
-        syl.append((side, k % gog.vgroup(side).order))
-        side = 1 - side
-    return _loop_word(gog, syl, start=start)
-
-
 def _word(gog, desc):
     """Resolve a word descriptor to its canonical form: {"ab": [...]}
     alternating exponents on a two-vertex model, or {"syllables":
@@ -203,14 +194,21 @@ def _word(gog, desc):
     word."""
     if not isinstance(desc, dict):
         raise JobError(f"word descriptor must be an object, got {desc!r}")
+    start = desc.get("start", 0)
+    if not 0 <= start < gog.graph.num_vertices:
+        raise JobError(f"start {start} is not a vertex of the model")
     if "ab" in desc:
-        w = _ab_word(gog, desc["ab"], start=desc.get("start", 0))
+        if gog.graph.num_vertices != 2:
+            raise JobError("'ab' words need a model with exactly two vertices")
+        # exponents alternate between the vertex groups, vertex 0 first
+        syllables = [(i % 2, k % gog.vgroup(i % 2).order)
+                     for i, k in enumerate(desc["ab"])]
     elif "syllables" in desc:
-        w = _loop_word(gog, [tuple(s) for s in desc["syllables"]],
-                       start=desc.get("start", 0))
+        syllables = [tuple(s) for s in desc["syllables"]]
     else:
         raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
-    return word_power(w, desc.get("power", 1))
+    return word_power(_loop_word(gog, syllables, start=start),
+                      desc.get("power", 1))
 
 
 # -- ball families ----------------------------------------------------------

@@ -585,7 +585,7 @@ def _loop_words_upto(gog, max_syllables, start, cap):
             )
         if vertex == start:
             for h in range(G0.order):
-                w = reduce_word(GroupWord(gog, start, h, pairs))
+                w = reduce_word(GroupWord._trusted(gog, start, h, pairs))
                 if w in seen:
                     continue
                 seen.add(w)
@@ -619,7 +619,7 @@ def _random_loop(gog, rng, out_steps, start):
         eb = g.bar(e)
         pairs.append((eb, rng.randrange(gog.vgroup(g.t(eb)).order)))
     head = rng.randrange(gog.vgroup(start).order)
-    return reduce_word(GroupWord(gog, start, head, tuple(pairs)))
+    return reduce_word(GroupWord._trusted(gog, start, head, pairs))
 
 
 def _linear_fit(points):

@@ -320,12 +320,9 @@ class TreeBallAction:
         """Stabilizer of vertex i, enumerated as reduced loop words."""
         w = self.ball.verts[i].rep
         lam = w.end
-        G = self.gog.vgroup(lam)
         winv = self.inv(w)
-        out = []
-        for x in range(G.order):
-            out.append(self.mul(self.mul(w, GroupWord(self.gog, lam, x)), winv))
-        return out
+        return [self.mul(self.mul(w, GroupWord._trusted(self.gog, lam, x)), winv)
+                for x in range(self.gog.vgroup(lam).order)]
 
     def transporters(self, src: int, dst: int):
         """All g with g·src = dst that the ball can certify: Stab(dst)·t."""

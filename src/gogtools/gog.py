@@ -152,6 +152,10 @@ class GroupWord:
 
     ``head`` is g0 in vgroup(start); ``pairs`` is a tuple of (edge, element)
     with each element in vgroup(t(edge)).
+
+    The public constructor checks that the word is a path with every
+    element in range; :meth:`_trusted`, which every word built from valid
+    parts goes through, only stores the fields.
     """
 
     __slots__ = ("gog", "start", "head", "pairs")
@@ -176,6 +180,16 @@ class GroupWord:
             if not 0 <= x < gog.vgroup(at).order:
                 raise ValueError(f"element {x} out of range at vertex {at}")
 
+    @classmethod
+    def _trusted(cls, gog: GraphOfGroups, start: int, head: int, pairs=()):
+        """Store valid parts unchecked, ``pairs`` as a tuple of 2-tuples."""
+        w = object.__new__(cls)
+        w.gog = gog
+        w.start = start
+        w.head = head
+        w.pairs = tuple(map(tuple, pairs))
+        return w
+
     @property
     def end(self) -> int:
         if not self.pairs:
@@ -197,27 +211,23 @@ class GroupWord:
             )
         if not self.pairs:
             G = self.gog.vgroup(self.start)
-            return GroupWord(self.gog, self.start, G.op(self.head, other.head), other.pairs)
+            return GroupWord._trusted(self.gog, self.start,
+                                      G.op(self.head, other.head), other.pairs)
         e_last, x_last = self.pairs[-1]
         G = self.gog.vgroup(self.end)
         merged = self.pairs[:-1] + ((e_last, G.op(x_last, other.head)),) + other.pairs
-        return GroupWord(self.gog, self.start, self.head, merged)
+        return GroupWord._trusted(self.gog, self.start, self.head, merged)
 
     def inverse(self) -> "GroupWord":
         gog = self.gog
         g = gog.graph
-        if not self.pairs:
-            G = gog.vgroup(self.start)
-            return GroupWord(gog, self.start, G.inv[self.head], ())
-        # (g0, (e1,g1),...,(en,gn))^-1 = (gn^-1, (ēn, g_{n-1}^-1), ..., (ē1, g0^-1))
-        elements = [self.head] + [x for _, x in self.pairs]
         verts = [self.start] + [g.t(e) for e, _ in self.pairs]
-        edges = [e for e, _ in self.pairs]
-        new_head = gog.vgroup(verts[-1]).inv[elements[-1]]
-        new_pairs = []
-        for i in range(len(edges) - 1, -1, -1):
-            new_pairs.append((g.bar(edges[i]), gog.vgroup(verts[i]).inv[elements[i]]))
-        return GroupWord(gog, verts[-1], new_head, new_pairs)
+        elements = [self.head] + [x for _, x in self.pairs]
+        invs = [gog.vgroup(v).inv[x] for v, x in zip(verts, elements)]
+        # (g0, (e1,g1),...,(en,gn))^-1 = (gn^-1, (ēn, g_{n-1}^-1), ..., (ē1, g0^-1))
+        pairs = [(g.bar(self.pairs[i][0]), invs[i])
+                 for i in range(len(self.pairs) - 1, -1, -1)]
+        return GroupWord._trusted(gog, verts[-1], invs[-1], pairs)
 
     def key(self):
         """Flat deterministic sort key: edge count, then (vertex, element,
@@ -250,7 +260,7 @@ class GroupWord:
 
 
 def identity_word(gog: GraphOfGroups, v: int) -> GroupWord:
-    return GroupWord(gog, v, gog.vgroup(v).identity, ())
+    return GroupWord._trusted(gog, v, gog.vgroup(v).identity)
 
 
 class Transversals:
@@ -343,7 +353,7 @@ def reduce_word(w: GroupWord) -> GroupWord:
             head = Gm.op(head, corr)
         else:
             items[j - 1][1] = Gm.op(items[j - 1][1], corr)
-    return GroupWord(gog, w.start, head, items)
+    return GroupWord._trusted(gog, w.start, head, items)
 
 
 def words_equal(u: GroupWord, w: GroupWord) -> bool:
@@ -414,7 +424,7 @@ def rotate_once(w: GroupWord) -> GroupWord:
         return w
     items = [list(p) for p in w.pairs]
     start, head = _notch(w.head, items, w.gog)
-    return GroupWord(w.gog, start, head, items)
+    return GroupWord._trusted(w.gog, start, head, items)
 
 
 def cyclically_reduce(w: GroupWord):
@@ -462,7 +472,7 @@ def _cyclic_core(red: GroupWord):
         raise RuntimeError("cyclic reduction failed to stabilize")
     if not steps:
         return red, steps
-    return GroupWord(gog, start, head, items), steps
+    return GroupWord._trusted(gog, start, head, items), steps
 
 
 def _conjugator(red: GroupWord, steps) -> GroupWord:
@@ -476,7 +486,7 @@ def _conjugator(red: GroupWord, steps) -> GroupWord:
     pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
     f_k = steps[-1][1]
     pairs.append((f_k, gog.vgroup(g.t(f_k)).identity))
-    return reduce_word(GroupWord(gog, start, steps[0][0], pairs))
+    return reduce_word(GroupWord._trusted(gog, start, steps[0][0], pairs))
 
 
 # -- word JSON --------------------------------------------------------------
@@ -535,11 +545,11 @@ def hnn_sub(B: FiniteGroup, A_elements, alpha_images) -> GraphOfGroups:
     single geometric loop gives directed edges 0 (the stable letter t,
     inj = α) and 1 (the reverse direction, inj = inclusion), so the Britton
     pinch t⁻¹ · a · t → α(a) holds for a in the domain subgroup."""
-    A_sorted = sorted(A_elements)
+    A_sorted = Subgroup(B, A_elements).elements
     pos = {a: i for i, a in enumerate(A_sorted)}
     table = [[pos[B.table[a][b]] for b in A_sorted] for a in A_sorted]
     A = FiniteGroup(table)
     incl = GroupHom(A, B, A_sorted)
-    am = GroupHom(A, B, [alpha_images[i] for i in range(len(A_sorted))])
+    am = GroupHom(A, B, alpha_images)
     graph = SerreGraph(1, [(0, 0)])
     return GraphOfGroups(graph, [B], [A], [am, incl])

@@ -90,7 +90,7 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
             pairs.extend(w.pairs)
         else:
             head = G.op(head, w.head)
-    return reduce_word(GroupWord(gog, w.start, head, pairs))
+    return reduce_word(GroupWord._trusted(gog, w.start, head, pairs))
 
 
 def positions(w: GroupWord):
@@ -406,7 +406,7 @@ def edge_stabilizer_words(prefix: GroupWord, e: int):
     inv = prefix.inverse()
     out = []
     for c in range(gog.egroup(e).order):
-        h = GroupWord(gog, v_o, emb[c])
+        h = GroupWord._trusted(gog, v_o, emb[c])
         out.append(reduce_word(prefix * h * inv))
     return out
 
@@ -439,7 +439,7 @@ def _compute_M(r: GroupWord) -> ThinnessConstant:
     gamma, stabs = [], []
     for j in range(len(cc.pairs)):
         e = cc.pairs[j][0]
-        prefix = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
+        prefix = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j])
         gamma.append((j, e, gog.graph.o(e)))
         stabs.append(frozenset(edge_stabilizer_words(prefix, e)))
     g_gamma = frozenset.intersection(*stabs)
@@ -484,7 +484,7 @@ class DehnResult:
 def _subword(w: GroupWord, lo: int, hi: int) -> GroupWord:
     """Positions lo..hi of w as a word (position 0 is the head)."""
     v, x, _e = positions(w)[lo]
-    return GroupWord(w.gog, v, x, tuple(w.pairs[lo:hi]))
+    return GroupWord._trusted(w.gog, v, x, w.pairs[lo:hi])
 
 
 def _match_table(S: SymmetrizedSet):
@@ -565,15 +565,15 @@ def _replace(cur, wpos, i, l, member):
     Gv = gog.vgroup(ps[0][0])
     p_elt = Gv.op(wpos[i][1], Gv.inverse(ps[0][1]))
     if i == 0:
-        A_hat = GroupWord(gog, cur.start, p_elt)
+        A_hat = GroupWord._trusted(gog, cur.start, p_elt)
     else:
         e_i = wpos[i][2]
-        A_hat = GroupWord(gog, cur.start, cur.head,
-                          tuple(cur.pairs[:i - 1]) + ((e_i, p_elt),))
+        A_hat = GroupWord._trusted(gog, cur.start, cur.head,
+                                   cur.pairs[:i - 1] + ((e_i, p_elt),))
     Gq = gog.vgroup(ps[l - 1][0])
     q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
-    C_hat = GroupWord(gog, ps[l - 1][0], q_elt,
-                      tuple(cur.pairs[i + l - 1:]))
+    C_hat = GroupWord._trusted(gog, ps[l - 1][0], q_elt,
+                               cur.pairs[i + l - 1:])
     t_comp = reduce_word(u.inverse() * s)
     return A_hat, reduce_word(A_hat * t_comp.inverse() * C_hat)
 
@@ -784,8 +784,8 @@ def _relator_boundary(rel: GroupWord):
     pos = positions(core)
     prefixes, lam = [], []
     for j in range(len(core.pairs)):
-        prefixes.append(GroupWord(core.gog, core.start, core.head,
-                                  tuple(core.pairs[:j])))
+        prefixes.append(GroupWord._trusted(core.gog, core.start, core.head,
+                                           core.pairs[:j]))
         lam.append(pos[j][0])
     return core, prefixes, lam
 
@@ -822,7 +822,7 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
             if v.tag != "T/v0":
                 continue
             for h in range(G0.order):
-                g = reduce_word(v.rep * GroupWord(gog, 0, h))
+                g = reduce_word(v.rep * GroupWord._trusted(gog, 0, h))
                 cycle = []
                 for q in prefixes:
                     idx = lookup.find(canonical_coset_word(g * q))
@@ -863,8 +863,8 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
                             in enumerate(zip(img, oracle._r_inv_image)))
             if img not in oracle._r_subgroup:
                 continue
-        cand = reduce_word(delta * oracle._r_inv_power(s))
-        if oracle.certificate(cand)["in_kernel"]:
+        # certificate reduces the product once
+        if oracle.certificate(delta * oracle._r_inv_power(s))["in_kernel"]:
             return s
     return None
 
@@ -928,14 +928,14 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             else:
                 continue
             q_j = prefixes[j]
-            q_next = GroupWord(gog, core.start, core.head,
-                               tuple(core.pairs[:j + 1]))
+            q_next = GroupWord._trusted(gog, core.start, core.head,
+                                        core.pairs[:j + 1])
             G_o = gog.vgroup(lam_o)
             x_t_inv = x_t.inverse()
             g = None
             for c in range(G_o.order):
                 cand = reduce_word(
-                    x_o * GroupWord(gog, lam_o, c) * q_j.inverse())
+                    x_o * GroupWord._trusted(gog, lam_o, c) * q_j.inverse())
                 # cand·q_next lies in the coset x_t·G_t exactly when the
                 # loop x_t⁻¹·cand·q_next has a normal form without edges
                 if not reduce_word(x_t_inv * cand * q_next).pairs:
@@ -1045,8 +1045,8 @@ def claim_audit(gog, r: GroupWord, m: int,
     collapse_ok = True
     if m >= 2:
         for j in range(p):
-            lhs = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j + p]))
-            q_j = GroupWord(gog, cc.start, cc.head, tuple(cc.pairs[:j]))
+            lhs = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j + p])
+            q_j = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j])
             rhs = reduce_word(core * q_j)
             if not words_equal(lhs, rhs):
                 collapse_ok = False

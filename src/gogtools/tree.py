@@ -111,7 +111,7 @@ def canonical_coset_word(word: GroupWord) -> GroupWord:
     G = gog.vgroup(v)
     best = None
     for g in range(G.order):
-        cand = reduce_word(word * GroupWord(gog, v, g))
+        cand = reduce_word(word * GroupWord._trusted(gog, v, g))
         if best is None or cand.key() < best.key():
             best = cand
     return best
@@ -242,7 +242,8 @@ def _child_steps(w: GroupWord, fan):
     for e in g.edges_at(v):
         ident_t = gog.vgroup(g.t(e)).identity
         for rep, unproven in fan[e]:
-            nf = reduce_word(w * GroupWord(gog, v, rep, [(e, ident_t)]))
+            step = GroupWord._trusted(gog, v, rep, ((e, ident_t),))
+            nf = reduce_word(w * step)
             if len(nf.pairs) == len(w.pairs) + 1:
                 if last in unproven:
                     nf = canonical_coset_word(nf)
@@ -297,8 +298,8 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
                 verts.append(TreeVertex(child, g.t(e), dist))
                 vindex[child] = j
                 adjacency.append([])
-                eword = GroupWord(gog, child.start, child.head,
-                                  child.pairs[:-1])
+                eword = GroupWord._trusted(gog, child.start, child.head,
+                                           child.pairs[:-1])
                 k = len(edges)
                 edges.append(TreeEdge(eword, e, i, j))
                 adjacency[i].append((j, k))
@@ -358,32 +359,23 @@ def stabilizer(cell, ball: TreeBall) -> StabilizerData:
     kind, i = cell
     gog = ball.gog
     g = gog.graph
+    # the Λ-group as (vertex, element) syllables at the cell's own vertex
     if kind == "v":
         tv = ball.verts[i]
         conj = tv.word
         G = gog.vgroup(tv.lam_vertex)
         name = f"vgroup[{tv.lam_vertex}]"
-        gens = range(G.order)
-
-        def embed(x):
-            return GroupWord(gog, tv.lam_vertex, x)
+        local = [(tv.lam_vertex, x) for x in range(G.order)]
     else:
         te = ball.edges[i]
         conj = te.word
         G = gog.egroup(te.lam_edge)
         name = f"egroup[{te.lam_edge >> 1}]"
-        gens = range(G.order)
-        side = g.o(te.lam_edge)
         inj = gog.inj[g.bar(te.lam_edge)]
-
-        def embed(c):
-            return GroupWord(gog, side, inj.map[c])
-
+        local = [(g.o(te.lam_edge), inj.map[c]) for c in range(G.order)]
     inv = reduce_word(conj.inverse())
-    elements = []
-    for x in gens:
-        loop = reduce_word(conj * embed(x) * inv)
-        elements.append(loop)
+    elements = [reduce_word(conj * GroupWord._trusted(gog, v, x) * inv)
+                for v, x in local]
     return StabilizerData(cell, conj, G, name, elements)
 
 

@@ -259,6 +259,12 @@ def test_quotient_needs_wp():
         quotient_tree_ball(gog, [rel], 3)
 
 
+@pytest.mark.parametrize("base", [-1, 2])
+def test_quotient_base_must_be_a_vertex(base):
+    with pytest.raises(ValueError, match="base vertex"):
+        quotient_tree_ball(c2_c2_free(), [], 2, base=base)
+
+
 # -- invariants across radii ------------------------------------------------
 
 

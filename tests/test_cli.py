@@ -208,6 +208,23 @@ def test_unproduced_output_slot_exit_2(tmp_path, monkeypatch, capsys):
     assert "produces no 'off' output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, word, cause", [
+    ("c4c6_free", {"ab": [1, 2], "start": 7}, "start 7 is not a vertex"),
+    ("hnn_c6", {"ab": [1, 2]}, "exactly two vertices"),
+    ("c4c6_free", {"syllables": [[1, 99]]}, "element 99 out of range"),
+])
+def test_bad_word_descriptor_exit_2(tmp_path, monkeypatch, capsys, model,
+                                    word, cause):
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": "symmetrize",
+        "parameters": {"model": model, "word": word},
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == 2
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # -- exit code 3: caps ------------------------------------------------------
 
 

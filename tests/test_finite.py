@@ -56,6 +56,26 @@ def test_associativity_enforced():
         FiniteGroup(t)
 
 
+def test_associativity_exact_above_sampling_range():
+    # C300 x C2 with (a, b) at 2a + b, and an intercalate swapped at rows
+    # 2, 3 x columns 4, 5: still a Latin square with identity 0, but not
+    # associative; 10**4 sampled triples accepted it
+    n = 300
+    t = [[2 * ((a + c) % n) + (b + d) % 2 for c in range(n) for d in range(2)]
+         for a in range(n) for b in range(2)]
+    FiniteGroup(t)
+    t[2][4], t[2][5] = t[2][5], t[2][4]
+    t[3][4], t[3][5] = t[3][5], t[3][4]
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup(t)
+
+
+def test_inverses_read_off_rows():
+    for G in (make_cyclic(7), make_dihedral(5)):
+        for g in range(G.order):
+            assert G.op(g, G.inv[g]) == G.op(G.inv[g], g) == G.identity
+
+
 def test_subgroup_generated():
     C4 = make_cyclic(4)
     assert subgroup_generated(C4, {2}).elements == (0, 2)

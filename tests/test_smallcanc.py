@@ -659,41 +659,50 @@ def test_keyed_lookup_matches_scan_on_complex(R):
 
 
 def _lookup_work(monkeypatch, n, wp_of):
-    """(ball, reductions inside find, evaluations) for the D_n ball."""
+    """(ball, reductions inside find, word-problem calls inside find,
+    evaluations) for the D_n ball."""
     gog, rel, ev = _dihedral(n)
     reductions = _counting(monkeypatch, "reduce_word")
-    in_find, evaluations = [0], [0]
-    find, image = _KernelLookup.find, smallcanc.Evaluation.image
+    in_find, wp_in_find, wp_calls, evaluations = [0], [0], [0], [0]
+    find = _KernelLookup.find
+    image, call = smallcanc.Evaluation.image, smallcanc.Evaluation.__call__
 
     def counted_find(self, word):
-        before = reductions[0]
+        before, wp_before = reductions[0], wp_calls[0]
         try:
             return find(self, word)
         finally:
             in_find[0] += reductions[0] - before
+            wp_in_find[0] += wp_calls[0] - wp_before
 
     def counted_image(self, w):
         evaluations[0] += 1
         return image(self, w)
 
+    def counted_call(self, w):
+        wp_calls[0] += 1
+        return call(self, w)
+
     monkeypatch.setattr(_KernelLookup, "find", counted_find)
     monkeypatch.setattr(smallcanc.Evaluation, "image", counted_image)
+    monkeypatch.setattr(smallcanc.Evaluation, "__call__", counted_call)
     ball = quotient_tree_ball(gog, [rel], n, wp=wp_of(ev))
-    return ball, in_find[0], evaluations[0]
+    return ball, in_find[0], wp_in_find[0], evaluations[0]
 
 
 def test_keyed_lookup_work_bound(monkeypatch):
-    ball, in_find, evaluations = _lookup_work(monkeypatch, 40, lambda ev: ev)
+    ball, in_find, wp_in_find, evaluations = _lookup_work(
+        monkeypatch, 40, lambda ev: ev)
     assert ball.vertex_count() == 80
-    assert in_find == 0
+    assert in_find == 0 and wp_in_find == 0
     assert 0 < evaluations <= 2 * (ball.vertex_count() + ball.edge_count())
 
 
 def test_scan_lookup_work_is_counted(monkeypatch):
-    # the counters above see the scan's reductions when it runs
-    _ball, in_find, _ = _lookup_work(monkeypatch, 10,
-                                     lambda ev: (lambda w: ev(w)))
-    assert in_find > 0
+    # the counters above see the scan's word-problem calls when it runs
+    _ball, _in_find, wp_in_find, _ = _lookup_work(
+        monkeypatch, 10, lambda ev: (lambda w: ev(w)))
+    assert wp_in_find > 0
 
 
 def test_hexagon_complex():
@@ -833,8 +842,10 @@ def test_incidence_work_bound(monkeypatch):
     inc = thinness_incidence(gog, r, 12, 2, oracle=ko)
     assert inc["max_count"] == 6
     assert powers[0] == 0
-    # the per-s word_power search made 43,130 reductions here
-    assert reductions[0] <= 43130 // 4
+    # the per-s word_power search made 43,130 reductions here, and
+    # reducing each disc-stabilizer candidate before certificate reduced
+    # it again made 6,136
+    assert reductions[0] <= 3676
 
 
 def test_kernel_oracle_construction_work_bound(monkeypatch):

@@ -1,0 +1,142 @@
+"""Words built inside the toolkit skip the public checks.
+
+``GroupWord(...)`` checks every field; products, inverses, reductions,
+rotations, powers and tree steps build their results with
+``GroupWord._trusted``, which only stores them.  The property test
+rebuilds every trusted result through the public constructor, so a path
+or range fault in any of those operations fails it; the counter test
+pins that the hot paths build no checked word at all.
+"""
+
+import random
+
+import pytest
+
+from fixtures import (
+    ab_word,
+    c2_c2_free,
+    c4_c6_free,
+    free_rank2,
+    hnn_c6,
+    s3_d4_amalgam,
+    sl2z_gog,
+)
+from gogtools.cayley_abels import quotient_tree_ball
+from gogtools.finite import make_dihedral
+from gogtools.gog import (
+    GroupWord,
+    _cyclic_core,
+    identity_word,
+    reduce_word,
+    rotate_once,
+)
+from gogtools.smallcanc import KernelOracle, evaluation_wp, word_power
+from gogtools.tree import (
+    _child_steps,
+    _fan_table,
+    build_tree_ball,
+    canonical_coset_word,
+)
+
+FIXTURES = [sl2z_gog, c4_c6_free, c2_c2_free, s3_d4_amalgam, hnn_c6,
+            free_rank2]
+
+
+def _walk(gog, rng, n, start, close):
+    """A checked word: n random steps from start with random elements
+    (trivial ones included, so pinches occur), closed back to start when
+    ``close`` is set; every fixture's vertices are adjacent to vertex 0."""
+    g = gog.graph
+    at, pairs = start, []
+    for _ in range(n):
+        e = rng.choice(g.edges_at(at))
+        at = g.t(e)
+        pairs.append((e, rng.randrange(gog.vgroup(at).order)))
+    if close and at != start:
+        e = next(e for e in g.edges_at(at) if g.t(e) == start)
+        pairs.append((e, rng.randrange(gog.vgroup(start).order)))
+    return GroupWord(gog, start, rng.randrange(gog.vgroup(start).order),
+                     pairs)
+
+
+def _recording(monkeypatch):
+    """Every word ``GroupWord._trusted`` returns from now on."""
+    built = []
+    trusted = GroupWord._trusted.__func__
+
+    def recorded(cls, *args):
+        w = trusted(cls, *args)
+        built.append(w)
+        return w
+
+    monkeypatch.setattr(GroupWord, "_trusted", classmethod(recorded))
+    return built
+
+
+@pytest.mark.parametrize("make", FIXTURES)
+def test_trusted_words_pass_the_public_checks(make, monkeypatch):
+    gog = make()
+    rng = random.Random(0x7A57 + FIXTURES.index(make))
+    loops = [_walk(gog, rng, rng.randrange(9), 0, True) for _ in range(12)]
+    opens = [_walk(gog, rng, rng.randrange(1, 6), 0, False)
+             for _ in range(6)]
+    built = _recording(monkeypatch)
+    for u, v in zip(loops, loops[1:]):
+        (u * v).inverse()
+        reduce_word(u * v * u.inverse())
+    for w in opens:
+        reduce_word(w.inverse() * loops[0] * w)
+        canonical_coset_word(reduce_word(w))
+    for u in loops:
+        red = reduce_word(u)
+        if red.is_identity():
+            continue
+        core, _ = _cyclic_core(red)
+        rotate_once(rotate_once(core))
+        for m in range(4):
+            word_power(u, m)
+    fan = _fan_table(gog)
+    for base in range(gog.graph.num_vertices):
+        level = [canonical_coset_word(identity_word(gog, base))]
+        for _ in range(3):
+            level = [child for w in level
+                     for _e, _rep, child in _child_steps(w, fan)]
+            level = rng.sample(level, min(8, len(level)))
+    assert len(built) > 100
+    for w in built:
+        assert type(w.pairs) is tuple
+        assert all(type(p) is tuple and len(p) == 2 for p in w.pairs)
+        again = GroupWord(w.gog, w.start, w.head, w.pairs)
+        assert again == w and hash(again) == hash(w)
+        assert again.key() == w.key()
+
+
+def test_hot_paths_build_no_checked_word(monkeypatch):
+    # inputs first: the D_40 relator and evaluation, the SL2(Z) model, and
+    # a certificate batch of conjugates of r^12 and of raw words over C4∗C6
+    d_gog = c2_c2_free()
+    rel = ab_word(d_gog, [1] * 80)
+    ev = evaluation_wp(d_gog, make_dihedral(40), [[0, 40], [0, 41]])
+    sl2z = sl2z_gog()
+    k_gog = c4_c6_free()
+    ko = KernelOracle(k_gog, ab_word(k_gog, [1, 1, 2, 2, 3, 3]), 12)
+    rng = random.Random(0xC0DE)
+    batch = []
+    for _ in range(6):
+        g = _walk(k_gog, rng, rng.randrange(1, 8), 0, True)
+        batch.append(g * ko.rm * g.inverse())
+        batch.append(_walk(k_gog, rng, rng.randrange(1, 20), 0, True))
+    checked = [0]
+    init = GroupWord.__init__
+
+    def counted(self, *args, **kwargs):
+        checked[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupWord, "__init__", counted)
+    ball = quotient_tree_ball(d_gog, [rel], 40, wp=ev)
+    tree = build_tree_ball(sl2z, 8)
+    verdicts = [ko.certificate(w)["in_kernel"] for w in batch]
+    assert ball.vertex_count() == 80 and len(tree.verts) == 91
+    assert verdicts[0::2] == [True] * 6
+    assert checked[0] == 0

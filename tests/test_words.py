@@ -17,6 +17,7 @@ from gogtools.gog import (
     amalgam,
     cyclically_reduce,
     fix_transversals,
+    hnn_sub,
     identity_word,
     reduce_word,
     syllable_length,
@@ -341,6 +342,14 @@ def test_word_json_rejects_garbage():
         word_from_json(["e", 0], gog)
     with pytest.raises(ValueError):
         word_from_json(["g", 0, 0, "e", 0, "g", 0, 1], gog)  # wrong terminus
+
+
+def test_hnn_sub_rejects_bad_input():
+    C6 = make_cyclic(6)
+    with pytest.raises(ValueError, match="not closed"):
+        hnn_sub(C6, [0, 1], [0, 1])
+    with pytest.raises(ValueError, match="map length"):
+        hnn_sub(C6, [0, 2, 4], [0, 4])
 
 
 # -- normal-form properties over 10^4 samples -------------------------------
