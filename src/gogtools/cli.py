@@ -6,9 +6,8 @@ Conventions
 
       {"command": ..., "parameters": {...}, "output": {"report": PATH, ...}}
 
-  validated against JOBSPEC_SCHEMA below; the same schema ships as
-  ``schema/jobspec.schema.json``.  Extra output slots ("dot", "off",
-  "ball", "complex") hold paths for the renderings a command can emit.
+  Extra output slots ("dot", "off", "ball", "complex") hold paths for
+  the renderings a command can emit.
 * Models, ball families, subgroup handles and words are referenced by
   name or by small descriptor objects and resolved from the registries
   in this module.  An unresolvable reference is a defect of the job
@@ -704,180 +703,8 @@ COMMANDS = {
 
 # -- job schema -------------------------------------------------------------
 
-JOBSPEC_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "gogtools job specification",
-    "type": "object",
-    "required": ["command", "output"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"enum": sorted(COMMANDS)},
-        "output": {
-            "type": "object",
-            "required": ["report"],
-            "additionalProperties": False,
-            "properties": {
-                "report": {"type": "string"},
-                "ball": {"type": "string"},
-                "complex": {"type": "string"},
-                "dot": {"type": "string"},
-                "off": {"type": "string"},
-            },
-        },
-        "parameters": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "model": {"type": "string"},
-                "radius": {"type": "integer", "minimum": 0},
-                "base": {"type": "integer", "minimum": 0},
-                "cap": {"type": "integer", "minimum": 1},
-                "guard": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 0},
-                "m": {"type": "integer", "minimum": 1},
-                "n": {"type": "integer", "minimum": 0},
-                "M": {"type": "integer", "minimum": 0},
-                "power": {"type": "integer", "minimum": 1},
-                "effort": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-                "samples": {"type": "integer", "minimum": 1},
-                "exhaustive_limit": {"type": "integer", "minimum": 0},
-                "lam": {"type": "string", "pattern": "^[0-9]+/[0-9]+$"},
-                "mode": {"enum": ["exhaustive", "sample"]},
-                "variant": {"enum": ["coset", "quotient"]},
-                "family": {"type": "string"},
-                "hypothesis": {"type": "boolean"},
-                "correspondence": {"type": "boolean"},
-                "lengths": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "radii": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                },
-                "ball": {"$ref": "#/$defs/ballspec"},
-                "word": {"$ref": "#/$defs/word"},
-                "relator": {"$ref": "#/$defs/word"},
-                "relators": {"type": "array", "items": {"$ref": "#/$defs/word"}},
-                "words": {"type": "array", "items": {"$ref": "#/$defs/word"}},
-                "wp": {"$ref": "#/$defs/wp"},
-                "action": {"$ref": "#/$defs/action"},
-                "spec": {"$ref": "#/$defs/attachspec"},
-                "attach": {"type": "object"},
-                "compare": {
-                    "type": "object",
-                    "required": ["left", "right"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "left": {"$ref": "#/$defs/ballspec"},
-                        "right": {"$ref": "#/$defs/ballspec"},
-                    },
-                },
-                "u": {"$ref": "#/$defs/locator"},
-                "v": {"$ref": "#/$defs/locator"},
-                "a": {"$ref": "#/$defs/locator"},
-                "b": {"$ref": "#/$defs/locator"},
-                "vertex": {"$ref": "#/$defs/locator"},
-            },
-        },
-    },
-    "$defs": {
-        "ballspec": {
-            "type": "object",
-            "required": ["family"],
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["line", "grid", "coned_plane", "cycle", "tree"]},
-                "radius": {"type": "integer", "minimum": 0},
-                "m": {"type": "integer", "minimum": 3},
-                "model": {"type": "string"},
-            },
-        },
-        "word": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ab": {"type": "array", "items": {"type": "integer"}},
-                "syllables": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-                "power": {"type": "integer", "minimum": 1},
-                "start": {"type": "integer", "minimum": 0},
-            },
-        },
-        "wp": {
-            "type": "object",
-            "required": ["images"],
-            "additionalProperties": False,
-            "properties": {
-                "dihedral": {"type": "integer", "minimum": 1},
-                "cyclic": {"type": "integer", "minimum": 1},
-                "images": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                },
-            },
-        },
-        "locator": {
-            "anyOf": [
-                {"type": "integer", "minimum": 0},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "index": {"type": "integer", "minimum": 0},
-                        "rep": {"type": "array"},
-                        "tag": {"type": "string"},
-                        "key": {"type": "array"},
-                    },
-                },
-            ]
-        },
-        "action": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["tree", "abelian"]},
-                "model": {"type": "string"},
-                "radius": {"type": "integer", "minimum": 0},
-                "ball": {"$ref": "#/$defs/ballspec"},
-            },
-        },
-        "attachspec": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["uv", "uH"]},
-                "u": {"$ref": "#/$defs/locator"},
-                "v": {"$ref": "#/$defs/locator"},
-                "H": {
-                    "anyOf": [
-                        {"enum": ["trivial"]},
-                        {
-                            "type": "object",
-                            "required": ["stab"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "stab": {"type": "integer", "minimum": 0},
-                            },
-                        },
-                    ]
-                },
-            },
-        },
-    },
-}
+with open(os.path.join(os.path.dirname(__file__), "jobspec.schema.json")) as _schema:
+    JOBSPEC_SCHEMA = json.load(_schema)
 
 
 # -- serialization and dispatch ---------------------------------------------

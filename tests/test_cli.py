@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -50,18 +51,27 @@ def tree_spec(**params):
 # -- schema -----------------------------------------------------------------
 
 
-def test_schema_file_in_sync():
-    shipped = json.loads((REPO / "schema" / "jobspec.schema.json").read_text())
-    assert shipped == cli.JOBSPEC_SCHEMA
-
-
 def test_print_schema_round_trips(capsys):
     assert cli.main(["--print-schema", "ignored.json"]) == 0
-    assert json.loads(capsys.readouterr().out) == cli.JOBSPEC_SCHEMA
+    shipped = pathlib.Path(cli.__file__).with_name("jobspec.schema.json")
+    assert capsys.readouterr().out == shipped.read_text()
 
 
 def test_every_command_is_in_the_schema_enum():
     assert sorted(cli.COMMANDS) == cli.JOBSPEC_SCHEMA["properties"]["command"]["enum"]
+
+
+def test_schema_ships_as_package_data(tmp_path):
+    # build_py writes an egg-info next to the sources, so build a copy
+    shutil.copy(REPO / "pyproject.toml", tmp_path)
+    shutil.copytree(REPO / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "build_py", "--build-lib", str(tmp_path / "lib")],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "lib" / "gogtools" / "jobspec.schema.json").is_file()
 
 
 # -- happy path -------------------------------------------------------------
