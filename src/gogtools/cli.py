@@ -191,8 +191,6 @@ def _word(gog, desc):
     alternating exponents on a two-vertex model, or {"syllables":
     [[vertex, element], ...]}; an optional "power" raises the resolved
     word."""
-    if not isinstance(desc, dict):
-        raise JobError(f"word descriptor must be an object, got {desc!r}")
     start = desc.get("start", 0)
     if not 0 <= start < gog.graph.num_vertices:
         raise JobError(f"start {start} is not a vertex of the model")
@@ -221,7 +219,7 @@ def _line_handle():
 
 
 def _build_ball(spec, cap=10 ** 6):
-    fam = spec.get("family")
+    fam = spec["family"]
     if fam == "line":
         Z = FreeAbelian(1)
         return coset_graph_ball(Z, trivial_handle(Z), [(1,)], [],
@@ -238,10 +236,8 @@ def _build_ball(spec, cap=10 ** 6):
         m = spec["m"]
         G = FiniteConcrete(make_cyclic(m))
         return coset_graph_ball(G, trivial_handle(G), [1], [], m, cap=cap)
-    if fam == "tree":
-        gog = _model(spec["model"])
-        return quotient_tree_ball(gog, [], spec["radius"], cap=cap)
-    raise JobError(f"unknown ball family {spec.get('family')!r}")
+    # "tree", the last family the schema allows
+    return quotient_tree_ball(_model(spec["model"]), [], spec["radius"], cap=cap)
 
 
 def _locate(ball, spec):
@@ -275,39 +271,31 @@ def _nested_tuple(x):
 
 
 def _action(spec):
-    kind = spec.get("kind")
-    if kind == "tree":
+    if spec["kind"] == "tree":
         return TreeBallAction(_model(spec["model"]), spec["radius"])
-    if kind == "abelian":
-        return AbelianBallAction(_build_ball(spec["ball"]))
-    raise JobError(f"unknown action kind {kind!r}")
+    return AbelianBallAction(_build_ball(spec["ball"]))
 
 
 def _handle(action, name):
     if name == "trivial":
         return trivial_handle(action.concrete)
-    if isinstance(name, dict) and "stab" in name:
-        elements = action.stab_elements(name["stab"])
-        G = action.concrete
-        return SubgroupHandle(
-            f"stab{name['stab']}",
-            contains=lambda w: any(G.eq(w, h) for h in elements),
-            elements=elements,
-        )
-    raise JobError(f"unknown subgroup handle {name!r}")
+    elements = action.stab_elements(name["stab"])
+    G = action.concrete
+    return SubgroupHandle(
+        f"stab{name['stab']}",
+        contains=lambda w: any(G.eq(w, h) for h in elements),
+        elements=elements,
+    )
 
 
 def _attach(params):
     action = _action(params["action"])
     spec = dict(params["spec"])
-    if spec.get("kind") == "uv":
-        spec["u"] = _locate(action.ball, spec["u"])
+    spec["u"] = _locate(action.ball, spec["u"])
+    if spec["kind"] == "uv":
         spec["v"] = _locate(action.ball, spec["v"])
-    elif spec.get("kind") == "uH":
-        spec["u"] = _locate(action.ball, spec["u"])
-        spec["H"] = _handle(action, spec["H"])
     else:
-        raise JobError(f"unknown attachment kind {spec.get('kind')!r}")
+        spec["H"] = _handle(action, spec["H"])
     return action, attach_edge_orbit(action, spec)
 
 
@@ -357,16 +345,12 @@ def _cmd_build_tree(params, ctx):
 def _ca_ball(params, ctx):
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    variant = params.get("variant")
-    if variant == "coset":
+    if params["variant"] == "coset":
         return _build_ball(params["ball"], cap=cap)
-    if variant == "quotient":
-        gog = _model(params["model"])
-        relators = [_word(gog, d) for d in params.get("relators", [])]
-        wp = _wp(gog, params.get("wp"))
-        return quotient_tree_ball(gog, relators, params["radius"], wp=wp,
-                                  cap=cap)
-    raise JobError(f"build-ca variant must be 'coset' or 'quotient', got {variant!r}")
+    gog = _model(params["model"])
+    relators = [_word(gog, d) for d in params.get("relators", [])]
+    wp = _wp(gog, params.get("wp"))
+    return quotient_tree_ball(gog, relators, params["radius"], wp=wp, cap=cap)
 
 
 def _cmd_build_ca(params, ctx):
@@ -779,7 +763,7 @@ def run(path):
 
     command = spec["command"]
     output = spec["output"]
-    params = spec.get("parameters", {})
+    params = spec["parameters"]
     ctx = {"seeds": {}, "caps": {}}
 
     def emit(result, extras, error=None):

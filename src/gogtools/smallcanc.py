@@ -680,9 +680,10 @@ class KernelOracle:
     invariant there), the Greendlinger length gate — a nontrivial kernel
     word must contain more than (1-3λ*) of a member, so anything shorter
     is certified outside — and finally full Dehn reduction.
-    ``certificate`` names which stage decided.  Dehn reduction refutes
-    only over trivial edge groups; elsewhere its seam matcher is
-    conservative, so a word it gets stuck on raises
+    ``certificate`` names which stage decided.  The length gate and Dehn
+    reduction refute only over trivial edge groups: elsewhere the gate
+    rests on an unverified piece measure and the seam matcher is
+    conservative, so a word either would refute raises
     :class:`UnsupportedInput` instead of coming back False.
 
     The powers r⁻ˢ used by the thinness audit are built on demand, one
@@ -753,6 +754,13 @@ class KernelOracle:
         core, _ = _cyclic_core(red)
         n = syllable_length(core)
         if n > 0 and Fraction(n) <= self.length_gate:
+            if not self.trivial_seams:
+                raise UnsupportedInput(
+                    f"{n} syllables is under the length gate "
+                    f"{self.length_gate}, but over nontrivial edge groups "
+                    "the gate rests on the piece measure of `pieces`, "
+                    "which is unverified there"
+                )
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
         res = _dehn_reduce(red, self.S)

@@ -193,6 +193,36 @@ def test_extra_toplevel_key_rejected(tmp_path, monkeypatch, capsys):
     assert "schema violation" in capsys.readouterr().err
 
 
+_LINE = {"family": "line", "radius": 4}
+
+
+@pytest.mark.parametrize("command, params", [
+    ("build-ca", {"variant": "coset", "ball": {"family": "line"}}),
+    ("build-ca", {"variant": "coset", "ball": {"family": "cycle"}}),
+    ("build-ca", {"variant": "coset", "ball": {"family": "tree", "radius": 2}}),
+    ("build-tree", {"radius": 2}),
+    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
+                "spec": {"kind": "uv", "u": 0}}),
+    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
+                "spec": {"kind": "uH", "u": 0}}),
+    ("attach", {"action": {"kind": "tree", "model": "sl2z"},
+                "spec": {"kind": "uH", "u": 0, "H": "trivial"}}),
+    ("qi", {"attach": {}}),
+    ("fineness", {"family": "line", "v": 1, "k": 2, "radii": [2, 3]}),
+    ("pi1", {"k": 4}),
+])
+def test_missing_required_parameter_is_a_schema_violation(
+        command, params, tmp_path, monkeypatch, capsys):
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": command, "parameters": params,
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "schema violation at $.parameters" in err
+    assert "is a required property" in err
+
+
 def test_unknown_model_exit_2(tmp_path, monkeypatch, capsys):
     rc, _ = run_job(tmp_path, monkeypatch, tree_spec(model="nope"))
     assert rc == 2

@@ -603,6 +603,21 @@ def test_kernel_oracle_no_dehn_refutation_over_nontrivial_edge_groups():
     assert undecided > 0  # the guard is reached on this input
 
 
+def test_kernel_oracle_no_length_gate_refutation_over_nontrivial_edge_groups():
+    # a conjugate of r⁷ Dehn-reduces to b⁴ = b⁻² with area 1, so b² lies in
+    # ⟨⟨r⁷⟩⟩; it is far under the length gate, which therefore must not
+    # refute over hnn_c6's nontrivial edge group
+    gog = hnn_c6()
+    r = GroupWord(gog, 0, 1, [(0, 1), (1, 1), (0, 3)])  # b·t·b·t̄·b·t·b³
+    ko = KernelOracle(gog, r, 7)
+    assert ko.report.lam_star == Fraction(1, 14)
+    c = random_hnn_word(gog, random.Random(0), 5)
+    res = dehn_reduce(c * ko.rm * c.inverse(), ko.S)
+    assert res.area == 1 and words_equal(res.word, GroupWord(gog, 0, 4, []))
+    with pytest.raises(UnsupportedInput, match="piece measure"):
+        ko.certificate(GroupWord(gog, 0, 2, []))
+
+
 # -- presentation complexes -------------------------------------------------
 
 
