@@ -22,6 +22,10 @@ Conventions
   reproduces its outputs.  Every report embeds a provenance block with
   the toolkit version, the SHA-256 of the job file, and the effective
   seeds and caps.
+* Imports happen per command.  At import this module loads only
+  ``errors`` and ``jobschema`` (which checks a job against the shipped
+  ``jobspec.schema.json``); each handler imports the toolkit modules it
+  calls, so a job process loads only what its command uses.
 * Exit codes: 0 success — a finished computation whose verdict is False
   is a success; 2 malformed or schema-invalid job (diagnostic names the
   offending path); 3 a configured cap was exceeded, with a partial
@@ -38,65 +42,8 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import jsonschema
-
-from . import __version__
-from .cayley_abels import (
-    ca_to_dot,
-    ca_to_json,
-    check_ca_conditions,
-    compare_balls_qi,
-    coset_graph_ball,
-    quotient_tree_ball,
-)
-from .complexes import (
-    abelianization,
-    bounded_trivial,
-    dehn_function_sample,
-    hyperbolicity_estimate,
-    link,
-    link_component_correspondence,
-    omega_k,
-    pi1_presentation,
-    to_complex_json,
-    to_off,
-)
-from .concrete import FiniteConcrete, FreeAbelian, SubgroupHandle, trivial_handle
+from . import __version__, jobschema
 from .errors import CapExceeded, UnsupportedInput
-from .fineness import (
-    AbelianBallAction,
-    TreeBallAction,
-    attach_edge_orbit,
-    fineness_report,
-    qi_certificate,
-    verify_wz_containment,
-    wz_chain,
-)
-from .finite import make_cyclic, make_dihedral
-from .gog import (
-    GroupWord,
-    amalgam,
-    free_product,
-    hnn_sub,
-    identity_word,
-    syllable_length,
-    word_to_json,
-)
-from .smallcanc import (
-    KernelOracle,
-    _compute_M,
-    check_cprime,
-    check_M_thin,
-    claim_audit,
-    dehn_reduce,
-    evaluation_wp,
-    presentation_complex_ball,
-    symmetrize,
-    thinness_incidence,
-    thmb_hypothesis,
-    word_power,
-)
-from .tree import build_tree_ball, tree_to_dot, tree_to_json
 
 
 class JobError(ValueError):
@@ -110,29 +57,44 @@ class JobError(ValueError):
 
 
 def _sl2z():
+    from .finite import make_cyclic
+    from .gog import amalgam
+
     C4, C6, C2 = make_cyclic(4), make_cyclic(6), make_cyclic(2)
     return amalgam(C4, C6, C2, [0, 2], [0, 3])
 
 
 def _c4c6_free():
+    from .finite import make_cyclic
+    from .gog import free_product
+
     return free_product(make_cyclic(4), make_cyclic(6))
 
 
 def _c2c2_free():
+    from .finite import make_cyclic
+    from .gog import free_product
+
     return free_product(make_cyclic(2), make_cyclic(2))
 
 
 def _s3_d4():
+    from .finite import make_cyclic, make_dihedral
+    from .gog import amalgam
+
     S3, D4, C2 = make_dihedral(3), make_dihedral(4), make_cyclic(2)
     return amalgam(S3, D4, C2, [0, 3], [0, 2])
 
 
 def _hnn_c6():
+    from .finite import make_cyclic
+    from .gog import hnn_sub
+
     return hnn_sub(make_cyclic(6), [0, 2, 4], [0, 4, 2])
 
 
 def _free_rank2():
-    from .finite import GroupHom
+    from .finite import GroupHom, make_cyclic
     from .gog import GraphOfGroups, SerreGraph
 
     C1 = make_cyclic(1)
@@ -169,6 +131,8 @@ def _edge_between(gog, u, v):
 
 
 def _loop_word(gog, syllables, start=0):
+    from .gog import GroupWord, identity_word
+
     if not syllables:
         return identity_word(gog, start)
     head_v, head_x = syllables[0]
@@ -191,6 +155,8 @@ def _word(gog, desc):
     alternating exponents on a two-vertex model, or {"syllables":
     [[vertex, element], ...]}; an optional "power" raises the resolved
     word."""
+    from .smallcanc import word_power
+
     start = desc.get("start", 0)
     if not 0 <= start < gog.graph.num_vertices:
         raise JobError(f"start {start} is not a vertex of the model")
@@ -212,6 +178,8 @@ def _word(gog, desc):
 
 
 def _line_handle():
+    from .concrete import SubgroupHandle
+
     return SubgroupHandle(
         "line", contains=lambda x: x[1] == 0, coset_key=lambda x: x[1],
         is_finite=False,
@@ -219,6 +187,10 @@ def _line_handle():
 
 
 def _build_ball(spec, cap=10 ** 6):
+    from .cayley_abels import coset_graph_ball, quotient_tree_ball
+    from .concrete import FiniteConcrete, FreeAbelian, trivial_handle
+    from .finite import make_cyclic
+
     fam = spec["family"]
     if fam == "line":
         Z = FreeAbelian(1)
@@ -271,12 +243,16 @@ def _nested_tuple(x):
 
 
 def _action(spec):
+    from .fineness import AbelianBallAction, TreeBallAction
+
     if spec["kind"] == "tree":
         return TreeBallAction(_model(spec["model"]), spec["radius"])
     return AbelianBallAction(_build_ball(spec["ball"]))
 
 
 def _handle(action, name):
+    from .concrete import SubgroupHandle, trivial_handle
+
     if name == "trivial":
         return trivial_handle(action.concrete)
     elements = action.stab_elements(name["stab"])
@@ -289,6 +265,8 @@ def _handle(action, name):
 
 
 def _attach(params):
+    from .fineness import attach_edge_orbit
+
     action = _action(params["action"])
     spec = dict(params["spec"])
     spec["u"] = _locate(action.ball, spec["u"])
@@ -302,6 +280,9 @@ def _attach(params):
 def _wp(gog, spec):
     if spec is None:
         return None
+    from .finite import make_cyclic, make_dihedral
+    from .smallcanc import evaluation_wp
+
     if "dihedral" in spec:
         target = make_dihedral(spec["dihedral"])
     elif "cyclic" in spec:
@@ -326,6 +307,8 @@ def _levels(ball):
 
 
 def _cmd_build_tree(params, ctx):
+    from .tree import build_tree_ball, tree_to_dot, tree_to_json
+
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     ball = build_tree_ball(_model(params["model"]), params["radius"],
@@ -347,6 +330,8 @@ def _ca_ball(params, ctx):
     ctx["caps"]["cap"] = cap
     if params["variant"] == "coset":
         return _build_ball(params["ball"], cap=cap)
+    from .cayley_abels import quotient_tree_ball
+
     gog = _model(params["model"])
     relators = [_word(gog, d) for d in params.get("relators", [])]
     wp = _wp(gog, params.get("wp"))
@@ -354,6 +339,8 @@ def _ca_ball(params, ctx):
 
 
 def _cmd_build_ca(params, ctx):
+    from .cayley_abels import ca_to_dot, ca_to_json
+
     ball = _ca_ball(params, ctx)
     result = {
         "radius": ball.radius,
@@ -367,6 +354,8 @@ def _cmd_build_ca(params, ctx):
 
 
 def _cmd_check_ca(params, ctx):
+    from .cayley_abels import check_ca_conditions
+
     ball = _ca_ball(params, ctx)
     result = check_ca_conditions(ball)
     flags = {k: v["pass"] for k, v in result.items()
@@ -376,6 +365,9 @@ def _cmd_check_ca(params, ctx):
 
 
 def _cmd_fineness(params, ctx):
+    from .cayley_abels import quotient_tree_ball
+    from .fineness import fineness_report
+
     fam = params["family"]
     if fam == "tree":
         gog = _model(params["model"])
@@ -397,6 +389,8 @@ def _cmd_fineness(params, ctx):
 
 
 def _cmd_attach(params, ctx):
+    from .cayley_abels import ca_to_dot, ca_to_json
+
     action, att = _attach(params)
     delta = att.delta
     result = {
@@ -418,6 +412,9 @@ def _cmd_attach(params, ctx):
 
 
 def _cmd_qi(params, ctx):
+    from .cayley_abels import compare_balls_qi
+    from .fineness import qi_certificate
+
     if "attach" in params:
         _, att = _attach(params["attach"])
         result = qi_certificate(att.gamma, att.delta)
@@ -431,6 +428,8 @@ def _cmd_qi(params, ctx):
 
 
 def _cmd_wz_audit(params, ctx):
+    from .fineness import verify_wz_containment, wz_chain
+
     action, att = _attach(params)
     a = _locate(action.ball, params["a"])
     b = _locate(action.ball, params["b"])
@@ -455,6 +454,9 @@ def _cmd_wz_audit(params, ctx):
 
 
 def _cmd_symmetrize(params, ctx):
+    from .gog import word_to_json
+    from .smallcanc import symmetrize
+
     gog = _model(params["model"])
     w = _word(gog, params["word"])
     S = symmetrize(w)
@@ -468,6 +470,8 @@ def _cmd_symmetrize(params, ctx):
 
 
 def _cmd_cprime(params, ctx):
+    from .smallcanc import _compute_M, check_cprime, thmb_hypothesis
+
     gog = _model(params["model"])
     r = _word(gog, params["word"])
     result = check_cprime(r, params["m"], Fraction(params["lam"]), gog)
@@ -478,6 +482,8 @@ def _cmd_cprime(params, ctx):
 
 
 def _cmd_compute_m(params, ctx):
+    from .smallcanc import _compute_M
+
     gog = _model(params["model"])
     tc = _compute_M(_word(gog, params["word"]))
     result = {
@@ -491,6 +497,9 @@ def _cmd_compute_m(params, ctx):
 
 
 def _cmd_dehn(params, ctx):
+    from .gog import syllable_length
+    from .smallcanc import dehn_reduce, symmetrize, word_power
+
     gog = _model(params["model"])
     guard = params.get("guard", 10 ** 6)
     ctx["caps"]["guard"] = guard
@@ -513,6 +522,8 @@ def _cmd_dehn(params, ctx):
 
 
 def _px_complex(params, ctx):
+    from .smallcanc import KernelOracle, presentation_complex_ball
+
     gog = _model(params["model"])
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
@@ -539,6 +550,8 @@ def _complex_summary(X):
 
 
 def _cmd_px_complex(params, ctx):
+    from .complexes import to_complex_json, to_off
+
     X = _px_complex(params, ctx)
     result = _complex_summary(X)
     extras = {"complex": to_complex_json(X), "off": to_off(X)}
@@ -547,6 +560,15 @@ def _cmd_px_complex(params, ctx):
 
 
 def _cmd_m_thin(params, ctx):
+    from .complexes import to_complex_json
+    from .smallcanc import (
+        KernelOracle,
+        _compute_M,
+        check_M_thin,
+        presentation_complex_ball,
+        thinness_incidence,
+    )
+
     gog = _model(params["model"])
     r = _word(gog, params["word"])
     m = params["power"]
@@ -565,6 +587,8 @@ def _cmd_m_thin(params, ctx):
 
 
 def _cmd_claim_audit(params, ctx):
+    from .smallcanc import claim_audit
+
     gog = _model(params["model"])
     r = _word(gog, params["word"])
     result = claim_audit(gog, r, params["power"])
@@ -574,6 +598,8 @@ def _cmd_claim_audit(params, ctx):
 
 
 def _cmd_omega_k(params, ctx):
+    from .complexes import omega_k, to_complex_json, to_off
+
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     ball = _build_ball(params["ball"])
@@ -584,6 +610,8 @@ def _cmd_omega_k(params, ctx):
 
 
 def _cmd_link(params, ctx):
+    from .complexes import link, link_component_correspondence, omega_k
+
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     ball = _build_ball(params["ball"])
@@ -605,6 +633,13 @@ def _cmd_link(params, ctx):
 
 
 def _cmd_pi1(params, ctx):
+    from .complexes import (
+        abelianization,
+        bounded_trivial,
+        omega_k,
+        pi1_presentation,
+    )
+
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     ball = _build_ball(params["ball"])
@@ -626,6 +661,9 @@ def _cmd_pi1(params, ctx):
 
 
 def _cmd_dehn_sample(params, ctx):
+    from .complexes import dehn_function_sample
+    from .smallcanc import KernelOracle, dehn_reduce
+
     gog = _model(params["model"])
     r = _word(gog, params["relator"])
     oracle = KernelOracle(gog, r, params["power"])
@@ -651,6 +689,8 @@ def _cmd_dehn_sample(params, ctx):
 
 
 def _cmd_hyp_estimate(params, ctx):
+    from .complexes import hyperbolicity_estimate
+
     ball = _build_ball(params["ball"])
     seed = params.get("seed", 0xCA1)
     samples = params.get("samples", 20000)
@@ -689,6 +729,7 @@ COMMANDS = {
 
 with open(os.path.join(os.path.dirname(__file__), "jobspec.schema.json")) as _schema:
     JOBSPEC_SCHEMA = json.load(_schema)
+_VALIDATOR = jobschema.Validator(JOBSPEC_SCHEMA)
 
 
 # -- serialization and dispatch ---------------------------------------------
@@ -733,10 +774,8 @@ def _load_job(path):
         raise JobError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    validator = jsonschema.Draft202012Validator(JOBSPEC_SCHEMA)
-    errors = sorted(validator.iter_errors(spec), key=str)
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
+    best = _VALIDATOR.best_match(spec)
+    if best is not None:
         raise JobError(f"{path}: schema violation at {best.json_path}: "
                        f"{best.message}")
     return raw, spec

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import Cell2, TwoComplexBall, cycle_key
 from .errors import UnsupportedInput
 from .gog import (
     GroupWord,
@@ -60,8 +59,6 @@ from .gog import (
     syllable_length,
     words_equal,
 )
-from .cayley_abels import _KernelLookup, quotient_tree_ball
-from .tree import canonical_coset_word
 
 
 # -- loop-word plumbing -----------------------------------------------------
@@ -808,6 +805,10 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     edges is guaranteed to be in range too (endpoint distance + half the
     relator span within the radius).
     """
+    from .cayley_abels import _KernelLookup, quotient_tree_ball
+    from .complexes import Cell2, TwoComplexBall, cycle_key
+    from .tree import canonical_coset_word
+
     relators = list(relators)
     ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0, cap=cap)
     lookup = _KernelLookup(gog, relators, wp)
@@ -917,6 +918,8 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             f"need 2R + |r| + 1 < {oracle.length_gate}"
         )
     if ball is None:
+        from .cayley_abels import quotient_tree_ball
+
         ball = quotient_tree_ball(gog, [oracle.rm], R, wp=oracle.in_kernel,
                                   base=core.start)
     g_graph = gog.graph

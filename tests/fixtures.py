@@ -225,3 +225,59 @@ def hand_ball(edge_list, radius=None, tags=None):
 def cycle_ball(m, **kw):
     """The m-cycle as a hand-built ball."""
     return hand_ball([(i, (i + 1) % m) for i in range(m)], **kw)
+
+
+# -- job files the schema rejects -------------------------------------------
+
+
+def job(command, parameters):
+    """A job file's content that writes its report to out/report.json."""
+    return {"command": command, "parameters": parameters,
+            "output": {"report": "out/report.json"}}
+
+
+_LINE = {"family": "line", "radius": 4}
+
+# (command, parameters) with one required parameter missing
+MISSING_REQUIRED = [
+    ("build-ca", {"variant": "coset", "ball": {"family": "line"}}),
+    ("build-ca", {"variant": "coset", "ball": {"family": "cycle"}}),
+    ("build-ca", {"variant": "coset", "ball": {"family": "tree", "radius": 2}}),
+    ("build-tree", {"radius": 2}),
+    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
+                "spec": {"kind": "uv", "u": 0}}),
+    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
+                "spec": {"kind": "uH", "u": 0}}),
+    ("attach", {"action": {"kind": "tree", "model": "sl2z"},
+                "spec": {"kind": "uH", "u": 0, "H": "trivial"}}),
+    ("qi", {"attach": {}}),
+    ("fineness", {"family": "line", "v": 1, "k": 2, "radii": [2, 3]}),
+    ("pi1", {"k": 4}),
+]
+
+_CPRIME = {"model": "c4c6_free", "word": {"ab": [1, 1, 2, 2, 3, 3]},
+           "m": 12, "lam": "1/12"}
+
+# jobs that validated once and then crashed a handler, with the path the
+# schema violation now names
+CRASH_PROBES = [
+    (job("cprime", dict(_CPRIME, lam="1/0")), "$.parameters.lam"),
+    (job("fineness", {"family": "cycle", "m": 1, "u": 0, "v": 0, "k": 1,
+                      "radii": [1, 2]}), "$.parameters.m"),
+    # integer-valued floats: JSON Schema's own integer type admits them
+    (job("build-tree", {"model": "sl2z", "radius": 2.0}),
+     "$.parameters.radius"),
+    (job("cprime", dict(_CPRIME, m=12.0)), "$.parameters.m"),
+]
+
+# every schema-rejected job the front-end tests use, with its path
+SCHEMA_PROBES = [
+    (job("build-tree", {"model": "sl2z", "radius": -1}),
+     "$.parameters.radius"),
+    (job("frobnicate", {"model": "sl2z", "radius": 3}), "$.command"),
+    (dict(job("build-tree", {"model": "sl2z", "radius": 3}), notes="scribble"),
+     "$"),
+] + [(job(command, params), "$.parameters" + at)
+      for (command, params), at in zip(MISSING_REQUIRED, [
+          ".ball", ".ball", ".ball", "", ".spec", ".spec", ".action",
+          ".attach", "", ""])] + CRASH_PROBES

@@ -131,21 +131,66 @@ def test_seeded_job_reruns_byte_identical(tmp_path, monkeypatch):
     assert report["provenance"]["seeds"] == {"seed": 3233}
 
 
-def test_console_entry_point_subprocess(tmp_path):
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(tree_spec()) + "\n")
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such as
+def _child_env():
+    # A child runs in tmp_path, where a relative PYTHONPATH entry such as
     # "src" resolves to nothing; put the absolute directory holding the
     # gogtools under test in front so the child imports that very package.
     package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_entry_point_subprocess(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(tree_spec()) + "\n")
     proc = subprocess.run([sys.executable, "-m", "gogtools.cli", str(path)],
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "build-tree:" in proc.stdout
     assert (tmp_path / "out" / "report.json").exists()
+
+
+# -- import footprint: a job loads only the modules its command uses --------
+
+_LOADED_MODULES = """\
+import sys
+from gogtools import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def _loaded_modules(tmp_path, *argv):
+    """The modules a fresh process has loaded after ``gogtool ARGV``."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "jsonschema" not in loaded
+    return loaded
+
+
+@pytest.mark.parametrize("argv", [(), ("--print-schema",)],
+                         ids=["import", "print-schema"])
+def test_front_end_loads_no_toolkit_module(tmp_path, argv):
+    loaded = _loaded_modules(tmp_path, *argv)
+    assert {name for name in loaded if name.startswith("gogtools")} == {
+        "gogtools", "gogtools.cli", "gogtools.errors", "gogtools.jobschema"}
+
+
+@pytest.mark.parametrize("job, used, unused", [
+    ("tree_sl2z", "tree", ["smallcanc", "complexes", "fineness"]),
+    ("cprime_r12", "smallcanc", ["cayley_abels", "complexes", "tree"]),
+])
+def test_job_loads_only_the_modules_it_uses(tmp_path, job, used, unused):
+    loaded = _loaded_modules(tmp_path, str(JOBS / f"{job}.json"))
+    assert f"gogtools.{used}" in loaded
+    assert not {f"gogtools.{name}" for name in unused} & loaded
 
 
 def test_shipped_jobs_all_run_clean(tmp_path, monkeypatch):
@@ -193,24 +238,7 @@ def test_extra_toplevel_key_rejected(tmp_path, monkeypatch, capsys):
     assert "schema violation" in capsys.readouterr().err
 
 
-_LINE = {"family": "line", "radius": 4}
-
-
-@pytest.mark.parametrize("command, params", [
-    ("build-ca", {"variant": "coset", "ball": {"family": "line"}}),
-    ("build-ca", {"variant": "coset", "ball": {"family": "cycle"}}),
-    ("build-ca", {"variant": "coset", "ball": {"family": "tree", "radius": 2}}),
-    ("build-tree", {"radius": 2}),
-    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
-                "spec": {"kind": "uv", "u": 0}}),
-    ("attach", {"action": {"kind": "abelian", "ball": _LINE},
-                "spec": {"kind": "uH", "u": 0}}),
-    ("attach", {"action": {"kind": "tree", "model": "sl2z"},
-                "spec": {"kind": "uH", "u": 0, "H": "trivial"}}),
-    ("qi", {"attach": {}}),
-    ("fineness", {"family": "line", "v": 1, "k": 2, "radii": [2, 3]}),
-    ("pi1", {"k": 4}),
-])
+@pytest.mark.parametrize("command, params", fixtures.MISSING_REQUIRED)
 def test_missing_required_parameter_is_a_schema_violation(
         command, params, tmp_path, monkeypatch, capsys):
     rc, _ = run_job(tmp_path, monkeypatch, {
@@ -221,6 +249,16 @@ def test_missing_required_parameter_is_a_schema_violation(
     err = capsys.readouterr().err
     assert "schema violation at $.parameters" in err
     assert "is a required property" in err
+
+
+@pytest.mark.parametrize("spec, path", fixtures.CRASH_PROBES,
+                         ids=["lam-1/0", "cycle-m1", "radius-2.0", "m-12.0"])
+def test_schema_rejects_what_a_handler_cannot_run(spec, path, tmp_path,
+                                                  monkeypatch, capsys):
+    rc, _ = run_job(tmp_path, monkeypatch, spec)
+    assert rc == 2
+    assert f"schema violation at {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_unknown_model_exit_2(tmp_path, monkeypatch, capsys):
