@@ -35,11 +35,9 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import __version__, jobschema
@@ -751,7 +749,14 @@ def _atomic_write(path, text):
     target = os.path.abspath(path)
     d = os.path.dirname(target)
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".gogtool-")
+    n = 0
+    while True:
+        tmp = os.path.join(d, f".gogtool-{os.getpid()}-{n}")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+            break
+        except FileExistsError:
+            n += 1
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -782,6 +787,8 @@ def _load_job(path):
 
 
 def _provenance(raw, spec, ctx):
+    import hashlib
+
     return {
         "tool": "gogtools",
         "version": __version__,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CapExceeded
 from .gog import GroupWord, identity_word, reduce_word, syllable_length
@@ -718,51 +717,75 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
 
     For a vertex quadruple, sort the three pairings d(a,b)+d(c,d) into
     s₁ ≥ s₂ ≥ s₃; the quadruple's defect is (s₁−s₂)/2 and the estimate
-    is the max over quadruples — exhaustive below ``exhaustive_limit``
-    vertices, seeded sampling above.  The answer is labeled ESTIMATE:
-    a ball can only ever bound δ from below.
+    is the max over quadruples, the first best one the witness —
+    exhaustive up to ``exhaustive_limit`` vertices and always below 4,
+    seeded sampling above.  The answer is labeled ESTIMATE: a ball can
+    only ever bound δ from below.  ``quadruples`` counts the quadruples
+    the answer covers.
+
+    Two bounds cover those never evaluated.  A tree (n − 1 edges) has
+    every defect 0.  For a pair xy outside the largest pairing, say ac
+    against ab+cd, ab + cd ≤ (ac + cb) + (ca + ad), so the defect is at
+    most 2·d(x,y).  Each of ab, ac, bc lies in a different pairing, so
+    two lie outside the largest, and the lesser of those two is at most
+    the middle of the three.  The exhaustive search therefore skips every
+    d after a < b < c when 2·mid(d(a,b), d(a,c), d(b,c)) ≤ the best so far.
     """
     n = len(ball.verts)
     if n == 0:
         raise ValueError("empty ball")
+    exhaustive = n <= exhaustive_limit or n < 4
+    report = {"delta": Fraction(0), "label": "ESTIMATE",
+              "method": "exhaustive" if exhaustive else "sampled",
+              "witness": None, "vertices": n,
+              "quadruples": math.comb(n, 4) if exhaustive else samples}
+    if not exhaustive:
+        report["seed"] = seed
+    tree = sum(map(len, ball.adjacency)) == 2 * (n - 1)
     D = []
-    for i in range(n):
-        d = ball.distances(i)
-        if len(d) != n:
-            raise ValueError(
-                f"ball is disconnected: vertex {i} reaches {len(d)} of {n}"
-            )
-        D.append([d[j] for j in range(n)])
-
-    def defect(a, b, c, e):
-        sums = sorted((D[a][b] + D[c][e], D[a][c] + D[b][e],
-                       D[a][e] + D[b][c]), reverse=True)
-        return sums[0] - sums[1]
-
-    best = 0
-    witness = None
-    count = 0
-    if n <= exhaustive_limit:
-        method = "exhaustive"
-        for quad in combinations(range(n), 4):
-            count += 1
-            m = defect(*quad)
-            if m > best:
-                best, witness = m, quad
+    for src in range(1 if tree else n):
+        row = [-1] * n
+        row[src] = 0
+        queue = [src]
+        for x in queue:
+            for y, _ in ball.adjacency[x]:
+                if row[y] < 0:
+                    row[y] = row[x] + 1
+                    queue.append(y)
+        if len(queue) != n:
+            raise ValueError(f"ball is disconnected: vertex {src} reaches "
+                             f"{len(queue)} of {n}")
+        D.append(row)
+    if tree:
+        return report
+    best, witness = 0, None
+    if exhaustive:
+        for a in range(n):
+            Da = D[a]
+            for b in range(a + 1, n):
+                Db, ab = D[b], Da[b]
+                for c in range(b + 1, n):
+                    Dc, ac, bc = D[c], Da[c], Db[c]
+                    lo, hi = (ab, ac) if ab < ac else (ac, ab)
+                    if 2 * (hi if bc > hi else lo if bc < lo else bc) <= best:
+                        continue
+                    for d in range(c + 1, n):
+                        s1, s2, s3 = ab + Dc[d], ac + Db[d], Da[d] + bc
+                        if s1 < s2:
+                            s1, s2 = s2, s1
+                        m = s3 - s1 if s3 > s1 else s1 - (s3 if s3 > s2 else s2)
+                        if m > best:
+                            best, witness = m, (a, b, c, d)
     else:
-        method = "sampled"
         rng = random.Random(seed)
         for _ in range(samples):
             quad = tuple(rng.sample(range(n), 4))
-            count += 1
-            m = defect(*quad)
-            if m > best:
-                best, witness = m, quad
-    report = {"delta": Fraction(best, 2), "label": "ESTIMATE",
-              "method": method, "witness": witness, "vertices": n,
-              "quadruples": count}
-    if method == "sampled":
-        report["seed"] = seed
+            a, b, c, d = quad
+            s = sorted((D[a][b] + D[c][d], D[a][c] + D[b][d],
+                        D[a][d] + D[b][c]))
+            if s[2] - s[1] > best:
+                best, witness = s[2] - s[1], quad
+    report["delta"], report["witness"] = Fraction(best, 2), witness
     return report
 
 

@@ -376,43 +376,51 @@ def syllable_length(w: GroupWord) -> int:
     return n
 
 
+def _sweep(head, start, items, j, corr, gog: GraphOfGroups):
+    """Multiply ``corr`` into items[j] and restore the transversal form
+    leftward in place, up to the first trivial correction (the pairs to its
+    left are canonical already); return the corrected head at ``start``."""
+    g = gog.graph
+    decomp = gog.transversals.decomp
+    while j >= 0:
+        e, x = items[j]
+        x = gog.vgroup(g.t(e)).op(x, corr)
+        c, rep = decomp[e][x]
+        items[j] = (e, rep)
+        if rep == x:
+            return head
+        corr = gog.inj[g.bar(e)].map[c]
+        j -= 1
+    return gog.vgroup(start).op(head, corr)
+
+
 def _notch(head, items, gog: GraphOfGroups):
     """Rotate the canonical loop ``head, items`` by one edge step, in
     place; return (new start vertex, new head).  ``items`` is a list of
-    [edge, element] lists with at least one entry.
+    (edge, element) pairs with at least one entry.
 
     Only the seam changes: the old head merges into the last pair, which
     is the one place the returning first edge can pinch.  The transversal
-    sweep then runs leftward from the changed pair and stops at the first
-    identity correction, because every pair to its left is canonical
-    already.  Over trivial edge groups a notch is O(1) plus the shift."""
+    sweep then runs leftward from the changed pair (:func:`_sweep`).
+    Over trivial edge groups a notch is O(1) plus the shift."""
     g = gog.graph
-    decomp = gog.transversals.decomp
     e1, new_head = items.pop(0)
     v1 = g.t(e1)
     G1 = gog.vgroup(v1)
     if not items:
-        items.append([e1, G1.identity])
+        items.append((e1, G1.identity))
         return v1, G1.op(new_head, head)
     e_n, x_n = items[-1]
     seam = gog.vgroup(g.t(e_n)).op(x_n, head)
     if e1 == g.bar(e_n) and seam in gog.image(e_n):
         # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
         items.pop()
+        decomp = gog.transversals.decomp
         j, corr = len(items) - 1, gog.inj[e1].map[decomp[e_n][seam][0]]
     else:
-        items.append([e1, G1.identity])
+        items.append((e1, G1.identity))
         j, corr = len(items) - 2, head
-    while j >= 0:
-        e, x = items[j]
-        x = gog.vgroup(g.t(e)).op(x, corr)
-        c, rep = decomp[e][x]
-        items[j][1] = rep
-        if rep == x:
-            return v1, new_head
-        corr = gog.inj[g.bar(e)].map[c]
-        j -= 1
-    return v1, G1.op(new_head, corr)
+    return v1, _sweep(new_head, v1, items, j, corr, gog)
 
 
 def rotate_once(w: GroupWord) -> GroupWord:
@@ -422,7 +430,7 @@ def rotate_once(w: GroupWord) -> GroupWord:
     result is again canonical."""
     if not w.pairs:
         return w
-    items = [list(p) for p in w.pairs]
+    items = list(w.pairs)
     start, head = _notch(w.head, items, w.gog)
     return GroupWord._trusted(w.gog, start, head, items)
 
@@ -454,7 +462,7 @@ def _cyclic_core(red: GroupWord):
     gog = red.gog
     g = gog.graph
     start, head = red.start, red.head
-    items = [list(p) for p in red.pairs]
+    items = list(red.pairs)
     steps = []
     for _ in range(len(items) + 2):
         if not items:

@@ -31,6 +31,7 @@ from .gog import (
     GraphOfGroups,
     GroupWord,
     _own_table,
+    _sweep,
     identity_word,
     reduce_word,
     word_to_json,
@@ -108,6 +109,9 @@ def degree_formula(gog: GraphOfGroups, v: int) -> int:
 def canonical_coset_word(word: GroupWord) -> GroupWord:
     """Minimum of reduce(word·g) over g in the vertex group at word.end."""
     gog, v = word.gog, word.end
+    if not word.pairs:
+        # reduce(word·g) is the bare element head·g, least at element 0
+        return GroupWord._trusted(gog, v, 0)
     G = gog.vgroup(v)
     best = None
     for g in range(G.order):
@@ -234,20 +238,26 @@ def _child_steps(w: GroupWord, fan):
     farther from the center, as (e, rep, canonical child word) in edge then
     fan order; the one step that folds back toward the center is skipped.
     The reduced word w·rep·e·1 is the canonical child except on the steps
-    :func:`_fan_table` could not prove."""
+    :func:`_fan_table` could not prove.  Only the seam is rewritten: rep
+    merges into the last element x of w; the step folds back exactly when
+    e reverses the last edge k and x·rep lies in im(k), and otherwise
+    ``gog._sweep`` restores the transversal form from there leftward."""
     gog = w.gog
     g = gog.graph
     v = w.end
-    last = w.pairs[-1][0] if w.pairs else None
+    last, x = w.pairs[-1] if w.pairs else (None, None)
     for e in g.edges_at(v):
         ident_t = gog.vgroup(g.t(e)).identity
         for rep, unproven in fan[e]:
-            step = GroupWord._trusted(gog, v, rep, ((e, ident_t),))
-            nf = reduce_word(w * step)
-            if len(nf.pairs) == len(w.pairs) + 1:
-                if last in unproven:
-                    nf = canonical_coset_word(nf)
-                yield e, rep, nf
+            if g.bar(e) == last and gog.vgroup(v).op(x, rep) in gog.image(last):
+                continue
+            items = list(w.pairs)
+            head = _sweep(w.head, w.start, items, len(items) - 1, rep, gog)
+            items.append((e, ident_t))
+            nf = GroupWord._trusted(gog, w.start, head, items)
+            if last in unproven:
+                nf = canonical_coset_word(nf)
+            yield e, rep, nf
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from gogtools.finite import make_cyclic, make_dihedral
 from gogtools.gog import (
@@ -111,6 +112,23 @@ def random_hnn_word(gog, rng: random.Random, max_letters=10):
         e = rng.randrange(2)
         pairs.append((e, rng.randrange(B.order)))
     return GroupWord(gog, 0, head, pairs)
+
+
+def counting(monkeypatch, module, name):
+    """Replace every gogtools binding of ``module.name`` with a wrapper
+    that counts its calls; returns the one-element call-count list."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith("gogtools")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # -- faithful matrix oracle for the SL2(Z) fixture --------------------------

@@ -131,6 +131,22 @@ def test_seeded_job_reruns_byte_identical(tmp_path, monkeypatch):
     assert report["provenance"]["seeds"] == {"seed": 3233}
 
 
+def test_hyp_estimate_small_ball_below_limit(tmp_path, monkeypatch):
+    # a ball of fewer than 4 vertices has no quadruple to sample
+    spec = {
+        "command": "hyp-estimate",
+        "parameters": {"ball": {"family": "cycle", "m": 3},
+                       "exhaustive_limit": 0},
+        "output": {"report": "out/report.json"},
+    }
+    rc, _ = run_job(tmp_path, monkeypatch, spec)
+    assert rc == 0
+    result = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "result"]
+    assert result["method"] == "exhaustive"
+    assert result["delta"] == "0" and result["quadruples"] == 0
+
+
 def _child_env():
     # A child runs in tmp_path, where a relative PYTHONPATH entry such as
     # "src" resolves to nothing; put the absolute directory holding the
@@ -164,9 +180,10 @@ sys.exit(code)
 """
 
 
-def _loaded_modules(tmp_path, *argv):
+def _loaded_modules(tmp_path, *argv, flags=()):
     """The modules a fresh process has loaded after ``gogtool ARGV``."""
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", _LOADED_MODULES,
+                           *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -181,6 +198,12 @@ def test_front_end_loads_no_toolkit_module(tmp_path, argv):
     loaded = _loaded_modules(tmp_path, *argv)
     assert {name for name in loaded if name.startswith("gogtools")} == {
         "gogtools", "gogtools.cli", "gogtools.errors", "gogtools.jobschema"}
+
+
+def test_print_schema_loads_no_digest_or_tempfile_module(tmp_path):
+    # -S: a site hook of the host may import tempfile before gogtools runs
+    loaded = _loaded_modules(tmp_path, "--print-schema", flags=("-S",))
+    assert not {"hashlib", "tempfile"} & loaded
 
 
 @pytest.mark.parametrize("job, used, unused", [

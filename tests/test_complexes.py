@@ -7,7 +7,9 @@ checked against the corner count identity, and Euler characteristics of
 the disc-shaped fixtures pinned to 1.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -497,8 +499,125 @@ def test_hyp_sampled_mode_deterministic():
 
 def test_hyp_disconnected_raises():
     ball = hand_ball([(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 0 reaches 2 of 4"):
         hyperbolicity_estimate(ball)
+
+
+def oracle_hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
+                                  samples=20000):
+    """The estimate as first written: dict BFS distances and the defect
+    of every quadruple, exhaustive or sampled, with no bound."""
+    n = len(ball.verts)
+    if n == 0:
+        raise ValueError("empty ball")
+    D = []
+    for i in range(n):
+        d = ball.distances(i)
+        if len(d) != n:
+            raise ValueError(
+                f"ball is disconnected: vertex {i} reaches {len(d)} of {n}"
+            )
+        D.append([d[j] for j in range(n)])
+
+    def defect(a, b, c, e):
+        sums = sorted((D[a][b] + D[c][e], D[a][c] + D[b][e],
+                       D[a][e] + D[b][c]), reverse=True)
+        return sums[0] - sums[1]
+
+    best = 0
+    witness = None
+    count = 0
+    if n <= exhaustive_limit:
+        method = "exhaustive"
+        for quad in combinations(range(n), 4):
+            count += 1
+            m = defect(*quad)
+            if m > best:
+                best, witness = m, quad
+    else:
+        method = "sampled"
+        rng = random.Random(seed)
+        for _ in range(samples):
+            quad = tuple(rng.sample(range(n), 4))
+            count += 1
+            m = defect(*quad)
+            if m > best:
+                best, witness = m, quad
+    report = {"delta": Fraction(best, 2), "label": "ESTIMATE",
+              "method": method, "witness": witness, "vertices": n,
+              "quadruples": count}
+    if method == "sampled":
+        report["seed"] = seed
+    return report
+
+
+def _random_connected_ball(rng, n, kind):
+    """A tree, a cycle, or either with chords, on n shuffled vertices."""
+    if n == 1:
+        return line_ball(0)
+    if kind.startswith("cycle") and n >= 3:
+        edges = {(i, (i + 1) % n) for i in range(n)}
+    else:
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+    if kind.endswith("chords"):
+        for _ in range(rng.randint(1, n)):
+            edges.add(tuple(rng.sample(range(n), 2)))
+    label = list(range(n))
+    rng.shuffle(label)
+    simple = {(min(label[u], label[v]), max(label[u], label[v]))
+              for u, v in edges}
+    return hand_ball(sorted(simple))
+
+
+def test_hyp_matches_unpruned_oracle_on_random_graphs():
+    rng = random.Random(0xD17A)
+    kinds = ("tree", "cycle", "tree+chords", "cycle+chords")
+    methods = set()
+    for _ in range(300):
+        n = rng.randint(1, 45)
+        ball = _random_connected_ball(rng, n, rng.choice(kinds))
+        assert len(ball.verts) == n
+        exhaustive = rng.random() < (0.5 if n <= 24 else 0.08)
+        step = rng.randrange(3)
+        limit = n + step if exhaustive else n - 1 - step
+        kwargs = {"seed": rng.randrange(1 << 16),
+                  "samples": rng.choice((0, 1, 50, 400))}
+        got = hyperbolicity_estimate(ball, exhaustive_limit=limit, **kwargs)
+        # a ball of fewer than 4 vertices is searched exhaustively
+        want = oracle_hyperbolicity_estimate(
+            ball, exhaustive_limit=limit if n >= 4 else n, **kwargs)
+        assert got == want
+        methods.add((got["method"], got["delta"] > 0))
+    assert methods == {("exhaustive", False), ("exhaustive", True),
+                       ("sampled", False), ("sampled", True)}
+
+
+@pytest.mark.parametrize("name", ["D10", "D20", "grid3"])
+def test_hyp_matches_unpruned_oracle_on_balls(name):
+    from gogtools.cayley_abels import quotient_tree_ball
+
+    if name == "grid3":
+        ball = plain_grid_ball(3)
+    else:
+        n = int(name[1:])
+        gog = c2_c2_free()
+        ev = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
+        ball = quotient_tree_ball(gog, [ab_word(gog, [1] * (2 * n))], n,
+                                  wp=ev)
+    size = len(ball.verts)
+    for limit in (size - 1, size, 40):
+        for seed in (0xCA1, 7):
+            kwargs = {"seed": seed, "exhaustive_limit": limit,
+                      "samples": 3000}
+            assert (hyperbolicity_estimate(ball, **kwargs)
+                    == oracle_hyperbolicity_estimate(ball, **kwargs))
+
+
+def test_hyp_small_ball_below_limit_is_exhaustive():
+    for ball in (line_ball(0), hand_ball([(0, 1)]), cycle_ball(3)):
+        rep = hyperbolicity_estimate(ball, exhaustive_limit=0)
+        assert rep["method"] == "exhaustive" and rep["quadruples"] == 0
+        assert rep["delta"] == 0 and rep["witness"] is None
 
 
 # -- exports -----------------------------------------------------------------

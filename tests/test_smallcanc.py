@@ -9,7 +9,6 @@ back to a product-of-conjugates witness.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from fixtures import (
     ab_word,
     c2_c2_free,
     c4_c6_free,
+    counting,
     hnn_c6,
     loop_word,
     random_amalgam_word,
@@ -485,27 +485,10 @@ def test_dehn_areas_scale_with_conjugate_count():
     assert areas[0] <= areas[1] <= areas[2]
 
 
-def _counting(monkeypatch, name):
-    """Replace every gogtools binding of ``name`` with a wrapper that counts
-    its calls; returns the one-element call-count list."""
-    calls = [0]
-    original = getattr(smallcanc, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name.startswith("gogtools")
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_piece_report_computed_once_per_set(monkeypatch):
     gog, r, r12, S = _kernel_setup()
-    reports = _counting(monkeypatch, "_piece_report")
-    tables = _counting(monkeypatch, "_build_match_table")
+    reports = counting(monkeypatch, smallcanc, "_piece_report")
+    tables = counting(monkeypatch, smallcanc, "_build_match_table")
     g = ab_word(gog, [2, 3])
     w = reduce_word(g * r12 * g.inverse())
     assert dehn_reduce(w, S).is_trivial
@@ -677,7 +660,7 @@ def _lookup_work(monkeypatch, n, wp_of):
     """(ball, reductions inside find, word-problem calls inside find,
     evaluations) for the D_n ball."""
     gog, rel, ev = _dihedral(n)
-    reductions = _counting(monkeypatch, "reduce_word")
+    reductions = counting(monkeypatch, smallcanc, "reduce_word")
     in_find, wp_in_find, wp_calls, evaluations = [0], [0], [0], [0]
     find = _KernelLookup.find
     image, call = smallcanc.Evaluation.image, smallcanc.Evaluation.__call__
@@ -852,8 +835,8 @@ def test_incidence_work_bound(monkeypatch):
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
-    powers = _counting(monkeypatch, "word_power")
-    reductions = _counting(monkeypatch, "reduce_word")
+    powers = counting(monkeypatch, smallcanc, "word_power")
+    reductions = counting(monkeypatch, smallcanc, "reduce_word")
     inc = thinness_incidence(gog, r, 12, 2, oracle=ko)
     assert inc["max_count"] == 6
     assert powers[0] == 0
@@ -866,7 +849,7 @@ def test_incidence_work_bound(monkeypatch):
 def test_kernel_oracle_construction_work_bound(monkeypatch):
     gog = _free()
     r = _relator(gog)
-    reductions = _counting(monkeypatch, "reduce_word")
+    reductions = counting(monkeypatch, smallcanc, "reduce_word")
     counts = []
     for m in (48, 96):
         reductions[0] = 0

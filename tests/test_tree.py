@@ -14,6 +14,7 @@ from fixtures import (
     ab_word,
     c2_c2_free,
     c4_c6_free,
+    counting,
     free_rank2,
     hnn_c6,
     random_amalgam_word,
@@ -197,6 +198,56 @@ def test_child_steps_keep_canonicalization_where_unproven():
         bypassed += raw != child
     # the fallback is what makes those children canonical
     assert bypassed > 0
+
+
+def oracle_child_steps(w, fan):
+    """The children of w by full reduction of w·rep·e·1, canonicalized
+    on the unproven steps: the construction before the seam-only step."""
+    gog = w.gog
+    g = gog.graph
+    last = w.pairs[-1][0] if w.pairs else None
+    out = []
+    for e in g.edges_at(w.end):
+        ident_t = gog.vgroup(g.t(e)).identity
+        for rep, unproven in fan[e]:
+            nf = reduce_word(w * GroupWord(gog, w.end, rep, [(e, ident_t)]))
+            if len(nf.pairs) == len(w.pairs) + 1:
+                if last in unproven:
+                    nf = canonical_coset_word(nf)
+                out.append((e, rep, nf))
+    return out
+
+
+@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
+                                   s3_d4_amalgam, hnn_c6, free_rank2,
+                                   _relabelled_s3_d4])
+def test_child_steps_match_full_reduction(make):
+    gog = make()
+    fan = _fan_table(gog)
+    parents = {w for w, _e, _rep, _child in
+               _sampled_children(gog, fan, random.Random(5), radius=6)}
+    for base in range(gog.graph.num_vertices):
+        parents.update(tv.word for tv in build_tree_ball(gog, 3, base).verts)
+    for w in parents:
+        assert list(_child_steps(w, fan)) == oracle_child_steps(w, fan)
+
+
+def test_tree_balls_make_no_reductions(monkeypatch):
+    # every built-in step is proven and the center is a bare element, so
+    # neither builder reduces a word
+    from gogtools import gog as gog_module
+    from gogtools.cayley_abels import quotient_tree_ball
+    from gogtools.smallcanc import evaluation_wp
+
+    reductions = counting(monkeypatch, gog_module, "reduce_word")
+    sl2z = sl2z_gog()
+    assert build_tree_ball(sl2z, 10).vertex_count() == 187
+    assert quotient_tree_ball(sl2z, [], 10).vertex_count() == 187
+    c2c2 = c2_c2_free()
+    ev = evaluation_wp(c2c2, make_dihedral(20), [[0, 20], [0, 21]])
+    ball = quotient_tree_ball(c2c2, [ab_word(c2c2, [1] * 40)], 20, wp=ev)
+    assert ball.vertex_count() == 40
+    assert reductions[0] == 0
 
 
 def oracle_canonical_edge_word(word, e):
