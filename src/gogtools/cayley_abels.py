@@ -17,8 +17,9 @@ coned-off plane is "grid ball plus cones".
 closure of a relator list, membership being decided by a caller-supplied
 word-problem callable (True / False / None="cannot decide", the last aborts),
 which may be handed words that are not reduced.
-With no relators it reproduces the tree ball verbatim: it walks the tree with
-the child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
+With no relators it is the tree ball, which
+:func:`gogtools.tree.build_tree_ball` returns: it walks the tree with the
+child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel; the presentation
 complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.  For an
 evaluation oracle (a callable with ``image(word)``, as ``evaluation_wp``
@@ -36,6 +37,7 @@ per level in (tag, canonical key) order, so reruns are byte-identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .concrete import SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
@@ -95,6 +97,12 @@ class GGraphBall:
 
     def degree(self, i):
         return len(self.adjacency[i])
+
+    @cached_property
+    def rep_index(self):
+        """Vertex index by rep, built once; meant for quotient balls, where
+        each vertex has its own canonical tree word."""
+        return {v.rep: i for i, v in enumerate(self.verts)}
 
     def distances(self, src: int):
         """BFS distances from a vertex; unreachable = absent."""
@@ -325,7 +333,9 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                        base: int = 0, transversals=None,
                        cap: int = 10 ** 6) -> GGraphBall:
     """Ball of the tree quotiented by the normal closure of ``relators``.
-    ``transversals``, if given, must be ``gog.transversals``."""
+    ``transversals``, if given, must be ``gog.transversals``.  With no
+    relators it is the tree ball, and a child step that reaches a vertex
+    already in the ball raises ``RuntimeError``."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -347,7 +357,8 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
-                f"quotient ball exceeded cap of {cap} vertices",
+                f"{'quotient' if relators else 'tree'} ball exceeded cap of "
+                f"{cap} vertices at radius {dist}",
                 detail={"vertices": idx, "radius_reached": dist - 1},
             )
         lam_v = word.end
@@ -372,6 +383,11 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                 if j is None:
                     j = add_vertex(cand, dist)
                     nxt.append(j)
+                elif not relators:
+                    raise RuntimeError(
+                        f"ball construction produced a cycle at {cand!r}; "
+                        "reduction is broken"
+                    )
                 _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,
                              gog.egroup(e).order, notes)
         frontier = nxt

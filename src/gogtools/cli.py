@@ -363,21 +363,12 @@ def _cmd_check_ca(params, ctx):
 
 
 def _cmd_fineness(params, ctx):
-    from .cayley_abels import quotient_tree_ball
     from .fineness import fineness_report
 
-    fam = params["family"]
-    if fam == "tree":
-        gog = _model(params["model"])
-        family = lambda R: quotient_tree_ball(gog, [], R)
-    elif fam in ("line", "grid", "coned_plane", "cycle"):
-        spec = {k: v for k, v in params.items() if k in ("family", "m", "model")}
-        family = lambda R: _build_ball(dict(spec, radius=R))
-    else:
-        raise JobError(f"unknown fineness family {fam!r}")
+    spec = {k: v for k, v in params.items() if k in ("family", "m", "model")}
     u_spec, v_spec = params["u"], params["v"]
     result = fineness_report(
-        family,
+        lambda R: _build_ball(dict(spec, radius=R)),
         lambda b: _locate(b, u_spec),
         lambda b: _locate(b, v_spec),
         params["k"],
@@ -426,13 +417,12 @@ def _cmd_qi(params, ctx):
 
 
 def _cmd_wz_audit(params, ctx):
-    from .fineness import verify_wz_containment, wz_chain
+    from .fineness import wz_chain
 
     action, att = _attach(params)
     a = _locate(action.ball, params["a"])
     b = _locate(action.ball, params["b"])
     out = wz_chain(att, a, b, params["n"])
-    problems = verify_wz_containment(out["W_sets"], out["Z_sets"])
     result = {
         "a": a,
         "b": b,
@@ -445,9 +435,9 @@ def _cmd_wz_audit(params, ctx):
         "Z_cardinalities": out["Z_cardinalities"],
         "W_sets": [sorted(s) for s in out["W_sets"]],
         "Z_sets": [sorted(s) for s in out["Z_sets"]],
-        "containment_problems": problems,
+        "containment_problems": list(out["violations"]),
     }
-    ok = not problems and not result["violations"]
+    ok = not out["violations"]
     return result, {}, f"containment={'ok' if ok else 'VIOLATED'}"
 
 

@@ -639,14 +639,15 @@ def _linear_fit(points):
 
 def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
                          mode="exhaustive", seed=0xCA1, samples=64,
-                         conj_steps=3, cap=200000):
+                         cap=200000):
     """Observed isoperimetric table: length → max filling area.
 
     ``wp`` decides kernel membership of a loop word; ``area_oracle`` maps
     a kernel word to a filling area (or None when it cannot fill it —
     counted, not fatal).  Exhaustive mode enumerates every canonical loop
     word up to the largest requested length and keeps the kernel ones;
-    sample mode draws seeded products of 1..3 conjugates of ``relators``.
+    sample mode draws seeded products of 1..3 conjugates of ``relators``
+    by random loops that walk out 0 to 3 edges.
     Table entries are cumulative — the row at L covers kernel words of
     syllable length at most L, matching the sup in the Dehn function —
     and the least-squares growth fit is reported as data, never asserted.
@@ -678,8 +679,7 @@ def dehn_function_sample(gog, relators, lengths, wp, area_oracle,
         for _ in range(samples):
             acc = identity_word(gog, base)
             for _ in range(1 + rng.randrange(3)):
-                c = _random_loop(gog, rng, rng.randrange(conj_steps + 1),
-                                 base)
+                c = _random_loop(gog, rng, rng.randrange(4), base)
                 s = relators[rng.randrange(len(relators))]
                 if rng.randrange(2):
                     s = s.inverse()

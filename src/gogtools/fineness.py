@@ -33,7 +33,7 @@ from .cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from .concrete import FreeAbelian, QuotientWords, SubgroupHandle
 from .errors import CapExceeded
 from .gog import GroupWord, reduce_word
-from .tree import canonical_coset_word
+from .tree import canonical_coset_word, stabilizer
 
 
 class AngleInfinity:
@@ -298,12 +298,9 @@ class TreeBallAction:
     """
 
     def __init__(self, gog, R: int, base: int = 0):
-        self.gog = gog
-        self.base = base
         self.ball = quotient_tree_ball(gog, [], R, base=base)
         self.concrete = QuotientWords(gog, base)
         self.identity = self.concrete.identity
-        self._index = {v.rep: i for i, v in enumerate(self.ball.verts)}
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
         return reduce_word(a * b)
@@ -314,15 +311,11 @@ class TreeBallAction:
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""
         word = canonical_coset_word(g * self.ball.verts[i].rep)
-        return self._index.get(word)
+        return self.ball.rep_index.get(word)
 
     def stab_elements(self, i: int):
         """Stabilizer of vertex i, enumerated as reduced loop words."""
-        w = self.ball.verts[i].rep
-        lam = w.end
-        winv = self.inv(w)
-        return [self.mul(self.mul(w, GroupWord._trusted(self.gog, lam, x)), winv)
-                for x in range(self.gog.vgroup(lam).order)]
+        return stabilizer(("v", i), self.ball).elements
 
     def transporters(self, src: int, dst: int):
         """All g with g·src = dst that the ball can certify: Stab(dst)·t."""

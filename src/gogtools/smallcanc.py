@@ -260,13 +260,12 @@ def self_overlap(w: GroupWord) -> int:
 
 
 class PieceReport:
-    """Per-pair maximal common prefixes over distinct members, the global
-    max p, and λ* = p / min member length; self-overlap and proper-power
-    diagnostics ride along."""
+    """The longest maximal common prefix p over pairs of distinct members,
+    with a witness pair, and λ* = p / min member length; self-overlap and
+    proper-power diagnostics ride along."""
 
-    def __init__(self, pair_lengths, max_piece, witness, min_length,
-                 members_count, self_overlap, proper_power):
-        self.pair_lengths = pair_lengths
+    def __init__(self, max_piece, witness, min_length, members_count,
+                 self_overlap, proper_power):
         self.max_piece = max_piece
         self.witness = witness
         self.min_length = min_length
@@ -299,12 +298,10 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
     members = S.members
     fudge = _fudge_sets(gog)
     pos = [positions(w) for w in members]
-    pair_lengths = {}
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             l = _prefix_syllables(pos[i], pos[j], gog, fudge)
-            pair_lengths[(i, j)] = l
             if l > max_piece:
                 max_piece, witness = l, (i, j)
     min_length = S.member_length()
@@ -335,8 +332,8 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
             "members apart and λ* is not measured"
         )
     so = max(self_overlap(w) for w in members)
-    return PieceReport(pair_lengths, max_piece, witness, min_length,
-                       len(members), so, S.proper_power)
+    return PieceReport(max_piece, witness, min_length, len(members), so,
+                       S.proper_power)
 
 
 def check_cprime(r: GroupWord, m: int, lam, gog) -> dict:

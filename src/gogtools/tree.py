@@ -10,63 +10,43 @@ representative is the minimum of reduce(w·g) over g ∈ G_v under
 tuple) — deterministic and unique per coset, and the edge count of the
 representative is exactly the tree distance from the center.
 
+A tree ball is the :class:`~gogtools.cayley_abels.GGraphBall` that
+:func:`~gogtools.cayley_abels.quotient_tree_ball` builds with no relators:
+``verts[i].rep`` is the canonical word of vertex i, and its end is the
+vertex's Λ-vertex.  It walks the tree with the fan table and child step
+defined here.
+
 Geometric tree edges are recorded once, oriented away from the center as
-discovered: the record keeps the Λ-edge e together with the canonical edge
-word, the minimum of reduce(u·h) over h in the image of inj(ē) inside the
-origin-side vertex group (u any word ending at o(e) picking out the edge).
-It is the canonical far endpoint's word with its last pair dropped (see
-:func:`build_tree_ball`).
-Since a tree has no multi-edges, an edge is also addressable by its unordered
-endpoint pair, which is how the action on edges is resolved.
+discovered (``u`` the center side, ``v`` the far side).  An edge carries the
+directed Λ-edge e pointing u → v and the canonical edge word, the minimum of
+reduce(u·h) over h in the image of inj(ē) inside the origin-side vertex
+group (u any word ending at o(e) picking out the edge); both are read off
+the far endpoint's word (see :func:`_edge_word`).
+Since a tree has no multi-edges, an edge is also addressable by its
+endpoints, which is how the action on edges is resolved.
 
 Cells are passed around as tagged pairs ("v", i) / ("e", i) indexing into
-``TreeBall.verts`` / ``TreeBall.edges``.
+the ball's ``verts`` / ``edges``.
 """
 
 from __future__ import annotations
 
-from .errors import CapExceeded
+from typing import TYPE_CHECKING
+
 from .finite import FiniteGroup, Subgroup, left_transversal
 from .gog import (
     GraphOfGroups,
     GroupWord,
-    _own_table,
     _sweep,
-    identity_word,
     reduce_word,
     word_to_json,
 )
 
+if TYPE_CHECKING:  # cayley_abels imports this module
+    from .cayley_abels import GGraphBall
+
 #: Returned by :func:`act` when the image of a cell falls outside the ball.
 OUT_OF_BALL = "out-of-ball"
-
-
-class TreeVertex:
-    __slots__ = ("word", "lam_vertex", "dist")
-
-    def __init__(self, word: GroupWord, lam_vertex: int, dist: int):
-        self.word = word
-        self.lam_vertex = lam_vertex
-        self.dist = dist
-
-    def __repr__(self):
-        return f"TreeVertex({self.word!r}, v{self.lam_vertex}, d={self.dist})"
-
-
-class TreeEdge:
-    """Geometric tree edge; ``u`` is the center-side endpoint index, ``v`` the
-    far side, ``lam_edge`` the directed Λ-edge pointing u → v."""
-
-    __slots__ = ("word", "lam_edge", "u", "v")
-
-    def __init__(self, word: GroupWord, lam_edge: int, u: int, v: int):
-        self.word = word
-        self.lam_edge = lam_edge
-        self.u = u
-        self.v = v
-
-    def __repr__(self):
-        return f"TreeEdge({self.word!r}, e{self.lam_edge}, {self.u}--{self.v})"
 
 
 class StabilizerData:
@@ -119,67 +99,6 @@ def canonical_coset_word(word: GroupWord) -> GroupWord:
         if best is None or cand.key() < best.key():
             best = cand
     return best
-
-
-class TreeBall:
-    """Immutable ball of the tree; construct via :func:`build_tree_ball`."""
-
-    def __init__(self, gog: GraphOfGroups, base: int, radius: int, verts,
-                 edges, adjacency):
-        self.gog = gog
-        self.base = base
-        self.radius = radius
-        self.verts = tuple(verts)
-        self.edges = tuple(edges)
-        self.adjacency = tuple(tuple(a) for a in adjacency)
-        self.vindex = {tv.word: i for i, tv in enumerate(self.verts)}
-        self.eindex = {}
-        for i, te in enumerate(self.edges):
-            self.eindex[(min(te.u, te.v), max(te.u, te.v))] = i
-
-    def vertex_count(self) -> int:
-        return len(self.verts)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    def check(self):
-        """Invariant audit; returns a list of violation strings."""
-        problems = []
-        if self.edge_count() != self.vertex_count() - 1:
-            problems.append(
-                f"|E| = {self.edge_count()} != |V| - 1 = {self.vertex_count() - 1}"
-            )
-        # acyclicity by union-find
-        parent = list(range(self.vertex_count()))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for te in self.edges:
-            ru, rv = find(te.u), find(te.v)
-            if ru == rv:
-                problems.append(f"cycle through edge {te.u}--{te.v}")
-            else:
-                parent[ru] = rv
-        roots = {find(i) for i in range(self.vertex_count())}
-        if len(roots) != 1:
-            problems.append(f"ball is disconnected into {len(roots)} components")
-        for i, tv in enumerate(self.verts):
-            if tv.dist < self.radius:
-                want = degree_formula(self.gog, tv.lam_vertex)
-                if self.degree(i) != want:
-                    problems.append(
-                        f"interior vertex {i} has degree {self.degree(i)}, "
-                        f"index formula gives {want}"
-                    )
-        return problems
 
 
 def _fan_table(gog: GraphOfGroups):
@@ -261,65 +180,71 @@ def _child_steps(w: GroupWord, fan):
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
-                    transversals=None, cap: int = 10 ** 6) -> TreeBall:
+                    transversals=None, cap: int = 10 ** 6) -> GGraphBall:
     """Breadth-first ball of radius ``radius`` around the coset of
-    vgroup(base).  Aborts with :class:`CapExceeded` past ``cap`` vertices.
-    ``transversals``, if given, must be ``gog.transversals``.
+    vgroup(base): the quotient ball with no relators, which is the tree
+    ball.  Aborts with :class:`CapExceeded` past ``cap`` vertices.
+    ``transversals``, if given, must be ``gog.transversals``."""
+    from .cayley_abels import quotient_tree_ball
 
-    Edge words are read off the children.  The child coset of w·rep·e is
-    the set of words reduce(w·y)·(e, s) with y in rep·im(inj(ē)) and s in
-    the transversal of im(e) (an edge-group factor of the last element
-    moves across e into y).  All of them have the same length, and
-    ``GroupWord.key`` compares the part before e first, so the canonical
-    child is (least reduce(w·y))·(e, least s).  Dropping its last pair
-    leaves the least reduce(w·y) over y in rep·im(inj(ē)), which is the
-    canonical edge word."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    g = gog.graph
-    if not 0 <= base < g.num_vertices:
-        raise ValueError(f"base vertex {base} out of range")
-    _own_table(gog, transversals)
-
-    center = canonical_coset_word(identity_word(gog, base))
-    verts = [TreeVertex(center, base, 0)]
-    vindex = {center: 0}
-    edges = []
-    adjacency = [[]]
-
-    fan = _fan_table(gog)
-    frontier = [0]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for i in frontier:
-            w = verts[i].word
-            for e, _rep, child in _child_steps(w, fan):
-                if child in vindex:
-                    raise RuntimeError(
-                        f"ball construction produced a cycle at {child!r}; "
-                        "reduction is broken"
-                    )
-                if len(verts) + 1 > cap:
-                    raise CapExceeded(
-                        f"tree ball exceeded cap of {cap} vertices at radius {dist}",
-                        detail={"vertices": len(verts), "radius_reached": dist - 1},
-                    )
-                j = len(verts)
-                verts.append(TreeVertex(child, g.t(e), dist))
-                vindex[child] = j
-                adjacency.append([])
-                eword = GroupWord._trusted(gog, child.start, child.head,
-                                           child.pairs[:-1])
-                k = len(edges)
-                edges.append(TreeEdge(eword, e, i, j))
-                adjacency[i].append((j, k))
-                adjacency[j].append((i, k))
-                nxt.append(j)
-        frontier = nxt
-    return TreeBall(gog, base, radius, verts, edges, adjacency)
+    return quotient_tree_ball(gog, [], radius, base=base,
+                              transversals=transversals, cap=cap)
 
 
-def _require_cell(cell, ball: TreeBall):
+def _edge_word(ball: GGraphBall, edge):
+    """(canonical edge word, directed Λ-edge u → v) of a tree edge, read
+    off the far endpoint's word w·(e, s): the word without its last pair,
+    and e.
+
+    The child coset of w·rep·e is the set of words reduce(w·y)·(e, s) with
+    y in rep·im(inj(ē)) and s in the transversal of im(e) (an edge-group
+    factor of the last element moves across e into y).  All of them have
+    the same length, and ``GroupWord.key`` compares the part before e
+    first, so the canonical child is (least reduce(w·y))·(e, least s).
+    Dropping its last pair leaves the least reduce(w·y) over y in
+    rep·im(inj(ē)), which is the canonical edge word."""
+    child = ball.verts[edge.v].rep
+    word = GroupWord._trusted(child.gog, child.start, child.head,
+                              child.pairs[:-1])
+    return word, child.pairs[-1][0]
+
+
+def check_tree_ball(ball: GGraphBall):
+    """Invariant audit of a tree ball; returns a list of violation strings."""
+    n, m = ball.vertex_count(), ball.edge_count()
+    problems = []
+    if m != n - 1:
+        problems.append(f"|E| = {m} != |V| - 1 = {n - 1}")
+    # acyclicity by union-find
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in ball.edges:
+        ru, rv = find(edge.u), find(edge.v)
+        if ru == rv:
+            problems.append(f"cycle through edge {edge.u}--{edge.v}")
+        else:
+            parent[ru] = rv
+    roots = {find(i) for i in range(n)}
+    if len(roots) != 1:
+        problems.append(f"ball is disconnected into {len(roots)} components")
+    for i, vx in enumerate(ball.verts):
+        if vx.dist < ball.radius:
+            want = degree_formula(vx.rep.gog, vx.rep.end)
+            if ball.degree(i) != want:
+                problems.append(
+                    f"interior vertex {i} has degree {ball.degree(i)}, "
+                    f"index formula gives {want}"
+                )
+    return problems
+
+
+def _require_cell(cell, ball: GGraphBall):
     kind, i = cell
     if kind == "v":
         if not 0 <= i < ball.vertex_count():
@@ -331,65 +256,65 @@ def _require_cell(cell, ball: TreeBall):
         raise ValueError(f"unknown cell kind {kind!r}")
 
 
-def act(w: GroupWord, cell, ball: TreeBall):
+def act(w: GroupWord, cell, ball: GGraphBall):
     """Left action of a loop word at the base vertex on a cell of the ball.
 
     Returns the image cell, or :data:`OUT_OF_BALL` when it leaves the ball.
     """
-    if w.start != ball.base or not w.is_loop():
+    base = ball.verts[0].rep.start
+    if w.start != base or not w.is_loop():
         raise ValueError(
-            f"acting word must be a loop at vertex {ball.base}, "
+            f"acting word must be a loop at vertex {base}, "
             f"got {w.start} -> {w.end}"
         )
     _require_cell(cell, ball)
     kind, i = cell
     if kind == "v":
-        img = canonical_coset_word(w * ball.verts[i].word)
-        j = ball.vindex.get(img)
+        img = canonical_coset_word(w * ball.verts[i].rep)
+        j = ball.rep_index.get(img)
         return OUT_OF_BALL if j is None else ("v", j)
-    te = ball.edges[i]
-    iu = act(w, ("v", te.u), ball)
-    iv = act(w, ("v", te.v), ball)
+    edge = ball.edges[i]
+    iu = act(w, ("v", edge.u), ball)
+    iv = act(w, ("v", edge.v), ball)
     if iu == OUT_OF_BALL or iv == OUT_OF_BALL:
         return OUT_OF_BALL
     a, b = iu[1], iv[1]
-    key = (min(a, b), max(a, b))
-    if key not in ball.eindex:
-        raise RuntimeError(
-            f"action image of edge {i} has endpoints {key} with no edge; "
-            "ball adjacency is broken"
-        )
-    return ("e", ball.eindex[key])
+    for j, k in ball.adjacency[a]:
+        if j == b:
+            return ("e", k)
+    raise RuntimeError(
+        f"action image of edge {i} has endpoints {(min(a, b), max(a, b))} "
+        "with no edge; ball adjacency is broken"
+    )
 
 
-def stabilizer(cell, ball: TreeBall) -> StabilizerData:
+def stabilizer(cell, ball: GGraphBall) -> StabilizerData:
     """Stabilizer of a cell: (conjugator word, Λ-group), with the elements
     enumerated as reduced loop words at the base vertex."""
     _require_cell(cell, ball)
     kind, i = cell
-    gog = ball.gog
-    g = gog.graph
     # the Λ-group as (vertex, element) syllables at the cell's own vertex
     if kind == "v":
-        tv = ball.verts[i]
-        conj = tv.word
-        G = gog.vgroup(tv.lam_vertex)
-        name = f"vgroup[{tv.lam_vertex}]"
-        local = [(tv.lam_vertex, x) for x in range(G.order)]
+        conj = ball.verts[i].rep
+        gog, lam = conj.gog, conj.end
+        G = gog.vgroup(lam)
+        name = f"vgroup[{lam}]"
+        local = [(lam, x) for x in range(G.order)]
     else:
-        te = ball.edges[i]
-        conj = te.word
-        G = gog.egroup(te.lam_edge)
-        name = f"egroup[{te.lam_edge >> 1}]"
-        inj = gog.inj[g.bar(te.lam_edge)]
-        local = [(g.o(te.lam_edge), inj.map[c]) for c in range(G.order)]
+        conj, lam = _edge_word(ball, ball.edges[i])
+        gog = conj.gog
+        g = gog.graph
+        G = gog.egroup(lam)
+        name = f"egroup[{lam >> 1}]"
+        inj = gog.inj[g.bar(lam)]
+        local = [(g.o(lam), inj.map[c]) for c in range(G.order)]
     inv = reduce_word(conj.inverse())
     elements = [reduce_word(conj * GroupWord._trusted(gog, v, x) * inv)
                 for v, x in local]
     return StabilizerData(cell, conj, G, name, elements)
 
 
-def geodesic(u_cell, v_cell, ball: TreeBall):
+def geodesic(u_cell, v_cell, ball: GGraphBall):
     """Unique embedded edge path between two vertex cells, as an ordered list
     of edge cells ("e", k).  Empty for u = v."""
     for c in (u_cell, v_cell):
@@ -423,41 +348,42 @@ def geodesic(u_cell, v_cell, ball: TreeBall):
     return path
 
 
-def tree_to_json(ball: TreeBall) -> dict:
+def tree_to_json(ball: GGraphBall) -> dict:
+    edges = []
+    for edge in ball.edges:
+        word, lam = _edge_word(ball, edge)
+        edges.append({
+            "word": word_to_json(word),
+            "lam_edge": lam,
+            "endpoints": [edge.u, edge.v],
+            "stab_order": edge.stab_order,
+        })
     return {
-        "base": ball.base,
+        "base": ball.verts[0].rep.start,
         "radius": ball.radius,
         "vertices": [
             {
-                "word": word_to_json(tv.word),
-                "lam_vertex": tv.lam_vertex,
-                "dist": tv.dist,
-                "stab_order": ball.gog.vgroup(tv.lam_vertex).order,
+                "word": word_to_json(vx.rep),
+                "lam_vertex": vx.rep.end,
+                "dist": vx.dist,
+                "stab_order": vx.stab_order,
             }
-            for tv in ball.verts
+            for vx in ball.verts
         ],
-        "edges": [
-            {
-                "word": word_to_json(te.word),
-                "lam_edge": te.lam_edge,
-                "endpoints": [te.u, te.v],
-                "stab_order": ball.gog.egroup(te.lam_edge).order,
-            }
-            for te in ball.edges
-        ],
+        "edges": edges,
     }
 
 
-def tree_to_dot(ball: TreeBall) -> str:
+def tree_to_dot(ball: GGraphBall) -> str:
     """Graphviz rendering with stabilizer orders annotated."""
     lines = ["graph treeball {"]
-    for i, tv in enumerate(ball.verts):
-        order = ball.gog.vgroup(tv.lam_vertex).order
+    for i, vx in enumerate(ball.verts):
         lines.append(
-            f'  v{i} [label="v{tv.lam_vertex} d{tv.dist} stab{order}"];'
+            f'  v{i} [label="v{vx.rep.end} d{vx.dist} stab{vx.stab_order}"];'
         )
-    for te in ball.edges:
-        order = ball.gog.egroup(te.lam_edge).order
-        lines.append(f'  v{te.u} -- v{te.v} [label="e{te.lam_edge} stab{order}"];')
+    for edge in ball.edges:
+        lam = _edge_word(ball, edge)[1]
+        lines.append(f'  v{edge.u} -- v{edge.v} '
+                     f'[label="e{lam} stab{edge.stab_order}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

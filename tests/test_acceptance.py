@@ -107,7 +107,7 @@ def test_criterion_01_biregular_tree_levels():
         levels[tv.dist] = levels.get(tv.dist, 0) + 1
     want = {0: 1, 1: 2, 2: 4, 3: 4, 4: 8, 5: 8, 6: 16}
     degrees_ok = all(
-        ball.degree(i) == degree_formula(gog, tv.lam_vertex)
+        ball.degree(i) == degree_formula(gog, tv.rep.end)
         for i, tv in enumerate(ball.verts) if tv.dist < ball.radius
     )
     formula_ok = (degree_formula(gog, 0), degree_formula(gog, 1)) == (2, 3)

@@ -44,7 +44,12 @@ from gogtools.concrete import (
 from gogtools.errors import CapExceeded, UnsupportedInput
 from gogtools.finite import make_cyclic, make_dihedral
 from gogtools.gog import reduce_word, syllable_length
-from gogtools.tree import build_tree_ball, canonical_coset_word
+from gogtools.tree import (
+    _edge_word,
+    build_tree_ball,
+    canonical_coset_word,
+    check_tree_ball,
+)
 
 
 # -- coset construction -----------------------------------------------------
@@ -155,7 +160,7 @@ def test_constructions_agree_on_subdivided_tree():
     tball = build_tree_ball(sl2z_gog(), 3)
     sub = nx.Graph()
     for i, tv in enumerate(tball.verts):
-        sub.add_node(("v", i), tag=f"G/H{tv.lam_vertex}")
+        sub.add_node(("v", i), tag=f"G/H{tv.rep.end}")
     for k, te in enumerate(tball.edges):
         sub.add_node(("m", k), tag="G/U")
         sub.add_edge(("v", te.u), ("m", k))
@@ -180,20 +185,18 @@ def test_constructions_agree_on_subdivided_tree():
                                    s3_d4_amalgam, hnn_c6, free_rank2])
 def test_quotient_no_relators_matches_tree(make, R):
     # the HNN and free-group loops (o = t) are where the step that folds
-    # back toward the center is easiest to get wrong
+    # back toward the center is easiest to get wrong: a tree, with the
+    # index-formula degrees inside, canonical reps and edges that point
+    # away from the center
     gog = make()
     qball = quotient_tree_ball(gog, [], R)
-    tball = build_tree_ball(gog, R)
-    assert [v.rep for v in qball.verts] == [tv.word for tv in tball.verts]
-    assert [v.dist for v in qball.verts] == [tv.dist for tv in tball.verts]
-    assert [(e.u, e.v) for e in qball.edges] == [
-        (te.u, te.v) for te in tball.edges
-    ]
-    assert [e.tag for e in qball.edges] == [
-        f"T/e{te.lam_edge >> 1}" for te in tball.edges
-    ]
+    assert check_tree_ball(qball) == []
     assert all(canonical_coset_word(v.rep) == v.rep
                for v in qball.verts)
+    assert all(v.dist == len(v.rep.pairs) for v in qball.verts)
+    for e in qball.edges:
+        assert qball.verts[e.v].dist == qball.verts[e.u].dist + 1
+        assert e.tag == f"T/e{_edge_word(qball, e)[1] >> 1}"
 
 
 def test_quotient_dihedral_hexagon():
@@ -242,7 +245,7 @@ def test_quotient_long_relator_no_identification():
     tball = build_tree_ball(gog, 3)
     assert qball.vertex_count() == tball.vertex_count()
     assert qball.edge_count() == tball.edge_count()
-    assert [v.rep for v in qball.verts] == [tv.word for tv in tball.verts]
+    assert [v.rep for v in qball.verts] == [tv.rep for tv in tball.verts]
 
 
 def test_quotient_undecidable_aborts():

@@ -134,12 +134,10 @@ def oracle_symmetrize(core, gog):
 def oracle_piece_report(members, gog):
     """Every pair, every member's self-overlap, and a proper power found by
     rotating every member through all its edges."""
-    pair_lengths = {}
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             l = common_prefix_syllables(members[i], members[j])
-            pair_lengths[(i, j)] = l
             if l > max_piece:
                 max_piece, witness = l, (i, j)
     min_length = min(_syl(w, gog) for w in members)
@@ -149,8 +147,8 @@ def oracle_piece_report(members, gog):
     proper = any(rot == w
                  for w in members
                  for rot in oracle_rotations(w, gog)[1:])
-    return PieceReport(pair_lengths, max_piece, witness, min_length,
-                       len(members), so, proper)
+    return PieceReport(max_piece, witness, min_length, len(members), so,
+                       proper)
 
 
 def _syl(w, gog):
@@ -218,8 +216,8 @@ def _seeded_loops(gog, seed, count):
 
 
 def _report_fields(rep):
-    return (rep.pair_lengths, rep.max_piece, rep.witness, rep.min_length,
-            rep.members_count, rep.self_overlap, rep.proper_power)
+    return (rep.max_piece, rep.witness, rep.min_length, rep.members_count,
+            rep.self_overlap, rep.proper_power)
 
 
 @pytest.mark.parametrize("make", FIXTURES)

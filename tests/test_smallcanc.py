@@ -197,7 +197,7 @@ def test_pieces_power_against_oracle():
     assert rep.max_piece == oracle_max_piece(S)
     assert rep.lam_star == Fraction(1, 24)
     assert rep.min_length == 72
-    assert len(rep.pair_lengths) == 12 * 11 // 2
+    assert rep.members_count == 12
 
 
 def test_pieces_power_self_overlap_and_periodicity():
@@ -251,7 +251,7 @@ def test_pieces_singleton():
     gog = _free()
     rep = pieces(symmetrize(loop_word(gog, [(0, 2)])))
     assert rep.max_piece == 0
-    assert rep.pair_lengths == {}
+    assert rep.members_count == 1
     assert rep.lam_star == 0
     assert not rep.proper_power
 

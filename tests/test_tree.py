@@ -6,6 +6,8 @@ the subgroup-index formula, so it independently predicts the shape every
 ball construction must reproduce.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from fixtures import (
     s3_d4_amalgam,
     sl2z_gog,
 )
+from gogtools.cli import MODELS
 from gogtools.errors import CapExceeded
 from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
 from gogtools.gog import (
@@ -32,10 +35,12 @@ from gogtools.gog import (
 from gogtools.tree import (
     OUT_OF_BALL,
     _child_steps,
+    _edge_word,
     _fan_table,
     act,
     build_tree_ball,
     canonical_coset_word,
+    check_tree_ball,
     degree_formula,
     geodesic,
     stabilizer,
@@ -71,7 +76,7 @@ def oracle_levels(gog, base, radius):
 def test_sl2z_ball_shape():
     gog = sl2z_gog()
     ball = build_tree_ball(gog, 6)
-    assert ball.check() == []
+    assert check_tree_ball(ball) == []
     levels = [0] * 7
     for tv in ball.verts:
         levels[tv.dist] += 1
@@ -79,7 +84,7 @@ def test_sl2z_ball_shape():
     # (2,3)-biregular on the interior
     for i, tv in enumerate(ball.verts):
         if tv.dist < 6:
-            assert ball.degree(i) == (2 if tv.lam_vertex == 0 else 3)
+            assert ball.degree(i) == (2 if tv.rep.end == 0 else 3)
 
 
 def test_degree_formula_values():
@@ -99,7 +104,7 @@ def test_oracle_agreement():
     ]
     for gog, R in cases:
         ball = build_tree_ball(gog, R)
-        assert ball.check() == []
+        assert check_tree_ball(ball) == []
         levels = [0] * (R + 1)
         for tv in ball.verts:
             levels[tv.dist] += 1
@@ -127,10 +132,26 @@ def test_radius_zero_and_cap():
         build_tree_ball(gog, 6, cap=20)
 
 
+def test_duplicate_child_raises_cycle(monkeypatch):
+    # a child step that hands back a vertex the ball already has would
+    # close a cycle in the tree
+    from gogtools import cayley_abels
+
+    real = cayley_abels._child_steps
+
+    def doubled(w, fan):
+        steps = list(real(w, fan))
+        return steps + steps[:1]
+
+    monkeypatch.setattr(cayley_abels, "_child_steps", doubled)
+    with pytest.raises(RuntimeError, match="ball construction produced a cycle"):
+        build_tree_ball(sl2z_gog(), 2)
+
+
 def test_coset_reps_pairwise_inequivalent():
     gog = sl2z_gog()
     ball = build_tree_ball(gog, 3)
-    words = [tv.word for tv in ball.verts]
+    words = [tv.rep for tv in ball.verts]
     for i, u in enumerate(words):
         for w in words[i + 1:]:
             if u.end != w.end:
@@ -227,7 +248,7 @@ def test_child_steps_match_full_reduction(make):
     parents = {w for w, _e, _rep, _child in
                _sampled_children(gog, fan, random.Random(5), radius=6)}
     for base in range(gog.graph.num_vertices):
-        parents.update(tv.word for tv in build_tree_ball(gog, 3, base).verts)
+        parents.update(tv.rep for tv in build_tree_ball(gog, 3, base).verts)
     for w in parents:
         assert list(_child_steps(w, fan)) == oracle_child_steps(w, fan)
 
@@ -276,14 +297,14 @@ def test_edge_words_match_oracle(make):
     for base in range(g.num_vertices):
         ball = build_tree_ball(gog, 4, base=base)
         for te in ball.edges:
-            w, e = ball.verts[te.u].word, te.lam_edge
-            child = ball.verts[te.v].word
+            word, e = _edge_word(ball, te)
+            w, child = ball.verts[te.u].rep, ball.verts[te.v].rep
             ident_t = gog.vgroup(g.t(e)).identity
             y = next(y for y in range(gog.vgroup(g.o(e)).order)
                      if canonical_coset_word(reduce_word(
                          w * GroupWord(gog, w.end, y, [(e, ident_t)])))
                      == child)
-            assert te.word == oracle_canonical_edge_word(
+            assert word == oracle_canonical_edge_word(
                 w * GroupWord(gog, w.end, y), e)
             checked += 1
     assert checked
@@ -434,6 +455,45 @@ def test_geodesic_is_a_path():
 
 
 # -- exports ----------------------------------------------------------------
+
+
+# sha256 of tree_to_json (as sorted-key JSON) and of tree_to_dot at R = 4
+EXPORT_DIGESTS = [
+    ("c2c2_free", 0, "02d1e7a745717483877c22602242d3561705d044a72730d5e060e9d0ff69e94a",
+     "6b94b1a9b1fc29550f510cd21bbbefbfe76e6a6ea76a05f7c085842091112c8c"),
+    ("c2c2_free", 1, "61d10d1f09b490ac8d3f44adae518cb45c7f9009807f44b6f07e8b4def1ae6d0",
+     "32dbfb2868160e47b0eb87b07644fa5a3ee8b2c8d922fb1df22c1f0eefe0ed87"),
+    ("c4c6_free", 0, "f038f295e176e5150a0998740d78a61c56aaa756635b1267b3641e1a36f1b965",
+     "c52466b2f92931061fb018c7e0bf901221459e8f236e8cdb2f6b7aad1b7420eb"),
+    ("c4c6_free", 1, "2fd255fa167ced9fcef65d9ea49a0b9b35089d2d0202a05b56a9c096ad30e58e",
+     "0e137b9e716a861be43ca5c24dca92a9fe59bc7a56095e54bd814a647b01563c"),
+    ("free_rank2", 0, "717ad3a0a62b4b1a96e92f0533df76bf1a4c7e5cb5cf5aaeeb6e65a8610f4956",
+     "ba40940cc5c37a7b324fa05947b5efc7ac4bec21d6dfc05643a1c93bedeb89d9"),
+    ("hnn_c6", 0, "594483871d9c9f60ba96b698d9666f22f30bfe6109356adec4292071c67e068f",
+     "cb0a482ab95a13cdceeff1e39ce2c1eb359b18e0dd564ec93cac79e7b51f7735"),
+    ("s3_d4", 0, "9832de5abf0c41c35a20035fce975ade1e3551115b3fba184e77707f7d1f5b61",
+     "8db1c3257d9f2ca95b50661063d84347206219e0f09deaecc29218b8887ddf5c"),
+    ("s3_d4", 1, "0e8e85ef0cfed564afc1db88a6cf5444688ff6e2cc3e391305d7e48429f6e595",
+     "af4a617b6949a4bc03d4a9c261003eaa88d7a7d476832b1a4c381883398bfbbc"),
+    ("sl2z", 0, "4653f2d9a4c7598d6e6703bfaf66c063fb7d65c8c523cf943ae5c477961695fc",
+     "f94bd092900d2ba60871ffe9dc3aab00f1ae3f6d8aff6641405304ad597fdb45"),
+    ("sl2z", 1, "ab0fe13c9ec98028ca8b43049113342bf5d837cdc4b832e055978d1d17ef4375",
+     "3dbcfa1b172f66101a56de76afb7b2112d8a635c756cad97425f255c185a0fd0"),
+]
+
+
+def test_export_digests_every_model_and_base():
+    want = {(name, base): digests for name, base, *digests in EXPORT_DIGESTS}
+    got = {}
+    for name in MODELS:
+        gog = MODELS[name]()
+        for base in range(gog.graph.num_vertices):
+            ball = build_tree_ball(gog, 4, base=base)
+            text = json.dumps(tree_to_json(ball), sort_keys=True)
+            got[name, base] = [hashlib.sha256(text.encode()).hexdigest(),
+                               hashlib.sha256(tree_to_dot(ball).encode())
+                               .hexdigest()]
+    assert got == want
 
 
 def test_exports():
