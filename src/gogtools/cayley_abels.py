@@ -6,12 +6,12 @@ Constructions
 finite subgroup U (one family) and of each listed subgroup H (one family
 each); edges are {gU, gsU} per listed generator and {gU, gH} cone edges.
 Breadth-first from the coset U.  A cone family without a finite enumeration
-cannot be expanded, so such vertices are BFS-terminal; after the sweep a
-final pass adds every edge whose endpoints both landed in the ball.  The
-recorded distances are therefore graph distances in the locally finite
-approximation that ignores shortcuts through unexpanded cones — the honest
-choice at finite radius, and the reading under which the ball of the
-coned-off plane is "grid ball plus cones".
+cannot be expanded, so such vertices are BFS-terminal.  The sweep examines
+every candidate of a vertex inside radius R, so a final pass over the
+U-vertices at distance R adds the edges whose endpoints both landed in the
+ball and that no sweep step saw.  The recorded distances are graph distances
+in the locally finite approximation that ignores shortcuts through unexpanded
+cones, the reading under which the coned plane's ball is "grid plus cones".
 
 ``quotient_tree_ball`` quotients the tree-ball construction by the normal
 closure of a relator list, membership being decided by a caller-supplied
@@ -153,14 +153,16 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
     for i, h in enumerate(hs):
         handles[f"G/H{i}"] = h
 
-    # per-orbit edge stabilizer orders, computable from U's enumeration
-    s_stab = []
-    for s in S:
-        si = G.inv(s)
-        s_stab.append(
-            sum(1 for u in U.elements if U.contains(G.op(si, G.op(u, s))))
-        )
-    cone_stab = [sum(1 for u in U.elements if h.contains(u)) for h in hs]
+    # steps s0, s0⁻¹, s1, ... as (element, edge tag, edge stabilizer order)
+    # and cones as (vertex tag, edge tag, order), orders from U's enumeration
+    steps = []
+    for si, s in enumerate(S):
+        sinv = G.inv(s)
+        order = sum(1 for u in U.elements if U.contains(G.op(sinv, G.op(u, s))))
+        steps += [(s, f"s{si}", order), (sinv, f"s{si}", order)]
+    cones = [(f"G/H{hi}", f"cone:H{hi}",
+              sum(1 for u in U.elements if h.contains(u)))
+             for hi, h in enumerate(hs)]
 
     verts = []
     adjacency = []
@@ -194,21 +196,15 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         if vx.tag == "G/U":
             for u in U.elements:
                 gu = G.op(vx.rep, u)
-                for si, s in enumerate(S):
-                    out.append(("G/U", G.op(gu, s), f"s{si}", s_stab[si]))
-                    out.append(("G/U", G.op(gu, G.inv(s)), f"s{si}", s_stab[si]))
-                for hi in range(len(hs)):
-                    out.append(
-                        (f"G/H{hi}", gu, f"cone:H{hi}", cone_stab[hi])
-                    )
+                for s, etag, estab in steps:
+                    out.append(("G/U", G.op(gu, s), etag, estab))
+                for tag, etag, estab in cones:
+                    out.append((tag, gu, etag, estab))
         else:
             hi = int(vx.tag[3:])
-            h = hs[hi]
-            if h.elements is not None:
-                for x in h.elements:
-                    out.append(
-                        ("G/U", G.op(vx.rep, x), f"cone:H{hi}", cone_stab[hi])
-                    )
+            _, etag, estab = cones[hi]
+            for x in hs[hi].elements or ():
+                out.append(("G/U", G.op(vx.rep, x), etag, estab))
         return out
 
     ident = G.identity
@@ -236,9 +232,10 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
                              notes)
             frontier.append(j)
 
-    # induced pass: edges between already-collected vertices that BFS did not
-    # traverse (boundary-boundary, and cone links generated from the U side)
-    for i in range(len(verts)):
+    # closing pass over the boundary: a vertex at distance < R was in a
+    # frontier, where each candidate gave an edge, a loop note or a vertex;
+    # the last frontier is in index order ([0] at R = 0, [] if exhausted)
+    for i in frontier:
         if verts[i].tag != "G/U":
             continue
         for tag, rep, etag, estab in candidates(i):

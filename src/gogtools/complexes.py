@@ -455,28 +455,59 @@ def pi1_presentation(X):
     return Presentation(tuple(f"e{k}" for k in gens), relators)
 
 
+def _smith_diagonal(rows):
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix, by
+    exact elimination (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.4).  The corner is an entry of least absolute value; the
+    first column and row are reduced modulo it, and a nonzero remainder
+    becomes the next, smaller corner.  A corner that fails to divide some
+    entry takes that entry's row into its own, which leaves a remainder.
+    So each corner recorded divides everything left after it."""
+    A = [list(r) for r in rows if any(r)]
+    out = []
+    while A:
+        _, p, q = min((abs(x), i, j) for i, r in enumerate(A)
+                      for j, x in enumerate(r) if x)
+        while True:
+            A[0], A[p] = A[p], A[0]
+            for r in A:
+                r[0], r[q] = r[q], r[0]
+            d = A[0][0]
+            for i in range(1, len(A)):
+                if A[i][0]:
+                    f = A[i][0] // d
+                    A[i] = [y - f * x for x, y in zip(A[0], A[i])]
+            for j in range(1, len(A[0])):
+                if A[0][j]:
+                    f = A[0][j] // d
+                    for r in A:
+                        r[j] -= f * r[0]
+            rest = ([(abs(r[0]), i, 0) for i, r in enumerate(A) if i and r[0]]
+                    + [(abs(x), 0, j) for j, x in enumerate(A[0]) if j and x])
+            if rest:
+                _, p, q = min(rest)
+                continue
+            bad = next((r for r in A[1:] if any(x % d for x in r)), None)
+            if bad is None:
+                break
+            A[0], p, q = [x + y for x, y in zip(A[0], bad)], 0, 0
+        out.append(abs(d))
+        A = [r[1:] for r in A[1:] if any(r)]
+    return out
+
+
 def abelianization(pres):
     """(free rank, torsion factors) of the abelianized presentation, by
     exact integer Smith normal form — no modular shortcuts, so a
     nontrivial answer is a certificate."""
     g = len(pres.generators)
-    if g == 0:
-        return (0, ())
     rows = []
     for w in pres.relators:
         row = [0] * g
         for x in w:
             row[abs(x) - 1] += 1 if x > 0 else -1
-        if any(row):
-            rows.append(row)
-    if not rows:
-        return (g, ())
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form
-
-    M = smith_normal_form(Matrix(rows), domain=ZZ)
-    diag = [abs(int(M[i, i])) for i in range(min(M.shape))]
-    nonzero = [d for d in diag if d != 0]
+        rows.append(row)
+    nonzero = _smith_diagonal(rows)
     return (g - len(nonzero), tuple(d for d in nonzero if d != 1))
 
 

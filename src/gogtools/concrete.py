@@ -19,6 +19,8 @@ neither is refused at construction.
 
 from __future__ import annotations
 
+import operator
+
 from .finite import FiniteGroup
 from .gog import GraphOfGroups, identity_word, reduce_word
 
@@ -59,10 +61,10 @@ class FreeAbelian:
         return (0,) * self.rank
 
     def op(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def inv(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(operator.neg, x))
 
     def eq(self, x, y):
         return tuple(x) == tuple(y)

@@ -19,6 +19,7 @@ from fixtures import (
     free_rank2,
     hnn_c6,
     line_ball,
+    plain_grid_ball,
     s3_d4_amalgam,
     sl2z_gog,
 )
@@ -26,6 +27,7 @@ from gogtools.cayley_abels import (
     GEdge,
     GGraphBall,
     GVertex,
+    _edge_insert,
     ca_to_dot,
     ca_to_json,
     check_ca_conditions,
@@ -129,6 +131,160 @@ def test_coset_ball_deterministic():
     a = json.dumps(ca_to_json(coned_plane_ball(3)), sort_keys=True)
     b = json.dumps(ca_to_json(coned_plane_ball(3)), sort_keys=True)
     assert a == b
+
+
+# -- one expansion per vertex -----------------------------------------------
+
+
+def _ball_closing_over_every_u_vertex(G, U, S, hs, R):
+    """Oracle: the coset ball as built when its closing pass ran over every
+    U-vertex, not only the boundary; the sweep is the same."""
+    handles = {"G/U": U, **{f"G/H{i}": h for i, h in enumerate(hs)}}
+    s_stab = [sum(1 for u in U.elements
+                  if U.contains(G.op(G.inv(s), G.op(u, s)))) for s in S]
+    cone_stab = [sum(1 for u in U.elements if h.contains(u)) for h in hs]
+    verts, adjacency, edges, eindex, notes, index = [], [], [], {}, [], {}
+
+    def add_vertex(tag, rep, key, dist):
+        h = handles[tag]
+        verts.append(GVertex(tag, rep, key, dist, h.name,
+                             h.order if h.is_finite else None))
+        adjacency.append([])
+        index[tag, key] = len(verts) - 1
+        return len(verts) - 1
+
+    def candidates(i):
+        vx = verts[i]
+        if vx.tag != "G/U":
+            hi = int(vx.tag[3:])
+            return [("G/U", G.op(vx.rep, x), f"cone:H{hi}", cone_stab[hi])
+                    for x in hs[hi].elements or ()]
+        out = []
+        for u in U.elements:
+            gu = G.op(vx.rep, u)
+            for si, s in enumerate(S):
+                out.append(("G/U", G.op(gu, s), f"s{si}", s_stab[si]))
+                out.append(("G/U", G.op(gu, G.inv(s)), f"s{si}", s_stab[si]))
+            out += [(f"G/H{hi}", gu, f"cone:H{hi}", cone_stab[hi])
+                    for hi in range(len(hs))]
+        return out
+
+    def link(i, j, etag, estab):
+        _edge_insert(edges, eindex, adjacency, etag, i, j, estab, notes)
+
+    add_vertex("G/U", G.identity, U.key_of(G, G.identity), 0)
+    frontier = [0]
+    for dist in range(1, R + 1):
+        staged = {}
+        for i in frontier:
+            for tag, rep, etag, estab in candidates(i):
+                key = handles[tag].key_of(G, rep)
+                if (tag, key) in index:
+                    link(i, index[tag, key], etag, estab)
+                else:
+                    staged.setdefault((tag, key), (rep, []))[1].append(
+                        (i, etag, estab))
+        frontier = []
+        for tag, key in sorted(staged, key=lambda tk: (tk[0], repr(tk[1]))):
+            rep, sources = staged[tag, key]
+            j = add_vertex(tag, rep, key, dist)
+            for src, etag, estab in sources:
+                link(src, j, etag, estab)
+            frontier.append(j)
+    for i in range(len(verts)):
+        if verts[i].tag == "G/U":
+            for tag, rep, etag, estab in candidates(i):
+                found = index.get((tag, handles[tag].key_of(G, rep)))
+                if found is not None:
+                    link(i, found, etag, estab)
+    return GGraphBall(verts, edges, adjacency, R, notes)
+
+
+def _line_family(name, axis):
+    return SubgroupHandle(name, contains=lambda x: x[1 - axis] == 0,
+                          coset_key=lambda x: x[1 - axis], is_finite=False)
+
+
+def _coset_models():
+    """(G, U, S, hs) per model: lines, planes, finite groups with a
+    nontrivial U and a finite H, and SL2(Z) matrices over U = C4."""
+    Z, Z2 = FreeAbelian(1), FreeAbelian(2)
+    D4, D5 = FiniteConcrete(make_dihedral(4)), FiniteConcrete(make_dihedral(5))
+    C12 = FiniteConcrete(make_cyclic(12))
+    Gm = MatrixGroup()
+    S, W, T = ((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, 1), (0, 1))
+    return {
+        "line": (Z, trivial_handle(Z), [(1,)], []),
+        "grid": (Z2, trivial_handle(Z2), [(1, 0), (0, 1)], []),
+        "coned-plane": (Z2, trivial_handle(Z2), [(1, 0), (0, 1)],
+                        [_line_family("row", 0)]),
+        "diagonal-two-families": (Z2, trivial_handle(Z2),
+                                  [(1, 0), (0, 1), (1, 1)],
+                                  [_line_family("row", 0),
+                                   _line_family("column", 1)]),
+        # BFS exhausts these three before radius 4; the generator 6 of
+        # C12 lies in U and gives loop notes
+        "dihedral-4": (D4, generated_handle("U", D4, [4]), [1],
+                       [generated_handle("R", D4, [2])]),
+        "dihedral-5": (D5, generated_handle("U", D5, [5]), [1, 6],
+                       [generated_handle("R", D5, [1])]),
+        "cyclic-12": (C12, generated_handle("U", C12, [6]), [1, 6],
+                      [generated_handle("H", C12, [4])]),
+        "matrix-c4": (Gm, generated_handle("C4", Gm, [S]), [T, W],
+                      [generated_handle("B", Gm, [W])]),
+    }
+
+
+@pytest.mark.parametrize("model", sorted(_coset_models()))
+def test_boundary_closing_pass_matches_every_vertex_pass(model):
+    G, U, S, hs = _coset_models()[model]
+    exhausted = False
+    for R in range(9):
+        ball = coset_graph_ball(G, U, S, hs, R)
+        oracle = _ball_closing_over_every_u_vertex(G, U, S, hs, R)
+        assert ca_to_json(ball) == ca_to_json(oracle)
+        assert [v.key for v in ball.verts] == [v.key for v in oracle.verts]
+        assert check_ca_conditions(ball) == check_ca_conditions(oracle)
+        exhausted |= max(v.dist for v in ball.verts) < R
+    assert exhausted == isinstance(G, FiniteConcrete)
+
+
+def test_boundary_closing_pass_keeps_qi_report():
+    models = _coset_models()
+    new = [coset_graph_ball(*models[m], 6)
+           for m in ("grid", "diagonal-two-families")]
+    old = [_ball_closing_over_every_u_vertex(*models[m], 6)
+           for m in ("grid", "diagonal-two-families")]
+    report = compare_balls_qi(*new)
+    assert report == compare_balls_qi(*old)
+    assert report["pairs"] > 10 and report["witness"] is not None
+
+
+@pytest.mark.parametrize("make, R, steps, calls", [
+    (plain_grid_ball, 20, 4, 3365),
+    (coned_plane_ball, 20, 5, 4206),
+    (lambda R: coset_graph_ball(*_coset_models()["matrix-c4"][:3], [], R),
+     3, 4 * 4, None),
+], ids=["grid", "coned-plane", "matrix-c4"])
+def test_coset_ball_keys_each_candidate_once(monkeypatch, make, R, steps,
+                                             calls):
+    # the start vertex, then each U-vertex's |U|·(2|S| + |hs|) candidates
+    # once: in the sweep inside radius R, in the closing pass on the
+    # boundary; these cone families are infinite, so cones add none
+    key_of = SubgroupHandle.key_of
+    count = [0]
+
+    def counted(self, G, x):
+        count[0] += 1
+        return key_of(self, G, x)
+
+    monkeypatch.setattr(SubgroupHandle, "key_of", counted)
+    ball = make(R)
+    n_u = sum(1 for v in ball.verts if v.tag == "G/U")
+    assert count[0] == 1 + steps * n_u
+    if calls is not None:
+        assert n_u == 2 * R * (R + 1) + 1
+        assert count[0] == calls
 
 
 # -- two constructions agree ------------------------------------------------

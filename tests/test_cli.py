@@ -216,6 +216,21 @@ def test_job_loads_only_the_modules_it_uses(tmp_path, job, used, unused):
     assert not {f"gogtools.{name}" for name in unused} & loaded
 
 
+def test_abelianization_loads_no_sympy(tmp_path):
+    # the Smith form is exact integer elimination; sympy is a test oracle
+    code = ("import sys\n"
+            "from gogtools.complexes import Presentation, abelianization\n"
+            "print(abelianization(Presentation(('x', 'y'),"
+            " [(1, 1, 1, 1, 2, 2), (2, 2, 2, 2, 2, 2)])))\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    h1, loaded = proc.stdout.splitlines()[-2:]
+    assert h1 == "(0, (2, 12))"
+    assert not [m for m in loaded.split() if m.partition(".")[0] == "sympy"]
+
+
 def test_shipped_jobs_all_run_clean(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for job in sorted(JOBS.glob("*.json")):

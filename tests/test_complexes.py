@@ -307,6 +307,63 @@ def test_bounded_torsion_witness():
     assert rep["h1"] == "Z/3"
 
 
+def _sympy_abelianization(pres):
+    """Oracle: (free rank, torsion) from sympy's Smith normal form of the
+    exponent-sum matrix."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    g = len(pres.generators)
+    rows = [[sum((x > 0) - (x < 0) for x in w if abs(x) == j + 1)
+             for j in range(g)] for w in pres.relators]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return (g, ())
+    M = smith_normal_form(Matrix(rows), domain=ZZ)
+    diag = [abs(int(M[i, i])) for i in range(min(M.shape)) if M[i, i]]
+    return (g - len(diag), tuple(d for d in diag if d != 1))
+
+
+def _presentation_of_rows(rows):
+    """A presentation whose relators have the given exponent-sum rows."""
+    g = len(rows[0])
+    return Presentation(
+        tuple(f"x{j}" for j in range(g)),
+        [tuple(x for j, c in enumerate(row)
+               for x in [j + 1 if c > 0 else -(j + 1)] * abs(c))
+         for row in rows])
+
+
+def test_abelianization_matches_sympy_smith_form():
+    # the presentations of the other abelianization tests, then seeded
+    # matrices with zero rows (relators of zero exponent sums), zero
+    # columns (unused generators), negative entries and rank deficiency
+    cases = [
+        Presentation((), []),
+        Presentation(("x",), [(1, 1, 1)]),
+        Presentation(("x", "y"), [(1, 2, -1, -2)]),
+        Presentation(("a", "b"), [(1, 2, 1, 2, -1, -1, -1),
+                                  (1, 1, 1, -2, -2, -2, -2, -2)]),
+    ]
+    rows_cases = [[[2, 1], [1, 2]], [[4, 2], [0, 6]], [[0, 0, 0]],
+                  [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]]
+    rng = random.Random(20260)
+    for _ in range(300):
+        m, g = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, 0, *range(-6, 7)]) for _ in range(g)]
+                for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            rows.append([a - 3 * b for a, b in zip(rows[0], rows[1])])
+        if rng.random() < 0.3:
+            col = rng.randrange(g)
+            for r in rows:
+                r[col] = 0
+        rows_cases.append(rows)
+    cases += [_presentation_of_rows(rows) for rows in rows_cases]
+    for pres in cases:
+        assert abelianization(pres) == _sympy_abelianization(pres), pres
+
+
 def test_bounded_perfect_presentation_unknown():
     # binary icosahedral style: perfect abelianization, but no generator
     # occurs exactly once, so bounded elimination cannot start
