@@ -21,11 +21,11 @@ With no relators it is the tree ball, which
 :func:`gogtools.tree.build_tree_ball` returns: it walks the tree with the
 child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel; the presentation
-complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.  For an
-evaluation oracle (a callable with ``image(word)``, as ``evaluation_wp``
-returns) the lookup is keyed by the vertex's coset in the finite target, one
-evaluation per lookup; for any other callable it scans the vertices at the
-same Λ-vertex, one word-problem call per candidate and vertex-group element.
+complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.  It
+buckets vertices by the callable's own ``key(word)`` (the Λ-vertex if it has
+none).  An exact key, such as an evaluation oracle's coset in the finite
+target, settles a lookup with one key; otherwise each candidate in the bucket
+costs one word-problem call per vertex-group element.
 
 Cells and determinism
 ---------------------
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .concrete import SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
@@ -252,52 +253,28 @@ class _KernelLookup:
     kernel ⟨⟨R⟩⟩.  An exact hit on the word comes first; with no relators
     only exact hits count.
 
-    When the word-problem callable is an evaluation oracle (it has
-    ``image(word)``, the element of its finite ``target`` that the word
-    evaluates to), a vertex is keyed by (v, least element of the left coset
-    image(word)·image(G_v)), and ``find`` is one evaluation and one dict
-    lookup.  Any other callable, such as the Dehn oracle, gets the scan:
-    the first vertex at the same Λ-vertex v whose word w_i has
-    word·x·w_i⁻¹ in the kernel for some x in G_v.  The product is handed
+    Otherwise a vertex goes into the bucket of its key: ``wp.key(word)``
+    when the word-problem callable has one, else its Λ-vertex.  Two words
+    that agree modulo the kernel up to an element of G_v must get the same
+    key, so a bucket holds every vertex that could match, in insertion
+    order.  When ``wp.exact_key`` is true, equal keys also mean the same
+    vertex, and ``find`` returns the bucket's first entry.  Otherwise the
+    key is a filter, and ``find`` returns the first vertex in the bucket
+    whose word w_i has word·x·w_i⁻¹ in the kernel for some x in G_v.  The product is handed
     to the callable unreduced: a word-problem callable decides an element,
-    whatever word represents it, and the Dehn oracle reduces once itself.
+    whatever word represents it, and the Dehn oracle reduces once itself."""
 
-    Both give the same index.  Evaluation does not change under
-    ``reduce_word``: pinches and the transversal sweep move edge-group
-    elements across edges, and the images agree on edge groups.  It is
-    multiplicative under ``*`` and ``inverse``.  So, with ker(evaluation) =
-    ⟨⟨R⟩⟩, the scan accepts (w_i, x) exactly when image(word)·image(x) =
-    image(w_i), that is, when the two cosets image(·)·image(G_v) are
-    equal.  Coset equality is an equivalence relation, so at most one
-    stored vertex has a given key, and it is the one the scan finds."""
-
-    def __init__(self, gog: GraphOfGroups, relators, wp):
-        self.gog = gog
+    def __init__(self, relators, wp):
         self.wp = wp if relators else None
-        self.image = getattr(self.wp, "image", None)
+        self.key = getattr(self.wp, "key", attrgetter("end"))
+        self.exact_key = getattr(self.wp, "exact_key", False)
         self.exact = {}     # canonical tree word -> index
-        self.by_lam = {}    # Λ-vertex -> [(word, index)], for the scan
-        self.keyed = {}     # (Λ-vertex, least coset element) -> index
-        if self.image is not None:
-            # image(G_v), once per Λ-vertex
-            self.vimage = [
-                sorted({self.image(GroupWord._trusted(gog, v, x))
-                        for x in range(gog.vgroup(v).order)})
-                for v in range(gog.graph.num_vertices)
-            ]
-
-    def key(self, word: GroupWord):
-        v = word.end
-        op = self.wp.target.op
-        g = self.image(word)
-        return v, min(op(g, h) for h in self.vimage[v])
+        self.buckets = {}   # key -> [(word, index)]
 
     def add(self, word: GroupWord, idx: int):
         self.exact[word] = idx
-        if self.image is not None:
-            self.keyed.setdefault(self.key(word), idx)
-        elif self.wp is not None:
-            self.by_lam.setdefault(word.end, []).append((word, idx))
+        if self.wp is not None:
+            self.buckets.setdefault(self.key(word), []).append((word, idx))
 
     def in_kernel(self, word: GroupWord) -> bool:
         if word.is_identity():
@@ -315,10 +292,11 @@ class _KernelLookup:
         j = self.exact.get(word)
         if j is not None or self.wp is None:
             return j
-        if self.image is not None:
-            return self.keyed.get(self.key(word))
-        gog, v = self.gog, word.end
-        for w_i, i in self.by_lam.get(v, ()):
+        bucket = self.buckets.get(self.key(word), ())
+        if self.exact_key:
+            return bucket[0][1] if bucket else None
+        gog, v = word.gog, word.end
+        for w_i, i in bucket:
             inv_i = w_i.inverse()
             for x in range(gog.vgroup(v).order):
                 if self.in_kernel(word * GroupWord._trusted(gog, v, x) * inv_i):
@@ -342,7 +320,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         raise ValueError(f"base vertex {base} out of range")
     _own_table(gog, transversals)
     fan = _fan_table(gog)
-    lookup = _KernelLookup(gog, relators, wp)
+    lookup = _KernelLookup(relators, wp)
 
     verts = []
     adjacency = []

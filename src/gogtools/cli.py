@@ -521,7 +521,7 @@ def _px_complex(params, ctx):
         # relator-power quotients can serve their own word problem
         oracle = KernelOracle(gog, _word(gog, params["relators"][0]),
                               params["power"])
-        wp, relators = oracle.in_kernel, [oracle.rm]
+        wp, relators = oracle, [oracle.rm]
     return presentation_complex_ball(gog, relators, params["radius"], wp=wp,
                                      cap=cap)
 
@@ -562,7 +562,7 @@ def _cmd_m_thin(params, ctx):
     m = params["power"]
     R = params["radius"]
     oracle = KernelOracle(gog, r, m)
-    X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle.in_kernel)
+    X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle)
     X.incidence = thinness_incidence(gog, r, m, R, oracle=oracle,
                                      ball=X.skeleton)
     M = params.get("M")

@@ -101,13 +101,6 @@ class FiniteGroup:
     def inverse(self, g):
         return self.inv[g]
 
-    def element_order(self, g):
-        k, x = 1, g
-        while x != self.identity:
-            x = self.table[x][g]
-            k += 1
-        return k
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
@@ -257,36 +250,3 @@ def check_hom(h: GroupHom):
             if m[S.table[a][b]] != T.table[m[a]][m[b]]:
                 return False, (a, b)
     return True, None
-
-
-def intersect(A: Subgroup, B: Subgroup) -> Subgroup:
-    if A.parent is not B.parent:
-        raise ValueError("subgroup parents differ")
-    return Subgroup(A.parent, set(A.elements) & set(B.elements))
-
-
-# -- JSON descriptors -------------------------------------------------------
-
-
-def group_to_json(G: FiniteGroup) -> dict:
-    out = {"order": G.order, "table": [list(r) for r in G.table]}
-    if G.names is not None:
-        out["names"] = list(G.names)
-    return out
-
-
-def group_from_json(data) -> FiniteGroup:
-    """Accepts {"order": n, "table": [[...]], "names": [...]?} or the cyclic
-    shorthand {"cyclic": n}."""
-    if not isinstance(data, dict):
-        raise ValueError(f"group descriptor must be an object, got {type(data).__name__}")
-    if "cyclic" in data:
-        return make_cyclic(int(data["cyclic"]))
-    if "dihedral" in data:
-        return make_dihedral(int(data["dihedral"]))
-    if "table" not in data:
-        raise ValueError("group descriptor needs 'table', 'cyclic' or 'dihedral'")
-    G = FiniteGroup(data["table"], names=data.get("names"))
-    if "order" in data and int(data["order"]) != G.order:
-        raise ValueError(f"declared order {data['order']} != table order {G.order}")
-    return G

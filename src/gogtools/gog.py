@@ -507,26 +507,6 @@ def word_to_json(w: GroupWord):
     return out
 
 
-def word_from_json(data, gog: GraphOfGroups) -> GroupWord:
-    if not isinstance(data, list) or len(data) < 3 or data[0] != "g":
-        raise ValueError("word JSON must start with ['g', vertex, element]")
-    start, head = int(data[1]), int(data[2])
-    pairs = []
-    i = 3
-    while i < len(data):
-        if data[i] != "e" or i + 4 >= len(data):
-            raise ValueError(f"expected ['e', edge, 'g', vertex, element] at position {i}")
-        e = int(data[i + 1])
-        if data[i + 2] != "g":
-            raise ValueError(f"expected 'g' token at position {i + 2}")
-        v, x = int(data[i + 3]), int(data[i + 4])
-        if v != gog.graph.t(e):
-            raise ValueError(f"vertex {v} is not the terminus of edge {e}")
-        pairs.append((e, x))
-        i += 5
-    return GroupWord(gog, start, head, pairs)
-
-
 # -- convenient constructors ------------------------------------------------
 
 

@@ -45,6 +45,7 @@ certified at radii where a full disc could never fit in memory.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import UnsupportedInput
 from .gog import (
@@ -682,7 +683,13 @@ class KernelOracle:
 
     The powers r⁻ˢ used by the thinness audit are built on demand, one
     reduction per step, and kept in a list that grows only as far as an
-    audit asks.  ``transversals``, if given, must be ``gog.transversals``."""
+    audit asks.  ``transversals``, if given, must be ``gog.transversals``.
+
+    Calling the oracle is ``in_kernel``.  ``key`` lets quotient balls
+    bucket their vertices by abelianized image; it is a filter, not a
+    decision, so ``exact_key`` is false."""
+
+    exact_key = False
 
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
         _own_table(gog, transversals)
@@ -771,6 +778,30 @@ class KernelOracle:
     def in_kernel(self, w: GroupWord) -> bool:
         return self.certificate(w)["in_kernel"]
 
+    __call__ = in_kernel
+
+    @cached_property
+    def _key_cosets(self):
+        """Per Λ-vertex v, the elements of h1(G_v)·⟨h1(r^m)⟩."""
+        return [tuple({s[:v] + (G.op(s[v], x),) + s[v + 1:]
+                       for s in self._r_subgroup for x in range(G.order)})
+                for v, G in enumerate(self.gog.vgroups)]
+
+    def key(self, w: GroupWord):
+        """(w.end, least element of h1(w)·h1(G_v)·⟨h1(r^m)⟩) where the
+        abelianized image applies, else w.end.
+
+        h1 is a homomorphism to a finite abelian group, and it maps the
+        kernel ⟨⟨r^m⟩⟩ into ⟨h1(r^m)⟩.  So w·x·w'⁻¹ with x in G_v can lie
+        in the kernel only if w and w' have the same key: the key never
+        separates two words the oracle would match."""
+        if not self.abelian:
+            return w.end
+        ops = [G.op for G in self.gog.vgroups]
+        img = self._h1_image(w)
+        return w.end, min(tuple(op(a, b) for op, a, b in zip(ops, img, h))
+                          for h in self._key_cosets[w.end])
+
 
 # -- presentation complexes -------------------------------------------------
 
@@ -808,7 +839,7 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
 
     relators = list(relators)
     ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0, cap=cap)
-    lookup = _KernelLookup(gog, relators, wp)
+    lookup = _KernelLookup(relators, wp)
     for i, v in enumerate(ball.verts):
         lookup.add(v.rep, i)
 
@@ -917,7 +948,7 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
     if ball is None:
         from .cayley_abels import quotient_tree_ball
 
-        ball = quotient_tree_ball(gog, [oracle.rm], R, wp=oracle.in_kernel,
+        ball = quotient_tree_ball(gog, [oracle.rm], R, wp=oracle,
                                   base=core.start)
     g_graph = gog.graph
     step_edges = [e for e, _x in core.pairs]
@@ -1036,7 +1067,7 @@ def claim_audit(gog, r: GroupWord, m: int,
        to at most |r| orbits (q_{j+|r|} = r·q_j, checked exactly);
     2. on a sample edge, the incident cells inject into those orbits —
        one transporter class per orbit, classes counted exactly when the
-       edge stabilizers are trivial;
+       edge stabilizers are trivial, and not checked (verdict None) else;
     3. per boundary edge t, [G̃_t : G̃_γ] with γ the compute_M geodesic
        stays within k, exhibiting the worst edge.
     """
@@ -1091,10 +1122,8 @@ def claim_audit(gog, r: GroupWord, m: int,
                     "classes certified through the kernel oracle",
         }
     else:
-        injection["note"] = ("edge stabilizers are nontrivial; the "
-                            "injection is reported through the per-orbit "
-                            "index bound of claim 3")
-        injection["verdict"] = True
+        injection["note"] = ("not checked: edge stabilizers are nontrivial, "
+                             "and transporter classes need trivial ones")
 
     # claim 3: per-edge index along the witness geodesic against G̃_γ
     stabs = tc.stab_sets
@@ -1130,15 +1159,18 @@ class Evaluation:
     """Evaluation of loop words in a finite target, as built by
     :func:`evaluation_wp`.  Calling it answers the word problem (True when
     the word evaluates to the identity); ``image(word)`` is the target
-    element itself."""
+    element itself, and ``key(word)`` the word's coset in the target, an
+    exact key for quotient balls."""
 
-    __slots__ = ("target", "images", "_by_edge")
+    __slots__ = ("target", "images", "_by_edge", "_vimage")
+    exact_key = True
 
     def __init__(self, gog, target, images):
         self.target = target
         self.images = images
         g = gog.graph
         self._by_edge = tuple(images[g.t(e)] for e in range(g.num_edges))
+        self._vimage = tuple(tuple(sorted(set(row))) for row in images)
 
     def image(self, w: GroupWord) -> int:
         table, by_edge = self.target.table, self._by_edge
@@ -1149,6 +1181,19 @@ class Evaluation:
 
     def __call__(self, w: GroupWord) -> bool:
         return self.image(w) == self.target.identity
+
+    def key(self, w: GroupWord):
+        """(w.end, least element of the left coset image(w)·image(G_v)).
+
+        Evaluation does not change under ``reduce_word``: pinches and the
+        transversal sweep move edge-group elements across edges, and the
+        images agree on edge groups.  It is multiplicative under ``*`` and
+        ``inverse``.  So, with ker(evaluation) = ⟨⟨R⟩⟩, w·x·w'⁻¹ lies in
+        the kernel for some x in G_v exactly when the two cosets are
+        equal, and equal keys mean the same quotient-ball vertex."""
+        op = self.target.op
+        g = self.image(w)
+        return w.end, min(op(g, h) for h in self._vimage[w.end])
 
 
 def evaluation_wp(gog, target, images):
@@ -1161,8 +1206,8 @@ def evaluation_wp(gog, target, images):
     checked; it holds when the relators present the target.
 
     Returns an :class:`Evaluation`: called on a word it returns a bool,
-    and its ``image(word)`` lets quotient balls key vertices by their
-    target coset instead of scanning."""
+    and its ``key(word)``, the word's target coset, finds a quotient-ball
+    vertex with one evaluation."""
     g = gog.graph
     for v in range(g.num_vertices):
         G = gog.vgroup(v)

@@ -7,9 +7,6 @@ from gogtools.finite import (
     GroupHom,
     Subgroup,
     check_hom,
-    group_from_json,
-    group_to_json,
-    intersect,
     left_cosets,
     left_transversal,
     make_cyclic,
@@ -22,8 +19,6 @@ def test_make_cyclic_examples():
     assert make_cyclic(1).table == ((0,),)
     C4 = make_cyclic(4)
     assert C4.op(1, 1) == 2 and C4.op(2, 2) == 0
-    C6 = make_cyclic(6)
-    assert C6.element_order(3) == 2
 
 
 def test_make_cyclic_invalid():
@@ -125,43 +120,9 @@ def test_check_hom():
     assert check_hom(GroupHom(C4, C4, [0, 1, 2, 3])) == (True, None)
 
 
-def test_intersect():
-    C4 = make_cyclic(4)
-    A = subgroup_generated(C4, {2})
-    assert intersect(A, A).elements == (0, 2)
-    triv = subgroup_generated(C4, set())
-    assert intersect(subgroup_generated(C4, {1}), triv).elements == (0,)
-    # two distinct C2's in the Klein group D2
-    V = make_dihedral(2)
-    P = subgroup_generated(V, {1})
-    Q = subgroup_generated(V, {2})
-    assert intersect(P, Q).elements == (0,)
-    # oracle equivalence: plain set intersection, then closure holds
-    got = intersect(P, Q)
-    assert set(got.elements) == set(P.elements) & set(Q.elements)
-
-
-def test_intersect_parent_mismatch():
-    C4, C6 = make_cyclic(4), make_cyclic(6)
-    with pytest.raises(ValueError):
-        intersect(subgroup_generated(C4, {2}), subgroup_generated(C6, {3}))
-
-
 def test_subgroup_invariants():
     C6 = make_cyclic(6)
     with pytest.raises(ValueError):
         Subgroup(C6, [0, 2])  # not closed (2+2=4 missing)
     with pytest.raises(ValueError):
         Subgroup(C6, [1, 5])  # missing identity
-
-
-def test_json_roundtrip():
-    D4 = make_dihedral(4)
-    data = group_to_json(D4)
-    back = group_from_json(data)
-    assert back.table == D4.table
-    assert group_from_json({"cyclic": 5}).order == 5
-    with pytest.raises(ValueError):
-        group_from_json({"order": 3})
-    with pytest.raises(ValueError):
-        group_from_json({"order": 5, "table": [[0]]})

@@ -8,6 +8,7 @@ images in the product of vertex groups, and replay of every Dehn trace
 back to a product-of-conjugates witness.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from fixtures import (
     c2_c2_free,
     c4_c6_free,
     counting,
+    edge_between,
     hnn_c6,
     loop_word,
     random_amalgam_word,
@@ -30,10 +32,11 @@ from fixtures import (
 from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
 from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
-from gogtools.finite import make_dihedral
+from gogtools.finite import make_cyclic, make_dihedral
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
+    free_product,
     identity_word,
     reduce_word,
     words_equal,
@@ -640,7 +643,7 @@ def test_evaluation_wp_image():
 
 @pytest.mark.parametrize("n", range(3, 21))
 def test_keyed_lookup_matches_scan(n):
-    # the lambda has no ``image``, so the lookup scans
+    # the lambda has no ``key``, so the lookup scans its Λ-vertex bucket
     gog, rel, ev = _dihedral(n)
     keyed = quotient_tree_ball(gog, [rel], n, wp=ev)
     scanned = quotient_tree_ball(gog, [rel], n, wp=lambda w: ev(w))
@@ -648,12 +651,112 @@ def test_keyed_lookup_matches_scan(n):
     assert ca_to_json(keyed) == ca_to_json(scanned)
 
 
-@pytest.mark.parametrize("R", [3, 6])
-def test_keyed_lookup_matches_scan_on_complex(R):
-    gog, st3, wp = _d3_setup()
-    keyed = presentation_complex_ball(gog, [st3], R, wp=wp)
-    scanned = presentation_complex_ball(gog, [st3], R, wp=lambda w: wp(w))
-    assert to_complex_json(keyed) == to_complex_json(scanned)
+# each quotient below is (gog, relators, word-problem callable)
+
+
+def _kernel_quotient(gog, r, m):
+    ko = KernelOracle(gog, r, m)
+    return gog, [ko.rm], ko
+
+
+def _c4c6_quotient(m):
+    gog = _free()
+    return _kernel_quotient(gog, _relator(gog), m)
+
+
+def _c2c3_quotient():
+    # h1((ab)^7) generates all of C2 × C3, so the key's ⟨h1(r^m)⟩ factor
+    # is the whole group
+    gog = free_product(make_cyclic(2), make_cyclic(3))
+    return _kernel_quotient(gog, ab_word(gog, [1, 1]), 7)
+
+
+def _s3c2_quotient():
+    # S3 is not abelian, so there is no abelianized image and the key
+    # falls back to the Λ-vertex
+    gog = free_product(make_dihedral(3), make_cyclic(2))
+    return _kernel_quotient(gog, ab_word(gog, [1, 1, 2, 1]), 6)
+
+
+def _dihedral_quotient(n):
+    gog, rel, ev = _dihedral(n)
+    return gog, [rel], ev
+
+
+@pytest.mark.parametrize("setup, R", [
+    (lambda: _dihedral_quotient(3), 3),
+    (lambda: _dihedral_quotient(3), 6),
+    (lambda: _c4c6_quotient(12), 2),
+    (lambda: _c4c6_quotient(24), 3),
+    (_c2c3_quotient, 3),
+    (_s3c2_quotient, 3),
+], ids=["3", "6", "c4c6-m12-R2", "c4c6-m24-R3", "c2c3-m7-R3", "s3c2-m6-R3"])
+def test_keyed_lookup_matches_scan_on_complex(setup, R):
+    gog, relators, wp = setup()
+    for build, dump in ((presentation_complex_ball, to_complex_json),
+                        (quotient_tree_ball, ca_to_json)):
+        keyed = json.dumps(dump(build(gog, relators, R, wp=wp)))
+        # the lambda has no ``key``, so the lookup scans its Λ-vertex bucket
+        scanned = json.dumps(dump(build(gog, relators, R,
+                                        wp=lambda w: wp(w))))
+        assert keyed == scanned
+
+
+def test_kernel_key_falls_back_to_lam_vertex():
+    gog, _, ko = _s3c2_quotient()
+    w = ab_word(gog, [1, 2]) * GroupWord(
+        gog, 0, 0, [(edge_between(gog, 0, 1), 1)])
+    assert not ko.abelian and ko.key(w) == w.end == 1
+    gog = sl2z_gog()
+    ko = KernelOracle(gog, ab_word(gog, [1, 1, 1, 2]), 12)
+    assert ko.key(ab_word(gog, [1, 1])) == 0
+    # over a nontrivial edge group neither lookup can refute a candidate
+    for wp in (ko, lambda w: ko(w)):
+        with pytest.raises(UnsupportedInput):
+            quotient_tree_ball(gog, [ko.rm], 2, wp=wp)
+
+
+def _conjugate_kernel_word(gog, rm, rng):
+    c = random_amalgam_word(gog, rng, max_syllables=6)
+    return c * rm * c.inverse()
+
+
+def _random_path(gog, rng):
+    """A loop word at vertex 0, then with even odds one step to vertex 1."""
+    w = random_amalgam_word(gog, rng, max_syllables=8)
+    if rng.randrange(2):
+        y = rng.randrange(gog.vgroup(1).order)
+        w = w * GroupWord(gog, 0, 0, [(edge_between(gog, 0, 1), y)])
+    return reduce_word(w)
+
+
+# n_keys is the number of cosets per Λ-vertex, summed: C4 × C6 over h1(C4)
+# and h1(C6) gives 6 + 4; over C2 × C3 = ⟨h1((ab)^7)⟩ one each; D7 over the
+# image of a C2 gives 7 at each vertex
+@pytest.mark.parametrize("setup, n_keys", [
+    (lambda: _c4c6_quotient(12), 10),
+    (_c2c3_quotient, 2),
+    (lambda: _dihedral_quotient(7), 14),
+], ids=["c4c6-m12", "c2c3-m7", "d7-evaluation"])
+def test_key_is_invariant_modulo_kernel_and_vertex_group(setup, n_keys):
+    gog, (rm,), wp = setup()
+    rng = random.Random(0x16)
+    keys = set()
+    for _ in range(100):
+        w = _random_path(gog, rng)
+        k = _conjugate_kernel_word(gog, rm, rng)
+        if rng.randrange(2):
+            k = k * _conjugate_kernel_word(gog, rm, rng).inverse()
+        v = w.end
+        x = rng.randrange(gog.vgroup(v).order)
+        moved = reduce_word(k * w * GroupWord(gog, v, x))
+        assert wp.key(moved) == wp.key(w)
+        keys.add(wp.key(w))
+    # the samples see no more keys than there are cosets, and more than
+    # the Λ-vertices exactly when the cosets are finer
+    n_lam = gog.graph.num_vertices
+    assert len(keys) <= n_keys
+    assert (len(keys) > n_lam) == (n_keys > n_lam)
 
 
 def _lookup_work(monkeypatch, n, wp_of):
@@ -782,18 +885,29 @@ def test_incidence_radius_guard():
         thinness_incidence(gog, r, 12, 40, oracle=ko)
 
 
-def test_check_M_thin_with_certificate():
+def test_check_M_thin_with_certificate(monkeypatch):
+    # the m_thin_r12 job: with the abelianized key the complex and its
+    # incidence table take 1,128 certificate calls; the Λ-vertex scan
+    # took 4,476
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
-    X = presentation_complex_ball(gog, [word_power(r, 12)], 2,
-                                  wp=ko.in_kernel)
+    calls = [0]
+    certificate = KernelOracle.certificate
+
+    def counted(self, w):
+        calls[0] += 1
+        return certificate(self, w)
+
+    monkeypatch.setattr(KernelOracle, "certificate", counted)
+    X = presentation_complex_ball(gog, [word_power(r, 12)], 2, wp=ko)
     X.incidence = thinness_incidence(gog, r, 12, 2, oracle=ko,
                                      ball=X.skeleton)
     rep = check_M_thin(X, 6)
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
     assert rep["max_count"] == 6
+    assert 0 < calls[0] <= 1200
 
 
 def oracle_disc_stabilizer_power(ko, delta):
@@ -894,8 +1008,10 @@ def test_claim_audit_amalgam():
     assert aud["orbit_bound"]["verdict"]
     assert aud["index_bound"]["max_index"] == 2
     assert aud["k"] == 2 and aud["M"] == 4
-    assert aud["injection"]["note"]  # reported, not certified, off the
-    # trivial-edge-stabilizer path
+    # off the trivial-edge-stabilizer path the injection is not checked,
+    # so it has no verdict
+    assert aud["injection"]["verdict"] is None
+    assert aud["injection"]["note"].startswith("not checked")
 
 
 # -- randomized closure properties ------------------------------------------

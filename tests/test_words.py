@@ -22,8 +22,6 @@ from gogtools.gog import (
     reduce_word,
     syllable_length,
     validate,
-    word_from_json,
-    word_to_json,
     words_equal,
 )
 
@@ -325,23 +323,6 @@ def test_full_cancellation_long_words(make):
         assert reduce_word(w * w.inverse()) == ident
         assert reduce_word(w.inverse() * w) == ident
         assert reduce_word(w * w * w.inverse()) == reduce_word(w)
-
-
-def test_word_json_roundtrip():
-    gog = sl2z_gog()
-    rng = random.Random(3)
-    for _ in range(20):
-        w = random_amalgam_word(gog, rng)
-        data = word_to_json(w)
-        assert word_from_json(data, gog) == w
-
-
-def test_word_json_rejects_garbage():
-    gog = sl2z_gog()
-    with pytest.raises(ValueError):
-        word_from_json(["e", 0], gog)
-    with pytest.raises(ValueError):
-        word_from_json(["g", 0, 0, "e", 0, "g", 0, 1], gog)  # wrong terminus
 
 
 def test_hnn_sub_rejects_bad_input():
