@@ -20,12 +20,22 @@ which may be handed words that are not reduced.
 With no relators it is the tree ball, which
 :func:`gogtools.tree.build_tree_ball` returns: it walks the tree with the
 child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
-the one place that finds a vertex again modulo the kernel; the presentation
-complex in :mod:`gogtools.smallcanc` reuses it on the finished ball.  It
-buckets vertices by the callable's own ``key(word)`` (the Λ-vertex if it has
-none).  An exact key, such as an evaluation oracle's coset in the finite
-target, settles a lookup with one key; otherwise each candidate in the bucket
-costs one word-problem call per vertex-group element.
+the one place that finds a vertex again modulo the kernel.  The finished
+ball keeps it as ``lookup``, where the tree action and the presentation
+complex in :mod:`gogtools.smallcanc` find their vertices.  It buckets
+vertices by the callable's own ``key(word)`` (the Λ-vertex if it has none).
+An exact key, such as an evaluation oracle's coset in the finite target,
+settles a lookup with one key; otherwise each candidate in the bucket costs
+one word-problem call per vertex-group element.
+
+Search
+------
+``GGraphBall.bfs`` is the one breadth-first search over a finished ball:
+distances, angles and escaping sets, α geodesics, tree geodesics, the π₁
+spanning tree and the δ distance rows all read it.  It takes neighbours in
+ascending index (``GGraphBall.nbrs``, sorted once per ball), so its parent
+edges, and every path or name read off them, break ties by least index,
+not by the order in which the builder inserted edges.
 
 Cells and determinism
 ---------------------
@@ -81,14 +91,17 @@ class GEdge:
 
 
 class GGraphBall:
-    """Finite ball of a Cayley–Abels style graph; immutable once built."""
+    """Finite ball of a Cayley–Abels style graph; immutable once built.
+    ``lookup`` is the :class:`_KernelLookup` a quotient ball was built with
+    (None on coset and attachment balls)."""
 
-    def __init__(self, verts, edges, adjacency, radius, notes=()):
+    def __init__(self, verts, edges, adjacency, radius, notes=(), lookup=None):
         self.verts = tuple(verts)
         self.edges = tuple(edges)
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self.radius = radius
         self.notes = tuple(notes)
+        self.lookup = lookup
 
     def vertex_count(self):
         return len(self.verts)
@@ -100,24 +113,29 @@ class GGraphBall:
         return len(self.adjacency[i])
 
     @cached_property
-    def rep_index(self):
-        """Vertex index by rep, built once; meant for quotient balls, where
-        each vertex has its own canonical tree word."""
-        return {v.rep: i for i, v in enumerate(self.verts)}
+    def nbrs(self):
+        """Each vertex's (vertex, edge) pairs in ascending order."""
+        return tuple(tuple(sorted(a)) for a in self.adjacency)
 
-    def distances(self, src: int):
-        """BFS distances from a vertex; unreachable = absent."""
+    def bfs(self, src: int, avoid=None):
+        """Breadth-first search from src in the ball minus the vertex
+        ``avoid``: (dist, parent) dicts over the vertices reached, a parent
+        being the (vertex, edge) a vertex was first reached from, None at
+        src.  Neighbours are taken in ``nbrs`` order, so ties go to the
+        least index."""
+        if src == avoid:
+            raise ValueError("BFS source equals the removed vertex")
         dist = {src: 0}
+        parent = {src: None}
         queue = [src]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y, _ in self.adjacency[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            queue = nxt
-        return dist
+        for x in queue:
+            d = dist[x] + 1
+            for y, k in self.nbrs[x]:
+                if y not in dist and y != avoid:
+                    dist[y] = d
+                    parent[y] = (x, k)
+                    queue.append(y)
+        return dist, parent
 
     def subball_degree(self, i, rho):
         """Degree of vertex i inside the sub-ball of radius rho."""
@@ -378,7 +396,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                     _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}",
                                  i, j, gog.egroup(e).order, notes)
 
-    return GGraphBall(verts, edges, adjacency, R, notes)
+    return GGraphBall(verts, edges, adjacency, R, notes, lookup)
 
 
 def check_ca_conditions(ball: GGraphBall) -> dict:
@@ -399,7 +417,7 @@ def check_ca_conditions(ball: GGraphBall) -> dict:
         "doubled_pairs": len(pairs) - len(set(pairs)),
     }
 
-    reached = ball.distances(0) if ball.vertex_count() else {}
+    reached = ball.bfs(0)[0] if ball.vertex_count() else {}
     report["connected"] = {
         "pass": len(reached) == ball.vertex_count(),
         "reached": len(reached),
@@ -477,8 +495,8 @@ def compare_balls_qi(b1: GGraphBall, b2: GGraphBall) -> dict:
     witness = None
     npairs = 0
     for a in range(len(common)):
-        d1 = b1.distances(m1[common[a]])
-        d2 = b2.distances(m2[common[a]])
+        d1 = b1.bfs(m1[common[a]])[0]
+        d2 = b2.bfs(m2[common[a]])[0]
         for b in range(a + 1, len(common)):
             x1 = d1.get(m1[common[b]])
             x2 = d2.get(m2[common[b]])

@@ -419,22 +419,12 @@ def pi1_presentation(X):
     n = len(sk.verts)
     if n == 0:
         raise ValueError("empty complex")
-    seen = {0}
-    tree = set()
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w, eidx in sorted(sk.adjacency[u]):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(eidx)
-                    nxt.append(w)
-        queue = nxt
-    if len(seen) != n:
+    parent = sk.bfs(0)[1]
+    if len(parent) != n:
         raise ValueError(
-            f"complex is disconnected: reached {len(seen)} of {n} 0-cells"
+            f"complex is disconnected: reached {len(parent)} of {n} 0-cells"
         )
+    tree = {p[1] for p in parent.values() if p is not None}
     gens = sorted(k for k in range(len(sk.edges)) if k not in tree)
     gnum = {k: i + 1 for i, k in enumerate(gens)}
     eindex = X.edge_index()
@@ -775,18 +765,11 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
     tree = sum(map(len, ball.adjacency)) == 2 * (n - 1)
     D = []
     for src in range(1 if tree else n):
-        row = [-1] * n
-        row[src] = 0
-        queue = [src]
-        for x in queue:
-            for y, _ in ball.adjacency[x]:
-                if row[y] < 0:
-                    row[y] = row[x] + 1
-                    queue.append(y)
-        if len(queue) != n:
+        dist = ball.bfs(src)[0]
+        if len(dist) != n:
             raise ValueError(f"ball is disconnected: vertex {src} reaches "
-                             f"{len(queue)} of {n}")
-        D.append(row)
+                             f"{len(dist)} of {n}")
+        D.append([dist[j] for j in range(n)])
     if tree:
         return report
     best, witness = 0, None

@@ -4,10 +4,14 @@ quasi-isometry certificate.
 
 Conventions
 -----------
-All operations act on :class:`~gogtools.cayley_abels.GGraphBall` objects.
-The angle at v between neighbors x, y is the length of the shortest x–y path
-in the ball minus v; unreachable is the explicit :data:`INF` object, never a
-sentinel integer (and within a ball it is only a lower-bound certificate).
+All operations act on :class:`~gogtools.cayley_abels.GGraphBall` objects,
+and every distance and shortest path is read from the one search,
+:meth:`~gogtools.cayley_abels.GGraphBall.bfs`, which breaks ties by least
+vertex index; witness paths and α geodesics are therefore fixed by the
+ball's indexing alone.  The angle at v between neighbors x, y is the length
+of the shortest x–y path in the ball minus v; unreachable is the explicit
+:data:`INF` object, never a sentinel integer (and within a ball it is only a
+lower-bound certificate).
 
 The escaping set →uv(k) is computed through the second-vertex normal form:
 w ∈ →uv(k) iff w is adjacent to u and the distance from w to v in the graph
@@ -66,25 +70,7 @@ INF = AngleInfinity()
 
 
 def neighbors(ball: GGraphBall, v: int):
-    return sorted(j for j, _ in ball.adjacency[v])
-
-
-def _bfs_avoid(ball: GGraphBall, src: int, avoid: int):
-    """BFS distances from src in the ball minus the vertex ``avoid``."""
-    if src == avoid:
-        raise ValueError("BFS source equals the removed vertex")
-    dist = {src: 0}
-    queue = [src]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in neighbors(ball, x):
-                if y == avoid or y in dist:
-                    continue
-                dist[y] = dist[x] + 1
-                nxt.append(y)
-        queue = nxt
-    return dist
+    return [j for j, _ in ball.nbrs[v]]
 
 
 class AngleTable:
@@ -94,7 +80,7 @@ class AngleTable:
         self.ball = ball
         self.v = v
         self.link = neighbors(ball, v)
-        self._dist = {x: _bfs_avoid(ball, x, v) for x in self.link}
+        self._dist = {x: ball.bfs(x, avoid=v)[0] for x in self.link}
 
     def angle(self, x: int, y: int):
         if x not in self._dist or y not in self._dist:
@@ -114,8 +100,17 @@ def angle(ball: GGraphBall, v: int, x: int, y: int):
     nbrs = set(neighbors(ball, v))
     if x not in nbrs or y not in nbrs:
         raise ValueError(f"{x} or {y} is not adjacent to {v}")
-    d = _bfs_avoid(ball, x, v).get(y)
+    d = ball.bfs(x, avoid=v)[0].get(y)
     return INF if d is None else d
+
+
+def _trace_back(parent, x):
+    """Vertex path from x back to the source of the search behind
+    ``parent`` (a :meth:`GGraphBall.bfs` parent dict)."""
+    path = [x]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]][0])
+    return path
 
 
 class EscapingPathSet:
@@ -150,20 +145,7 @@ def escaping_vectors(ball: GGraphBall, u: int, v: int, k: int) -> EscapingPathSe
         raise ValueError("escaping sets need distinct endpoints")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # BFS out of v in ball − u, with parents for witness reconstruction
-    dist_v = {v: 0}
-    prev = {v: None}
-    queue = [v]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in neighbors(ball, x):
-                if y == u or y in dist_v:
-                    continue
-                dist_v[y] = dist_v[x] + 1
-                prev[y] = x
-                nxt.append(y)
-        queue = nxt
+    dist_v, prev = ball.bfs(v, avoid=u)
     members = []
     witnesses = {}
     for w in neighbors(ball, u):
@@ -171,10 +153,7 @@ def escaping_vectors(ball: GGraphBall, u: int, v: int, k: int) -> EscapingPathSe
         if d is None or d > k - 1:
             continue
         members.append(w)
-        path = [w]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        witnesses[w] = [u] + path
+        witnesses[w] = [u] + _trace_back(prev, w)
     exact = (ball.radius - ball.verts[u].dist) >= k + 1
     return EscapingPathSet(u, v, k, members, witnesses, exact)
 
@@ -199,29 +178,6 @@ def enumerate_escaping_paths(ball: GGraphBall, u: int, v: int, k: int,
                 if y != u:
                     stack.append(path + [y])
     return out
-
-
-def recursion_check(ball: GGraphBall, u: int, v: int, k: int,
-                    cap: int = 10 ** 6):
-    """Assert →uv(k+1) = ⋃ { →uw(k) : w adjacent to v }.
-
-    The left side is enumerated by DFS, the right side assembled from the
-    BFS-computed sets, so the check cross-validates the two computation
-    paths; a corrupted adjacency structure surfaces as a counterexample.
-    Returns (True, None) or (False, counterexample description).
-    """
-    lhs = {p[1] for p in enumerate_escaping_paths(ball, u, v, k + 1, cap=cap)}
-    rhs = set()
-    for w in neighbors(ball, v):
-        if w == u:
-            continue  # →uu is empty: no escaping path may end at u
-        rhs |= escaping_vectors(ball, u, w, k).members
-    if lhs == rhs:
-        return True, None
-    diff = sorted(lhs ^ rhs)
-    side = "lhs-only" if diff[0] in lhs else "rhs-only"
-    return False, {"vertex": diff[0], "side": side,
-                   "lhs": sorted(lhs), "rhs": sorted(rhs)}
 
 
 def _member_keys(ball: GGraphBall, es: EscapingPathSet):
@@ -311,7 +267,7 @@ class TreeBallAction:
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""
         word = canonical_coset_word(g * self.ball.verts[i].rep)
-        return self.ball.rep_index.get(word)
+        return self.ball.lookup.find(word)
 
     def stab_elements(self, i: int):
         """Stabilizer of vertex i, enumerated as reduced loop words."""
@@ -493,34 +449,16 @@ def attach_edge_orbit(action, spec) -> Attachment:
                       rep_cone=rep_key, outside_theorem=outside)
 
 
-def _bfs_path(ball: GGraphBall, src: int, dst: int):
-    """Least-index shortest path src → dst as a vertex list."""
-    prev = {src: None}
-    queue = [src]
-    while queue and dst not in prev:
-        nxt = []
-        for x in queue:
-            for y in neighbors(ball, x):
-                if y not in prev:
-                    prev[y] = x
-                    nxt.append(y)
-        queue = nxt
-    if dst not in prev:
-        raise ValueError(f"vertices {src}, {dst} not connected in ball")
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def alpha_geodesics(gamma: GGraphBall, nbr_list):
     """Chosen shortest connecting paths α_{ij} in Γ over an ordered list of
     cone neighbors, ties broken by least vertex index along the BFS."""
     alpha = {}
     for i in nbr_list:
+        prev = gamma.bfs(i)[1]
         for j in nbr_list:
-            alpha[(i, j)] = [i] if i == j else _bfs_path(gamma, i, j)
+            if j not in prev:
+                raise ValueError(f"vertices {i}, {j} not connected in ball")
+            alpha[(i, j)] = _trace_back(prev, j)[::-1]
     return alpha
 
 
@@ -589,8 +527,8 @@ def qi_certificate(gamma: GGraphBall, delta: GGraphBall) -> dict:
     violations = []
     pair_data = []
     for a in inner:
-        dg = gamma.distances(a)
-        dd = delta.distances(a)
+        dg = gamma.bfs(a)[0]
+        dd = delta.bfs(a)[0]
         for b in inner:
             if b <= a:
                 continue

@@ -833,15 +833,12 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     edges is guaranteed to be in range too (endpoint distance + half the
     relator span within the radius).
     """
-    from .cayley_abels import _KernelLookup, quotient_tree_ball
+    from .cayley_abels import quotient_tree_ball
     from .complexes import Cell2, TwoComplexBall, cycle_key
     from .tree import canonical_coset_word
 
     relators = list(relators)
     ball = quotient_tree_ball(gog, relators, R, wp=wp, base=0, cap=cap)
-    lookup = _KernelLookup(relators, wp)
-    for i, v in enumerate(ball.verts):
-        lookup.add(v.rep, i)
 
     cells = {}
     full_span = 0
@@ -862,7 +859,7 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
                 g = reduce_word(v.rep * GroupWord._trusted(gog, 0, h))
                 cycle = []
                 for q in prefixes:
-                    idx = lookup.find(canonical_coset_word(g * q))
+                    idx = ball.lookup.find(canonical_coset_word(g * q))
                     if idx is None:
                         cycle = None
                         break

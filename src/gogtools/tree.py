@@ -271,7 +271,7 @@ def act(w: GroupWord, cell, ball: GGraphBall):
     kind, i = cell
     if kind == "v":
         img = canonical_coset_word(w * ball.verts[i].rep)
-        j = ball.rep_index.get(img)
+        j = ball.lookup.find(img)
         return OUT_OF_BALL if j is None else ("v", j)
     edge = ball.edges[i]
     iu = act(w, ("v", edge.u), ball)
@@ -322,28 +322,13 @@ def geodesic(u_cell, v_cell, ball: GGraphBall):
         if c[0] != "v":
             raise ValueError(f"geodesic endpoints must be vertex cells, got {c}")
     src, dst = u_cell[1], v_cell[1]
-    if src == dst:
-        return []
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y, k in ball.adjacency[x]:
-                if y not in prev:
-                    prev[y] = (x, k)
-                    nxt.append(y)
-        if dst in prev:
-            break
-        queue = nxt
+    prev = ball.bfs(src)[1]
     if dst not in prev:
         raise RuntimeError(f"vertices {src} and {dst} disconnected; ball is broken")
     path = []
-    at = dst
-    while prev[at] is not None:
-        x, k = prev[at]
+    while prev[dst] is not None:
+        dst, k = prev[dst]
         path.append(("e", k))
-        at = x
     path.reverse()
     return path
 

@@ -17,6 +17,7 @@ from fixtures import (
     c4_c6_free,
     coned_plane_ball,
     free_rank2,
+    hand_ball,
     hnn_c6,
     line_ball,
     plain_grid_ball,
@@ -43,7 +44,9 @@ from gogtools.concrete import (
     generated_handle,
     trivial_handle,
 )
+from gogtools.complexes import hyperbolicity_estimate, omega_k, pi1_presentation
 from gogtools.errors import CapExceeded, UnsupportedInput
+from gogtools.fineness import alpha_geodesics, escaping_vectors
 from gogtools.finite import make_cyclic, make_dihedral
 from gogtools.gog import reduce_word, syllable_length
 from gogtools.tree import (
@@ -51,6 +54,7 @@ from gogtools.tree import (
     build_tree_ball,
     canonical_coset_word,
     check_tree_ball,
+    geodesic,
 )
 
 
@@ -434,7 +438,7 @@ def _inner_distances(ball, depth):
     }
     out = {}
     for i in ids:
-        d = ball.distances(i)
+        d = ball.bfs(i)[0]
         for j in ids:
             out[(label[i], label[j])] = d.get(j)
     return out
@@ -466,6 +470,49 @@ def test_empirical_qi_constant():
     assert out["ell"] == 2
     assert out["pairs"] > 10
     assert out["witness"] is not None
+
+
+# -- the one search ---------------------------------------------------------
+
+
+def _ordered(ball, reverse):
+    """The same ball with every adjacency list ascending or descending."""
+    return GGraphBall(ball.verts, ball.edges,
+                      [sorted(a, reverse=reverse) for a in ball.adjacency],
+                      ball.radius, ball.notes)
+
+
+def _grid_results(ball):
+    n = ball.vertex_count()
+    escaping = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                es = escaping_vectors(ball, u, v, 3)
+                escaping[u, v] = (es.members, es.witnesses)
+    pres = pi1_presentation(omega_k(ball, 4))
+    return (escaping, alpha_geodesics(ball, range(n)), pres.generators,
+            pres.relators, hyperbolicity_estimate(ball))
+
+
+def test_bfs_breaks_ties_by_index_not_insertion_order():
+    # the 3 x 3 grid, vertex 3r + c: most pairs have tied shortest paths
+    grid = hand_ball([(i, i + 1) for i in range(9) if i % 3 < 2]
+                     + [(i, i + 3) for i in range(6)])
+    up, down = _ordered(grid, False), _ordered(grid, True)
+    assert _grid_results(up) == _grid_results(down)
+    assert alpha_geodesics(down, [0, 8])[0, 8] == [0, 1, 2, 5, 8]
+    assert down.bfs(8)[1][0] == (1, 0)  # reached from 1 along edge 0
+
+    tree = quotient_tree_ball(sl2z_gog(), [], 4)
+    up, down = _ordered(tree, False), _ordered(tree, True)
+    for i in range(tree.vertex_count()):
+        for j in range(tree.vertex_count()):
+            assert geodesic(("v", i), ("v", j), up) \
+                == geodesic(("v", i), ("v", j), down)
+
+    with pytest.raises(ValueError, match="removed vertex"):
+        grid.bfs(4, avoid=4)
 
 
 # -- condition checks and exports -------------------------------------------

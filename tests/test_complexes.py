@@ -569,7 +569,7 @@ def oracle_hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
         raise ValueError("empty ball")
     D = []
     for i in range(n):
-        d = ball.distances(i)
+        d = ball.bfs(i)[0]
         if len(d) != n:
             raise ValueError(
                 f"ball is disconnected: vertex {i} reaches {len(d)} of {n}"

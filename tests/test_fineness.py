@@ -2,9 +2,9 @@
 the W/Z machinery.
 
 Independent oracles: brute-force simple-path enumeration for angles, the DFS
-path enumerator against the BFS-computed escaping sets, coordinate counts on
-the coned-off plane, and hand-derived W/Z sets for the C4 *_{C2} C6 tree
-with one cone orbit.
+path enumerator against the BFS-computed escaping sets (directly and through
+the recursion identity), coordinate counts on the coned-off plane, and
+hand-derived W/Z sets for the C4 *_{C2} C6 tree with one cone orbit.
 """
 
 import json
@@ -31,7 +31,6 @@ from gogtools.fineness import (
     fineness_report,
     neighbors,
     qi_certificate,
-    recursion_check,
     verify_wz_containment,
     wz_chain,
 )
@@ -251,6 +250,28 @@ def test_escaping_locality():
 
 
 # -- the recursion identity -------------------------------------------------
+
+
+def recursion_check(ball, u, v, k, cap=10 ** 6):
+    """Check →uv(k+1) = ⋃ { →uw(k) : w adjacent to v }.
+
+    The left side is enumerated by DFS, the right side assembled from the
+    BFS-computed sets, so the check cross-validates the two computation
+    paths; a corrupted adjacency structure surfaces as a counterexample.
+    Returns (True, None) or (False, counterexample description).
+    """
+    lhs = {p[1] for p in enumerate_escaping_paths(ball, u, v, k + 1, cap=cap)}
+    rhs = set()
+    for w in neighbors(ball, v):
+        if w == u:
+            continue  # →uu is empty: no escaping path may end at u
+        rhs |= escaping_vectors(ball, u, w, k).members
+    if lhs == rhs:
+        return True, None
+    diff = sorted(lhs ^ rhs)
+    side = "lhs-only" if diff[0] in lhs else "rhs-only"
+    return False, {"vertex": diff[0], "side": side,
+                   "lhs": sorted(lhs), "rhs": sorted(rhs)}
 
 
 def test_recursion_identity_holds():
