@@ -30,12 +30,14 @@ one word-problem call per vertex-group element.
 
 Search
 ------
+A ball is its vertex and edge lists.  ``GGraphBall.nbrs`` (each vertex's
+neighbours in ascending index) and ``GGraphBall.edge_at`` (endpoint pair →
+edge index) are derived from the edges, once per ball.
 ``GGraphBall.bfs`` is the one breadth-first search over a finished ball:
 distances, angles and escaping sets, α geodesics, tree geodesics, the π₁
 spanning tree and the δ distance rows all read it.  It takes neighbours in
-ascending index (``GGraphBall.nbrs``, sorted once per ball), so its parent
-edges, and every path or name read off them, break ties by least index,
-not by the order in which the builder inserted edges.
+``nbrs`` order, so its parent edges, and every path or name read off them,
+break ties by least index, not by the order of the edge list.
 
 Cells and determinism
 ---------------------
@@ -92,13 +94,14 @@ class GEdge:
 
 class GGraphBall:
     """Finite ball of a Cayley–Abels style graph; immutable once built.
-    ``lookup`` is the :class:`_KernelLookup` a quotient ball was built with
-    (None on coset and attachment balls)."""
+    The vertex and edge lists are the whole graph: neighbours and the edge
+    index are derived from the edges.  ``lookup`` is the
+    :class:`_KernelLookup` a quotient ball was built with (None on coset
+    and attachment balls)."""
 
-    def __init__(self, verts, edges, adjacency, radius, notes=(), lookup=None):
+    def __init__(self, verts, edges, radius, notes=(), lookup=None):
         self.verts = tuple(verts)
         self.edges = tuple(edges)
-        self.adjacency = tuple(tuple(a) for a in adjacency)
         self.radius = radius
         self.notes = tuple(notes)
         self.lookup = lookup
@@ -110,12 +113,22 @@ class GGraphBall:
         return len(self.edges)
 
     def degree(self, i):
-        return len(self.adjacency[i])
+        return len(self.nbrs[i])
 
     @cached_property
     def nbrs(self):
         """Each vertex's (vertex, edge) pairs in ascending order."""
-        return tuple(tuple(sorted(a)) for a in self.adjacency)
+        out = [[] for _ in self.verts]
+        for k, e in enumerate(self.edges):
+            out[e.u].append((e.v, k))
+            out[e.v].append((e.u, k))
+        return tuple(tuple(sorted(a)) for a in out)
+
+    @cached_property
+    def edge_at(self):
+        """Endpoint pair (lesser index first) -> edge index."""
+        return {(min(e.u, e.v), max(e.u, e.v)): k
+                for k, e in enumerate(self.edges)}
 
     def bfs(self, src: int, avoid=None):
         """Breadth-first search from src in the ball minus the vertex
@@ -141,10 +154,10 @@ class GGraphBall:
         """Degree of vertex i inside the sub-ball of radius rho."""
         if self.verts[i].dist > rho:
             return 0
-        return sum(1 for j, _ in self.adjacency[i] if self.verts[j].dist <= rho)
+        return sum(1 for j, _ in self.nbrs[i] if self.verts[j].dist <= rho)
 
 
-def _edge_insert(edges, eindex, adjacency, tag, u, v, stab_order, notes):
+def _edge_insert(edges, eindex, tag, u, v, stab_order, notes):
     if u == v:
         note = f"dropped loop edge at vertex {u} (tag {tag})"
         if note not in notes:
@@ -155,8 +168,6 @@ def _edge_insert(edges, eindex, adjacency, tag, u, v, stab_order, notes):
         return
     eindex[pair] = len(edges)
     edges.append(GEdge(tag, u, v, stab_order))
-    adjacency[u].append((v, eindex[pair]))
-    adjacency[v].append((u, eindex[pair]))
 
 
 def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
@@ -184,7 +195,6 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
              for hi, h in enumerate(hs)]
 
     verts = []
-    adjacency = []
     edges = []
     eindex = {}
     notes = []
@@ -204,7 +214,6 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
             stab_name = h.name
             stab_order = h.order if h.is_finite else None
         verts.append(GVertex(tag, rep, key, dist, stab_name, stab_order))
-        adjacency.append([])
         index[tag, key] = idx
         return idx
 
@@ -237,8 +246,7 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
                 key = handles[tag].key_of(G, rep)
                 found = index.get((tag, key))
                 if found is not None:
-                    _edge_insert(edges, eindex, adjacency, etag, i, found,
-                                 estab, notes)
+                    _edge_insert(edges, eindex, etag, i, found, estab, notes)
                     continue
                 staged.setdefault((tag, key), (rep, []))[1].append(
                     (i, etag, estab))
@@ -247,8 +255,7 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
             rep, sources = staged[tag, key]
             j = add_vertex(tag, rep, key, dist)
             for src, etag, estab in sources:
-                _edge_insert(edges, eindex, adjacency, etag, src, j, estab,
-                             notes)
+                _edge_insert(edges, eindex, etag, src, j, estab, notes)
             frontier.append(j)
 
     # closing pass over the boundary: a vertex at distance < R was in a
@@ -260,10 +267,9 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         for tag, rep, etag, estab in candidates(i):
             found = index.get((tag, handles[tag].key_of(G, rep)))
             if found is not None:
-                _edge_insert(edges, eindex, adjacency, etag, i, found, estab,
-                             notes)
+                _edge_insert(edges, eindex, etag, i, found, estab, notes)
 
-    return GGraphBall(verts, edges, adjacency, R, notes)
+    return GGraphBall(verts, edges, R, notes)
 
 
 class _KernelLookup:
@@ -341,7 +347,6 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     lookup = _KernelLookup(relators, wp)
 
     verts = []
-    adjacency = []
     edges = []
     eindex = {}
     notes = []
@@ -359,7 +364,6 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
             GVertex(f"T/v{lam_v}", word, word, dist, f"vgroup[{lam_v}]",
                     gog.vgroup(lam_v).order)
         )
-        adjacency.append([])
         lookup.add(word, idx)
         return idx
 
@@ -381,7 +385,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
                         f"ball construction produced a cycle at {cand!r}; "
                         "reduction is broken"
                     )
-                _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}", i, j,
+                _edge_insert(edges, eindex, f"T/e{e >> 1}", i, j,
                              gog.egroup(e).order, notes)
         frontier = nxt
 
@@ -393,10 +397,10 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
             for e, _rep, cand in _child_steps(verts[i].rep, fan):
                 j = lookup.find(cand)
                 if j is not None:
-                    _edge_insert(edges, eindex, adjacency, f"T/e{e >> 1}",
+                    _edge_insert(edges, eindex, f"T/e{e >> 1}",
                                  i, j, gog.egroup(e).order, notes)
 
-    return GGraphBall(verts, edges, adjacency, R, notes, lookup)
+    return GGraphBall(verts, edges, R, notes, lookup)
 
 
 def check_ca_conditions(ball: GGraphBall) -> dict:

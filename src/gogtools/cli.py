@@ -816,8 +816,9 @@ def run(path):
                 text = content if isinstance(content, str) else _render(content)
                 _atomic_write(output[slot], text)
                 written.append(output[slot])
+        # an error report stands alone: the other slots are not written
         for slot in output:
-            if slot != "report" and slot not in extras:
+            if error is None and slot != "report" and slot not in extras:
                 raise JobError(f"command {command} produces no {slot!r} output")
         return written
 

@@ -91,12 +91,13 @@ class TwoComplexBall:
     def radius(self):
         return self.skeleton.radius
 
-    def edge_index(self):
-        """Map unordered endpoint pair -> index into cells1."""
-        out = {}
-        for k, e in enumerate(self.skeleton.edges):
-            out[(min(e.u, e.v), max(e.u, e.v))] = k
-        return out
+    def boundary(self, cell):
+        """The steps of a 2-cell's attaching cycle in order: (a, b, index
+        of the 1-cell a–b, or None when the skeleton has no such edge)."""
+        at = self.skeleton.edge_at
+        vs = cell.verts
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            yield a, b, at.get((min(a, b), max(a, b)))
 
     def euler(self):
         return (len(self.skeleton.verts) - len(self.skeleton.edges)
@@ -111,19 +112,16 @@ class TwoComplexBall:
 def check_complex(X: TwoComplexBall) -> dict:
     """Structural checklist: attaching cycles closed over existing 1-cells,
     no two distinct 2-cells with the same boundary."""
-    eindex = X.edge_index()
     problems = []
     seen = {}
     for c, cell in enumerate(X.cells2):
-        n = len(cell.verts)
-        if n < 1:
+        if not cell.verts:
             problems.append(f"cell {c} has empty boundary")
             continue
-        for j in range(n):
-            u, v = cell.verts[j], cell.verts[(j + 1) % n]
+        for u, v, k in X.boundary(cell):
             if u == v:
                 problems.append(f"cell {c} boundary stalls at vertex {u}")
-            elif (min(u, v), max(u, v)) not in eindex:
+            elif k is None:
                 problems.append(f"cell {c} uses missing edge {u}-{v}")
         key = cell.key()
         if key in seen:
@@ -182,7 +180,7 @@ def omega_k(ball, k, cap=10**6):
         raise ValueError(f"k must be >= 0, got {k}")
     cells = []
     if k >= 3:
-        nbr = [frozenset(j for j, _ in a) for a in ball.adjacency]
+        nbr = [frozenset(j for j, _ in a) for a in ball.nbrs]
         for cyc in _simple_cycles_upto(nbr, k, cap):
             max_d = max(ball.verts[i].dist for i in cyc)
             cells.append(Cell2(cycle_key(cyc), f"gon{len(cyc)}",
@@ -192,6 +190,24 @@ def omega_k(ball, k, cap=10**6):
 
 
 # -- links -------------------------------------------------------------------
+
+
+def _roots(items, pairs):
+    """Union-find: each item's root once every pair has been joined, the
+    root of the first member's class becoming the second's."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
 
 
 class LinkGraph:
@@ -221,21 +237,10 @@ class LinkGraph:
         return {e: self.degree(e) for e in self.vertices}
 
     def components(self):
-        parent = {e: e for e in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, _ in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        root = _roots(self.vertices, ((a, b) for a, b, _ in self.edges))
         comps = {}
         for e in self.vertices:
-            comps.setdefault(find(e), []).append(e)
+            comps.setdefault(root[e], []).append(e)
         return sorted(sorted(c) for c in comps.values())
 
     def __repr__(self):
@@ -267,20 +272,14 @@ def link(X, sigma):
     nv = len(X.skeleton.verts)
     if not 0 <= sigma < nv:
         raise ValueError(f"no 0-cell {sigma} in a complex with {nv}")
-    eindex = X.edge_index()
-    incident = sorted(k for k, e in enumerate(X.skeleton.edges)
-                      if sigma in (e.u, e.v))
+    incident = sorted(k for _, k in X.skeleton.nbrs[sigma])
     corners = []
     for c, cell in enumerate(X.cells2):
-        m = len(cell.verts)
-        for j in range(m):
-            if cell.verts[j] != sigma:
-                continue
-            a = cell.verts[(j - 1) % m]
-            b = cell.verts[(j + 1) % m]
-            e1 = eindex[(min(sigma, a), max(sigma, a))]
-            e2 = eindex[(min(sigma, b), max(sigma, b))]
-            corners.append((min(e1, e2), max(e1, e2), c))
+        steps = list(X.boundary(cell))
+        # the corner at the vertex step j starts from: edges j − 1 and j
+        for (_, x, e1), (_, _, e2) in zip(steps[-1:] + steps[:-1], steps):
+            if x == sigma:
+                corners.append((min(e1, e2), max(e1, e2), c))
     v = X.skeleton.verts[sigma]
     partial = v.dist + max(_star_margin(X), 1) > X.radius
     corners.sort()
@@ -307,44 +306,22 @@ def link_component_correspondence(X, v):
     tag = sk.verts[v].tag
     orbit = frozenset(i for i in range(len(sk.verts))
                       if sk.verts[i].tag == tag)
-    parent = {}
+    items = ([("v", i) for i in range(len(sk.verts)) if i not in orbit]
+             + [("e", k) for k in range(len(sk.edges))]
+             + [("c", c) for c in range(len(X.cells2))])
+    pairs = [(("e", k), ("v", end)) for k, e in enumerate(sk.edges)
+             for end in (e.u, e.v) if end not in orbit]
+    pairs += [(("c", c), ("e", k)) for c, cell in enumerate(X.cells2)
+              for _, _, k in X.boundary(cell)]
+    root = _roots(items, pairs)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(len(sk.verts)):
-        if i not in orbit:
-            parent[("v", i)] = ("v", i)
-    for k in range(len(sk.edges)):
-        parent[("e", k)] = ("e", k)
-    for c in range(len(X.cells2)):
-        parent[("c", c)] = ("c", c)
-    eindex = X.edge_index()
-    for k, e in enumerate(sk.edges):
-        for end in (e.u, e.v):
-            if end not in orbit:
-                union(("e", k), ("v", end))
-    for c, cell in enumerate(X.cells2):
-        m = len(cell.verts)
-        for j in range(m):
-            a, b = cell.verts[j], cell.verts[(j + 1) % m]
-            union(("c", c), ("e", eindex[(min(a, b), max(a, b))]))
-
-    roots = sorted({find(("e", k)) for k in lk.vertices})
+    roots = sorted({root["e", k] for k in lk.vertices})
     label = {r: i for i, r in enumerate(roots)}
     link_comps = lk.components()
     mapping = []
     well_defined = True
     for comp in link_comps:
-        targets = sorted({label[find(("e", k))] for k in comp})
+        targets = sorted({label[root["e", k]] for k in comp})
         mapping.append({"link_component": comp,
                         "puncture_components": targets})
         if len(targets) != 1:
@@ -427,14 +404,10 @@ def pi1_presentation(X):
     tree = {p[1] for p in parent.values() if p is not None}
     gens = sorted(k for k in range(len(sk.edges)) if k not in tree)
     gnum = {k: i + 1 for i, k in enumerate(gens)}
-    eindex = X.edge_index()
     relators = []
     for cell in X.cells2:
-        m = len(cell.verts)
         word = []
-        for j in range(m):
-            a, b = cell.verts[j], cell.verts[(j + 1) % m]
-            k = eindex[(min(a, b), max(a, b))]
+        for a, b, k in X.boundary(cell):
             if k in tree:
                 continue
             e = sk.edges[k]
@@ -762,7 +735,7 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
               "quadruples": math.comb(n, 4) if exhaustive else samples}
     if not exhaustive:
         report["seed"] = seed
-    tree = sum(map(len, ball.adjacency)) == 2 * (n - 1)
+    tree = len(ball.edges) == n - 1
     D = []
     for src in range(1 if tree else n):
         dist = ball.bfs(src)[0]

@@ -354,7 +354,6 @@ def attach_edge_orbit(action, spec) -> Attachment:
         u, v = spec["u"], spec["v"]
         if u == v:
             raise ValueError("attachment representative {u,v} needs u != v")
-        existing = {(min(e.u, e.v), max(e.u, e.v)) for e in ball.edges}
         pairs = []
         seen = set()
         for x in range(ball.vertex_count()):
@@ -368,7 +367,7 @@ def attach_edge_orbit(action, spec) -> Attachment:
                         f"degenerates to a loop at vertex {x}"
                     )
                 pair = (min(x, y), max(x, y))
-                if pair in existing:
+                if pair in ball.edge_at:
                     raise ValueError(
                         f"attachment rejected: a translate of ({u},{v}) doubles "
                         f"the existing edge {pair}"
@@ -379,17 +378,11 @@ def attach_edge_orbit(action, spec) -> Attachment:
         stab_order = sum(
             1 for s in action.stab_elements(u) if action.apply(s, v) == v
         )
-        edges = list(ball.edges)
-        adjacency = [list(a) for a in ball.adjacency]
-        new_edges = []
-        for x, y in pairs:
-            k = len(edges)
-            edges.append(GEdge("attach:uv", x, y, stab_order))
-            adjacency[x].append((y, k))
-            adjacency[y].append((x, k))
-            new_edges.append(k)
-        delta = GGraphBall(ball.verts, edges, adjacency, ball.radius,
+        edges = ball.edges + tuple(GEdge("attach:uv", x, y, stab_order)
+                                   for x, y in pairs)
+        delta = GGraphBall(ball.verts, edges, ball.radius,
                            ball.notes + ("attached uv-orbit",))
+        new_edges = range(len(ball.edges), len(edges))
         return Attachment("uv", ball, delta, action, new_edges)
 
     if spec["kind"] != "uH":
@@ -414,7 +407,6 @@ def attach_edge_orbit(action, spec) -> Attachment:
     if H.elements is not None:
         edge_stab = sum(1 for h in H.elements if action.apply(h, u) == u)
     verts = list(ball.verts)
-    adjacency = [list(a) for a in ball.adjacency]
     edges = list(ball.edges)
     new_edges = []
     index_of = {}
@@ -425,13 +417,9 @@ def attach_edge_orbit(action, spec) -> Attachment:
         index_of[key] = idx
         verts.append(GVertex(f"cone:{H.name}", cones[key]["rep"], key, dist,
                              H.name, H.order))
-        adjacency.append([])
         for x in sorted(nbr):
-            k = len(edges)
+            new_edges.append(len(edges))
             edges.append(GEdge(f"attach:{H.name}", x, idx, edge_stab))
-            adjacency[x].append((idx, k))
-            adjacency[idx].append((x, k))
-            new_edges.append(k)
     notes = ball.notes + (f"attached cone orbit over subgroup {H.name}",)
     outside = not H.is_finite
     if outside:
@@ -439,7 +427,7 @@ def attach_edge_orbit(action, spec) -> Attachment:
             f"cone subgroup {H.name} is not finite: outside the attachment "
             "theorem's hypotheses",
         )
-    delta = GGraphBall(verts, edges, adjacency, ball.radius, notes)
+    delta = GGraphBall(verts, edges, ball.radius, notes)
     rep_key = H.key_of(G, action.identity)
     cone_table = {
         key: {"index": index_of[key], "nbrs": sorted(cones[key]["nbrs"])}

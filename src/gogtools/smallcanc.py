@@ -1020,13 +1020,9 @@ def check_M_thin(X: TwoComplexBall, M: int) -> dict:
         mode = "certified-incidence"
         excluded = []
     else:
-        eindex = X.edge_index()
         counts = {k: 0 for k in range(len(X.cells1))}
         for cell in X.cells2:
-            n = len(cell.verts)
-            for j in range(n):
-                u, v = cell.verts[j], cell.verts[(j + 1) % n]
-                k = eindex.get((min(u, v), max(u, v)))
+            for _, _, k in X.boundary(cell):
                 if k is not None:
                     counts[k] += 1
         interior = set()
@@ -1206,11 +1202,21 @@ def evaluation_wp(gog, target, images):
     and its ``key(word)``, the word's target coset, finds a quotient-ball
     vertex with one evaluation."""
     g = gog.graph
+    if len(images) != g.num_vertices:
+        raise ValueError(
+            f"need one row of images per vertex ({g.num_vertices}), "
+            f"got {len(images)}"
+        )
     for v in range(g.num_vertices):
         G = gog.vgroup(v)
         if len(images[v]) != G.order:
             raise ValueError(
                 f"vertex {v}: need {G.order} images, got {len(images[v])}"
+            )
+        if not all(0 <= y < target.order for y in images[v]):
+            raise ValueError(
+                f"vertex {v}: images must be elements 0..{target.order - 1} "
+                "of the target"
             )
         for a in range(G.order):
             for b in range(G.order):

@@ -278,14 +278,14 @@ def act(w: GroupWord, cell, ball: GGraphBall):
     iv = act(w, ("v", edge.v), ball)
     if iu == OUT_OF_BALL or iv == OUT_OF_BALL:
         return OUT_OF_BALL
-    a, b = iu[1], iv[1]
-    for j, k in ball.adjacency[a]:
-        if j == b:
-            return ("e", k)
-    raise RuntimeError(
-        f"action image of edge {i} has endpoints {(min(a, b), max(a, b))} "
-        "with no edge; ball adjacency is broken"
-    )
+    pair = (min(iu[1], iv[1]), max(iu[1], iv[1]))
+    k = ball.edge_at.get(pair)
+    if k is None:
+        raise RuntimeError(
+            f"action image of edge {i} has endpoints {pair} with no edge; "
+            "the ball is broken"
+        )
+    return ("e", k)
 
 
 def stabilizer(cell, ball: GGraphBall) -> StabilizerData:

@@ -213,23 +213,9 @@ def hand_ball(edge_list, radius=None, tags=None):
     from gogtools.cayley_abels import GEdge, GGraphBall, GVertex
 
     n = 1 + max(max(u, v) for u, v in edge_list)
-    adjacency = [[] for _ in range(n)]
-    edges = []
-    for u, v in edge_list:
-        k = len(edges)
-        edges.append(GEdge(f"h{k}", u, v, 1))
-        adjacency[u].append((v, k))
-        adjacency[v].append((u, k))
-    dist = {0: 0}
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y, _ in adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        queue = nxt
+    edges = [GEdge(f"h{k}", u, v, 1) for k, (u, v) in enumerate(edge_list)]
+    blank = [GVertex("hv", None, None, 0, "triv", 1)] * n
+    dist = GGraphBall(blank, edges, 0).bfs(0)[0]
     if radius is None:
         radius = max(dist.values()) + 100
     verts = [
@@ -237,7 +223,7 @@ def hand_ball(edge_list, radius=None, tags=None):
                 "triv", 1)
         for i in range(n)
     ]
-    return GGraphBall(verts, edges, adjacency, radius)
+    return GGraphBall(verts, edges, radius)
 
 
 def cycle_ball(m, **kw):

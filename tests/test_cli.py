@@ -237,6 +237,49 @@ def test_shipped_jobs_all_run_clean(tmp_path, monkeypatch):
         assert cli.run(str(job)) == 0, job.name
 
 
+def _mutations(node, at=()):
+    """(path, value) for each variant of a job's parameters: every integer,
+    array entries included, set to 0, 1 and 2, and every array cut to its
+    first element and to empty."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _mutations(value, at + (key,))
+    elif isinstance(node, list):
+        yield at, node[:1]
+        yield at, []
+        for i, value in enumerate(node):
+            yield from _mutations(value, at + (i,))
+    elif type(node) is int:
+        for n in (0, 1, 2):
+            yield at, n
+
+
+@pytest.mark.parametrize("job", sorted(p.stem for p in JOBS.glob("*.json")))
+def test_mutated_parameters_exit_with_a_contract_code(job, tmp_path,
+                                                      monkeypatch):
+    # every variant either runs (0), is rejected as a bad job (2), or ends
+    # at a cap (3) or an unsupported input (4), with a report on 0, 3 and 4
+    monkeypatch.chdir(tmp_path)
+    spec = json.loads((JOBS / f"{job}.json").read_text())
+    report = tmp_path / spec["output"]["report"]
+    bad = []
+    for at, value in _mutations(spec["parameters"]):
+        variant = json.loads(json.dumps(spec))
+        node = variant["parameters"]
+        for key in at[:-1]:
+            node = node[key]
+        node[at[-1]] = value
+        (tmp_path / "job.json").write_text(json.dumps(variant))
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        try:
+            rc = cli.run(str(tmp_path / "job.json"))
+        except Exception as exc:  # a crash is recorded, not raised
+            rc = repr(exc)
+        if rc not in (0, 2, 3, 4) or (rc != 2 and not report.exists()):
+            bad.append((at, value, rc))
+    assert bad == []
+
+
 # -- exit code 2: malformed or unresolvable jobs ----------------------------
 
 
@@ -341,6 +384,22 @@ def test_bad_word_descriptor_exit_2(tmp_path, monkeypatch, capsys, model,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("job", ["ca_quotient_d3", "px_d3"])
+@pytest.mark.parametrize("wp, cause", [
+    ({"dihedral": 3, "images": [[0, 3]]}, "one row of images per vertex"),
+    ({"dihedral": 2, "images": [[0, 3], [0, 4]]},
+     "elements 0..3 of the target"),
+], ids=["one-row", "d3-images-into-d2"])
+def test_wp_images_outside_the_target_exit_2(job, wp, cause, tmp_path,
+                                             monkeypatch, capsys):
+    spec = json.loads((JOBS / f"{job}.json").read_text())
+    spec["parameters"]["wp"] = wp
+    rc, _ = run_job(tmp_path, monkeypatch, spec)
+    assert rc == 2
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / spec["output"]["report"]).exists()
+
+
 # -- exit code 3: caps ------------------------------------------------------
 
 
@@ -355,6 +414,17 @@ def test_cap_exceeded_exit_3_with_partial_report(tmp_path, monkeypatch):
 
 
 # -- exit code 4: unsupported oracles ---------------------------------------
+
+
+def test_error_report_writes_no_other_output_slot(tmp_path, monkeypatch):
+    # m-thin with power 1 is unsupported; its complex slot stays unwritten
+    spec = json.loads((JOBS / "m_thin_r12.json").read_text())
+    spec["parameters"]["power"] = 1
+    rc, _ = run_job(tmp_path, monkeypatch, spec)
+    assert rc == 4
+    report = json.loads((tmp_path / spec["output"]["report"]).read_text())
+    assert report["error"]["type"] == "unsupported"
+    assert not (tmp_path / spec["output"]["complex"]).exists()
 
 
 def test_unsupported_oracle_exit_4(tmp_path, monkeypatch):

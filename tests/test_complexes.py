@@ -25,7 +25,9 @@ from fixtures import (
 from gogtools.errors import CapExceeded
 from gogtools.finite import make_dihedral
 from gogtools.complexes import (
+    Cell2,
     Presentation,
+    TwoComplexBall,
     abelianization,
     bounded_trivial,
     check_complex,
@@ -73,6 +75,19 @@ def test_omega_triangle():
     assert len(X.cells2[0].verts) == 3
     assert X.cells2[0].interior
     assert check_complex(X)["ok"]
+
+
+@pytest.mark.parametrize("cells, problem", [
+    ([()], "cell 0 has empty boundary"),
+    ([(0, 0, 1)], "cell 0 boundary stalls at vertex 0"),
+    ([(1, 2, 3)], "cell 0 uses missing edge 3-1"),
+    ([(0, 1, 2), (2, 1, 0)], "cells 0 and 1 share a boundary [0, 1, 2]"),
+], ids=["empty", "stall", "missing-edge", "shared"])
+def test_check_complex_reports_each_problem(cells, problem):
+    # a triangle 0-1-2 with a pendant edge 2-3
+    ball = hand_ball([(0, 1), (1, 2), (2, 0), (2, 3)])
+    X = TwoComplexBall(ball, [Cell2(c, "hand") for c in cells])
+    assert check_complex(X) == {"ok": False, "problems": [problem]}
 
 
 def test_omega_c4_needs_k4():

@@ -38,24 +38,11 @@ from gogtools.fineness import (
 
 def mkball(n, edge_list):
     """Plain graph as a GGraphBall, distances measured from vertex 0."""
-    adjacency = [[] for _ in range(n)]
-    edges = []
-    for k, (u, v) in enumerate(edge_list):
-        edges.append(GEdge("e", u, v, 1))
-        adjacency[u].append((v, k))
-        adjacency[v].append((u, k))
-    dist = {0: 0}
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y, _ in adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        queue = nxt
+    edges = [GEdge("e", u, v, 1) for u, v in edge_list]
+    blank = [GVertex("plain", None, None, 0, "1", 1)] * n
+    dist = GGraphBall(blank, edges, 0).bfs(0)[0]
     verts = [GVertex("plain", i, i, dist[i], "1", 1) for i in range(n)]
-    return GGraphBall(verts, edges, adjacency, max(dist.values()))
+    return GGraphBall(verts, edges, max(dist.values()))
 
 
 def cycle(n):
@@ -285,11 +272,12 @@ def test_recursion_identity_holds():
 
 def test_recursion_corrupted_adjacency():
     # one-way edge: vertex 2 lists 3 as a neighbor but 3 lists nothing, so
-    # paths into 3 exist while T_3 reads as empty
+    # paths into 3 exist while T_3 reads as empty; the derived neighbour
+    # lists are overwritten on the instance to break the symmetry
     edges = [GEdge("e", 0, 1, 1), GEdge("e", 1, 2, 1), GEdge("e", 2, 3, 1)]
-    adjacency = [[(1, 0)], [(0, 0), (2, 1)], [(1, 1), (3, 2)], []]
     verts = [GVertex("plain", i, i, i, "1", 1) for i in range(4)]
-    ball = GGraphBall(verts, edges, adjacency, 3)
+    ball = GGraphBall(verts, edges, 3)
+    ball.nbrs = (((1, 0),), ((0, 0), (2, 1)), ((1, 1), (3, 2)), ())
     ok, info = recursion_check(ball, 0, 3, 2)
     assert not ok
     assert info["side"] == "lhs-only"

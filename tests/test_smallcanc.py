@@ -622,6 +622,16 @@ def test_evaluation_wp_checks_homomorphism():
         evaluation_wp(gog, make_dihedral(3), [[0, 1], [0, 4]])
 
 
+@pytest.mark.parametrize("n, images, cause", [
+    (3, [[0, 3]], "one row of images per vertex"),
+    (2, [[0, 3], [0, 4]], "elements 0..3 of the target"),
+    (3, [[0, -1], [0, 4]], "elements 0..5 of the target"),
+], ids=["one-row", "d3-images-into-d2", "negative"])
+def test_evaluation_wp_rejects_images_outside_the_target(n, images, cause):
+    with pytest.raises(ValueError, match=cause):
+        evaluation_wp(c2_c2_free(), make_dihedral(n), images)
+
+
 # -- keyed quotient lookup --------------------------------------------------
 
 

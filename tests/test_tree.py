@@ -327,7 +327,7 @@ def test_act_swaps_cosets():
     gog = sl2z_gog()
     ball = build_tree_ball(gog, 2)
     a = GroupWord(gog, 0, 1)
-    nbrs = [j for j, _ in ball.adjacency[0]]
+    nbrs = [j for j, _ in ball.nbrs[0]]
     assert len(nbrs) == 2
     images = {act(a, ("v", j), ball) for j in nbrs}
     assert images == {("v", j) for j in nbrs}
@@ -422,7 +422,7 @@ def test_geodesic_degenerate_and_adjacent():
     gog = sl2z_gog()
     ball = build_tree_ball(gog, 3)
     assert geodesic(("v", 2), ("v", 2), ball) == []
-    j, k = ball.adjacency[0][0]
+    j, k = ball.nbrs[0][0]
     assert geodesic(("v", 0), ("v", j), ball) == [("e", k)]
 
 
