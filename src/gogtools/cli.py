@@ -458,22 +458,22 @@ def _cmd_symmetrize(params, ctx):
 
 
 def _cmd_cprime(params, ctx):
-    from .smallcanc import _compute_M, check_cprime, thmb_hypothesis
+    from .smallcanc import check_cprime, compute_M, thmb_hypothesis
 
     gog = _model(params["model"])
     r = _word(gog, params["word"])
-    result = check_cprime(r, params["m"], Fraction(params["lam"]), gog)
+    result = check_cprime(r, params["m"], Fraction(params["lam"]))
     if params.get("hypothesis"):
-        tc = _compute_M(r)
+        tc = compute_M(r)
         result["hypothesis"] = dict(thmb_hypothesis(result["lam"], tc.M), M=tc.M)
     return result, {}, f"verdict={result['verdict']} (lam*={result['lam_star']})"
 
 
 def _cmd_compute_m(params, ctx):
-    from .smallcanc import _compute_M
+    from .smallcanc import compute_M
 
     gog = _model(params["model"])
-    tc = _compute_M(_word(gog, params["word"]))
+    tc = compute_M(_word(gog, params["word"]))
     result = {
         "k": tc.k,
         "r_syllables": tc.r_syllables,
@@ -551,8 +551,8 @@ def _cmd_m_thin(params, ctx):
     from .complexes import to_complex_json
     from .smallcanc import (
         KernelOracle,
-        _compute_M,
         check_M_thin,
+        compute_M,
         presentation_complex_ball,
         thinness_incidence,
     )
@@ -563,11 +563,10 @@ def _cmd_m_thin(params, ctx):
     R = params["radius"]
     oracle = KernelOracle(gog, r, m)
     X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle)
-    X.incidence = thinness_incidence(gog, r, m, R, oracle=oracle,
-                                     ball=X.skeleton)
+    X.incidence = thinness_incidence(oracle, R, ball=X.skeleton)
     M = params.get("M")
     if M is None:
-        M = _compute_M(r).M
+        M = compute_M(r).M
     result = check_M_thin(X, M)
     result["per_edge"] = {str(k): v for k, v in sorted(result["per_edge"].items())}
     return result, {"complex": to_complex_json(X)}, (
@@ -579,7 +578,7 @@ def _cmd_claim_audit(params, ctx):
 
     gog = _model(params["model"])
     r = _word(gog, params["word"])
-    result = claim_audit(gog, r, params["power"])
+    result = claim_audit(r, params["power"])
     verdicts = [result["orbit_bound"]["verdict"], result["injection"]["verdict"],
                 result["index_bound"]["verdict"]]
     return result, {}, f"claims {verdicts}, M={result['M']}"
@@ -590,7 +589,7 @@ def _cmd_omega_k(params, ctx):
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"])
+    ball = _build_ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     result = _complex_summary(X)
     extras = {"complex": to_complex_json(X), "off": to_off(X)}
@@ -602,7 +601,7 @@ def _cmd_link(params, ctx):
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"])
+    ball = _build_ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     sigma = _locate(ball, params["vertex"])
     L = link(X, sigma)
@@ -630,7 +629,7 @@ def _cmd_pi1(params, ctx):
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"])
+    ball = _build_ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     pres = pi1_presentation(X)
     free_rank, torsion = abelianization(pres)

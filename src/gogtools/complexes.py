@@ -68,14 +68,15 @@ class TwoComplexBall:
     """``span``, when the builder provides it, is the maximum boundary
     length of any 2-cell of the *full* complex (not just the materialized
     ones); completeness margins fall back to the materialized maximum
-    when it is absent."""
+    when it is absent.  ``incidence`` starts as None; the m-thin audit
+    stores a certified per-edge table there for ``check_M_thin``."""
 
     __slots__ = ("skeleton", "cells2", "incidence", "notes", "span")
 
-    def __init__(self, skeleton, cells2, incidence=None, notes=(), span=None):
+    def __init__(self, skeleton, cells2, notes=(), span=None):
         self.skeleton = skeleton
         self.cells2 = list(cells2)
-        self.incidence = incidence
+        self.incidence = None
         self.notes = tuple(notes)
         self.span = span
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from .cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from .concrete import FreeAbelian, QuotientWords, SubgroupHandle
 from .errors import CapExceeded
-from .gog import GroupWord, reduce_word
+from .gog import GroupWord
 from .tree import canonical_coset_word, stabilizer
 
 
@@ -92,16 +92,6 @@ class AngleTable:
         for x in self.link:
             for y in self.link:
                 yield (x, y), self.angle(x, y)
-
-
-def angle(ball: GGraphBall, v: int, x: int, y: int):
-    """Angle at v between two of its neighbors (INF when the ball minus v
-    does not connect them — a lower-bound certificate only)."""
-    nbrs = set(neighbors(ball, v))
-    if x not in nbrs or y not in nbrs:
-        raise ValueError(f"{x} or {y} is not adjacent to {v}")
-    d = ball.bfs(x, avoid=v)[0].get(y)
-    return INF if d is None else d
 
 
 def _trace_back(parent, x):
@@ -258,12 +248,6 @@ class TreeBallAction:
         self.concrete = QuotientWords(gog, base)
         self.identity = self.concrete.identity
 
-    def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
-        return reduce_word(a * b)
-
-    def inv(self, a: GroupWord) -> GroupWord:
-        return reduce_word(a.inverse())
-
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""
         word = canonical_coset_word(g * self.ball.verts[i].rep)
@@ -278,8 +262,9 @@ class TreeBallAction:
         ws, wd = self.ball.verts[src].rep, self.ball.verts[dst].rep
         if ws.end != wd.end:
             return []
-        t = self.mul(wd, self.inv(ws))
-        return [self.mul(s, t) for s in self.stab_elements(dst)]
+        Q = self.concrete
+        t = Q.op(wd, Q.inv(ws))
+        return [Q.op(s, t) for s in self.stab_elements(dst)]
 
 
 class AbelianBallAction:

@@ -4,8 +4,7 @@ Conventions used throughout the toolkit:
 
 * Elements of a group of order n are the dense integers 0..n-1; index 0 is not
   required to be the identity (the identity index is stored explicitly), though
-  every constructor in this module does put it at 0.  Labels in ``names`` are
-  display-only and never enter any algorithm.
+  every constructor in this module does put it at 0.
 * ``table[g][h]`` is the product g*h.
 * Groups are immutable after construction and safe to share; subgroups hold a
   reference to their parent and a sorted tuple of element indices.
@@ -28,17 +27,12 @@ from operator import itemgetter
 class FiniteGroup:
     """A finite group as an order x order multiplication table."""
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         table = tuple(tuple(int(x) for x in row) for row in table)
         self.order = len(table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
         self.table = table
-        self.names = tuple(names) if names is not None else None
-        if self.names is not None and len(self.names) != self.order:
-            raise ValueError(
-                f"names length {len(self.names)} != order {self.order}"
-            )
         self._check_latin()
         self.identity = self._find_identity()
         self._check_associativity()
@@ -97,9 +91,6 @@ class FiniteGroup:
 
     def op(self, g, h):
         return self.table[g][h]
-
-    def inverse(self, g):
-        return self.inv[g]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -176,8 +167,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"invalid order {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["1"] + [f"a{k}" if k > 1 else "a" for k in range(1, n)]
-    return FiniteGroup(table, names=names)
+    return FiniteGroup(table)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -195,8 +185,7 @@ def make_dihedral(n: int) -> FiniteGroup:
         return sig * n + rho
 
     table = [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)]
-    names = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
-    return FiniteGroup(table, names=names)
+    return FiniteGroup(table)
 
 
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:

@@ -65,11 +65,6 @@ from .gog import (
 # -- loop-word plumbing -----------------------------------------------------
 
 
-def _same_graph(r: GroupWord, gog) -> None:
-    if r.gog is not gog:
-        raise ValueError(f"{r!r} is a word over another graph of groups")
-
-
 def word_power(w: GroupWord, m: int) -> GroupWord:
     """Reduced w^m for a loop word w (m >= 0): the raw product w·w···w,
     merging the last element with the head at each junction, reduced once
@@ -191,8 +186,7 @@ def _fudge_sets(gog):
     return out
 
 
-def common_prefix_syllables(w1: GroupWord, w2: GroupWord,
-                            fudge=None) -> int:
+def common_prefix_syllables(w1: GroupWord, w2: GroupWord) -> int:
     """Maximal common prefix of two reduced words, in syllables.
 
     Positions match when vertex, element, and incoming edge agree; the
@@ -203,9 +197,8 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord,
     if w1.start != w2.start:
         return 0
     gog = w1.gog
-    if fudge is None:
-        fudge = _fudge_sets(gog)
-    return _prefix_syllables(positions(w1), positions(w2), gog, fudge)
+    return _prefix_syllables(positions(w1), positions(w2), gog,
+                             _fudge_sets(gog))
 
 
 def _prefix_syllables(p1, p2, gog, fudge) -> int:
@@ -337,13 +330,12 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
                        S.proper_power)
 
 
-def check_cprime(r: GroupWord, m: int, lam, gog) -> dict:
+def check_cprime(r: GroupWord, m: int, lam) -> dict:
     """C'(λ) verdict for the symmetrized set of r^m: every piece shorter
-    than λ·|r^m|, with exact rational arithmetic.  r must be a word over
-    ``gog``."""
+    than λ·|r^m|, with exact rational arithmetic, over r's graph of
+    groups."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    _same_graph(r, gog)
     lam = Fraction(lam)
     S = symmetrize(word_power(r, m))
     rep = pieces(S)
@@ -368,17 +360,15 @@ def check_cprime(r: GroupWord, m: int, lam, gog) -> dict:
 class ThinnessConstant:
     """k = max over 1-cells t of the witness geodesic γ of [G̃_t : G̃_γ],
     and M = k·|r| in syllables.  ``gamma`` lists the crossed edges as
-    (step, directed edge, origin Λ-vertex); ``stab_sets`` holds their
-    stabilizers as frozensets of canonical words."""
+    (step, directed edge, origin Λ-vertex), and ``indices`` the index of
+    G̃_γ in each crossed edge's stabilizer."""
 
-    def __init__(self, k, r_syllables, gamma, indices, stab_sets=(),
-                 note=None):
+    def __init__(self, k, r_syllables, gamma, indices, note=None):
         self.k = k
         self.r_syllables = r_syllables
         self.M = k * r_syllables
         self.gamma = gamma
         self.indices = indices
-        self.stab_sets = tuple(stab_sets)
         self.note = note
 
     def __repr__(self):
@@ -406,22 +396,17 @@ def edge_stabilizer_words(prefix: GroupWord, e: int):
     return out
 
 
-def compute_M(gog, r: GroupWord) -> ThinnessConstant:
+def compute_M(r: GroupWord) -> ThinnessConstant:
     """G̃_γ along the witness geodesic γ = [y, r²y], and k its largest
     index in an edge stabilizer on the way.
 
     A cyclically reduced loop word with at least one edge is hyperbolic
     on the tree, so γ is exactly the path of the concatenated word r·r
     and the stabilizers come straight off the prefixes — no ball is
-    built.  r must be a word over ``gog``.
+    built.  r is reduced once; a canonical word reduces to itself.
     """
-    _same_graph(r, gog)
-    return _compute_M(reduce_word(r))
-
-
-def _compute_M(r: GroupWord) -> ThinnessConstant:
-    """:func:`compute_M` of a relator already in canonical form."""
     gog = r.gog
+    r = reduce_word(r)
     core, _ = _cyclic_core(r)
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r}")
@@ -445,7 +430,7 @@ def _compute_M(r: GroupWord) -> ThinnessConstant:
                                "edge stabilizer data is inconsistent")
         indices.append(len(s) // len(g_gamma))
     k = max(indices)
-    return ThinnessConstant(k, r_len, gamma, indices, stab_sets=stabs)
+    return ThinnessConstant(k, r_len, gamma, indices)
 
 
 def thmb_hypothesis(lam, M) -> dict:
@@ -558,7 +543,7 @@ def _replace(cur, wpos, i, l, member):
     gog = cur.gog
     u = _subword(s, 0, l - 1)
     Gv = gog.vgroup(ps[0][0])
-    p_elt = Gv.op(wpos[i][1], Gv.inverse(ps[0][1]))
+    p_elt = Gv.op(wpos[i][1], Gv.inv[ps[0][1]])
     if i == 0:
         A_hat = GroupWord._trusted(gog, cur.start, p_elt)
     else:
@@ -566,7 +551,7 @@ def _replace(cur, wpos, i, l, member):
         A_hat = GroupWord._trusted(gog, cur.start, cur.head,
                                    cur.pairs[:i - 1] + ((e_i, p_elt),))
     Gq = gog.vgroup(ps[l - 1][0])
-    q_elt = Gq.op(Gq.inverse(ps[l - 1][1]), wpos[i + l - 1][1])
+    q_elt = Gq.op(Gq.inv[ps[l - 1][1]], wpos[i + l - 1][1])
     C_hat = GroupWord._trusted(gog, ps[l - 1][0], q_elt,
                                cur.pairs[i + l - 1:])
     t_comp = reduce_word(u.inverse() * s)
@@ -712,7 +697,7 @@ class KernelOracle:
         if self.abelian:
             self._r_subgroup = self._cyclic_span(self._h1_image(self.rm))
             self._r_inv_image = tuple(
-                gog.vgroup(v).inverse(x)
+                gog.vgroup(v).inv[x]
                 for v, x in enumerate(self._h1_image(self.r)))
         self._r_inv_powers = [identity_word(gog, self.r.start)]
 
@@ -903,10 +888,10 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
     return None
 
 
-def thinness_incidence(gog, r: GroupWord, m: int, R: int,
-                       oracle: KernelOracle = None, ball=None) -> dict:
+def thinness_incidence(oracle: KernelOracle, R: int, ball=None) -> dict:
     """Exact per-edge 2-cell counts for the presentation complex of
-    gog/⟨⟨r^m⟩⟩, computed transporter-locally over a radius-R ball.
+    gog/⟨⟨r^m⟩⟩, computed transporter-locally over a radius-R ball; the
+    graph of groups, r and m are the kernel oracle's.
 
     For each ball edge x and each boundary position j of one period of
     the base disc, the unique g with g·t_j = x (trivial edge stabilizers)
@@ -915,7 +900,8 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
     for the full complex — no cell is materialized.  Pass the skeleton of
     an existing complex as ``ball`` to key the table by its edge indices.
     """
-    if not _trivial_edge_groups(gog):
+    gog = oracle.gog
+    if not oracle.trivial_seams:
         raise UnsupportedInput(
             "transporter-local incidence needs trivial edge stabilizers "
             "(free products); amalgam seams would need coset transporters"
@@ -926,8 +912,6 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
             "transporter orientation matching needs distinct endpoint "
             "vertices on every underlying edge"
         )
-    if oracle is None:
-        oracle = KernelOracle(gog, r, m)
     core, prefixes, lam = _relator_boundary(oracle.r)
     p = len(core.pairs)
     if ball is not None:
@@ -1001,7 +985,7 @@ def thinness_incidence(gog, r: GroupWord, m: int, R: int,
         "max_count": counts[max_edge] if counts else 0,
         "argmax_edge": max_edge,
         "period": p,
-        "m": m,
+        "m": oracle.m,
         "certified": True,
         "note": "counts cover the full complex (transporter-local); "
                 "every listed ball edge is audited",
@@ -1051,10 +1035,9 @@ def check_M_thin(X: TwoComplexBall, M: int) -> dict:
 # -- the three thinness claims ----------------------------------------------
 
 
-def claim_audit(gog, r: GroupWord, m: int,
-                oracle: KernelOracle = None) -> dict:
+def claim_audit(r: GroupWord, m: int) -> dict:
     """Audit of the three counting claims behind M = k|r| on the base
-    relator disc D (boundary = the loop of r^m):
+    relator disc D (boundary = the loop of r^m) over r's graph of groups:
 
     1. the rotation subgroup ⟨r⟩ collapses the m|r| boundary edges of D
        to at most |r| orbits (q_{j+|r|} = r·q_j, checked exactly);
@@ -1064,9 +1047,10 @@ def claim_audit(gog, r: GroupWord, m: int,
     3. per boundary edge t, [G̃_t : G̃_γ] with γ the compute_M geodesic
        stays within k, exhibiting the worst edge.
     """
+    gog = r.gog
     core, _prefixes, _lam = _relator_boundary(r)
     p = len(core.pairs)
-    tc = _compute_M(core)
+    tc = compute_M(core)
     r_len = tc.r_syllables
 
     # claim 1: period collapse and orbit count.  Boundary prefixes follow
@@ -1100,9 +1084,7 @@ def claim_audit(gog, r: GroupWord, m: int,
     injection = {"edge": 0, "classes": None, "verdict": None,
                  "note": None}
     if _trivial_edge_groups(gog):
-        if oracle is None:
-            oracle = KernelOracle(gog, core, m)
-        inc = thinness_incidence(gog, core, m, 2, oracle=oracle)
+        inc = thinness_incidence(KernelOracle(gog, core, m), 2)
         sample = inc["argmax_edge"]
         classes = inc["positions"].get(sample, [])
         injection = {
@@ -1119,10 +1101,8 @@ def claim_audit(gog, r: GroupWord, m: int,
                              "and transporter classes need trivial ones")
 
     # claim 3: per-edge index along the witness geodesic against G̃_γ
-    stabs = tc.stab_sets
-    if stabs:
-        g_gamma = frozenset.intersection(*stabs)
-        per_edge = [len(s) // len(g_gamma) for s in stabs]
+    per_edge = tc.indices
+    if per_edge:
         worst = max(range(len(per_edge)), key=lambda i: per_edge[i])
         claim3 = {
             "k": tc.k,

@@ -298,7 +298,7 @@ def test_criterion_06_pieces_and_cprime():
         S = symmetrize(w)
         if pieces(S).max_piece != _oracle_max_piece(S):
             ok = False
-    verdict_r = check_cprime(r, 12, "1/12", gog)["verdict"]
+    verdict_r = check_cprime(r, 12, "1/12")["verdict"]
     _verdict(6, "pieces match the exhaustive oracle; C'(1/12) holds for r^12",
              ok and verdict_r is True,
              "max pieces oracle-exact")
@@ -312,7 +312,7 @@ def test_criterion_06_pieces_and_cprime():
     "of the same shape — see the build ledger"))
 def test_criterion_06_proper_power_clause():
     gog = c4_c6_free()
-    rep = check_cprime(ab_word(gog, [1, 1]), 12, "1/12", gog)
+    rep = check_cprime(ab_word(gog, [1, 1]), 12, "1/12")
     assert rep["verdict"] is False
 
 
@@ -338,14 +338,14 @@ def _oracle_k_tree_ball(gog, r):
 def test_criterion_07_thinness_constant_M():
     free = c4_c6_free()
     r = ab_word(free, [1, 1, 2, 2, 3, 3])
-    tc_free = compute_M(free, r)
+    tc_free = compute_M(r)
 
     sl2 = sl2z_gog()
-    tc_central = compute_M(sl2, ab_word(sl2, [1, 1]))
+    tc_central = compute_M(ab_word(sl2, [1, 1]))
 
     s3d4 = s3_d4_amalgam()
     r_s3 = loop_word(s3d4, [(0, 1), (1, 1)])
-    tc_s3 = compute_M(s3d4, r_s3)
+    tc_s3 = compute_M(r_s3)
 
     # brute stabilizer/intersection oracle on the tree-ball-sized words;
     # the 6-syllable relator is covered structurally: trivial edge groups
@@ -354,7 +354,7 @@ def test_criterion_07_thinness_constant_M():
     for gog_i, r_i in ((free, ab_word(free, [1, 1])),
                        (sl2, ab_word(sl2, [1, 1])),
                        (s3d4, r_s3)):
-        tc_i = compute_M(gog_i, r_i)
+        tc_i = compute_M(r_i)
         n, idx = _oracle_k_tree_ball(gog_i, r_i)
         if len(tc_i.gamma) != n or tc_i.indices != idx or tc_i.k != max(idx):
             brute_ok = False
@@ -371,14 +371,13 @@ def test_criterion_07_thinness_constant_M():
 def test_criterion_08_presentation_complex_is_M_thin():
     gog = c4_c6_free()
     r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]))
-    M = compute_M(gog, r).M
+    M = compute_M(r).M
     oracle = KernelOracle(gog, r, 12)
     rm = word_power(r, 12)
     X = presentation_complex_ball(gog, [rm], 2, wp=oracle.in_kernel)
-    X.incidence = thinness_incidence(gog, r, 12, 2, oracle=oracle,
-                                     ball=X.skeleton)
+    X.incidence = thinness_incidence(oracle, 2, ball=X.skeleton)
     thin = check_M_thin(X, M)
-    aud = claim_audit(gog, r, 12, oracle=oracle)
+    aud = claim_audit(r, 12)
     claims_ok = (aud["orbit_bound"]["verdict"] and aud["injection"]["verdict"]
                  and aud["index_bound"]["verdict"] and aud["M"] == M)
     _verdict(8, "every audited edge borders <= M = 6 cells; claims confirmed",

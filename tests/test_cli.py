@@ -10,6 +10,7 @@ does not need an installed ``gogtool`` script.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -413,6 +414,26 @@ def test_cap_exceeded_exit_3_with_partial_report(tmp_path, monkeypatch):
     assert "result" not in report
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("omega-k", {}),
+    ("link", {"vertex": {"rep": [0, 0]}}),
+    ("pi1", {}),
+], ids=["omega-k", "link", "pi1"])
+def test_ball_cap_applies_to_the_ball(command, extra, tmp_path, monkeypatch):
+    # the radius-10 grid ball has 221 vertices, more than the cap
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": command,
+        "parameters": dict({"ball": {"family": "grid", "radius": 10},
+                            "k": 0, "cap": 100}, **extra),
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "cap-exceeded"
+    assert report["provenance"]["caps"] == {"cap": 100}
+    assert "result" not in report
+
+
 # -- exit code 4: unsupported oracles ---------------------------------------
 
 
@@ -489,6 +510,18 @@ def test_qi_attach_certificate_ell_2(tmp_path, monkeypatch):
     result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert result["ell"] in (2, "2")  # exact rationals render through str
     assert result["violations"] == []
+
+
+def test_front_end_imports_no_private_name():
+    # the job handlers call each toolkit module (from .module import ...)
+    # through its public entry points
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = [(node.module, alias.name)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               and node.module
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_readme_library_block_runs(capsys):

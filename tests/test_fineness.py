@@ -24,7 +24,6 @@ from gogtools.fineness import (
     TreeBallAction,
     alpha_for_attachment,
     alpha_replacement,
-    angle,
     attach_edge_orbit,
     enumerate_escaping_paths,
     escaping_vectors,
@@ -71,13 +70,13 @@ def find_key(ball, tag, key):
 
 
 def test_angle_cycle_and_complete():
-    C5 = cycle(5)
-    assert angle(C5, 0, 1, 4) == 3
-    assert angle(C5, 0, 1, 1) == 0
-    K4 = complete(4)
-    assert angle(K4, 0, 1, 2) == 1
+    C5 = AngleTable(cycle(5), 0)
+    assert C5.angle(1, 4) == 3
+    assert C5.angle(1, 1) == 0
+    K4 = AngleTable(complete(4), 0)
+    assert K4.angle(1, 2) == 1
     with pytest.raises(ValueError):
-        angle(C5, 0, 2, 1)
+        C5.angle(2, 1)
 
 
 def test_angle_tree_infinite_every_radius():
@@ -85,10 +84,11 @@ def test_angle_tree_infinite_every_radius():
     for R in (3, 4, 5):
         ball = quotient_tree_ball(gog, [], R)
         for v in range(ball.vertex_count()):
+            table = AngleTable(ball, v)
             nbrs = [j for j in neighbors(ball, v) if ball.verts[j].dist <= R - 1]
             for i, x in enumerate(nbrs):
                 for y in nbrs[i + 1:]:
-                    assert angle(ball, v, x, y) is INF
+                    assert table.angle(x, y) is INF
 
 
 def brute_angle(ball, v, x, y):

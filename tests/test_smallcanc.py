@@ -264,7 +264,7 @@ def test_pieces_singleton():
 
 def test_cprime_relator_power_holds():
     gog = _free()
-    rep = check_cprime(_relator(gog), 12, Fraction(1, 12), gog)
+    rep = check_cprime(_relator(gog), 12, Fraction(1, 12))
     assert rep["verdict"] is True
     assert rep["max_piece"] == 3
     assert rep["member_length"] == 72
@@ -273,21 +273,21 @@ def test_cprime_relator_power_holds():
 
 def test_cprime_single_power_fails_at_sixth():
     gog = _free()
-    rep = check_cprime(_relator(gog), 1, Fraction(1, 6), gog)
+    rep = check_cprime(_relator(gog), 1, Fraction(1, 6))
     assert rep["verdict"] is False  # piece 3 vs bound 6/6
     assert rep["lam_star"] == Fraction(1, 2)
 
 
 def test_cprime_vacuous_lambda():
     gog = _free()
-    rep = check_cprime(_relator(gog), 1, 1, gog)
+    rep = check_cprime(_relator(gog), 1, 1)
     assert rep["verdict"] is True
 
 
 def test_cprime_rejects_zero_power():
     gog = _free()
     with pytest.raises(ValueError):
-        check_cprime(_relator(gog), 0, Fraction(1, 6), gog)
+        check_cprime(_relator(gog), 0, Fraction(1, 6))
 
 
 def test_thmb_hypothesis_exact():
@@ -318,7 +318,7 @@ def oracle_k_tree_ball(gog, r):
 
 def test_compute_M_free_product():
     gog = _free()
-    tc = compute_M(gog, _relator(gog))
+    tc = compute_M(_relator(gog))
     assert tc.k == 1 and tc.r_syllables == 6 and tc.M == 6
     assert tc.indices == [1] * 12  # trivial edge groups all along r^2
 
@@ -332,7 +332,7 @@ def test_compute_M_against_tree_ball_oracle():
     s3d4 = s3_d4_amalgam()
     cases.append((s3d4, loop_word(s3d4, [(0, 1), (1, 1)])))
     for gog_i, r_i in cases:
-        tc = compute_M(gog_i, r_i)
+        tc = compute_M(r_i)
         n_oracle, idx_oracle = oracle_k_tree_ball(gog_i, r_i)
         assert len(tc.gamma) == n_oracle
         assert tc.indices == idx_oracle
@@ -341,13 +341,13 @@ def test_compute_M_against_tree_ball_oracle():
 
 def test_compute_M_central_amalgam():
     gog = sl2z_gog()
-    tc = compute_M(gog, ab_word(gog, [1, 1]))
+    tc = compute_M(ab_word(gog, [1, 1]))
     assert tc.k == 1 and tc.M == 2  # the edge group is central on both sides
 
 
 def test_compute_M_noncentral_amalgam():
     gog = s3_d4_amalgam()
-    tc = compute_M(gog, loop_word(gog, [(0, 1), (1, 1)]))
+    tc = compute_M(loop_word(gog, [(0, 1), (1, 1)]))
     assert tc.k == 2 and tc.M == 4
     assert max(tc.indices) == 2
 
@@ -355,16 +355,16 @@ def test_compute_M_noncentral_amalgam():
 def test_compute_M_shift_invariant():
     gog = _free()
     r = _relator(gog)
-    base = compute_M(gog, r)
+    base = compute_M(r)
     core, _ = cyclically_reduce(reduce_word(r))
     for w in rotations(core):
-        tc = compute_M(gog, w)
+        tc = compute_M(w)
         assert (tc.k, tc.M) == (base.k, base.M)
 
 
 def test_compute_M_elliptic_relator():
     gog = _free()
-    tc = compute_M(gog, loop_word(gog, [(0, 2)]))
+    tc = compute_M(loop_word(gog, [(0, 2)]))
     assert tc.k == 1 and tc.M == 1
     assert tc.note is not None
 
@@ -873,7 +873,7 @@ def test_incidence_bounded_by_M():
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
-    inc = thinness_incidence(gog, r, 12, 2, oracle=ko)
+    inc = thinness_incidence(ko, 2)
     assert inc["certified"]
     assert inc["period"] == 6
     assert inc["edges"]
@@ -883,8 +883,9 @@ def test_incidence_bounded_by_M():
 
 def test_incidence_rejects_amalgams():
     gog = sl2z_gog()
+    ko = KernelOracle(gog, ab_word(gog, [1, 1]), 12)
     with pytest.raises(UnsupportedInput):
-        thinness_incidence(gog, ab_word(gog, [1, 1]), 12, 2)
+        thinness_incidence(ko, 2)
 
 
 def test_incidence_radius_guard():
@@ -892,7 +893,7 @@ def test_incidence_radius_guard():
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
     with pytest.raises(UnsupportedInput):
-        thinness_incidence(gog, r, 12, 40, oracle=ko)
+        thinness_incidence(ko, 40)
 
 
 def test_check_M_thin_with_certificate(monkeypatch):
@@ -911,8 +912,7 @@ def test_check_M_thin_with_certificate(monkeypatch):
 
     monkeypatch.setattr(KernelOracle, "certificate", counted)
     X = presentation_complex_ball(gog, [word_power(r, 12)], 2, wp=ko)
-    X.incidence = thinness_incidence(gog, r, 12, 2, oracle=ko,
-                                     ball=X.skeleton)
+    X.incidence = thinness_incidence(ko, 2, ball=X.skeleton)
     rep = check_M_thin(X, 6)
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
@@ -961,7 +961,7 @@ def test_incidence_work_bound(monkeypatch):
     ko = KernelOracle(gog, r, 12)
     powers = counting(monkeypatch, smallcanc, "word_power")
     reductions = counting(monkeypatch, smallcanc, "reduce_word")
-    inc = thinness_incidence(gog, r, 12, 2, oracle=ko)
+    inc = thinness_incidence(ko, 2)
     assert inc["max_count"] == 6
     assert powers[0] == 0
     # the per-s word_power search made 43,130 reductions here, and
@@ -991,7 +991,7 @@ def test_cprime_hnn_members_equal_in_syllables_unsupported():
     gog = hnn_c6()
     r = GroupWord(gog, 0, 4, [(0, 0)])
     with pytest.raises(UnsupportedInput, match="does not count stable letters"):
-        check_cprime(r, 1, Fraction(1, 6), gog)
+        check_cprime(r, 1, Fraction(1, 6))
 
 
 # -- claim audit ------------------------------------------------------------
@@ -1000,8 +1000,7 @@ def test_cprime_hnn_members_equal_in_syllables_unsupported():
 def test_claim_audit_free_product():
     gog = _free()
     r = _relator(gog)
-    ko = KernelOracle(gog, r, 12)
-    aud = claim_audit(gog, r, 12, oracle=ko)
+    aud = claim_audit(r, 12)
     assert aud["orbit_bound"]["verdict"]
     assert aud["orbit_bound"]["orbits"] == 6
     assert aud["orbit_bound"]["collapse_checked"]
@@ -1014,7 +1013,7 @@ def test_claim_audit_free_product():
 def test_claim_audit_amalgam():
     gog = s3_d4_amalgam()
     r = loop_word(gog, [(0, 1), (1, 1)])
-    aud = claim_audit(gog, r, 2)
+    aud = claim_audit(r, 2)
     assert aud["orbit_bound"]["verdict"]
     assert aud["index_bound"]["max_index"] == 2
     assert aud["k"] == 2 and aud["M"] == 4
