@@ -563,11 +563,11 @@ def _cmd_m_thin(params, ctx):
     R = params["radius"]
     oracle = KernelOracle(gog, r, m)
     X = presentation_complex_ball(gog, [oracle.rm], R, wp=oracle)
-    X.incidence = thinness_incidence(oracle, R, ball=X.skeleton)
+    X.incidence = thinness_incidence(oracle, X.skeleton)
     M = params.get("M")
     if M is None:
         M = compute_M(r).M
-    result = check_M_thin(X, M)
+    result = check_M_thin(X.incidence, M)
     result["per_edge"] = {str(k): v for k, v in sorted(result["per_edge"].items())}
     return result, {"complex": to_complex_json(X)}, (
         f"verdict={result['verdict']} (max {result['max_count']} <= M={M})")

@@ -7,11 +7,13 @@ form of an attaching cycle is the lexicographically least among all
 rotations of the sequence and of its reversal, so a cell equals its
 mirror image and duplicates are detectable by key equality.
 
-A complex may additionally carry a per-edge ``incidence`` table produced
-by a certificate-based counter (see ``smallcanc.thinness_incidence``);
-when present it records, for each listed 1-cell, the exact number of
+The m-thin audit stores on its complex the per-edge ``incidence`` table
+that the certificate-based counter ``smallcanc.thinness_incidence``
+computes over the complex's skeleton: for each 1-cell, the exact number of
 2-cells of the *full* complex through that edge, independently of which
-cells happen to be materialized inside the ball.
+cells happen to be materialized inside the ball.  ``check_M_thin`` reads
+its verdict from that table; the serializer writes it, null on every other
+complex.
 
 Boundary bookkeeping convention used throughout: a ball of radius R only
 knows the cells it materialized, so "interior" flags are conservative —
@@ -69,7 +71,8 @@ class TwoComplexBall:
     length of any 2-cell of the *full* complex (not just the materialized
     ones); completeness margins fall back to the materialized maximum
     when it is absent.  ``incidence`` starts as None; the m-thin audit
-    stores a certified per-edge table there for ``check_M_thin``."""
+    stores there the certified per-edge table it hands to
+    ``check_M_thin``, so that the serialized complex carries it."""
 
     __slots__ = ("skeleton", "cells2", "incidence", "notes", "span")
 

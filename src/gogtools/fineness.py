@@ -1,6 +1,6 @@
 """Angle metrics, escaping-path sets, fineness diagnostics, the W/Z
-containment machinery, equivariant edge attachments, α-replacement, and the
-quasi-isometry certificate.
+containment machinery, equivariant edge attachments, and the quasi-isometry
+certificate.
 
 Conventions
 -----------
@@ -22,8 +22,8 @@ alongside as the audit companion.
 Group actions enter through small action bundles (one for tree balls, one
 for free-abelian coset balls) exposing the induced vertex map, stabilizer
 enumerations, transporter sets, and a concrete-group view of the elements.
-Attachments, the corner condition in the Z-step, and α-replacement all speak
-through that interface.  Cone subgroups travel as
+Attachments and the corner condition in the Z-step speak through that
+interface.  Cone subgroups travel as
 :class:`~gogtools.concrete.SubgroupHandle`; an infinite handle is accepted
 but the resulting graph is labeled as outside the attachment theorem's
 hypotheses.
@@ -304,7 +304,7 @@ class AbelianBallAction:
 
 class Attachment:
     """Record of one edge-orbit attachment: the Δ ball plus the data the
-    W/Z machinery and α-replacement consume."""
+    W/Z machinery consumes."""
 
     __slots__ = ("kind", "gamma", "delta", "action", "new_edges", "cones",
                  "rep_cone", "outside_theorem")
@@ -441,44 +441,6 @@ def alpha_for_attachment(attachment: Attachment):
     for info in attachment.cones.values():
         alpha.update(alpha_geodesics(attachment.gamma, info["nbrs"]))
     return alpha
-
-
-def alpha_replacement(delta_path, attachment: Attachment, alpha):
-    """Replace cone corners of a Δ-path by their chosen α geodesics in Γ.
-
-    Interior corners [x, cone, y] are spliced with alpha[(x, y)]; a terminal
-    or initial cone vertex is dropped.  Returns the Γ-path as a vertex-index
-    list; a corner whose pair is missing from ``alpha`` is a missing-alpha
-    error.
-    """
-    gamma = attachment.gamma
-    n_gamma = gamma.vertex_count()
-
-    def is_cone(i):
-        return i >= n_gamma
-
-    path = list(delta_path)
-    if path and is_cone(path[-1]):
-        path = path[:-1]
-    if path and is_cone(path[0]):
-        path = path[1:]
-    out = []
-    i = 0
-    while i < len(path):
-        x = path[i]
-        if not is_cone(x):
-            out.append(x)
-            i += 1
-            continue
-        a, b = out[-1], path[i + 1]
-        if (a, b) not in alpha:
-            raise ValueError(
-                f"missing-alpha: corner [{a}, cone {x}, {b}] has no recorded "
-                "geodesic"
-            )
-        out.extend(alpha[(a, b)][1:])
-        i += 2
-    return out
 
 
 def qi_certificate(gamma: GGraphBall, delta: GGraphBall) -> dict:

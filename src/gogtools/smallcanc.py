@@ -39,7 +39,10 @@ disc with g·t_j = x for a boundary edge t_j of D, deduplicated modulo the
 disc stabilizer ⟨r⟩ (which collapses boundary positions by the period:
 q_{j+|r|} = r·q_j).  This counts incidences of the *infinite* complex
 exactly, without materializing any 2-cell, and is how per-edge bounds are
-certified at radii where a full disc could never fit in memory.
+certified at radii where a full disc could never fit in memory.  The audit
+counts over the edges of the ball it is handed, whose radius must stay
+under the kernel's length gate, and the M-thin verdict is read from that
+certified table alone.
 """
 
 from __future__ import annotations
@@ -119,17 +122,25 @@ class SymmetrizedSet:
     least member under the word key — the canonical cyclic conjugate the
     rest of the module refers back to.  The members are an immutable
     tuple, so the piece report (:func:`pieces`) and the Dehn match table
-    are computed once and kept here.  ``proper_power`` is filled in by
+    are computed once and kept here.  ``proper_power`` comes from
     :func:`symmetrize`, which sees the rotation orbits: it is True when an
     orbit is shorter than the edge count."""
 
-    def __init__(self, gog, members, base):
+    def __init__(self, gog, members, base, proper_power):
         self.gog = gog
         self.members = tuple(members)
         self.base = base
-        self.proper_power = None
-        self.piece_report = None
-        self.match_table = None
+        self.proper_power = proper_power
+
+    @cached_property
+    def piece_report(self) -> PieceReport:
+        return _piece_report(self)
+
+    @cached_property
+    def match_table(self):
+        """Anchor index: (edge, element) of each member's second position
+        -> members starting that way, with their position lists."""
+        return _build_match_table(self)
 
     def __len__(self):
         return len(self.members)
@@ -164,9 +175,7 @@ def symmetrize(r: GroupWord) -> SymmetrizedSet:
             seen.add(w)
     members = sorted(seen, key=lambda w: (w.start, w.key()))
     base = min(members, key=lambda w: w.key())
-    S = SymmetrizedSet(r.gog, members, base)
-    S.proper_power = proper
-    return S
+    return SymmetrizedSet(r.gog, members, base, proper)
 
 
 # -- pieces -----------------------------------------------------------------
@@ -280,8 +289,6 @@ class PieceReport:
 
 def pieces(S: SymmetrizedSet) -> PieceReport:
     """The piece report of S, computed on the first call and cached on S."""
-    if S.piece_report is None:
-        S.piece_report = _piece_report(S)
     return S.piece_report
 
 
@@ -467,15 +474,6 @@ def _subword(w: GroupWord, lo: int, hi: int) -> GroupWord:
     return GroupWord._trusted(w.gog, v, x, w.pairs[lo:hi])
 
 
-def _match_table(S: SymmetrizedSet):
-    """Anchor index: (edge, element) of each member's second position ->
-    members starting that way, with their position lists; built once per
-    set and kept on it."""
-    if S.match_table is None:
-        S.match_table = _build_match_table(S)
-    return S.match_table
-
-
 def _build_match_table(S: SymmetrizedSet):
     gog = S.gog
     tab = {}
@@ -582,7 +580,7 @@ def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> Deh
     """:func:`dehn_reduce` of a canonical loop against a set whose piece
     report is known to satisfy C'(1/6)."""
     vgroup = S.gog.vgroup
-    tab, mempos = _match_table(S)
+    tab, mempos = S.match_table
     original = cur
     trace = []
     area = 0
@@ -888,17 +886,18 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
     return None
 
 
-def thinness_incidence(oracle: KernelOracle, R: int, ball=None) -> dict:
+def thinness_incidence(oracle: KernelOracle, ball) -> dict:
     """Exact per-edge 2-cell counts for the presentation complex of
-    gog/⟨⟨r^m⟩⟩, computed transporter-locally over a radius-R ball; the
-    graph of groups, r and m are the kernel oracle's.
+    gog/⟨⟨r^m⟩⟩, computed transporter-locally over every edge of ``ball``
+    (a quotient tree ball of the oracle, such as a complex's skeleton);
+    the graph of groups, r and m are the kernel oracle's.
 
     For each ball edge x and each boundary position j of one period of
     the base disc, the unique g with g·t_j = x (trivial edge stabilizers)
     is a candidate incident cell g·D; candidates are deduplicated modulo
     the disc stabilizer ⟨r⟩ via the kernel oracle.  The counts are exact
-    for the full complex — no cell is materialized.  Pass the skeleton of
-    an existing complex as ``ball`` to key the table by its edge indices.
+    for the full complex — no cell is materialized — and the table is
+    keyed by the ball's edge indices.
     """
     gog = oracle.gog
     if not oracle.trivial_seams:
@@ -914,8 +913,7 @@ def thinness_incidence(oracle: KernelOracle, R: int, ball=None) -> dict:
         )
     core, prefixes, lam = _relator_boundary(oracle.r)
     p = len(core.pairs)
-    if ball is not None:
-        R = ball.radius
+    R = ball.radius
     # endpoint matching below compares canonical words in the unquotiented
     # group; that is exact as long as no kernel element can move a ball
     # vertex to another ball vertex, i.e. while the minimal kernel
@@ -926,11 +924,6 @@ def thinness_incidence(oracle: KernelOracle, R: int, ball=None) -> dict:
             f"radius {R} too large for exact transporter matching: "
             f"need 2R + |r| + 1 < {oracle.length_gate}"
         )
-    if ball is None:
-        from .cayley_abels import quotient_tree_ball
-
-        ball = quotient_tree_ball(gog, [oracle.rm], R, wp=oracle,
-                                  base=core.start)
     g_graph = gog.graph
     step_edges = [e for e, _x in core.pairs]
     counts = {}
@@ -992,43 +985,18 @@ def thinness_incidence(oracle: KernelOracle, R: int, ball=None) -> dict:
     }
 
 
-def check_M_thin(X: TwoComplexBall, M: int) -> dict:
-    """Every audited 1-cell borders at most M 2-cells.
-
-    With a certified incidence table the counts are exact for the full
-    complex; otherwise materialized cells are counted per interior edge
-    and boundary edges are excluded with a notice.
-    """
-    if X.incidence is not None:
-        counts = X.incidence["edges"]
-        mode = "certified-incidence"
-        excluded = []
-    else:
-        counts = {k: 0 for k in range(len(X.cells1))}
-        for cell in X.cells2:
-            for _, _, k in X.boundary(cell):
-                if k is not None:
-                    counts[k] += 1
-        interior = set()
-        span = max((len(c.verts) + 1) // 2 for c in X.cells2) if X.cells2 else 0
-        for k, e in enumerate(X.cells1):
-            du = X.cells0[e.u].dist
-            dv = X.cells0[e.v].dist
-            if max(du, dv) + span <= X.radius:
-                interior.add(k)
-        excluded = sorted(set(counts) - interior)
-        counts = {k: c for k, c in counts.items() if k in interior}
-        mode = "materialized"
-    max_count = max(counts.values()) if counts else 0
-    argmax = (max(counts, key=lambda k: counts[k]) if counts else None)
+def check_M_thin(incidence: dict, M: int) -> dict:
+    """Every audited 1-cell borders at most M 2-cells, read from the
+    certified table of :func:`thinness_incidence`, whose counts are exact
+    for the full complex."""
     return {
-        "verdict": max_count <= M,
+        "verdict": incidence["max_count"] <= M,
         "M": M,
-        "max_count": max_count,
-        "argmax_edge": argmax,
-        "per_edge": counts,
-        "mode": mode,
-        "excluded_boundary_edges": excluded,
+        "max_count": incidence["max_count"],
+        "argmax_edge": incidence["argmax_edge"],
+        "per_edge": incidence["edges"],
+        "mode": "certified-incidence",
+        "excluded_boundary_edges": [],
     }
 
 
@@ -1084,7 +1052,12 @@ def claim_audit(r: GroupWord, m: int) -> dict:
     injection = {"edge": 0, "classes": None, "verdict": None,
                  "note": None}
     if _trivial_edge_groups(gog):
-        inc = thinness_incidence(KernelOracle(gog, core, m), 2)
+        from .cayley_abels import quotient_tree_ball
+
+        oracle = KernelOracle(gog, core, m)
+        ball = quotient_tree_ball(gog, [oracle.rm], 2, wp=oracle,
+                                  base=core.start)
+        inc = thinness_incidence(oracle, ball)
         sample = inc["argmax_edge"]
         classes = inc["positions"].get(sample, [])
         injection = {

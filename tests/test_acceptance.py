@@ -375,8 +375,8 @@ def test_criterion_08_presentation_complex_is_M_thin():
     oracle = KernelOracle(gog, r, 12)
     rm = word_power(r, 12)
     X = presentation_complex_ball(gog, [rm], 2, wp=oracle.in_kernel)
-    X.incidence = thinness_incidence(oracle, 2, ball=X.skeleton)
-    thin = check_M_thin(X, M)
+    X.incidence = thinness_incidence(oracle, X.skeleton)
+    thin = check_M_thin(X.incidence, M)
     aud = claim_audit(r, 12)
     claims_ok = (aud["orbit_bound"]["verdict"] and aud["injection"]["verdict"]
                  and aud["index_bound"]["verdict"] and aud["M"] == M)

@@ -22,8 +22,6 @@ from gogtools.fineness import (
     AngleInfinity,
     AngleTable,
     TreeBallAction,
-    alpha_for_attachment,
-    alpha_replacement,
     attach_edge_orbit,
     enumerate_escaping_paths,
     escaping_vectors,
@@ -417,25 +415,6 @@ def test_attach_uH_infinite_labeled():
     assert len(cone["nbrs"]) == action.ball.vertex_count()
     assert att.delta.verts[cone["index"]].stab_order is None
     assert any("outside" in note for note in att.delta.notes)
-
-
-# -- α-replacement ----------------------------------------------------------
-
-
-def test_alpha_replacement():
-    action = TreeBallAction(sl2z_gog(), 6)
-    att = attach_edge_orbit(action, {"kind": "uH", "u": 1, "H": c4_handle(action)})
-    alpha = alpha_for_attachment(att)
-    cone = att.cones[att.rep_cone]["index"]
-
-    gamma_path = alpha_replacement([1, cone, 2], att, alpha)
-    assert gamma_path == [1, 0, 2]
-    assert len(gamma_path) - 1 <= 2 * 2  # |γ| ≤ ℓ|δ| with ℓ = 2
-
-    assert alpha_replacement([0, 1, 0, 2], att, alpha) == [0, 1, 0, 2]
-    assert alpha_replacement([0, 1, cone], att, alpha) == [0, 1]
-    with pytest.raises(ValueError, match="missing-alpha"):
-        alpha_replacement([1, cone, 2], att, {})
 
 
 def test_qi_certificate_identity():

@@ -839,41 +839,19 @@ def test_no_relators_no_cells():
     assert len(X.cells0) == 1 + 4 + 4 * 5
 
 
-def test_check_M_thin_materialized_hexagon():
-    gog, st3, wp = _d3_setup()
-    X = presentation_complex_ball(gog, [st3], 6, wp=wp)
-    rep = check_M_thin(X, 6)
-    assert rep["verdict"]
-    assert rep["mode"] == "materialized"
-    assert rep["max_count"] == 1  # one hexagon through each edge
-    assert not rep["excluded_boundary_edges"]
-
-
-def test_check_M_thin_detects_overcrowding():
-    gog, st3, wp = _d3_setup()
-    X = presentation_complex_ball(gog, [st3], 6, wp=wp)
-    X.cells2.append(X.cells2[0])
-    rep = check_M_thin(X, 1)
-    assert not rep["verdict"]
-    assert rep["max_count"] == 2
-
-
-def test_tree_is_zero_thin():
-    gog = _free()
-    X = presentation_complex_ball(gog, [], 2)
-    rep = check_M_thin(X, 0)
-    assert rep["verdict"]
-    assert rep["max_count"] == 0
-
-
 # -- transporter-local incidence --------------------------------------------
+
+
+def _incidence_ball(ko, R):
+    """The radius-R quotient tree ball of the oracle's kernel."""
+    return quotient_tree_ball(ko.gog, [ko.rm], R, wp=ko)
 
 
 def test_incidence_bounded_by_M():
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
-    inc = thinness_incidence(ko, 2)
+    inc = thinness_incidence(ko, _incidence_ball(ko, 2))
     assert inc["certified"]
     assert inc["period"] == 6
     assert inc["edges"]
@@ -884,16 +862,19 @@ def test_incidence_bounded_by_M():
 def test_incidence_rejects_amalgams():
     gog = sl2z_gog()
     ko = KernelOracle(gog, ab_word(gog, [1, 1]), 12)
+    # the trivial-seam check raises before the ball is read
     with pytest.raises(UnsupportedInput):
-        thinness_incidence(ko, 2)
+        thinness_incidence(ko, build_tree_ball(gog, 1))
 
 
 def test_incidence_radius_guard():
+    # the gate of r^4 is 15, and 2·4 + |r| + 1 = 15 already fails it
     gog = _free()
     r = _relator(gog)
-    ko = KernelOracle(gog, r, 12)
-    with pytest.raises(UnsupportedInput):
-        thinness_incidence(ko, 40)
+    ko = KernelOracle(gog, r, 4)
+    assert ko.length_gate == 15
+    with pytest.raises(UnsupportedInput, match="radius 4 too large"):
+        thinness_incidence(ko, build_tree_ball(gog, 4))
 
 
 def test_check_M_thin_with_certificate(monkeypatch):
@@ -912,12 +893,26 @@ def test_check_M_thin_with_certificate(monkeypatch):
 
     monkeypatch.setattr(KernelOracle, "certificate", counted)
     X = presentation_complex_ball(gog, [word_power(r, 12)], 2, wp=ko)
-    X.incidence = thinness_incidence(ko, 2, ball=X.skeleton)
-    rep = check_M_thin(X, 6)
+    X.incidence = thinness_incidence(ko, X.skeleton)
+    rep = check_M_thin(X.incidence, 6)
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
     assert rep["max_count"] == 6
     assert 0 < calls[0] <= 1200
+
+
+def test_check_M_thin_verdict_turns_at_the_max_count():
+    # the r¹² table over C4∗C6 has 6 cells through its worst edge, so
+    # M = 5 is refuted and M = 6 holds
+    gog = _free()
+    ko = KernelOracle(gog, _relator(gog), 12)
+    inc = thinness_incidence(ko, _incidence_ball(ko, 2))
+    held, refuted = check_M_thin(inc, 6), check_M_thin(inc, 5)
+    assert held["verdict"] and not refuted["verdict"]
+    for rep in (held, refuted):
+        assert rep["max_count"] == 6
+        assert rep["argmax_edge"] == inc["argmax_edge"]
+        assert rep["per_edge"][rep["argmax_edge"]] == 6
 
 
 def oracle_disc_stabilizer_power(ko, delta):
@@ -959,9 +954,10 @@ def test_incidence_work_bound(monkeypatch):
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
+    ball = _incidence_ball(ko, 2)
     powers = counting(monkeypatch, smallcanc, "word_power")
     reductions = counting(monkeypatch, smallcanc, "reduce_word")
-    inc = thinness_incidence(ko, 2)
+    inc = thinness_incidence(ko, ball)
     assert inc["max_count"] == 6
     assert powers[0] == 0
     # the per-s word_power search made 43,130 reductions here, and
