@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from .concrete import FreeAbelian, QuotientWords, SubgroupHandle
-from .errors import CapExceeded
+from .errors import CapExceeded, UnsupportedInput
 from .gog import GroupWord
 from .tree import canonical_coset_word, stabilizer
 
@@ -182,9 +182,11 @@ def fineness_report(family, locate_u, locate_v, k: int, radii) -> dict:
     ``family(R)`` builds the ball; ``locate_u``/``locate_v`` find the two
     vertices in each ball (indices are not stable across radii, so locators
     work by content).  Verdict STABLE means the member sets at the top two
-    radii agree — a certificate of exact computation, since escaping paths
-    of length ≤ k live in the (k+1)-ball of u.  GROWING ships at least three
-    concrete witness paths.
+    radii agree, and GROWING ships at least three concrete witness paths.
+    An escaping path of length ≤ k stays in the k-ball of u, so a set is
+    computed in full only when d(base, u) + k ≤ R; below that depth at
+    either compared radius a truncated set could fake a change, and the
+    query raises :class:`UnsupportedInput`.
     """
     radii = list(radii)
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -202,6 +204,11 @@ def fineness_report(family, locate_u, locate_v, k: int, radii) -> dict:
         key_sets.append(_member_keys(ball, es))
         last = (ball, es)
     ball, es = last
+    depth = ball.verts[es.u].dist
+    if depth + k > radii[-2]:
+        raise UnsupportedInput(
+            f"u is {depth} from the base, so →uv({k}) is computed in full only "
+            f"from radius {depth + k}; the verdict compares radii {radii[-2:]}")
     stable = key_sets[-1] == key_sets[-2]
     report = {
         "query": {"u": repr(ball.verts[es.u].key),

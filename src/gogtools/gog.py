@@ -20,17 +20,25 @@ left.  The result is the canonical normal form, itself a ``GroupWord``: head
 element followed by alternating (edge, transversal representative) pairs.
 Transversal representatives are least-element-index, with the identity
 representing the coset of the image subgroup itself, so normal forms are
-reproducible across runs.  The transversal table depends on the graph of
-groups alone, so the graph owns it (``GraphOfGroups.transversals``, built on
-first use and kept), and every word operation reads the graph and its table
-from the word itself.  The syllable length of a normal form counts its
+reproducible across runs.  The syllable length of a normal form counts its
 nontrivial vertex-group syllables (the head plus representatives); stable
 letters of an HNN word therefore contribute edges but not syllables, which
 matches the translation-length reading for cyclically reduced words over
 amalgams and free products.
+
+The word layer indexes flat tuples instead of calling methods: the graph's
+:class:`Transversals` (``GraphOfGroups.transversals``, built on first use and
+kept) holds, per directed edge, its terminus, the vertex-group tables at both
+ends, η_e, the transversal decomposition and the Britton pinch.  The
+``GroupWord`` product, inverse and end, ``reduce_word``, ``_sweep``,
+``_notch``, ``_cyclic_core`` and ``syllable_length`` read them, as do
+``smallcanc`` (positions, abelianized image, self-overlap, Dehn scan) and
+``tree`` (the fold-back test), each binding them to locals once per call.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .finite import FiniteGroup, GroupHom, Subgroup, check_hom
 
@@ -99,7 +107,6 @@ class GraphOfGroups:
             raise ValueError("one edge group per geometric edge required")
         if len(self.inj) != graph.num_edges:
             raise ValueError("one monomorphism per directed edge required")
-        self._images = {}
         self._transversals = None
 
     def vgroup(self, v: int) -> FiniteGroup:
@@ -108,17 +115,11 @@ class GraphOfGroups:
     def egroup(self, e: int) -> FiniteGroup:
         return self.egroups[e >> 1]
 
-    def image(self, e: int) -> frozenset:
-        """Image of inj(e) inside vgroup(t(e)), cached."""
-        if e not in self._images:
-            self._images[e] = frozenset(self.inj[e].map)
-        return self._images[e]
-
     @property
     def transversals(self) -> "Transversals":
-        """The right-coset transversal table, built on first use and kept
-        (not by the constructor: :func:`validate` reports on graphs whose
-        injections are broken, where no table can be built)."""
+        """The flat per-edge tables, built on first use and kept (not by
+        the constructor: :func:`validate` reports on graphs whose
+        injections are broken, where the tables would mean nothing)."""
         if self._transversals is None:
             self._transversals = Transversals(self)
         return self._transversals
@@ -194,7 +195,7 @@ class GroupWord:
     def end(self) -> int:
         if not self.pairs:
             return self.start
-        return self.gog.graph.t(self.pairs[-1][0])
+        return self.gog.transversals.t[self.pairs[-1][0]]
 
     def is_loop(self) -> bool:
         return self.end == self.start
@@ -205,37 +206,33 @@ class GroupWord:
         return not self.pairs and self.head == self.gog.vgroup(self.start).identity
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        if other.start != self.end:
+        gog, pairs, end = self.gog, self.pairs, self.end
+        if other.start != end:
             raise ValueError(
-                f"cannot concatenate: path ends at {self.end}, next starts at {other.start}"
+                f"cannot concatenate: path ends at {end}, next starts at {other.start}"
             )
-        if not self.pairs:
-            G = self.gog.vgroup(self.start)
-            return GroupWord._trusted(self.gog, self.start,
-                                      G.op(self.head, other.head), other.pairs)
-        e_last, x_last = self.pairs[-1]
-        G = self.gog.vgroup(self.end)
-        merged = self.pairs[:-1] + ((e_last, G.op(x_last, other.head)),) + other.pairs
-        return GroupWord._trusted(self.gog, self.start, self.head, merged)
+        if not pairs:
+            head = gog.vgroups[end].table[self.head][other.head]
+            return GroupWord._trusted(gog, end, head, other.pairs)
+        e_last, x_last = pairs[-1]
+        x_last = gog.transversals.tmul[e_last][x_last][other.head]
+        merged = pairs[:-1] + ((e_last, x_last),) + other.pairs
+        return GroupWord._trusted(gog, self.start, self.head, merged)
 
     def inverse(self) -> "GroupWord":
-        gog = self.gog
-        g = gog.graph
-        verts = [self.start] + [g.t(e) for e, _ in self.pairs]
-        elements = [self.head] + [x for _, x in self.pairs]
-        invs = [gog.vgroup(v).inv[x] for v, x in zip(verts, elements)]
+        gog, pairs = self.gog, self.pairs
+        tinv = gog.transversals.tinv
+        invs = [gog.vgroups[self.start].inv[self.head]]
+        invs += [tinv[e][x] for e, x in pairs]
         # (g0, (e1,g1),...,(en,gn))^-1 = (gn^-1, (ēn, g_{n-1}^-1), ..., (ē1, g0^-1))
-        pairs = [(g.bar(self.pairs[i][0]), invs[i])
-                 for i in range(len(self.pairs) - 1, -1, -1)]
-        return GroupWord._trusted(gog, verts[-1], invs[-1], pairs)
+        rev = [(pairs[i][0] ^ 1, invs[i]) for i in range(len(pairs) - 1, -1, -1)]
+        return GroupWord._trusted(gog, self.end, invs[-1], rev)
 
     def key(self):
         """Flat deterministic sort key: edge count, then (vertex, element,
         edge) data lexicographically."""
-        flat = [self.start, self.head]
-        for e, x in self.pairs:
-            flat.extend((e, x))
-        return (len(self.pairs), tuple(flat))
+        return (len(self.pairs),
+                (self.start, self.head, *chain.from_iterable(self.pairs)))
 
     def __eq__(self, other):
         return (
@@ -264,41 +261,47 @@ def identity_word(gog: GraphOfGroups, v: int) -> GroupWord:
 
 
 class Transversals:
-    """Right-coset representative tables per directed edge.
+    """Flat per-directed-edge tables: every field is a tuple indexed by the
+    directed edge e.
 
-    For directed edge e with image H = inj(e)(egroup) ≤ vgroup(t(e)), each
-    element g decomposes uniquely as g = inj(e)(c) · x with x the chosen
-    representative of the right coset H·g.  Representatives are least element
-    index, except the coset H itself which the identity represents.
+    ``t``: the terminal vertex (ē is e ^ 1).  ``tmul``, ``omul``: the
+    multiplication tables of vgroup(t(e)) and vgroup(o(e)); ``tid``,
+    ``tinv``: the identity and inverses of vgroup(t(e)); ``inj``: inj(e).map.
+
+    With H = inj(e)(egroup) ≤ vgroup(t(e)), each element g decomposes
+    uniquely as g = inj(e)(c) · x with x the chosen representative of the
+    right coset H·g; ``decomp[e][g]`` is (c, x) and ``reps[e]`` lists the
+    representatives.  Representatives are least element index, except the
+    coset H itself which the identity represents.  ``pinch[e][h]`` is the
+    c with h = inj(e)(c) for h in H and ``None`` elsewhere.
     """
 
     def __init__(self, gog: GraphOfGroups):
-        self.gog = gog
-        self.reps = {}
-        self.decomp = {}
         g = gog.graph
-        for e in range(g.num_edges):
-            G = gog.vgroup(g.t(e))
-            h = gog.inj[e]
-            image = sorted(h.map)
-            pre = {h.map[c]: c for c in range(h.source.order)}
-            seen = {}
-            reps = []
+        self.t = tuple(g.t(e) for e in range(g.num_edges))
+        vg = [gog.vgroups[v] for v in self.t]
+        self.tmul = tuple(G.table for G in vg)
+        self.omul = tuple(self.tmul[e ^ 1] for e in range(g.num_edges))
+        self.tid = tuple(G.identity for G in vg)
+        self.tinv = tuple(G.inv for G in vg)
+        self.inj = tuple(h.map for h in gog.inj)
+        reps, decomp, pinch = [], [], []
+        for G, eta in zip(vg, self.inj):
+            pre = [None] * G.order
+            for c, h in enumerate(eta):
+                pre[h] = c
+            rep_of = {}
             for x in range(G.order):
-                if x in seen:
-                    continue
-                coset = sorted(G.table[y][x] for y in image)
-                rep = G.identity if G.identity in coset else coset[0]
-                reps.append(rep)
-                for z in coset:
-                    seen[z] = rep
-            table = {}
-            for gg in range(G.order):
-                x = seen[gg]
-                hx = G.table[gg][G.inv[x]]  # g * x^-1 ∈ H
-                table[gg] = (pre[hx], x)
-            self.reps[e] = reps
-            self.decomp[e] = table
+                if x not in rep_of:
+                    coset = [G.table[y][x] for y in eta]
+                    rep = G.identity if G.identity in coset else min(coset)
+                    rep_of.update(dict.fromkeys(coset, rep))
+            reps.append(sorted(set(rep_of.values())))
+            # g * x^-1 ∈ H for x the representative of g
+            decomp.append(tuple((pre[G.table[gg][G.inv[x]]], x)
+                                for gg, x in sorted(rep_of.items())))
+            pinch.append(tuple(pre))
+        self.reps, self.decomp, self.pinch = tuple(reps), tuple(decomp), tuple(pinch)
 
 
 def fix_transversals(gog: GraphOfGroups) -> Transversals:
@@ -322,38 +325,39 @@ def reduce_word(w: GroupWord) -> GroupWord:
     top (or the head).  The stack never holds a pinch, so one pass leaves
     a reduced word; the transversal sweep then makes it canonical.
     """
-    gog = w.gog
-    g = gog.graph
-    decomp = gog.transversals.decomp
+    T = w.gog.transversals
+    tmul, omul, inj, decomp, pinch = T.tmul, T.omul, T.inj, T.decomp, T.pinch
     head = w.head
-    items = []
+    es, xs = [], []  # the stack, as parallel edge and element lists
     for e, x in w.pairs:
-        if items:
-            e1, h1 = items[-1]
-            if e == g.bar(e1) and h1 in gog.image(e1):
-                # h1 = η_e1(c); its coset representative is the identity
-                c = decomp[e1][h1][0]
-                items.pop()
-                Gm = gog.vgroup(g.t(e))
-                merged = Gm.op(gog.inj[e].map[c], x)
-                if items:
-                    items[-1][1] = Gm.op(items[-1][1], merged)
+        if es and e == es[-1] ^ 1:
+            c = pinch[es[-1]][xs[-1]]
+            if c is not None:
+                # the top is ē·η_ē(c): pop it, carry η_e(c)·x leftward
+                es.pop()
+                xs.pop()
+                mul = tmul[e]
+                x = mul[inj[e][c]][x]
+                if xs:
+                    xs[-1] = mul[xs[-1]][x]
                 else:
-                    head = Gm.op(head, merged)
+                    head = mul[head][x]
                 continue
-        items.append([e, x])
-    # canonical decomposition sweep, right to left, corrections pushed left
-    for j in range(len(items) - 1, -1, -1):
-        e, x = items[j]
-        c, rep = decomp[e][x]
-        items[j][1] = rep
-        corr = gog.inj[g.bar(e)].map[c]
-        Gm = gog.vgroup(g.o(e))
-        if j == 0:
-            head = Gm.op(head, corr)
-        else:
-            items[j - 1][1] = Gm.op(items[j - 1][1], corr)
-    return GroupWord._trusted(gog, w.start, head, items)
+        es.append(e)
+        xs.append(x)
+    # canonical decomposition sweep, right to left, corrections pushed left;
+    # an element that is its own representative has a trivial correction
+    for j in range(len(es) - 1, -1, -1):
+        e = es[j]
+        c, rep = decomp[e][xs[j]]
+        if rep != xs[j]:
+            xs[j] = rep
+            corr = inj[e ^ 1][c]
+            if j:
+                xs[j - 1] = omul[e][xs[j - 1]][corr]
+            else:
+                head = omul[e][head][corr]
+    return GroupWord._trusted(w.gog, w.start, head, zip(es, xs))
 
 
 def words_equal(u: GroupWord, w: GroupWord) -> bool:
@@ -365,33 +369,27 @@ def words_equal(u: GroupWord, w: GroupWord) -> bool:
 def syllable_length(w: GroupWord) -> int:
     """Number of nontrivial vertex-group syllables of w (the head plus the
     element after each edge); use it on canonical forms."""
-    gog = w.gog
-    n = 0
-    if w.head != gog.vgroup(w.start).identity:
-        n += 1
-    g = gog.graph
-    for e, x in w.pairs:
-        if x != gog.vgroup(g.t(e)).identity:
-            n += 1
-    return n
+    tid = w.gog.transversals.tid
+    n = len([e for e, x in w.pairs if x != tid[e]])
+    return n + (w.head != w.gog.vgroups[w.start].identity)
 
 
 def _sweep(head, start, items, j, corr, gog: GraphOfGroups):
     """Multiply ``corr`` into items[j] and restore the transversal form
     leftward in place, up to the first trivial correction (the pairs to its
     left are canonical already); return the corrected head at ``start``."""
-    g = gog.graph
-    decomp = gog.transversals.decomp
+    T = gog.transversals
+    tmul, inj, decomp = T.tmul, T.inj, T.decomp
     while j >= 0:
         e, x = items[j]
-        x = gog.vgroup(g.t(e)).op(x, corr)
+        x = tmul[e][x][corr]
         c, rep = decomp[e][x]
         items[j] = (e, rep)
         if rep == x:
             return head
-        corr = gog.inj[g.bar(e)].map[c]
+        corr = inj[e ^ 1][c]
         j -= 1
-    return gog.vgroup(start).op(head, corr)
+    return gog.vgroups[start].table[head][corr]
 
 
 def _notch(head, items, gog: GraphOfGroups):
@@ -403,22 +401,20 @@ def _notch(head, items, gog: GraphOfGroups):
     is the one place the returning first edge can pinch.  The transversal
     sweep then runs leftward from the changed pair (:func:`_sweep`).
     Over trivial edge groups a notch is O(1) plus the shift."""
-    g = gog.graph
+    T = gog.transversals
     e1, new_head = items.pop(0)
-    v1 = g.t(e1)
-    G1 = gog.vgroup(v1)
+    v1 = T.t[e1]
     if not items:
-        items.append((e1, G1.identity))
-        return v1, G1.op(new_head, head)
+        items.append((e1, T.tid[e1]))
+        return v1, T.tmul[e1][new_head][head]
     e_n, x_n = items[-1]
-    seam = gog.vgroup(g.t(e_n)).op(x_n, head)
-    if e1 == g.bar(e_n) and seam in gog.image(e_n):
+    c = T.pinch[e_n][T.tmul[e_n][x_n][head]] if e1 == e_n ^ 1 else None
+    if c is not None:
         # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
         items.pop()
-        decomp = gog.transversals.decomp
-        j, corr = len(items) - 1, gog.inj[e1].map[decomp[e_n][seam][0]]
+        j, corr = len(items) - 1, T.inj[e1][c]
     else:
-        items.append((e1, G1.identity))
+        items.append((e1, T.tid[e1]))
         j, corr = len(items) - 2, head
     return v1, _sweep(new_head, v1, items, j, corr, gog)
 
@@ -460,19 +456,20 @@ def _cyclic_core(red: GroupWord):
     if not red.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
     gog = red.gog
-    g = gog.graph
+    T = gog.transversals
+    tmul, tid, pinch = T.tmul, T.tid, T.pinch
     start, head = red.start, red.head
     items = list(red.pairs)
     steps = []
     for _ in range(len(items) + 2):
         if not items:
             break
+        # a loop: the last edge ends at ``start``
         e_last, x_last = items[-1]
-        G_at = gog.vgroup(start)
         f1 = items[0][0]
-        pinchable = (len(items) >= 2 and f1 == g.bar(e_last)
-                     and G_at.op(x_last, head) in gog.image(e_last))
-        if not pinchable and x_last == G_at.identity:
+        pinchable = (len(items) >= 2 and f1 == e_last ^ 1
+                     and pinch[e_last][tmul[e_last][x_last][head]] is not None)
+        if not pinchable and x_last == tid[e_last]:
             break
         steps.append((head, f1))
         start, head = _notch(head, items, gog)
@@ -489,11 +486,10 @@ def _conjugator(red: GroupWord, steps) -> GroupWord:
     gog, start = red.gog, red.start
     if not steps:
         return identity_word(gog, start)
-    g = gog.graph
     # (h1; f1, 1)·(h2; f2, 1)···(hk; fk, 1) = (h1; (f1, h2), ..., (fk, 1))
     pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
     f_k = steps[-1][1]
-    pairs.append((f_k, gog.vgroup(g.t(f_k)).identity))
+    pairs.append((f_k, gog.transversals.tid[f_k]))
     return reduce_word(GroupWord._trusted(gog, start, steps[0][0], pairs))
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import UnsupportedInput
 from .gog import (
@@ -91,11 +92,8 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
 
 def positions(w: GroupWord):
     """The word as a list of (vertex, element, incoming edge or None)."""
-    g = w.gog.graph
-    out = [(w.start, w.head, None)]
-    for e, x in w.pairs:
-        out.append((g.t(e), x, e))
-    return out
+    t = w.gog.transversals.t
+    return [(w.start, w.head, None)] + [(t[e], x, e) for e, x in w.pairs]
 
 
 def rotations(w: GroupWord):
@@ -188,10 +186,8 @@ def _fudge_sets(gog):
     out = {v: set() for v in range(g.num_vertices)}
     for e in range(g.num_edges):
         v = g.t(e)
-        ident = gog.vgroup(v).identity
-        for c in gog.image(e):
-            if c != ident:
-                out[v].add(c)
+        out[v].update(gog.inj[e].map)
+        out[v].discard(gog.vgroup(v).identity)
     return out
 
 
@@ -213,13 +209,14 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord) -> int:
 def _prefix_syllables(p1, p2, gog, fudge) -> int:
     """:func:`common_prefix_syllables` on two position lists (different
     start vertices fail at position 0)."""
+    vgroups = gog.vgroups
     syl = 0
     for j in range(min(len(p1), len(p2))):
         v1, x1, e1 = p1[j]
         v2, x2, e2 = p2[j]
         if v1 != v2 or (j > 0 and e1 != e2):
             break
-        G = gog.vgroup(v1)
+        G = vgroups[v1]
         if x1 == x2:
             if x1 != G.identity:
                 syl += 1
@@ -241,25 +238,27 @@ def self_overlap(w: GroupWord) -> int:
     The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
     Trees and Sequences*, §1.4); a prefix sum turns lengths into
     syllables."""
-    gog = w.gog
+    tid = w.gog.transversals.tid
     pos = positions(w)
     n = len(pos)
-    syl = [0]
-    for v, x, _e in pos:
-        syl.append(syl[-1] + (x != gog.vgroup(v).identity))
+    first = int(w.head != w.gog.vgroups[w.start].identity)
+    syl = [0, *accumulate((x != tid[e] for e, x in w.pairs), initial=first)]
     head = pos[0][:2]
     z = [0] * n
     best = lo = hi = 0  # [lo, hi) is the rightmost matched window
     for s in range(1, n):
-        k = min(hi - s, z[s - lo]) if s < hi else 0
+        if s < hi and z[s - lo] < hi - s:
+            z[s] = z[s - lo]  # inside the window, and no longer than best
+            continue
+        k = hi - s if s < hi else 0
         while s + k < n and (pos[s + k] == pos[k] if k
                              else pos[s][:2] == head):
             k += 1
         z[s] = k
-        if s + k > hi:
-            lo, hi = s, s + k
-        best = max(best, syl[k])
-    return best
+        lo, hi = s, s + k
+        if k > best:
+            best = k
+    return syl[best]  # syl is nondecreasing
 
 
 class PieceReport:
@@ -468,49 +467,43 @@ class DehnResult:
         return f"DehnResult(area={self.area}, trivial={self.is_trivial})"
 
 
-def _subword(w: GroupWord, lo: int, hi: int) -> GroupWord:
-    """Positions lo..hi of w as a word (position 0 is the head)."""
-    v, x, _e = positions(w)[lo]
-    return GroupWord._trusted(w.gog, v, x, w.pairs[lo:hi])
-
-
 def _build_match_table(S: SymmetrizedSet):
-    gog = S.gog
+    ident = [G.identity for G in S.gog.vgroups]
     tab = {}
     mempos = []
     for idx, s in enumerate(S.members):
         ps = positions(s)
-        syls = [1 if x != gog.vgroup(v).identity else 0 for v, x, _ in ps]
+        syls = [int(x != ident[v]) for v, x, _ in ps]
         mempos.append((s, ps, syls, sum(syls)))
         if len(ps) > 1:
-            _v, x, e = ps[1]
-            tab.setdefault((e, x), []).append(idx)
+            tab.setdefault(ps[1], []).append(idx)
     return tab, mempos
 
 
-def _best_match_at(wpos, wsyl, i, tab, mempos):
-    """Longest legal (>half) prefix match of a member at position i of w;
-    returns (l, member index, matched syllables) or None.  ``wsyl[k]`` is
-    1 where w's element at position k is not the identity.
+def _best_match_at(wpos, wsyl, i, cands, mempos):
+    """Longest legal (>half) prefix match at position i of w of a member
+    listed in ``cands`` (the members whose position 1 is w's position
+    i+1); returns (l, member index, matched syllables) or None.
+    ``wsyl[k]`` is 1 where w's element at position k is not the identity.
 
     The member's head and its last matched syllable may split inside
     their vertex group; each counts as matched only where w's element at
     that position is not the identity, since replacing a split syllable
     that w does not carry saves nothing."""
-    if i + 1 >= len(wpos):
-        return None
-    key = (wpos[i + 1][2], wpos[i + 1][1])
     best = None
-    for idx in tab.get(key, ()):
+    for idx in cands:
         _s, ps, syls, total = mempos[idx]
         if ps[0][0] != wpos[i][0]:
             continue
-        # run of exact (edge, element) agreement from position 1
+        # run of exact (edge, element) agreement from position 1; past
+        # position 0 the edge fixes the vertex, so whole positions compare
         run = 0
         while (1 + run < len(ps) and i + 1 + run < len(wpos)
-               and ps[1 + run][2] == wpos[i + 1 + run][2]
-               and ps[1 + run][1] == wpos[i + 1 + run][1]):
+               and ps[1 + run] == wpos[i + 1 + run]):
             run += 1
+        # l positions carry at most l syllables, and l <= run + 2
+        if 2 * (run + 2) <= total:
+            continue
         # candidate lengths: run+2 splits the syllable after the run
         for l in (run + 2, run + 1):
             if l > len(ps) or i + l > len(wpos):
@@ -539,7 +532,7 @@ def _replace(cur, wpos, i, l, member):
     q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ."""
     s, ps, _syls, _tot = member
     gog = cur.gog
-    u = _subword(s, 0, l - 1)
+    u = GroupWord._trusted(gog, s.start, s.head, s.pairs[:l - 1])
     Gv = gog.vgroup(ps[0][0])
     p_elt = Gv.op(wpos[i][1], Gv.inv[ps[0][1]])
     if i == 0:
@@ -579,18 +572,19 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
 def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
     """:func:`dehn_reduce` of a canonical loop against a set whose piece
     report is known to satisfy C'(1/6)."""
-    vgroup = S.gog.vgroup
+    ident = [G.identity for G in S.gog.vgroups]
     tab, mempos = S.match_table
     original = cur
     trace = []
     area = 0
     for _step in range(guard):
         wpos = positions(cur)
-        wsyl = [1 if x != vgroup(v).identity else 0 for v, x, _e in wpos]
+        wsyl = [int(x != ident[v]) for v, x, _e in wpos]
         before = sum(wsyl)
         step = None
-        for i in range(len(wpos)):
-            hit = _best_match_at(wpos, wsyl, i, tab, mempos)
+        for i in range(len(wpos) - 1):
+            cands = tab.get(wpos[i + 1], ())
+            hit = _best_match_at(wpos, wsyl, i, cands, mempos)
             if hit is None:
                 continue
             l, idx, _matched = hit
@@ -711,10 +705,11 @@ class KernelOracle:
     # abelianized invariants ------------------------------------------------
 
     def _h1_image(self, w: GroupWord):
-        gog = self.gog
-        img = [gog.vgroup(v).identity for v in range(gog.graph.num_vertices)]
-        for v, x, _e in positions(w):
-            img[v] = gog.vgroup(v).op(img[v], x)
+        T = self.gog.transversals
+        t, tmul, img = T.t, T.tmul, [G.identity for G in self.gog.vgroups]
+        img[w.start] = w.head
+        for e, x in w.pairs:
+            img[t[e]] = tmul[e][img[t[e]]][x]
         return tuple(img)
 
     def _cyclic_span(self, img):
@@ -871,13 +866,13 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
     operation per vertex per step, and an s whose image leaves the image
     of ⟨r^m⟩ is skipped — exactly the refutation ``certificate`` would
     give.  Only the other s build delta·r⁻ˢ and ask the oracle."""
-    gog = oracle.gog
+    tables = [G.table for G in oracle.gog.vgroups]
     img = oracle._h1_image(delta) if oracle.abelian else None
     for s in range(oracle.m):
         if img is not None:
             if s:
-                img = tuple(gog.vgroup(v).op(x, y) for v, (x, y)
-                            in enumerate(zip(img, oracle._r_inv_image)))
+                img = tuple(mul[x][y] for mul, x, y
+                            in zip(tables, img, oracle._r_inv_image))
             if img not in oracle._r_subgroup:
                 continue
         # certificate reduces the product once

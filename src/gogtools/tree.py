@@ -82,7 +82,7 @@ def degree_formula(gog: GraphOfGroups, v: int) -> int:
     total = 0
     for e in range(g.num_edges):
         if g.t(e) == v:
-            total += G.order // len(gog.image(e))
+            total += G.order // len(set(gog.inj[e].map))
     return total
 
 
@@ -131,7 +131,7 @@ def _fan_table(gog: GraphOfGroups):
     for e in range(g.num_edges):
         v = g.o(e)
         G = gog.vgroup(v)
-        image = sorted(gog.image(g.bar(e)))
+        image = sorted(gog.inj[g.bar(e)].map)
         child_ok = min(T.reps[e]) == gog.vgroup(g.t(e)).identity
         fan[e] = []
         for rep in left_transversal(G, Subgroup(G, image)):
@@ -165,10 +165,11 @@ def _child_steps(w: GroupWord, fan):
     g = gog.graph
     v = w.end
     last, x = w.pairs[-1] if w.pairs else (None, None)
+    G, pinch = gog.vgroup(v), gog.transversals.pinch
     for e in g.edges_at(v):
         ident_t = gog.vgroup(g.t(e)).identity
         for rep, unproven in fan[e]:
-            if g.bar(e) == last and gog.vgroup(v).op(x, rep) in gog.image(last):
+            if g.bar(e) == last and pinch[last][G.op(x, rep)] is not None:
                 continue
             items = list(w.pairs)
             head = _sweep(w.head, w.start, items, len(items) - 1, rep, gog)

@@ -480,6 +480,28 @@ def test_cprime_degenerate_relator_exit_4(tmp_path, monkeypatch, model, word,
     assert cause in report["error"]["message"]
 
 
+@pytest.mark.parametrize("radii, rc_want",
+                         [([6, 7], 4), ([6, 9], 4), ([9, 10], 0)])
+def test_fineness_query_deeper_than_the_radii_exit_4(tmp_path, monkeypatch,
+                                                     radii, rc_want):
+    # u = (5, 0) is 5 from the base, so →uv(4) is in full only from radius
+    # 9; at radius 6 the truncated set has 2 members where the full set has
+    # 3, so [6, 7] and [6, 9] would both be a false GROWING
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": "fineness",
+        "parameters": {"family": "grid", "u": {"rep": [5, 0]},
+                       "v": {"rep": [5, 1]}, "k": 4, "radii": radii},
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == rc_want
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    if rc == 4:
+        assert report["error"]["type"] == "unsupported"
+    else:
+        assert report["result"]["verdict"] == "STABLE"
+        assert report["result"]["cardinalities"] == [3, 3]
+
+
 # -- resolved fixtures behave like the library ------------------------------
 
 

@@ -77,7 +77,7 @@ def oracle_cyclically_reduce(w, gog):
         f1 = cur.pairs[0][0]
         seam = G_at.op(x_last, cur.head)
         pinchable = (n >= 2 and f1 == g.bar(e_last)
-                     and seam in gog.image(e_last))
+                     and seam in gog.inj[e_last].map)
         if not pinchable and x_last == G_at.identity:
             break
         conj = conj * GroupWord(gog, cur.start, cur.head,
@@ -188,10 +188,10 @@ def _long_conjugator(gog, rng):
         while len(pairs) < 70 or at != 0:
             e = rng.choice(g.edges_at(at))
             G = gog.vgroup(g.t(e))
-            outside = [x for x in range(G.order) if x not in gog.image(e)]
+            outside = [x for x in range(G.order) if x not in gog.inj[e].map]
             x = rng.choice(outside or [G.identity])
             if pairs and e == g.bar(pairs[-1][0]) and \
-                    pairs[-1][1] in gog.image(pairs[-1][0]):
+                    pairs[-1][1] in gog.inj[pairs[-1][0]].map:
                 continue
             pairs.append((e, x))
             at = g.t(e)

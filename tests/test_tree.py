@@ -59,7 +59,7 @@ def oracle_levels(gog, base, radius):
         for (v, incoming), mult in frontier.items():
             for e in g.edges_at(v):
                 G = gog.vgroup(v)
-                n = G.order // len(gog.image(g.bar(e)))
+                n = G.order // len(gog.inj[g.bar(e)].map)
                 if incoming is not None and e == g.bar(incoming):
                     n -= 1
                 if n:
@@ -277,7 +277,7 @@ def oracle_canonical_edge_word(word, e):
     g = gog.graph
     assert word.end == g.o(e)
     best = None
-    for h in sorted(gog.image(g.bar(e))):
+    for h in sorted(gog.inj[g.bar(e)].map):
         cand = reduce_word(word * GroupWord(gog, word.end, h))
         if best is None or cand.key() < best.key():
             best = cand

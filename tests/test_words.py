@@ -54,7 +54,7 @@ def _pinch_pass(gog, head, items, order):
             e2, _ = items[j + 1]
             if e2 != g.bar(e1):
                 continue
-            if h1 not in gog.image(e1):
+            if h1 not in gog.inj[e1].map:
                 continue
             inj = gog.inj[e1]
             c = inj.map.index(h1)
@@ -148,15 +148,22 @@ def test_transversal_trivial_image():
 
 def test_graph_owns_its_table():
     gog = sl2z_gog()
+    assert gog._transversals is None
     table = gog.transversals
     assert gog.transversals is table
     assert fix_transversals(gog) is table
+    # the word layer reads the flat tables of that one object
+    reduce_word(ab_word(gog, [1, 1, 3, 2]))
+    assert gog._transversals is table
+    assert table.pinch[0][3] == 1 and table.pinch[0][1] is None
+    assert table.decomp[0][3] == (1, 0)
     # the constructor builds no table, so validate() still reports on a
     # graph whose injection is not injective
     bad = amalgam(make_cyclic(4), make_cyclic(6), make_cyclic(2),
                   [0, 0], [0, 3])
     assert bad._transversals is None
-    assert validate(bad)
+    assert any("inj(1) is not injective" in p for p in validate(bad))
+    assert bad._transversals is None
 
 
 def test_entry_points_take_only_the_graphs_table():
@@ -213,7 +220,7 @@ def test_no_t1t_inverse_left():
         nf = reduce_word(w)
         for (e1, x1), (e2, _) in zip(nf.pairs, nf.pairs[1:]):
             if e2 == gog.graph.bar(e1):
-                assert x1 not in gog.image(e1)
+                assert x1 not in gog.inj[e1].map
 
 
 def test_words_equal_basics():
@@ -299,7 +306,7 @@ def test_cyclically_reduce_properties(make):
         assert x_last == gog.vgroup(core.start).identity, core
         # no pinch across the seam (last edge, head, first edge)
         if len(core.pairs) >= 2 and core.pairs[0][0] == g.bar(e_last):
-            assert core.head not in gog.image(e_last), core
+            assert core.head not in gog.inj[e_last].map, core
 
 
 def _long_word(gog, rng, n):
