@@ -107,8 +107,10 @@ class EscapingPathSet:
     """→uv(k): second vertices of escaping paths, with one witness each.
 
     ``exact`` records whether the ball provably contains every escaping path
-    of length ≤ k from u (radius margin of k+1 around u); otherwise the set
-    carries the partial-result flag.
+    of length ≤ k from u, else the set carries the partial-result flag.  A
+    path of length ≤ k from u stays in the k-ball of u, whose vertices are
+    within d(base, u) + k of the base, so it is exact when d(base, u) + k ≤
+    R; :func:`fineness_report` gates its verdict on this same threshold.
     """
 
     __slots__ = ("u", "v", "k", "members", "witnesses", "exact")
@@ -144,7 +146,7 @@ def escaping_vectors(ball: GGraphBall, u: int, v: int, k: int) -> EscapingPathSe
             continue
         members.append(w)
         witnesses[w] = [u] + _trace_back(prev, w)
-    exact = (ball.radius - ball.verts[u].dist) >= k + 1
+    exact = ball.verts[u].dist + k <= ball.radius
     return EscapingPathSet(u, v, k, members, witnesses, exact)
 
 
@@ -183,10 +185,9 @@ def fineness_report(family, locate_u, locate_v, k: int, radii) -> dict:
     vertices in each ball (indices are not stable across radii, so locators
     work by content).  Verdict STABLE means the member sets at the top two
     radii agree, and GROWING ships at least three concrete witness paths.
-    An escaping path of length ≤ k stays in the k-ball of u, so a set is
-    computed in full only when d(base, u) + k ≤ R; below that depth at
-    either compared radius a truncated set could fake a change, and the
-    query raises :class:`UnsupportedInput`.
+    Unless d(base, u) + k ≤ R at both compared radii (the exactness of
+    :class:`EscapingPathSet`), a truncated set could fake a change, and
+    the query raises :class:`UnsupportedInput`.
     """
     radii = list(radii)
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):

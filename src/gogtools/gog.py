@@ -30,10 +30,10 @@ The word layer indexes flat tuples instead of calling methods: the graph's
 :class:`Transversals` (``GraphOfGroups.transversals``, built on first use and
 kept) holds, per directed edge, its terminus, the vertex-group tables at both
 ends, η_e, the transversal decomposition and the Britton pinch.  The
-``GroupWord`` product, inverse and end, ``reduce_word``, ``_sweep``,
-``_notch``, ``_cyclic_core`` and ``syllable_length`` read them, as do
-``smallcanc`` (positions, abelianized image, self-overlap, Dehn scan) and
-``tree`` (the fold-back test), each binding them to locals once per call.
+``GroupWord`` product, inverse and end, ``_splice`` (reduction, and the
+seams of a Dehn step), ``_sweep``, ``_notch``, ``_cyclic_core`` and
+``syllable_length`` read them, as do ``smallcanc`` (positions, h1 image,
+self-overlap, Dehn scan) and ``tree`` (the fold-back test), once per call.
 """
 
 from __future__ import annotations
@@ -183,12 +183,13 @@ class GroupWord:
 
     @classmethod
     def _trusted(cls, gog: GraphOfGroups, start: int, head: int, pairs=()):
-        """Store valid parts unchecked, ``pairs`` as a tuple of 2-tuples."""
+        """Store valid parts unchecked; ``pairs`` must yield 2-tuples, and
+        only the outer sequence is copied into a tuple."""
         w = object.__new__(cls)
         w.gog = gog
         w.start = start
         w.head = head
-        w.pairs = tuple(map(tuple, pairs))
+        w.pairs = tuple(pairs)
         return w
 
     @property
@@ -266,7 +267,8 @@ class Transversals:
 
     ``t``: the terminal vertex (ē is e ^ 1).  ``tmul``, ``omul``: the
     multiplication tables of vgroup(t(e)) and vgroup(o(e)); ``tid``,
-    ``tinv``: the identity and inverses of vgroup(t(e)); ``inj``: inj(e).map.
+    ``tinv``: the identity and inverses of vgroup(t(e)); ``inj``: inj(e).map;
+    ``pos[e][x]``: the position (t(e), x, e), one tuple shared by every word.
 
     With H = inj(e)(egroup) ≤ vgroup(t(e)), each element g decomposes
     uniquely as g = inj(e)(c) · x with x the chosen representative of the
@@ -285,6 +287,8 @@ class Transversals:
         self.tid = tuple(G.identity for G in vg)
         self.tinv = tuple(G.inv for G in vg)
         self.inj = tuple(h.map for h in gog.inj)
+        self.pos = tuple(tuple((v, x, e) for x in range(G.order))
+                         for e, (v, G) in enumerate(zip(self.t, vg)))
         reps, decomp, pinch = [], [], []
         for G, eta in zip(vg, self.inj):
             pre = [None] * G.order
@@ -317,47 +321,9 @@ def _own_table(gog: GraphOfGroups, transversals) -> None:
 
 
 def reduce_word(w: GroupWord) -> GroupWord:
-    """Reduce to the canonical normal form.
-
-    One left-to-right pass over a stack, as in free reduction: an incoming
-    (e, x) pinches against the top (e1, h1) when e = ē1 and h1 lies in the
-    image of e1; the top is popped and η_e(c)·x multiplied into the new
-    top (or the head).  The stack never holds a pinch, so one pass leaves
-    a reduced word; the transversal sweep then makes it canonical.
-    """
-    T = w.gog.transversals
-    tmul, omul, inj, decomp, pinch = T.tmul, T.omul, T.inj, T.decomp, T.pinch
-    head = w.head
-    es, xs = [], []  # the stack, as parallel edge and element lists
-    for e, x in w.pairs:
-        if es and e == es[-1] ^ 1:
-            c = pinch[es[-1]][xs[-1]]
-            if c is not None:
-                # the top is ē·η_ē(c): pop it, carry η_e(c)·x leftward
-                es.pop()
-                xs.pop()
-                mul = tmul[e]
-                x = mul[inj[e][c]][x]
-                if xs:
-                    xs[-1] = mul[xs[-1]][x]
-                else:
-                    head = mul[head][x]
-                continue
-        es.append(e)
-        xs.append(x)
-    # canonical decomposition sweep, right to left, corrections pushed left;
-    # an element that is its own representative has a trivial correction
-    for j in range(len(es) - 1, -1, -1):
-        e = es[j]
-        c, rep = decomp[e][xs[j]]
-        if rep != xs[j]:
-            xs[j] = rep
-            corr = inj[e ^ 1][c]
-            if j:
-                xs[j - 1] = omul[e][xs[j - 1]][corr]
-            else:
-                head = omul[e][head][corr]
-    return GroupWord._trusted(w.gog, w.start, head, zip(es, xs))
+    """Reduce to the canonical normal form: :func:`_splice` with nothing
+    of w kept, one stack pass and one full sweep."""
+    return _splice(w, 0, w.head, w.pairs, len(w.pairs))[0]
 
 
 def words_equal(u: GroupWord, w: GroupWord) -> bool:
@@ -390,6 +356,64 @@ def _sweep(head, start, items, j, corr, gog: GraphOfGroups):
         corr = inj[e ^ 1][c]
         j -= 1
     return gog.vgroups[start].table[head][corr]
+
+
+def _splice(w: GroupWord, i, x, mid, k):
+    """Canonical form of w with x at position i (the head is position 0),
+    then the pairs ``mid``, then w.pairs[k:], where w is canonical below
+    position i and from pair k on; returns (word, lo, j), the word agreeing
+    with w below position lo and ending in w.pairs[j:].
+
+    The stack pass starts from w below position i and never holds a pinch,
+    so once a suffix pair goes on without one the rest of the suffix is
+    attached as it is; the sweep stops at the first trivial correction
+    below every changed position.  A splice costs its seams past the
+    slices, and :func:`reduce_word` (i = 0, k = n) one pass."""
+    T = w.gog.transversals
+    tmul, omul, inj, decomp, pinch = T.tmul, T.omul, T.inj, T.decomp, T.pinch
+    pairs, lo, top = w.pairs, i, -1  # top: the edge that pinches the top
+    head, items, j = x, [], len(pairs)
+    if i:
+        head, items = w.head, [*pairs[:i - 1], (pairs[i - 1][0], x)]
+        top = pairs[i - 1][0] ^ 1
+    seq = chain(mid, pairs[k:]) if k < len(pairs) else mid
+    for j, pair in enumerate(seq, k - len(mid) + 1):
+        e = pair[0]
+        if e == top:
+            c = pinch[e ^ 1][items[-1][1]]
+            if c is not None:
+                # the top is ē·η_ē(c): pop it, carry η_e(c)·y leftward
+                items.pop()
+                mul = tmul[e]
+                y = mul[inj[e][c]][pair[1]]
+                if items:
+                    f, h = items[-1]
+                    items[-1], top = (f, mul[h][y]), f ^ 1
+                else:
+                    head, top = mul[head][y], -1
+                if len(items) < lo:
+                    lo = len(items)
+                continue
+        items.append(pair)
+        top = e ^ 1
+        if j > k:
+            break
+    for p in range(len(items) - 1, -1, -1):
+        e, y = items[p]
+        c, rep = decomp[e][y]
+        if rep != y:
+            items[p] = (e, rep)
+            corr = inj[e ^ 1][c]
+            if p:
+                f, h = items[p - 1]
+                items[p - 1] = (f, omul[e][h][corr])
+            else:
+                head = omul[e][head][corr]
+            lo = min(lo, p)
+        elif p < lo:
+            break
+    items += pairs[j:]
+    return GroupWord._trusted(w.gog, w.start, head, items), lo, j
 
 
 def _notch(head, items, gog: GraphOfGroups):

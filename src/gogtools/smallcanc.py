@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import UnsupportedInput
 from .gog import (
@@ -57,6 +57,7 @@ from .gog import (
     _conjugator,
     _cyclic_core,
     _own_table,
+    _splice,
     cyclically_reduce,  # re-exported
     identity_word,
     reduce_word,
@@ -92,8 +93,8 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
 
 def positions(w: GroupWord):
     """The word as a list of (vertex, element, incoming edge or None)."""
-    t = w.gog.transversals.t
-    return [(w.start, w.head, None)] + [(t[e], x, e) for e, x in w.pairs]
+    pos = w.gog.transversals.pos
+    return [(w.start, w.head, None)] + [pos[e][x] for e, x in w.pairs]
 
 
 def rotations(w: GroupWord):
@@ -129,6 +130,12 @@ class SymmetrizedSet:
         self.members = tuple(members)
         self.base = base
         self.proper_power = proper_power
+        self.complements = {}  # (member index, l) -> t⁻¹, see _replace
+
+    @cached_property
+    def member_positions(self):
+        """:func:`positions` of each member, built once."""
+        return [positions(w) for w in self.members]
 
     @cached_property
     def piece_report(self) -> PieceReport:
@@ -136,8 +143,8 @@ class SymmetrizedSet:
 
     @cached_property
     def match_table(self):
-        """Anchor index: (edge, element) of each member's second position
-        -> members starting that way, with their position lists."""
+        """(anchor index: positions 1..q -> members starting that way,
+        per member (word, positions, syllable flags, syllables), q)."""
         return _build_match_table(self)
 
     def __len__(self):
@@ -238,8 +245,12 @@ def self_overlap(w: GroupWord) -> int:
     The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
     Trees and Sequences*, §1.4); a prefix sum turns lengths into
     syllables."""
+    return _self_overlap(w, positions(w))
+
+
+def _self_overlap(w: GroupWord, pos) -> int:
+    """:func:`self_overlap` of w, given its position list."""
     tid = w.gog.transversals.tid
-    pos = positions(w)
     n = len(pos)
     first = int(w.head != w.gog.vgroups[w.start].identity)
     syl = [0, *accumulate((x != tid[e] for e, x in w.pairs), initial=first)]
@@ -297,7 +308,7 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
     gog = S.gog
     members = S.members
     fudge = _fudge_sets(gog)
-    pos = [positions(w) for w in members]
+    pos = S.member_positions
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -331,7 +342,7 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
             "does not count stable letters, so it cannot tell these "
             "members apart and λ* is not measured"
         )
-    so = max(self_overlap(w) for w in members)
+    so = max(map(_self_overlap, members, pos))
     return PieceReport(max_piece, witness, min_length, len(members), so,
                        S.proper_power)
 
@@ -468,23 +479,23 @@ class DehnResult:
 
 
 def _build_match_table(S: SymmetrizedSet):
+    """The match table, with q as argued in :func:`_dehn_reduce`."""
     ident = [G.identity for G in S.gog.vgroups]
-    tab = {}
-    mempos = []
-    for idx, s in enumerate(S.members):
-        ps = positions(s)
+    q = max(1, min(4, S.member_length() // 2 - 1, len(S.base.pairs)))
+    tab, mempos = {}, []
+    for idx, (s, ps) in enumerate(zip(S.members, S.member_positions)):
         syls = [int(x != ident[v]) for v, x, _ in ps]
         mempos.append((s, ps, syls, sum(syls)))
-        if len(ps) > 1:
-            tab.setdefault(ps[1], []).append(idx)
-    return tab, mempos
+        if len(ps) > q:
+            tab.setdefault(tuple(ps[1:q + 1]), []).append(idx)
+    return tab, mempos, q
 
 
 def _best_match_at(wpos, wsyl, i, cands, mempos):
-    """Longest legal (>half) prefix match at position i of w of a member
-    listed in ``cands`` (the members whose position 1 is w's position
-    i+1); returns (l, member index, matched syllables) or None.
-    ``wsyl[k]`` is 1 where w's element at position k is not the identity.
+    """Longest legal (>half) prefix match at position i of w of a member in
+    ``cands`` (those whose positions 1..q are w's positions i+1..i+q);
+    returns (l, member index, matched syllables) or None.  ``wsyl[k]`` is
+    1 where w's element at position k is not the identity.
 
     The member's head and its last matched syllable may split inside
     their vertex group; each counts as matched only where w's element at
@@ -506,11 +517,8 @@ def _best_match_at(wpos, wsyl, i, cands, mempos):
             continue
         # candidate lengths: run+2 splits the syllable after the run
         for l in (run + 2, run + 1):
-            if l > len(ps) or i + l > len(wpos):
-                continue
-            if l == run + 2 and ps[l - 1][2] != wpos[i + l - 1][2]:
-                continue
-            if l < 2:
+            if (l > len(ps) or i + l > len(wpos) or l == run + 2
+                    and ps[l - 1][2] != wpos[i + l - 1][2]):
                 continue
             matched = (syls[0] * wsyl[i] + sum(syls[1:l - 1])
                        + syls[l - 1] * wsyl[i + l - 1])
@@ -522,31 +530,34 @@ def _best_match_at(wpos, wsyl, i, cands, mempos):
     return best
 
 
-def _replace(cur, wpos, i, l, member):
-    """Rewrite the l-position match of member at position i of cur by the
-    member's complement; returns (Â, the reduced new word).
+def _replace(cur, wpos, i, l, idx, S):
+    """Rewrite the l-position match of member idx at position i of cur by
+    the member's complement; returns (Â, the new word, lo, j), lo and j
+    as from :func:`gog._splice`.
 
     cur = Â·u·Ĉ, exactly as unreduced words: Â covers positions 0..i with
     the element at i cut down to the leftover p, u is the l-position
     prefix of the member s, Ĉ restarts at position i+l-1 with the leftover
-    q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ."""
-    s, ps, _syls, _tot = member
-    gog = cur.gog
-    u = GroupWord._trusted(gog, s.start, s.head, s.pairs[:l - 1])
-    Gv = gog.vgroup(ps[0][0])
+    q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ.  t⁻¹ depends on
+    (member, l) only and is reduced once into ``S.complements``."""
+    s, ps = S.match_table[1][idx][:2]
+    t_inv = S.complements.get((idx, l))
+    if t_inv is None:
+        u = GroupWord._trusted(s.gog, s.start, s.head, s.pairs[:l - 1])
+        t_inv = S.complements[idx, l] = reduce_word(u.inverse() * s).inverse()
+    Gv, Gq = cur.gog.vgroups[ps[0][0]], cur.gog.vgroups[ps[l - 1][0]]
     p_elt = Gv.op(wpos[i][1], Gv.inv[ps[0][1]])
-    if i == 0:
-        A_hat = GroupWord._trusted(gog, cur.start, p_elt)
-    else:
-        e_i = wpos[i][2]
-        A_hat = GroupWord._trusted(gog, cur.start, cur.head,
-                                   cur.pairs[:i - 1] + ((e_i, p_elt),))
-    Gq = gog.vgroup(ps[l - 1][0])
     q_elt = Gq.op(Gq.inv[ps[l - 1][1]], wpos[i + l - 1][1])
-    C_hat = GroupWord._trusted(gog, ps[l - 1][0], q_elt,
-                               cur.pairs[i + l - 1:])
-    t_comp = reduce_word(u.inverse() * s)
-    return A_hat, reduce_word(A_hat * t_comp.inverse() * C_hat)
+    # Â·t⁻¹·Ĉ between the seams: p·head(t⁻¹), then t⁻¹'s pairs, q merged
+    x, mid = Gv.op(p_elt, t_inv.head), list(t_inv.pairs)
+    if mid:
+        mid[-1] = (mid[-1][0], Gq.op(mid[-1][1], q_elt))
+    else:
+        x = Gv.op(x, q_elt)
+    head, pairs = ((p_elt, ()) if i == 0 else
+                   (cur.head, cur.pairs[:i - 1] + ((wpos[i][2], p_elt),)))
+    return (GroupWord._trusted(cur.gog, cur.start, head, pairs),
+            *_splice(cur, i, x, mid, i + l - 1))
 
 
 def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
@@ -556,8 +567,8 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
     stuck; over trivial edge groups a stuck nonempty cyclically reduced
     word is outside the normal closure (Greendlinger), while over
     nontrivial ones the seam matcher is conservative and a stuck word is
-    undecided.  The trace replays to an exact witness — see
-    :func:`replay_trace`."""
+    undecided.  A step costs a keyed scan, the match and its seams (see
+    :func:`_dehn_reduce`); :func:`replay_trace` checks the trace."""
     rep = pieces(S)
     if rep.lam_star >= Fraction(1, 6):
         raise UnsupportedInput(
@@ -571,38 +582,52 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
 
 def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
     """:func:`dehn_reduce` of a canonical loop against a set whose piece
-    report is known to satisfy C'(1/6)."""
-    ident = [G.identity for G in S.gog.vgroups]
-    tab, mempos = S.match_table
-    original = cur
-    trace = []
-    area = 0
+    report is known to satisfy C'(1/6).
+
+    The scan keys each position on the next q = max(1, min(4, ⌊min
+    total/2⌋ − 1, member edges)) positions and calls the matcher only where
+    the anchor index lists a member.  A legal match has 2(run + 2) > total,
+    so its run is at least ⌊total/2⌋ − 1 >= q: no hit is lost, and the
+    candidates keep the member order.  A step costs that scan, the match
+    and the cancellation at the replacement's seams (:func:`gog._splice`);
+    the positions and the syllable count are patched over that window."""
+    pos, ident = S.gog.transversals.pos, [G.identity for G in S.gog.vgroups]
+    tab, mempos, q = S.match_table
+    original, trace, area, wpos = cur, [], 0, None
     for _step in range(guard):
-        wpos = positions(cur)
-        wsyl = [int(x != ident[v]) for v, x, _e in wpos]
-        before = sum(wsyl)
+        if wpos is None:
+            wpos = positions(cur)
+            wsyl = [x != ident[v] for v, x, _e in wpos]
+            before = sum(wsyl)
         step = None
-        for i in range(len(wpos) - 1):
-            cands = tab.get(wpos[i + 1], ())
-            hit = _best_match_at(wpos, wsyl, i, cands, mempos)
-            if hit is None:
+        keys = zip(*(islice(wpos, k, None) for k in range(1, q + 1)))
+        for i, cands in enumerate(map(tab.get, keys)):
+            hit = cands and _best_match_at(wpos, wsyl, i, cands, mempos)
+            if not hit:
                 continue
-            l, idx, _matched = hit
-            A_hat, nxt = _replace(cur, wpos, i, l, mempos[idx])
+            A_hat, nxt, lo, j = _replace(cur, wpos, i, *hit[:2], S)
+            # positions lo..j of cur become lo..hi-1 of nxt
+            hi = len(nxt.pairs) - len(cur.pairs) + j + 1
+            seg = [pos[e][x] for e, x in nxt.pairs[max(lo - 1, 0):hi - 1]]
+            if lo == 0:
+                seg.insert(0, (nxt.start, nxt.head, None))
+            syl = [x != ident[v] for v, x, _e in seg]
+            after = before - sum(wsyl[lo:j + 1]) + sum(syl)
             # guard: a replacement that does not shorten the word is no
             # Dehn step, so the scan moves on
-            if syllable_length(nxt) < before:
-                step = (A_hat, idx, nxt)
+            if after < before:
+                wpos[lo:j + 1], wsyl[lo:j + 1] = seg, syl
+                step = (A_hat, hit[1], nxt, after)
                 break
         if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
             core, steps = _cyclic_core(cur)
             if syllable_length(core) < before:
                 trace.append(("conjugate", _conjugator(cur, steps)))
-                cur = core
+                cur, wpos = core, None
                 continue
             break
-        A_hat, idx, cur = step
+        A_hat, idx, cur, before = step
         trace.append(("relator", A_hat, idx))
         area += 1
     else:
@@ -792,13 +817,10 @@ def _relator_boundary(rel: GroupWord):
         raise ValueError(
             f"relator {rel!r} has no edges; its boundary bounds no 2-cell"
         )
-    pos = positions(core)
-    prefixes, lam = [], []
-    for j in range(len(core.pairs)):
-        prefixes.append(GroupWord._trusted(core.gog, core.start, core.head,
-                                           core.pairs[:j]))
-        lam.append(pos[j][0])
-    return core, prefixes, lam
+    prefixes = [GroupWord._trusted(core.gog, core.start, core.head,
+                                   core.pairs[:j])
+                for j in range(len(core.pairs))]
+    return core, prefixes, [v for v, _x, _e in positions(core)[:-1]]
 
 
 def presentation_complex_ball(gog, relators, R: int, wp=None,
@@ -936,8 +958,7 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
             else:
                 continue
             q_j = prefixes[j]
-            q_next = GroupWord._trusted(gog, core.start, core.head,
-                                        core.pairs[:j + 1])
+            q_next = prefixes[j + 1] if j + 1 < p else core
             G_o = gog.vgroup(lam_o)
             x_t_inv = x_t.inverse()
             g = None
@@ -954,15 +975,12 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
             reps.append((j, g))
         classes = []
         for j, g in reps:
-            placed = False
             for cls in classes:
-                _j0, g0 = cls[0]
-                delta = reduce_word(g0.inverse() * g)
+                delta = reduce_word(cls[0][1].inverse() * g)
                 if _disc_stabilizer_power(oracle, delta) is not None:
                     cls.append((j, g))
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append([(j, g)])
         counts[k] = len(classes)
         per_edge_cells[k] = [cls[0][0] for cls in classes]
@@ -1011,25 +1029,22 @@ def claim_audit(r: GroupWord, m: int) -> dict:
        stays within k, exhibiting the worst edge.
     """
     gog = r.gog
-    core, _prefixes, _lam = _relator_boundary(r)
+    core, prefixes, _lam = _relator_boundary(r)
     p = len(core.pairs)
     tc = compute_M(core)
     r_len = tc.r_syllables
 
     # claim 1: period collapse and orbit count.  Boundary prefixes follow
     # the *concatenated* word r·r (the disc boundary path), not the
-    # renormalized power, whose transversal rewriting may shuffle heads.
+    # renormalized power, whose transversal rewriting may shuffle heads;
+    # below one period they are the relator's own.
     n_edges = m * p
     cc = core * core if m >= 2 else core
-    collapse_ok = True
-    if m >= 2:
-        for j in range(p):
-            lhs = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j + p])
-            q_j = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j])
-            rhs = reduce_word(core * q_j)
-            if not words_equal(lhs, rhs):
-                collapse_ok = False
-                break
+    collapse_ok = m < 2 or all(
+        words_equal(GroupWord._trusted(gog, cc.start, cc.head,
+                                       cc.pairs[:j + p]),
+                    reduce_word(core * q_j))
+        for j, q_j in enumerate(prefixes))
     # the p first-period boundary edges are pairwise distinct: a reduced
     # loop word never backtracks, so its first period traces a geodesic
     # segment of the tree, which is embedded

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from fixtures import coned_plane_ball, line_ball, sl2z_gog
+from fixtures import coned_plane_ball, line_ball, plain_grid_ball, sl2z_gog
 from gogtools.cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from gogtools.concrete import SubgroupHandle, trivial_handle
 from gogtools.errors import CapExceeded
@@ -165,11 +165,24 @@ def test_escaping_path_graph():
     es = escaping_vectors(ball, 0, 2, 2)
     assert es.members == {1}
     assert es.witnesses[1] == [0, 1, 2]
-    assert not es.exact  # radius 2 around u=0 is below k+1 = 3
+    assert es.exact  # d(base, u) + k = 0 + 2 is within radius 2
+    assert not escaping_vectors(ball, 0, 2, 3).exact  # 0 + 3 exceeds it
     with pytest.raises(ValueError):
         escaping_vectors(ball, 0, 0, 2)
     with pytest.raises(ValueError):
         escaping_vectors(ball, 0, 2, 0)
+
+
+def test_escaping_exact_from_the_report_threshold():
+    # u = (5, 0) is 5 from the base: exact from radius 5 + 4 = 9, the
+    # radius from which fineness_report accepts the query
+    for R, exact in ((8, False), (9, True), (10, True)):
+        ball = plain_grid_ball(R)
+        u, v = find_rep(ball, (5, 0)), find_rep(ball, (5, 1))
+        es = escaping_vectors(ball, u, v, 4)
+        assert es.exact is exact
+        if exact:
+            assert len(es) == 3
 
 
 def test_escaping_adjacent_k1():

@@ -26,11 +26,17 @@ from gogtools.finite import make_dihedral
 from gogtools.gog import (
     GroupWord,
     _cyclic_core,
+    cyclically_reduce,
     identity_word,
     reduce_word,
     rotate_once,
 )
-from gogtools.smallcanc import KernelOracle, evaluation_wp, word_power
+from gogtools.smallcanc import (
+    KernelOracle,
+    dehn_reduce,
+    evaluation_wp,
+    word_power,
+)
 from gogtools.tree import (
     _child_steps,
     _fan_table,
@@ -140,3 +146,28 @@ def test_hot_paths_build_no_checked_word(monkeypatch):
     assert ball.vertex_count() == 80 and len(tree.verts) == 91
     assert verdicts[0::2] == [True] * 6
     assert checked[0] == 0
+
+
+@pytest.mark.parametrize("make", FIXTURES)
+def test_word_operations_return_tuples_of_pairs(make):
+    # GroupWord._trusted copies only the outer sequence, so every word the
+    # toolkit builds must come with its pairs as 2-tuples already
+    gog = make()
+    rng = random.Random(0x2D + FIXTURES.index(make))
+    loops = [_walk(gog, rng, rng.randrange(1, 9), 0, True) for _ in range(8)]
+    out = []
+    for u, v in zip(loops, loops[1:]):
+        out += [u * v, u.inverse(), reduce_word(u * v * u.inverse()),
+                word_power(u, 3)]
+        core, conj = cyclically_reduce(u)
+        out += [core, conj, rotate_once(core)]
+    if make is c4_c6_free:
+        ko = KernelOracle(gog, ab_word(gog, [1, 1, 2, 2, 3, 3]), 12)
+        for u in loops:
+            res = dehn_reduce(reduce_word(u * ko.rm * u.inverse()), ko.S)
+            assert res.is_trivial
+            out += [res.word, *(step[1] for step in res.trace)]
+    assert len(out) > 40
+    for w in out:
+        assert type(w.pairs) is tuple
+        assert all(type(p) is tuple and len(p) == 2 for p in w.pairs)

@@ -140,7 +140,7 @@ def old_reduce_word(w):
             head = Gm.op(head, corr)
         else:
             items[j - 1][1] = Gm.op(items[j - 1][1], corr)
-    return GroupWord._trusted(gog, w.start, head, items)
+    return GroupWord._trusted(gog, w.start, head, map(tuple, items))
 
 
 def old_syllable_length(w):
