@@ -29,7 +29,9 @@ Conventions
 * Exit codes: 0 success — a finished computation whose verdict is False
   is a success; 2 malformed or schema-invalid job (diagnostic names the
   offending path); 3 a configured cap was exceeded, with a partial
-  report still written; 4 a requested oracle cannot serve the input.
+  report still written; 4 a requested oracle cannot serve the input; 5
+  an internal fault (a ``RuntimeError`` inside the command), with an
+  error report of type "internal" and the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -839,6 +841,13 @@ def run(path):
     except ValueError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        import traceback
+
+        traceback.print_exc()
+        emit(None, {}, error={"type": "internal", "message": str(exc)})
+        print(f"{command}: internal error: {exc}", file=sys.stderr)
+        return 5
 
     print(f"{command}: {summary} -> {', '.join(written)}")
     return 0

@@ -13,10 +13,11 @@ representatives for tree vertices) carry distinct start/end vertices.
 
 Reduction makes one left-to-right pass over a stack, as in free reduction:
 each incoming syllable is tested against the top of the stack for the
-Britton pinch  f · η_f(c) · f̄  →  η_f̄(c), so no pinch survives the pass.  It
-then decomposes every syllable, right to left, against a fixed right-coset
-transversal of the incoming edge image, pushing edge-group corrections to the
-left.  The result is the canonical normal form, itself a ``GroupWord``: head
+Britton pinch  f · η_f(c) · f̄  →  η_f̄(c), so no pinch survives the pass.  If
+some syllable lies off a fixed right-coset transversal of its incoming edge
+image (never over trivial edge groups), it then decomposes the syllables,
+right to left, against that transversal, pushing edge-group corrections to
+the left.  The result is the canonical normal form, itself a ``GroupWord``: head
 element followed by alternating (edge, transversal representative) pairs.
 Transversal representatives are least-element-index, with the identity
 representing the coset of the image subgroup itself, so normal forms are
@@ -29,16 +30,17 @@ amalgams and free products.
 The word layer indexes flat tuples instead of calling methods: the graph's
 :class:`Transversals` (``GraphOfGroups.transversals``, built on first use and
 kept) holds, per directed edge, its terminus, the vertex-group tables at both
-ends, η_e, the transversal decomposition and the Britton pinch.  The
-``GroupWord`` product, inverse and end, ``_splice`` (reduction, and the
-seams of a Dehn step), ``_sweep``, ``_notch``, ``_cyclic_core`` and
-``syllable_length`` read them, as do ``smallcanc`` (positions, h1 image,
-self-overlap, Dehn scan) and ``tree`` (the fold-back test), once per call.
+ends, η_e, the transversal decomposition, the pairs off the transversal and
+the Britton pinch.  The ``GroupWord`` product, inverse and end, ``_splice``
+(reduction, and the seams of a Dehn step), ``_sweep``, ``_cyclic_core``
+(cyclic reduction and rotation, one notch loop) and ``syllable_length`` read
+them, as do ``smallcanc`` (positions, h1 image, self-overlap, Dehn scan) and
+``tree`` (the fold-back test), once per call.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
 from .finite import FiniteGroup, GroupHom, Subgroup, check_hom
 
@@ -275,7 +277,9 @@ class Transversals:
     right coset H·g; ``decomp[e][g]`` is (c, x) and ``reps[e]`` lists the
     representatives.  Representatives are least element index, except the
     coset H itself which the identity represents.  ``pinch[e][h]`` is the
-    c with h = inj(e)(c) for h in H and ``None`` elsewhere.
+    c with h = inj(e)(c) for h in H and ``None`` elsewhere.  ``moved`` is
+    the set of pairs (e, g) with g not its own representative, empty when
+    every edge group is trivial.
     """
 
     def __init__(self, gog: GraphOfGroups):
@@ -306,6 +310,8 @@ class Transversals:
                                 for gg, x in sorted(rep_of.items())))
             pinch.append(tuple(pre))
         self.reps, self.decomp, self.pinch = tuple(reps), tuple(decomp), tuple(pinch)
+        self.moved = frozenset((e, g) for e, d in enumerate(decomp)
+                               for g, (_c, x) in enumerate(d) if x != g)
 
 
 def fix_transversals(gog: GraphOfGroups) -> Transversals:
@@ -332,12 +338,14 @@ def words_equal(u: GroupWord, w: GroupWord) -> bool:
     return reduce_word(u) == reduce_word(w)
 
 
-def syllable_length(w: GroupWord) -> int:
+def syllable_length(w: GroupWord, lo=0, hi=None) -> int:
     """Number of nontrivial vertex-group syllables of w (the head plus the
-    element after each edge); use it on canonical forms."""
+    element after each edge) at positions lo..hi-1, the head being
+    position 0 (all of them by default); use it on canonical forms."""
     tid = w.gog.transversals.tid
-    n = len([e for e, x in w.pairs if x != tid[e]])
-    return n + (w.head != w.gog.vgroups[w.start].identity)
+    n = len([e for e, x in w.pairs[max(lo - 1, 0):hi and hi - 1]
+             if x != tid[e]])
+    return n + (lo == 0 and w.head != w.gog.vgroups[w.start].identity)
 
 
 def _sweep(head, start, items, j, corr, gog: GraphOfGroups):
@@ -366,9 +374,11 @@ def _splice(w: GroupWord, i, x, mid, k):
 
     The stack pass starts from w below position i and never holds a pinch,
     so once a suffix pair goes on without one the rest of the suffix is
-    attached as it is; the sweep stops at the first trivial correction
-    below every changed position.  A splice costs its seams past the
-    slices, and :func:`reduce_word` (i = 0, k = n) one pass."""
+    attached as it is.  The transversal sweep runs only when a pair from
+    item lo − 1 (position lo) up is in ``Transversals.moved``, a test made
+    in C, so never over trivial edge groups; it stops at the first trivial
+    correction below every changed position.  A splice costs its seams
+    past the slices, and :func:`reduce_word` (i = 0, k = n) one pass."""
     T = w.gog.transversals
     tmul, omul, inj, decomp, pinch = T.tmul, T.omul, T.inj, T.decomp, T.pinch
     pairs, lo, top = w.pairs, i, -1  # top: the edge that pinches the top
@@ -398,61 +408,36 @@ def _splice(w: GroupWord, i, x, mid, k):
         top = e ^ 1
         if j > k:
             break
-    for p in range(len(items) - 1, -1, -1):
-        e, y = items[p]
-        c, rep = decomp[e][y]
-        if rep != y:
-            items[p] = (e, rep)
-            corr = inj[e ^ 1][c]
-            if p:
-                f, h = items[p - 1]
-                items[p - 1] = (f, omul[e][h][corr])
-            else:
-                head = omul[e][head][corr]
-            lo = min(lo, p)
-        elif p < lo:
-            break
+    # items[lo - 1] is the lowest pair the pass may have left off its
+    # transversal (the head needs none); `lo` counts positions, not items
+    moved = T.moved
+    if moved and not moved.isdisjoint(islice(items, max(lo - 1, 0), None)):
+        for p in range(len(items) - 1, -1, -1):
+            e, y = items[p]
+            c, rep = decomp[e][y]
+            if rep != y:
+                items[p] = (e, rep)
+                corr = inj[e ^ 1][c]
+                if p:
+                    f, h = items[p - 1]
+                    items[p - 1] = (f, omul[e][h][corr])
+                else:
+                    head = omul[e][head][corr]
+                lo = min(lo, p)
+            elif p < lo:
+                break
     items += pairs[j:]
     return GroupWord._trusted(w.gog, w.start, head, items), lo, j
-
-
-def _notch(head, items, gog: GraphOfGroups):
-    """Rotate the canonical loop ``head, items`` by one edge step, in
-    place; return (new start vertex, new head).  ``items`` is a list of
-    (edge, element) pairs with at least one entry.
-
-    Only the seam changes: the old head merges into the last pair, which
-    is the one place the returning first edge can pinch.  The transversal
-    sweep then runs leftward from the changed pair (:func:`_sweep`).
-    Over trivial edge groups a notch is O(1) plus the shift."""
-    T = gog.transversals
-    e1, new_head = items.pop(0)
-    v1 = T.t[e1]
-    if not items:
-        items.append((e1, T.tid[e1]))
-        return v1, T.tmul[e1][new_head][head]
-    e_n, x_n = items[-1]
-    c = T.pinch[e_n][T.tmul[e_n][x_n][head]] if e1 == e_n ^ 1 else None
-    if c is not None:
-        # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
-        items.pop()
-        j, corr = len(items) - 1, T.inj[e1][c]
-    else:
-        items.append((e1, T.tid[e1]))
-        j, corr = len(items) - 2, head
-    return v1, _sweep(new_head, v1, items, j, corr, gog)
 
 
 def rotate_once(w: GroupWord) -> GroupWord:
     """Rotate a canonical loop by one edge step: conjugate by head·(first
     edge), landing at the next vertex of the loop.  The seam is merged into
     the last syllable and the rotated word ends with (first edge, 1); the
-    result is again canonical."""
+    result is again canonical.  This is one notch of :func:`_cyclic_core`."""
     if not w.pairs:
         return w
-    items = list(w.pairs)
-    start, head = _notch(w.head, items, w.gog)
-    return GroupWord._trusted(w.gog, start, head, items)
+    return _cyclic_core(w, once=True)[0]
 
 
 def cyclically_reduce(w: GroupWord):
@@ -468,40 +453,71 @@ def cyclically_reduce(w: GroupWord):
     return core, _conjugator(red, steps)
 
 
-def _cyclic_core(red: GroupWord):
+def _cyclic_core(red: GroupWord, once=False):
     """The core of :func:`cyclically_reduce` for a word already in
     canonical form, with the notch steps taken as (head, first edge)
     pairs; :func:`_conjugator` turns the steps into the conjugator for
-    the callers that need it.
+    the callers that need it.  With ``once`` it takes exactly one notch,
+    which is :func:`rotate_once`.
 
-    Rotates one notch at a time until no pinch applies at the seam and the
-    trailing element is the identity.  A notch that does not pinch leaves
-    a trailing identity, so there are at most n + 1 notches for n edges."""
+    A notch rotates the loop by one edge step: the first pair leaves
+    through a front index (the loop is items[f:]), the old head merges
+    into the last pair, which is the one place the returning first edge
+    can pinch, and the transversal sweep runs leftward from the changed
+    pair up to the first trivial correction, as :func:`_sweep` does.
+    Notches stop once no pinch applies at the seam and the trailing
+    element is the identity.  A notch that does not pinch leaves a
+    trailing identity, so there are at most n + 1 notches for n edges,
+    each O(1) over trivial edge groups (over nontrivial ones a correction
+    can still sweep to the head, so a long conjugator peels in quadratic
+    time there)."""
     if not red.is_loop():
         raise ValueError("cyclic reduction needs a loop word")
     gog = red.gog
     T = gog.transversals
-    tmul, tid, pinch = T.tmul, T.tid, T.pinch
+    tt, tmul, tid, inj, decomp, pinch = (T.t, T.tmul, T.tid, T.inj,
+                                         T.decomp, T.pinch)
     start, head = red.start, red.head
     items = list(red.pairs)
-    steps = []
+    f, steps = 0, []
     for _ in range(len(items) + 2):
-        if not items:
+        if f == len(items):
             break
-        # a loop: the last edge ends at ``start``
-        e_last, x_last = items[-1]
-        f1 = items[0][0]
-        pinchable = (len(items) >= 2 and f1 == e_last ^ 1
-                     and pinch[e_last][tmul[e_last][x_last][head]] is not None)
-        if not pinchable and x_last == tid[e_last]:
+        # a loop: the last edge ends at ``start``; with one pair left,
+        # e1 is e_n and cannot be its bar
+        e1, new_head = items[f]
+        e_n, x_n = items[-1]
+        c = pinch[e_n][tmul[e_n][x_n][head]] if e1 == e_n ^ 1 else None
+        if c is None and x_n == tid[e_n] and not once:
             break
-        steps.append((head, f1))
-        start, head = _notch(head, items, gog)
+        steps.append((head, e1))
+        f += 1
+        if c is not None:
+            # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
+            items.pop()
+            j, corr = len(items) - 1, inj[e1][c]
+        else:
+            items.append((e1, tid[e1]))
+            j, corr = len(items) - 2, head
+        start, head = tt[e1], new_head
+        while j >= f:
+            e, x = items[j]
+            x = tmul[e][x][corr]
+            c, rep = decomp[e][x]
+            items[j] = (e, rep)
+            if rep == x:
+                break
+            corr = inj[e ^ 1][c]
+            j -= 1
+        else:
+            head = tmul[e1][head][corr]
+        if once:
+            break
     else:
         raise RuntimeError("cyclic reduction failed to stabilize")
     if not steps:
         return red, steps
-    return GroupWord._trusted(gog, start, head, items), steps
+    return GroupWord._trusted(gog, start, head, items[f:]), steps
 
 
 def _conjugator(red: GroupWord, steps) -> GroupWord:

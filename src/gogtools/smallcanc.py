@@ -133,18 +133,13 @@ class SymmetrizedSet:
         self.complements = {}  # (member index, l) -> t⁻¹, see _replace
 
     @cached_property
-    def member_positions(self):
-        """:func:`positions` of each member, built once."""
-        return [positions(w) for w in self.members]
-
-    @cached_property
     def piece_report(self) -> PieceReport:
         return _piece_report(self)
 
     @cached_property
     def match_table(self):
-        """(anchor index: positions 1..q -> members starting that way,
-        per member (word, positions, syllable flags, syllables), q)."""
+        """(anchor index: pairs 0..q-1 -> members starting that way,
+        per member (word, syllable flags, syllables), q)."""
         return _build_match_table(self)
 
     def __len__(self):
@@ -308,7 +303,7 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
     gog = S.gog
     members = S.members
     fudge = _fudge_sets(gog)
-    pos = S.member_positions
+    pos = [positions(w) for w in members]
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -480,48 +475,53 @@ class DehnResult:
 
 def _build_match_table(S: SymmetrizedSet):
     """The match table, with q as argued in :func:`_dehn_reduce`."""
-    ident = [G.identity for G in S.gog.vgroups]
+    tid = S.gog.transversals.tid
     q = max(1, min(4, S.member_length() // 2 - 1, len(S.base.pairs)))
-    tab, mempos = {}, []
-    for idx, (s, ps) in enumerate(zip(S.members, S.member_positions)):
-        syls = [int(x != ident[v]) for v, x, _ in ps]
-        mempos.append((s, ps, syls, sum(syls)))
-        if len(ps) > q:
-            tab.setdefault(tuple(ps[1:q + 1]), []).append(idx)
-    return tab, mempos, q
+    tab, members = {}, []
+    for idx, s in enumerate(S.members):
+        syls = [int(s.head != S.gog.vgroups[s.start].identity)]
+        syls += [int(x != tid[e]) for e, x in s.pairs]
+        members.append((s, syls, sum(syls)))
+        if len(s.pairs) >= q:
+            tab.setdefault(s.pairs[:q], []).append(idx)
+    return tab, members, q
 
 
-def _best_match_at(wpos, wsyl, i, cands, mempos):
-    """Longest legal (>half) prefix match at position i of w of a member in
-    ``cands`` (those whose positions 1..q are w's positions i+1..i+q);
-    returns (l, member index, matched syllables) or None.  ``wsyl[k]`` is
-    1 where w's element at position k is not the identity.
+def _best_match_at(cur, i, cands, members):
+    """Longest legal (>half) prefix match at position i of cur (the head
+    is position 0) of a member in ``cands``, those whose pairs 0..q-1 are
+    cur's pairs i..i+q-1, so that each starts at cur's vertex at position
+    i; returns (l, member index, matched syllables) or None.
 
     The member's head and its last matched syllable may split inside
-    their vertex group; each counts as matched only where w's element at
+    their vertex group; each counts as matched only where cur's element at
     that position is not the identity, since replacing a split syllable
-    that w does not carry saves nothing."""
+    that cur does not carry saves nothing."""
+    pairs, tid = cur.pairs, cur.gog.transversals.tid
+    n = len(pairs)
+    if i:
+        first = pairs[i - 1][1] != tid[pairs[i - 1][0]]
+    else:
+        first = cur.head != cur.gog.vgroups[cur.start].identity
     best = None
     for idx in cands:
-        _s, ps, syls, total = mempos[idx]
-        if ps[0][0] != wpos[i][0]:
-            continue
-        # run of exact (edge, element) agreement from position 1; past
-        # position 0 the edge fixes the vertex, so whole positions compare
+        s, syls, total = members[idx]
+        sp = s.pairs
+        # run of exact (edge, element) agreement from the member's pair 0
         run = 0
-        while (1 + run < len(ps) and i + 1 + run < len(wpos)
-               and ps[1 + run] == wpos[i + 1 + run]):
+        while run < len(sp) and i + run < n and sp[run] == pairs[i + run]:
             run += 1
         # l positions carry at most l syllables, and l <= run + 2
         if 2 * (run + 2) <= total:
             continue
         # candidate lengths: run+2 splits the syllable after the run
         for l in (run + 2, run + 1):
-            if (l > len(ps) or i + l > len(wpos) or l == run + 2
-                    and ps[l - 1][2] != wpos[i + l - 1][2]):
+            if (l > len(sp) + 1 or i + l > n + 1 or l == run + 2
+                    and sp[l - 2][0] != pairs[i + l - 2][0]):
                 continue
-            matched = (syls[0] * wsyl[i] + sum(syls[1:l - 1])
-                       + syls[l - 1] * wsyl[i + l - 1])
+            e, x = pairs[i + l - 2]
+            matched = (syls[0] * first + sum(syls[1:l - 1])
+                       + syls[l - 1] * (x != tid[e]))
             if 2 * matched <= total:
                 continue
             if best is None or l > best[0]:
@@ -530,7 +530,7 @@ def _best_match_at(wpos, wsyl, i, cands, mempos):
     return best
 
 
-def _replace(cur, wpos, i, l, idx, S):
+def _replace(cur, i, l, idx, S):
     """Rewrite the l-position match of member idx at position i of cur by
     the member's complement; returns (Â, the new word, lo, j), lo and j
     as from :func:`gog._splice`.
@@ -540,14 +540,17 @@ def _replace(cur, wpos, i, l, idx, S):
     prefix of the member s, Ĉ restarts at position i+l-1 with the leftover
     q; then u = s·t⁻¹ rewrites cur to (Â s Â⁻¹)·Â t⁻¹ Ĉ.  t⁻¹ depends on
     (member, l) only and is reduced once into ``S.complements``."""
-    s, ps = S.match_table[1][idx][:2]
+    gog, s = cur.gog, S.members[idx]
     t_inv = S.complements.get((idx, l))
     if t_inv is None:
-        u = GroupWord._trusted(s.gog, s.start, s.head, s.pairs[:l - 1])
+        u = GroupWord._trusted(gog, s.start, s.head, s.pairs[:l - 1])
         t_inv = S.complements[idx, l] = reduce_word(u.inverse() * s).inverse()
-    Gv, Gq = cur.gog.vgroups[ps[0][0]], cur.gog.vgroups[ps[l - 1][0]]
-    p_elt = Gv.op(wpos[i][1], Gv.inv[ps[0][1]])
-    q_elt = Gq.op(Gq.inv[ps[l - 1][1]], wpos[i + l - 1][1])
+    # l >= 2: the scan key makes the run at least q >= 1
+    e_q, s_q = s.pairs[l - 2]
+    Gv, Gq = gog.vgroups[s.start], gog.vgroups[gog.transversals.t[e_q]]
+    e_i, x_i = cur.pairs[i - 1] if i else (None, cur.head)
+    p_elt = Gv.op(x_i, Gv.inv[s.head])
+    q_elt = Gq.op(Gq.inv[s_q], cur.pairs[i + l - 2][1])
     # Â·t⁻¹·Ĉ between the seams: p·head(t⁻¹), then t⁻¹'s pairs, q merged
     x, mid = Gv.op(p_elt, t_inv.head), list(t_inv.pairs)
     if mid:
@@ -555,8 +558,8 @@ def _replace(cur, wpos, i, l, idx, S):
     else:
         x = Gv.op(x, q_elt)
     head, pairs = ((p_elt, ()) if i == 0 else
-                   (cur.head, cur.pairs[:i - 1] + ((wpos[i][2], p_elt),)))
-    return (GroupWord._trusted(cur.gog, cur.start, head, pairs),
+                   (cur.head, cur.pairs[:i - 1] + ((e_i, p_elt),)))
+    return (GroupWord._trusted(gog, cur.start, head, pairs),
             *_splice(cur, i, x, mid, i + l - 1))
 
 
@@ -584,47 +587,41 @@ def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> Deh
     """:func:`dehn_reduce` of a canonical loop against a set whose piece
     report is known to satisfy C'(1/6).
 
-    The scan keys each position on the next q = max(1, min(4, ⌊min
-    total/2⌋ − 1, member edges)) positions and calls the matcher only where
-    the anchor index lists a member.  A legal match has 2(run + 2) > total,
-    so its run is at least ⌊total/2⌋ − 1 >= q: no hit is lost, and the
-    candidates keep the member order.  A step costs that scan, the match
-    and the cancellation at the replacement's seams (:func:`gog._splice`);
-    the positions and the syllable count are patched over that window."""
-    pos, ident = S.gog.transversals.pos, [G.identity for G in S.gog.vgroups]
-    tab, mempos, q = S.match_table
-    original, trace, area, wpos = cur, [], 0, None
+    The scan keys each position i on cur's pairs i..i+q-1, with q =
+    max(1, min(4, ⌊min total/2⌋ − 1, member edges)), and calls the matcher
+    only where the anchor index lists a member.  A legal match has
+    2(run + 2) > total, so its run is at least ⌊total/2⌋ − 1 >= q: no hit
+    is lost, and the candidates keep the member order.  A step costs that
+    scan, the match and the cancellation at the replacement's seams
+    (:func:`gog._splice`); the syllable count is patched over that
+    window."""
+    tab, members, q = S.match_table
+    original, trace, area = cur, [], 0
+    before = syllable_length(cur)
     for _step in range(guard):
-        if wpos is None:
-            wpos = positions(cur)
-            wsyl = [x != ident[v] for v, x, _e in wpos]
-            before = sum(wsyl)
-        step = None
-        keys = zip(*(islice(wpos, k, None) for k in range(1, q + 1)))
+        pairs, step = cur.pairs, None
+        keys = zip(*(islice(pairs, k, None) for k in range(q)))
         for i, cands in enumerate(map(tab.get, keys)):
-            hit = cands and _best_match_at(wpos, wsyl, i, cands, mempos)
+            hit = cands and _best_match_at(cur, i, cands, members)
             if not hit:
                 continue
-            A_hat, nxt, lo, j = _replace(cur, wpos, i, *hit[:2], S)
+            A_hat, nxt, lo, j = _replace(cur, i, *hit[:2], S)
             # positions lo..j of cur become lo..hi-1 of nxt
-            hi = len(nxt.pairs) - len(cur.pairs) + j + 1
-            seg = [pos[e][x] for e, x in nxt.pairs[max(lo - 1, 0):hi - 1]]
-            if lo == 0:
-                seg.insert(0, (nxt.start, nxt.head, None))
-            syl = [x != ident[v] for v, x, _e in seg]
-            after = before - sum(wsyl[lo:j + 1]) + sum(syl)
+            hi = len(nxt.pairs) - len(pairs) + j + 1
+            after = (before - syllable_length(cur, lo, j + 1)
+                     + syllable_length(nxt, lo, hi))
             # guard: a replacement that does not shorten the word is no
             # Dehn step, so the scan moves on
             if after < before:
-                wpos[lo:j + 1], wsyl[lo:j + 1] = seg, syl
                 step = (A_hat, hit[1], nxt, after)
                 break
         if step is None:
             # cyclic fallback: rotate/shorten through the seam, recorded
             core, steps = _cyclic_core(cur)
-            if syllable_length(core) < before:
+            n = syllable_length(core)
+            if n < before:
                 trace.append(("conjugate", _conjugator(cur, steps)))
-                cur, wpos = core, None
+                cur, before = core, n
                 continue
             break
         A_hat, idx, cur, before = step
@@ -750,6 +747,12 @@ class KernelOracle:
     # the oracle ------------------------------------------------------------
 
     def certificate(self, w: GroupWord) -> dict:
+        """The decision on w with the stage that made it (see the class
+        docstring).  Over trivial edge groups Dehn reduction runs on the
+        cyclic core the length gate has computed: membership in ⟨⟨r^m⟩⟩
+        is invariant under conjugation, and Greendlinger makes the verdict
+        exact on either word.  Elsewhere it runs on the reduced word, since
+        the conservative seam matcher decides other words on the core."""
         red = reduce_word(w)
         if red.is_identity():
             return {"in_kernel": True, "method": "trivial"}
@@ -767,7 +770,7 @@ class KernelOracle:
                 )
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
-        res = _dehn_reduce(red, self.S)
+        res = _dehn_reduce(core if self.trivial_seams else red, self.S)
         if not res.is_trivial and not self.trivial_seams:
             raise UnsupportedInput(
                 f"Dehn reduction got stuck at {syllable_length(res.word)} "

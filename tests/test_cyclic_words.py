@@ -22,9 +22,12 @@ from fixtures import (
     s3_d4_amalgam,
     sl2z_gog,
 )
+from gogtools.cli import MODELS
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
     GroupWord,
+    _conjugator,
+    _cyclic_core,
     cyclically_reduce,
     identity_word,
     reduce_word,
@@ -40,9 +43,13 @@ from gogtools.smallcanc import (
     symmetrize,
     word_power,
 )
+from test_tree import _relabelled_s3_d4
 
 FIXTURES = [sl2z_gog, s3_d4_amalgam, hnn_c6, c4_c6_free, c2_c2_free,
             free_rank2]
+MODELS_UNDER_TEST = [MODELS[name] for name in sorted(MODELS)]
+MODELS_UNDER_TEST.append(_relabelled_s3_d4)
+IDS = [*sorted(MODELS), "relabelled_s3_d4"]
 
 
 # -- reference implementations ----------------------------------------------
@@ -59,7 +66,7 @@ def oracle_rotate_once(w, gog):
     if rest:
         e_n, x_n = rest[-1]
         rest[-1] = (e_n, gog.vgroup(g.t(e_n)).op(x_n, w.head))
-        rotated = GroupWord(gog, v1, x1, rest + [(e1, id1)])
+        rotated = GroupWord._trusted(gog, v1, x1, rest + [(e1, id1)])
     else:
         rotated = GroupWord(gog, v1, gog.vgroup(v1).op(x1, w.head),
                             [(e1, id1)])
@@ -178,14 +185,14 @@ def _random_loop(gog, rng, n, start=0):
                      pairs)
 
 
-def _long_conjugator(gog, rng):
-    """A reduced loop of at least 60 edges: a walk that never steps back
-    across an edge it can pinch with, its elements outside the edge image
-    wherever the vertex group allows."""
+def _long_conjugator(gog, rng, n=70):
+    """A reduced loop of at least n - 10 edges: a walk that never steps
+    back across an edge it can pinch with, its elements outside the edge
+    image wherever the vertex group allows."""
     g = gog.graph
     while True:
         at, pairs = 0, []
-        while len(pairs) < 70 or at != 0:
+        while len(pairs) < n or at != 0:
             e = rng.choice(g.edges_at(at))
             G = gog.vgroup(g.t(e))
             outside = [x for x in range(G.order) if x not in gog.inj[e].map]
@@ -197,7 +204,7 @@ def _long_conjugator(gog, rng):
             at = g.t(e)
         c = reduce_word(GroupWord(gog, 0, rng.randrange(gog.vgroup(0).order),
                                   pairs))
-        if len(c.pairs) >= 60:
+        if len(c.pairs) >= n - 10:
             return c
 
 
@@ -279,6 +286,24 @@ def test_long_conjugators_peel_in_one_pass():
             o_core, o_conj = oracle_cyclically_reduce(w, gog)
             assert core == o_core and conj == o_conj
             assert _syl(conj, gog) >= 50
+
+
+@pytest.mark.parametrize("make", MODELS_UNDER_TEST, ids=IDS)
+def test_two_thousand_step_conjugators_peel_like_the_reference(make):
+    """c·u·c⁻¹ with c of at least 2,000 edges: the front-index peel of
+    ``_cyclic_core`` takes as many notches as the rotate-and-reduce
+    reference and lands on the same core and conjugator."""
+    gog = make()
+    rng = random.Random(0x2000)
+    u = reduce_word(_random_loop(gog, rng, 5))
+    c = _long_conjugator(gog, rng, 2010)
+    w = c * u * c.inverse()
+    o_core, o_conj = oracle_cyclically_reduce(w, gog)
+    red = reduce_word(w)
+    core, steps = _cyclic_core(red)
+    assert core == o_core and _conjugator(red, steps) == o_conj
+    assert cyclically_reduce(w) == (o_core, o_conj)
+    assert len(steps) >= 2000
 
 
 def test_self_overlap_on_repetitive_words():

@@ -16,9 +16,10 @@ import random
 
 import pytest
 
-from fixtures import counting
+from fixtures import ab_word, counting, random_amalgam_word, random_hnn_word
 from gogtools import smallcanc
 from gogtools.cli import MODELS
+from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
     GroupWord,
     _conjugator,
@@ -227,6 +228,39 @@ def test_splice_is_a_full_reduction_with_its_window(make):
 
 
 @pytest.mark.parametrize("make", MODELS_UNDER_TEST, ids=IDS)
+def test_splice_sweeps_from_the_pair_below_its_first_position(make):
+    # x at position i >= 1 is item i - 1 of the stack, not item i: with
+    # x off its transversal and outside the edge image, that pair is the
+    # only one needing a correction, so a sweep guard reading items from
+    # i on would leave the word uncorrected
+    gog = make()
+    T = gog.transversals
+    trivial = all(gog.egroup(e).order == 1
+                  for e in range(gog.graph.num_edges))
+    assert (not T.moved) == trivial
+    rng = random.Random(0x6A4D + MODELS_UNDER_TEST.index(make))
+    checked = 0
+    for _ in range(200):
+        w = reduce_word(_path(gog, rng, 0, rng.randrange(1, 10), end=0))
+        if not w.pairs:
+            continue
+        i = rng.randrange(1, len(w.pairs) + 1)
+        e = w.pairs[i - 1][0]
+        off = [x for x in range(len(T.decomp[e]))
+               if (e, x) in T.moved and T.pinch[e][x] is None]
+        if not off:
+            continue
+        x = rng.choice(off)
+        raw = GroupWord(gog, w.start, w.head,
+                        w.pairs[:i - 1] + ((e, x),) + w.pairs[i:])
+        got, lo, _j = smallcanc._splice(w, i, x, (), i)
+        assert got == old_reduce_word(raw), raw
+        assert lo <= i - 1
+        checked += 1
+    assert checked > 0 or trivial
+
+
+@pytest.mark.parametrize("make", MODELS_UNDER_TEST, ids=IDS)
 def test_local_steps_match_the_full_rebuild(make, monkeypatch):
     gog = make()
     rng = random.Random(0xDE4 + MODELS_UNDER_TEST.index(make))
@@ -265,21 +299,90 @@ def test_q_position_anchors_lose_no_hit(make):
     for _ in range(3):
         S = _symmetrized(gog, rng)
         tab1, mempos1 = old_match_table(S)
-        tab, mempos, q = S.match_table
+        tab, members, q = S.match_table
         ident = [G.identity for G in gog.vgroups]
         for w in _words(S, rng, 12):
             wpos = positions(w)
             wsyl = [int(x != ident[v]) for v, x, _e in wpos]
-            for i in range(len(wpos) - 1):
+            for i in range(len(w.pairs)):
                 want = old_best_match_at(wpos, wsyl, i,
                                          tab1.get(wpos[i + 1], ()), mempos1)
-                cands = tab.get(tuple(wpos[i + 1:i + 1 + q]))
-                got = cands and smallcanc._best_match_at(wpos, wsyl, i,
-                                                         cands, mempos)
+                cands = tab.get(w.pairs[i:i + q])
+                got = cands and smallcanc._best_match_at(w, i, cands,
+                                                         members)
                 assert (got or None) == want, (w, i)
                 hits += want is not None
     if make is not MODELS["free_rank2"]:  # no syllables, so no match
         assert hits > 0
+
+
+# -- the core route of KernelOracle.certificate ------------------------------
+
+
+def _decide(oracle, w, monkeypatch=None):
+    """The certificate dict, or ("unsupported", message); with
+    ``monkeypatch``, by the reduced-word route: Dehn runs on the reduced
+    word instead of whatever word the oracle hands it."""
+    if monkeypatch is not None:
+        red, dehn = reduce_word(w), smallcanc._dehn_reduce
+        monkeypatch.setattr(smallcanc, "_dehn_reduce",
+                            lambda _cur, S: dehn(red, S))
+    try:
+        return oracle.certificate(w)
+    except UnsupportedInput as exc:
+        return "unsupported", str(exc)
+    finally:
+        if monkeypatch is not None:
+            monkeypatch.undo()
+
+
+def _products(oracle, conjugator, rng, count):
+    """Products of one to three conjugates of r^{±m}, every third one
+    times a short conjugator loop (a near-miss)."""
+    rm, rm_inv = oracle.rm, oracle.rm.inverse()
+    for i in range(count):
+        w = None
+        for _ in range(1 + i % 3):
+            c = conjugator(rng)
+            part = c * (rm if rng.random() < 0.5 else rm_inv) * c.inverse()
+            w = part if w is None else w * part
+        yield w * conjugator(rng) if i % 3 == 2 else w
+
+
+def test_core_route_decides_as_the_reduced_word(monkeypatch):
+    # over trivial edge groups Dehn runs on the cyclic core; the kernel
+    # batches of seeds 1-40 must get the same dicts as the reduced word
+    W = _load_workloads()
+    models = W.kernel_models()
+    oracle = KernelOracle(models["gog"], models["r"], W.KERNEL_POWERS[0])
+    assert oracle.trivial_seams
+    methods = set()
+    for seed in range(1, 41):
+        for _cls, word, label in W.kernel_batch(random.Random(seed), models):
+            got = _decide(oracle, word)
+            assert got == _decide(oracle, word, monkeypatch), word
+            assert got["in_kernel"] == label
+            methods.add(got["method"])
+    assert "dehn" in methods
+    # over nontrivial edge groups the core route would decide other
+    # words than the reduced one, so the oracle keeps the reduced word
+    sl2z, hnn = MODELS["sl2z"](), MODELS["hnn_c6"]()
+    oracles = [
+        (KernelOracle(sl2z, ab_word(sl2z, [1, 1, 1, 2, 1, 1, 1, 2]), 7),
+         lambda rng: random_amalgam_word(sl2z, rng, 6)),
+        (KernelOracle(hnn, GroupWord(hnn, 0, 0, [(0, 0), (0, 3)]), 7),
+         lambda rng: random_hnn_word(hnn, rng, 4)),
+        (KernelOracle(hnn, GroupWord(hnn, 0, 1, [(0, 1), (1, 1), (0, 3)]), 7),
+         lambda rng: random_hnn_word(hnn, rng, 5)),
+    ]
+    outcomes = set()
+    for k, (oracle, conjugator) in enumerate(oracles):
+        assert not oracle.trivial_seams
+        for w in _products(oracle, conjugator, random.Random(0xC07E + k), 150):
+            got = _decide(oracle, w)
+            assert got == _decide(oracle, w, monkeypatch), w
+            outcomes.add(got[0] if isinstance(got, tuple) else got["method"])
+    assert {"dehn", "unsupported"} <= outcomes
 
 
 # -- work bounds on the kernel benchmark batch -------------------------------
