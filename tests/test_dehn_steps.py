@@ -1,13 +1,16 @@
 """Local Dehn steps against the full-rebuild loop they replaced.
 
-``smallcanc._dehn_reduce`` keys its scan on q positions, reduces each
-complement once per (member, l) and splices the replacement in at its
-seams (``gog._splice``), patching the position list over the changed
-window.  The versions below are the ones it replaced, kept as the
-reference: a one-position anchor table, a replacement that runs two full
-reductions, and a loop that rebuilds the position list after every step.
-Seeded conjugates, products of conjugates and near-misses run over every
-named model, and both must return the same (word, area, trace).
+``smallcanc._dehn_reduce`` scans the word's (edge, element) pairs keyed
+on q of them, reduces each complement once per (member, l) and splices
+the replacement in at its seams (``gog._splice``), counting syllables
+over the changed window.  The versions below are the ones it replaced,
+kept as the reference: a one-position anchor table, a replacement that
+runs two full reductions, and a loop that rebuilds the position list
+after every step.  Seeded conjugates, products of conjugates and
+near-misses run over every named model, and both must return the same
+(word, area, trace).  ``KernelOracle.certificate``, which runs Dehn on
+the cyclic core over trivial edge groups, is checked against the same
+decisions made on the reduced word.
 """
 
 from __future__ import annotations
