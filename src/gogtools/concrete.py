@@ -73,36 +73,6 @@ class FreeAbelian:
         return tuple(x)
 
 
-class MatrixGroup:
-    """2×2 integer matrices of determinant 1; elements are ((a,b),(c,d))."""
-
-    @property
-    def identity(self):
-        return ((1, 0), (0, 1))
-
-    def op(self, x, y):
-        return (
-            (
-                x[0][0] * y[0][0] + x[0][1] * y[1][0],
-                x[0][0] * y[0][1] + x[0][1] * y[1][1],
-            ),
-            (
-                x[1][0] * y[0][0] + x[1][1] * y[1][0],
-                x[1][0] * y[0][1] + x[1][1] * y[1][1],
-            ),
-        )
-
-    def inv(self, x):
-        # adjugate; valid since det = 1
-        return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
-
-    def eq(self, x, y):
-        return x == y
-
-    def canon(self, x):
-        return x
-
-
 class QuotientWords:
     """Loops of a graph of groups at a base vertex, as reduced words: the
     fundamental group, where a reduced word is its own canonical form."""

@@ -34,7 +34,7 @@ ends, η_e, the transversal decomposition, the pairs off the transversal and
 the Britton pinch.  The ``GroupWord`` product, inverse and end, ``_splice``
 (reduction, and the seams of a Dehn step), ``_sweep``, ``_cyclic_core``
 (cyclic reduction and rotation, one notch loop) and ``syllable_length`` read
-them, as do ``smallcanc`` (positions, h1 image, self-overlap, Dehn scan) and
+them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
 ``tree`` (the fold-back test), once per call.
 """
 

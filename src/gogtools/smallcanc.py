@@ -156,7 +156,10 @@ class SymmetrizedSet:
 
 def symmetrize(r: GroupWord) -> SymmetrizedSet:
     """Smallest symmetrized set containing r: all cyclic rotations of the
-    cyclically reduced r and of its inverse, deduplicated."""
+    cyclically reduced r and of its inverse, deduplicated and sorted by the
+    word key, which is computed once per member.  Every member has the
+    core's edge count, so that order puts the start vertex first and the
+    base (the least member) is the first member."""
     core, _ = _cyclic_core(reduce_word(r))
     if core.is_identity():
         raise ValueError(f"empty relator: {r!r} reduces to the identity")
@@ -173,9 +176,8 @@ def symmetrize(r: GroupWord) -> SymmetrizedSet:
                     "is broken"
                 )
             seen.add(w)
-    members = sorted(seen, key=lambda w: (w.start, w.key()))
-    base = min(members, key=lambda w: w.key())
-    return SymmetrizedSet(r.gog, members, base, proper)
+    members = sorted(seen, key=GroupWord.key)
+    return SymmetrizedSet(r.gog, members, members[0], proper)
 
 
 # -- pieces -----------------------------------------------------------------
@@ -201,33 +203,35 @@ def common_prefix_syllables(w1: GroupWord, w2: GroupWord) -> int:
     edge-group image element at that vertex), after which the prefixes
     diverge by construction.
     """
+    return _prefix_syllables(w1, w2, _fudge_sets(w1.gog))
+
+
+def _prefix_syllables(w1, w2, fudge) -> int:
+    """:func:`common_prefix_syllables` given the fudge sets, read off the
+    heads and the (edge, element) pairs: an edge fixes the vertex it
+    enters, so two pairs are equal positions exactly when they are equal.
+    It stops at the first pair that differs."""
     if w1.start != w2.start:
         return 0
     gog = w1.gog
-    return _prefix_syllables(positions(w1), positions(w2), gog,
-                             _fudge_sets(gog))
-
-
-def _prefix_syllables(p1, p2, gog, fudge) -> int:
-    """:func:`common_prefix_syllables` on two position lists (different
-    start vertices fail at position 0)."""
-    vgroups = gog.vgroups
+    v, x1, x2 = w1.start, w1.head, w2.head
     syl = 0
-    for j in range(min(len(p1), len(p2))):
-        v1, x1, e1 = p1[j]
-        v2, x2, e2 = p2[j]
-        if v1 != v2 or (j > 0 and e1 != e2):
-            break
-        G = vgroups[v1]
-        if x1 == x2:
-            if x1 != G.identity:
-                syl += 1
-            continue
-        # seam fudge: x1 = x2·c for a correction c; terminal by convention
-        if any(x1 == G.op(x2, c) for c in fudge[v1]):
-            syl += 1
-        break
-    return syl
+    if x1 == x2:
+        tid = gog.transversals.tid
+        syl = int(x1 != gog.vgroups[v].identity)
+        for p, q in zip(w1.pairs, w2.pairs):
+            if p != q:
+                break
+            syl += p[1] != tid[p[0]]
+        else:
+            return syl
+        (e, x1), (f, x2) = p, q
+        if e != f:
+            return syl
+        v = gog.transversals.t[e]
+    # seam fudge: x1 = x2·c for a correction c; terminal by convention
+    G = gog.vgroups[v]
+    return syl + any(x1 == G.op(x2, c) for c in fudge[v])
 
 
 def self_overlap(w: GroupWord) -> int:
@@ -235,30 +239,36 @@ def self_overlap(w: GroupWord) -> int:
     the maximum over shifts s >= 1 of the longest common prefix of the
     position list and its suffix from s.  That prefix need not reach the
     end of the word, so this is the maximum of the Z-array, not a border.
-    Position 0 (the head) is compared by vertex and element only.
+    Position 0 (the head) is compared by vertex and element only."""
+    return _self_overlap(w)
 
-    The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
-    Trees and Sequences*, §1.4); a prefix sum turns lengths into
+
+def _self_overlap(w: GroupWord) -> int:
+    """:func:`self_overlap` by the Z-array, which takes O(n) comparisons
+    (Gusfield, *Algorithms on Strings, Trees and Sequences*, §1.4), read
+    off the head and the pairs: position s >= 1 is pair s - 1, and an edge
+    fixes the vertex it enters.  A prefix sum turns lengths into
     syllables."""
-    return _self_overlap(w, positions(w))
-
-
-def _self_overlap(w: GroupWord, pos) -> int:
-    """:func:`self_overlap` of w, given its position list."""
-    tid = w.gog.transversals.tid
-    n = len(pos)
+    T = w.gog.transversals
+    t, tid, pairs = T.t, T.tid, w.pairs
+    n = len(pairs) + 1
     first = int(w.head != w.gog.vgroups[w.start].identity)
-    syl = [0, *accumulate((x != tid[e] for e, x in w.pairs), initial=first)]
-    head = pos[0][:2]
+    syl = [0, *accumulate((x != tid[e] for e, x in pairs), initial=first)]
     z = [0] * n
     best = lo = hi = 0  # [lo, hi) is the rightmost matched window
     for s in range(1, n):
-        if s < hi and z[s - lo] < hi - s:
-            z[s] = z[s - lo]  # inside the window, and no longer than best
-            continue
-        k = hi - s if s < hi else 0
-        while s + k < n and (pos[s + k] == pos[k] if k
-                             else pos[s][:2] == head):
+        if s < hi:
+            k = z[s - lo]
+            if k < hi - s:
+                z[s] = k  # inside the window, and no longer than best
+                continue
+            k = hi - s
+        else:
+            e, x = pairs[s - 1]
+            if x != w.head or t[e] != w.start:
+                continue  # z[s] stays 0
+            k = 1
+        while s + k < n and pairs[s + k - 1] == pairs[k - 1]:
             k += 1
         z[s] = k
         lo, hi = s, s + k
@@ -269,17 +279,24 @@ def _self_overlap(w: GroupWord, pos) -> int:
 
 class PieceReport:
     """The longest maximal common prefix p over pairs of distinct members,
-    with a witness pair, and λ* = p / min member length; self-overlap and
-    proper-power diagnostics ride along."""
+    with a witness pair, and λ* = p / min member length; the proper-power
+    flag rides along.  The self-overlap diagnostic, the largest
+    :func:`self_overlap` of a member, is computed the first time it is
+    read: the kernel oracle, the thinness constant and Dehn reduction
+    never read it."""
 
-    def __init__(self, max_piece, witness, min_length, members_count,
-                 self_overlap, proper_power):
+    def __init__(self, max_piece, witness, min_length, members,
+                 proper_power):
         self.max_piece = max_piece
         self.witness = witness
         self.min_length = min_length
-        self.members_count = members_count
-        self.self_overlap = self_overlap
+        self.members = members
+        self.members_count = len(members)
         self.proper_power = proper_power
+
+    @cached_property
+    def self_overlap(self) -> int:
+        return max(map(_self_overlap, self.members))
 
     @property
     def lam_star(self) -> Fraction:
@@ -298,16 +315,19 @@ def pieces(S: SymmetrizedSet) -> PieceReport:
 
 
 def _piece_report(S: SymmetrizedSet) -> PieceReport:
+    """Every pair of distinct members compared by
+    :func:`_prefix_syllables`, each comparison stopping at the first pair
+    that differs; a piece as long as a member is refused with its cause.
+    The self-overlap is left to the report, which computes it on first
+    read."""
     if len(S) < 1:
         raise ValueError("piece report needs a nonempty symmetrized set")
-    gog = S.gog
     members = S.members
-    fudge = _fudge_sets(gog)
-    pos = [positions(w) for w in members]
+    fudge = _fudge_sets(S.gog)
     max_piece, witness = 0, None
-    for i in range(len(members)):
+    for i, a in enumerate(members):
         for j in range(i + 1, len(members)):
-            l = _prefix_syllables(pos[i], pos[j], gog, fudge)
+            l = _prefix_syllables(a, members[j], fudge)
             if l > max_piece:
                 max_piece, witness = l, (i, j)
     min_length = S.member_length()
@@ -337,8 +357,7 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
             "does not count stable letters, so it cannot tell these "
             "members apart and λ* is not measured"
         )
-    so = max(map(_self_overlap, members, pos))
-    return PieceReport(max_piece, witness, min_length, len(members), so,
+    return PieceReport(max_piece, witness, min_length, members,
                        S.proper_power)
 
 
@@ -580,12 +599,14 @@ def dehn_reduce(w: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnRe
         )
     if not w.is_loop():
         raise ValueError(f"words must be loops, got {w.start} -> {w.end}")
-    return _dehn_reduce(reduce_word(w), S, guard)
+    red = reduce_word(w)
+    return _dehn_reduce(red, S, syllable_length(red), guard)
 
 
-def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> DehnResult:
-    """:func:`dehn_reduce` of a canonical loop against a set whose piece
-    report is known to satisfy C'(1/6).
+def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, before: int,
+                 guard: int = 10 ** 6) -> DehnResult:
+    """:func:`dehn_reduce` of a canonical loop with ``before`` syllables
+    against a set whose piece report is known to satisfy C'(1/6).
 
     The scan keys each position i on cur's pairs i..i+q-1, with q =
     max(1, min(4, ⌊min total/2⌋ − 1, member edges)), and calls the matcher
@@ -597,7 +618,6 @@ def _dehn_reduce(cur: GroupWord, S: SymmetrizedSet, guard: int = 10 ** 6) -> Deh
     window."""
     tab, members, q = S.match_table
     original, trace, area = cur, [], 0
-    before = syllable_length(cur)
     for _step in range(guard):
         pairs, step = cur.pairs, None
         keys = zip(*(islice(pairs, k, None) for k in range(q)))
@@ -770,7 +790,10 @@ class KernelOracle:
                 )
             return {"in_kernel": False, "method": "length-gate",
                     "syllables": n, "gate": self.length_gate}
-        res = _dehn_reduce(core if self.trivial_seams else red, self.S)
+        if self.trivial_seams:
+            res = _dehn_reduce(core, self.S, n)
+        else:
+            res = _dehn_reduce(red, self.S, syllable_length(red))
         if not res.is_trivial and not self.trivial_seams:
             raise UnsupportedInput(
                 f"Dehn reduction got stuck at {syllable_length(res.word)} "

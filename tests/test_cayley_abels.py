@@ -39,7 +39,6 @@ from gogtools.cayley_abels import (
 from gogtools.concrete import (
     FiniteConcrete,
     FreeAbelian,
-    MatrixGroup,
     SubgroupHandle,
     generated_handle,
     trivial_handle,
@@ -56,6 +55,36 @@ from gogtools.tree import (
     check_tree_ball,
     geodesic,
 )
+
+
+class MatrixGroup:
+    """2×2 integer matrices of determinant 1; elements are ((a,b),(c,d))."""
+
+    @property
+    def identity(self):
+        return ((1, 0), (0, 1))
+
+    def op(self, x, y):
+        return (
+            (
+                x[0][0] * y[0][0] + x[0][1] * y[1][0],
+                x[0][0] * y[0][1] + x[0][1] * y[1][1],
+            ),
+            (
+                x[1][0] * y[0][0] + x[1][1] * y[1][0],
+                x[1][0] * y[0][1] + x[1][1] * y[1][1],
+            ),
+        )
+
+    def inv(self, x):
+        # adjugate; valid since det = 1
+        return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
+
+    def eq(self, x, y):
+        return x == y
+
+    def canon(self, x):
+        return x
 
 
 # -- coset construction -----------------------------------------------------

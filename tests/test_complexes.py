@@ -30,7 +30,6 @@ from gogtools.complexes import (
     TwoComplexBall,
     abelianization,
     bounded_trivial,
-    check_complex,
     dehn_function_sample,
     hyperbolicity_estimate,
     link,
@@ -51,6 +50,30 @@ from gogtools.smallcanc import (
     presentation_complex_ball,
     word_power,
 )
+
+
+def check_complex(X: TwoComplexBall) -> dict:
+    """Structural checklist: attaching cycles closed over existing 1-cells,
+    no two distinct 2-cells with the same boundary."""
+    problems = []
+    seen = {}
+    for c, cell in enumerate(X.cells2):
+        if not cell.verts:
+            problems.append(f"cell {c} has empty boundary")
+            continue
+        for u, v, k in X.boundary(cell):
+            if u == v:
+                problems.append(f"cell {c} boundary stalls at vertex {u}")
+            elif k is None:
+                problems.append(f"cell {c} uses missing edge {u}-{v}")
+        key = cell.key()
+        if key in seen:
+            problems.append(
+                f"cells {seen[key]} and {c} share a boundary {list(key)}"
+            )
+        else:
+            seen[key] = c
+    return {"ok": not problems, "problems": problems}
 
 
 def _wheel5():

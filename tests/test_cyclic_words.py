@@ -11,17 +11,21 @@ the canonical words themselves and on every field of the piece report.
 """
 
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from fixtures import (
     c2_c2_free,
     c4_c6_free,
+    counting,
     free_rank2,
     hnn_c6,
     s3_d4_amalgam,
     sl2z_gog,
 )
+from gogtools import smallcanc
 from gogtools.cli import MODELS
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
@@ -34,7 +38,8 @@ from gogtools.gog import (
     rotate_once,
 )
 from gogtools.smallcanc import (
-    PieceReport,
+    KernelOracle,
+    check_cprime,
     common_prefix_syllables,
     pieces,
     positions,
@@ -44,6 +49,7 @@ from gogtools.smallcanc import (
     word_power,
 )
 from test_tree import _relabelled_s3_d4
+from test_word_tables import _load_workloads
 
 FIXTURES = [sl2z_gog, s3_d4_amalgam, hnn_c6, c4_c6_free, c2_c2_free,
             free_rank2]
@@ -119,6 +125,50 @@ def oracle_self_overlap(w, gog):
     return best
 
 
+def old_prefix_syllables(p1, p2, gog, fudge):
+    """The position-list piece comparison: positions match when vertex,
+    element and incoming edge agree, and the last one may differ by a
+    seam correction."""
+    syl = 0
+    for j in range(min(len(p1), len(p2))):
+        v1, x1, e1 = p1[j]
+        v2, x2, e2 = p2[j]
+        if v1 != v2 or (j > 0 and e1 != e2):
+            break
+        G = gog.vgroup(v1)
+        if x1 == x2:
+            if x1 != G.identity:
+                syl += 1
+            continue
+        if any(x1 == G.op(x2, c) for c in fudge[v1]):
+            syl += 1
+        break
+    return syl
+
+
+def old_self_overlap(w, pos):
+    """The position-list Z-array; the head is compared by vertex and
+    element only."""
+    n = len(pos)
+    syl = [0]
+    for v, x, _e in pos:
+        syl.append(syl[-1] + (x != w.gog.vgroup(v).identity))
+    z = [0] * n
+    best = lo = hi = 0
+    for s in range(1, n):
+        if s < hi and z[s - lo] < hi - s:
+            z[s] = z[s - lo]
+            continue
+        k = hi - s if s < hi else 0
+        while s + k < n and (pos[s + k] == pos[k] if k
+                             else pos[s][:2] == pos[0][:2]):
+            k += 1
+        z[s] = k
+        lo, hi = s, s + k
+        best = max(best, k)
+    return syl[best]
+
+
 def oracle_word_power(w, m, gog):
     acc = identity_word(gog, w.start)
     for _ in range(m):
@@ -140,7 +190,8 @@ def oracle_symmetrize(core, gog):
 
 def oracle_piece_report(members, gog):
     """Every pair, every member's self-overlap, and a proper power found by
-    rotating every member through all its edges."""
+    rotating every member through all its edges, as the six fields of a
+    piece report."""
     max_piece, witness = 0, None
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -154,8 +205,9 @@ def oracle_piece_report(members, gog):
     proper = any(rot == w
                  for w in members
                  for rot in oracle_rotations(w, gog)[1:])
-    return PieceReport(max_piece, witness, min_length, len(members), so,
-                       proper)
+    return SimpleNamespace(max_piece=max_piece, witness=witness,
+                           min_length=min_length, members_count=len(members),
+                           self_overlap=so, proper_power=proper)
 
 
 def _syl(w, gog):
@@ -318,3 +370,136 @@ def test_self_overlap_on_repetitive_words():
             w = reduce_word(word_power(u, rng.randrange(1, 5))
                             * _random_loop(gog, rng, rng.randrange(0, 3)))
             assert self_overlap(w) == oracle_self_overlap(w, gog), w
+
+
+# -- pieces and self-overlap on pairs ---------------------------------------
+
+
+def _walk(gog, rng, start, n):
+    """A reduced word of a random n-step walk from start (not a loop)."""
+    g, at, pairs = gog.graph, start, []
+    for _ in range(n):
+        e = rng.choice(g.edges_at(at))
+        at = g.t(e)
+        pairs.append((e, rng.randrange(gog.vgroup(at).order)))
+    return reduce_word(GroupWord(gog, start,
+                                 rng.randrange(gog.vgroup(start).order),
+                                 pairs))
+
+
+def _corrected(w, k, c, f=None):
+    """w with its element at position k (the head is 0) times c, and with
+    the edge f into position k when given (f must end where it did)."""
+    gog = w.gog
+    if k == 0:
+        return GroupWord._trusted(gog, w.start,
+                                  gog.vgroup(w.start).op(w.head, c), w.pairs)
+    pairs = list(w.pairs)
+    e, x = pairs[k - 1]
+    pairs[k - 1] = (e if f is None else f, gog.vgroup(gog.graph.t(e)).op(x, c))
+    return GroupWord._trusted(gog, w.start, w.head, pairs)
+
+
+def _word_pairs(gog, rng, count):
+    """Seeded pairs: different starts, a word against its prefix, a word
+    against a copy corrected at one position (the head included) by a
+    seam correction or the identity, there also switched to any edge with
+    the same ends, and two independent walks from one start."""
+    g, fudge = gog.graph, smallcanc._fudge_sets(gog)
+    nv = g.num_vertices
+    for _ in range(count):
+        v = rng.randrange(nv)
+        w = _walk(gog, rng, v, rng.randrange(0, 12))
+        if nv > 1:
+            yield w, _walk(gog, rng, (v + 1) % nv, rng.randrange(0, 12))
+        yield w, GroupWord._trusted(gog, v, w.head,
+                                    w.pairs[:rng.randrange(len(w.pairs) + 1)])
+        for k in range(len(w.pairs) + 1):
+            if k == 0:
+                at, edges = v, [None]
+            else:
+                e = w.pairs[k - 1][0]
+                at = g.t(e)
+                edges = [f for f in g.edges_at(g.o(e)) if g.t(f) == at]
+            for f in edges:
+                for c in [gog.vgroup(at).identity, *sorted(fudge[at])]:
+                    yield w, _corrected(w, k, c, f)
+        yield w, _walk(gog, rng, v, rng.randrange(0, 12))
+
+
+@pytest.mark.parametrize("make", MODELS_UNDER_TEST, ids=IDS)
+def test_pair_reading_matches_position_lists(make):
+    """``_prefix_syllables`` and ``_self_overlap`` read heads and pairs;
+    they must agree with the position-list versions on every ordered
+    member pair and every member of seeded symmetrized sets, and on
+    seeded word pairs; over nontrivial edge groups some comparisons end
+    in a seam correction."""
+    gog = make()
+    rng = random.Random(0x9A1 + MODELS_UNDER_TEST.index(make))
+    fudge = smallcanc._fudge_sets(gog)
+    exact = {v: () for v in fudge}
+    compared = corrected = 0
+
+    def check(a, b, pa, pb):
+        nonlocal compared, corrected
+        want = old_prefix_syllables(pa, pb, gog, fudge)
+        assert smallcanc._prefix_syllables(a, b, fudge) == want, (a, b)
+        compared += 1
+        corrected += want != old_prefix_syllables(pa, pb, gog, exact)
+
+    for _ in range(12):
+        u = _random_loop(gog, rng, rng.randrange(1, 9))
+        try:
+            S = symmetrize(word_power(u, rng.randrange(1, 4)))
+        except ValueError:
+            continue
+        pos = [positions(w) for w in S.members]
+        for a, pa in zip(S.members, pos):
+            assert smallcanc._self_overlap(a) == old_self_overlap(a, pa), a
+            for b, pb in zip(S.members, pos):
+                check(a, b, pa, pb)
+    for a, b in _word_pairs(gog, rng, 40):
+        check(a, b, positions(a), positions(b))
+        assert smallcanc._self_overlap(a) == old_self_overlap(a,
+                                                              positions(a))
+    assert compared > 0
+    assert (corrected > 0) == any(fudge.values())
+
+
+def test_oracle_builds_and_decides_without_self_overlap(monkeypatch):
+    """The four oracles of the ``kernel`` benchmark and the decisions of
+    its seed-1 batch run no Z-array; a C'(λ) check runs one per member,
+    and symmetrizing keys each member once."""
+    W = _load_workloads()
+    models = W.kernel_models()
+    gog, r = models["gog"], models["r"]
+    runs = counting(monkeypatch, smallcanc, "_self_overlap")
+    key, keyed = GroupWord.key, [0]
+
+    def counted_key(w):
+        keyed[0] += 1
+        return key(w)
+
+    monkeypatch.setattr(GroupWord, "key", counted_key)
+    oracles = [KernelOracle(gog, r, m) for m in W.KERNEL_POWERS]
+    assert keyed[0] == sum(len(o.S) for o in oracles)
+    methods = set()
+    for _cls, word, label in W.kernel_batch(random.Random(1), models):
+        cert = oracles[0].certificate(word)
+        assert cert["in_kernel"] == label
+        methods.add(cert["method"])
+    assert "dehn" in methods and runs[0] == 0
+    keyed[0] = 0
+    rep = check_cprime(r, 12, Fraction(1, 6))
+    assert rep["self_overlap"] == 66
+    assert runs[0] == keyed[0] == rep["members"] == 12
+    for make in MODELS_UNDER_TEST:
+        other = make()
+        rng = random.Random(0x5E7)
+        for _ in range(6):
+            keyed[0] = 0
+            try:
+                S = symmetrize(_random_loop(other, rng, rng.randrange(1, 9)))
+            except ValueError:
+                continue
+            assert keyed[0] == len(S)

@@ -281,7 +281,7 @@ def test_local_steps_match_the_full_rebuild(make, monkeypatch):
         S = _symmetrized(gog, rng)
         for w in _words(S, rng, 12):
             want = old_dehn_reduce(w, S)
-            got = _dehn_reduce(w, S)
+            got = _dehn_reduce(w, S, syllable_length(w))
             assert repr((got.word, got.area, got.trace)) == repr(
                 (want.word, want.area, want.trace)), w
             assert got.word == want.word and got.trace == want.trace
@@ -329,7 +329,8 @@ def _decide(oracle, w, monkeypatch=None):
     if monkeypatch is not None:
         red, dehn = reduce_word(w), smallcanc._dehn_reduce
         monkeypatch.setattr(smallcanc, "_dehn_reduce",
-                            lambda _cur, S: dehn(red, S))
+                            lambda _cur, S, _n: dehn(red, S,
+                                                     syllable_length(red)))
     try:
         return oracle.certificate(w)
     except UnsupportedInput as exc:
@@ -411,7 +412,7 @@ def test_kernel_batch_dehn_work_is_bounded(monkeypatch):
     for w in words:
         core, _ = _cyclic_core(w)
         if syllable_length(core) > oracle.length_gate:
-            _dehn_reduce(w, S)
+            _dehn_reduce(w, S, syllable_length(w))
             runs += 1
     assert runs == 32
     # each complement reduced at most once per (member, l) on this set

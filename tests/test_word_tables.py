@@ -361,7 +361,8 @@ def test_kernel_batch_dehn_path_is_pinned():
         cert = oracle.certificate(word)
         got.append((cert["in_kernel"], cert["method"], cert.get("area")))
         if cert["method"] == "dehn":
-            res = _dehn_reduce(reduce_word(word), oracle.S)
+            red = reduce_word(word)
+            res = _dehn_reduce(red, oracle.S, syllable_length(red))
             traces.append(repr((res.word, res.area, res.trace)))
     assert got == PINNED_DECISIONS
     digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
