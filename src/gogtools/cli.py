@@ -9,9 +9,11 @@ Conventions
   Extra output slots ("dot", "off", "ball", "complex") hold paths for
   the renderings a command can emit.
 * Models, ball families, subgroup handles and words are referenced by
-  name or by small descriptor objects and resolved from the registries
-  in this module.  An unresolvable reference is a defect of the job
-  file, not of the toolkit, and exits like a schema violation.
+  name or by small descriptor objects.  Models, words and ball families
+  resolve through the registries in ``gogtools.models``; vertex
+  locators, subgroup handles and word-problem targets resolve here.  An
+  unresolvable reference is a defect of the job file, not of the
+  toolkit, and exits like a schema violation.
 * Rational parameters travel as strings "p/q" and are parsed exactly;
   no floats enter any verdict.  The one floated number in a report is the
   least-squares fit of dehn-sample (``fit.slope`` and ``fit.intercept``,
@@ -50,166 +52,7 @@ class JobError(ValueError):
     """A job file that parses and validates but does not resolve."""
 
 
-# -- model registry ---------------------------------------------------------
-#
-# The worked examples the front-end knows by name.  Each entry builds a
-# fresh graph of groups.
-
-
-def _sl2z():
-    from .finite import make_cyclic
-    from .gog import amalgam
-
-    C4, C6, C2 = make_cyclic(4), make_cyclic(6), make_cyclic(2)
-    return amalgam(C4, C6, C2, [0, 2], [0, 3])
-
-
-def _c4c6_free():
-    from .finite import make_cyclic
-    from .gog import free_product
-
-    return free_product(make_cyclic(4), make_cyclic(6))
-
-
-def _c2c2_free():
-    from .finite import make_cyclic
-    from .gog import free_product
-
-    return free_product(make_cyclic(2), make_cyclic(2))
-
-
-def _s3_d4():
-    from .finite import make_cyclic, make_dihedral
-    from .gog import amalgam
-
-    S3, D4, C2 = make_dihedral(3), make_dihedral(4), make_cyclic(2)
-    return amalgam(S3, D4, C2, [0, 3], [0, 2])
-
-
-def _hnn_c6():
-    from .finite import make_cyclic
-    from .gog import hnn_sub
-
-    return hnn_sub(make_cyclic(6), [0, 2, 4], [0, 4, 2])
-
-
-def _free_rank2():
-    from .finite import GroupHom, make_cyclic
-    from .gog import GraphOfGroups, SerreGraph
-
-    C1 = make_cyclic(1)
-    graph = SerreGraph(1, [(0, 0), (0, 0)])
-    triv = GroupHom(C1, C1, [0])
-    return GraphOfGroups(graph, [C1], [C1, C1], [triv, triv, triv, triv])
-
-
-MODELS = {
-    "sl2z": _sl2z,
-    "c4c6_free": _c4c6_free,
-    "c2c2_free": _c2c2_free,
-    "s3_d4": _s3_d4,
-    "hnn_c6": _hnn_c6,
-    "free_rank2": _free_rank2,
-}
-
-
-def _model(name):
-    if name not in MODELS:
-        raise JobError(f"unknown model {name!r}; known: {sorted(MODELS)}")
-    return MODELS[name]()
-
-
-# -- word descriptors -------------------------------------------------------
-
-
-def _edge_between(gog, u, v):
-    g = gog.graph
-    for e in range(g.num_edges):
-        if g.o(e) == u and g.t(e) == v:
-            return e
-    raise JobError(f"model has no edge {u} -> {v} for this word")
-
-
-def _loop_word(gog, syllables, start=0):
-    from .gog import GroupWord, identity_word
-
-    if not syllables:
-        return identity_word(gog, start)
-    head_v, head_x = syllables[0]
-    if head_v == start:
-        head, rest = head_x, syllables[1:]
-    else:
-        head, rest = gog.vgroup(start).identity, syllables
-    at = start
-    pairs = []
-    for v, x in rest:
-        pairs.append((_edge_between(gog, at, v), x))
-        at = v
-    if at != start:
-        pairs.append((_edge_between(gog, at, start), gog.vgroup(start).identity))
-    return GroupWord(gog, start, head, pairs)
-
-
-def _word(gog, desc):
-    """Resolve a word descriptor to its canonical form: {"ab": [...]}
-    alternating exponents on a two-vertex model, or {"syllables":
-    [[vertex, element], ...]}; an optional "power" raises the resolved
-    word."""
-    from .smallcanc import word_power
-
-    start = desc.get("start", 0)
-    if not 0 <= start < gog.graph.num_vertices:
-        raise JobError(f"start {start} is not a vertex of the model")
-    if "ab" in desc:
-        if gog.graph.num_vertices != 2:
-            raise JobError("'ab' words need a model with exactly two vertices")
-        # exponents alternate between the vertex groups, vertex 0 first
-        syllables = [(i % 2, k % gog.vgroup(i % 2).order)
-                     for i, k in enumerate(desc["ab"])]
-    elif "syllables" in desc:
-        syllables = [tuple(s) for s in desc["syllables"]]
-    else:
-        raise JobError(f"word descriptor needs 'ab' or 'syllables': {desc!r}")
-    return word_power(_loop_word(gog, syllables, start=start),
-                      desc.get("power", 1))
-
-
-# -- ball families ----------------------------------------------------------
-
-
-def _line_handle():
-    from .concrete import SubgroupHandle
-
-    return SubgroupHandle(
-        "line", contains=lambda x: x[1] == 0, coset_key=lambda x: x[1],
-        is_finite=False,
-    )
-
-
-def _build_ball(spec, cap=10 ** 6):
-    from .cayley_abels import coset_graph_ball, quotient_tree_ball
-    from .concrete import FiniteConcrete, FreeAbelian, trivial_handle
-    from .finite import make_cyclic
-
-    fam = spec["family"]
-    if fam == "line":
-        Z = FreeAbelian(1)
-        return coset_graph_ball(Z, trivial_handle(Z), [(1,)], [],
-                                spec["radius"], cap=cap)
-    if fam == "grid":
-        Z2 = FreeAbelian(2)
-        return coset_graph_ball(Z2, trivial_handle(Z2), [(1, 0), (0, 1)], [],
-                                spec["radius"], cap=cap)
-    if fam == "coned_plane":
-        Z2 = FreeAbelian(2)
-        return coset_graph_ball(Z2, trivial_handle(Z2), [(1, 0), (0, 1)],
-                                [_line_handle()], spec["radius"], cap=cap)
-    if fam == "cycle":
-        m = spec["m"]
-        G = FiniteConcrete(make_cyclic(m))
-        return coset_graph_ball(G, trivial_handle(G), [1], [], m, cap=cap)
-    # "tree", the last family the schema allows
-    return quotient_tree_ball(_model(spec["model"]), [], spec["radius"], cap=cap)
+# -- vertices, subgroups and word problems named in a job -------------------
 
 
 def _locate(ball, spec):
@@ -243,11 +86,12 @@ def _nested_tuple(x):
 
 
 def _action(spec):
+    from . import models
     from .fineness import AbelianBallAction, TreeBallAction
 
     if spec["kind"] == "tree":
-        return TreeBallAction(_model(spec["model"]), spec["radius"])
-    return AbelianBallAction(_build_ball(spec["ball"]))
+        return TreeBallAction(models.model(spec["model"]), spec["radius"])
+    return AbelianBallAction(models.ball(spec["ball"]))
 
 
 def _handle(action, name):
@@ -307,11 +151,12 @@ def _levels(ball):
 
 
 def _cmd_build_tree(params, ctx):
+    from . import models
     from .tree import build_tree_ball, tree_to_dot, tree_to_json
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = build_tree_ball(_model(params["model"]), params["radius"],
+    ball = build_tree_ball(models.model(params["model"]), params["radius"],
                            base=params.get("base", 0), cap=cap)
     result = {
         "radius": ball.radius,
@@ -326,14 +171,15 @@ def _cmd_build_tree(params, ctx):
 
 
 def _ca_ball(params, ctx):
+    from . import models
+    from .cayley_abels import quotient_tree_ball
+
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     if params["variant"] == "coset":
-        return _build_ball(params["ball"], cap=cap)
-    from .cayley_abels import quotient_tree_ball
-
-    gog = _model(params["model"])
-    relators = [_word(gog, d) for d in params.get("relators", [])]
+        return models.ball(params["ball"], cap=cap)
+    gog = models.model(params["model"])
+    relators = [models.word(gog, d) for d in params.get("relators", [])]
     wp = _wp(gog, params.get("wp"))
     return quotient_tree_ball(gog, relators, params["radius"], wp=wp, cap=cap)
 
@@ -365,12 +211,13 @@ def _cmd_check_ca(params, ctx):
 
 
 def _cmd_fineness(params, ctx):
+    from . import models
     from .fineness import fineness_report
 
     spec = {k: v for k, v in params.items() if k in ("family", "m", "model")}
     u_spec, v_spec = params["u"], params["v"]
     result = fineness_report(
-        lambda R: _build_ball(dict(spec, radius=R)),
+        lambda R: models.ball(dict(spec, radius=R)),
         lambda b: _locate(b, u_spec),
         lambda b: _locate(b, v_spec),
         params["k"],
@@ -403,6 +250,7 @@ def _cmd_attach(params, ctx):
 
 
 def _cmd_qi(params, ctx):
+    from . import models
     from .cayley_abels import compare_balls_qi
     from .fineness import qi_certificate
 
@@ -410,8 +258,8 @@ def _cmd_qi(params, ctx):
         _, att = _attach(params["attach"])
         result = qi_certificate(att.gamma, att.delta)
     elif "compare" in params:
-        left = _build_ball(params["compare"]["left"])
-        right = _build_ball(params["compare"]["right"])
+        left = models.ball(params["compare"]["left"])
+        right = models.ball(params["compare"]["right"])
         result = compare_balls_qi(left, right)
     else:
         raise JobError("qi needs 'attach' or 'compare' parameters")
@@ -444,11 +292,12 @@ def _cmd_wz_audit(params, ctx):
 
 
 def _cmd_symmetrize(params, ctx):
+    from . import models
     from .gog import word_to_json
     from .smallcanc import symmetrize
 
-    gog = _model(params["model"])
-    w = _word(gog, params["word"])
+    gog = models.model(params["model"])
+    w = models.word(gog, params["word"])
     S = symmetrize(w)
     members = sorted(word_to_json(m) for m in S.members)
     result = {
@@ -460,10 +309,11 @@ def _cmd_symmetrize(params, ctx):
 
 
 def _cmd_cprime(params, ctx):
+    from . import models
     from .smallcanc import check_cprime, compute_M, thmb_hypothesis
 
-    gog = _model(params["model"])
-    r = _word(gog, params["word"])
+    gog = models.model(params["model"])
+    r = models.word(gog, params["word"])
     result = check_cprime(r, params["m"], Fraction(params["lam"]))
     if params.get("hypothesis"):
         tc = compute_M(r)
@@ -472,10 +322,11 @@ def _cmd_cprime(params, ctx):
 
 
 def _cmd_compute_m(params, ctx):
+    from . import models
     from .smallcanc import compute_M
 
-    gog = _model(params["model"])
-    tc = compute_M(_word(gog, params["word"]))
+    gog = models.model(params["model"])
+    tc = compute_M(models.word(gog, params["word"]))
     result = {
         "k": tc.k,
         "r_syllables": tc.r_syllables,
@@ -487,17 +338,18 @@ def _cmd_compute_m(params, ctx):
 
 
 def _cmd_dehn(params, ctx):
+    from . import models
     from .gog import syllable_length
     from .smallcanc import dehn_reduce, symmetrize, word_power
 
-    gog = _model(params["model"])
+    gog = models.model(params["model"])
     guard = params.get("guard", 10 ** 6)
     ctx["caps"]["guard"] = guard
-    r = _word(gog, params["relator"])
+    r = models.word(gog, params["relator"])
     S = symmetrize(word_power(r, params.get("power", 1)))
     rows = []
     for desc in params["words"]:
-        w = _word(gog, desc)
+        w = models.word(gog, desc)
         res = dehn_reduce(w, S, guard=guard)
         rows.append({
             "word": desc,
@@ -512,16 +364,17 @@ def _cmd_dehn(params, ctx):
 
 
 def _px_complex(params, ctx):
+    from . import models
     from .smallcanc import KernelOracle, presentation_complex_ball
 
-    gog = _model(params["model"])
+    gog = models.model(params["model"])
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    relators = [_word(gog, d) for d in params.get("relators", [])]
+    relators = [models.word(gog, d) for d in params.get("relators", [])]
     wp = _wp(gog, params.get("wp"))
     if wp is None and params.get("power") and params.get("relators"):
         # relator-power quotients can serve their own word problem
-        oracle = KernelOracle(gog, _word(gog, params["relators"][0]),
+        oracle = KernelOracle(gog, models.word(gog, params["relators"][0]),
                               params["power"])
         wp, relators = oracle, [oracle.rm]
     return presentation_complex_ball(gog, relators, params["radius"], wp=wp,
@@ -550,6 +403,7 @@ def _cmd_px_complex(params, ctx):
 
 
 def _cmd_m_thin(params, ctx):
+    from . import models
     from .complexes import to_complex_json
     from .smallcanc import (
         KernelOracle,
@@ -559,8 +413,8 @@ def _cmd_m_thin(params, ctx):
         thinness_incidence,
     )
 
-    gog = _model(params["model"])
-    r = _word(gog, params["word"])
+    gog = models.model(params["model"])
+    r = models.word(gog, params["word"])
     m = params["power"]
     R = params["radius"]
     oracle = KernelOracle(gog, r, m)
@@ -576,10 +430,11 @@ def _cmd_m_thin(params, ctx):
 
 
 def _cmd_claim_audit(params, ctx):
+    from . import models
     from .smallcanc import claim_audit
 
-    gog = _model(params["model"])
-    r = _word(gog, params["word"])
+    gog = models.model(params["model"])
+    r = models.word(gog, params["word"])
     result = claim_audit(r, params["power"])
     verdicts = [result["orbit_bound"]["verdict"], result["injection"]["verdict"],
                 result["index_bound"]["verdict"]]
@@ -587,11 +442,12 @@ def _cmd_claim_audit(params, ctx):
 
 
 def _cmd_omega_k(params, ctx):
+    from . import models
     from .complexes import omega_k, to_complex_json, to_off
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"], cap=cap)
+    ball = models.ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     result = _complex_summary(X)
     extras = {"complex": to_complex_json(X), "off": to_off(X)}
@@ -599,11 +455,12 @@ def _cmd_omega_k(params, ctx):
 
 
 def _cmd_link(params, ctx):
+    from . import models
     from .complexes import link, link_component_correspondence, omega_k
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"], cap=cap)
+    ball = models.ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     sigma = _locate(ball, params["vertex"])
     L = link(X, sigma)
@@ -622,6 +479,7 @@ def _cmd_link(params, ctx):
 
 
 def _cmd_pi1(params, ctx):
+    from . import models
     from .complexes import (
         abelianization,
         bounded_trivial,
@@ -631,7 +489,7 @@ def _cmd_pi1(params, ctx):
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
-    ball = _build_ball(params["ball"], cap=cap)
+    ball = models.ball(params["ball"], cap=cap)
     X = omega_k(ball, params["k"], cap=cap)
     pres = pi1_presentation(X)
     free_rank, torsion = abelianization(pres)
@@ -650,11 +508,12 @@ def _cmd_pi1(params, ctx):
 
 
 def _cmd_dehn_sample(params, ctx):
+    from . import models
     from .complexes import dehn_function_sample
     from .smallcanc import KernelOracle, dehn_reduce
 
-    gog = _model(params["model"])
-    r = _word(gog, params["relator"])
+    gog = models.model(params["model"])
+    r = models.word(gog, params["relator"])
     oracle = KernelOracle(gog, r, params["power"])
 
     def area(w):
@@ -678,9 +537,10 @@ def _cmd_dehn_sample(params, ctx):
 
 
 def _cmd_hyp_estimate(params, ctx):
+    from . import models
     from .complexes import hyperbolicity_estimate
 
-    ball = _build_ball(params["ball"])
+    ball = models.ball(params["ball"])
     seed = params.get("seed", 0xCA1)
     samples = params.get("samples", 20000)
     limit = params.get("exhaustive_limit", 40)
@@ -826,9 +686,6 @@ def run(path):
     try:
         result, extras, summary = COMMANDS[command](params, ctx)
         written = emit(result, extras)
-    except JobError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         emit(None, {}, error={"type": "cap-exceeded", "message": str(exc),
                               "detail": exc.detail})

@@ -232,10 +232,11 @@ class GroupWord:
         return GroupWord._trusted(gog, self.end, invs[-1], rev)
 
     def key(self):
-        """Flat deterministic sort key: edge count, then (vertex, element,
-        edge) data lexicographically."""
-        return (len(self.pairs),
-                (self.start, self.head, *chain.from_iterable(self.pairs)))
+        """Deterministic sort key: edge count, start vertex, head, then the
+        (edge, element) pairs lexicographically.  Every pair is a 2-tuple,
+        so this orders words as the flat tuple of all those numbers would,
+        and a comparison stops at the first pair where two words differ."""
+        return (len(self.pairs), self.start, self.head, self.pairs)
 
     def __eq__(self, other):
         return (

@@ -239,16 +239,12 @@ def self_overlap(w: GroupWord) -> int:
     the maximum over shifts s >= 1 of the longest common prefix of the
     position list and its suffix from s.  That prefix need not reach the
     end of the word, so this is the maximum of the Z-array, not a border.
-    Position 0 (the head) is compared by vertex and element only."""
-    return _self_overlap(w)
+    Position 0 (the head) is compared by vertex and element only.
 
-
-def _self_overlap(w: GroupWord) -> int:
-    """:func:`self_overlap` by the Z-array, which takes O(n) comparisons
-    (Gusfield, *Algorithms on Strings, Trees and Sequences*, §1.4), read
-    off the head and the pairs: position s >= 1 is pair s - 1, and an edge
-    fixes the vertex it enters.  A prefix sum turns lengths into
-    syllables."""
+    The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
+    Trees and Sequences*, §1.4) and is read off the head and the pairs:
+    position s >= 1 is pair s - 1, and an edge fixes the vertex it enters.
+    A prefix sum turns lengths into syllables."""
     T = w.gog.transversals
     t, tid, pairs = T.t, T.tid, w.pairs
     n = len(pairs) + 1
@@ -296,7 +292,7 @@ class PieceReport:
 
     @cached_property
     def self_overlap(self) -> int:
-        return max(map(_self_overlap, self.members))
+        return max(map(self_overlap, self.members))
 
     @property
     def lam_star(self) -> Fraction:

@@ -6,9 +6,10 @@ Conventions
 Vertices of the tree over the base vertex ``base`` are cosets w·G_v where w is
 a reduced word from ``base`` ending at the Λ-vertex v.  The canonical coset
 representative is the minimum of reduce(w·g) over g ∈ G_v under
-``GroupWord.key()`` (edge count first, then the flat (vertex, element, edge)
-tuple) — deterministic and unique per coset, and the edge count of the
-representative is exactly the tree distance from the center.
+``GroupWord.key()`` (edge count first, then start vertex, head and the
+(edge, element) pairs lexicographically) — deterministic and unique per
+coset, and the edge count of the representative is exactly the tree
+distance from the center.
 
 A tree ball is the :class:`~gogtools.cayley_abels.GGraphBall` that
 :func:`~gogtools.cayley_abels.quotient_tree_ball` builds with no relators:
@@ -87,7 +88,8 @@ def degree_formula(gog: GraphOfGroups, v: int) -> int:
 
 
 def canonical_coset_word(word: GroupWord) -> GroupWord:
-    """Minimum of reduce(word·g) over g in the vertex group at word.end."""
+    """Minimum of reduce(word·g) over g in the vertex group at word.end,
+    under ``GroupWord.key``."""
     gog, v = word.gog, word.end
     if not word.pairs:
         # reduce(word·g) is the bare element head·g, least at element 0

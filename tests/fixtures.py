@@ -1,92 +1,21 @@
-"""Shared fixtures: standard graphs of groups and word builders."""
+"""Test-only helpers: seeded random words, hand-built balls, call
+counting, the SL2(Z) matrix oracle and job files the schema rejects.  The
+named models, their words and the ball families live in
+``gogtools.models``."""
 
 from __future__ import annotations
 
 import random
 import sys
 
-from gogtools.finite import make_cyclic, make_dihedral
-from gogtools.gog import (
-    GroupWord,
-    amalgam,
-    fix_transversals,
-    free_product,
-    hnn_sub,
-    identity_word,
-)
+from gogtools import models
+from gogtools.gog import GroupWord
 
-
-def sl2z_gog():
-    """C4 *_{C2} C6 (vertex 0 = C4, vertex 1 = C6), the standard splitting
-    of SL2(Z); the C2 generator maps to a^2 and b^3."""
-    C4, C6, C2 = make_cyclic(4), make_cyclic(6), make_cyclic(2)
-    return amalgam(C4, C6, C2, [0, 2], [0, 3])
-
-
-def c4_c6_free():
-    return free_product(make_cyclic(4), make_cyclic(6))
-
-
-def c2_c2_free():
-    return free_product(make_cyclic(2), make_cyclic(2))
-
-
-def s3_d4_amalgam():
-    """S3 *_{C2} D4 with C2 = <a transposition> in S3 (non-central) and
-    C2 = <r^2> = the center in D4."""
-    S3, D4, C2 = make_dihedral(3), make_dihedral(4), make_cyclic(2)
-    return amalgam(S3, D4, C2, [0, 3], [0, 2])
-
-
-def hnn_c6():
-    """HNN of C6 over A = <b^2> = {0,2,4} with alpha(b^2) = b^4."""
-    return hnn_sub(make_cyclic(6), [0, 2, 4], [0, 4, 2])
-
-
-def edge_between(gog, u, v):
-    g = gog.graph
-    for e in range(g.num_edges):
-        if g.o(e) == u and g.t(e) == v:
-            return e
-    raise ValueError(f"no edge {u} -> {v}")
-
-
-def loop_word(gog, syllables, start=0):
-    """Build the loop word with the given (vertex, element) syllables, using
-    the unique connecting edges of a two-vertex amalgam; closes back to start
-    with identity padding."""
-    if not syllables:
-        return identity_word(gog, start)
-    head_v, head_x = syllables[0]
-    pairs = []
-    if head_v == start:
-        head = head_x
-        rest = syllables[1:]
-        at = start
-    else:
-        head = gog.vgroup(start).identity
-        rest = syllables
-        at = start
-    for v, x in rest:
-        e = edge_between(gog, at, v)
-        pairs.append((e, x))
-        at = v
-    if at != start:
-        e = edge_between(gog, at, start)
-        pairs.append((e, gog.vgroup(start).identity))
-    return GroupWord(gog, start, head, pairs)
-
-
-def ab_word(gog, exponents, start=0):
-    """Alternating word a^e1 b^e2 a^e3 ... from exponent list; vertex sides
-    alternate 0,1,0,1,... starting at side 0."""
-    syl = []
-    side = 0
-    for k in exponents:
-        order = gog.vgroup(side).order
-        syl.append((side, k % order))
-        side = 1 - side
-    return loop_word(gog, syl, start=start)
+# test ids of the sweeps over the named models; they predate the registry
+# keys and keep each parametrized test's name stable
+MODEL_IDS = {models.sl2z: "sl2z_gog", models.c4c6_free: "c4_c6_free",
+             models.c2c2_free: "c2_c2_free", models.s3_d4: "s3_d4_amalgam",
+             models.hnn_c6: "hnn_c6", models.free_rank2: "free_rank2"}
 
 
 def random_amalgam_word(gog, rng: random.Random, max_syllables=12, start=0):
@@ -98,7 +27,7 @@ def random_amalgam_word(gog, rng: random.Random, max_syllables=12, start=0):
         order = gog.vgroup(side).order
         syl.append((side, rng.randrange(order)))
         side = 1 - side
-    return loop_word(gog, syl, start=start)
+    return models.loop_word(gog, syl, start=start)
 
 
 def random_hnn_word(gog, rng: random.Random, max_letters=10):
@@ -131,7 +60,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-# -- faithful matrix oracle for the SL2(Z) fixture --------------------------
+# -- faithful matrix oracle for the sl2z model ------------------------------
 
 _S = ((0, -1), (1, 0))          # order 4
 _U = ((0, -1), (1, 1))          # order 6, U^3 = S^2 = -I
@@ -152,58 +81,16 @@ def _mat_pow(m, k):
 
 
 def sl2z_matrix(word):
-    """Exact integer matrix of a word in the C4 *_{C2} C6 fixture: vertex 0
-    elements are powers of S, vertex 1 elements powers of U; edges contribute
-    nothing (the single geometric edge lies in the spanning tree)."""
+    """Exact integer matrix of a word over the sl2z model C4 *_{C2} C6:
+    vertex 0 elements are powers of S, vertex 1 elements powers of U;
+    edges contribute nothing (the single geometric edge lies in the
+    spanning tree)."""
     gog = word.gog
     out = _mat_pow(_S, word.head) if word.start == 0 else _mat_pow(_U, word.head)
     for e, x in word.pairs:
         v = gog.graph.t(e)
         out = _mat_mul(out, _mat_pow(_S if v == 0 else _U, x))
     return out
-
-
-def free_rank2():
-    """Free group of rank 2: one trivial vertex group, two loops with trivial
-    edge groups."""
-    from gogtools.finite import GroupHom
-    from gogtools.gog import GraphOfGroups, SerreGraph
-
-    C1 = make_cyclic(1)
-    graph = SerreGraph(1, [(0, 0), (0, 0)])
-    triv = GroupHom(C1, C1, [0])
-    return GraphOfGroups(graph, [C1], [C1, C1], [triv, triv, triv, triv])
-
-
-def line_ball(R):
-    """Cayley ball of Z with its standard generator (trivial compact part)."""
-    from gogtools.cayley_abels import coset_graph_ball
-    from gogtools.concrete import FreeAbelian, trivial_handle
-
-    Z = FreeAbelian(1)
-    return coset_graph_ball(Z, trivial_handle(Z), [(1,)], [], R)
-
-
-def coned_plane_ball(R):
-    """Z^2 grid ball with one cone vertex per horizontal line."""
-    from gogtools.cayley_abels import coset_graph_ball
-    from gogtools.concrete import FreeAbelian, SubgroupHandle, trivial_handle
-
-    Z2 = FreeAbelian(2)
-    H = SubgroupHandle(
-        "line", contains=lambda x: x[1] == 0, coset_key=lambda x: x[1],
-        is_finite=False,
-    )
-    return coset_graph_ball(Z2, trivial_handle(Z2), [(1, 0), (0, 1)], [H], R)
-
-
-def plain_grid_ball(R):
-    """Z^2 grid ball, no cone vertices."""
-    from gogtools.cayley_abels import coset_graph_ball
-    from gogtools.concrete import FreeAbelian, trivial_handle
-
-    Z2 = FreeAbelian(2)
-    return coset_graph_ball(Z2, trivial_handle(Z2), [(1, 0), (0, 1)], [], R)
 
 
 def hand_ball(edge_list, radius=None, tags=None):

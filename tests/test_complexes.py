@@ -13,15 +13,8 @@ from itertools import combinations
 
 import pytest
 
-from fixtures import (
-    ab_word,
-    c2_c2_free,
-    c4_c6_free,
-    cycle_ball,
-    hand_ball,
-    line_ball,
-    plain_grid_ball,
-)
+from fixtures import cycle_ball, hand_ball
+from gogtools import models
 from gogtools.errors import CapExceeded
 from gogtools.finite import make_dihedral
 from gogtools.complexes import (
@@ -83,8 +76,8 @@ def _wheel5():
 
 
 def _d3_setup():
-    gog = c2_c2_free()
-    st3 = ab_word(gog, [1, 1, 1, 1, 1, 1])
+    gog = models.c2c2_free()
+    st3 = models.ab_word(gog, [1, 1, 1, 1, 1, 1])
     wp = evaluation_wp(gog, make_dihedral(3), [[0, 3], [0, 4]])
     return gog, st3, wp
 
@@ -140,7 +133,7 @@ def oracle_grid_squares(ball, R):
 
 def test_omega_grid_squares_match_oracle():
     for R in (2, 3):
-        ball = plain_grid_ball(R)
+        ball = models.ball({"family": "grid", "radius": R})
         X = omega_k(ball, 4)
         assert len(X.cells2) == oracle_grid_squares(ball, R)
         assert all(len(c.verts) == 4 for c in X.cells2)
@@ -148,14 +141,14 @@ def test_omega_grid_squares_match_oracle():
 
 
 def test_omega_grid_r2_counts():
-    ball = plain_grid_ball(2)
+    ball = models.ball({"family": "grid", "radius": 2})
     X = omega_k(ball, 4)
     assert (len(X.cells0), len(X.cells1), len(X.cells2)) == (13, 16, 4)
     assert X.euler() == 1
 
 
 def test_omega_monotone_and_skeleton_identity():
-    ball = plain_grid_ball(2)
+    ball = models.ball({"family": "grid", "radius": 2})
     prev = set()
     for k in (3, 4, 5, 6):
         X = omega_k(ball, k)
@@ -167,7 +160,7 @@ def test_omega_monotone_and_skeleton_identity():
 
 def test_omega_cap():
     with pytest.raises(CapExceeded):
-        omega_k(plain_grid_ball(3), 8, cap=10)
+        omega_k(models.ball({"family": "grid", "radius": 3}), 8, cap=10)
 
 
 # -- links -------------------------------------------------------------------
@@ -185,7 +178,7 @@ def test_link_wheel_center_is_c5():
 
 
 def test_link_tree_vertex_edgeless():
-    X = omega_k(line_ball(3), 4)
+    X = omega_k(models.ball({"family": "line", "radius": 3}), 4)
     lk = link(X, 0)
     assert len(lk.vertices) == 2
     assert len(lk.edges) == 0
@@ -203,8 +196,8 @@ def test_link_single_square_corner():
 def test_link_degree_sum_identity():
     gog, st3, wp = _d3_setup()
     hexX = presentation_complex_ball(gog, [st3], 6, wp=wp)
-    for X, sigma in ((_wheel5(), 0), (hexX, 0),
-                     (omega_k(plain_grid_ball(2), 4), 0)):
+    grid = models.ball({"family": "grid", "radius": 2})
+    for X, sigma in ((_wheel5(), 0), (hexX, 0), (omega_k(grid, 4), 0)):
         lk = link(X, sigma)
         corners = sum(1 for c in X.cells2
                       for v in c.verts if v == sigma)
@@ -213,7 +206,7 @@ def test_link_degree_sum_identity():
 
 
 def test_link_boundary_vertex_flagged_partial():
-    X = omega_k(plain_grid_ball(2), 4)
+    X = omega_k(models.ball({"family": "grid", "radius": 2}), 4)
     rim = next(i for i, v in enumerate(X.skeleton.verts) if v.dist == 2)
     assert link(X, rim).partial
     center = next(i for i, v in enumerate(X.skeleton.verts) if v.dist == 0)
@@ -277,7 +270,8 @@ def test_correspondence_hexagon_true_orbit():
 
 
 def test_pi1_tree_trivial():
-    p = pi1_presentation(omega_k(line_ball(3), 0))
+    p = pi1_presentation(
+        omega_k(models.ball({"family": "line", "radius": 3}), 0))
     assert len(p.generators) == 0
     assert len(p.relators) == 0
 
@@ -313,7 +307,7 @@ def test_pi1_wheel_contractible():
 
 
 def test_pi1_grid_coning():
-    X = omega_k(plain_grid_ball(2), 4)
+    X = omega_k(models.ball({"family": "grid", "radius": 2}), 4)
     p = pi1_presentation(X)
     assert len(p.generators) == 4
     assert len(p.relators) == 4
@@ -415,7 +409,8 @@ def test_bounded_perfect_presentation_unknown():
 
 
 def test_bounded_effort_cutoff():
-    p = pi1_presentation(omega_k(plain_grid_ball(2), 4))
+    p = pi1_presentation(
+        omega_k(models.ball({"family": "grid", "radius": 2}), 4))
     rep = bounded_trivial(p, effort=0)
     assert rep["verdict"] == "UNKNOWN"
     full = bounded_trivial(p)
@@ -456,10 +451,10 @@ def test_least_coning_k_is_reported_not_assumed():
 def _d3_conjugates(gog, st3):
     """Explicit relator conjugates u·(st)³·u⁻¹ over short loop words u,
     both signs, deduplicated."""
-    conjugators = [ab_word(gog, [])]
+    conjugators = [models.ab_word(gog, [])]
     for k in range(1, 5):
-        conjugators.append(ab_word(gog, [1] * k))
-        conjugators.append(ab_word(gog, [0] + [1] * k))
+        conjugators.append(models.ab_word(gog, [1] * k))
+        conjugators.append(models.ab_word(gog, [0] + [1] * k))
     out = {}
     for u in conjugators:
         for s in (st3, reduce_word(st3.inverse())):
@@ -473,7 +468,7 @@ def oracle_brute_area(gog, conjugates, target, max_area=4, max_syl=20):
     target, by plain BFS — no Dehn greediness anywhere."""
     tnf = reduce_word(target)
     tid = (tnf.start, tnf.head, tnf.pairs)
-    e = reduce_word(ab_word(gog, []))
+    e = reduce_word(models.ab_word(gog, []))
     if tid == (e.start, e.head, e.pairs):
         return 0
     seen = {(e.start, e.head, e.pairs)}
@@ -519,8 +514,8 @@ def test_dehn_sample_no_relators_all_absent():
 
 
 def test_dehn_sample_cprime_fixture_sampled():
-    gog = c4_c6_free()
-    r = ab_word(gog, [1, 1, 2, 2, 3, 3])
+    gog = models.c4c6_free()
+    r = models.ab_word(gog, [1, 1, 2, 2, 3, 3])
     rm = word_power(r, 12)
     oracle = KernelOracle(gog, r, 12)
 
@@ -560,7 +555,7 @@ def test_dehn_sample_argument_errors():
 
 
 def test_hyp_tree_is_zero():
-    rep = hyperbolicity_estimate(line_ball(4))
+    rep = hyperbolicity_estimate(models.ball({"family": "line", "radius": 4}))
     assert rep["delta"] == 0
     assert rep["method"] == "exhaustive"
     assert rep["label"] == "ESTIMATE"
@@ -573,16 +568,17 @@ def test_hyp_c8_exact_two():
 
 
 def test_hyp_grid_growth_trend():
-    h2 = hyperbolicity_estimate(plain_grid_ball(2))["delta"]
-    h3 = hyperbolicity_estimate(plain_grid_ball(3))["delta"]
-    h4 = hyperbolicity_estimate(plain_grid_ball(4),
+    h2, h3 = (hyperbolicity_estimate(models.ball({"family": "grid",
+                                                  "radius": R}))["delta"]
+              for R in (2, 3))
+    h4 = hyperbolicity_estimate(models.ball({"family": "grid", "radius": 4}),
                                 exhaustive_limit=45)["delta"]
     assert h2 <= h3 <= h4
     assert h2 < h4
 
 
 def test_hyp_sampled_mode_deterministic():
-    ball = plain_grid_ball(3)
+    ball = models.ball({"family": "grid", "radius": 3})
     a = hyperbolicity_estimate(ball, exhaustive_limit=5, samples=500)
     b = hyperbolicity_estimate(ball, exhaustive_limit=5, samples=500)
     assert a["method"] == "sampled"
@@ -649,7 +645,7 @@ def oracle_hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
 def _random_connected_ball(rng, n, kind):
     """A tree, a cycle, or either with chords, on n shuffled vertices."""
     if n == 1:
-        return line_ball(0)
+        return models.ball({"family": "line", "radius": 0})
     if kind.startswith("cycle") and n >= 3:
         edges = {(i, (i + 1) % n) for i in range(n)}
     else:
@@ -692,12 +688,12 @@ def test_hyp_matches_unpruned_oracle_on_balls(name):
     from gogtools.cayley_abels import quotient_tree_ball
 
     if name == "grid3":
-        ball = plain_grid_ball(3)
+        ball = models.ball({"family": "grid", "radius": 3})
     else:
         n = int(name[1:])
-        gog = c2_c2_free()
+        gog = models.c2c2_free()
         ev = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
-        ball = quotient_tree_ball(gog, [ab_word(gog, [1] * (2 * n))], n,
+        ball = quotient_tree_ball(gog, [models.ab_word(gog, [1] * (2 * n))], n,
                                   wp=ev)
     size = len(ball.verts)
     for limit in (size - 1, size, 40):
@@ -709,7 +705,8 @@ def test_hyp_matches_unpruned_oracle_on_balls(name):
 
 
 def test_hyp_small_ball_below_limit_is_exhaustive():
-    for ball in (line_ball(0), hand_ball([(0, 1)]), cycle_ball(3)):
+    for ball in (models.ball({"family": "line", "radius": 0}),
+                 hand_ball([(0, 1)]), cycle_ball(3)):
         rep = hyperbolicity_estimate(ball, exhaustive_limit=0)
         assert rep["method"] == "exhaustive" and rep["quadruples"] == 0
         assert rep["delta"] == 0 and rep["witness"] is None

@@ -16,17 +16,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from fixtures import (
-    c2_c2_free,
-    c4_c6_free,
-    counting,
-    free_rank2,
-    hnn_c6,
-    s3_d4_amalgam,
-    sl2z_gog,
-)
+from fixtures import MODEL_IDS, counting
 from gogtools import smallcanc
-from gogtools.cli import MODELS
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
     GroupWord,
@@ -36,6 +27,15 @@ from gogtools.gog import (
     identity_word,
     reduce_word,
     rotate_once,
+)
+from gogtools.models import (
+    MODELS,
+    c2c2_free,
+    c4c6_free,
+    free_rank2,
+    hnn_c6,
+    s3_d4,
+    sl2z,
 )
 from gogtools.smallcanc import (
     KernelOracle,
@@ -51,8 +51,7 @@ from gogtools.smallcanc import (
 from test_tree import _relabelled_s3_d4
 from test_word_tables import _load_workloads
 
-FIXTURES = [sl2z_gog, s3_d4_amalgam, hnn_c6, c4_c6_free, c2_c2_free,
-            free_rank2]
+FIXTURES = [sl2z, s3_d4, hnn_c6, c4c6_free, c2c2_free, free_rank2]
 MODELS_UNDER_TEST = [MODELS[name] for name in sorted(MODELS)]
 MODELS_UNDER_TEST.append(_relabelled_s3_d4)
 IDS = [*sorted(MODELS), "relabelled_s3_d4"]
@@ -279,7 +278,7 @@ def _report_fields(rep):
             rep.self_overlap, rep.proper_power)
 
 
-@pytest.mark.parametrize("make", FIXTURES)
+@pytest.mark.parametrize("make", FIXTURES, ids=MODEL_IDS.get)
 def test_cyclic_words_match_reference(make):
     gog = make()
     compared = 0
@@ -327,7 +326,7 @@ def test_cyclic_words_match_reference(make):
 def test_long_conjugators_peel_in_one_pass():
     """c·u·c⁻¹ with c of 60+ syllables: the conjugator comes back whole,
     equal to the reference's, over an amalgam and an HNN extension."""
-    for make in (sl2z_gog, s3_d4_amalgam, hnn_c6):
+    for make in (sl2z, s3_d4, hnn_c6):
         gog = make()
         rng = random.Random(0xC0C0)
         for _ in range(6):
@@ -363,7 +362,7 @@ def test_self_overlap_on_repetitive_words():
     many shifts, so the Z-array reuses its matched window; the overlap
     must still equal the shift-by-shift scan."""
     rng = random.Random(0x2A)
-    for make in (c4_c6_free, sl2z_gog, hnn_c6):
+    for make in (c4c6_free, sl2z, hnn_c6):
         gog = make()
         for _ in range(60):
             u = _random_loop(gog, rng, rng.randrange(1, 5))
@@ -429,7 +428,7 @@ def _word_pairs(gog, rng, count):
 
 @pytest.mark.parametrize("make", MODELS_UNDER_TEST, ids=IDS)
 def test_pair_reading_matches_position_lists(make):
-    """``_prefix_syllables`` and ``_self_overlap`` read heads and pairs;
+    """``_prefix_syllables`` and ``self_overlap`` read heads and pairs;
     they must agree with the position-list versions on every ordered
     member pair and every member of seeded symmetrized sets, and on
     seeded word pairs; over nontrivial edge groups some comparisons end
@@ -455,13 +454,12 @@ def test_pair_reading_matches_position_lists(make):
             continue
         pos = [positions(w) for w in S.members]
         for a, pa in zip(S.members, pos):
-            assert smallcanc._self_overlap(a) == old_self_overlap(a, pa), a
+            assert self_overlap(a) == old_self_overlap(a, pa), a
             for b, pb in zip(S.members, pos):
                 check(a, b, pa, pb)
     for a, b in _word_pairs(gog, rng, 40):
         check(a, b, positions(a), positions(b))
-        assert smallcanc._self_overlap(a) == old_self_overlap(a,
-                                                              positions(a))
+        assert self_overlap(a) == old_self_overlap(a, positions(a))
     assert compared > 0
     assert (corrected > 0) == any(fudge.values())
 
@@ -473,7 +471,7 @@ def test_oracle_builds_and_decides_without_self_overlap(monkeypatch):
     W = _load_workloads()
     models = W.kernel_models()
     gog, r = models["gog"], models["r"]
-    runs = counting(monkeypatch, smallcanc, "_self_overlap")
+    runs = counting(monkeypatch, smallcanc, "self_overlap")
     key, keyed = GroupWord.key, [0]
 
     def counted_key(w):

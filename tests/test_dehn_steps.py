@@ -19,9 +19,8 @@ import random
 
 import pytest
 
-from fixtures import ab_word, counting, random_amalgam_word, random_hnn_word
+from fixtures import counting, random_amalgam_word, random_hnn_word
 from gogtools import smallcanc
-from gogtools.cli import MODELS
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
     GroupWord,
@@ -31,6 +30,7 @@ from gogtools.gog import (
     reduce_word,
     syllable_length,
 )
+from gogtools.models import MODELS, ab_word
 from gogtools.smallcanc import (
     DehnResult,
     KernelOracle,

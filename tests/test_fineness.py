@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from fixtures import coned_plane_ball, line_ball, plain_grid_ball, sl2z_gog
+from gogtools import models
 from gogtools.cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from gogtools.concrete import SubgroupHandle, trivial_handle
 from gogtools.errors import CapExceeded
@@ -78,7 +78,7 @@ def test_angle_cycle_and_complete():
 
 
 def test_angle_tree_infinite_every_radius():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     for R in (3, 4, 5):
         ball = quotient_tree_ball(gog, [], R)
         for v in range(ball.vertex_count()):
@@ -177,7 +177,7 @@ def test_escaping_exact_from_the_report_threshold():
     # u = (5, 0) is 5 from the base: exact from radius 5 + 4 = 9, the
     # radius from which fineness_report accepts the query
     for R, exact in ((8, False), (9, True), (10, True)):
-        ball = plain_grid_ball(R)
+        ball = models.ball({"family": "grid", "radius": R})
         u, v = find_rep(ball, (5, 0)), find_rep(ball, (5, 1))
         es = escaping_vectors(ball, u, v, 4)
         assert es.exact is exact
@@ -195,8 +195,8 @@ def test_escaping_agrees_with_dfs_enumeration():
     cases = [
         (cycle(5), 0, 2, 4),
         (complete(4), 0, 3, 3),
-        (coned_plane_ball(3), 0, 1, 4),
-        (quotient_tree_ball(sl2z_gog(), [], 5), 0, 3, 4),
+        (models.ball({"family": "coned_plane", "radius": 3}), 0, 1, 4),
+        (quotient_tree_ball(models.sl2z(), [], 5), 0, 3, 4),
     ]
     for ball, u, v, k in cases:
         es = escaping_vectors(ball, u, v, k)
@@ -218,7 +218,7 @@ def test_escaping_dfs_cap():
 
 def test_escaping_coned_plane_columns():
     R = 5
-    ball = coned_plane_ball(R)
+    ball = models.ball({"family": "coned_plane", "radius": R})
     c0 = find_key(ball, "G/H0", ("ck", 0))
     c1 = find_key(ball, "G/H0", ("ck", 1))
     es = escaping_vectors(ball, c0, c1, 3)
@@ -228,7 +228,7 @@ def test_escaping_coned_plane_columns():
 
 
 def test_escaping_locality():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     k = 4
 
     def members_at(R):
@@ -240,7 +240,7 @@ def test_escaping_locality():
     assert members_at(k + 1) == members_at(k + 3)
 
     def line_members(R):
-        ball = line_ball(R)
+        ball = models.ball({"family": "line", "radius": R})
         u, v = find_rep(ball, (0,)), find_rep(ball, (1,))
         return {ball.verts[w].rep for w in escaping_vectors(ball, u, v, k).members}
 
@@ -274,9 +274,9 @@ def recursion_check(ball, u, v, k, cap=10 ** 6):
 
 def test_recursion_identity_holds():
     assert recursion_check(cycle(5), 0, 2, 2) == (True, None)
-    assert recursion_check(quotient_tree_ball(sl2z_gog(), [], 6), 0, 3, 3) \
+    assert recursion_check(quotient_tree_ball(models.sl2z(), [], 6), 0, 3, 3) \
         == (True, None)
-    ball = coned_plane_ball(4)
+    ball = models.ball({"family": "coned_plane", "radius": 4})
     c0 = find_key(ball, "G/H0", ("ck", 0))
     assert recursion_check(ball, c0, 0, 2)[0]
 
@@ -299,7 +299,7 @@ def test_recursion_corrupted_adjacency():
 
 
 def test_fineness_tree_stable():
-    gog = sl2z_gog()
+    gog = models.sl2z()
     report = fineness_report(
         lambda R: quotient_tree_ball(gog, [], R),
         lambda ball: 0, lambda ball: 1, 4, [5, 6, 7],
@@ -312,7 +312,7 @@ def test_fineness_tree_stable():
 
 def test_fineness_coned_plane_growing():
     report = fineness_report(
-        coned_plane_ball,
+        lambda R: models.ball({"family": "coned_plane", "radius": R}),
         lambda ball: find_key(ball, "G/H0", ("ck", 0)),
         lambda ball: find_key(ball, "G/H0", ("ck", 1)),
         3, list(range(4, 11)),
@@ -350,7 +350,7 @@ def c4_handle(action):
 
 
 def test_attach_uv_line_chords():
-    action = AbelianBallAction(line_ball(6))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 6}))
     u, v = find_rep(action.ball, (0,)), find_rep(action.ball, (2,))
     att = attach_edge_orbit(action, {"kind": "uv", "u": u, "v": v})
     chords = {
@@ -367,7 +367,7 @@ def test_attach_uv_line_chords():
 
 
 def test_attach_uv_rejects_doubling():
-    action = AbelianBallAction(line_ball(4))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 4}))
     u, v = find_rep(action.ball, (0,)), find_rep(action.ball, (1,))
     with pytest.raises(ValueError, match="doubles"):
         attach_edge_orbit(action, {"kind": "uv", "u": u, "v": v})
@@ -376,7 +376,7 @@ def test_attach_uv_rejects_doubling():
 
 
 def test_attach_uH_trivial_pendants():
-    action = AbelianBallAction(line_ball(6))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 6}))
     att = attach_edge_orbit(
         action, {"kind": "uH", "u": find_rep(action.ball, (0,)),
                  "H": trivial_handle(action.concrete)},
@@ -391,7 +391,7 @@ def test_attach_uH_trivial_pendants():
 
 def test_attach_uH_vertex_group_pendants():
     # H = G_u at the center: one cone per coset, each of degree [H:H] = 1
-    action = TreeBallAction(sl2z_gog(), 5)
+    action = TreeBallAction(models.sl2z(), 5)
     att = attach_edge_orbit(action, {"kind": "uH", "u": 0, "H": c4_handle(action)})
     centers = [i for i, v in enumerate(action.ball.verts) if v.tag == "T/v0"]
     assert len(att.cones) == len(centers)
@@ -401,7 +401,7 @@ def test_attach_uH_vertex_group_pendants():
 def test_attach_uH_degree_two_cones():
     # H = Stab(center) = C4, u = an adjacent C6-vertex: H ∩ G_u = C2, so the
     # representative cone has degree [H : H∩G_u] = 2
-    action = TreeBallAction(sl2z_gog(), 6)
+    action = TreeBallAction(models.sl2z(), 6)
     att = attach_edge_orbit(action, {"kind": "uH", "u": 1, "H": c4_handle(action)})
     rep = att.cones[att.rep_cone]
     assert rep["nbrs"] == [1, 2]
@@ -416,7 +416,7 @@ def test_attach_uH_degree_two_cones():
 
 
 def test_attach_uH_infinite_labeled():
-    action = AbelianBallAction(line_ball(5))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 5}))
     H = SubgroupHandle("Z", contains=lambda x: True,
                        coset_key=lambda x: 0, is_finite=False)
     att = attach_edge_orbit(
@@ -441,7 +441,7 @@ def test_qi_certificate_identity():
 
 
 def test_wz_chain_tree_with_cone_orbit():
-    action = TreeBallAction(sl2z_gog(), 8)
+    action = TreeBallAction(models.sl2z(), 8)
     att = attach_edge_orbit(action, {"kind": "uH", "u": 1, "H": c4_handle(action)})
     b = 7
     assert action.ball.verts[b].dist == 3
@@ -458,7 +458,7 @@ def test_wz_chain_tree_with_cone_orbit():
 
 
 def test_wz_chain_degenerate_without_corners():
-    action = TreeBallAction(sl2z_gog(), 7)
+    action = TreeBallAction(models.sl2z(), 7)
     att = attach_edge_orbit(action, {"kind": "uH", "u": 0, "H": c4_handle(action)})
     assert att.cones[att.rep_cone]["nbrs"] == [0]
     out = wz_chain(att, 0, 3, 4)
@@ -469,7 +469,7 @@ def test_wz_chain_degenerate_without_corners():
 
 
 def test_wz_corrupted_chain_reported():
-    action = TreeBallAction(sl2z_gog(), 8)
+    action = TreeBallAction(models.sl2z(), 8)
     att = attach_edge_orbit(action, {"kind": "uH", "u": 1, "H": c4_handle(action)})
     out = wz_chain(att, 0, 7, 6)
     bad_Z = list(out["Z_sets"])
@@ -480,7 +480,7 @@ def test_wz_corrupted_chain_reported():
 
 
 def test_wz_rejects_uv_attachment():
-    action = AbelianBallAction(line_ball(5))
+    action = AbelianBallAction(models.ball({"family": "line", "radius": 5}))
     u, v = find_rep(action.ball, (0,)), find_rep(action.ball, (2,))
     att = attach_edge_orbit(action, {"kind": "uv", "u": u, "v": v})
     with pytest.raises(ValueError):
@@ -491,7 +491,7 @@ def test_wz_rejects_uv_attachment():
 
 
 def test_gamma_delta_mutual_stability():
-    gog = sl2z_gog()
+    gog = models.sl2z()
 
     def gamma(R):
         return TreeBallAction(gog, R).ball

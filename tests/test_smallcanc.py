@@ -16,19 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (
-    ab_word,
-    c2_c2_free,
-    c4_c6_free,
-    counting,
-    edge_between,
-    hnn_c6,
-    loop_word,
-    random_amalgam_word,
-    random_hnn_word,
-    s3_d4_amalgam,
-    sl2z_gog,
-)
+from fixtures import counting, random_amalgam_word, random_hnn_word
 from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
 from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
@@ -42,6 +30,16 @@ from gogtools.gog import (
     words_equal,
 )
 import gogtools.smallcanc as smallcanc
+from gogtools.models import (
+    ab_word,
+    c2c2_free,
+    c4c6_free,
+    edge_between,
+    hnn_c6,
+    loop_word,
+    s3_d4,
+    sl2z,
+)
 from gogtools.smallcanc import (
     KernelOracle,
     check_M_thin,
@@ -70,7 +68,7 @@ def _syl(w, gog):
 
 
 def _free():
-    return c4_c6_free()
+    return c4c6_free()
 
 
 def _relator(gog):
@@ -234,7 +232,7 @@ def test_pieces_seam_fudge_on_amalgam():
     # the fudge shows up exactly as a head-coset credit: a·b against a³·b
     # counts one terminal syllable (heads differ by the edge image a²),
     # while a·b against a·b² diverges after the genuinely equal head
-    gog = sl2z_gog()
+    gog = sl2z()
     from gogtools.smallcanc import common_prefix_syllables
 
     u = reduce_word(ab_word(gog, [1, 1]))
@@ -327,9 +325,9 @@ def test_compute_M_against_tree_ball_oracle():
     cases = []
     gog = _free()
     cases.append((gog, ab_word(gog, [1, 1])))
-    sl2 = sl2z_gog()
+    sl2 = sl2z()
     cases.append((sl2, ab_word(sl2, [1, 1])))
-    s3d4 = s3_d4_amalgam()
+    s3d4 = s3_d4()
     cases.append((s3d4, loop_word(s3d4, [(0, 1), (1, 1)])))
     for gog_i, r_i in cases:
         tc = compute_M(r_i)
@@ -340,13 +338,13 @@ def test_compute_M_against_tree_ball_oracle():
 
 
 def test_compute_M_central_amalgam():
-    gog = sl2z_gog()
+    gog = sl2z()
     tc = compute_M(ab_word(gog, [1, 1]))
     assert tc.k == 1 and tc.M == 2  # the edge group is central on both sides
 
 
 def test_compute_M_noncentral_amalgam():
-    gog = s3_d4_amalgam()
+    gog = s3_d4()
     tc = compute_M(loop_word(gog, [(0, 1), (1, 1)]))
     assert tc.k == 2 and tc.M == 4
     assert max(tc.indices) == 2
@@ -549,7 +547,7 @@ def test_kernel_oracle_conjugates_over_nontrivial_edge_groups(model):
     # the per-vertex abelianized image is not invariant under a pinch
     # across a nontrivial edge group, so it must not refute these
     if model == "sl2z":
-        gog = sl2z_gog()
+        gog = sl2z()
         r = ab_word(gog, [1, 1, 1, 2, 1, 1, 1, 2])
 
         def conjugator(rng):
@@ -608,7 +606,7 @@ def test_kernel_oracle_no_length_gate_refutation_over_nontrivial_edge_groups():
 
 
 def _d3_setup():
-    gog = c2_c2_free()
+    gog = c2c2_free()
     st3 = ab_word(gog, [1, 1, 1, 1, 1, 1])
     wp = evaluation_wp(gog, make_dihedral(3), [[0, 3], [0, 4]])
     return gog, st3, wp
@@ -629,7 +627,7 @@ def test_evaluation_wp_checks_homomorphism():
 ], ids=["one-row", "d3-images-into-d2", "negative"])
 def test_evaluation_wp_rejects_images_outside_the_target(n, images, cause):
     with pytest.raises(ValueError, match=cause):
-        evaluation_wp(c2_c2_free(), make_dihedral(n), images)
+        evaluation_wp(c2c2_free(), make_dihedral(n), images)
 
 
 # -- keyed quotient lookup --------------------------------------------------
@@ -637,7 +635,7 @@ def test_evaluation_wp_rejects_images_outside_the_target(n, images, cause):
 
 def _dihedral(n):
     """C2∗C2 with (ab)^n and evaluation onto D_n (a, b to two reflections)."""
-    gog = c2_c2_free()
+    gog = c2c2_free()
     ev = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
     return gog, ab_word(gog, [1] * (2 * n)), ev
 
@@ -717,7 +715,7 @@ def test_kernel_key_falls_back_to_lam_vertex():
     w = ab_word(gog, [1, 2]) * GroupWord(
         gog, 0, 0, [(edge_between(gog, 0, 1), 1)])
     assert not ko.abelian and ko.key(w) == w.end == 1
-    gog = sl2z_gog()
+    gog = sl2z()
     ko = KernelOracle(gog, ab_word(gog, [1, 1, 1, 2]), 12)
     assert ko.key(ab_word(gog, [1, 1])) == 0
     # over a nontrivial edge group neither lookup can refute a candidate
@@ -860,7 +858,7 @@ def test_incidence_bounded_by_M():
 
 
 def test_incidence_rejects_amalgams():
-    gog = sl2z_gog()
+    gog = sl2z()
     ko = KernelOracle(gog, ab_word(gog, [1, 1]), 12)
     # the trivial-seam check raises before the ball is read
     with pytest.raises(UnsupportedInput):
@@ -1007,7 +1005,7 @@ def test_claim_audit_free_product():
 
 
 def test_claim_audit_amalgam():
-    gog = s3_d4_amalgam()
+    gog = s3_d4()
     r = loop_word(gog, [(0, 1), (1, 1)])
     aud = claim_audit(r, 2)
     assert aud["orbit_bound"]["verdict"]
@@ -1025,7 +1023,7 @@ def test_claim_audit_amalgam():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_rotation_cycle_returns_home(seed):
-    gog = c4_c6_free()
+    gog = c4c6_free()
     rng = random.Random(seed)
     syl = []
     side = 0

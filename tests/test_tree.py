@@ -12,18 +12,7 @@ import random
 
 import pytest
 
-from fixtures import (
-    ab_word,
-    c2_c2_free,
-    c4_c6_free,
-    counting,
-    free_rank2,
-    hnn_c6,
-    random_amalgam_word,
-    s3_d4_amalgam,
-    sl2z_gog,
-)
-from gogtools.cli import MODELS
+from fixtures import MODEL_IDS, counting, random_amalgam_word
 from gogtools.errors import CapExceeded
 from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
 from gogtools.gog import (
@@ -31,6 +20,16 @@ from gogtools.gog import (
     amalgam,
     identity_word,
     reduce_word,
+)
+from gogtools.models import (
+    MODELS,
+    ab_word,
+    c2c2_free,
+    c4c6_free,
+    free_rank2,
+    hnn_c6,
+    s3_d4,
+    sl2z,
 )
 from gogtools.tree import (
     OUT_OF_BALL,
@@ -74,7 +73,7 @@ def oracle_levels(gog, base, radius):
 
 
 def test_sl2z_ball_shape():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 6)
     assert check_tree_ball(ball) == []
     levels = [0] * 7
@@ -88,7 +87,7 @@ def test_sl2z_ball_shape():
 
 
 def test_degree_formula_values():
-    gog = sl2z_gog()
+    gog = sl2z()
     assert degree_formula(gog, 0) == 2
     assert degree_formula(gog, 1) == 3
     assert degree_formula(hnn_c6(), 0) == 4
@@ -96,10 +95,10 @@ def test_degree_formula_values():
 
 def test_oracle_agreement():
     cases = [
-        (sl2z_gog(), 6),
-        (s3_d4_amalgam(), 4),
+        (sl2z(), 6),
+        (s3_d4(), 4),
         (hnn_c6(), 4),
-        (c2_c2_free(), 5),
+        (c2c2_free(), 5),
         (free_rank2(), 3),
     ]
     for gog, R in cases:
@@ -112,7 +111,7 @@ def test_oracle_agreement():
 
 
 def test_infinite_dihedral_line():
-    ball = build_tree_ball(c2_c2_free(), 3)
+    ball = build_tree_ball(c2c2_free(), 3)
     assert ball.vertex_count() == 7
     degs = sorted(ball.degree(i) for i in range(7))
     assert degs == [1, 1, 2, 2, 2, 2, 2]
@@ -126,7 +125,7 @@ def test_free_rank2_star():
 
 
 def test_radius_zero_and_cap():
-    gog = sl2z_gog()
+    gog = sl2z()
     assert build_tree_ball(gog, 0).vertex_count() == 1
     with pytest.raises(CapExceeded):
         build_tree_ball(gog, 6, cap=20)
@@ -145,11 +144,11 @@ def test_duplicate_child_raises_cycle(monkeypatch):
 
     monkeypatch.setattr(cayley_abels, "_child_steps", doubled)
     with pytest.raises(RuntimeError, match="ball construction produced a cycle"):
-        build_tree_ball(sl2z_gog(), 2)
+        build_tree_ball(sl2z(), 2)
 
 
 def test_coset_reps_pairwise_inequivalent():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 3)
     words = [tv.rep for tv in ball.verts]
     for i, u in enumerate(words):
@@ -178,8 +177,9 @@ def _sampled_children(gog, fan, rng, radius=5, width=30):
     return out
 
 
-@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
-                                   s3_d4_amalgam, hnn_c6, free_rank2])
+@pytest.mark.parametrize("make", [sl2z, c4c6_free, c2c2_free,
+                                   s3_d4, hnn_c6, free_rank2],
+                         ids=MODEL_IDS.get)
 def test_child_steps_skip_canonicalization(make):
     # every step is proven on the built-in models, so no child word is
     # canonicalized, yet each is already the least word of its coset
@@ -239,9 +239,9 @@ def oracle_child_steps(w, fan):
     return out
 
 
-@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
-                                   s3_d4_amalgam, hnn_c6, free_rank2,
-                                   _relabelled_s3_d4])
+@pytest.mark.parametrize("make", [sl2z, c4c6_free, c2c2_free,
+                                   s3_d4, hnn_c6, free_rank2,
+                                   _relabelled_s3_d4], ids=MODEL_IDS.get)
 def test_child_steps_match_full_reduction(make):
     gog = make()
     fan = _fan_table(gog)
@@ -261,10 +261,10 @@ def test_tree_balls_make_no_reductions(monkeypatch):
     from gogtools.smallcanc import evaluation_wp
 
     reductions = counting(monkeypatch, gog_module, "reduce_word")
-    sl2z = sl2z_gog()
-    assert build_tree_ball(sl2z, 10).vertex_count() == 187
-    assert quotient_tree_ball(sl2z, [], 10).vertex_count() == 187
-    c2c2 = c2_c2_free()
+    sl2 = sl2z()
+    assert build_tree_ball(sl2, 10).vertex_count() == 187
+    assert quotient_tree_ball(sl2, [], 10).vertex_count() == 187
+    c2c2 = c2c2_free()
     ev = evaluation_wp(c2c2, make_dihedral(20), [[0, 20], [0, 21]])
     ball = quotient_tree_ball(c2c2, [ab_word(c2c2, [1] * 40)], 20, wp=ev)
     assert ball.vertex_count() == 40
@@ -284,9 +284,9 @@ def oracle_canonical_edge_word(word, e):
     return best
 
 
-@pytest.mark.parametrize("make", [sl2z_gog, c4_c6_free, c2_c2_free,
-                                   s3_d4_amalgam, hnn_c6, free_rank2,
-                                   _relabelled_s3_d4])
+@pytest.mark.parametrize("make", [sl2z, c4c6_free, c2c2_free,
+                                   s3_d4, hnn_c6, free_rank2,
+                                   _relabelled_s3_d4], ids=MODEL_IDS.get)
 def test_edge_words_match_oracle(make):
     # the ball reads each edge word off the canonical child; the oracle
     # finds a y in vgroup(o(e)) with w·y·e in the child's coset and takes
@@ -314,7 +314,7 @@ def test_edge_words_match_oracle(make):
 
 
 def test_act_identity_and_center_stab():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 4)
     e = identity_word(gog, 0)
     for cell in [("v", 0), ("v", 3), ("e", 0)]:
@@ -324,7 +324,7 @@ def test_act_identity_and_center_stab():
 
 
 def test_act_swaps_cosets():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 2)
     a = GroupWord(gog, 0, 1)
     nbrs = [j for j, _ in ball.nbrs[0]]
@@ -335,7 +335,7 @@ def test_act_swaps_cosets():
 
 
 def test_act_out_of_ball():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 2)
     r = ab_word(gog, [1, 1])
     w = r * r * r  # translates the center 6 steps
@@ -343,7 +343,7 @@ def test_act_out_of_ball():
 
 
 def test_act_equivariance():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 5)
     rng = random.Random(0xF1DE)
     checked = 0
@@ -364,7 +364,7 @@ def test_act_equivariance():
 
 
 def test_act_requires_loop_at_base():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 2)
     not_loop = GroupWord(gog, 0, 0, [(0, 0)])
     with pytest.raises(ValueError):
@@ -375,7 +375,7 @@ def test_act_requires_loop_at_base():
 
 
 def test_stabilizer_center():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 3)
     s = stabilizer(("v", 0), ball)
     assert s.base_name == "vgroup[0]"
@@ -386,7 +386,7 @@ def test_stabilizer_center():
 
 
 def test_stabilizer_edges_are_conjugate_c2():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 3)
     for k in range(ball.edge_count()):
         s = stabilizer(("e", k), ball)
@@ -396,7 +396,7 @@ def test_stabilizer_edges_are_conjugate_c2():
 
 
 def test_stabilizer_fixes_cell_everywhere():
-    gog = s3_d4_amalgam()
+    gog = s3_d4()
     ball = build_tree_ball(gog, 3)
     rng = random.Random(0xFACE)
     cells = [("v", rng.randrange(ball.vertex_count())) for _ in range(6)]
@@ -419,7 +419,7 @@ def test_stabilizer_trivial_in_free_tree():
 
 
 def test_geodesic_degenerate_and_adjacent():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 3)
     assert geodesic(("v", 2), ("v", 2), ball) == []
     j, k = ball.nbrs[0][0]
@@ -427,7 +427,7 @@ def test_geodesic_degenerate_and_adjacent():
 
 
 def test_geodesic_translation_of_r_squared():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 6)
     r = ab_word(gog, [1, 1])
     target = act(r * r, ("v", 0), ball)
@@ -437,7 +437,7 @@ def test_geodesic_translation_of_r_squared():
 
 
 def test_geodesic_is_a_path():
-    gog = s3_d4_amalgam()
+    gog = s3_d4()
     ball = build_tree_ball(gog, 4)
     rng = random.Random(0xBEE)
     for _ in range(25):
@@ -497,7 +497,7 @@ def test_export_digests_every_model_and_base():
 
 
 def test_exports():
-    gog = sl2z_gog()
+    gog = sl2z()
     ball = build_tree_ball(gog, 2)
     data = tree_to_json(ball)
     assert data["radius"] == 2

@@ -9,18 +9,11 @@ pins that the hot paths build no checked word at all.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
-from fixtures import (
-    ab_word,
-    c2_c2_free,
-    c4_c6_free,
-    free_rank2,
-    hnn_c6,
-    s3_d4_amalgam,
-    sl2z_gog,
-)
+from fixtures import MODEL_IDS
 from gogtools.cayley_abels import quotient_tree_ball
 from gogtools.finite import make_dihedral
 from gogtools.gog import (
@@ -30,6 +23,15 @@ from gogtools.gog import (
     identity_word,
     reduce_word,
     rotate_once,
+)
+from gogtools.models import (
+    ab_word,
+    c2c2_free,
+    c4c6_free,
+    free_rank2,
+    hnn_c6,
+    s3_d4,
+    sl2z,
 )
 from gogtools.smallcanc import (
     KernelOracle,
@@ -44,8 +46,7 @@ from gogtools.tree import (
     canonical_coset_word,
 )
 
-FIXTURES = [sl2z_gog, c4_c6_free, c2_c2_free, s3_d4_amalgam, hnn_c6,
-            free_rank2]
+FIXTURES = [sl2z, c4c6_free, c2c2_free, s3_d4, hnn_c6, free_rank2]
 
 
 def _walk(gog, rng, n, start, close):
@@ -79,7 +80,7 @@ def _recording(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("make", FIXTURES)
+@pytest.mark.parametrize("make", FIXTURES, ids=MODEL_IDS.get)
 def test_trusted_words_pass_the_public_checks(make, monkeypatch):
     gog = make()
     rng = random.Random(0x7A57 + FIXTURES.index(make))
@@ -117,14 +118,35 @@ def test_trusted_words_pass_the_public_checks(make, monkeypatch):
         assert again.key() == w.key()
 
 
+@pytest.mark.parametrize("make", FIXTURES, ids=MODEL_IDS.get)
+def test_word_key_orders_as_the_flat_tuple(make):
+    # pairs are 2-tuples, so GroupWord.key orders any two words as the flat
+    # tuple of all their numbers does: over mixed lengths, starts, reduced
+    # and unreduced words, and prefixes of one another
+    gog = make()
+    rng = random.Random(0x6E7 + FIXTURES.index(make))
+    words = []
+    for _ in range(30):
+        w = _walk(gog, rng, rng.randrange(9),
+                  rng.randrange(gog.graph.num_vertices), False)
+        cut = rng.randrange(len(w.pairs) + 1)
+        words += [w, reduce_word(w), GroupWord(gog, w.start, w.head,
+                                               w.pairs[:cut])]
+    flat = {w: (len(w.pairs), (w.start, w.head, *chain.from_iterable(w.pairs)))
+            for w in words}
+    assert sorted(words, key=GroupWord.key) == sorted(words, key=flat.get)
+    assert all((a.key() < b.key()) == (flat[a] < flat[b])
+               for a in words for b in words)
+
+
 def test_hot_paths_build_no_checked_word(monkeypatch):
     # inputs first: the D_40 relator and evaluation, the SL2(Z) model, and
     # a certificate batch of conjugates of r^12 and of raw words over C4∗C6
-    d_gog = c2_c2_free()
+    d_gog = c2c2_free()
     rel = ab_word(d_gog, [1] * 80)
     ev = evaluation_wp(d_gog, make_dihedral(40), [[0, 40], [0, 41]])
-    sl2z = sl2z_gog()
-    k_gog = c4_c6_free()
+    sl2 = sl2z()
+    k_gog = c4c6_free()
     ko = KernelOracle(k_gog, ab_word(k_gog, [1, 1, 2, 2, 3, 3]), 12)
     rng = random.Random(0xC0DE)
     batch = []
@@ -141,14 +163,14 @@ def test_hot_paths_build_no_checked_word(monkeypatch):
 
     monkeypatch.setattr(GroupWord, "__init__", counted)
     ball = quotient_tree_ball(d_gog, [rel], 40, wp=ev)
-    tree = build_tree_ball(sl2z, 8)
+    tree = build_tree_ball(sl2, 8)
     verdicts = [ko.certificate(w)["in_kernel"] for w in batch]
     assert ball.vertex_count() == 80 and len(tree.verts) == 91
     assert verdicts[0::2] == [True] * 6
     assert checked[0] == 0
 
 
-@pytest.mark.parametrize("make", FIXTURES)
+@pytest.mark.parametrize("make", FIXTURES, ids=MODEL_IDS.get)
 def test_word_operations_return_tuples_of_pairs(make):
     # GroupWord._trusted copies only the outer sequence, so every word the
     # toolkit builds must come with its pairs as 2-tuples already
@@ -161,7 +183,7 @@ def test_word_operations_return_tuples_of_pairs(make):
                 word_power(u, 3)]
         core, conj = cyclically_reduce(u)
         out += [core, conj, rotate_once(core)]
-    if make is c4_c6_free:
+    if make is c4c6_free:
         ko = KernelOracle(gog, ab_word(gog, [1, 1, 2, 2, 3, 3]), 12)
         for u in loops:
             res = dehn_reduce(reduce_word(u * ko.rm * u.inverse()), ko.S)

@@ -25,7 +25,6 @@ import types
 
 import pytest
 
-from gogtools.cli import MODELS
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
@@ -34,6 +33,7 @@ from gogtools.gog import (
     rotate_once,
     syllable_length,
 )
+from gogtools.models import MODELS
 from gogtools.smallcanc import _dehn_reduce, positions
 from test_tree import _relabelled_s3_d4
 

@@ -24,16 +24,12 @@ from gogtools.gog import (
     validate,
     words_equal,
 )
+from gogtools.models import ab_word, c4c6_free, hnn_c6, loop_word, s3_d4, sl2z
 
 from fixtures import (
-    ab_word,
-    c4_c6_free,
-    hnn_c6,
-    loop_word,
+    MODEL_IDS,
     random_amalgam_word,
     random_hnn_word,
-    s3_d4_amalgam,
-    sl2z_gog,
     sl2z_matrix,
 )
 
@@ -98,8 +94,8 @@ def agrees_with_oracle(w, gog, tr):
 
 
 def test_validate_ok():
-    assert validate(sl2z_gog()) == []
-    assert validate(c4_c6_free()) == []
+    assert validate(sl2z()) == []
+    assert validate(c4c6_free()) == []
     assert validate(hnn_c6()) == []
 
 
@@ -129,7 +125,7 @@ def test_validate_disconnected():
 
 
 def test_transversal_reps():
-    gog = sl2z_gog()
+    gog = sl2z()
     tr = fix_transversals(gog)
     # edge 0 targets C6, image {0,3}: cosets {0,3},{1,4},{2,5} -> reps 0,1,2
     assert sorted(tr.reps[0]) == [0, 1, 2]
@@ -140,14 +136,14 @@ def test_transversal_reps():
 
 
 def test_transversal_trivial_image():
-    gog = c4_c6_free()
+    gog = c4c6_free()
     tr = fix_transversals(gog)
     assert sorted(tr.reps[0]) == [0, 1, 2, 3, 4, 5]
     assert sorted(tr.reps[1]) == [0, 1, 2, 3]
 
 
 def test_graph_owns_its_table():
-    gog = sl2z_gog()
+    gog = sl2z()
     assert gog._transversals is None
     table = gog.transversals
     assert gog.transversals is table
@@ -171,7 +167,7 @@ def test_entry_points_take_only_the_graphs_table():
     from gogtools.smallcanc import KernelOracle
     from gogtools.tree import build_tree_ball
 
-    gog = c4_c6_free()
+    gog = c4c6_free()
     r = ab_word(gog, [1, 1, 2, 2, 3, 3])
     own = gog.transversals
     assert (build_tree_ball(gog, 2, transversals=own).vertex_count()
@@ -190,13 +186,13 @@ def test_entry_points_take_only_the_graphs_table():
 
 def test_reduce_relation_word():
     # a^2 b^3 = c * c = identity in C4 *_{C2} C6
-    gog = sl2z_gog()
+    gog = sl2z()
     w = ab_word(gog, [2, 3])
     assert reduce_word(w) == identity_word(gog, 0)
 
 
 def test_reduce_gg_inverse():
-    gog = sl2z_gog()
+    gog = sl2z()
     rng = random.Random(7)
     for _ in range(50):
         w = random_amalgam_word(gog, rng)
@@ -224,9 +220,9 @@ def test_no_t1t_inverse_left():
 
 
 def test_words_equal_basics():
-    gog = sl2z_gog()
+    gog = sl2z()
     assert words_equal(ab_word(gog, [2, 3]), identity_word(gog, 0))
-    free = c4_c6_free()
+    free = c4c6_free()
     a = loop_word(free, [(0, 1)])
     b = loop_word(free, [(1, 1)])
     assert not words_equal(a, b)
@@ -234,22 +230,22 @@ def test_words_equal_basics():
 
 
 def test_words_equal_basepoint_mismatch():
-    gog = sl2z_gog()
+    gog = sl2z()
     with pytest.raises(ValueError):
         words_equal(identity_word(gog, 0), identity_word(gog, 1))
 
 
 def test_syllable_length_examples():
-    free = c4_c6_free()
+    free = c4c6_free()
     assert syllable_length(reduce_word(identity_word(free, 0))) == 0
     r = ab_word(free, [1, 1, 2, 2, 3, 3])
     assert syllable_length(reduce_word(r)) == 6
-    gog = sl2z_gog()
+    gog = sl2z()
     assert syllable_length(reduce_word(ab_word(gog, [2, 3]))) == 0
 
 
 def test_cyclically_reduce_conjugate():
-    free = c4_c6_free()
+    free = c4c6_free()
     # a b a^-1 -> core b at the C6 vertex, conjugator a
     w = loop_word(free, [(0, 1), (1, 1), (0, 3)])
     core, conj = cyclically_reduce(w)
@@ -261,7 +257,7 @@ def test_cyclically_reduce_conjugate():
 
 
 def test_cyclically_reduce_already_reduced():
-    free = c4_c6_free()
+    free = c4c6_free()
     w = ab_word(free, [1, 1])
     core, conj = cyclically_reduce(w)
     assert core == reduce_word(w)
@@ -269,7 +265,7 @@ def test_cyclically_reduce_already_reduced():
 
 
 def test_cyclically_reduce_seam():
-    free = c4_c6_free()
+    free = c4c6_free()
     # b^3 a b^-2 based at the C6 vertex: core a*b after the seam merge
     w = loop_word(free, [(1, 3), (0, 1), (1, 4)], start=1)
     core, conj = cyclically_reduce(w)
@@ -290,7 +286,7 @@ def _random_loop(gog, rng):
     return u * v * u.inverse() if rng.randrange(2) else v
 
 
-@pytest.mark.parametrize("make", [sl2z_gog, s3_d4_amalgam, hnn_c6])
+@pytest.mark.parametrize("make", [sl2z, s3_d4, hnn_c6], ids=MODEL_IDS.get)
 def test_cyclically_reduce_properties(make):
     gog = make()
     g = gog.graph
@@ -320,7 +316,8 @@ def _long_word(gog, rng, n):
     return ab_word(gog, [rng.randrange(24) for _ in range(n)])
 
 
-@pytest.mark.parametrize("make", [c4_c6_free, s3_d4_amalgam, hnn_c6])
+@pytest.mark.parametrize("make", [c4c6_free, s3_d4, hnn_c6],
+                         ids=MODEL_IDS.get)
 def test_full_cancellation_long_words(make):
     gog = make()
     rng = random.Random(0x1000)
@@ -345,7 +342,7 @@ def test_hnn_sub_rejects_bad_input():
 
 def test_sweep_order_invariance_amalgam():
     # the stack pass against the fixpoint oracle in both scan orders
-    gog = sl2z_gog()
+    gog = sl2z()
     tr = fix_transversals(gog)
     rng = random.Random(0xBEEF)
     for _ in range(10_000):
@@ -363,7 +360,7 @@ def test_sweep_order_invariance_hnn():
 
 
 def test_reduce_idempotent_and_homomorphic():
-    gog = sl2z_gog()
+    gog = sl2z()
     rng = random.Random(0xACE)
     for _ in range(2_000):
         u = random_amalgam_word(gog, rng, max_syllables=8)
@@ -375,7 +372,7 @@ def test_reduce_idempotent_and_homomorphic():
 
 
 def test_matrix_oracle_agreement():
-    gog = sl2z_gog()
+    gog = sl2z()
     rng = random.Random(0x51E2)
     for i in range(10_000):
         u = random_amalgam_word(gog, rng, max_syllables=8)
