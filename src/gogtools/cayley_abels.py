@@ -23,10 +23,13 @@ child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel.  The finished
 ball keeps it as ``lookup``, where the tree action and the presentation
 complex in :mod:`gogtools.smallcanc` find their vertices.  It buckets
-vertices by the callable's own ``key(word)`` (the Λ-vertex if it has none).
-An exact key, such as an evaluation oracle's coset in the finite target,
-settles a lookup with one key; otherwise each candidate in the bucket costs
-one word-problem call per vertex-group element.
+vertices by the callable's own key (the Λ-vertex if it has none).  Each
+vertex carries the state its key is made from, such as its image in an
+evaluation oracle's finite target, and a child's state is one O(1)
+``key_step`` from its parent's, so no vertex word is walked to key it.  An
+exact key, such as the evaluation's coset, settles a lookup by the key
+alone; otherwise each candidate in the bucket costs one word-problem call
+per vertex-group element that the states do not rule out.
 
 Search
 ------
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 
 from .concrete import SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
@@ -274,31 +276,46 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
 
 class _KernelLookup:
     """Quotient-ball vertices by canonical tree word, found again modulo the
-    kernel ⟨⟨R⟩⟩.  An exact hit on the word comes first; with no relators
-    only exact hits count.
+    kernel ⟨⟨R⟩⟩.  With no relators only exact hits on the word count.
 
-    Otherwise a vertex goes into the bucket of its key: ``wp.key(word)``
-    when the word-problem callable has one, else its Λ-vertex.  Two words
-    that agree modulo the kernel up to an element of G_v must get the same
-    key, so a bucket holds every vertex that could match, in insertion
-    order.  When ``wp.exact_key`` is true, equal keys also mean the same
-    vertex, and ``find`` returns the bucket's first entry.  Otherwise the
-    key is a filter, and ``find`` returns the first vertex in the bucket
-    whose word w_i has word·x·w_i⁻¹ in the kernel for some x in G_v.  The product is handed
-    to the callable unreduced: a word-problem callable decides an element,
-    whatever word represents it, and the Dehn oracle reduces once itself."""
+    Otherwise a vertex goes into the bucket of its key.  A word-problem
+    callable with a ``key`` gives it by a key state: ``key_state(word)``
+    is a word's state, ``key_step(s, v, x)`` the state of word·x from the
+    state s of a word ending at v (x in G_v), and ``key_of(s, v)`` the
+    key, so ``key(word)`` is ``key_of(key_state(word), word.end)``.  A
+    pair (e, 1) leaves the state alone, so the ball builder steps a
+    child's state from its parent's in O(1); a caller with only a word
+    has its state computed here.  A callable with no ``key`` keys by
+    Λ-vertex.
+
+    Two words that agree modulo the kernel up to an element of G_v must
+    get the same key, so a bucket holds every vertex that could match, in
+    insertion order.  When ``exact_key`` is true, equal keys also mean the
+    same vertex, and ``find`` returns the bucket's only entry.  Otherwise
+    the key is a filter: an exact hit on the word comes first, then the
+    first vertex in the bucket whose word w_i has word·x·w_i⁻¹ in the
+    kernel for some x in G_v.  Only the x whose key_step(state, v, x) is
+    w_i's state are tried: the states differ only where the oracle would
+    refute the product.  The product is handed to the callable unreduced:
+    a word-problem callable decides an element, whatever word represents
+    it, and the Dehn oracle reduces once itself."""
 
     def __init__(self, relators, wp):
         self.wp = wp if relators else None
-        self.key = getattr(self.wp, "key", attrgetter("end"))
-        self.exact_key = getattr(self.wp, "exact_key", False)
+        if hasattr(self.wp, "key"):
+            self.key_state, self.key_step = wp.key_state, wp.key_step
+            self.key_of, self.exact_key = wp.key_of, wp.exact_key
+        else:   # no state, and the Λ-vertex for a key
+            self.key_state = self.key_step = lambda *args: None
+            self.key_of, self.exact_key = (lambda s, v: v), False
         self.exact = {}     # canonical tree word -> index
-        self.buckets = {}   # key -> [(word, index)]
+        self.buckets = {}   # key -> [(word, state, index)]
 
-    def add(self, word: GroupWord, idx: int):
-        self.exact[word] = idx
+    def add(self, word: GroupWord, idx: int, state, key):
+        if not self.exact_key:
+            self.exact[word] = idx
         if self.wp is not None:
-            self.buckets.setdefault(self.key(word), []).append((word, idx))
+            self.buckets.setdefault(key, []).append((word, state, idx))
 
     def in_kernel(self, word: GroupWord) -> bool:
         if word.is_identity():
@@ -311,19 +328,27 @@ class _KernelLookup:
             )
         return bool(verdict)
 
-    def find(self, word: GroupWord):
-        """Index of the vertex equal to word·G_v modulo the kernel, or None."""
-        j = self.exact.get(word)
-        if j is not None or self.wp is None:
-            return j
-        bucket = self.buckets.get(self.key(word), ())
+    def find(self, word: GroupWord, state=None, key=None):
+        """Index of the vertex equal to word·G_v modulo the kernel, or None.
+        ``state`` and ``key`` are the word's, computed here if key is
+        None."""
+        if self.wp is None:
+            return self.exact.get(word)
+        if key is None:
+            state = self.key_state(word)
+            key = self.key_of(state, word.end)
+        bucket = self.buckets.get(key, ())
         if self.exact_key:
-            return bucket[0][1] if bucket else None
-        gog, v = word.gog, word.end
-        for w_i, i in bucket:
+            return bucket[0][2] if bucket else None
+        j = self.exact.get(word)
+        if j is not None:
+            return j
+        gog, v, step = word.gog, word.end, self.key_step
+        for w_i, s_i, i in bucket:
             inv_i = w_i.inverse()
             for x in range(gog.vgroup(v).order):
-                if self.in_kernel(word * GroupWord._trusted(gog, v, x) * inv_i):
+                if step(state, v, x) == s_i and self.in_kernel(
+                        word * GroupWord._trusted(gog, v, x) * inv_i):
                     return i
         return None
 
@@ -334,7 +359,13 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     """Ball of the tree quotiented by the normal closure of ``relators``.
     ``transversals``, if given, must be ``gog.transversals``.  With no
     relators it is the tree ball, and a child step that reaches a vertex
-    already in the ball raises ``RuntimeError``."""
+    already in the ball raises ``RuntimeError``.
+
+    Each vertex carries its key state (see :class:`_KernelLookup`): a
+    child w·rep·e·1 takes key_step(state, v, rep), except on the steps
+    after which ``_child_steps`` canonicalizes, which right-multiplies the
+    word by an element of G_t(e); there the state is recomputed from the
+    word."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -343,62 +374,78 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     if not 0 <= base < gog.graph.num_vertices:
         raise ValueError(f"base vertex {base} out of range")
     _own_table(gog, transversals)
+    g = gog.graph
     fan = _fan_table(gog)
+    # (last edge, e, rep) of the steps _child_steps canonicalizes
+    redo = {(k, e, rep) for e in fan for rep, unproven in fan[e]
+            for k in unproven}
     lookup = _KernelLookup(relators, wp)
+    key_state, key_step, key_of = (lookup.key_state, lookup.key_step,
+                                   lookup.key_of)
+    vtags = [(f"T/v{v}", f"vgroup[{v}]", gog.vgroup(v).order)
+             for v in range(g.num_vertices)]
+    etags = [(f"T/e{e >> 1}", gog.egroup(e).order)
+             for e in range(g.num_edges)]
+    kind = "quotient" if relators else "tree"
 
     verts = []
+    states = []
     edges = []
     eindex = {}
     notes = []
 
-    def add_vertex(word, dist):
+    def add_vertex(word, dist, state, key):
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
-                f"{'quotient' if relators else 'tree'} ball exceeded cap of "
-                f"{cap} vertices at radius {dist}",
+                f"{kind} ball exceeded cap of {cap} vertices at radius {dist}",
                 detail={"vertices": idx, "radius_reached": dist - 1},
             )
-        lam_v = word.end
-        verts.append(
-            GVertex(f"T/v{lam_v}", word, word, dist, f"vgroup[{lam_v}]",
-                    gog.vgroup(lam_v).order)
-        )
-        lookup.add(word, idx)
+        tag, stab_name, stab_order = vtags[word.end]
+        verts.append(GVertex(tag, word, word, dist, stab_name, stab_order))
+        states.append(state)
+        lookup.add(word, idx, state, key)
         return idx
 
-    add_vertex(canonical_coset_word(identity_word(gog, base)), 0)
+    root = canonical_coset_word(identity_word(gog, base))
+    state = key_state(root)
+    add_vertex(root, 0, state, key_of(state, base))
 
     # a vertex's step back toward the tree center reaches the vertex it was
-    # discovered from, so only the steps away from the center are walked
+    # discovered from, so only the steps away from the center are walked.
+    # The last sweep, over the boundary, adds no vertex, only the edges
+    # that close cycles; with no relators only exact words match, and a
+    # child of a boundary vertex is never in the ball, so a tree ball
+    # skips it.
+    s = key = None      # a tree ball keys no vertex
     frontier = [0]
-    for dist in range(1, R + 1):
+    for dist in range(1, R + 2 if relators else R + 1):
         nxt = []
         for i in frontier:
-            for e, _rep, cand in _child_steps(verts[i].rep, fan):
-                j = lookup.find(cand)
+            w, state = verts[i].rep, states[i]
+            v = w.end
+            last = w.pairs[-1][0] if w.pairs else None
+            for e, rep, cand in _child_steps(w, fan):
+                if relators:
+                    if redo and (last, e, rep) in redo:
+                        s = key_state(cand)
+                    else:
+                        s = key_step(state, v, rep)
+                    key = key_of(s, g.t(e))
+                j = lookup.find(cand, s, key)
                 if j is None:
-                    j = add_vertex(cand, dist)
+                    if dist > R:
+                        continue
+                    j = add_vertex(cand, dist, s, key)
                     nxt.append(j)
                 elif not relators:
                     raise RuntimeError(
                         f"ball construction produced a cycle at {cand!r}; "
                         "reduction is broken"
                     )
-                _edge_insert(edges, eindex, f"T/e{e >> 1}", i, j,
-                             gog.egroup(e).order, notes)
+                etag, estab = etags[e]
+                _edge_insert(edges, eindex, etag, i, j, estab, notes)
         frontier = nxt
-
-    # induced pass over the boundary so cycle-closing edges are present.
-    # With no relators only exact words match, and a child of a boundary
-    # vertex is never in the ball, so a tree ball has no such edges.
-    if relators:
-        for i in frontier:
-            for e, _rep, cand in _child_steps(verts[i].rep, fan):
-                j = lookup.find(cand)
-                if j is not None:
-                    _edge_insert(edges, eindex, f"T/e{e >> 1}",
-                                 i, j, gog.egroup(e).order, notes)
 
     return GGraphBall(verts, edges, R, notes, lookup)
 

@@ -688,8 +688,11 @@ class KernelOracle:
     edge group is trivial: a pinch across a nontrivial edge group moves
     η_f(c) from t(f) to η_f̄(c) at o(f), so the per-vertex image is no
     invariant there), the Greendlinger length gate — a nontrivial kernel
-    word must contain more than (1-3λ*) of a member, so anything shorter
-    is certified outside — and finally full Dehn reduction.
+    word contains a subword of at least (1-3λ*)·L syllables of a member,
+    so a cyclically reduced word shorter than that is certified outside —
+    and finally full Dehn reduction.  C'(1/6) also asks each relator to
+    be longer than 6 syllables, so r^m must be: a shorter relator, such as
+    the elliptic a² or (ab)^m with m ≤ 3 over C4∗C6, is refused.
     ``certificate`` names which stage decided.  The length gate and Dehn
     reduction refute only over trivial edge groups: elsewhere the gate
     rests on an unverified piece measure and the seam matcher is
@@ -702,7 +705,10 @@ class KernelOracle:
 
     Calling the oracle is ``in_kernel``.  ``key`` lets quotient balls
     bucket their vertices by abelianized image; it is a filter, not a
-    decision, so ``exact_key`` is false."""
+    decision, so ``exact_key`` is false.  Its key state is that image
+    modulo ⟨h1(r^m)⟩ (None where no image applies): ``key_step`` moves
+    it by one vertex-group element in O(1), and w·w'⁻¹ passes the image
+    test exactly when w and w' have the same state."""
 
     exact_key = False
 
@@ -720,6 +726,12 @@ class KernelOracle:
                 "the kernel oracle needs the Greendlinger guarantee"
             )
         L = self.report.min_length
+        if L <= 6:
+            raise UnsupportedInput(
+                f"r^{m} has {L} syllables; C'(1/6) also asks each relator "
+                "to be longer than 1/λ = 6 syllables, and below that the "
+                "length gate would refute members of the kernel"
+            )
         self.length_gate = (1 - 3 * self.report.lam_star) * L
         self.trivial_seams = _trivial_edge_groups(gog)
         self.abelian = self.trivial_seams and all(
@@ -776,7 +788,7 @@ class KernelOracle:
             return {"in_kernel": False, "method": "abelianized-image"}
         core, _ = _cyclic_core(red)
         n = syllable_length(core)
-        if n > 0 and Fraction(n) <= self.length_gate:
+        if n > 0 and Fraction(n) < self.length_gate:
             if not self.trivial_seams:
                 raise UnsupportedInput(
                     f"{n} syllables is under the length gate "
@@ -812,6 +824,30 @@ class KernelOracle:
                        for s in self._r_subgroup for x in range(G.order)})
                 for v, G in enumerate(self.gog.vgroups)]
 
+    def _least(self, img, shifts):
+        """The least of img·h over h in ``shifts``."""
+        ops = [G.op for G in self.gog.vgroups]
+        return min(tuple(op(a, b) for op, a, b in zip(ops, img, h))
+                   for h in shifts)
+
+    def key_state(self, w: GroupWord):
+        """h1(w) modulo ⟨h1(r^m)⟩, as its least element, where the
+        abelianized image applies, else None."""
+        if not self.abelian:
+            return None
+        return self._least(self._h1_image(w), self._r_subgroup)
+
+    def key_step(self, s, v, x):
+        """The key state of w·x, x in G_v, from the state s of w."""
+        if s is None:
+            return None
+        y = self.gog.vgroups[v].op(s[v], x)
+        return self._least(s[:v] + (y,) + s[v + 1:], self._r_subgroup)
+
+    def key_of(self, s, v):
+        """The key of a word ending at v whose key state is s."""
+        return v if s is None else (v, self._least(s, self._key_cosets[v]))
+
     def key(self, w: GroupWord):
         """(w.end, least element of h1(w)·h1(G_v)·⟨h1(r^m)⟩) where the
         abelianized image applies, else w.end.
@@ -820,12 +856,7 @@ class KernelOracle:
         kernel ⟨⟨r^m⟩⟩ into ⟨h1(r^m)⟩.  So w·x·w'⁻¹ with x in G_v can lie
         in the kernel only if w and w' have the same key: the key never
         separates two words the oracle would match."""
-        if not self.abelian:
-            return w.end
-        ops = [G.op for G in self.gog.vgroups]
-        img = self._h1_image(w)
-        return w.end, min(tuple(op(a, b) for op, a, b in zip(ops, img, h))
-                          for h in self._key_cosets[w.end])
+        return self.key_of(self.key_state(w), w.end)
 
 
 # -- presentation complexes -------------------------------------------------
@@ -1138,7 +1169,9 @@ class Evaluation:
     :func:`evaluation_wp`.  Calling it answers the word problem (True when
     the word evaluates to the identity); ``image(word)`` is the target
     element itself, and ``key(word)`` the word's coset in the target, an
-    exact key for quotient balls."""
+    exact key for quotient balls.  The image is the key state:
+    ``key_step`` multiplies it by the image of one vertex-group element,
+    one table lookup, and ``key_of`` reads the coset off it."""
 
     __slots__ = ("target", "images", "_by_edge", "_vimage")
     exact_key = True
@@ -1160,6 +1193,17 @@ class Evaluation:
     def __call__(self, w: GroupWord) -> bool:
         return self.image(w) == self.target.identity
 
+    key_state = image
+
+    def key_step(self, g, v, x):
+        """The image of w·x, x in G_v, from the image g of w."""
+        return self.target.table[g][self.images[v][x]]
+
+    def key_of(self, g, v):
+        """(v, least element of the left coset g·image(G_v))."""
+        row = self.target.table[g]
+        return v, min([row[h] for h in self._vimage[v]])
+
     def key(self, w: GroupWord):
         """(w.end, least element of the left coset image(w)·image(G_v)).
 
@@ -1169,9 +1213,7 @@ class Evaluation:
         ``inverse``.  So, with ker(evaluation) = ⟨⟨R⟩⟩, w·x·w'⁻¹ lies in
         the kernel for some x in G_v exactly when the two cosets are
         equal, and equal keys mean the same quotient-ball vertex."""
-        op = self.target.op
-        g = self.image(w)
-        return w.end, min(op(g, h) for h in self._vimage[w.end])
+        return self.key_of(self.image(w), w.end)
 
 
 def evaluation_wp(gog, target, images):

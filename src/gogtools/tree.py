@@ -107,7 +107,9 @@ def _fan_table(gog: GraphOfGroups):
     """Per directed edge e, the expansion fan at an o(e)-side vertex: the
     left transversal of im(inj(ē)) in vgroup(o(e)), each representative
     paired with the set of last edges (None at the center) after which
-    :func:`_child_steps` must still canonicalize the child word.
+    :func:`_child_steps` must still canonicalize the child word; the
+    quotient ball reads the same sets to know where a child's key state
+    cannot be stepped from its parent's.
 
     Why the set is usually empty.  Let w be a canonical word at v whose
     last edge is k, with last element m (the head at the center); m is

@@ -462,6 +462,23 @@ def test_unsupported_oracle_exit_4(tmp_path, monkeypatch):
     assert "C'(1/6)" in report["error"]["message"]
 
 
+def test_px_complex_short_relator_exit_4(tmp_path, monkeypatch):
+    # over C4∗C6 the kernel oracle of ab would refute ab itself by its
+    # length gate; a relator of 6 syllables or fewer is refused instead
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": "px-complex",
+        "parameters": {"model": "c4c6_free", "relators": [{"ab": [1, 1]}],
+                       "power": 1, "radius": 3},
+        "output": {"report": "out/report.json",
+                   "complex": "out/complex.json"},
+    })
+    assert rc == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "unsupported"
+    assert "longer than 1/λ = 6" in report["error"]["message"]
+    assert not (tmp_path / "out" / "complex.json").exists()
+
+
 @pytest.mark.parametrize("model, word, cause", [
     ("sl2z", {"ab": [1]}, "no edges"),
     ("free_rank2", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),

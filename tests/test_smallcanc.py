@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import counting, random_amalgam_word, random_hnn_word
+from test_tree import _relabelled_s3_d4
 from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
 from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
-from gogtools.finite import make_cyclic, make_dihedral
+from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
@@ -542,6 +543,27 @@ def test_kernel_oracle_gate():
         KernelOracle(gog, _relator(gog), 1)
 
 
+@pytest.mark.parametrize("word, m", [
+    ([1, 1], 1), ([1, 1], 2), ([1, 1], 3), ([2], 1),
+], ids=["ab", "ab^2", "ab^3", "a^2"])
+def test_kernel_oracle_refuses_relators_of_six_syllables_or_fewer(word, m):
+    # λ* is 0 on each, but C'(1/6) also asks |r^m| > 6; below that the
+    # length gate refuted the relator itself
+    gog = _free()
+    with pytest.raises(UnsupportedInput, match="longer than 1/λ = 6"):
+        KernelOracle(gog, ab_word(gog, word), m)
+
+
+def test_kernel_oracle_decides_its_shortest_relator_by_dehn():
+    # (ab)^4 has 8 syllables and gate (1 - 3λ*)·8 = 8: a word of exactly
+    # the gate's length can be a relator, so only shorter ones are refuted
+    gog = _free()
+    ko = KernelOracle(gog, ab_word(gog, [1, 1]), 4)
+    assert ko.length_gate == 8
+    cert = ko.certificate(ko.rm)
+    assert cert["in_kernel"] and cert["method"] == "dehn"
+
+
 @pytest.mark.parametrize("model", ["sl2z", "hnn_c6"])
 def test_kernel_oracle_conjugates_over_nontrivial_edge_groups(model):
     # the per-vertex abelianized image is not invariant under a pinch
@@ -710,6 +732,75 @@ def test_keyed_lookup_matches_scan_on_complex(setup, R):
         assert keyed == scanned
 
 
+def _perm_group(gens):
+    """The permutation group the tuples ``gens`` generate, as a table, and
+    each permutation's index in it."""
+    points = range(len(gens[0]))
+    elems = [tuple(points)]
+    index = {elems[0]: 0}
+    for p in elems:
+        for g in gens:
+            q = tuple(p[g[x]] for x in points)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    table = [[index[tuple(a[b[x]] for x in points)] for b in elems]
+             for a in elems]
+    return FiniteGroup(table), index
+
+
+def _relabelled_s3_d4_quotient():
+    # onto S5 (points 0..4): D4 as the square ⟨(0123), (02)⟩, whose centre
+    # (02)(13) is the amalgamated s, and S3 as ⟨(024), (02)(13)⟩.  Some
+    # child steps of this model are canonicalized, and there the ball
+    # recomputes the child's state from its word
+    gens = [(2, 3, 0, 1, 4), (2, 1, 4, 3, 0), (2, 1, 0, 3, 4), (1, 2, 3, 0, 4)]
+    S5, index = _perm_group(gens)
+    op = S5.op
+    s, rot, sq, rq = (index[p] for p in gens)
+    s3 = [S5.identity, s, op(s, rot), rot, op(rot, s), op(rot, rot)]
+    d4 = [S5.identity, rq]
+    for _ in range(2):
+        d4.append(op(d4[-1], rq))
+    d4 += [op(sq, x) for x in d4]
+    gog = _relabelled_s3_d4()
+    ev = evaluation_wp(gog, S5, [s3, d4])
+    rel = word_power(ab_word(gog, [3, 1]), 6)
+    assert S5.order == 120 and ev(rel)
+    return gog, [rel], ev
+
+
+@pytest.mark.parametrize("setup, R", [
+    *[((lambda n=n: _dihedral_quotient(n)), n) for n in range(3, 81)],
+    (lambda: _c4c6_quotient(12), 2),
+    (_c2c3_quotient, 3),
+    (_relabelled_s3_d4_quotient, 5),
+], ids=[*(f"d{n}" for n in range(3, 81)), "c4c6-m12-R2", "c2c3-m7-R3",
+        "relabelled-s3-d4-R5"])
+def test_carried_key_states_agree_with_the_words(setup, R):
+    gog, relators, wp = setup()
+    ball = quotient_tree_ball(gog, relators, R, wp=wp)
+    lookup = ball.lookup
+    carried = 0
+    for key, bucket in lookup.buckets.items():
+        for word, state, i in bucket:
+            assert word is ball.verts[i].rep
+            assert state == wp.key_state(word)
+            assert key == lookup.key_of(state, word.end) == wp.key(word)
+            carried += 1
+    assert carried == ball.vertex_count()
+
+
+def test_recomputed_key_states_build_the_scanned_ball():
+    # a child found under a wrong key would be a wrong edge, not a wrong
+    # vertex state: the keyed ball is the one the Λ-vertex scan builds
+    gog, relators, ev = _relabelled_s3_d4_quotient()
+    keyed = quotient_tree_ball(gog, relators, 5, wp=ev)
+    scanned = quotient_tree_ball(gog, relators, 5, wp=lambda w: ev(w))
+    assert keyed.vertex_count() == 35
+    assert ca_to_json(keyed) == ca_to_json(scanned)
+
+
 def test_kernel_key_falls_back_to_lam_vertex():
     gog, _, ko = _s3c2_quotient()
     w = ab_word(gog, [1, 2]) * GroupWord(
@@ -776,10 +867,10 @@ def _lookup_work(monkeypatch, n, wp_of):
     find = _KernelLookup.find
     image, call = smallcanc.Evaluation.image, smallcanc.Evaluation.__call__
 
-    def counted_find(self, word):
+    def counted_find(self, word, *state_and_key):
         before, wp_before = reductions[0], wp_calls[0]
         try:
-            return find(self, word)
+            return find(self, word, *state_and_key)
         finally:
             in_find[0] += reductions[0] - before
             wp_in_find[0] += wp_calls[0] - wp_before
@@ -793,18 +884,24 @@ def _lookup_work(monkeypatch, n, wp_of):
         return call(self, w)
 
     monkeypatch.setattr(_KernelLookup, "find", counted_find)
+    # ``key_state`` is ``image`` under another name
     monkeypatch.setattr(smallcanc.Evaluation, "image", counted_image)
+    monkeypatch.setattr(smallcanc.Evaluation, "key_state", counted_image)
     monkeypatch.setattr(smallcanc.Evaluation, "__call__", counted_call)
     ball = quotient_tree_ball(gog, [rel], n, wp=wp_of(ev))
     return ball, in_find[0], wp_in_find[0], evaluations[0]
 
 
-def test_keyed_lookup_work_bound(monkeypatch):
-    ball, in_find, wp_in_find, evaluations = _lookup_work(
-        monkeypatch, 40, lambda ev: ev)
-    assert ball.vertex_count() == 80
-    assert in_find == 0 and wp_in_find == 0
-    assert 0 < evaluations <= 2 * (ball.vertex_count() + ball.edge_count())
+def test_keyed_lookup_work_bound():
+    # every vertex steps its image from its parent's, so the root's is the
+    # one full evaluation whatever the size of the ball
+    for n in (40, 80):
+        with pytest.MonkeyPatch.context() as mp:
+            ball, in_find, wp_in_find, evaluations = _lookup_work(
+                mp, n, lambda ev: ev)
+        assert ball.vertex_count() == 2 * n
+        assert in_find == 0 and wp_in_find == 0
+        assert evaluations == 1
 
 
 def test_scan_lookup_work_is_counted(monkeypatch):
@@ -876,9 +973,10 @@ def test_incidence_radius_guard():
 
 
 def test_check_M_thin_with_certificate(monkeypatch):
-    # the m_thin_r12 job: with the abelianized key the complex and its
-    # incidence table take 1,128 certificate calls; the Λ-vertex scan
-    # took 4,476
+    # the m_thin_r12 job: with the abelianized key states the complex and
+    # its incidence table take 318 certificate calls; with the key alone
+    # they took 1,128, 810 of them abelianized refutations inside a
+    # bucket, and the Λ-vertex scan took 4,476
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
@@ -896,7 +994,7 @@ def test_check_M_thin_with_certificate(monkeypatch):
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
     assert rep["max_count"] == 6
-    assert 0 < calls[0] <= 1200
+    assert 0 < calls[0] <= 318
 
 
 def test_check_M_thin_verdict_turns_at_the_max_count():
