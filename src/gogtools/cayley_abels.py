@@ -362,10 +362,10 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     already in the ball raises ``RuntimeError``.
 
     Each vertex carries its key state (see :class:`_KernelLookup`): a
-    child w·rep·e·1 takes key_step(state, v, rep), except on the steps
-    after which ``_child_steps`` canonicalizes, which right-multiplies the
-    word by an element of G_t(e); there the state is recomputed from the
-    word."""
+    child w·rep·e·1 takes key_step(state, v, rep), except where
+    ``_child_steps`` says it canonicalized the child, which
+    right-multiplies the word by an element of G_t(e); there the state is
+    recomputed from the word."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -376,9 +376,6 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     _own_table(gog, transversals)
     g = gog.graph
     fan = _fan_table(gog)
-    # (last edge, e, rep) of the steps _child_steps canonicalizes
-    redo = {(k, e, rep) for e in fan for rep, unproven in fan[e]
-            for k in unproven}
     lookup = _KernelLookup(relators, wp)
     key_state, key_step, key_of = (lookup.key_state, lookup.key_step,
                                    lookup.key_of)
@@ -424,13 +421,9 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         for i in frontier:
             w, state = verts[i].rep, states[i]
             v = w.end
-            last = w.pairs[-1][0] if w.pairs else None
-            for e, rep, cand in _child_steps(w, fan):
+            for e, rep, cand, redone in _child_steps(w, fan):
                 if relators:
-                    if redo and (last, e, rep) in redo:
-                        s = key_state(cand)
-                    else:
-                        s = key_step(state, v, rep)
+                    s = key_state(cand) if redone else key_step(state, v, rep)
                     key = key_of(s, g.t(e))
                 j = lookup.find(cand, s, key)
                 if j is None:

@@ -29,13 +29,16 @@ amalgams and free products.
 
 The word layer indexes flat tuples instead of calling methods: the graph's
 :class:`Transversals` (``GraphOfGroups.transversals``, built on first use and
-kept) holds, per directed edge, its terminus, the vertex-group tables at both
-ends, η_e, the transversal decomposition, the pairs off the transversal and
-the Britton pinch.  The ``GroupWord`` product, inverse and end, ``_splice``
-(reduction, and the seams of a Dehn step), ``_sweep``, ``_cyclic_core``
+kept) holds, per directed edge, its terminus, the vertex-group table, identity
+and inverses there, η_e, the transversal decomposition, the pairs off the
+transversal and the Britton pinch.  The ``GroupWord`` product, inverse and
+end, ``_splice`` (reduction, and the seams of a Dehn step), ``_cyclic_core``
 (cyclic reduction and rotation, one notch loop) and ``syllable_length`` read
 them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
-``tree`` (the fold-back test), once per call.
+``tree`` (the fold-back test), once per call.  The transversal rule itself
+(decompose a syllable, push the edge-group correction left) is written once,
+in ``_sweep``, which ``_splice``, the notches of ``_cyclic_core`` and
+``tree._child_steps`` all call.
 """
 
 from __future__ import annotations
@@ -268,10 +271,9 @@ class Transversals:
     """Flat per-directed-edge tables: every field is a tuple indexed by the
     directed edge e.
 
-    ``t``: the terminal vertex (ē is e ^ 1).  ``tmul``, ``omul``: the
-    multiplication tables of vgroup(t(e)) and vgroup(o(e)); ``tid``,
-    ``tinv``: the identity and inverses of vgroup(t(e)); ``inj``: inj(e).map;
-    ``pos[e][x]``: the position (t(e), x, e), one tuple shared by every word.
+    ``t``: the terminal vertex (ē is e ^ 1).  ``tmul``, ``tid``, ``tinv``:
+    the multiplication table, identity and inverses of vgroup(t(e)), so
+    vgroup(o(e))'s table is ``tmul[e ^ 1]``; ``inj``: inj(e).map.
 
     With H = inj(e)(egroup) ≤ vgroup(t(e)), each element g decomposes
     uniquely as g = inj(e)(c) · x with x the chosen representative of the
@@ -288,12 +290,9 @@ class Transversals:
         self.t = tuple(g.t(e) for e in range(g.num_edges))
         vg = [gog.vgroups[v] for v in self.t]
         self.tmul = tuple(G.table for G in vg)
-        self.omul = tuple(self.tmul[e ^ 1] for e in range(g.num_edges))
         self.tid = tuple(G.identity for G in vg)
         self.tinv = tuple(G.inv for G in vg)
         self.inj = tuple(h.map for h in gog.inj)
-        self.pos = tuple(tuple((v, x, e) for x in range(G.order))
-                         for e, (v, G) in enumerate(zip(self.t, vg)))
         reps, decomp, pinch = [], [], []
         for G, eta in zip(vg, self.inj):
             pre = [None] * G.order
@@ -349,22 +348,29 @@ def syllable_length(w: GroupWord, lo=0, hi=None) -> int:
     return n + (lo == 0 and w.head != w.gog.vgroups[w.start].identity)
 
 
-def _sweep(head, start, items, j, corr, gog: GraphOfGroups):
-    """Multiply ``corr`` into items[j] and restore the transversal form
-    leftward in place, up to the first trivial correction (the pairs to its
-    left are canonical already); return the corrected head at ``start``."""
-    T = gog.transversals
+def _sweep(T: "Transversals", items, j, corr, floor, stop):
+    """The one leftward transversal sweep: multiply ``corr`` into items[j]
+    and restore the transversal form in place down to items[floor],
+    pushing each edge-group correction to the left, and stop at the first
+    trivial correction at an item below ``stop`` (the pairs to its left
+    are canonical already).  Returns (j, corr): the item it stopped at,
+    or floor − 1 with ``corr`` still owed to the head.
+
+    :func:`_splice` sweeps from its top with no correction and ``stop``
+    its lowest changed position, the notches of :func:`_cyclic_core`
+    sweep down to their front index, and ``tree._child_steps`` sweeps in
+    a child's transversal representative."""
     tmul, inj, decomp = T.tmul, T.inj, T.decomp
-    while j >= 0:
+    while j >= floor:
         e, x = items[j]
         x = tmul[e][x][corr]
         c, rep = decomp[e][x]
         items[j] = (e, rep)
-        if rep == x:
-            return head
+        if rep == x and j < stop:
+            break
         corr = inj[e ^ 1][c]
         j -= 1
-    return gog.vgroups[start].table[head][corr]
+    return j, corr
 
 
 def _splice(w: GroupWord, i, x, mid, k):
@@ -375,13 +381,14 @@ def _splice(w: GroupWord, i, x, mid, k):
 
     The stack pass starts from w below position i and never holds a pinch,
     so once a suffix pair goes on without one the rest of the suffix is
-    attached as it is.  The transversal sweep runs only when a pair from
-    item lo − 1 (position lo) up is in ``Transversals.moved``, a test made
-    in C, so never over trivial edge groups; it stops at the first trivial
+    attached as it is.  The transversal sweep (:func:`_sweep`, from the
+    top with no correction) runs only when a pair from item lo − 1
+    (position lo) up is in ``Transversals.moved``, a test made in C, so
+    never over trivial edge groups; it stops at the first trivial
     correction below every changed position.  A splice costs its seams
     past the slices, and :func:`reduce_word` (i = 0, k = n) one pass."""
     T = w.gog.transversals
-    tmul, omul, inj, decomp, pinch = T.tmul, T.omul, T.inj, T.decomp, T.pinch
+    tmul, inj, pinch = T.tmul, T.inj, T.pinch
     pairs, lo, top = w.pairs, i, -1  # top: the edge that pinches the top
     head, items, j = x, [], len(pairs)
     if i:
@@ -413,20 +420,11 @@ def _splice(w: GroupWord, i, x, mid, k):
     # transversal (the head needs none); `lo` counts positions, not items
     moved = T.moved
     if moved and not moved.isdisjoint(islice(items, max(lo - 1, 0), None)):
-        for p in range(len(items) - 1, -1, -1):
-            e, y = items[p]
-            c, rep = decomp[e][y]
-            if rep != y:
-                items[p] = (e, rep)
-                corr = inj[e ^ 1][c]
-                if p:
-                    f, h = items[p - 1]
-                    items[p - 1] = (f, omul[e][h][corr])
-                else:
-                    head = omul[e][head][corr]
-                lo = min(lo, p)
-            elif p < lo:
-                break
+        p, corr = _sweep(T, items, len(items) - 1, T.tid[items[-1][0]],
+                         0, lo)
+        if p < 0:
+            head = w.gog.vgroups[w.start].table[head][corr]
+        lo = min(lo, p + 1)
     items += pairs[j:]
     return GroupWord._trusted(w.gog, w.start, head, items), lo, j
 
@@ -464,8 +462,8 @@ def _cyclic_core(red: GroupWord, once=False):
     A notch rotates the loop by one edge step: the first pair leaves
     through a front index (the loop is items[f:]), the old head merges
     into the last pair, which is the one place the returning first edge
-    can pinch, and the transversal sweep runs leftward from the changed
-    pair up to the first trivial correction, as :func:`_sweep` does.
+    can pinch, and :func:`_sweep` runs leftward from the changed pair
+    down to the front index, up to the first trivial correction.
     Notches stop once no pinch applies at the seam and the trailing
     element is the identity.  A notch that does not pinch leaves a
     trailing identity, so there are at most n + 1 notches for n edges,
@@ -476,8 +474,7 @@ def _cyclic_core(red: GroupWord, once=False):
         raise ValueError("cyclic reduction needs a loop word")
     gog = red.gog
     T = gog.transversals
-    tt, tmul, tid, inj, decomp, pinch = (T.t, T.tmul, T.tid, T.inj,
-                                         T.decomp, T.pinch)
+    tt, tmul, tid, inj, pinch = T.t, T.tmul, T.tid, T.inj, T.pinch
     start, head = red.start, red.head
     items = list(red.pairs)
     f, steps = 0, []
@@ -501,16 +498,8 @@ def _cyclic_core(red: GroupWord, once=False):
             items.append((e1, tid[e1]))
             j, corr = len(items) - 2, head
         start, head = tt[e1], new_head
-        while j >= f:
-            e, x = items[j]
-            x = tmul[e][x][corr]
-            c, rep = decomp[e][x]
-            items[j] = (e, rep)
-            if rep == x:
-                break
-            corr = inj[e ^ 1][c]
-            j -= 1
-        else:
+        j, corr = _sweep(T, items, j, corr, f, len(items))
+        if j < f:
             head = tmul[e1][head][corr]
         if once:
             break

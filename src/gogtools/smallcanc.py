@@ -76,8 +76,10 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
     (the canonical form of an element is unique)."""
     if not w.is_loop():
         raise ValueError(f"powers need a loop word, got {w.start} -> {w.end}")
+    if m < 0:
+        raise ValueError(f"power must be >= 0, got m = {m}")
     gog = w.gog
-    if m < 1:
+    if m == 0:
         return identity_word(gog, w.start)
     G = gog.vgroup(w.start)
     head, pairs = w.head, list(w.pairs)
@@ -93,8 +95,8 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
 
 def positions(w: GroupWord):
     """The word as a list of (vertex, element, incoming edge or None)."""
-    pos = w.gog.transversals.pos
-    return [(w.start, w.head, None)] + [pos[e][x] for e, x in w.pairs]
+    t = w.gog.transversals.t
+    return [(w.start, w.head, None)] + [(t[e], x, e) for e, x in w.pairs]
 
 
 def rotations(w: GroupWord):
@@ -713,6 +715,8 @@ class KernelOracle:
     exact_key = False
 
     def __init__(self, gog, r: GroupWord, m: int, transversals=None):
+        if m < 1:
+            raise ValueError(f"power must be >= 1, got m = {m}")
         _own_table(gog, transversals)
         self.gog = gog
         self.r = reduce_word(r)

@@ -107,9 +107,9 @@ def _fan_table(gog: GraphOfGroups):
     """Per directed edge e, the expansion fan at an o(e)-side vertex: the
     left transversal of im(inj(ē)) in vgroup(o(e)), each representative
     paired with the set of last edges (None at the center) after which
-    :func:`_child_steps` must still canonicalize the child word; the
-    quotient ball reads the same sets to know where a child's key state
-    cannot be stepped from its parent's.
+    :func:`_child_steps` must still canonicalize the child word (and says
+    so, which tells the quotient ball that the child's key state cannot
+    be stepped from its parent's).
 
     Why the set is usually empty.  Let w be a canonical word at v whose
     last edge is k, with last element m (the head at the center); m is
@@ -158,30 +158,30 @@ def _fan_table(gog: GraphOfGroups):
 
 def _child_steps(w: GroupWord, fan):
     """The neighbours of the vertex with canonical word w that lie one step
-    farther from the center, as (e, rep, canonical child word) in edge then
-    fan order; the one step that folds back toward the center is skipped.
-    The reduced word w·rep·e·1 is the canonical child except on the steps
-    :func:`_fan_table` could not prove.  Only the seam is rewritten: rep
-    merges into the last element x of w; the step folds back exactly when
-    e reverses the last edge k and x·rep lies in im(k), and otherwise
-    ``gog._sweep`` restores the transversal form from there leftward."""
-    gog = w.gog
-    g = gog.graph
-    v = w.end
-    last, x = w.pairs[-1] if w.pairs else (None, None)
-    G, pinch = gog.vgroup(v), gog.transversals.pinch
-    for e in g.edges_at(v):
-        ident_t = gog.vgroup(g.t(e)).identity
+    farther from the center, as (e, rep, canonical child word, redone) in
+    edge then fan order; the one step that folds back toward the center is
+    skipped.  The reduced word w·rep·e·1 is the canonical child except on
+    the steps :func:`_fan_table` could not prove, where the child is
+    canonicalized, which right-multiplies it by an element of G_t(e), and
+    ``redone`` is True.  Only the seam is rewritten: the step folds back
+    exactly when e reverses the last edge k of w and x·rep lies in im(k),
+    x the last element, and otherwise ``gog._sweep`` carries rep into x
+    and restores the transversal form from there leftward."""
+    gog, T, v, pairs = w.gog, w.gog.transversals, w.end, w.pairs
+    n = len(pairs)
+    last, x = pairs[-1] if pairs else (None, None)
+    mul, hmul = gog.vgroups[v].table, gog.vgroups[w.start].table
+    for e in gog.graph.edges_at(v):
         for rep, unproven in fan[e]:
-            if g.bar(e) == last and pinch[last][G.op(x, rep)] is not None:
+            if e ^ 1 == last and T.pinch[last][mul[x][rep]] is not None:
                 continue
-            items = list(w.pairs)
-            head = _sweep(w.head, w.start, items, len(items) - 1, rep, gog)
-            items.append((e, ident_t))
+            items = list(pairs)
+            j, corr = _sweep(T, items, n - 1, rep, 0, n)
+            items.append((e, T.tid[e]))
+            head = hmul[w.head][corr] if j < 0 else w.head
             nf = GroupWord._trusted(gog, w.start, head, items)
-            if last in unproven:
-                nf = canonical_coset_word(nf)
-            yield e, rep, nf
+            redone = last in unproven
+            yield e, rep, canonical_coset_word(nf) if redone else nf, redone
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,

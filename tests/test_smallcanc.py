@@ -543,6 +543,22 @@ def test_kernel_oracle_gate():
         KernelOracle(gog, _relator(gog), 1)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_kernel_oracle_rejects_powers_below_one(m):
+    # r^0 is the identity word, which would otherwise be refused as an
+    # empty relator, naming the word rather than the power
+    gog = _free()
+    with pytest.raises(ValueError, match=f"power must be >= 1, got m = {m}"):
+        KernelOracle(gog, ab_word(gog, [1, 1]), m)
+
+
+def test_word_power_rejects_negative_powers():
+    # a negative m would otherwise give the identity word
+    gog = _free()
+    with pytest.raises(ValueError, match="power must be >= 0, got m = -2"):
+        word_power(ab_word(gog, [1, 1]), -2)
+
+
 @pytest.mark.parametrize("word, m", [
     ([1, 1], 1), ([1, 1], 2), ([1, 1], 3), ([2], 1),
 ], ids=["ab", "ab^2", "ab^3", "a^2"])

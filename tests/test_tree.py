@@ -162,16 +162,16 @@ def test_coset_reps_pairwise_inequivalent():
 
 
 def _sampled_children(gog, fan, rng, radius=5, width=30):
-    """(parent, e, rep, child) over a seeded sample of each level of the
-    tree balls around every base vertex."""
+    """(parent, e, rep, child, redone) over a seeded sample of each level
+    of the tree balls around every base vertex."""
     out = []
     for base in range(gog.graph.num_vertices):
         level = [canonical_coset_word(identity_word(gog, base))]
         for _ in range(radius):
             nxt = []
             for w in level:
-                for e, rep, child in _child_steps(w, fan):
-                    out.append((w, e, rep, child))
+                for e, rep, child, redone in _child_steps(w, fan):
+                    out.append((w, e, rep, child, redone))
                     nxt.append(child)
             level = rng.sample(nxt, min(width, len(nxt)))
     return out
@@ -188,7 +188,8 @@ def test_child_steps_skip_canonicalization(make):
     assert all(not unproven for e in fan for _rep, unproven in fan[e])
     children = _sampled_children(gog, fan, random.Random(11))
     assert children
-    for _w, _e, _rep, child in children:
+    for _w, _e, _rep, child, redone in children:
+        assert not redone
         assert canonical_coset_word(child) == child
 
 
@@ -210,15 +211,20 @@ def test_child_steps_keep_canonicalization_where_unproven():
     gog = _relabelled_s3_d4()
     fan = _fan_table(gog)
     assert any(unproven for e in fan for _rep, unproven in fan[e])
-    bypassed = 0
-    for w, e, rep, child in _sampled_children(gog, fan, random.Random(11)):
+    bypassed = redone_steps = 0
+    for w, e, rep, child, redone in _sampled_children(gog, fan,
+                                                       random.Random(11)):
         assert canonical_coset_word(child) == child
+        redone_steps += redone
         g = gog.graph
         raw = reduce_word(w * GroupWord(gog, w.end, rep,
                                         [(e, gog.vgroup(g.t(e)).identity)]))
         bypassed += raw != child
-    # the fallback is what makes those children canonical
+        assert redone or raw == child
+    # the fallback is what makes those children canonical, and the child
+    # step says where it ran
     assert bypassed > 0
+    assert redone_steps > 0
 
 
 def oracle_child_steps(w, fan):
@@ -235,7 +241,7 @@ def oracle_child_steps(w, fan):
             if len(nf.pairs) == len(w.pairs) + 1:
                 if last in unproven:
                     nf = canonical_coset_word(nf)
-                out.append((e, rep, nf))
+                out.append((e, rep, nf, last in unproven))
     return out
 
 
@@ -245,7 +251,7 @@ def oracle_child_steps(w, fan):
 def test_child_steps_match_full_reduction(make):
     gog = make()
     fan = _fan_table(gog)
-    parents = {w for w, _e, _rep, _child in
+    parents = {w for w, _e, _rep, _child, _redone in
                _sampled_children(gog, fan, random.Random(5), radius=6)}
     for base in range(gog.graph.num_vertices):
         parents.update(tv.rep for tv in build_tree_ball(gog, 3, base).verts)

@@ -107,7 +107,7 @@ def test_trusted_words_pass_the_public_checks(make, monkeypatch):
         level = [canonical_coset_word(identity_word(gog, base))]
         for _ in range(3):
             level = [child for w in level
-                     for _e, _rep, child in _child_steps(w, fan)]
+                     for _e, _rep, child, _redone in _child_steps(w, fan)]
             level = rng.sample(level, min(8, len(level)))
     assert len(built) > 100
     for w in built:
