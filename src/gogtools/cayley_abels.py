@@ -25,11 +25,13 @@ ball keeps it as ``lookup``, where the tree action and the presentation
 complex in :mod:`gogtools.smallcanc` find their vertices.  It buckets
 vertices by the callable's own key (the Λ-vertex if it has none).  Each
 vertex carries the state its key is made from, such as its image in an
-evaluation oracle's finite target, and a child's state is one O(1)
-``key_step`` from its parent's, so no vertex word is walked to key it.  An
-exact key, such as the evaluation's coset, settles a lookup by the key
-alone; otherwise each candidate in the bucket costs one word-problem call
-per vertex-group element that the states do not rule out.
+evaluation oracle's finite target.  A child reduce(w·y)·(e, s) takes its
+state from its parent's by ``key_step`` with the y the child step swept
+in, plus one more step by s where s is not the identity, so no vertex
+word is walked to key it.  An exact key, such as the evaluation's coset,
+settles a lookup by the key alone; otherwise each candidate in the bucket
+costs one word-problem call per vertex-group element that the states do
+not rule out.
 
 Search
 ------
@@ -361,11 +363,10 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     relators it is the tree ball, and a child step that reaches a vertex
     already in the ball raises ``RuntimeError``.
 
-    Each vertex carries its key state (see :class:`_KernelLookup`): a
-    child w·rep·e·1 takes key_step(state, v, rep), except where
-    ``_child_steps`` says it canonicalized the child, which
-    right-multiplies the word by an element of G_t(e); there the state is
-    recomputed from the word."""
+    Each vertex carries its key state (see :class:`_KernelLookup`): the
+    child reduce(w·y)·(e, s) that ``_child_steps`` yields with y takes
+    key_step(state, v, y), then one more step by s where s is not the
+    identity."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -375,6 +376,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         raise ValueError(f"base vertex {base} out of range")
     _own_table(gog, transversals)
     g = gog.graph
+    tt, tid = gog.transversals.t, gog.transversals.tid
     fan = _fan_table(gog)
     lookup = _KernelLookup(relators, wp)
     key_state, key_step, key_of = (lookup.key_state, lookup.key_step,
@@ -421,10 +423,12 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
         for i in frontier:
             w, state = verts[i].rep, states[i]
             v = w.end
-            for e, rep, cand, redone in _child_steps(w, fan):
+            for e, y, cand in _child_steps(w, fan):
                 if relators:
-                    s = key_state(cand) if redone else key_step(state, v, rep)
-                    key = key_of(s, g.t(e))
+                    s, t, x = key_step(state, v, y), tt[e], cand.pairs[-1][1]
+                    if x != tid[e]:
+                        s = key_step(s, t, x)
+                    key = key_of(s, t)
                 j = lookup.find(cand, s, key)
                 if j is None:
                     if dist > R:

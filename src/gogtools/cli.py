@@ -698,7 +698,7 @@ def run(path):
     except ValueError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except Exception as exc:
         import traceback
 
         traceback.print_exc()

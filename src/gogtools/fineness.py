@@ -109,8 +109,11 @@ class EscapingPathSet:
     ``exact`` records whether the ball provably contains every escaping path
     of length ≤ k from u, else the set carries the partial-result flag.  A
     path of length ≤ k from u stays in the k-ball of u, whose vertices are
-    within d(base, u) + k of the base, so it is exact when d(base, u) + k ≤
-    R; :func:`fineness_report` gates its verdict on this same threshold.
+    within d(base, u) + k of the base, and leaves only vertices within
+    k − 1 of u, so it is exact when d(base, u) + k ≤ R and none of those
+    vertices is a cone the ball does not enumerate (``stab_order`` None),
+    whose neighbours it holds only in part.  :func:`fineness_report`
+    gates its verdict on the radius threshold alone.
     """
 
     __slots__ = ("u", "v", "k", "members", "witnesses", "exact")
@@ -146,7 +149,9 @@ def escaping_vectors(ball: GGraphBall, u: int, v: int, k: int) -> EscapingPathSe
             continue
         members.append(w)
         witnesses[w] = [u] + _trace_back(prev, w)
-    exact = ball.verts[u].dist + k <= ball.radius
+    exact = ball.verts[u].dist + k <= ball.radius and all(
+        ball.verts[w].stab_order is not None
+        for w, d in ball.bfs(u)[0].items() if d < k)
     return EscapingPathSet(u, v, k, members, witnesses, exact)
 
 

@@ -37,8 +37,8 @@ end, ``_splice`` (reduction, and the seams of a Dehn step), ``_cyclic_core``
 them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
 ``tree`` (the fold-back test), once per call.  The transversal rule itself
 (decompose a syllable, push the edge-group correction left) is written once,
-in ``_sweep``, which ``_splice``, the notches of ``_cyclic_core`` and
-``tree._child_steps`` all call.
+in ``_sweep``, which ``_splice``, the notches of ``_cyclic_core``, the
+tree's coset words and its child steps all call.
 """
 
 from __future__ import annotations
@@ -358,8 +358,9 @@ def _sweep(T: "Transversals", items, j, corr, floor, stop):
 
     :func:`_splice` sweeps from its top with no correction and ``stop``
     its lowest changed position, the notches of :func:`_cyclic_core`
-    sweep down to their front index, and ``tree._child_steps`` sweeps in
-    a child's transversal representative."""
+    sweep down to their front index, and ``tree.canonical_coset_word``
+    and ``tree._child_steps`` sweep an element of the last vertex group
+    into a canonical word."""
     tmul, inj, decomp = T.tmul, T.inj, T.decomp
     while j >= floor:
         e, x = items[j]

@@ -867,8 +867,8 @@ class KernelOracle:
 
 
 def _relator_boundary(rel: GroupWord):
-    """Cyclically reduced relator, its prefix words q_0..q_{n-1} (n = edge
-    length), and the Λ-vertices they end at."""
+    """Cyclically reduced relator and its prefix words q_0..q_{n-1}
+    (n = edge length)."""
     core, _ = _cyclic_core(reduce_word(rel))
     if not core.pairs:
         raise ValueError(
@@ -877,7 +877,7 @@ def _relator_boundary(rel: GroupWord):
     prefixes = [GroupWord._trusted(core.gog, core.start, core.head,
                                    core.pairs[:j])
                 for j in range(len(core.pairs))]
-    return core, prefixes, [v for v, _x, _e in positions(core)[:-1]]
+    return core, prefixes
 
 
 def presentation_complex_ball(gog, relators, R: int, wp=None,
@@ -900,7 +900,7 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     cells = {}
     full_span = 0
     for rel_idx, rel in enumerate(relators):
-        core, prefixes, _lam = _relator_boundary(rel)
+        core, prefixes = _relator_boundary(rel)
         full_span = max(full_span, len(core.pairs))
         if core.start != 0:
             raise ValueError(
@@ -968,8 +968,9 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
 
     For each ball edge x and each boundary position j of one period of
     the base disc, the unique g with g·t_j = x (trivial edge stabilizers)
-    is a candidate incident cell g·D; candidates are deduplicated modulo
-    the disc stabilizer ⟨r⟩ via the kernel oracle.  The counts are exact
+    is a candidate incident cell g·D, read off the normal form of the
+    edge's endpoint words; candidates are deduplicated modulo the disc
+    stabilizer ⟨r⟩ via the kernel oracle.  The counts are exact
     for the full complex — no cell is materialized — and the table is
     keyed by the ball's edge indices.
     """
@@ -985,7 +986,7 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
             "transporter orientation matching needs distinct endpoint "
             "vertices on every underlying edge"
         )
-    core, prefixes, lam = _relator_boundary(oracle.r)
+    core, prefixes = _relator_boundary(oracle.r)
     p = len(core.pairs)
     R = ball.radius
     # endpoint matching below compares canonical words in the unquotiented
@@ -998,38 +999,21 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
             f"radius {R} too large for exact transporter matching: "
             f"need 2R + |r| + 1 < {oracle.length_gate}"
         )
-    g_graph = gog.graph
-    step_edges = [e for e, _x in core.pairs]
+    q_inv = [q.inverse() for q in prefixes]
     counts = {}
     per_edge_cells = {}
     for k, edge in enumerate(ball.edges):
-        wu, wv = ball.verts[edge.u], ball.verts[edge.v]
-        reps = []
-        for j in range(p):
-            lam_o = lam[j]
-            lam_t = g_graph.t(step_edges[j])
-            if wu.tag == f"T/v{lam_o}" and wv.tag == f"T/v{lam_t}":
-                x_o, x_t = wu.rep, wv.rep
-            elif wv.tag == f"T/v{lam_o}" and wu.tag == f"T/v{lam_t}":
-                x_o, x_t = wv.rep, wu.rep
-            else:
-                continue
-            q_j = prefixes[j]
-            q_next = prefixes[j + 1] if j + 1 < p else core
-            G_o = gog.vgroup(lam_o)
-            x_t_inv = x_t.inverse()
-            g = None
-            for c in range(G_o.order):
-                cand = reduce_word(
-                    x_o * GroupWord._trusted(gog, lam_o, c) * q_j.inverse())
-                # cand·q_next lies in the coset x_t·G_t exactly when the
-                # loop x_t⁻¹·cand·q_next has a normal form without edges
-                if not reduce_word(x_t_inv * cand * q_next).pairs:
-                    g = cand
-                    break
-            if g is None:
-                continue
-            reps.append((j, g))
+        a, b = ball.verts[edge.u].rep, ball.verts[edge.v].rep
+        # the edge from x·G to y·G is g·t_j exactly when reduce(x⁻¹·y) is
+        # c·(e_j, s), and then g = x·c·q_j⁻¹ (edge groups are trivial)
+        via = {}
+        for x, y in ((a, b), (b, a)):
+            d = reduce_word(x.inverse() * y)
+            if len(d.pairs) == 1:
+                via[d.pairs[0][0]] = x * GroupWord._trusted(gog, d.start,
+                                                            d.head)
+        reps = [(j, reduce_word(via[e] * q_inv[j]))
+                for j, (e, _s) in enumerate(core.pairs) if e in via]
         classes = []
         for j, g in reps:
             for cls in classes:
@@ -1086,7 +1070,7 @@ def claim_audit(r: GroupWord, m: int) -> dict:
        stays within k, exhibiting the worst edge.
     """
     gog = r.gog
-    core, prefixes, _lam = _relator_boundary(r)
+    core, prefixes = _relator_boundary(r)
     p = len(core.pairs)
     tc = compute_M(core)
     r_len = tc.r_syllables

@@ -9,7 +9,8 @@ representative is the minimum of reduce(w·g) over g ∈ G_v under
 ``GroupWord.key()`` (edge count first, then start vertex, head and the
 (edge, element) pairs lexicographically) — deterministic and unique per
 coset, and the edge count of the representative is exactly the tree
-distance from the center.
+distance from the center.  It is read off the normal form, not searched
+for (see :func:`canonical_coset_word`).
 
 A tree ball is the :class:`~gogtools.cayley_abels.GGraphBall` that
 :func:`~gogtools.cayley_abels.quotient_tree_ball` builds with no relators:
@@ -88,100 +89,107 @@ def degree_formula(gog: GraphOfGroups, v: int) -> int:
 
 
 def canonical_coset_word(word: GroupWord) -> GroupWord:
-    """Minimum of reduce(word·g) over g in the vertex group at word.end,
-    under ``GroupWord.key``."""
+    """The least word of the coset word·G_v (v = word.end) under
+    ``GroupWord.key``, read off the normal form.
+
+    The coset argument: with reduce(word) = u·(k, x) and x·g = η_k(c)·r
+    (c in E_k, r in the transversal of im(k)), the words of the coset are
+    reduce(u·η_k̄(c))·(k, r), each once and all of one length; the key
+    compares the part before k first, so the least is the least
+    reduce(u·η_k̄(c)) (:func:`_least_sweep`), then (k, least r).  A word
+    that reduces to no edge has the coset G_v, least at element 0."""
     gog, v = word.gog, word.end
-    if not word.pairs:
-        # reduce(word·g) is the bare element head·g, least at element 0
+    red = reduce_word(word) if word.pairs else word
+    if not red.pairs:
         return GroupWord._trusted(gog, v, 0)
-    G = gog.vgroup(v)
+    T = gog.transversals
+    k = red.pairs[-1][0]
+    u = GroupWord._trusted(gog, red.start, red.head, red.pairs[:-1])
+    _y, head, items = _least_sweep(T, u, T.inj[k ^ 1])
+    items.append((k, T.reps[k][0]))
+    return GroupWord._trusted(gog, red.start, head, items)
+
+
+def _least_sweep(T, w: GroupWord, ys):
+    """(y, head, pairs) of the least reduce(w·y) over y in ``ys``, w
+    canonical: one ``gog._sweep`` of y into w's last element (its head
+    if w has no edge) each.  All have w's length, so ``GroupWord.key``
+    orders them by head, then pairs."""
+    pairs, n = w.pairs, len(w.pairs)
+    hmul = w.gog.vgroups[w.start].table
     best = None
-    for g in range(G.order):
-        cand = reduce_word(word * GroupWord._trusted(gog, v, g))
-        if best is None or cand.key() < best.key():
-            best = cand
+    for y in ys:
+        items = list(pairs)
+        j, corr = _sweep(T, items, n - 1, y, 0, n)
+        head = hmul[w.head][corr] if j < 0 else w.head
+        if best is None or (head, items) < best[1:]:
+            best = (y, head, items)
     return best
 
 
 def _fan_table(gog: GraphOfGroups):
-    """Per directed edge e, the expansion fan at an o(e)-side vertex: the
-    left transversal of im(inj(ē)) in vgroup(o(e)), each representative
-    paired with the set of last edges (None at the center) after which
-    :func:`_child_steps` must still canonicalize the child word (and says
-    so, which tells the quotient ball that the child's key state cannot
-    be stepped from its parent's).
+    """Per directed edge e, the fan at an o(e)-side vertex: for each rep
+    of the left transversal of im(inj(ē)) in vgroup(o(e)), the entry
+    (rep, the coset rep·im(inj(ē)), the last edges k after which
+    :func:`_child_steps` must search that coset, None for the center).
 
-    Why the set is usually empty.  Let w be a canonical word at v whose
-    last edge is k, with last element m (the head at the center); m is
-    the least transversal representative of im(k), or the least element
-    of vgroup(v) at the center.  The child coset of w·rep·e consists of
-    the words reduce(w·y·e·s) with y in rep·im(inj(ē)) and s in the
-    transversal of im(e): an edge-group factor of the last element moves
-    across e into y.  ``GroupWord.key`` compares the part before e first,
-    so the least word takes the least s, and the y whose reduce(w·y) is
-    least.  Write m·y = η_k(c)·r with r in the transversal of im(k); then
-    reduce(w·y) = reduce(u·η_k̄(c))·(k, r), where w = u·(k, m).  Distinct
-    c give distinct elements, and w is least in its coset, so the prefix
-    is least exactly at c = 1; among the y with c = 1, the least r = m·y
-    wins.  Hence reduce(w·rep·e·1) is already canonical when the identity
-    is the least transversal representative of im(e), c = 1 for m·rep,
-    and m·rep is least among the m·y with c = 1 (at the center: m·rep is
-    least in m·rep·im(inj(ē))).  That holds on every built-in model, but
-    not for every labelling of a non-normal edge image, so the steps
-    where it fails keep the canonicalization."""
+    A child of w is reduce(w·y)·(e, least s) for the y in the coset with
+    the least reduce(w·y): the coset argument of
+    :func:`canonical_coset_word`, an edge-group factor of the last
+    element moving across e into y.  With w = u·(k, m), m the least
+    representative of im(k), and m·y = η_k(c)·r, reduce(w·y) is
+    reduce(u·η_k̄(c))·(k, r); w is least in its coset, so the least has
+    c = 1, then the least r = m·y.  So rep alone is proven when m·rep is
+    least among the m·y with c = 1 (at the center m = 0, and c = 1 for
+    every y).  That holds on every built-in model, but not for every
+    labelling of a non-normal edge image."""
     g = gog.graph
     T = gog.transversals
     fan = {}
     for e in range(g.num_edges):
         v = g.o(e)
         G = gog.vgroup(v)
+        mul = G.table
         image = sorted(gog.inj[g.bar(e)].map)
-        child_ok = min(T.reps[e]) == gog.vgroup(g.t(e)).identity
         fan[e] = []
         for rep in left_transversal(G, Subgroup(G, image)):
-            coset = [G.op(rep, h) for h in image]
+            coset = tuple(mul[rep][h] for h in image)
             unproven = set()
             for k in [None] + [f for f in range(g.num_edges) if g.t(f) == v]:
-                if k is None:
-                    m, free = 0, coset
-                else:
-                    m = min(T.reps[k])
-                    ident_c = gog.egroup(k).identity
-                    free = [y for y in coset
-                            if T.decomp[k][G.op(m, y)][0] == ident_c]
-                if not (child_ok and rep in free
-                        and G.op(m, rep) == min(G.op(m, y) for y in free)):
+                m = 0 if k is None else T.reps[k][0]
+                free = [mul[m][y] for y in coset if k is None
+                        or T.decomp[k][mul[m][y]][1] == mul[m][y]]
+                if mul[m][rep] != min(free, default=None):
                     unproven.add(k)
-            fan[e].append((rep, frozenset(unproven)))
+            fan[e].append((rep, coset, frozenset(unproven)))
     return fan
 
 
 def _child_steps(w: GroupWord, fan):
-    """The neighbours of the vertex with canonical word w that lie one step
-    farther from the center, as (e, rep, canonical child word, redone) in
-    edge then fan order; the one step that folds back toward the center is
-    skipped.  The reduced word w·rep·e·1 is the canonical child except on
-    the steps :func:`_fan_table` could not prove, where the child is
-    canonicalized, which right-multiplies it by an element of G_t(e), and
-    ``redone`` is True.  Only the seam is rewritten: the step folds back
-    exactly when e reverses the last edge k of w and x·rep lies in im(k),
-    x the last element, and otherwise ``gog._sweep`` carries rep into x
-    and restores the transversal form from there leftward."""
+    """The neighbours of the vertex with canonical word w one step farther
+    from the center, as (e, y, child) in edge then fan order, the child
+    being reduce(w·y)·(e, least representative of im(e)).  The step that
+    folds back (e reverses w's last edge k and x·rep lies in im(k), x the
+    last element) is skipped.  On a step :func:`_fan_table` proves, y is
+    the fan's rep, swept in inline by ``gog._sweep``; elsewhere
+    :func:`_least_sweep` finds the least y of the fan coset."""
     gog, T, v, pairs = w.gog, w.gog.transversals, w.end, w.pairs
     n = len(pairs)
     last, x = pairs[-1] if pairs else (None, None)
     mul, hmul = gog.vgroups[v].table, gog.vgroups[w.start].table
     for e in gog.graph.edges_at(v):
-        for rep, unproven in fan[e]:
+        tail = (e, T.reps[e][0])
+        for rep, coset, unproven in fan[e]:
             if e ^ 1 == last and T.pinch[last][mul[x][rep]] is not None:
                 continue
-            items = list(pairs)
-            j, corr = _sweep(T, items, n - 1, rep, 0, n)
-            items.append((e, T.tid[e]))
-            head = hmul[w.head][corr] if j < 0 else w.head
-            nf = GroupWord._trusted(gog, w.start, head, items)
-            redone = last in unproven
-            yield e, rep, canonical_coset_word(nf) if redone else nf, redone
+            if last in unproven:
+                rep, head, items = _least_sweep(T, w, coset)
+            else:
+                items = list(pairs)
+                j, corr = _sweep(T, items, n - 1, rep, 0, n)
+                head = hmul[w.head][corr] if j < 0 else w.head
+            items.append(tail)
+            yield e, rep, GroupWord._trusted(gog, w.start, head, items)
 
 
 def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
@@ -199,15 +207,9 @@ def build_tree_ball(gog: GraphOfGroups, radius: int, base: int = 0,
 def _edge_word(ball: GGraphBall, edge):
     """(canonical edge word, directed Λ-edge u → v) of a tree edge, read
     off the far endpoint's word w·(e, s): the word without its last pair,
-    and e.
-
-    The child coset of w·rep·e is the set of words reduce(w·y)·(e, s) with
-    y in rep·im(inj(ē)) and s in the transversal of im(e) (an edge-group
-    factor of the last element moves across e into y).  All of them have
-    the same length, and ``GroupWord.key`` compares the part before e
-    first, so the canonical child is (least reduce(w·y))·(e, least s).
-    Dropping its last pair leaves the least reduce(w·y) over y in
-    rep·im(inj(ē)), which is the canonical edge word."""
+    and e.  The canonical child is (least reduce(w·y))·(e, least s) over
+    y in rep·im(inj(ē)) (see :func:`_fan_table`), so dropping its last
+    pair leaves the least reduce(w·y), which is the canonical edge word."""
     child = ball.verts[edge.v].rep
     word = GroupWord._trusted(child.gog, child.start, child.head,
                               child.pairs[:-1])

@@ -523,17 +523,19 @@ def test_fineness_query_deeper_than_the_radii_exit_4(tmp_path, monkeypatch,
 # -- exit code 5: internal faults -------------------------------------------
 
 
+@pytest.mark.parametrize("fault", [RuntimeError, TypeError, KeyError,
+                                   ZeroDivisionError])
 def test_internal_fault_exit_5_with_error_report(tmp_path, monkeypatch,
-                                                 capsys):
+                                                 capsys, fault):
     def broken(params, ctx):
-        raise RuntimeError("cyclic reduction failed to stabilize")
+        raise fault("cyclic reduction failed to stabilize")
 
     monkeypatch.setitem(cli.COMMANDS, "build-tree", broken)
     rc, _ = run_job(tmp_path, monkeypatch, tree_spec())
     assert rc == 5
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["error"] == {"type": "internal", "message":
-                               "cyclic reduction failed to stabilize"}
+    assert report["error"] == {"type": "internal", "message": str(
+        fault("cyclic reduction failed to stabilize"))}
     assert "result" not in report
     err = capsys.readouterr().err
     assert "Traceback" in err and "build-tree: internal error" in err

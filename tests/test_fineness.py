@@ -225,6 +225,13 @@ def test_escaping_coned_plane_columns():
     reps = {ball.verts[w].rep for w in es.members}
     assert reps == {(n, 0) for n in range(-(R - 1), R)}
     assert len(es) == 2 * R - 1
+    # d(base, c0) + 3 is within R, but the cones are not enumerated: the
+    # set grows with R (7 members at R = 4, 15 at R = 8), so it is partial
+    assert not es.exact
+    # on the grid the same threshold is exact
+    grid = models.ball({"family": "grid", "radius": R})
+    u, v = find_rep(grid, (0, 0)), find_rep(grid, (0, 1))
+    assert escaping_vectors(grid, u, v, 3).exact
 
 
 def test_escaping_locality():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import counting, random_amalgam_word, random_hnn_word
-from test_tree import _relabelled_s3_d4
+from test_tree import _relabelled_s3_d4, _relabelled_sl2z
 from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
 from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
@@ -729,6 +729,20 @@ def _dihedral_quotient(n):
     return gog, [rel], ev
 
 
+def _relabelled_sl2z_quotient():
+    # C4 ∗_{C2} C6 with the C4 identity at element 2, onto its
+    # abelianization C12 (a ↦ 3, b ↦ 2), quotiented by [a, b]: a child
+    # entering C4 ends in (e, 0), off the identity, so its key state
+    # takes a second step
+    gog = _relabelled_sl2z()
+    ev = evaluation_wp(gog, make_cyclic(12),
+                       [[3 * x % 12 for x in (1, 3, 0, 2)],
+                        [2 * x % 12 for x in range(6)]])
+    rel = ab_word(gog, [0, 1, 1, 5])
+    assert ev(rel)
+    return gog, [rel], ev
+
+
 @pytest.mark.parametrize("setup, R", [
     (lambda: _dihedral_quotient(3), 3),
     (lambda: _dihedral_quotient(3), 6),
@@ -736,7 +750,9 @@ def _dihedral_quotient(n):
     (lambda: _c4c6_quotient(24), 3),
     (_c2c3_quotient, 3),
     (_s3c2_quotient, 3),
-], ids=["3", "6", "c4c6-m12-R2", "c4c6-m24-R3", "c2c3-m7-R3", "s3c2-m6-R3"])
+    (_relabelled_sl2z_quotient, 4),
+], ids=["3", "6", "c4c6-m12-R2", "c4c6-m24-R3", "c2c3-m7-R3", "s3c2-m6-R3",
+        "relabelled-sl2z-R4"])
 def test_keyed_lookup_matches_scan_on_complex(setup, R):
     gog, relators, wp = setup()
     for build, dump in ((presentation_complex_ball, to_complex_json),
@@ -768,8 +784,8 @@ def _perm_group(gens):
 def _relabelled_s3_d4_quotient():
     # onto S5 (points 0..4): D4 as the square ⟨(0123), (02)⟩, whose centre
     # (02)(13) is the amalgamated s, and S3 as ⟨(024), (02)(13)⟩.  Some
-    # child steps of this model are canonicalized, and there the ball
-    # recomputes the child's state from its word
+    # child steps of this model search their fan coset, and there the
+    # ball steps the child's state by the element the search chose
     gens = [(2, 3, 0, 1, 4), (2, 1, 4, 3, 0), (2, 1, 0, 3, 4), (1, 2, 3, 0, 4)]
     S5, index = _perm_group(gens)
     op = S5.op
@@ -791,8 +807,9 @@ def _relabelled_s3_d4_quotient():
     (lambda: _c4c6_quotient(12), 2),
     (_c2c3_quotient, 3),
     (_relabelled_s3_d4_quotient, 5),
+    (_relabelled_sl2z_quotient, 4),
 ], ids=[*(f"d{n}" for n in range(3, 81)), "c4c6-m12-R2", "c2c3-m7-R3",
-        "relabelled-s3-d4-R5"])
+        "relabelled-s3-d4-R5", "relabelled-sl2z-R4"])
 def test_carried_key_states_agree_with_the_words(setup, R):
     gog, relators, wp = setup()
     ball = quotient_tree_ball(gog, relators, R, wp=wp)
@@ -1060,6 +1077,62 @@ def test_disc_stabilizer_power_matches_brute_force():
                 word_power(r, rng.randrange(12)) * delta)
         assert (smallcanc._disc_stabilizer_power(ko, delta)
                 == oracle_disc_stabilizer_power(ko, delta))
+
+
+def oracle_thinness_incidence(ko, ball):
+    """(edges, positions) of the incidence table with each transporter
+    found by the search the normal form replaces: for a ball edge {x_o, x_t}
+    with the Λ-vertices of t_j's ends, every c in G_o is tried, and
+    g = x_o·c·q_j⁻¹ is kept when g·q_{j+1} lies in the coset x_t·G_t."""
+    gog, core = ko.gog, cyclically_reduce(ko.r)[0]
+    p = len(core.pairs)
+    prefixes = [GroupWord(gog, core.start, core.head, core.pairs[:j])
+                for j in range(p + 1)]
+    counts, positions_of = {}, {}
+    for k, edge in enumerate(ball.edges):
+        wu, wv = ball.verts[edge.u].rep, ball.verts[edge.v].rep
+        reps = []
+        for j in range(p):
+            lam_o, lam_t = prefixes[j].end, prefixes[j + 1].end
+            if (wu.end, wv.end) == (lam_o, lam_t):
+                x_o, x_t = wu, wv
+            elif (wv.end, wu.end) == (lam_o, lam_t):
+                x_o, x_t = wv, wu
+            else:
+                continue
+            for c in range(gog.vgroup(lam_o).order):
+                g = reduce_word(x_o * GroupWord(gog, lam_o, c)
+                                * prefixes[j].inverse())
+                if not reduce_word(x_t.inverse() * g
+                                   * prefixes[j + 1]).pairs:
+                    reps.append((j, g))
+                    break
+        classes = []
+        for j, g in reps:
+            for _i, h in classes:
+                delta = reduce_word(h.inverse() * g)
+                if smallcanc._disc_stabilizer_power(ko, delta) is not None:
+                    break
+            else:
+                classes.append((j, g))
+        counts[k] = len(classes)
+        positions_of[k] = [j for j, _g in classes]
+    return counts, positions_of
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: (_free(), _relator(_free()), 12, 2),
+    lambda: (c2c2_free(), ab_word(c2c2_free(), [1, 1]), 8, 4),
+], ids=["m_thin_r12", "c2c2-m8-R4"])
+def test_transporters_match_the_vertex_group_search(setup):
+    gog, r, m, R = setup()
+    ko = KernelOracle(gog, r, m)
+    X = presentation_complex_ball(gog, [word_power(r, m)], R, wp=ko)
+    inc = thinness_incidence(ko, X.skeleton)
+    counts, positions_of = oracle_thinness_incidence(ko, X.skeleton)
+    assert inc["edges"] == counts
+    assert inc["positions"] == positions_of
+    assert max(counts.values()) > 1
 
 
 def test_incidence_work_bound(monkeypatch):

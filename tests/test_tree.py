@@ -161,17 +161,39 @@ def test_coset_reps_pairwise_inequivalent():
                 assert shifted != u
 
 
+def oracle_canonical_coset_word(word):
+    """The search the normal form replaces: the least reduce(word·g) over
+    every g in the vertex group at word.end."""
+    gog, v = word.gog, word.end
+    return min((reduce_word(word * GroupWord(gog, v, g))
+                for g in range(gog.vgroup(v).order)), key=GroupWord.key)
+
+
+def _random_raw_word(gog, rng, max_edges=8):
+    """A seeded open word along a random path, with random elements, so
+    that pinches and off-transversal syllables both occur."""
+    g = gog.graph
+    start = at = rng.randrange(g.num_vertices)
+    head = rng.randrange(gog.vgroup(at).order)
+    pairs = []
+    for _ in range(rng.randrange(max_edges + 1)):
+        e = rng.choice(g.edges_at(at))
+        at = g.t(e)
+        pairs.append((e, rng.randrange(gog.vgroup(at).order)))
+    return GroupWord(gog, start, head, pairs)
+
+
 def _sampled_children(gog, fan, rng, radius=5, width=30):
-    """(parent, e, rep, child, redone) over a seeded sample of each level
-    of the tree balls around every base vertex."""
+    """(parent, e, y, child) over a seeded sample of each level of the
+    tree balls around every base vertex."""
     out = []
     for base in range(gog.graph.num_vertices):
         level = [canonical_coset_word(identity_word(gog, base))]
         for _ in range(radius):
             nxt = []
             for w in level:
-                for e, rep, child, redone in _child_steps(w, fan):
-                    out.append((w, e, rep, child, redone))
+                for e, y, child in _child_steps(w, fan):
+                    out.append((w, e, y, child))
                     nxt.append(child)
             level = rng.sample(nxt, min(width, len(nxt)))
     return out
@@ -181,16 +203,18 @@ def _sampled_children(gog, fan, rng, radius=5, width=30):
                                    s3_d4, hnn_c6, free_rank2],
                          ids=MODEL_IDS.get)
 def test_child_steps_skip_canonicalization(make):
-    # every step is proven on the built-in models, so no child word is
-    # canonicalized, yet each is already the least word of its coset
+    # every step is proven on the built-in models, so each child sweeps in
+    # its fan representative alone, yet it is already the least word of
+    # its coset
     gog = make()
     fan = _fan_table(gog)
-    assert all(not unproven for e in fan for _rep, unproven in fan[e])
+    assert all(not unproven for e in fan for _rep, _coset, unproven in fan[e])
+    reps = {(e, rep) for e in fan for rep, _coset, _unproven in fan[e]}
     children = _sampled_children(gog, fan, random.Random(11))
     assert children
-    for _w, _e, _rep, child, redone in children:
-        assert not redone
-        assert canonical_coset_word(child) == child
+    for _w, e, y, child in children:
+        assert (e, y) in reps
+        assert oracle_canonical_coset_word(child) == child
 
 
 def _relabelled_s3_d4():
@@ -207,51 +231,88 @@ def _relabelled_s3_d4():
                    [0, new[s]], [0, 2])
 
 
+def _relabelled_sl2z():
+    """C4 ∗_{C2} C6 with C4 relabelled as a, a³, 1, a²: its identity is
+    element 2, so the center's head 0 is not the identity, and the least
+    representative 0 of the transversal of im(C2) = {2, 3} is not the
+    identity either."""
+    C4 = make_cyclic(4)
+    order = [1, 3, 0, 2]
+    new = {old: i for i, old in enumerate(order)}
+    table = [[new[C4.op(order[a], order[b])] for b in range(4)]
+             for a in range(4)]
+    return amalgam(FiniteGroup(table), make_cyclic(6), make_cyclic(2),
+                   [new[0], new[2]], [0, 3])
+
+
+COSET_MODELS = [*(MODELS[name] for name in sorted(MODELS)),
+                _relabelled_s3_d4, _relabelled_sl2z]
+
+
+@pytest.mark.parametrize("make", COSET_MODELS, ids=lambda make: make.__name__)
+def test_canonical_coset_word_matches_the_search(make):
+    gog = make()
+    rng = random.Random(0xC05E7)
+    edges = 0
+    for _ in range(300):
+        w = _random_raw_word(gog, rng)
+        assert canonical_coset_word(w) == oracle_canonical_coset_word(w)
+        edges += bool(reduce_word(w).pairs)
+    assert edges
+
+
 def test_child_steps_keep_canonicalization_where_unproven():
     gog = _relabelled_s3_d4()
+    g = gog.graph
     fan = _fan_table(gog)
-    assert any(unproven for e in fan for _rep, unproven in fan[e])
-    bypassed = redone_steps = 0
-    for w, e, rep, child, redone in _sampled_children(gog, fan,
-                                                       random.Random(11)):
-        assert canonical_coset_word(child) == child
-        redone_steps += redone
-        g = gog.graph
+    assert any(unproven for e in fan for _rep, _coset, unproven in fan[e])
+    bypassed = swapped = 0
+    for w, e, y, child in _sampled_children(gog, fan, random.Random(11)):
+        assert oracle_canonical_coset_word(child) == child
+        last = w.pairs[-1][0] if w.pairs else None
+        rep, unproven = next((rep, unproven)
+                             for rep, coset, unproven in fan[e] if y in coset)
         raw = reduce_word(w * GroupWord(gog, w.end, rep,
                                         [(e, gog.vgroup(g.t(e)).identity)]))
         bypassed += raw != child
-        assert redone or raw == child
-    # the fallback is what makes those children canonical, and the child
-    # step says where it ran
+        swapped += y != rep
+        # only an unproven step searches its fan coset
+        assert last in unproven or (y == rep and raw == child)
+    # the search is what makes those children canonical: some unproven
+    # step sweeps in an element of the coset other than its rep
     assert bypassed > 0
-    assert redone_steps > 0
+    assert swapped > 0
 
 
 def oracle_child_steps(w, fan):
-    """The children of w by full reduction of w·rep·e·1, canonicalized
-    on the unproven steps: the construction before the seam-only step."""
+    """The children of w by full reduction of w·rep·e·1 and the
+    brute-force coset minimum on every step, each with the y in the fan
+    coset whose reduce(w·y) the child starts with."""
     gog = w.gog
     g = gog.graph
-    last = w.pairs[-1][0] if w.pairs else None
     out = []
     for e in g.edges_at(w.end):
         ident_t = gog.vgroup(g.t(e)).identity
-        for rep, unproven in fan[e]:
+        for rep, coset, _unproven in fan[e]:
             nf = reduce_word(w * GroupWord(gog, w.end, rep, [(e, ident_t)]))
             if len(nf.pairs) == len(w.pairs) + 1:
-                if last in unproven:
-                    nf = canonical_coset_word(nf)
-                out.append((e, rep, nf, last in unproven))
+                child = oracle_canonical_coset_word(nf)
+                prefix = GroupWord(gog, child.start, child.head,
+                                   child.pairs[:-1])
+                y, = [y for y in coset
+                      if reduce_word(w * GroupWord(gog, w.end, y)) == prefix]
+                out.append((e, y, child))
     return out
 
 
 @pytest.mark.parametrize("make", [sl2z, c4c6_free, c2c2_free,
                                    s3_d4, hnn_c6, free_rank2,
-                                   _relabelled_s3_d4], ids=MODEL_IDS.get)
+                                   _relabelled_s3_d4, _relabelled_sl2z],
+                         ids=MODEL_IDS.get)
 def test_child_steps_match_full_reduction(make):
     gog = make()
     fan = _fan_table(gog)
-    parents = {w for w, _e, _rep, _child, _redone in
+    parents = {w for w, _e, _y, _child in
                _sampled_children(gog, fan, random.Random(5), radius=6)}
     for base in range(gog.graph.num_vertices):
         parents.update(tv.rep for tv in build_tree_ball(gog, 3, base).verts)
@@ -292,7 +353,8 @@ def oracle_canonical_edge_word(word, e):
 
 @pytest.mark.parametrize("make", [sl2z, c4c6_free, c2c2_free,
                                    s3_d4, hnn_c6, free_rank2,
-                                   _relabelled_s3_d4], ids=MODEL_IDS.get)
+                                   _relabelled_s3_d4, _relabelled_sl2z],
+                         ids=MODEL_IDS.get)
 def test_edge_words_match_oracle(make):
     # the ball reads each edge word off the canonical child; the oracle
     # finds a y in vgroup(o(e)) with w·y·e in the child's coset and takes
@@ -307,8 +369,8 @@ def test_edge_words_match_oracle(make):
             w, child = ball.verts[te.u].rep, ball.verts[te.v].rep
             ident_t = gog.vgroup(g.t(e)).identity
             y = next(y for y in range(gog.vgroup(g.o(e)).order)
-                     if canonical_coset_word(reduce_word(
-                         w * GroupWord(gog, w.end, y, [(e, ident_t)])))
+                     if oracle_canonical_coset_word(
+                         w * GroupWord(gog, w.end, y, [(e, ident_t)]))
                      == child)
             assert word == oracle_canonical_edge_word(
                 w * GroupWord(gog, w.end, y), e)
