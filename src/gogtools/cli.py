@@ -32,7 +32,7 @@ Conventions
   is a success; 2 malformed or schema-invalid job (diagnostic names the
   offending path); 3 a configured cap was exceeded, with a partial
   report still written; 4 a requested oracle cannot serve the input; 5
-  an internal fault (a ``RuntimeError`` inside the command), with an
+  an internal fault (any other exception inside the command), with an
   error report of type "internal" and the traceback on stderr.
 """
 

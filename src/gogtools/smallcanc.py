@@ -37,9 +37,10 @@ The thinness audit is transporter-local: the 2-cells of the presentation
 complex through a 1-cell x are the translates g·D of the base relator
 disc with g·t_j = x for a boundary edge t_j of D, deduplicated modulo the
 disc stabilizer ⟨r⟩ (which collapses boundary positions by the period:
-q_{j+|r|} = r·q_j).  This counts incidences of the *infinite* complex
-exactly, without materializing any 2-cell, and is how per-edge bounds are
-certified at radii where a full disc could never fit in memory.  The audit
+q_{j+|r|} = r·q_j); G acts on the complex, so one partition of the
+positions per geometric Λ-edge serves every 1-cell over it.  This counts
+incidences of the *infinite* complex exactly, without materializing any
+2-cell, at radii where a full disc could never fit in memory.  The audit
 counts over the edges of the ball it is handed, whose radius must stay
 under the kernel's length gate, and the M-thin verdict is read from that
 certified table alone.
@@ -91,12 +92,6 @@ def word_power(w: GroupWord, m: int) -> GroupWord:
         else:
             head = G.op(head, w.head)
     return reduce_word(GroupWord._trusted(gog, w.start, head, pairs))
-
-
-def positions(w: GroupWord):
-    """The word as a list of (vertex, element, incoming edge or None)."""
-    t = w.gog.transversals.t
-    return [(w.start, w.head, None)] + [(t[e], x, e) for e, x in w.pairs]
 
 
 def rotations(w: GroupWord):
@@ -883,7 +878,8 @@ def _relator_boundary(rel: GroupWord):
 def presentation_complex_ball(gog, relators, R: int, wp=None,
                               cap: int = 10 ** 6) -> TwoComplexBall:
     """Quotient tree ball with a 2-cell along every in-ball translate of
-    every relator loop, deduplicated by boundary (rotation and reversal).
+    every relator's cyclic core, deduplicated by boundary (rotation and
+    reversal).
 
     A 2-cell is attached when its entire boundary cycle lands inside the
     ball; its interior flag records whether every cell through any of its
@@ -902,18 +898,13 @@ def presentation_complex_ball(gog, relators, R: int, wp=None,
     for rel_idx, rel in enumerate(relators):
         core, prefixes = _relator_boundary(rel)
         full_span = max(full_span, len(core.pairs))
-        if core.start != 0:
-            raise ValueError(
-                f"relator {rel_idx} is based at vertex {core.start}; "
-                "the complex ball is built around vertex 0"
-            )
         span = (len(core.pairs) + 1) // 2
-        G0 = gog.vgroup(0)
+        o, tag = core.start, f"T/v{core.start}"
         for i, v in enumerate(ball.verts):
-            if v.tag != "T/v0":
+            if v.tag != tag:
                 continue
-            for h in range(G0.order):
-                g = reduce_word(v.rep * GroupWord._trusted(gog, 0, h))
+            for h in range(gog.vgroup(o).order):
+                g = reduce_word(v.rep * GroupWord._trusted(gog, o, h))
                 cycle = []
                 for q in prefixes:
                     idx = ball.lookup.find(canonical_coset_word(g * q))
@@ -962,17 +953,22 @@ def _disc_stabilizer_power(oracle: KernelOracle, delta: GroupWord):
 
 def thinness_incidence(oracle: KernelOracle, ball) -> dict:
     """Exact per-edge 2-cell counts for the presentation complex of
-    gog/⟨⟨r^m⟩⟩, computed transporter-locally over every edge of ``ball``
-    (a quotient tree ball of the oracle, such as a complex's skeleton);
-    the graph of groups, r and m are the kernel oracle's.
+    gog/⟨⟨r^m⟩⟩ over every edge of ``ball`` (a quotient tree ball of the
+    oracle, such as a complex's skeleton); the graph of groups, r and m
+    are the kernel oracle's.
 
-    For each ball edge x and each boundary position j of one period of
-    the base disc, the unique g with g·t_j = x (trivial edge stabilizers)
-    is a candidate incident cell g·D, read off the normal form of the
-    edge's endpoint words; candidates are deduplicated modulo the disc
-    stabilizer ⟨r⟩ via the kernel oracle.  The counts are exact
-    for the full complex — no cell is materialized — and the table is
-    keyed by the ball's edge indices.
+    The cells through a ball edge {a, b} are the g·D, D the disc of r's
+    cyclic core, with g·t_j = {a, b} for a boundary edge t_j = q_j·e_j of
+    one period, counted modulo the disc stabilizer.  Edge groups are
+    trivial, so with reduce(a⁻¹·b) = c·(e, s) each g is unique: a·c·q_j⁻¹
+    where e_j = e, and b·s⁻¹·q_j⁻¹ where e_j = ē.  Hence g_i⁻¹·g_j =
+    q_i·ε·q_j⁻¹, with ε the identity when e_i = e_j and the bare edge word
+    (1; (e_i, 1)) when e_j = ē_i: the classes depend on the geometric
+    Λ-edge alone.  So the positions on each Λ-edge are partitioned once
+    (g_i ~ g_j when q_i·ε·q_j⁻¹ is a power of the core modulo the kernel,
+    tested at r's basepoint through the ``cyclically_reduce`` conjugator),
+    and each ball edge reads its count and class representatives
+    (``positions``) off its Λ-edge.  No cell is materialized.
     """
     gog = oracle.gog
     if not oracle.trivial_seams:
@@ -983,48 +979,49 @@ def thinness_incidence(oracle: KernelOracle, ball) -> dict:
     if any(gog.graph.o(e) == gog.graph.t(e)
            for e in range(gog.graph.num_edges)):
         raise UnsupportedInput(
-            "transporter orientation matching needs distinct endpoint "
-            "vertices on every underlying edge"
+            "on a loop edge every step is a stable letter, and the kernel "
+            "oracle's syllable measure does not count stable letters"
         )
-    core, prefixes = _relator_boundary(oracle.r)
+    core, conj = cyclically_reduce(oracle.r)
     p = len(core.pairs)
     R = ball.radius
-    # endpoint matching below compares canonical words in the unquotiented
-    # group; that is exact as long as no kernel element can move a ball
-    # vertex to another ball vertex, i.e. while the minimal kernel
-    # translation length (the Greendlinger gate) exceeds the diameter
-    # reachable by candidate transporters
+    # the quotient joins a to the tree neighbours of k·b for kernel
+    # elements k, and d(b, k·b) <= 2R + 1 for ball words a and b; a kernel
+    # element k ≠ 1 translates by at least the Greendlinger gate, so under
+    # this guard k = 1: every ball edge joins two tree-adjacent words
     if Fraction(2 * R + p + 1) >= oracle.length_gate:
         raise UnsupportedInput(
             f"radius {R} too large for exact transporter matching: "
             f"need 2R + |r| + 1 < {oracle.length_gate}"
         )
-    q_inv = [q.inverse() for q in prefixes]
-    counts = {}
-    per_edge_cells = {}
+    T = gog.transversals
+    lift = [conj * GroupWord._trusted(gog, core.start, core.head,
+                                      core.pairs[:j]) for j in range(p)]
+    classes, counts, per_edge_cells = {}, {}, {}
     for k, edge in enumerate(ball.edges):
-        a, b = ball.verts[edge.u].rep, ball.verts[edge.v].rep
-        # the edge from x·G to y·G is g·t_j exactly when reduce(x⁻¹·y) is
-        # c·(e_j, s), and then g = x·c·q_j⁻¹ (edge groups are trivial)
-        via = {}
-        for x, y in ((a, b), (b, a)):
-            d = reduce_word(x.inverse() * y)
-            if len(d.pairs) == 1:
-                via[d.pairs[0][0]] = x * GroupWord._trusted(gog, d.start,
-                                                            d.head)
-        reps = [(j, reduce_word(via[e] * q_inv[j]))
-                for j, (e, _s) in enumerate(core.pairs) if e in via]
-        classes = []
-        for j, g in reps:
-            for cls in classes:
-                delta = reduce_word(cls[0][1].inverse() * g)
-                if _disc_stabilizer_power(oracle, delta) is not None:
-                    cls.append((j, g))
-                    break
-            else:
-                classes.append([(j, g)])
-        counts[k] = len(classes)
-        per_edge_cells[k] = [cls[0][0] for cls in classes]
+        d = reduce_word(ball.verts[edge.u].rep.inverse()
+                        * ball.verts[edge.v].rep)
+        if len(d.pairs) != 1:
+            raise RuntimeError(f"ball edge {k} joins words {len(d.pairs)} "
+                               "tree edges apart, past the radius guard")
+        lam = d.pairs[0][0] >> 1
+        if lam not in classes:
+            reps = classes[lam] = []
+            for j, (e, _s) in enumerate(core.pairs):
+                if e >> 1 != lam:
+                    continue
+                for i in reps:
+                    e_i = core.pairs[i][0]
+                    eps = GroupWord._trusted(
+                        gog, T.t[e_i ^ 1], T.tid[e_i ^ 1],
+                        [] if e_i == e else [(e_i, T.tid[e_i])])
+                    delta = lift[i] * eps * lift[j].inverse()
+                    if _disc_stabilizer_power(oracle, delta) is not None:
+                        break
+                else:
+                    reps.append(j)
+        counts[k] = len(classes[lam])
+        per_edge_cells[k] = list(classes[lam])
     max_edge = max(counts, key=lambda k: counts[k]) if counts else None
     return {
         "edges": counts,
@@ -1062,7 +1059,9 @@ def claim_audit(r: GroupWord, m: int) -> dict:
     relator disc D (boundary = the loop of r^m) over r's graph of groups:
 
     1. the rotation subgroup ⟨r⟩ collapses the m|r| boundary edges of D
-       to at most |r| orbits (q_{j+|r|} = r·q_j, checked exactly);
+       to at most |r| orbits (q_{j+|r|} = r·q_j holds by construction, so
+       ``collapse_checked`` cannot fail, and ``orbits`` is not counted
+       but set to the period);
     2. on a sample edge, the incident cells inject into those orbits —
        one transporter class per orbit, classes counted exactly when the
        edge stabilizers are trivial, and not checked (verdict None) else;

@@ -1,7 +1,7 @@
-"""Test-only helpers: seeded random words, hand-built balls, call
-counting, the SL2(Z) matrix oracle and job files the schema rejects.  The
-named models, their words and the ball families live in
-``gogtools.models``."""
+"""Test-only helpers: seeded random words, the position list of a word,
+hand-built balls, call counting, the SL2(Z) matrix oracle and job files
+the schema rejects.  The named models, their words and the ball families
+live in ``gogtools.models``."""
 
 from __future__ import annotations
 
@@ -16,6 +16,14 @@ from gogtools.gog import GroupWord
 MODEL_IDS = {models.sl2z: "sl2z_gog", models.c4c6_free: "c4_c6_free",
              models.c2c2_free: "c2_c2_free", models.s3_d4: "s3_d4_amalgam",
              models.hnn_c6: "hnn_c6", models.free_rank2: "free_rank2"}
+
+
+def positions(w: GroupWord):
+    """The word as a list of (vertex, element, incoming edge or None): the
+    reference layout the piece comparison, the self-overlap and the Dehn
+    scan are checked against."""
+    t = w.gog.transversals.t
+    return [(w.start, w.head, None)] + [(t[e], x, e) for e, x in w.pairs]
 
 
 def random_amalgam_word(gog, rng: random.Random, max_syllables=12, start=0):

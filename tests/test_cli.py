@@ -479,6 +479,33 @@ def test_px_complex_short_relator_exit_4(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "complex.json").exists()
 
 
+def test_px_complex_relator_core_off_vertex_0(tmp_path, monkeypatch):
+    # a·b·a·b·a·b·a with a = 0 is (ba)³ at vertex 0, whose cyclic core
+    # starts at vertex 1; it spans the same 2-cells as px_d3's (ab)³
+    spec = json.loads((JOBS / "px_d3.json").read_text())
+    (tmp_path / "ab").mkdir()
+    (tmp_path / "ba").mkdir()
+    rc, _ = run_job(tmp_path / "ab", monkeypatch, spec)
+    assert rc == 0
+    spec["parameters"]["relators"] = [{"ab": [0, 1, 1, 1, 1, 1, 1]}]
+    rc, _ = run_job(tmp_path / "ba", monkeypatch, spec)
+    assert rc == 0
+    for slot in ("complex", "off"):
+        out = spec["output"][slot]
+        assert ((tmp_path / "ba" / out).read_bytes()
+                == (tmp_path / "ab" / out).read_bytes())
+
+
+def test_m_thin_relator_core_off_vertex_0(tmp_path, monkeypatch):
+    spec = json.loads((JOBS / "m_thin_r12.json").read_text())
+    spec["parameters"]["word"] = {"ab": [0, 1, 1, 2, 2, 3, 3, 1, 1]}
+    rc, _ = run_job(tmp_path, monkeypatch, spec)
+    assert rc == 0
+    report = json.loads((tmp_path / spec["output"]["report"]).read_text())
+    assert report["result"]["verdict"]
+    assert report["result"]["max_count"] == report["result"]["M"] == 8
+
+
 @pytest.mark.parametrize("model, word, cause", [
     ("sl2z", {"ab": [1]}, "no edges"),
     ("free_rank2", {"syllables": [[0, 0], [0, 0]]}, "stable letters only"),

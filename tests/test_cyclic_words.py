@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fixtures import MODEL_IDS, counting
+from fixtures import MODEL_IDS, counting, positions
 from gogtools import smallcanc
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
@@ -42,7 +42,6 @@ from gogtools.smallcanc import (
     check_cprime,
     common_prefix_syllables,
     pieces,
-    positions,
     rotations,
     self_overlap,
     symmetrize,

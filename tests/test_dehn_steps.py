@@ -19,7 +19,12 @@ import random
 
 import pytest
 
-from fixtures import counting, random_amalgam_word, random_hnn_word
+from fixtures import (
+    counting,
+    positions,
+    random_amalgam_word,
+    random_hnn_word,
+)
 from gogtools import smallcanc
 from gogtools.errors import UnsupportedInput
 from gogtools.gog import (
@@ -35,7 +40,6 @@ from gogtools.smallcanc import (
     DehnResult,
     KernelOracle,
     _dehn_reduce,
-    positions,
     symmetrize,
     word_power,
 )

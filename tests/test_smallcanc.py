@@ -11,21 +11,35 @@ back to a product-of-conjugates witness.
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import counting, random_amalgam_word, random_hnn_word
+from fixtures import (
+    counting,
+    positions,
+    random_amalgam_word,
+    random_hnn_word,
+)
 from test_tree import _relabelled_s3_d4, _relabelled_sl2z
-from gogtools.cayley_abels import _KernelLookup, ca_to_json, quotient_tree_ball
+from gogtools.cayley_abels import (
+    GEdge,
+    _KernelLookup,
+    ca_to_json,
+    quotient_tree_ball,
+)
 from gogtools.complexes import to_complex_json
 from gogtools.errors import UnsupportedInput
-from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
+from gogtools.finite import FiniteGroup, GroupHom, make_cyclic, make_dihedral
 from gogtools.gog import (
+    GraphOfGroups,
     GroupWord,
+    SerreGraph,
     cyclically_reduce,
     free_product,
+    hnn_sub,
     identity_word,
     reduce_word,
     words_equal,
@@ -50,7 +64,6 @@ from gogtools.smallcanc import (
     dehn_reduce,
     evaluation_wp,
     pieces,
-    positions,
     presentation_complex_ball,
     replay_trace,
     rotate_once,
@@ -995,6 +1008,15 @@ def test_incidence_rejects_amalgams():
         thinness_incidence(ko, build_tree_ball(gog, 1))
 
 
+def test_incidence_refuses_loop_edges():
+    # C5∗ℤ: the kernel oracle builds for b⁴·t·b² at m = 10, but every step
+    # of a loop edge is a stable letter, which its syllables do not count
+    gog = hnn_sub(make_cyclic(5), [0], [0])
+    ko = KernelOracle(gog, GroupWord(gog, 0, 4, [(0, 2)]), 10)
+    with pytest.raises(UnsupportedInput, match="stable letter"):
+        thinness_incidence(ko, _incidence_ball(ko, 1))
+
+
 def test_incidence_radius_guard():
     # the gate of r^4 is 15, and 2·4 + |r| + 1 = 15 already fails it
     gog = _free()
@@ -1006,10 +1028,12 @@ def test_incidence_radius_guard():
 
 
 def test_check_M_thin_with_certificate(monkeypatch):
-    # the m_thin_r12 job: with the abelianized key states the complex and
-    # its incidence table take 318 certificate calls; with the key alone
-    # they took 1,128, 810 of them abelianized refutations inside a
-    # bucket, and the Λ-vertex scan took 4,476
+    # the m_thin_r12 job: the complex and its incidence table take 180
+    # certificate calls, 6 of them the table's, which partitions the 6
+    # positions of the one Λ-edge once; a class search on each of the 24
+    # ball edges took 144 for the table (318 in all), and with the key
+    # alone instead of the abelianized key states the complex and table
+    # took 1,128, and the Λ-vertex scan 4,476
     gog = _free()
     r = _relator(gog)
     ko = KernelOracle(gog, r, 12)
@@ -1022,12 +1046,14 @@ def test_check_M_thin_with_certificate(monkeypatch):
 
     monkeypatch.setattr(KernelOracle, "certificate", counted)
     X = presentation_complex_ball(gog, [word_power(r, 12)], 2, wp=ko)
+    complex_calls = calls[0]
     X.incidence = thinness_incidence(ko, X.skeleton)
     rep = check_M_thin(X.incidence, 6)
     assert rep["verdict"]
     assert rep["mode"] == "certified-incidence"
     assert rep["max_count"] == 6
-    assert 0 < calls[0] <= 318
+    assert 0 < calls[0] - complex_calls <= 6
+    assert 0 < calls[0] <= 180
 
 
 def test_check_M_thin_verdict_turns_at_the_max_count():
@@ -1083,8 +1109,11 @@ def oracle_thinness_incidence(ko, ball):
     """(edges, positions) of the incidence table with each transporter
     found by the search the normal form replaces: for a ball edge {x_o, x_t}
     with the Λ-vertices of t_j's ends, every c in G_o is tried, and
-    g = x_o·c·q_j⁻¹ is kept when g·q_{j+1} lies in the coset x_t·G_t."""
-    gog, core = ko.gog, cyclically_reduce(ko.r)[0]
+    g = x_o·c·q_j⁻¹ is kept when g·q_{j+1} lies in the coset x_t·G_t.
+    Each ball edge is classed on its own, and two transporters are tested
+    at r's basepoint, conjugated by the conjugator of cyclically_reduce."""
+    gog = ko.gog
+    core, conj = cyclically_reduce(ko.r)
     p = len(core.pairs)
     prefixes = [GroupWord(gog, core.start, core.head, core.pairs[:j])
                 for j in range(p + 1)]
@@ -1110,7 +1139,7 @@ def oracle_thinness_incidence(ko, ball):
         classes = []
         for j, g in reps:
             for _i, h in classes:
-                delta = reduce_word(h.inverse() * g)
+                delta = reduce_word(conj * h.inverse() * g * conj.inverse())
                 if smallcanc._disc_stabilizer_power(ko, delta) is not None:
                     break
             else:
@@ -1120,10 +1149,72 @@ def oracle_thinness_incidence(ko, ball):
     return counts, positions_of
 
 
+def _c2_c3_c4_path():
+    """The path C2 — C3 — C4 with trivial edge groups: directed edges 0, 1
+    join vertices 0 and 1, and 2, 3 join vertices 1 and 2."""
+    C1 = make_cyclic(1)
+    graph = SerreGraph(3, [(0, 1), (1, 2)])
+    groups = [make_cyclic(n) for n in (2, 3, 4)]
+    inj = [GroupHom(C1, groups[graph.t(e)], [0]) for e in range(4)]
+    return GraphOfGroups(graph, groups, [C1, C1], inj)
+
+
+def _path_relator(gog):
+    """A loop at vertex 0 whose cyclic core x·e2·y³·e3 lives on Λ-edge 1
+    and starts at vertex 1."""
+    return GroupWord(gog, 0, 1, [(0, 2), (2, 2), (3, 1), (2, 1), (3, 1),
+                                 (1, 1)])
+
+
+def _off_base_c4c6():
+    """c4c6 with b·a·b²·a²·b³·a³·b·a at vertex 0, whose cyclic core
+    starts at vertex 1."""
+    gog = _free()
+    return gog, ab_word(gog, [0, 1, 1, 2, 2, 3, 3, 1, 1])
+
+
+def test_incidence_relator_core_off_the_basepoint():
+    # both cores start at vertex 1 while r starts at vertex 0, so each
+    # disc-stabilizer test is conjugated back to r's basepoint
+    gog, r = _off_base_c4c6()
+    assert cyclically_reduce(r)[0].start == 1
+    ko = KernelOracle(gog, r, 12)
+    inc = thinness_incidence(ko, _incidence_ball(ko, 2))
+    assert inc["max_count"] == compute_M(r).M == 8
+
+    gog = _c2_c3_c4_path()
+    r = _path_relator(gog)
+    assert cyclically_reduce(r)[0].start == 1
+    ko = KernelOracle(gog, r, 8)
+    ball = _incidence_ball(ko, 2)
+    inc = thinness_incidence(ko, ball)
+    by_tag = {}
+    for k, c in inc["edges"].items():
+        by_tag.setdefault(ball.edges[k].tag, set()).add(c)
+    assert by_tag == {"T/e0": {0}, "T/e1": {2}}
+    assert inc["argmax_edge"] == 4 and inc["max_count"] == 2
+
+
+def test_incidence_refuses_an_edge_between_non_adjacent_words():
+    # the radius guard keeps every ball edge between tree-adjacent words;
+    # a ball that breaks this is a fault, not an edge with no cells
+    gog = _free()
+    ko = KernelOracle(gog, _relator(gog), 12)
+    ball = _incidence_ball(ko, 2)
+    far = max(range(len(ball.verts)), key=lambda i: ball.verts[i].dist)
+    bad = SimpleNamespace(radius=ball.radius, verts=ball.verts,
+                          edges=(GEdge("T/e0", 0, far, 1),) + ball.edges)
+    with pytest.raises(RuntimeError, match="2 tree edges apart"):
+        thinness_incidence(ko, bad)
+
+
 @pytest.mark.parametrize("setup", [
     lambda: (_free(), _relator(_free()), 12, 2),
     lambda: (c2c2_free(), ab_word(c2c2_free(), [1, 1]), 8, 4),
-], ids=["m_thin_r12", "c2c2-m8-R4"])
+    lambda: (*_off_base_c4c6(), 12, 2),
+    lambda: ((gog := _c2_c3_c4_path()), _path_relator(gog), 8, 2),
+], ids=["m_thin_r12", "c2c2-m8-R4", "c4c6-off-base-m12-R2",
+        "c2c3c4-path-m8-R2"])
 def test_transporters_match_the_vertex_group_search(setup):
     gog, r, m, R = setup()
     ko = KernelOracle(gog, r, m)
@@ -1145,10 +1236,11 @@ def test_incidence_work_bound(monkeypatch):
     inc = thinness_incidence(ko, ball)
     assert inc["max_count"] == 6
     assert powers[0] == 0
-    # the per-s word_power search made 43,130 reductions here, and
-    # reducing each disc-stabilizer candidate before certificate reduced
-    # it again made 6,136
-    assert reductions[0] <= 3676
+    # one reduction per ball edge and the partition's few certificates;
+    # the per-ball-edge class search made 733 reductions here, the per-s
+    # word_power search 43,130, and reducing each disc-stabilizer
+    # candidate before certificate reduced it again 6,136
+    assert reductions[0] <= 44
 
 
 def test_kernel_oracle_construction_work_bound(monkeypatch):

@@ -1,8 +1,9 @@
 """The word layer against its dict- and method-based predecessor.
 
 ``reduce_word``, ``rotate_once``, ``cyclically_reduce``, ``syllable_length``,
-``positions`` and the ``GroupWord`` product, inverse and end read the flat
-per-edge tuples of ``GraphOfGroups.transversals``.  The versions below are
+the ``GroupWord`` product, inverse and end, and the test helper
+``fixtures.positions`` read the flat per-edge tuples of
+``GraphOfGroups.transversals``.  The versions below are
 the ones they replaced, kept as the reference: they build their own
 dict-based transversal table and call ``SerreGraph`` and
 ``GraphOfGroups`` methods at every syllable.  Seeded raw words with forced
@@ -25,6 +26,7 @@ import types
 
 import pytest
 
+from fixtures import positions
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
@@ -34,7 +36,7 @@ from gogtools.gog import (
     syllable_length,
 )
 from gogtools.models import MODELS
-from gogtools.smallcanc import _dehn_reduce, positions
+from gogtools.smallcanc import _dehn_reduce
 from test_tree import _relabelled_s3_d4
 
 
