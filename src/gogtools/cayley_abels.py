@@ -7,9 +7,9 @@ finite subgroup U (one family) and of each listed subgroup H (one family
 each); edges are {gU, gsU} per listed generator and {gU, gH} cone edges.
 Breadth-first from the coset U.  A cone family without a finite enumeration
 cannot be expanded, so such vertices are BFS-terminal.  The sweep examines
-every candidate of a vertex inside radius R, so a final pass over the
-U-vertices at distance R adds the edges whose endpoints both landed in the
-ball and that no sweep step saw.  The recorded distances are graph distances
+every candidate of a vertex inside radius R, and its last sweep, over the
+U-vertices at distance R, adds the edges whose endpoints both landed in the
+ball and that no earlier sweep saw.  The recorded distances are graph distances
 in the locally finite approximation that ignores shortcuts through unexpanded
 cones, the reading under which the coned plane's ball is "grid plus cones".
 
@@ -23,15 +23,15 @@ child step and fan table of :mod:`gogtools.tree`.  ``_KernelLookup`` is
 the one place that finds a vertex again modulo the kernel.  The finished
 ball keeps it as ``lookup``, where the tree action and the presentation
 complex in :mod:`gogtools.smallcanc` find their vertices.  It buckets
-vertices by the callable's own key (the Λ-vertex if it has none).  Each
-vertex carries the state its key is made from, such as its image in an
-evaluation oracle's finite target.  A child reduce(w·y)·(e, s) takes its
-state from its parent's by ``key_step`` with the y the child step swept
-in, plus one more step by s where s is not the identity, so no vertex
-word is walked to key it.  An exact key, such as the evaluation's coset,
-settles a lookup by the key alone; otherwise each candidate in the bucket
-costs one word-problem call per vertex-group element that the states do
-not rule out.
+vertices by the key the callable's ``key_of`` gives (by Λ-vertex if the
+callable has no ``key_state``).  Each vertex carries the state its key
+is made from, such as its image in an evaluation oracle's finite target.
+A child reduce(w·y)·(e, s) takes its state from its parent's by
+``key_step`` with the y the child step swept in, plus one more step by s
+where s is not the identity, so no vertex word is walked to key it.  An
+exact key, such as the evaluation's coset, settles a lookup by the key
+alone; otherwise each candidate in the bucket costs one word-problem call
+per vertex-group element that the states do not rule out.
 
 Search
 ------
@@ -242,18 +242,24 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
     ident = G.identity
     add_vertex("G/U", ident, U.key_of(G, ident), 0)
 
+    # a vertex at distance < R was in a frontier, where each candidate gave
+    # an edge, a loop note or a vertex.  The last sweep, over the boundary
+    # ([0] at R = 0, [] if exhausted), stages no vertex: it adds the edges
+    # from the boundary U-vertices to vertices already in the ball.
     frontier = [0]
-    for dist in range(1, R + 1):
+    for dist in range(1, R + 2):
         staged = {}     # (tag, key) -> (rep, [(src, etag, estab)])
         for i in frontier:
+            if dist > R and verts[i].tag != "G/U":
+                continue
             for tag, rep, etag, estab in candidates(i):
                 key = handles[tag].key_of(G, rep)
                 found = index.get((tag, key))
                 if found is not None:
                     _edge_insert(edges, eindex, etag, i, found, estab, notes)
-                    continue
-                staged.setdefault((tag, key), (rep, []))[1].append(
-                    (i, etag, estab))
+                elif dist <= R:
+                    staged.setdefault((tag, key), (rep, []))[1].append(
+                        (i, etag, estab))
         frontier = []
         for tag, key in sorted(staged, key=lambda tk: (tk[0], repr(tk[1]))):
             rep, sources = staged[tag, key]
@@ -262,17 +268,6 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
                 _edge_insert(edges, eindex, etag, src, j, estab, notes)
             frontier.append(j)
 
-    # closing pass over the boundary: a vertex at distance < R was in a
-    # frontier, where each candidate gave an edge, a loop note or a vertex;
-    # the last frontier is in index order ([0] at R = 0, [] if exhausted)
-    for i in frontier:
-        if verts[i].tag != "G/U":
-            continue
-        for tag, rep, etag, estab in candidates(i):
-            found = index.get((tag, handles[tag].key_of(G, rep)))
-            if found is not None:
-                _edge_insert(edges, eindex, etag, i, found, estab, notes)
-
     return GGraphBall(verts, edges, R, notes)
 
 
@@ -280,15 +275,15 @@ class _KernelLookup:
     """Quotient-ball vertices by canonical tree word, found again modulo the
     kernel ⟨⟨R⟩⟩.  With no relators only exact hits on the word count.
 
-    Otherwise a vertex goes into the bucket of its key.  A word-problem
-    callable with a ``key`` gives it by a key state: ``key_state(word)``
+    Otherwise a vertex goes into the bucket of its key.  A keyed
+    word-problem callable gives it by a key state: ``key_state(word)``
     is a word's state, ``key_step(s, v, x)`` the state of word·x from the
-    state s of a word ending at v (x in G_v), and ``key_of(s, v)`` the
-    key, so ``key(word)`` is ``key_of(key_state(word), word.end)``.  A
-    pair (e, 1) leaves the state alone, so the ball builder steps a
-    child's state from its parent's in O(1); a caller with only a word
-    has its state computed here.  A callable with no ``key`` keys by
-    Λ-vertex.
+    state s of a word ending at v (x in G_v), ``key_of(s, v)`` the key of
+    a word ending at v with state s, and ``exact_key`` whether equal keys
+    mean the same vertex.  A pair (e, 1) leaves the state alone, so the
+    ball builder steps a child's state from its parent's in O(1); a
+    caller with only a word has its state computed here.  A callable
+    with no ``key_state`` keys by Λ-vertex.
 
     Two words that agree modulo the kernel up to an element of G_v must
     get the same key, so a bucket holds every vertex that could match, in
@@ -304,7 +299,7 @@ class _KernelLookup:
 
     def __init__(self, relators, wp):
         self.wp = wp if relators else None
-        if hasattr(self.wp, "key"):
+        if hasattr(self.wp, "key_state"):
             self.key_state, self.key_step = wp.key_state, wp.key_step
             self.key_of, self.exact_key = wp.key_of, wp.exact_key
         else:   # no state, and the Λ-vertex for a key

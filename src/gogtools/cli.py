@@ -98,14 +98,10 @@ def _handle(action, name):
     from .concrete import SubgroupHandle, trivial_handle
 
     if name == "trivial":
-        return trivial_handle(action.concrete)
+        return trivial_handle(action)
     elements = action.stab_elements(name["stab"])
-    G = action.concrete
-    return SubgroupHandle(
-        f"stab{name['stab']}",
-        contains=lambda w: any(G.eq(w, h) for h in elements),
-        elements=elements,
-    )
+    return SubgroupHandle(f"stab{name['stab']}",
+                          contains=lambda w: w in elements, elements=elements)
 
 
 def _attach(params):

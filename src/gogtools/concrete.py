@@ -5,10 +5,9 @@ the coset-graph builder:
 
     identity            -- the identity element
     op(x, y), inv(x)    -- multiplication and inverse
-    eq(x, y)            -- equality of elements (an equivalence compatible
-                           with op)
-    canon(x)            -- a hashable canonical form, constant on equality
-                           classes
+
+``op`` and ``inv`` return each element in its one form, so two elements
+are equal exactly when they are ``==``, and elements are hashable.
 
 Subgroups travel as :class:`SubgroupHandle`: a membership predicate plus a
 way to name cosets, either a full element enumeration (finite subgroups) or
@@ -22,7 +21,6 @@ from __future__ import annotations
 import operator
 
 from .finite import FiniteGroup
-from .gog import GraphOfGroups, identity_word, reduce_word
 
 
 class FiniteConcrete:
@@ -40,12 +38,6 @@ class FiniteConcrete:
 
     def inv(self, x):
         return self.group.inv[x]
-
-    def eq(self, x, y):
-        return x == y
-
-    def canon(self, x):
-        return x
 
 
 class FreeAbelian:
@@ -66,45 +58,14 @@ class FreeAbelian:
     def inv(self, x):
         return tuple(map(operator.neg, x))
 
-    def eq(self, x, y):
-        return tuple(x) == tuple(y)
-
-    def canon(self, x):
-        return tuple(x)
-
-
-class QuotientWords:
-    """Loops of a graph of groups at a base vertex, as reduced words: the
-    fundamental group, where a reduced word is its own canonical form."""
-
-    def __init__(self, gog: GraphOfGroups, base: int = 0):
-        self.gog = gog
-        self.base = base
-
-    @property
-    def identity(self):
-        return identity_word(self.gog, self.base)
-
-    def op(self, x, y):
-        return reduce_word(x * y)
-
-    def inv(self, x):
-        return reduce_word(x.inverse())
-
-    def eq(self, x, y):
-        return reduce_word(x * y.inverse()).is_identity()
-
-    def canon(self, x):
-        return reduce_word(x)
-
 
 class SubgroupHandle:
     """Subgroup as a membership predicate that can name its left cosets.
 
     ``coset_key(x)`` — when given — must name the left coset x·H canonically.
-    Otherwise the key is the minimum of canon(x·h) over the enumeration
-    ``elements``.  A handle with neither is refused: :meth:`key_of` always
-    returns a key.
+    Otherwise the key is the least op(x, h) over the enumeration
+    ``elements``, so the group's elements must be orderable.  A handle
+    with neither is refused: :meth:`key_of` always returns a key.
     """
 
     def __init__(self, name: str, contains, elements=None, coset_key=None,
@@ -131,7 +92,7 @@ class SubgroupHandle:
     def key_of(self, G, x):
         if self.coset_key is not None:
             return ("ck", self.coset_key(x))
-        return ("min", min(G.canon(G.op(x, h)) for h in self.elements))
+        return ("min", min(G.op(x, h) for h in self.elements))
 
     def __repr__(self):
         size = self.order if self.is_finite else "inf"
@@ -140,15 +101,13 @@ class SubgroupHandle:
 
 def trivial_handle(G) -> SubgroupHandle:
     ident = G.identity
-    return SubgroupHandle(
-        "1", contains=lambda x: G.eq(x, ident), elements=[ident]
-    )
+    return SubgroupHandle("1", contains=lambda x: x == ident, elements=[ident])
 
 
 def generated_handle(name: str, G, gens, cap: int = 10 ** 5) -> SubgroupHandle:
     """Closure of finitely many elements, for provably finite subgroups;
     aborts past ``cap`` elements."""
-    seen = {G.canon(G.identity): G.identity}
+    seen = {G.identity}
     frontier = [G.identity]
     gens = list(gens) + [G.inv(g) for g in gens]
     while frontier:
@@ -156,16 +115,13 @@ def generated_handle(name: str, G, gens, cap: int = 10 ** 5) -> SubgroupHandle:
         for x in frontier:
             for g in gens:
                 y = G.op(x, g)
-                ky = G.canon(y)
-                if ky not in seen:
+                if y not in seen:
                     if len(seen) + 1 > cap:
                         raise ValueError(
                             f"subgroup closure for {name!r} exceeded {cap} elements"
                         )
-                    seen[ky] = y
+                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    elements = [seen[k] for k in sorted(seen)]
-    member = set(seen)
-    return SubgroupHandle(name, contains=lambda x: G.canon(x) in member,
-                          elements=elements)
+    return SubgroupHandle(name, contains=lambda x: x in seen,
+                          elements=sorted(seen))

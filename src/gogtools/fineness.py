@@ -21,7 +21,8 @@ alongside as the audit companion.
 
 Group actions enter through small action bundles (one for tree balls, one
 for free-abelian coset balls) exposing the induced vertex map, stabilizer
-enumerations, transporter sets, and a concrete-group view of the elements.
+enumerations and transporter sets; each bundle is itself the concrete group
+(``identity``, ``op``, ``inv``) whose elements those sets hold.
 Attachments and the corner condition in the Z-step speak through that
 interface.  Cone subgroups travel as
 :class:`~gogtools.concrete.SubgroupHandle`; an infinite handle is accepted
@@ -34,9 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
-from .concrete import FreeAbelian, QuotientWords, SubgroupHandle
+from .concrete import FreeAbelian, SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
-from .gog import GroupWord
+from .gog import GroupWord, identity_word, reduce_word
 from .tree import canonical_coset_word, stabilizer
 
 
@@ -251,15 +252,22 @@ def fineness_report(family, locate_u, locate_v, k: int, radii) -> dict:
 class TreeBallAction:
     """The fundamental group acting on a tree ball (as a GGraphBall).
 
-    Group elements are reduced loop words at the base vertex; the bundle
-    exposes the induced vertex map, stabilizer enumerations, and transporter
-    sets, which is all the attachment and W/Z machinery needs.
+    Group elements are reduced loop words at the base vertex, a reduced
+    word being its own canonical form, so the bundle is the concrete group
+    of them; it exposes the induced vertex map, stabilizer enumerations,
+    and transporter sets, which is all the attachment and W/Z machinery
+    needs.
     """
 
     def __init__(self, gog, R: int, base: int = 0):
         self.ball = quotient_tree_ball(gog, [], R, base=base)
-        self.concrete = QuotientWords(gog, base)
-        self.identity = self.concrete.identity
+        self.identity = identity_word(gog, base)
+
+    def op(self, x: GroupWord, y: GroupWord) -> GroupWord:
+        return reduce_word(x * y)
+
+    def inv(self, x: GroupWord) -> GroupWord:
+        return reduce_word(x.inverse())
 
     def apply(self, g: GroupWord, i: int):
         """Image vertex index of i under g, or None when out of ball."""
@@ -275,13 +283,13 @@ class TreeBallAction:
         ws, wd = self.ball.verts[src].rep, self.ball.verts[dst].rep
         if ws.end != wd.end:
             return []
-        Q = self.concrete
-        t = Q.op(wd, Q.inv(ws))
-        return [Q.op(s, t) for s in self.stab_elements(dst)]
+        t = self.op(wd, self.inv(ws))
+        return [self.op(s, t) for s in self.stab_elements(dst)]
 
 
-class AbelianBallAction:
-    """Translation action on a free-abelian coset ball with trivial U."""
+class AbelianBallAction(FreeAbelian):
+    """Translation action on a free-abelian coset ball with trivial U, as
+    the free abelian group acting."""
 
     def __init__(self, ball: GGraphBall):
         self.ball = ball
@@ -293,14 +301,13 @@ class AbelianBallAction:
                 rank = len(v.rep)
         if rank is None:
             raise ValueError("ball carries no G/U vertices")
-        self.concrete = FreeAbelian(rank)
-        self.identity = self.concrete.identity
+        super().__init__(rank)
 
     def apply(self, g, i: int):
         v = self.ball.verts[i]
         if v.tag != "G/U":
             return None
-        return self._index.get(tuple(x + y for x, y in zip(g, v.rep)))
+        return self._index.get(self.op(g, v.rep))
 
     def stab_elements(self, i: int):
         return [self.identity]
@@ -309,7 +316,7 @@ class AbelianBallAction:
         u, v = self.ball.verts[src], self.ball.verts[dst]
         if u.tag != "G/U" or v.tag != "G/U":
             return []
-        return [tuple(y - x for x, y in zip(u.rep, v.rep))]
+        return [self.op(v.rep, self.inv(u.rep))]
 
 
 # -- equivariant attachments ------------------------------------------------
@@ -389,14 +396,13 @@ def attach_edge_orbit(action, spec) -> Attachment:
     H = spec["H"]
     if not isinstance(H, SubgroupHandle):
         raise ValueError("the {u,H} form needs a SubgroupHandle")
-    G = action.concrete
     # cosets gH in range: every cone adjacent to a ball vertex x = g·h·u
     # arises from a transporter t: u → x, as the coset t·s·H, s ∈ Stab(u)
     cones = {}
     order = []
     for x in range(ball.vertex_count()):
         for t in action.transporters(u, x):
-            key = H.key_of(G, t)
+            key = H.key_of(action, t)
             if key not in cones:
                 cones[key] = {"nbrs": set(), "rep": t}
                 order.append(key)
@@ -426,7 +432,7 @@ def attach_edge_orbit(action, spec) -> Attachment:
             "theorem's hypotheses",
         )
     delta = GGraphBall(verts, edges, ball.radius, notes)
-    rep_key = H.key_of(G, action.identity)
+    rep_key = H.key_of(action, action.identity)
     cone_table = {
         key: {"index": index_of[key], "nbrs": sorted(cones[key]["nbrs"])}
         for key in order

@@ -341,11 +341,12 @@ def words_equal(u: GroupWord, w: GroupWord) -> bool:
 def syllable_length(w: GroupWord, lo=0, hi=None) -> int:
     """Number of nontrivial vertex-group syllables of w (the head plus the
     element after each edge) at positions lo..hi-1, the head being
-    position 0 (all of them by default); use it on canonical forms."""
+    position 0 (all of them by default); use it on canonical forms.  The
+    head counts only where the window holds it: lo == 0 and hi != 0."""
     tid = w.gog.transversals.tid
     n = len([e for e, x in w.pairs[max(lo - 1, 0):hi and hi - 1]
              if x != tid[e]])
-    return n + (lo == 0 and w.head != w.gog.vgroups[w.start].identity)
+    return n + (lo == 0 != hi and w.head != w.gog.vgroups[w.start].identity)
 
 
 def _sweep(T: "Transversals", items, j, corr, floor, stop):

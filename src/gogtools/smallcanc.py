@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import islice
 
 from .errors import UnsupportedInput
 from .gog import (
@@ -207,28 +207,29 @@ def _prefix_syllables(w1, w2, fudge) -> int:
     """:func:`common_prefix_syllables` given the fudge sets, read off the
     heads and the (edge, element) pairs: an edge fixes the vertex it
     enters, so two pairs are equal positions exactly when they are equal.
-    It stops at the first pair that differs."""
+    It stops at the first pair that differs, and the k positions matched
+    before it count as ``syllable_length(w1, 0, k)``."""
     if w1.start != w2.start:
         return 0
     gog = w1.gog
     v, x1, x2 = w1.start, w1.head, w2.head
-    syl = 0
+    k = 0
     if x1 == x2:
-        tid = gog.transversals.tid
-        syl = int(x1 != gog.vgroups[v].identity)
+        k = 1
         for p, q in zip(w1.pairs, w2.pairs):
             if p != q:
                 break
-            syl += p[1] != tid[p[0]]
+            k += 1
         else:
-            return syl
+            return syllable_length(w1, 0, k)
         (e, x1), (f, x2) = p, q
         if e != f:
-            return syl
+            return syllable_length(w1, 0, k)
         v = gog.transversals.t[e]
     # seam fudge: x1 = x2·c for a correction c; terminal by convention
     G = gog.vgroups[v]
-    return syl + any(x1 == G.op(x2, c) for c in fudge[v])
+    return syllable_length(w1, 0, k) + any(
+        x1 == G.op(x2, c) for c in fudge[v])
 
 
 def self_overlap(w: GroupWord) -> int:
@@ -241,12 +242,10 @@ def self_overlap(w: GroupWord) -> int:
     The Z-array takes O(n) comparisons (Gusfield, *Algorithms on Strings,
     Trees and Sequences*, §1.4) and is read off the head and the pairs:
     position s >= 1 is pair s - 1, and an edge fixes the vertex it enters.
-    A prefix sum turns lengths into syllables."""
-    T = w.gog.transversals
-    t, tid, pairs = T.t, T.tid, w.pairs
+    The longest prefix is counted in syllables at the end, since the
+    syllables of a prefix grow with its length."""
+    t, pairs = w.gog.transversals.t, w.pairs
     n = len(pairs) + 1
-    first = int(w.head != w.gog.vgroups[w.start].identity)
-    syl = [0, *accumulate((x != tid[e] for e, x in pairs), initial=first)]
     z = [0] * n
     best = lo = hi = 0  # [lo, hi) is the rightmost matched window
     for s in range(1, n):
@@ -267,7 +266,7 @@ def self_overlap(w: GroupWord) -> int:
         lo, hi = s, s + k
         if k > best:
             best = k
-    return syl[best]  # syl is nondecreasing
+    return syllable_length(w, 0, best)
 
 
 class PieceReport:
@@ -700,7 +699,7 @@ class KernelOracle:
     reduction per step, and kept in a list that grows only as far as an
     audit asks.  ``transversals``, if given, must be ``gog.transversals``.
 
-    Calling the oracle is ``in_kernel``.  ``key`` lets quotient balls
+    Calling the oracle is ``in_kernel``.  ``key_of`` lets quotient balls
     bucket their vertices by abelianized image; it is a filter, not a
     decision, so ``exact_key`` is false.  Its key state is that image
     modulo ⟨h1(r^m)⟩ (None where no image applies): ``key_step`` moves
@@ -844,18 +843,15 @@ class KernelOracle:
         return self._least(s[:v] + (y,) + s[v + 1:], self._r_subgroup)
 
     def key_of(self, s, v):
-        """The key of a word ending at v whose key state is s."""
-        return v if s is None else (v, self._least(s, self._key_cosets[v]))
-
-    def key(self, w: GroupWord):
-        """(w.end, least element of h1(w)·h1(G_v)·⟨h1(r^m)⟩) where the
-        abelianized image applies, else w.end.
+        """The key of a word w ending at v whose key state is s:
+        (v, least element of h1(w)·h1(G_v)·⟨h1(r^m)⟩) where the
+        abelianized image applies, else v.
 
         h1 is a homomorphism to a finite abelian group, and it maps the
         kernel ⟨⟨r^m⟩⟩ into ⟨h1(r^m)⟩.  So w·x·w'⁻¹ with x in G_v can lie
         in the kernel only if w and w' have the same key: the key never
         separates two words the oracle would match."""
-        return self.key_of(self.key_state(w), w.end)
+        return v if s is None else (v, self._least(s, self._key_cosets[v]))
 
 
 # -- presentation complexes -------------------------------------------------
@@ -1155,10 +1151,10 @@ class Evaluation:
     """Evaluation of loop words in a finite target, as built by
     :func:`evaluation_wp`.  Calling it answers the word problem (True when
     the word evaluates to the identity); ``image(word)`` is the target
-    element itself, and ``key(word)`` the word's coset in the target, an
-    exact key for quotient balls.  The image is the key state:
-    ``key_step`` multiplies it by the image of one vertex-group element,
-    one table lookup, and ``key_of`` reads the coset off it."""
+    element itself.  The image is the key state: ``key_step`` multiplies
+    it by the image of one vertex-group element, one table lookup, and
+    ``key_of`` reads the word's coset in the target off it, an exact key
+    for quotient balls."""
 
     __slots__ = ("target", "images", "_by_edge", "_vimage")
     exact_key = True
@@ -1187,12 +1183,8 @@ class Evaluation:
         return self.target.table[g][self.images[v][x]]
 
     def key_of(self, g, v):
-        """(v, least element of the left coset g·image(G_v))."""
-        row = self.target.table[g]
-        return v, min([row[h] for h in self._vimage[v]])
-
-    def key(self, w: GroupWord):
-        """(w.end, least element of the left coset image(w)·image(G_v)).
+        """The key of a word w ending at v with image g: (v, least element
+        of the left coset g·image(G_v)).
 
         Evaluation does not change under ``reduce_word``: pinches and the
         transversal sweep move edge-group elements across edges, and the
@@ -1200,7 +1192,8 @@ class Evaluation:
         ``inverse``.  So, with ker(evaluation) = ⟨⟨R⟩⟩, w·x·w'⁻¹ lies in
         the kernel for some x in G_v exactly when the two cosets are
         equal, and equal keys mean the same quotient-ball vertex."""
-        return self.key_of(self.image(w), w.end)
+        row = self.target.table[g]
+        return v, min([row[h] for h in self._vimage[v]])
 
 
 def evaluation_wp(gog, target, images):
@@ -1213,8 +1206,8 @@ def evaluation_wp(gog, target, images):
     checked; it holds when the relators present the target.
 
     Returns an :class:`Evaluation`: called on a word it returns a bool,
-    and its ``key(word)``, the word's target coset, finds a quotient-ball
-    vertex with one evaluation."""
+    and its key, the word's target coset, finds a quotient-ball vertex
+    with one evaluation."""
     g = gog.graph
     if len(images) != g.num_vertices:
         raise ValueError(

@@ -217,29 +217,18 @@ def _edge_word(ball: GGraphBall, edge):
 
 
 def check_tree_ball(ball: GGraphBall):
-    """Invariant audit of a tree ball; returns a list of violation strings."""
+    """Invariant audit of a tree ball; returns a list of violation strings.
+    A connected graph with |V| − 1 edges is a tree, so the edge count and
+    one search from vertex 0 settle acyclicity."""
     n, m = ball.vertex_count(), ball.edge_count()
     problems = []
     if m != n - 1:
         problems.append(f"|E| = {m} != |V| - 1 = {n - 1}")
-    # acyclicity by union-find
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in ball.edges:
-        ru, rv = find(edge.u), find(edge.v)
-        if ru == rv:
-            problems.append(f"cycle through edge {edge.u}--{edge.v}")
-        else:
-            parent[ru] = rv
-    roots = {find(i) for i in range(n)}
-    if len(roots) != 1:
-        problems.append(f"ball is disconnected into {len(roots)} components")
+    reached = len(ball.bfs(0)[0])
+    if reached != n:
+        problems.append(
+            f"ball is disconnected: {reached} of {n} vertices reachable "
+            "from vertex 0")
     for i, vx in enumerate(ball.verts):
         if vx.dist < ball.radius:
             want = degree_formula(vx.rep.gog, vx.rep.end)

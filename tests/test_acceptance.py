@@ -168,12 +168,8 @@ def test_criterion_03_fineness_stable_and_growing():
 
 def _stab_handle(action, i):
     elements = action.stab_elements(i)
-    G = action.concrete
-    return SubgroupHandle(
-        f"stab{i}",
-        contains=lambda w: any(G.eq(w, h) for h in elements),
-        elements=elements,
-    )
+    return SubgroupHandle(f"stab{i}", contains=lambda w: w in elements,
+                          elements=elements)
 
 
 # -- 4: the W/Z chain -------------------------------------------------------
@@ -249,9 +245,8 @@ def _find_rep(ball, rep):
 
 
 def _trivial_line_handle(action):
-    G = action.concrete
-    ident = G.identity
-    return SubgroupHandle("1", contains=lambda x: G.eq(x, ident),
+    ident = action.identity
+    return SubgroupHandle("1", contains=lambda x: x == ident,
                           elements=[ident])
 
 

@@ -69,12 +69,6 @@ class MatrixGroup:
         # adjugate; valid since det = 1
         return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
 
-    def eq(self, x, y):
-        return x == y
-
-    def canon(self, x):
-        return x
-
 
 # -- coset construction -----------------------------------------------------
 

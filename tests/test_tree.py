@@ -13,6 +13,7 @@ import random
 import pytest
 
 from fixtures import MODEL_IDS, counting, random_amalgam_word
+from gogtools.cayley_abels import GEdge, GGraphBall
 from gogtools.errors import CapExceeded
 from gogtools.finite import FiniteGroup, make_cyclic, make_dihedral
 from gogtools.gog import (
@@ -108,6 +109,31 @@ def test_oracle_agreement():
         for tv in ball.verts:
             levels[tv.dist] += 1
         assert levels == oracle_levels(gog, 0, R)
+
+
+def test_check_tree_ball_reports_a_cycle_and_a_cut():
+    ball = build_tree_ball(sl2z(), 4)
+    n = ball.vertex_count()
+    edges = list(ball.edges)
+    a, b = [i for i, tv in enumerate(ball.verts) if tv.dist == 4][:2]
+    chord = GEdge("chord", a, b, 1)
+    # one extra edge between two boundary vertices closes a cycle
+    extra = GGraphBall(ball.verts, edges + [chord], 4)
+    assert check_tree_ball(extra) == [f"|E| = {n} != |V| - 1 = {n - 1}"]
+    # dropping the last edge cuts its leaf off and thins its parent
+    last = edges[-1]
+    parent, leaf = sorted((last.u, last.v), key=lambda i: ball.verts[i].dist)
+    assert ball.verts[leaf].dist == 4 and leaf not in (a, b)
+    cut_off = (f"ball is disconnected: {n - 1} of {n} vertices reachable "
+               "from vertex 0")
+    thinned = (f"interior vertex {parent} has degree 2, index formula "
+               "gives 3")
+    dropped = GGraphBall(ball.verts, edges[:-1], 4)
+    assert check_tree_ball(dropped) == [
+        f"|E| = {n - 2} != |V| - 1 = {n - 1}", cut_off, thinned]
+    # both at once keep the edge count of a tree: the search still sees it
+    swapped = GGraphBall(ball.verts, edges[:-1] + [chord], 4)
+    assert check_tree_ball(swapped) == [cut_off, thinned]
 
 
 def test_infinite_dihedral_line():

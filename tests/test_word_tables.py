@@ -1,9 +1,8 @@
 """The word layer against its dict- and method-based predecessor.
 
-``reduce_word``, ``rotate_once``, ``cyclically_reduce``, ``syllable_length``,
-the ``GroupWord`` product, inverse and end, and the test helper
-``fixtures.positions`` read the flat per-edge tuples of
-``GraphOfGroups.transversals``.  The versions below are
+``reduce_word``, ``rotate_once``, ``cyclically_reduce``, ``syllable_length``
+and the ``GroupWord`` product, inverse and end read the flat per-edge
+tuples of ``GraphOfGroups.transversals``.  The versions below are
 the ones they replaced, kept as the reference: they build their own
 dict-based transversal table and call ``SerreGraph`` and
 ``GraphOfGroups`` methods at every syllable.  Seeded raw words with forced
@@ -26,7 +25,6 @@ import types
 
 import pytest
 
-from fixtures import positions
 from gogtools.gog import (
     GroupWord,
     cyclically_reduce,
@@ -242,14 +240,6 @@ def old_conjugator(red, steps):
     return old_reduce_word(GroupWord._trusted(gog, start, steps[0][0], pairs))
 
 
-def old_positions(w):
-    g = w.gog.graph
-    out = [(w.start, w.head, None)]
-    for e, x in w.pairs:
-        out.append((g.t(e), x, e))
-    return out
-
-
 # -- seeded raw words with forced pinches -----------------------------------
 
 
@@ -307,7 +297,6 @@ def test_word_layer_matches_the_method_based_reference(make):
     gog = make()
     rng = random.Random(0x7AB1E)
     for w in _raw_loops(gog, rng, 150):
-        assert positions(w) == old_positions(w)
         assert syllable_length(w) == old_syllable_length(w)
         assert w.end == old_end(w)
         inv = w.inverse()

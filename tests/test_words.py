@@ -244,6 +244,20 @@ def test_syllable_length_examples():
     assert syllable_length(reduce_word(ab_word(gog, [2, 3]))) == 0
 
 
+def test_syllable_length_windows():
+    gog = sl2z()
+    head = GroupWord(gog, 0, 1, [])
+    # an empty window holds no syllable, the head's included
+    assert syllable_length(head, 0, 0) == 0
+    assert syllable_length(head, 0, 1) == syllable_length(head) == 1
+    w = reduce_word(ab_word(gog, [1, 1, 2]))
+    n = len(w.pairs) + 1
+    assert syllable_length(w, 0, n) == syllable_length(w) > 0
+    # the windows [0, k) and [k, n) split the word's syllables
+    assert all(syllable_length(w, 0, k) + syllable_length(w, k, n)
+               == syllable_length(w) for k in range(n + 1))
+
+
 def test_cyclically_reduce_conjugate():
     free = c4c6_free()
     # a b a^-1 -> core b at the C6 vertex, conjugator a
