@@ -361,7 +361,13 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     Each vertex carries its key state (see :class:`_KernelLookup`): the
     child reduce(w·y)·(e, s) that ``_child_steps`` yields with y takes
     key_step(state, v, y), then one more step by s where s is not the
-    identity."""
+    identity.
+
+    A child's Λ-vertex is t(e) of its step, and a frontier vertex's is
+    read off its last pair.  With no relators one probe of the lookup's
+    word table both records a child and detects a cycle.  The edge to a
+    new child has a fresh endpoint, so it is appended as it is; only an
+    edge to a vertex already in the ball goes through ``_edge_insert``."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -387,23 +393,24 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     edges = []
     eindex = {}
     notes = []
+    exact = lookup.exact
 
-    def add_vertex(word, dist, state, key):
+    def add_vertex(word, v, dist, state):
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
                 f"{kind} ball exceeded cap of {cap} vertices at radius {dist}",
                 detail={"vertices": idx, "radius_reached": dist - 1},
             )
-        tag, stab_name, stab_order = vtags[word.end]
+        tag, stab_name, stab_order = vtags[v]
         verts.append(GVertex(tag, word, word, dist, stab_name, stab_order))
         states.append(state)
-        lookup.add(word, idx, state, key)
         return idx
 
     root = canonical_coset_word(identity_word(gog, base))
     state = key_state(root)
-    add_vertex(root, 0, state, key_of(state, base))
+    lookup.add(root, add_vertex(root, base, 0, state), state,
+               key_of(state, base))
 
     # a vertex's step back toward the tree center reaches the vertex it was
     # discovered from, so only the steps away from the center are walked.
@@ -411,32 +418,38 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     # that close cycles; with no relators only exact words match, and a
     # child of a boundary vertex is never in the ball, so a tree ball
     # skips it.
-    s = key = None      # a tree ball keys no vertex
     frontier = [0]
     for dist in range(1, R + 2 if relators else R + 1):
         nxt = []
         for i in frontier:
             w, state = verts[i].rep, states[i]
-            v = w.end
+            v = tt[w.pairs[-1][0]] if w.pairs else base
             for e, y, cand in _child_steps(w, fan):
+                t, (etag, estab) = tt[e], etags[e]
                 if relators:
-                    s, t, x = key_step(state, v, y), tt[e], cand.pairs[-1][1]
+                    s, x = key_step(state, v, y), cand.pairs[-1][1]
                     if x != tid[e]:
                         s = key_step(s, t, x)
                     key = key_of(s, t)
-                j = lookup.find(cand, s, key)
-                if j is None:
+                    j = lookup.find(cand, s, key)
+                    if j is not None:
+                        _edge_insert(edges, eindex, etag, i, j, estab, notes)
+                        continue
                     if dist > R:
                         continue
-                    j = add_vertex(cand, dist, s, key)
-                    nxt.append(j)
-                elif not relators:
-                    raise RuntimeError(
-                        f"ball construction produced a cycle at {cand!r}; "
-                        "reduction is broken"
-                    )
-                etag, estab = etags[e]
-                _edge_insert(edges, eindex, etag, i, j, estab, notes)
+                    j = add_vertex(cand, t, dist, s)
+                    lookup.add(cand, j, s, key)
+                else:
+                    j = len(verts)
+                    if exact.setdefault(cand, j) != j:
+                        raise RuntimeError(
+                            f"ball construction produced a cycle at {cand!r}; "
+                            "reduction is broken"
+                        )
+                    add_vertex(cand, t, dist, None)     # no key state
+                nxt.append(j)
+                eindex[i, j] = len(edges)
+                edges.append(GEdge(etag, i, j, estab))
         frontier = nxt
 
     return GGraphBall(verts, edges, R, notes, lookup)

@@ -59,9 +59,6 @@ class Cell2:
         self.tag = tag
         self.interior = bool(interior)
 
-    def key(self):
-        return cycle_key(self.verts)
-
     def __repr__(self):
         return f"Cell2({self.tag}, {list(self.verts)})"
 

@@ -52,7 +52,8 @@ class SerreGraph:
     """Directed-edge graph with involution.
 
     ``pairs`` is a list of (origin, terminus) per geometric edge; geometric
-    edge i yields directed edges 2i (o→t) and 2i+1 (t→o).
+    edge i yields directed edges 2i (o→t) and 2i+1 (t→o).  Each vertex's
+    out-edges are listed once, here.
     """
 
     def __init__(self, num_vertices: int, pairs):
@@ -64,6 +65,9 @@ class SerreGraph:
             if not (0 <= o < num_vertices and 0 <= t < num_vertices):
                 raise ValueError(f"edge endpoint out of range: ({o}, {t})")
         self.num_edges = 2 * len(self.pairs)
+        self._out = tuple(
+            tuple(e for e in range(self.num_edges) if self.o(e) == v)
+            for v in range(num_vertices))
 
     def bar(self, e: int) -> int:
         return e ^ 1
@@ -77,16 +81,17 @@ class SerreGraph:
         return t if (e & 1) == 0 else o
 
     def edges_at(self, v: int):
-        """Directed edges with origin v, ascending."""
-        return [e for e in range(self.num_edges) if self.o(e) == v]
+        """Directed edges with origin v, ascending: the tuple the
+        constructor built, so a query costs no scan of the edges."""
+        return self._out[v]
 
     def is_connected(self) -> bool:
         seen = {0}
         stack = [0]
         while stack:
             v = stack.pop()
-            for e in range(self.num_edges):
-                if self.o(e) == v and self.t(e) not in seen:
+            for e in self._out[v]:
+                if self.t(e) not in seen:
                     seen.add(self.t(e))
                     stack.append(self.t(e))
         return len(seen) == self.num_vertices

@@ -172,10 +172,13 @@ def _child_steps(w: GroupWord, fan):
     folds back (e reverses w's last edge k and x·rep lies in im(k), x the
     last element) is skipped.  On a step :func:`_fan_table` proves, y is
     the fan's rep, swept in inline by ``gog._sweep``; elsewhere
-    :func:`_least_sweep` finds the least y of the fan coset."""
-    gog, T, v, pairs = w.gog, w.gog.transversals, w.end, w.pairs
+    :func:`_least_sweep` finds the least y of the fan coset.  w's end is
+    read off its last pair, and its out-edges are the tuple
+    ``SerreGraph.edges_at`` keeps, so a step scans no graph."""
+    gog, T, pairs = w.gog, w.gog.transversals, w.pairs
     n = len(pairs)
     last, x = pairs[-1] if pairs else (None, None)
+    v = T.t[last] if pairs else w.start
     mul, hmul = gog.vgroups[v].table, gog.vgroups[w.start].table
     for e in gog.graph.edges_at(v):
         tail = (e, T.reps[e][0])

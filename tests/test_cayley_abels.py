@@ -5,6 +5,7 @@ evaluation into the finite dihedral quotient for the relator fixture, and
 the subdivided tree ball for the two-constructions agreement.
 """
 
+import hashlib
 import json
 
 import networkx as nx
@@ -37,6 +38,7 @@ from gogtools.errors import CapExceeded, UnsupportedInput
 from gogtools.fineness import alpha_geodesics, escaping_vectors
 from gogtools.finite import make_cyclic, make_dihedral
 from gogtools.gog import reduce_word, syllable_length
+from gogtools.smallcanc import KernelOracle, evaluation_wp
 from gogtools.tree import (
     _edge_word,
     build_tree_ball,
@@ -439,6 +441,46 @@ def test_quotient_needs_wp():
 def test_quotient_base_must_be_a_vertex(base):
     with pytest.raises(ValueError, match="base vertex"):
         quotient_tree_ball(models.c2c2_free(), [], 2, base=base)
+
+
+# sha256 of ca_to_json (as sorted-key JSON) and of ca_to_dot for quotient
+# balls with relators: C2∗C2 modulo (ab)^n evaluated in D_n at radius n,
+# and C4∗C6 modulo (a b a² b² a³ b³)^12 under the kernel oracle at R = 2
+# (the ball the m-thin job builds)
+QUOTIENT_DIGESTS = {
+    "D3": ("9782a1c6276a389090333e7b1ea18bf38001715d552e76642e7f2194cadeb480",
+           "c1bcbc029b0962ae08503503879b1f5f057af56abdc4a357ec78927ee27e9b1b"),
+    "D10": (
+        "87b664fb6399f81ab335c8f7a0bd7fe08735d39a4cd0c21f3b39c29c5fa6f882",
+        "03afa99392b1cbf5f38ea924da05474d9e5f27b0e2516c4e57abda8ed8eb0d93"),
+    "D80": (
+        "073a5da55ddc7f4648e303d60caffebfc56e5dbd915661b00a990450f5adb972",
+        "31ec84475bad7d6d99456041b8ca9db75a411c0982241f80263b8ed37be8d809"),
+    "c4c6-r12-R2": (
+        "ce7006624178c7a1c2b433e791bd8ef2479e77136239b4dfcc3171e33e37b350",
+        "c77dfeeb4d01e4e133fe0807d920d40e850225c10d5763afa3134b5626c25dd2"),
+}
+
+
+def _relator_ball(name):
+    if name.startswith("D"):
+        n = int(name[1:])
+        gog = models.c2c2_free()
+        wp = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
+        return quotient_tree_ball(gog, [models.ab_word(gog, [1] * (2 * n))],
+                                  n, wp=wp)
+    gog = models.c4c6_free()
+    oracle = KernelOracle(gog, models.ab_word(gog, [1, 1, 2, 2, 3, 3]), 12)
+    return quotient_tree_ball(gog, [oracle.rm], 2, wp=oracle)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_DIGESTS))
+def test_quotient_digests_with_relators(name):
+    ball = _relator_ball(name)
+    text = json.dumps(ca_to_json(ball), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(ca_to_dot(ball).encode()).hexdigest()
+            ) == QUOTIENT_DIGESTS[name]
 
 
 # -- invariants across radii ------------------------------------------------

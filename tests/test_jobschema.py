@@ -205,7 +205,8 @@ def _bad_pair(data, job):
                  and ("ab" in v or "syllables" in v))
     if path is not None:
         pair = data.draw(st.sampled_from(_BAD_PAIRS))
-        _at(job, path)["syllables"] = [[0, 1], pair]
+        # a copy: a later mutation must not edit _BAD_PAIRS in place
+        _at(job, path)["syllables"] = [[0, 1], list(pair)]
 
 
 def _int_as_float(data, job):

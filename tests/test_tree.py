@@ -364,6 +364,36 @@ def test_tree_balls_make_no_reductions(monkeypatch):
     assert reductions[0] == 0
 
 
+@pytest.mark.parametrize("make, radii", [
+    (sl2z, (4, 12)), (hnn_c6, (2, 5)), (s3_d4, (2, 6))],
+    ids=["sl2z_gog", "hnn_c6", "s3_d4_amalgam"])
+def test_tree_ball_work_per_vertex_is_bounded(monkeypatch, make, radii):
+    # the walker takes each vertex's out-edges from the tuple the graph
+    # keeps and appends the edge to a new child directly, so a tree ball
+    # calls SerreGraph.o only for its fan table, the same count at every
+    # radius, and never calls _edge_insert
+    from gogtools import cayley_abels
+    from gogtools.gog import SerreGraph
+
+    gog = make()
+    real_o = SerreGraph.o
+    origins = [0]
+
+    def counted_o(graph, e):
+        origins[0] += 1
+        return real_o(graph, e)
+
+    monkeypatch.setattr(SerreGraph, "o", counted_o)
+    inserts = counting(monkeypatch, cayley_abels, "_edge_insert")
+    calls = []
+    for R in radii:
+        origins[0] = 0
+        build_tree_ball(gog, R)
+        calls.append(origins[0])
+    assert calls[0] == calls[1]
+    assert inserts[0] == 0
+
+
 def oracle_canonical_edge_word(word, e):
     """Minimum of reduce(word·h) over h in im(inj(ē)) ≤ vgroup(o(e))."""
     gog = word.gog
