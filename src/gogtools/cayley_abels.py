@@ -9,9 +9,16 @@ Breadth-first from the coset U.  A cone family without a finite enumeration
 cannot be expanded, so such vertices are BFS-terminal.  The sweep examines
 every candidate of a vertex inside radius R, and its last sweep, over the
 U-vertices at distance R, adds the edges whose endpoints both landed in the
-ball and that no earlier sweep saw.  The recorded distances are graph distances
-in the locally finite approximation that ignores shortcuts through unexpanded
-cones, the reading under which the coned plane's ball is "grid plus cones".
+ball and that no earlier sweep saw.  The candidates of a vertex gK are the
+g·x·s, x in K's enumeration and s a step (or none, for a cone edge), swept
+in one loop and each keyed once by its target family's
+``SubgroupHandle.key_of``.  A candidate already in the ball is linked with
+one probe of its ordered endpoint pair; a new coset is staged with its
+sources, a source already listed for it being skipped, and is appended
+with its edges when its level is indexed.  The recorded distances are graph
+distances in the locally finite approximation that ignores shortcuts
+through unexpanded cones, the reading under which the coned plane's ball is
+"grid plus cones".
 
 ``quotient_tree_ball`` quotients the tree-ball construction by the normal
 closure of a relator list, membership being decided by a caller-supplied
@@ -181,22 +188,26 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         raise ValueError(f"radius must be >= 0, got {R}")
     if U.elements is None:
         raise ValueError("U must be finite with an explicit enumeration")
-    S = list(S)
-    hs = list(hs)
-    handles = {"G/U": U}
-    for i, h in enumerate(hs):
-        handles[f"G/H{i}"] = h
 
-    # steps s0, s0⁻¹, s1, ... as (element, edge tag, edge stabilizer order)
-    # and cones as (vertex tag, edge tag, order), orders from U's enumeration
-    steps = []
+    # each vertex tag's sweep: candidates are g·x·s over x in ``bases`` and
+    # (s, tag, key routine, edge tag, edge stabilizer order) in ``moves``,
+    # s = None meaning g·x itself; edge orders from U's enumeration
+    u_key = U.key_of
+    u_moves = []
     for si, s in enumerate(S):
         sinv = G.inv(s)
         order = sum(1 for u in U.elements if U.contains(G.op(sinv, G.op(u, s))))
-        steps += [(s, f"s{si}", order), (sinv, f"s{si}", order)]
-    cones = [(f"G/H{hi}", f"cone:H{hi}",
-              sum(1 for u in U.elements if h.contains(u)))
-             for hi, h in enumerate(hs)]
+        u_moves += [(s, "G/U", u_key, f"s{si}", order),
+                    (sinv, "G/U", u_key, f"s{si}", order)]
+    sweeps = {}
+    stabs = {"G/U": (U.name, len(U.elements))}
+    for hi, h in enumerate(hs):
+        tag, etag = f"G/H{hi}", f"cone:H{hi}"
+        order = sum(1 for u in U.elements if h.contains(u))
+        u_moves.append((None, tag, h.key_of, etag, order))
+        sweeps[tag] = (h.elements or (), [(None, "G/U", u_key, etag, order)])
+        stabs[tag] = (h.name, h.order if h.is_finite else None)
+    sweeps["G/U"] = (U.elements, u_moves)
 
     verts = []
     edges = []
@@ -211,61 +222,58 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
                 f"coset graph ball exceeded cap of {cap} vertices",
                 detail={"vertices": idx, "radius_reached": dist - 1},
             )
-        if tag == "G/U":
-            stab_name, stab_order = U.name, len(U.elements)
-        else:
-            h = handles[tag]
-            stab_name = h.name
-            stab_order = h.order if h.is_finite else None
-        verts.append(GVertex(tag, rep, key, dist, stab_name, stab_order))
+        verts.append(GVertex(tag, rep, key, dist, *stabs[tag]))
         index[tag, key] = idx
         return idx
 
-    def candidates(i):
-        """Neighbor cosets of vertex i as (tag, rep, edge_tag, edge_stab)."""
-        vx = verts[i]
-        out = []
-        if vx.tag == "G/U":
-            for u in U.elements:
-                gu = G.op(vx.rep, u)
-                for s, etag, estab in steps:
-                    out.append(("G/U", G.op(gu, s), etag, estab))
-                for tag, etag, estab in cones:
-                    out.append((tag, gu, etag, estab))
-        else:
-            hi = int(vx.tag[3:])
-            _, etag, estab = cones[hi]
-            for x in hs[hi].elements or ():
-                out.append(("G/U", G.op(vx.rep, x), etag, estab))
-        return out
-
     ident = G.identity
-    add_vertex("G/U", ident, U.key_of(G, ident), 0)
+    add_vertex("G/U", ident, u_key(G, ident), 0)
+    op, index_get = G.op, index.get
 
     # a vertex at distance < R was in a frontier, where each candidate gave
     # an edge, a loop note or a vertex.  The last sweep, over the boundary
     # ([0] at R = 0, [] if exhausted), stages no vertex: it adds the edges
-    # from the boundary U-vertices to vertices already in the ball.
+    # from the boundary U-vertices to vertices already in the ball.  A
+    # vertex's candidates are swept together, so a repeated source of a
+    # staged vertex is the last one listed.
     frontier = [0]
     for dist in range(1, R + 2):
+        closing = dist > R
         staged = {}     # (tag, key) -> (rep, [(src, etag, estab)])
         for i in frontier:
-            if dist > R and verts[i].tag != "G/U":
+            vx = verts[i]
+            if closing and vx.tag != "G/U":
                 continue
-            for tag, rep, etag, estab in candidates(i):
-                key = handles[tag].key_of(G, rep)
-                found = index.get((tag, key))
-                if found is not None:
-                    _edge_insert(edges, eindex, etag, i, found, estab, notes)
-                elif dist <= R:
-                    staged.setdefault((tag, key), (rep, []))[1].append(
-                        (i, etag, estab))
+            g = vx.rep
+            bases, moves = sweeps[vx.tag]
+            for x in bases:
+                gx = op(g, x)
+                for s, tag, key_of, etag, estab in moves:
+                    rep = gx if s is None else op(gx, s)
+                    key = key_of(G, rep)
+                    found = index_get((tag, key))
+                    if found is None:
+                        if closing:
+                            continue
+                        entry = staged.get((tag, key))
+                        if entry is None:
+                            staged[tag, key] = (rep, [(i, etag, estab)])
+                        elif entry[1][-1][0] != i:
+                            entry[1].append((i, etag, estab))
+                    elif found == i:
+                        _edge_insert(edges, eindex, etag, i, i, estab, notes)
+                    else:
+                        pair = (i, found) if i < found else (found, i)
+                        if pair not in eindex:
+                            eindex[pair] = len(edges)
+                            edges.append(GEdge(etag, i, found, estab))
         frontier = []
         for tag, key in sorted(staged, key=lambda tk: (tk[0], repr(tk[1]))):
             rep, sources = staged[tag, key]
             j = add_vertex(tag, rep, key, dist)
             for src, etag, estab in sources:
-                _edge_insert(edges, eindex, etag, src, j, estab, notes)
+                eindex[src, j] = len(edges)
+                edges.append(GEdge(etag, src, j, estab))
             frontier.append(j)
 
     return GGraphBall(verts, edges, R, notes)

@@ -694,13 +694,23 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
     only ever bound δ from below.  ``quadruples`` counts the quadruples
     the answer covers.
 
-    Two bounds cover those never evaluated.  A tree (n − 1 edges) has
-    every defect 0.  For a pair xy outside the largest pairing, say ac
-    against ab+cd, ab + cd ≤ (ac + cb) + (ca + ad), so the defect is at
-    most 2·d(x,y).  Each of ab, ac, bc lies in a different pairing, so
-    two lie outside the largest, and the lesser of those two is at most
-    the middle of the three.  The exhaustive search therefore skips every
-    d after a < b < c when 2·mid(d(a,b), d(a,c), d(b,c)) ≤ the best so far.
+    A lemma bounds the quadruples never evaluated (Cohen, Coudert and
+    Lancin, *On computing the Gromov hyperbolicity*, ACM JEA 2015): if
+    ab + cd is the largest pairing, then s₁ − s₂ ≤ min(d(a,b), d(c,d)).
+    The other two pairings sum to (ac + ad) + (bc + bd) ≥ 2·d(c,d) by the
+    triangle inequality, so s₂ ≥ d(c,d); likewise s₂ ≥ d(a,b).  Two
+    corollaries, each used to skip quadruples that cannot beat the best
+    so far, so neither moves the answer or its witness:
+
+    * ab, ac and bc lie in different pairings, so s₁ − s₂ ≤
+      max(d(a,b), d(a,c), d(b,c)): the exhaustive search skips every d
+      after a < b < c when that maximum is at most the best so far (so
+      also whenever 2·mid(ab, ac, bc) ≤ best, since no side of a triangle
+      exceeds twice the middle one);
+    * s₁ − s₂ is at most the diameter: both the exhaustive and the
+      sampled search stop once the best reaches it.
+
+    A tree (n − 1 edges) has every defect 0 and is not searched.
     """
     n = len(ball.verts)
     if n == 0:
@@ -722,25 +732,11 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
         D.append([dist[j] for j in range(n)])
     if tree:
         return report
-    best, witness = 0, None
+    diameter = max(map(max, D))
     if exhaustive:
-        for a in range(n):
-            Da = D[a]
-            for b in range(a + 1, n):
-                Db, ab = D[b], Da[b]
-                for c in range(b + 1, n):
-                    Dc, ac, bc = D[c], Da[c], Db[c]
-                    lo, hi = (ab, ac) if ab < ac else (ac, ab)
-                    if 2 * (hi if bc > hi else lo if bc < lo else bc) <= best:
-                        continue
-                    for d in range(c + 1, n):
-                        s1, s2, s3 = ab + Dc[d], ac + Db[d], Da[d] + bc
-                        if s1 < s2:
-                            s1, s2 = s2, s1
-                        m = s3 - s1 if s3 > s1 else s1 - (s3 if s3 > s2 else s2)
-                        if m > best:
-                            best, witness = m, (a, b, c, d)
+        best, witness = _exhaustive_defect(D, n, diameter)
     else:
+        best, witness = 0, None
         rng = random.Random(seed)
         for _ in range(samples):
             quad = tuple(rng.sample(range(n), 4))
@@ -749,8 +745,35 @@ def hyperbolicity_estimate(ball, seed=0xCA1, exhaustive_limit=40,
                         D[a][d] + D[b][c]))
             if s[2] - s[1] > best:
                 best, witness = s[2] - s[1], quad
+                if best >= diameter:
+                    break
     report["delta"], report["witness"] = Fraction(best, 2), witness
     return report
+
+
+def _exhaustive_defect(D, n, diameter):
+    """Largest s₁ − s₂ over the quadruples a < b < c < d in lexicographic
+    order and its first quadruple, with the skips of
+    :func:`hyperbolicity_estimate`."""
+    best, witness = 0, None
+    for a in range(n):
+        Da = D[a]
+        for b in range(a + 1, n):
+            Db, ab = D[b], Da[b]
+            for c in range(b + 1, n):
+                Dc, ac, bc = D[c], Da[c], Db[c]
+                if ab <= best and ac <= best and bc <= best:
+                    continue
+                for d in range(c + 1, n):
+                    s1, s2, s3 = ab + Dc[d], ac + Db[d], Da[d] + bc
+                    if s1 < s2:
+                        s1, s2 = s2, s1
+                    m = s3 - s1 if s3 > s1 else s1 - (s3 if s3 > s2 else s2)
+                    if m > best:
+                        if m >= diameter:
+                            return m, (a, b, c, d)
+                        best, witness = m, (a, b, c, d)
+    return best, witness
 
 
 # -- exports -----------------------------------------------------------------

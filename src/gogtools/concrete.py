@@ -90,9 +90,17 @@ class SubgroupHandle:
         return len(self.elements) if self.elements is not None else None
 
     def key_of(self, G, x):
+        """Canonical key of the left coset x·H: ``("ck", coset_key(x))``
+        when the handle has a key function, else ``("min", m)`` with m the
+        least op(x, h) over the enumeration, which is op(x, h) itself when
+        the enumeration has one element.  The coset-graph sweep calls it
+        once per candidate."""
         if self.coset_key is not None:
             return ("ck", self.coset_key(x))
-        return ("min", min(G.op(x, h) for h in self.elements))
+        elements = self.elements
+        if len(elements) == 1:
+            return ("min", G.op(x, elements[0]))
+        return ("min", min(G.op(x, h) for h in elements))
 
     def __repr__(self):
         size = self.order if self.is_finite else "inf"

@@ -305,6 +305,85 @@ def test_coset_ball_keys_each_candidate_once(monkeypatch, make, R, steps,
         assert count[0] == calls
 
 
+def test_key_of_matches_its_definition():
+    # a handle with an enumeration keys x by its least product with an
+    # element, a keyed handle by its key
+    coset_models = _coset_models()
+    Z2, C6 = FreeAbelian(2), FiniteConcrete(make_cyclic(6))
+    cases = [(Z2, trivial_handle(Z2), [(0, 0), (3, -2), (-1, 5)]),
+             (C6, trivial_handle(C6), range(6))]
+    for model in ("dihedral-4", "cyclic-12", "matrix-c4"):
+        G, U, S, hs = coset_models[model]
+        xs = [G.identity, *S, *(G.op(s, t) for s in S for t in S)]
+        cases += [(G, U, xs), (G, hs[0], xs)]
+    assert sorted({len(h.elements) for _, h, _ in cases}) == [1, 2, 3, 4, 6]
+    for G, h, xs in cases:
+        for x in xs:
+            assert h.key_of(G, x) == ("min", min(G.op(x, e)
+                                                 for e in h.elements))
+    for model in ("coned-plane", "diagonal-two-families"):
+        G, _, _, hs = coset_models[model]
+        for h in hs:
+            for x in [(0, 0), (2, -3), (-4, 1)]:
+                assert h.key_of(G, x) == ("ck", h.coset_key(x))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _coset_ball_digests(ball):
+    """sha256 of the sorted-key ``ca_to_json``, of ``ca_to_dot`` and of the
+    list of vertex keys."""
+    return (_sha(json.dumps(ca_to_json(ball), sort_keys=True)),
+            _sha(ca_to_dot(ball)), _sha(repr([v.key for v in ball.verts])))
+
+
+# per coset model, sha256 of the ball digests at R = 0 … 8, one line per R
+COSET_DIGESTS = {
+    "coned-plane":
+        "3b6e324e52dbce9af8881e96bd99eba066e10590a0a8dd45c59d41e5e8d89031",
+    "cyclic-12":
+        "d068024ae1d982713b59a3e759aa646e78b02ba7e0552e5e923e38a96402db0d",
+    "diagonal-two-families":
+        "c5851c09849bb8f66f95c838ea005f250ed077de5155951ed439786a447c2365",
+    "dihedral-4":
+        "1f690a67dfb0fe932afa86393fae62c1319bb3fbaa585a68b17c2c358ec39766",
+    "dihedral-5":
+        "0379a65c22820f2da5fed33ff4cd4262fae8bb7c92fcb7a447405c1f8cb16b64",
+    "grid": "7c137ff0f65aa3e5ca5c2b2cd2eb4e0a686f228c98ed4c92a8e5fe3a094e8c7f",
+    "line": "bb01a49e6707eac92a4c8b4c1d02b5beecc3903ac055585bb06b0dd11896d057",
+    "matrix-c4":
+        "4469f2835c938c53263a13cd601f9de54cd3f3e9c5160bce9d9c82d3f26e8e0b",
+}
+
+# the two coset balls of the benchmark's ``balls`` pass, at R = 20
+COSET_R20_DIGESTS = {
+    "grid": (
+        "f40478ac6dc4a8321bfe5cca62d8b560f6c307e06d861295056ad428bad4ef6b",
+        "f7ef7f0e86eec51cf23c8599f26be6ed30fe2da837f8961c4421322116215010",
+        "3cb5e37397df11030938eb41406f02c203e300e6e045a3c45c48691369293164"),
+    "coned_plane": (
+        "29528c5024fcf26fc06c9f5e038ece26ad83e007d09921e8781d23bdd8124ce7",
+        "bb724e54300437fc3e8016aa9fa446932c20e10f34dcb12f7385b0bcfcb22cb0",
+        "e48dbec3947bff04edf04c5e39d704aea0dc4604e16308766c9eaa2c80755143"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(COSET_DIGESTS))
+def test_coset_ball_digests(model):
+    G, U, S, hs = _coset_models()[model]
+    lines = [" ".join(_coset_ball_digests(coset_graph_ball(G, U, S, hs, R)))
+             for R in range(9)]
+    assert _sha("\n".join(lines)) == COSET_DIGESTS[model]
+
+
+@pytest.mark.parametrize("family", sorted(COSET_R20_DIGESTS))
+def test_coset_ball_digests_at_radius_20(family):
+    ball = models.ball({"family": family, "radius": 20})
+    assert _coset_ball_digests(ball) == COSET_R20_DIGESTS[family]
+
+
 # -- two constructions agree ------------------------------------------------
 
 

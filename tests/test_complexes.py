@@ -710,6 +710,63 @@ def test_hyp_matches_unpruned_oracle_on_balls(name):
                     == oracle_hyperbolicity_estimate(ball, **kwargs))
 
 
+def test_hyp_sampled_matches_unpruned_oracle_on_small_graphs():
+    # small chorded graphs reach the diameter bound often, so a sampled
+    # search that stopped short of it would show here
+    rng = random.Random(0x5A3)
+    kinds = ("cycle", "tree+chords", "cycle+chords")
+    stopped = 0
+    for _ in range(150):
+        ball = _random_connected_ball(rng, rng.randint(4, 14),
+                                      rng.choice(kinds))
+        kwargs = {"seed": rng.randrange(1 << 16), "exhaustive_limit": 3,
+                  "samples": 400}
+        got = hyperbolicity_estimate(ball, **kwargs)
+        assert got == oracle_hyperbolicity_estimate(ball, **kwargs)
+        n = len(ball.verts)
+        diameter = max(max(ball.bfs(i)[0].values()) for i in range(n))
+        stopped += got["delta"] * 2 == diameter
+    assert stopped > 10
+
+
+def test_four_point_lemma_on_data():
+    # the bound the exhaustive search prunes by, checked on every quadruple
+    # of the balls it is used on, from distances alone: the defect is at
+    # most either distance in its largest pairing, hence at most the
+    # largest of d(a,b), d(a,c), d(b,c), and at most the diameter
+    from gogtools.cayley_abels import quotient_tree_ball
+
+    gog = models.c2c2_free()
+    balls = []
+    for n in range(2, 11):
+        ev = evaluation_wp(gog, make_dihedral(n), [[0, n], [0, n + 1]])
+        balls.append(quotient_tree_ball(
+            gog, [models.ab_word(gog, [1] * (2 * n))], n, wp=ev))
+    balls += [models.ball({"family": "grid", "radius": R})
+              for R in range(1, 4)]
+    rng = random.Random(0x4B7)
+    kinds = ("tree", "cycle", "tree+chords", "cycle+chords")
+    balls += [_random_connected_ball(rng, rng.randint(4, 20),
+                                     rng.choice(kinds)) for _ in range(50)]
+    tight = 0
+    for ball in balls:
+        n = len(ball.verts)
+        D = [[ball.bfs(i)[0][j] for j in range(n)] for i in range(n)]
+        diameter = max(map(max, D))
+        for a, b, c, d in combinations(range(n), 4):
+            pairings = sorted([(D[a][b] + D[c][d], D[a][b], D[c][d]),
+                               (D[a][c] + D[b][d], D[a][c], D[b][d]),
+                               (D[a][d] + D[b][c], D[a][d], D[b][c])],
+                              reverse=True)
+            (s1, x, y), (s2, _, _) = pairings[:2]
+            defect = s1 - s2
+            assert defect <= min(x, y)
+            assert defect <= max(D[a][b], D[a][c], D[b][c])
+            assert defect <= diameter
+            tight += defect > 0 and defect == min(x, y)
+    assert tight > 0
+
+
 def test_hyp_small_ball_below_limit_is_exhaustive():
     for ball in (models.ball({"family": "line", "radius": 0}),
                  hand_ball([(0, 1)]), cycle_ball(3)):
