@@ -62,8 +62,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .concrete import SubgroupHandle
 from .errors import CapExceeded, UnsupportedInput
 from .gog import (
     GraphOfGroups,
@@ -73,6 +73,9 @@ from .gog import (
     word_to_json,
 )
 from .tree import _child_steps, _fan_table, canonical_coset_word
+
+if TYPE_CHECKING:  # the annotation of coset_graph_ball only
+    from .concrete import SubgroupHandle
 
 
 class GVertex:

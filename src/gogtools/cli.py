@@ -269,20 +269,7 @@ def _cmd_wz_audit(params, ctx):
     a = _locate(action.ball, params["a"])
     b = _locate(action.ball, params["b"])
     out = wz_chain(att, a, b, params["n"])
-    result = {
-        "a": a,
-        "b": b,
-        "n": params["n"],
-        "ell": out["ell"],
-        "corner_count": out["corner_count"],
-        "violations": list(out["violations"]),
-        "all_finite": out["all_finite"],
-        "W_cardinalities": out["W_cardinalities"],
-        "Z_cardinalities": out["Z_cardinalities"],
-        "W_sets": [sorted(s) for s in out["W_sets"]],
-        "Z_sets": [sorted(s) for s in out["Z_sets"]],
-        "containment_problems": list(out["violations"]),
-    }
+    result = dict(out, a=a, b=b, containment_problems=out["violations"])
     ok = not out["violations"]
     return result, {}, f"containment={'ok' if ok else 'VIOLATED'}"
 
@@ -437,27 +424,30 @@ def _cmd_claim_audit(params, ctx):
     return result, {}, f"claims {verdicts}, M={result['M']}"
 
 
-def _cmd_omega_k(params, ctx):
+def _omega(params, ctx):
+    """The capped ball named in the job and its Ω_k complex."""
     from . import models
-    from .complexes import omega_k, to_complex_json, to_off
+    from .complexes import omega_k
 
     cap = params.get("cap", 10 ** 6)
     ctx["caps"]["cap"] = cap
     ball = models.ball(params["ball"], cap=cap)
-    X = omega_k(ball, params["k"], cap=cap)
+    return ball, omega_k(ball, params["k"], cap=cap)
+
+
+def _cmd_omega_k(params, ctx):
+    from .complexes import to_complex_json, to_off
+
+    _, X = _omega(params, ctx)
     result = _complex_summary(X)
     extras = {"complex": to_complex_json(X), "off": to_off(X)}
     return result, extras, f"{result['cells2']} 2-cells at k={params['k']}"
 
 
 def _cmd_link(params, ctx):
-    from . import models
-    from .complexes import link, link_component_correspondence, omega_k
+    from .complexes import link, link_component_correspondence
 
-    cap = params.get("cap", 10 ** 6)
-    ctx["caps"]["cap"] = cap
-    ball = models.ball(params["ball"], cap=cap)
-    X = omega_k(ball, params["k"], cap=cap)
+    ball, X = _omega(params, ctx)
     sigma = _locate(ball, params["vertex"])
     L = link(X, sigma)
     result = {
@@ -475,18 +465,9 @@ def _cmd_link(params, ctx):
 
 
 def _cmd_pi1(params, ctx):
-    from . import models
-    from .complexes import (
-        abelianization,
-        bounded_trivial,
-        omega_k,
-        pi1_presentation,
-    )
+    from .complexes import abelianization, bounded_trivial, pi1_presentation
 
-    cap = params.get("cap", 10 ** 6)
-    ctx["caps"]["cap"] = cap
-    ball = models.ball(params["ball"], cap=cap)
-    X = omega_k(ball, params["k"], cap=cap)
+    _, X = _omega(params, ctx)
     pres = pi1_presentation(X)
     free_rank, torsion = abelianization(pres)
     result = {

@@ -160,7 +160,7 @@ def omega_k(ball, k, cap=10**6):
         nbr = [frozenset(j for j, _ in a) for a in ball.nbrs]
         for cyc in _simple_cycles_upto(nbr, k, cap):
             max_d = max(ball.verts[i].dist for i in cyc)
-            cells.append(Cell2(cycle_key(cyc), f"gon{len(cyc)}",
+            cells.append(Cell2(cyc, f"gon{len(cyc)}",
                                interior=max_d + k // 2 <= ball.radius))
     cells.sort(key=lambda c: (len(c.verts), c.verts))
     return TwoComplexBall(ball, cells, notes=(f"omega k={k}",), span=k)

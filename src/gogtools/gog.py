@@ -337,6 +337,15 @@ def reduce_word(w: GroupWord) -> GroupWord:
     return _splice(w, 0, w.head, w.pairs, len(w.pairs))[0]
 
 
+def _conjugates(w: GroupWord, xs) -> list:
+    """reduce(w·x·w⁻¹) for each element x of the vertex group at w's end,
+    as canonical loop words at w's start: every stabilizer word, those of
+    ``tree.stabilizer`` and of the edges along ``smallcanc.compute_M``'s
+    axis, is built here."""
+    gog, v, inv = w.gog, w.end, w.inverse()
+    return [reduce_word(w * GroupWord._trusted(gog, v, x) * inv) for x in xs]
+
+
 def words_equal(u: GroupWord, w: GroupWord) -> bool:
     if u.start != w.start:
         raise ValueError(f"basepoint mismatch: {u.start} vs {w.start}")

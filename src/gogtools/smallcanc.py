@@ -55,6 +55,7 @@ from itertools import islice
 from .errors import UnsupportedInput
 from .gog import (
     GroupWord,
+    _conjugates,
     _conjugator,
     _cyclic_core,
     _own_table,
@@ -398,27 +399,6 @@ class ThinnessConstant:
         return f"ThinnessConstant(k={self.k}, |r|={self.r_syllables}, M={self.M})"
 
 
-def edge_stabilizer_words(prefix: GroupWord, e: int):
-    """Stabilizer of the tree edge crossed from prefix's endpoint along
-    the directed edge e, as canonical reduced words:
-    prefix·ι(E_e)·prefix⁻¹, ι the embedding into the origin vertex
-    group."""
-    gog = prefix.gog
-    g = gog.graph
-    v_o = g.o(e)
-    if prefix.end != v_o:
-        raise ValueError(
-            f"prefix ends at {prefix.end} but edge {e} starts at {v_o}"
-        )
-    emb = gog.inj[g.bar(e)].map
-    inv = prefix.inverse()
-    out = []
-    for c in range(gog.egroup(e).order):
-        h = GroupWord._trusted(gog, v_o, emb[c])
-        out.append(reduce_word(prefix * h * inv))
-    return out
-
-
 def compute_M(r: GroupWord) -> ThinnessConstant:
     """G̃_γ along the witness geodesic γ = [y, r²y], and k its largest
     index in an edge stabilizer on the way.
@@ -426,7 +406,9 @@ def compute_M(r: GroupWord) -> ThinnessConstant:
     A cyclically reduced loop word with at least one edge is hyperbolic
     on the tree, so γ is exactly the path of the concatenated word r·r
     and the stabilizers come straight off the prefixes — no ball is
-    built.  r is reduced once; a canonical word reduces to itself.
+    built: the edge crossed along e after the prefix p has stabilizer
+    p·inj(ē)(E_e)·p⁻¹, enumerated by :func:`~gogtools.gog._conjugates`.
+    r is reduced once; a canonical word reduces to itself.
     """
     gog = r.gog
     r = reduce_word(r)
@@ -440,11 +422,10 @@ def compute_M(r: GroupWord) -> ThinnessConstant:
                                      "(elliptic); k = 1 by convention")
     cc = core * core
     gamma, stabs = [], []
-    for j in range(len(cc.pairs)):
-        e = cc.pairs[j][0]
+    for j, (e, _) in enumerate(cc.pairs):
         prefix = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j])
         gamma.append((j, e, gog.graph.o(e)))
-        stabs.append(frozenset(edge_stabilizer_words(prefix, e)))
+        stabs.append(frozenset(_conjugates(prefix, gog.inj[e ^ 1].map)))
     g_gamma = frozenset.intersection(*stabs)
     indices = []
     for s in stabs:

@@ -39,6 +39,7 @@ from .finite import FiniteGroup, Subgroup, left_transversal
 from .gog import (
     GraphOfGroups,
     GroupWord,
+    _conjugates,
     _sweep,
     reduce_word,
     word_to_json,
@@ -289,28 +290,20 @@ def act(w: GroupWord, cell, ball: GGraphBall):
 
 def stabilizer(cell, ball: GGraphBall) -> StabilizerData:
     """Stabilizer of a cell: (conjugator word, Λ-group), with the elements
-    enumerated as reduced loop words at the base vertex."""
+    enumerated as reduced loop words at the base vertex by
+    :func:`~gogtools.gog._conjugates` (an edge's Λ-group sits in its
+    origin vertex group as the image of inj(ē))."""
     _require_cell(cell, ball)
     kind, i = cell
-    # the Λ-group as (vertex, element) syllables at the cell's own vertex
     if kind == "v":
         conj = ball.verts[i].rep
-        gog, lam = conj.gog, conj.end
-        G = gog.vgroup(lam)
-        name = f"vgroup[{lam}]"
-        local = [(lam, x) for x in range(G.order)]
+        G, name = conj.gog.vgroup(conj.end), f"vgroup[{conj.end}]"
+        xs = range(G.order)
     else:
         conj, lam = _edge_word(ball, ball.edges[i])
-        gog = conj.gog
-        g = gog.graph
-        G = gog.egroup(lam)
-        name = f"egroup[{lam >> 1}]"
-        inj = gog.inj[g.bar(lam)]
-        local = [(g.o(lam), inj.map[c]) for c in range(G.order)]
-    inv = reduce_word(conj.inverse())
-    elements = [reduce_word(conj * GroupWord._trusted(gog, v, x) * inv)
-                for v, x in local]
-    return StabilizerData(cell, conj, G, name, elements)
+        G, name = conj.gog.egroup(lam), f"egroup[{lam >> 1}]"
+        xs = conj.gog.inj[lam ^ 1].map
+    return StabilizerData(cell, conj, G, name, _conjugates(conj, xs))
 
 
 def geodesic(u_cell, v_cell, ball: GGraphBall):

@@ -218,6 +218,26 @@ def test_job_loads_only_the_modules_it_uses(tmp_path, job, used, unused):
     assert not {f"gogtools.{name}" for name in unused} & loaded
 
 
+# every job loads the front end, the model registry and the word layer
+_JOB_BASE = {"cli", "errors", "jobschema", "models", "finite", "gog"}
+
+
+@pytest.mark.parametrize("job, modules", [
+    ("tree_sl2z", {"tree", "cayley_abels"}),
+    ("px_d3", {"tree", "cayley_abels", "smallcanc", "complexes"}),
+    ("cprime_r12", {"smallcanc"}),
+    ("compute_m_r", {"smallcanc"}),
+])
+def test_job_imports_exactly_the_modules_it_calls(tmp_path, job, modules):
+    # tree and coset-ball jobs compile no ``concrete`` (only the
+    # coset-graph builder's annotation names it), and the relator jobs no
+    # ball builder
+    loaded = _loaded_modules(tmp_path, str(JOBS / f"{job}.json"))
+    assert {name for name in loaded if name.startswith("gogtools.")} == {
+        f"gogtools.{name}" for name in _JOB_BASE | modules}
+    assert (tmp_path / "out" / f"{job}.report.json").is_file()
+
+
 def test_abelianization_loads_no_sympy(tmp_path):
     # the Smith form is exact integer elimination; sympy is a test oracle
     code = ("import sys\n"

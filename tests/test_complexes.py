@@ -164,6 +164,28 @@ def test_omega_monotone_and_skeleton_identity():
         prev = keys
 
 
+def test_omega_cells_are_emitted_in_cycle_key_form():
+    # the loop search starts each cycle at its least vertex and runs toward
+    # the smaller neighbour, which is the cycle_key form, so omega_k keeps
+    # the tuple as found
+    rng = random.Random(0xC7C1E)
+    cases = [(models.ball({"family": "grid", "radius": 3}), 8),
+             (models.ball({"family": "coned_plane", "radius": 3}), 6),
+             (cycle_ball(7), 7)]
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        kind = rng.choice(("cycle+chords", "tree+chords"))
+        cases.append((_random_connected_ball(rng, n, kind), n))
+    cells = 0
+    for ball, k in cases:
+        X = omega_k(ball, k)
+        keys = [cycle_key(c.verts) for c in X.cells2]
+        assert [c.verts for c in X.cells2] == keys
+        assert len(set(keys)) == len(keys)
+        cells += len(keys)
+    assert cells > 500
+
+
 def test_omega_cap():
     with pytest.raises(CapExceeded):
         omega_k(models.ball({"family": "grid", "radius": 3}), 8, cap=10)

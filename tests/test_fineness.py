@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from fixtures import hand_ball
 from gogtools import models
 from gogtools.cayley_abels import GEdge, GGraphBall, GVertex, quotient_tree_ball
 from gogtools.concrete import SubgroupHandle, trivial_handle
@@ -19,7 +20,6 @@ from gogtools.errors import CapExceeded
 from gogtools.fineness import (
     INF,
     AbelianBallAction,
-    AngleInfinity,
     AngleTable,
     TreeBallAction,
     attach_edge_orbit,
@@ -150,11 +150,8 @@ def test_angle_table_invariants():
         for x in table.link:
             for y in table.link:
                 for z in table.link:
-                    axy, axz, azy = (table.angle(x, y), table.angle(x, z),
-                                     table.angle(z, y))
-                    if not isinstance(axz, AngleInfinity) and not isinstance(
-                            azy, AngleInfinity):
-                        assert axy <= axz + azy
+                    assert table.angle(x, y) <= (table.angle(x, z)
+                                                 + table.angle(z, y))
 
 
 # -- escaping sets ----------------------------------------------------------
@@ -438,6 +435,20 @@ def test_qi_certificate_identity():
     cert = qi_certificate(ball, ball)
     assert cert["ell"] == 1
     assert cert["violations"] == []
+
+
+def test_qi_certificate_lists_each_violating_pair_once():
+    # Δ is the 8-cycle Γ less the edge {7, 0}: d_Δ(a, b) = b − a exceeds
+    # d_Γ(a, b) exactly when b − a > 4, and every vertex is inner
+    gamma = hand_ball([(i, (i + 1) % 8) for i in range(8)])
+    delta = hand_ball([(i, i + 1) for i in range(7)])
+    cert = qi_certificate(gamma, delta)
+    assert cert["pairs_checked"] == 28
+    assert [v["pair"] for v in cert["violations"]] == [
+        (a, b) for a in range(8) for b in range(a + 5, 8)]
+    assert {v["reason"] for v in cert["violations"]} == {
+        "delta distance exceeds gamma"}
+    assert cert["ell"] == 1
 
 
 # -- the W/Z machinery ------------------------------------------------------

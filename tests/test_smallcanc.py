@@ -2,12 +2,15 @@
 
 Independent oracles: prefix agreement recomputed through words_equal on
 explicit prefix subwords (no position scan, no seam table), the constant
-k recomputed through the tree-ball action (act / geodesic / stabilizer,
-a BFS code path disjoint from the prefix-conjugation route), abelianized
+k recomputed through the tree-ball action (act / geodesic / stabilizer:
+a BFS picks the edges and the ball's edge words conjugate them, where
+compute_M conjugates by the prefixes of r·r; both share only
+``gog._conjugates``), abelianized
 images in the product of vertex groups, and replay of every Dehn trace
 back to a product-of-conjugates witness.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -37,6 +40,8 @@ from gogtools.gog import (
     GraphOfGroups,
     GroupWord,
     SerreGraph,
+    _conjugates,
+    _cyclic_core,
     cyclically_reduce,
     free_product,
     hnn_sub,
@@ -46,6 +51,7 @@ from gogtools.gog import (
 )
 import gogtools.smallcanc as smallcanc
 from gogtools.models import (
+    MODELS,
     ab_word,
     c2c2_free,
     c4c6_free,
@@ -372,6 +378,68 @@ def test_compute_M_shift_invariant():
     for w in rotations(core):
         tc = compute_M(w)
         assert (tc.k, tc.M) == (base.k, base.M)
+
+
+def _random_relator(gog, rng):
+    """A seeded loop word at vertex 0 of one to ten edges whose cyclic
+    core is not trivial."""
+    g = gog.graph
+    while True:
+        head = rng.randrange(gog.vgroup(0).order)
+        at, pairs = 0, []
+        for _ in range(rng.randrange(1, 11)):
+            e = rng.choice(g.edges_at(at))
+            at = g.t(e)
+            pairs.append((e, rng.randrange(gog.vgroup(at).order)))
+        if at != 0:
+            continue
+        r = GroupWord(gog, 0, head, pairs)
+        if not _cyclic_core(reduce_word(r))[0].is_identity():
+            return r
+
+
+def _axis_stabilizers(r):
+    """The stabilizer of each edge along r·r's axis as sorted word reprs:
+    the prefix conjugates of the edge group's image at the origin."""
+    gog = r.gog
+    cc = _cyclic_core(reduce_word(r))[0]
+    cc = cc * cc
+    out = []
+    for j, (e, _) in enumerate(cc.pairs):
+        prefix = GroupWord._trusted(gog, cc.start, cc.head, cc.pairs[:j])
+        out.append(sorted(repr(w) for w in
+                          _conjugates(prefix, gog.inj[e ^ 1].map)))
+    return out
+
+
+# sha256 over 20 seeded relators of compute_M's (k, indices, gamma) and the
+# edge stabilizer word sets along gamma, recorded when each edge's words
+# still came from a routine of their own in smallcanc
+COMPUTE_M_DIGESTS = {
+    "c2c2_free": "6ae62c0a42f2a804ecfee4c1473a57bb984a7fbd9c92ce461b7f62dd2c1ee9d0",
+    "c4c6_free": "72999c8b7d407974d23099309ea5fa1b9791b4c457ee53752ed8172d241085d8",
+    "free_rank2": "57d6e2cdb6abd9116f2fe49163cfc5c73b9117178f6971d9a92bbb4a842d60d5",
+    "hnn_c6": "e8e478062b7781e51ec2266240f4a881121bed4105b2fea680ba13c33a3c6b7b",
+    "relabelled_s3_d4": "6fabddc81c54fed3a145380b05c81ecb4c633fc861e76e1325094a55d9598b35",
+    "s3_d4": "1477052aef27cc84fd2e49b1b413c182bdf31b3d8ee32798032cb431effaebb1",
+    "sl2z": "ff823267d61705de7ce5a60834755cebfbe3212d12af09069c91eba27d3f998b",
+}
+
+
+def test_compute_M_digests_with_axis_stabilizers():
+    makes = {**MODELS, "relabelled_s3_d4": _relabelled_s3_d4}
+    got = {}
+    for name in sorted(makes):
+        gog = makes[name]()
+        rng = random.Random(0x3A7)
+        h = hashlib.sha256()
+        for _ in range(20):
+            r = _random_relator(gog, rng)
+            tc = compute_M(r)
+            h.update(repr((tc.k, tc.indices, tc.gamma,
+                           _axis_stabilizers(r))).encode())
+        got[name] = h.hexdigest()
+    assert got == COMPUTE_M_DIGESTS
 
 
 def test_compute_M_elliptic_relator():

@@ -539,6 +539,54 @@ def test_stabilizer_trivial_in_free_tree():
     assert s.order == 1
 
 
+# sha256 of each cell's sorted stabilizer element reprs, one line per cell,
+# over every vertex and edge of the R = 3 tree ball from each base
+STABILIZER_DIGESTS = [
+    ("c2c2_free", 0,
+     "9d8c18f68bd62fa6618b7c5760db0fede1c12ad9cd1f5fcffa9eb792b6ac0c89"),
+    ("c2c2_free", 1,
+     "01e930dbf6af566896a09b823711543cc6bcc31ed21e000340a3d6699ea08352"),
+    ("c4c6_free", 0,
+     "13f5757960146754a56e5a4dcf874b2b5145c16329ce255da2338ad6448aaa35"),
+    ("c4c6_free", 1,
+     "9959881e5ec9909ee14c94291f6123a7fb3a13b347dde591665a96ea149394b0"),
+    ("free_rank2", 0,
+     "bdf922fc0d1bc10f70986d29a31531830ab0dd7cd52dfc3fe7fcacf7141cc8af"),
+    ("hnn_c6", 0,
+     "8f2eb17fa5bd8e852de06cd996fc0d511e905759aa628daca5c0ede45a0a5d9a"),
+    ("relabelled_s3_d4", 0,
+     "83b1e868fefab8a03bef0e7ced36cd1e837a9de82509da154099fcf73514eb04"),
+    ("relabelled_s3_d4", 1,
+     "b0cea68e4537487aa4120c2f681ca915510f13bc39653b5ba8d511c0ab6afed1"),
+    ("s3_d4", 0,
+     "83f7075bc5da6cfb7d97924ad17ab0fe070cd87f4c399e434a364047259fb5af"),
+    ("s3_d4", 1,
+     "9e8b40ed778dfe890f9470ff006932ea17e80b65e95e7409733e7a8dd5f54fcb"),
+    ("sl2z", 0,
+     "04b78c9115a03fbe484f176c83269201cddd16e276c4ca4e23585f286048ecb1"),
+    ("sl2z", 1,
+     "948c4d6956abb7e6e51162ce6c7c4d07fa83476baa3cdb5e6d82f30dcee1b240"),
+]
+
+
+def test_stabilizer_digests_every_model_and_base():
+    makes = {**MODELS, "relabelled_s3_d4": _relabelled_s3_d4}
+    got = []
+    for name in sorted(makes):
+        gog = makes[name]()
+        for base in range(gog.graph.num_vertices):
+            ball = build_tree_ball(gog, 3, base=base)
+            h = hashlib.sha256()
+            for kind, n in (("v", ball.vertex_count()),
+                            ("e", ball.edge_count())):
+                for i in range(n):
+                    reprs = sorted(repr(w) for w in
+                                   stabilizer((kind, i), ball).elements)
+                    h.update(f"{kind}{i} {' '.join(reprs)}\n".encode())
+            got.append((name, base, h.hexdigest()))
+    assert got == STABILIZER_DIGESTS
+
+
 # -- geodesics --------------------------------------------------------------
 
 
