@@ -31,14 +31,17 @@ the one place that finds a vertex again modulo the kernel.  The finished
 ball keeps it as ``lookup``, where the tree action and the presentation
 complex in :mod:`gogtools.smallcanc` find their vertices.  It buckets
 vertices by the key the callable's ``key_of`` gives (by Λ-vertex if the
-callable has no ``key_state``).  Each vertex carries the state its key
-is made from, such as its image in an evaluation oracle's finite target.
-A child reduce(w·y)·(e, s) takes its state from its parent's by
-``key_step`` with the y the child step swept in, plus one more step by s
-where s is not the identity, so no vertex word is walked to key it.  An
-exact key, such as the evaluation's coset, settles a lookup by the key
-alone; otherwise each candidate in the bucket costs one word-problem call
-per vertex-group element that the states do not rule out.
+callable has no ``key_state``).  With relators, each vertex carries the
+state its key is made from, such as its image in an evaluation oracle's
+finite target.  A child reduce(w·y)·(e, s) takes its state from its
+parent's by ``key_step`` with the y the child step swept in, plus one more
+step by s where s is not the identity, so no vertex word is walked to key
+it.  An exact key, such as the evaluation's coset, settles a lookup by the
+key alone; otherwise each candidate in the bucket costs one word-problem
+call per vertex-group element that the states do not rule out.  The key
+states and the edge index that finds an edge again by its endpoints exist
+only with relators: a tree ball's walk reads neither, since each of its
+edges reaches a fresh vertex.
 
 Search
 ------
@@ -184,17 +187,31 @@ def _edge_insert(edges, eindex, tag, u, v, stab_order, notes):
     edges.append(GEdge(tag, u, v, stab_order))
 
 
+def _bases(elements, ident):
+    return [None if x == ident else x for x in elements]
+
+
 def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
                      cap: int = 10 ** 6) -> GGraphBall:
-    """Ball of radius R around the vertex U in the coset construction."""
+    """Ball of radius R around the vertex U in the coset construction.
+    U's enumeration, and that of each cone family that has one, must hold
+    ``G.identity`` (``ValueError`` otherwise): a one-element key names a
+    coset by its element only when that element is the identity."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     if U.elements is None:
         raise ValueError("U must be finite with an explicit enumeration")
+    ident = G.identity
+    for h in (U, *hs):
+        if h.elements is not None and ident not in h.elements:
+            raise ValueError(
+                f"subgroup handle {h.name!r}: the enumeration lacks the "
+                "identity")
 
     # each vertex tag's sweep: candidates are g·x·s over x in ``bases`` and
     # (s, tag, key routine, edge tag, edge stabilizer order) in ``moves``,
-    # s = None meaning g·x itself; edge orders from U's enumeration
+    # s = None meaning g·x itself; edge orders from U's enumeration.  The
+    # identity stands in ``bases`` as None, since g·1 is g
     u_key = U.key_of
     u_moves = []
     for si, s in enumerate(S):
@@ -208,9 +225,10 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         tag, etag = f"G/H{hi}", f"cone:H{hi}"
         order = sum(1 for u in U.elements if h.contains(u))
         u_moves.append((None, tag, h.key_of, etag, order))
-        sweeps[tag] = (h.elements or (), [(None, "G/U", u_key, etag, order)])
+        sweeps[tag] = (_bases(h.elements or (), ident),
+                       [(None, "G/U", u_key, etag, order)])
         stabs[tag] = (h.name, h.order if h.is_finite else None)
-    sweeps["G/U"] = (U.elements, u_moves)
+    sweeps["G/U"] = (_bases(U.elements, ident), u_moves)
 
     verts = []
     edges = []
@@ -229,7 +247,6 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
         index[tag, key] = idx
         return idx
 
-    ident = G.identity
     add_vertex("G/U", ident, u_key(G, ident), 0)
     op, index_get = G.op, index.get
 
@@ -250,7 +267,7 @@ def coset_graph_ball(G, U: SubgroupHandle, S, hs, R: int,
             g = vx.rep
             bases, moves = sweeps[vx.tag]
             for x in bases:
-                gx = op(g, x)
+                gx = g if x is None else op(g, x)
                 for s, tag, key_of, etag, estab in moves:
                     rep = gx if s is None else op(gx, s)
                     key = key_of(G, rep)
@@ -369,16 +386,19 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     relators it is the tree ball, and a child step that reaches a vertex
     already in the ball raises ``RuntimeError``.
 
-    Each vertex carries its key state (see :class:`_KernelLookup`): the
-    child reduce(w·y)·(e, s) that ``_child_steps`` yields with y takes
-    key_step(state, v, y), then one more step by s where s is not the
-    identity.
+    With relators, each vertex carries its key state (see
+    :class:`_KernelLookup`): the child reduce(w·y)·(e, s) that
+    ``_child_steps`` yields with y takes key_step(state, v, y), then one
+    more step by s where s is not the identity.  A child's Λ-vertex is t(e)
+    of its step, and a frontier vertex's is read off its last pair.  The
+    edge to a new child has a fresh endpoint, so it is appended as it is;
+    only an edge to a vertex already in the ball goes through
+    ``_edge_insert``.
 
-    A child's Λ-vertex is t(e) of its step, and a frontier vertex's is
-    read off its last pair.  With no relators one probe of the lookup's
-    word table both records a child and detects a cycle.  The edge to a
-    new child has a fresh endpoint, so it is appended as it is; only an
-    edge to a vertex already in the ball goes through ``_edge_insert``."""
+    With no relators one probe of the lookup's word table both records a
+    child and detects a cycle, and each edge is appended to a fresh child.
+    The walk keeps no key states and no edge index, which only
+    ``key_step`` and ``_edge_insert`` read."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     relators = list(relators)
@@ -406,7 +426,7 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     notes = []
     exact = lookup.exact
 
-    def add_vertex(word, v, dist, state):
+    def add_vertex(word, v, dist):
         idx = len(verts)
         if idx + 1 > cap:
             raise CapExceeded(
@@ -415,13 +435,12 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
             )
         tag, stab_name, stab_order = vtags[v]
         verts.append(GVertex(tag, word, word, dist, stab_name, stab_order))
-        states.append(state)
         return idx
 
     root = canonical_coset_word(identity_word(gog, base))
     state = key_state(root)
-    lookup.add(root, add_vertex(root, base, 0, state), state,
-               key_of(state, base))
+    states.append(state)
+    lookup.add(root, add_vertex(root, base, 0), state, key_of(state, base))
 
     # a vertex's step back toward the tree center reaches the vertex it was
     # discovered from, so only the steps away from the center are walked.
@@ -433,31 +452,37 @@ def quotient_tree_ball(gog: GraphOfGroups, relators, R: int, wp=None,
     for dist in range(1, R + 2 if relators else R + 1):
         nxt = []
         for i in frontier:
-            w, state = verts[i].rep, states[i]
-            v = tt[w.pairs[-1][0]] if w.pairs else base
-            for e, y, cand in _child_steps(w, fan):
-                t, (etag, estab) = tt[e], etags[e]
-                if relators:
-                    s, x = key_step(state, v, y), cand.pairs[-1][1]
-                    if x != tid[e]:
-                        s = key_step(s, t, x)
-                    key = key_of(s, t)
-                    j = lookup.find(cand, s, key)
-                    if j is not None:
-                        _edge_insert(edges, eindex, etag, i, j, estab, notes)
-                        continue
-                    if dist > R:
-                        continue
-                    j = add_vertex(cand, t, dist, s)
-                    lookup.add(cand, j, s, key)
-                else:
+            w = verts[i].rep
+            if not relators:
+                for e, _, cand in _child_steps(w, fan):
                     j = len(verts)
                     if exact.setdefault(cand, j) != j:
                         raise RuntimeError(
                             f"ball construction produced a cycle at {cand!r}; "
                             "reduction is broken"
                         )
-                    add_vertex(cand, t, dist, None)     # no key state
+                    add_vertex(cand, tt[e], dist)
+                    nxt.append(j)
+                    etag, estab = etags[e]
+                    edges.append(GEdge(etag, i, j, estab))
+                continue
+            state = states[i]
+            v = tt[w.pairs[-1][0]] if w.pairs else base
+            for e, y, cand in _child_steps(w, fan):
+                t, (etag, estab) = tt[e], etags[e]
+                s, x = key_step(state, v, y), cand.pairs[-1][1]
+                if x != tid[e]:
+                    s = key_step(s, t, x)
+                key = key_of(s, t)
+                j = lookup.find(cand, s, key)
+                if j is not None:
+                    _edge_insert(edges, eindex, etag, i, j, estab, notes)
+                    continue
+                if dist > R:
+                    continue
+                j = add_vertex(cand, t, dist)
+                states.append(s)
+                lookup.add(cand, j, s, key)
                 nxt.append(j)
                 eindex[i, j] = len(edges)
                 edges.append(GEdge(etag, i, j, estab))

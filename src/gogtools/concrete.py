@@ -13,7 +13,7 @@ Subgroups travel as :class:`SubgroupHandle`: a membership predicate plus a
 way to name cosets, either a full element enumeration (finite subgroups) or
 a direct coset-key function for the infinite-subgroup cases where cosets
 still have obvious canonical names (e.g. lines in ℤ²).  A handle with
-neither is refused at construction.
+neither, or with an empty enumeration, is refused at construction.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ class SubgroupHandle:
         self.name = name
         self.contains = contains
         self.elements = list(elements) if elements is not None else None
+        if self.elements == []:
+            raise ValueError(f"subgroup handle {name!r} has an empty "
+                             "enumeration: a subgroup holds the identity")
         self.coset_key = coset_key
         if coset_key is None and self.elements is None:
             raise ValueError(
@@ -92,14 +95,16 @@ class SubgroupHandle:
     def key_of(self, G, x):
         """Canonical key of the left coset x·H: ``("ck", coset_key(x))``
         when the handle has a key function, else ``("min", m)`` with m the
-        least op(x, h) over the enumeration, which is op(x, h) itself when
-        the enumeration has one element.  The coset-graph sweep calls it
-        once per candidate."""
+        least op(x, h) over the enumeration.  A one-element enumeration is
+        {1}, since a subgroup holds the identity; ``op`` returns each
+        element in its one form, so for x in that form op(x, 1) is x, and
+        the key is ``("min", x)`` with no product.  The coset-graph sweep
+        calls it once per candidate."""
         if self.coset_key is not None:
             return ("ck", self.coset_key(x))
         elements = self.elements
         if len(elements) == 1:
-            return ("min", G.op(x, elements[0]))
+            return ("min", x)
         return ("min", min(G.op(x, h) for h in elements))
 
     def __repr__(self):

@@ -139,6 +139,29 @@ def test_handle_without_coset_names_refused():
         SubgroupHandle("H", contains=lambda x: True)
 
 
+def test_handle_with_empty_enumeration_refused():
+    # a subgroup holds the identity, so an empty enumeration names nothing
+    with pytest.raises(ValueError, match="'E'.*empty enumeration"):
+        SubgroupHandle("E", contains=lambda x: False, elements=[])
+    with pytest.raises(ValueError, match="'E'.*empty enumeration"):
+        SubgroupHandle("E", contains=lambda x: False, elements=[],
+                       coset_key=lambda x: x)
+
+
+def test_coset_ball_refuses_enumeration_without_identity():
+    # a one-element key names a coset by its element, which holds only when
+    # that element is the identity: U and each enumerated cone family are
+    # checked at entry
+    Z2 = FreeAbelian(2)
+    shifted = SubgroupHandle("shifted", contains=lambda x: x == (1, 0),
+                             elements=[(1, 0)])
+    S = [(1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="'shifted'.*lacks the identity"):
+        coset_graph_ball(Z2, shifted, S, [], 2)
+    with pytest.raises(ValueError, match="'shifted'.*lacks the identity"):
+        coset_graph_ball(Z2, trivial_handle(Z2), S, [shifted], 2)
+
+
 def test_coset_ball_cap():
     with pytest.raises(CapExceeded):
         models.ball({"family": "grid", "radius": 10}, cap=50)
@@ -303,6 +326,27 @@ def test_coset_ball_keys_each_candidate_once(monkeypatch, make, R, steps,
     if calls is not None:
         assert n_u == 2 * R * (R + 1) + 1
         assert count[0] == calls
+
+
+@pytest.mark.parametrize("family", ["grid", "coned_plane"])
+def test_coset_ball_group_ops_at_radius_20(monkeypatch, family):
+    # the benchmark's two coset balls, S = {(1, 0), (0, 1)} and U = {1}:
+    # each swept U-vertex g costs one op per step g·s^±1, 2|S| in all, and
+    # none for g·1 or for a key (a one-element key is its element, a
+    # line's key is read off it); setup spends s⁻¹·(u·s) per (s, u) pair on
+    # the stabilizer orders, 2|S|·|U| more
+    op = FreeAbelian.op
+    count = [0]
+
+    def counted(self, x, y):
+        count[0] += 1
+        return op(self, x, y)
+
+    monkeypatch.setattr(FreeAbelian, "op", counted)
+    ball = models.ball({"family": family, "radius": 20})
+    n_u = sum(1 for v in ball.verts if v.tag == "G/U")
+    assert n_u == 2 * 20 * 21 + 1
+    assert count[0] == 4 * n_u + 4 == 3368
 
 
 def test_key_of_matches_its_definition():
