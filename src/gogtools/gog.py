@@ -33,16 +33,19 @@ kept) holds, per directed edge, its terminus, the vertex-group table, identity
 and inverses there, η_e, the transversal decomposition, the pairs off the
 transversal and the Britton pinch.  The ``GroupWord`` product, inverse and
 end, ``_splice`` (reduction, and the seams of a Dehn step), ``_cyclic_core``
-(cyclic reduction and rotation, one notch loop) and ``syllable_length`` read
+(cyclic reduction and rotation, one notch pass) and ``syllable_length`` read
 them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
 ``tree`` (the fold-back test), once per call.  The transversal rule itself
 (decompose a syllable, push the edge-group correction left) is written once,
-in ``_sweep``, which ``_splice``, the notches of ``_cyclic_core``, the
-tree's coset words and its child steps all call.
+in ``_sweep``, which ``_splice``, the one closing sweep of ``_cyclic_core``,
+the tree's coset words and its child steps all call; the notches of
+``_cyclic_core`` sweep nothing, and over nontrivial edge groups they compose
+the per-pair correction maps ``Transversals.carry`` instead.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, islice
 
 from .finite import FiniteGroup, GroupHom, Subgroup, check_hom
@@ -287,7 +290,10 @@ class Transversals:
     coset H itself which the identity represents.  ``pinch[e][h]`` is the
     c with h = inj(e)(c) for h in H and ``None`` elsewhere.  ``moved`` is
     the set of pairs (e, g) with g not its own representative, empty when
-    every edge group is trivial.
+    every edge group is trivial.  ``carry[e][x][C]`` is the correction
+    η_ē(c) that pair (e, x) passes left when it receives C, for
+    x·C = η_e(c)·rep, built on first use (|vgroup(t(e))|² entries per
+    edge; only cyclic reduction over nontrivial edge groups reads it).
     """
 
     def __init__(self, gog: GraphOfGroups):
@@ -317,6 +323,12 @@ class Transversals:
         self.reps, self.decomp, self.pinch = tuple(reps), tuple(decomp), tuple(pinch)
         self.moved = frozenset((e, g) for e, d in enumerate(decomp)
                                for g, (_c, x) in enumerate(d) if x != g)
+
+    @cached_property
+    def carry(self):
+        return tuple(
+            tuple(tuple(self.inj[e ^ 1][d[y][0]] for y in row) for row in mul)
+            for e, (d, mul) in enumerate(zip(self.decomp, self.tmul)))
 
 
 def fix_transversals(gog: GraphOfGroups) -> Transversals:
@@ -372,10 +384,11 @@ def _sweep(T: "Transversals", items, j, corr, floor, stop):
     or floor − 1 with ``corr`` still owed to the head.
 
     :func:`_splice` sweeps from its top with no correction and ``stop``
-    its lowest changed position, the notches of :func:`_cyclic_core`
-    sweep down to their front index, and ``tree.canonical_coset_word``
-    and ``tree._child_steps`` sweep an element of the last vertex group
-    into a canonical word."""
+    its lowest changed position, :func:`_cyclic_core` sweeps its window
+    once, after the notches, from the tail down to its front index with
+    ``stop`` the lowest pair the notches wrote, and
+    ``tree.canonical_coset_word`` and ``tree._child_steps`` sweep an
+    element of the last vertex group into a canonical word."""
     tmul, inj, decomp = T.tmul, T.inj, T.decomp
     while j >= floor:
         e, x = items[j]
@@ -447,9 +460,11 @@ def _splice(w: GroupWord, i, x, mid, k):
 
 def rotate_once(w: GroupWord) -> GroupWord:
     """Rotate a canonical loop by one edge step: conjugate by head·(first
-    edge), landing at the next vertex of the loop.  The seam is merged into
-    the last syllable and the rotated word ends with (first edge, 1); the
-    result is again canonical.  This is one notch of :func:`_cyclic_core`."""
+    edge), landing at the next vertex of the loop, with the seam merged
+    and the result canonical.  The rotated word ends with (first edge, 1)
+    unless the returning first edge pinches against the last pair, as in
+    a·b·a⁻¹ over C4∗C6, whose rotation is b.  This is one notch of
+    :func:`_cyclic_core`."""
     if not w.pairs:
         return w
     return _cyclic_core(w, once=True)[0]
@@ -464,79 +479,170 @@ def cyclically_reduce(w: GroupWord):
     The conjugator is an open word from w's basepoint to the core's.
     """
     red = reduce_word(w)
-    core, steps = _cyclic_core(red)
-    return core, _conjugator(red, steps)
+    core, notches = _cyclic_core(red)
+    return core, _conjugator(red, notches)
+
+
+class _Corrections:
+    """The correction that the pairs items[f + 1:] of a notch window pass
+    to items[f], the window's tail receiving none: the composition of the
+    pairs' ``Transversals.carry`` maps (see :func:`_cyclic_core`).
+
+    The composed maps sit in a deque of two stacks split at ``b``:
+    ``front[i]`` composes pairs b − 1 − i .. b − 1, and ``back[i]`` pairs
+    b .. b + i, short of the tail.  The notches take pairs off the front
+    and change the window only from item ``low`` (set by the caller) on,
+    so ``back`` is cut back to ``low`` and regrown.  Both stacks are
+    rebuilt around the middle of the window when the front runs out or a
+    change reaches it, so a query costs O(|G|) amortized over the notches."""
+
+    __slots__ = ("carry", "tid", "items", "b", "front", "back", "low")
+
+    def __init__(self, T: "Transversals", items):
+        self.carry, self.tid, self.items = T.carry, T.tid, items
+        self.b, self.front, self.back, self.low = 0, [], [], 0
+
+    def into(self, f):
+        items, carry, tid, b, back = (self.items, self.carry, self.tid,
+                                      self.b, self.back)
+        m = len(items) - 1
+        if f == m:
+            return tid[items[f][0]]
+        if f >= b or self.low < b:
+            b = self.b = (f + m + 2) // 2
+            front = self.front = []
+            for e, x in reversed(items[f + 1:b]):
+                F = carry[e][x]
+                front.append(tuple(map(F.__getitem__, front[-1])) if front
+                             else F)
+            back.clear()
+        else:
+            del back[self.low - b:]
+        for e, x in items[b + len(back):m]:
+            F = carry[e][x]
+            back.append(tuple(map(back[-1].__getitem__, F)) if back else F)
+        e, x = items[m]
+        g = carry[e][x][tid[e]]
+        if back:
+            g = back[-1][g]
+        return self.front[b - 2 - f][g] if f + 1 < b else g
 
 
 def _cyclic_core(red: GroupWord, once=False):
     """The core of :func:`cyclically_reduce` for a word already in
-    canonical form, with the notch steps taken as (head, first edge)
-    pairs; :func:`_conjugator` turns the steps into the conjugator for
-    the callers that need it.  With ``once`` it takes exactly one notch,
-    which is :func:`rotate_once`.
+    canonical form, and the record (k, items, κ⁻¹) of the k notches
+    taken, which :func:`_conjugator` turns into the conjugator for the
+    callers that read it.  With ``once`` it takes exactly one notch, which
+    is :func:`rotate_once`.
 
-    A notch rotates the loop by one edge step: the first pair leaves
-    through a front index (the loop is items[f:]), the old head merges
-    into the last pair, which is the one place the returning first edge
-    can pinch, and :func:`_sweep` runs leftward from the changed pair
-    down to the front index, up to the first trivial correction.
+    One pass over the notches.  ``items`` is a holder pair, then the
+    loop's pairs: the loop is items[f:], and its head is held by the
+    element y of items[f − 1] (at first a stand-in (ē1, head)).  A notch
+    rotates the loop by one edge step: the front pair leaves through the
+    front index and becomes the holder, and the old head merges into the
+    last pair, the one place where the returning first edge can pinch.
     Notches stop once no pinch applies at the seam and the trailing
     element is the identity.  A notch that does not pinch leaves a
-    trailing identity, so there are at most n + 1 notches for n edges,
-    each O(1) over trivial edge groups (over nontrivial ones a correction
-    can still sweep to the head, so a long conjugator peels in quadratic
-    time there)."""
-    if not red.is_loop():
-        raise ValueError("cyclic reduction needs a loop word")
-    gog = red.gog
+    trailing identity, so there are at most n + 1 notches for n edges.
+
+    A notch writes only the tail and leaves it off its transversal;
+    nothing is swept.  The tail receives no correction, so its coset
+    decides the stop.  The pinch test reads the head, though, which a
+    correction from the tail can reach, and a correction C in the edge
+    image H moves x to another coset H·x·C unless H is normal, so the
+    elements that later become heads change too.  Corrections compose as
+    totals: a pair (e, x) that received C₁ and passed η_ē(c₁), with
+    x·C₁ = η_e(c₁)·rep₁, and then received C₂ passes η_ē(c₁)⁻¹·η_ē(c₂)
+    with x·C₁·C₂ = η_e(c₂)·rep₂, so in all it passes η_ē(c₂), a fixed map
+    ``Transversals.carry[e][x]`` of the total C₁·C₂ it received.
+    :class:`_Corrections` composes these maps over the window, which gives
+    the correction C that reaches the front pair (e1, x1).  With
+    x1·C = η_e1(c)·rep the head is κ·y·η_ē1(c), κ being the holder's left
+    factor, and the next holder's factor is η_e1(c)⁻¹, as
+    η_ē1(c)·e1 = e1·η_e1(c).  Over trivial edge groups
+    (``Transversals.moved`` empty) every correction and every κ is the
+    identity, and a notch reads no map.  The core is the window after one
+    sweep from its tail that stops at the first trivial correction below
+    the lowest written pair, or just a slice."""
+    gog, pairs = red.gog, red.pairs
+    if not pairs:
+        return red, (0, None, None)
     T = gog.transversals
     tt, tmul, tid, inj, pinch = T.t, T.tmul, T.tid, T.inj, T.pinch
-    start, head = red.start, red.head
-    items = list(red.pairs)
-    f, steps = 0, []
-    for _ in range(len(items) + 2):
+    tinv, decomp = T.tinv, T.decomp
+    if tt[pairs[-1][0]] != red.start:
+        raise ValueError("cyclic reduction needs a loop word")
+    items = [(pairs[0][0] ^ 1, red.head), *pairs]
+    f, kinv, low, fix = 1, None, len(items), None  # kinv: κ⁻¹, None for 1
+    if T.moved:
+        kinv, fix = tid[items[0][0]], _Corrections(T, items)
+    for _ in range(len(items) + 1):
         if f == len(items):
             break
-        # a loop: the last edge ends at ``start``; with one pair left,
-        # e1 is e_n and cannot be its bar
-        e1, new_head = items[f]
+        e1, x1 = items[f]
         e_n, x_n = items[-1]
-        c = pinch[e_n][tmul[e_n][x_n][head]] if e1 == e_n ^ 1 else None
-        if c is None and x_n == tid[e_n] and not once:
+        head = items[f - 1][1]
+        if fix is not None:
+            # the head is κ·y·η_ē1(c), with x1·C = η_e1(c)·rep
+            c = decomp[e1][tmul[e1][x1][
+                fix.into(f) if low < len(items) else tid[e1]]][0]
+            mul = tmul[e1 ^ 1]
+            head = mul[mul[tinv[e1 ^ 1][kinv]][head]][inj[e1 ^ 1][c]]
+        # a loop: the last edge ends at the head's vertex; with one pair
+        # left, e1 is e_n and cannot be its bar
+        p = pinch[e_n][tmul[e_n][x_n][head]] if e1 == e_n ^ 1 else None
+        if p is None and pinch[e_n][x_n] is not None and not once:
             break
-        steps.append((head, e1))
         f += 1
-        if c is not None:
-            # e_n · η_{e_n}(c) · e1 with e1 = ē_n pinches to η_{e1}(c)
-            items.pop()
-            j, corr = len(items) - 1, inj[e1][c]
-        else:
+        if p is None:
+            items[-1] = (e_n, tmul[e_n][x_n][head])
             items.append((e1, tid[e1]))
-            j, corr = len(items) - 2, head
-        start, head = tt[e1], new_head
-        j, corr = _sweep(T, items, j, corr, f, len(items))
-        if j < f:
-            head = tmul[e1][head][corr]
+        else:
+            items.pop()
+        if fix is not None:
+            kinv, j = inj[e1][c], len(items) - 2
+            if p is not None:
+                # e_n · η_{e_n}(p) · e1 with e1 = ē_n pinches to η_{e1}(p)
+                j += 1
+                e, x = items[j]
+                items[j] = (e, tmul[e][x][inj[e1][p]])
+            fix.low = j
+            if j < low:
+                low = j
         if once:
             break
     else:
         raise RuntimeError("cyclic reduction failed to stabilize")
-    if not steps:
-        return red, steps
-    return GroupWord._trusted(gog, start, head, items[f:]), steps
+    if f == 1:
+        return red, (0, None, None)
+    e, head = items[f - 1]
+    if fix is not None:
+        mul = tmul[e]
+        head = mul[tinv[e][kinv]][head]
+        if not T.moved.isdisjoint(islice(items, max(low, f), None)):
+            j, corr = _sweep(T, items, len(items) - 1, tid[items[-1][0]],
+                             f, low)
+            if j < f:
+                head = mul[head][corr]
+    core = GroupWord._trusted(gog, tt[e], head, items[f:])
+    return core, (f - 1, items, kinv)
 
 
-def _conjugator(red: GroupWord, steps) -> GroupWord:
-    """The product of the notch steps that :func:`_cyclic_core` took on
-    ``red``, from its basepoint, built as one word and reduced once."""
-    gog, start = red.gog, red.start
-    if not steps:
-        return identity_word(gog, start)
-    # (h1; f1, 1)·(h2; f2, 1)···(hk; fk, 1) = (h1; (f1, h2), ..., (fk, 1))
-    pairs = [(f, h) for (_h, f), (h, _f) in zip(steps, steps[1:])]
-    f_k = steps[-1][1]
-    pairs.append((f_k, gog.transversals.tid[f_k]))
-    return reduce_word(GroupWord._trusted(gog, start, steps[0][0], pairs))
+def _conjugator(red: GroupWord, notches) -> GroupWord:
+    """The conjugator of the notches that :func:`_cyclic_core` took on
+    ``red``, from its basepoint, built as one word and reduced once.
+
+    ``notches`` is (k, items, κ⁻¹) from a pass of k notches.  Notch i
+    conjugates by head_i·e_i = κ_i·y_i·η_ē(c)·e_i = κ_i·y_i·e_i·κ_{i+1}⁻¹,
+    so the product telescopes to y_1·e_1·y_2···y_k·e_k·κ_{k+1}⁻¹, with
+    y_i the element that items[i − 1] ends with and κ_1 = 1."""
+    k, items, kinv = notches
+    if not k:
+        return identity_word(red.gog, red.start)
+    e_k = items[k][0]
+    last = (e_k, red.gog.transversals.tid[e_k] if kinv is None else kinv)
+    return reduce_word(GroupWord._trusted(red.gog, red.start, red.head,
+                                          [*items[1:k], last]))
 
 
 # -- word JSON --------------------------------------------------------------

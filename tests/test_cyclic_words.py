@@ -10,7 +10,9 @@ every factor.  The toolkit's versions must agree with them exactly, on
 the canonical words themselves and on every field of the piece report.
 """
 
+import math
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -350,10 +352,116 @@ def test_two_thousand_step_conjugators_peel_like_the_reference(make):
     w = c * u * c.inverse()
     o_core, o_conj = oracle_cyclically_reduce(w, gog)
     red = reduce_word(w)
-    core, steps = _cyclic_core(red)
-    assert core == o_core and _conjugator(red, steps) == o_conj
+    core, notches = _cyclic_core(red)
+    assert core == o_core and _conjugator(red, notches) == o_conj
     assert cyclically_reduce(w) == (o_core, o_conj)
-    assert len(steps) >= 2000
+    assert notches[0] >= 2000  # the notch count
+
+
+def test_the_correction_reaching_the_head_decides_the_next_pinch():
+    """Two words over S3 ∗_{C2} D4 whose third notch is decided by a
+    correction that travelled from the tail to the head.  In the first,
+    the second notch pinches and its correction turns the head from 1
+    into 5; with head 5 the third notch does not pinch, where head 1
+    would.  In the second, the first notch's correction runs through the
+    whole window, and the element that heads the third notch becomes 1
+    instead of 2, which again does not pinch.  A notch pass that decided
+    from cosets alone and dropped the corrections that travel past the
+    tail would peel both words down to a single syllable."""
+    gog = s3_d4()
+    cases = [
+        ((4, [(0, 4), (1, 2), (0, 5), (1, 1), (0, 4), (1, 1)]),
+         (1, 7, [(1, 1), (0, 0)]), (4, [(0, 4), (1, 2), (0, 0)])),
+        ((5, [(0, 1), (1, 2), (0, 5), (1, 2), (0, 1), (1, 2)]),
+         (1, 5, [(1, 2), (0, 0)]), (1, [(0, 1), (1, 1), (0, 0)])),
+    ]
+    for (head, pairs), (v, core_head, core_pairs), (c_head, c_pairs) in cases:
+        w = GroupWord(gog, 0, head, pairs)
+        assert reduce_word(w) == w
+        core, conj = cyclically_reduce(w)
+        assert core == GroupWord(gog, v, core_head, core_pairs)
+        assert conj == GroupWord(gog, 0, c_head, c_pairs)
+        assert _cyclic_core(w)[1][0] == 3
+
+
+# -- growth in the conjugator length ----------------------------------------
+
+
+GROWTH_MODELS = [sl2z, s3_d4, _relabelled_s3_d4, hnn_c6]
+GROWTH_IDS = ["sl2z", "s3_d4", "relabelled_s3_d4", "hnn_c6"]
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _lines_in_gog(fn, *args, budget=math.inf):
+    """The line events in ``gogtools/gog.py`` frames while fn(*args) runs,
+    a count of the work done that does not depend on the host's speed;
+    None once the count passes ``budget`` (the call is cut short there)."""
+    path = _cyclic_core.__code__.co_filename
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise _OverBudget
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == path else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    except _OverBudget:
+        return None
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _conjugated(gog, rng, n):
+    """c·u·c⁻¹ with c a reduced loop of at least n edges and u one of at
+    least 6."""
+    u = _long_conjugator(gog, rng, 16)
+    c = _long_conjugator(gog, rng, n + 10)
+    return c * u * c.inverse()
+
+
+@pytest.mark.parametrize("make", GROWTH_MODELS, ids=GROWTH_IDS)
+def test_cyclic_reduction_work_grows_linearly(make):
+    """Doubling the conjugator of c·u·c⁻¹ from 1,000 to 4,000 edges at
+    most doubles the work of ``cyclically_reduce``, with 15 % to spare:
+    the notch pass composes the edge-group corrections instead of
+    sweeping each one toward the head.  A pass that sweeps is cut off at
+    the budget of its next rung."""
+    gog = make()
+    rng = random.Random(0x11E)
+    counts = []
+    for n in (1000, 2000, 4000):
+        budget = 2.3 * counts[-1] if counts else math.inf
+        counts.append(_lines_in_gog(cyclically_reduce, _conjugated(gog, rng, n),
+                                    budget=budget))
+        assert counts[-1] is not None, f"over ×2.3 at {n} edges: {counts}"
+
+
+@pytest.mark.parametrize("make", GROWTH_MODELS, ids=GROWTH_IDS)
+def test_eight_thousand_edge_conjugators_meet_the_definition(make):
+    """At 8,000 conjugator edges, where the rotate-and-reduce reference
+    would be slow, the result is checked against the definition: the
+    conjugate of the core is w, the core takes no further notch, and its
+    trailing element is the identity."""
+    gog = make()
+    w = _conjugated(gog, random.Random(0x8000), 8000)
+    core, conj = cyclically_reduce(w)
+    assert reduce_word(conj * core * conj.inverse()) == reduce_word(w)
+    assert _cyclic_core(core) == (core, (0, None, None))
+    assert core.pairs and core.pairs[-1][1] == gog.vgroup(core.start).identity
+    assert len(conj.pairs) >= 8000
 
 
 def test_self_overlap_on_repetitive_words():

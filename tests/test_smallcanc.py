@@ -721,6 +721,17 @@ def test_kernel_oracle_no_length_gate_refutation_over_nontrivial_edge_groups():
         ko.certificate(GroupWord(gog, 0, 2, []))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP Direction 4: the syllable piece measure accepts r⁷ over hnn_c6 "
+    "with λ* = 1/14, yet conjugates of r⁷ Dehn-reduce to b⁴ (the test "
+    "above) and 29 of 40 seeded ones to b² or b⁴ with replayed traces, so "
+    "b² ∈ ⟨⟨r⁷⟩⟩, which C'(1/6) forbids"))
+def test_cprime_verdict_over_hnn_is_not_true_when_the_vertex_group_collapses():
+    gog = hnn_c6()
+    r = GroupWord(gog, 0, 1, [(0, 1), (1, 1), (0, 3)])  # b·t·b·t̄·b·t·b³
+    assert check_cprime(r, 7, Fraction(1, 6))["verdict"] is not True
+
+
 # -- presentation complexes -------------------------------------------------
 
 
