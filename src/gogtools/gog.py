@@ -12,12 +12,21 @@ fundamental group are the loop words; open words (used as coset
 representatives for tree vertices) carry distinct start/end vertices.
 
 Reduction makes one left-to-right pass over a stack, as in free reduction:
-each incoming syllable is tested against the top of the stack for the
-Britton pinch  f · η_f(c) · f̄  →  η_f̄(c), so no pinch survives the pass.  If
-some syllable lies off a fixed right-coset transversal of its incoming edge
-image (never over trivial edge groups), it then decomposes the syllables,
-right to left, against that transversal, pushing edge-group corrections to
-the left.  The result is the canonical normal form, itself a ``GroupWord``: head
+an incoming syllable is tested against the top of the stack for the
+Britton pinch  f · η_f(c) · f̄  →  η_f̄(c), so no pinch survives the pass.
+Only a held top, a pair (f, h) with h in the image of η_f, can pinch, and
+an input pair that goes on without a pinch can be pinched only by the next
+input pair, which must reverse its edge.  So the pass finds the held input
+pairs by a scan made in C, puts everything up to the next held pair whose
+edge the following pair reverses on the stack as one slice, and takes
+syllables one at a time only from there until one goes on without a pinch.
+Held pairs are rare in the words the toolkit reduces (see README.md); a
+word in which nearly every pair is held, such as t^2000 over an HNN
+extension, costs more per pair than a plain stack pass.  If some syllable
+lies off a fixed right-coset transversal of its incoming edge image (never
+over trivial edge groups), the pass then decomposes the syllables, right
+to left, against that transversal, pushing edge-group corrections to the
+left.  The result is the canonical normal form, itself a ``GroupWord``: head
 element followed by alternating (edge, transversal representative) pairs.
 Transversal representatives are least-element-index, with the identity
 representing the coset of the image subgroup itself, so normal forms are
@@ -31,10 +40,10 @@ The word layer indexes flat tuples instead of calling methods: the graph's
 :class:`Transversals` (``GraphOfGroups.transversals``, built on first use and
 kept) holds, per directed edge, its terminus, the vertex-group table, identity
 and inverses there, η_e, the transversal decomposition, the pairs off the
-transversal and the Britton pinch.  The ``GroupWord`` product, inverse and
-end, ``_splice`` (reduction, and the seams of a Dehn step), ``_cyclic_core``
-(cyclic reduction and rotation, one notch pass) and ``syllable_length`` read
-them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
+transversal and the Britton pinch with its held pairs.  The ``GroupWord``
+product, inverse and end, ``_splice`` (reduction, and the seams of a Dehn
+step), ``_cyclic_core`` (cyclic reduction and rotation, one notch pass) and
+``syllable_length`` read them, as do ``smallcanc`` (pieces, self-overlap, h1 image, Dehn scan) and
 ``tree`` (the fold-back test), once per call.  The transversal rule itself
 (decompose a syllable, push the edge-group correction left) is written once,
 in ``_sweep``, which ``_splice``, the one closing sweep of ``_cyclic_core``,
@@ -46,7 +55,7 @@ the per-pair correction maps ``Transversals.carry`` instead.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, islice
+from itertools import compress, count, islice
 
 from .finite import FiniteGroup, GroupHom, Subgroup, check_hom
 
@@ -288,12 +297,15 @@ class Transversals:
     right coset H·g; ``decomp[e][g]`` is (c, x) and ``reps[e]`` lists the
     representatives.  Representatives are least element index, except the
     coset H itself which the identity represents.  ``pinch[e][h]`` is the
-    c with h = inj(e)(c) for h in H and ``None`` elsewhere.  ``moved`` is
-    the set of pairs (e, g) with g not its own representative, empty when
-    every edge group is trivial.  ``carry[e][x][C]`` is the correction
-    η_ē(c) that pair (e, x) passes left when it receives C, for
-    x·C = η_e(c)·rep, built on first use (|vgroup(t(e))|² entries per
-    edge; only cyclic reduction over nontrivial edge groups reads it).
+    c with h = inj(e)(c) for h in H and ``None`` elsewhere, and ``held``
+    is the set of pairs (e, h) with h in H: the only stack tops that an
+    incoming ē can pinch, which the reduction pass looks up in C.
+    ``moved`` is the set of pairs (e, g) with g not its own
+    representative, empty when every edge group is trivial.
+    ``carry[e][x][C]`` is the correction η_ē(c) that pair (e, x) passes
+    left when it receives C, for x·C = η_e(c)·rep, built on first use
+    (|vgroup(t(e))|² entries per edge; only cyclic reduction over
+    nontrivial edge groups reads it).
     """
 
     def __init__(self, gog: GraphOfGroups):
@@ -323,6 +335,8 @@ class Transversals:
         self.reps, self.decomp, self.pinch = tuple(reps), tuple(decomp), tuple(pinch)
         self.moved = frozenset((e, g) for e, d in enumerate(decomp)
                                for g, (_c, x) in enumerate(d) if x != g)
+        self.held = frozenset((e, h) for e, pre in enumerate(pinch)
+                              for h, c in enumerate(pre) if c is not None)
 
     @cached_property
     def carry(self):
@@ -408,23 +422,39 @@ def _splice(w: GroupWord, i, x, mid, k):
     position i and from pair k on; returns (word, lo, j), the word agreeing
     with w below position lo and ending in w.pairs[j:].
 
-    The stack pass starts from w below position i and never holds a pinch,
-    so once a suffix pair goes on without one the rest of the suffix is
-    attached as it is.  The transversal sweep (:func:`_sweep`, from the
-    top with no correction) runs only when a pair from item lo − 1
-    (position lo) up is in ``Transversals.moved``, a test made in C, so
-    never over trivial edge groups; it stops at the first trivial
-    correction below every changed position.  A splice costs its seams
-    past the slices, and :func:`reduce_word` (i = 0, k = n) one pass."""
+    The stack pass starts from w below position i and never holds a pinch.
+    An incoming pair pinches the top only where it reverses the top's edge
+    and the top is held (in ``Transversals.held``).  So a pair of ``mid``
+    that goes on without a pinch can be pinched only by the next pair of
+    ``mid``, and only where it is held and the next pair reverses its edge.
+    A scan made in C finds the held pairs of ``mid``; the pairs up to the
+    next one whose edge the following pair reverses go on as one slice,
+    and from there the pass takes one pair at a time, pinches cascading,
+    until a pair goes on without one.  The entry top (position i) meets
+    mid[0] first, and once a suffix pair goes on without a pinch the rest
+    of the suffix is attached as it is.  The transversal sweep
+    (:func:`_sweep`, from the top with no correction) runs only when a
+    pair from item lo − 1 (position lo) up is in ``Transversals.moved``, a
+    test made in C, so never over trivial edge groups; it stops at the
+    first trivial correction below every changed position.  A splice costs
+    the scan, one step per held pair of ``mid`` and per pinch, and its
+    seams past the slices; :func:`reduce_word` is the splice with i = 0
+    and k = n."""
     T = w.gog.transversals
     tmul, inj, pinch = T.tmul, T.inj, T.pinch
     pairs, lo, top = w.pairs, i, -1  # top: the edge that pinches the top
-    head, items, j = x, [], len(pairs)
+    head, items = x, []
     if i:
         head, items = w.head, [*pairs[:i - 1], (pairs[i - 1][0], x)]
         top = pairs[i - 1][0] ^ 1
-    seq = chain(mid, pairs[k:]) if k < len(pairs) else mid
-    for j, pair in enumerate(seq, k - len(mid) + 1):
+    n, m = len(mid), len(mid) + len(pairs) - k
+    held = compress(count(), map(T.held.__contains__, mid))
+    # t counts the pairs taken, mid and then w.pairs[k:]; p is the next
+    # held pair of mid whose edge the pair after it reverses, or n − 1
+    p, t = -1, 0
+    while t < m:
+        pair = mid[t] if t < n else pairs[k + t - n]
+        t += 1
         e = pair[0]
         if e == top:
             c = pinch[e ^ 1][items[-1][1]]
@@ -443,8 +473,21 @@ def _splice(w: GroupWord, i, x, mid, k):
                 continue
         items.append(pair)
         top = e ^ 1
-        if j > k:
+        if t > n:
             break
+        # move p past the pairs taken; mid[t:p + 1] then goes on without
+        # a pinch, as one slice
+        if p < t - 1:
+            for p in held:
+                if p >= t - 1 and (p + 1 == n
+                                   or mid[p + 1][0] == mid[p][0] ^ 1):
+                    break
+            else:
+                p = n - 1
+        if p >= t:
+            items += mid[t:p + 1]
+            top, t = mid[p][0] ^ 1, p + 1
+    j = k + t - n
     # items[lo - 1] is the lowest pair the pass may have left off its
     # transversal (the head needs none); `lo` counts positions, not items
     moved = T.moved

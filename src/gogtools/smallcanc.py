@@ -50,7 +50,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import compress, count, islice
+from operator import ne
 
 from .errors import UnsupportedInput
 from .gog import (
@@ -357,12 +358,26 @@ def _piece_report(S: SymmetrizedSet) -> PieceReport:
 def check_cprime(r: GroupWord, m: int, lam) -> dict:
     """C'(λ) verdict for the symmetrized set of r^m: every piece shorter
     than λ·|r^m|, with exact rational arithmetic, over r's graph of
-    groups."""
+    groups.
+
+    A graph with a loop edge (an HNN extension) is refused with
+    :class:`UnsupportedInput` once the piece measure has named any cause
+    of its own: there the syllable measure does not count stable letters,
+    and it passes relators whose conjugates collapse the vertex group, as
+    b·t·b·t̄·b·t·b³ at m = 7 over ``hnn_c6``."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     lam = Fraction(lam)
     S = symmetrize(word_power(r, m))
     rep = pieces(S)
+    g = r.gog.graph
+    if any(g.o(e) == g.t(e) for e in range(g.num_edges)):
+        raise UnsupportedInput(
+            "C'(λ) is not decided over a graph with a loop edge: the "
+            "syllable piece measure does not count stable letters, so a "
+            "verdict could pass a relator whose conjugates collapse the "
+            "vertex group"
+        )
     L = rep.min_length
     verdict = Fraction(rep.max_piece) < lam * L
     return {
@@ -499,10 +514,10 @@ def _best_match_at(cur, i, cands, members):
     for idx in cands:
         s, syls, total = members[idx]
         sp = s.pairs
-        # run of exact (edge, element) agreement from the member's pair 0
-        run = 0
-        while run < len(sp) and i + run < n and sp[run] == pairs[i + run]:
-            run += 1
+        # run of exact (edge, element) agreement from the member's pair 0,
+        # measured in C: the first disagreement, or the shorter length
+        window = pairs[i:i + len(sp)]
+        run = next(compress(count(), map(ne, sp, window)), len(window))
         # l positions carry at most l syllables, and l <= run + 2
         if 2 * (run + 2) <= total:
             continue

@@ -545,6 +545,23 @@ def test_cprime_degenerate_relator_exit_4(tmp_path, monkeypatch, model, word,
     assert cause in report["error"]["message"]
 
 
+def test_cprime_over_a_loop_edge_exit_4(tmp_path, monkeypatch):
+    """b·t·b²·t over hnn_c6 has λ* = 1/7 at m = 7, under 1/6; the verdict
+    is refused because the piece measure does not see stable letters."""
+    rc, _ = run_job(tmp_path, monkeypatch, {
+        "command": "cprime",
+        "parameters": {"model": "hnn_c6",
+                       "word": {"syllables": [[0, 1], [0, 2]]},
+                       "m": 7, "lam": "1/6"},
+        "output": {"report": "out/report.json"},
+    })
+    assert rc == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "unsupported"
+    assert "loop edge" in report["error"]["message"]
+    assert "does not count stable letters" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("radii, rc_want",
                          [([6, 7], 4), ([6, 9], 4), ([9, 10], 0)])
 def test_fineness_query_deeper_than_the_radii_exit_4(tmp_path, monkeypatch,

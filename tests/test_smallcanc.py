@@ -725,11 +725,24 @@ def test_kernel_oracle_no_length_gate_refutation_over_nontrivial_edge_groups():
     "ROADMAP Direction 4: the syllable piece measure accepts r⁷ over hnn_c6 "
     "with λ* = 1/14, yet conjugates of r⁷ Dehn-reduce to b⁴ (the test "
     "above) and 29 of 40 seeded ones to b² or b⁴ with replayed traces, so "
-    "b² ∈ ⟨⟨r⁷⟩⟩, which C'(1/6) forbids"))
+    "b² ∈ ⟨⟨r⁷⟩⟩, which C'(1/6) forbids; until pieces are measured on the "
+    "tree, check_cprime refuses every graph with a loop edge, so this "
+    "fails by UnsupportedInput"))
 def test_cprime_verdict_over_hnn_is_not_true_when_the_vertex_group_collapses():
     gog = hnn_c6()
     r = GroupWord(gog, 0, 1, [(0, 1), (1, 1), (0, 3)])  # b·t·b·t̄·b·t·b³
     assert check_cprime(r, 7, Fraction(1, 6))["verdict"] is not True
+
+
+def test_cprime_refuses_a_graph_with_a_loop_edge():
+    """The piece report of r⁷ above passes (λ* = 1/14), and the verdict
+    is refused all the same, naming the measure."""
+    gog = hnn_c6()
+    r = GroupWord(gog, 0, 1, [(0, 1), (1, 1), (0, 3)])
+    S = symmetrize(word_power(r, 7))
+    assert pieces(S).lam_star == Fraction(1, 14)
+    with pytest.raises(UnsupportedInput, match="does not count stable letters"):
+        check_cprime(r, 7, Fraction(1, 6))
 
 
 # -- presentation complexes -------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from gogtools.finite import make_cyclic
 from gogtools.gog import (
     GroupWord,
+    _splice,
     SerreGraph,
     GraphOfGroups,
     Transversals,
@@ -24,7 +25,15 @@ from gogtools.gog import (
     validate,
     words_equal,
 )
-from gogtools.models import ab_word, c4c6_free, hnn_c6, loop_word, s3_d4, sl2z
+from gogtools.models import (
+    MODELS,
+    ab_word,
+    c4c6_free,
+    hnn_c6,
+    loop_word,
+    s3_d4,
+    sl2z,
+)
 
 from fixtures import (
     MODEL_IDS,
@@ -32,6 +41,8 @@ from fixtures import (
     random_hnn_word,
     sl2z_matrix,
 )
+from test_cyclic_words import _lines_in_gog, _long_conjugator
+from test_dehn_steps import _path
 
 
 def _pinch_pass(gog, head, items, order):
@@ -399,3 +410,151 @@ def test_matrix_oracle_agreement():
         ours = words_equal(u, w)
         oracle = sl2z_matrix(u) == sl2z_matrix(w)
         assert ours == oracle
+
+
+# -- the held-pair scan of the stack pass ------------------------------------
+# The pass copies the runs of its input in front of each held pair that the
+# next pair reverses as slices, and steps pair by pair only from there; these
+# words put the held pairs where a slice boundary is easy to get wrong.
+
+ALL_MODELS = [MODELS[name] for name in sorted(MODELS)]
+
+
+def _loop(gog, rng, n):
+    """The canonical form of a random loop of about n steps at vertex 0."""
+    return reduce_word(_path(gog, rng, 0, n, end=0))
+
+
+def _splice_agrees(w, i, x, mid, k):
+    """``_splice`` of w[:i]·x·mid·w[k:] equals the fixpoint oracle of that
+    raw word in both scan orders."""
+    gog, T = w.gog, w.gog.transversals
+    head = x if i == 0 else w.head
+    pairs = w.pairs[:i - 1] + ((w.pairs[i - 1][0], x),) if i else ()
+    raw = GroupWord(gog, w.start, head, pairs + tuple(mid) + w.pairs[k:])
+    return (_splice(w, i, x, mid, k)[0] == oracle_reduce(raw, gog, T, "lr")
+            == oracle_reduce(raw, gog, T, "rl"))
+
+
+@pytest.mark.parametrize("make", ALL_MODELS, ids=sorted(MODELS))
+def test_products_of_canonical_words_agree_with_the_oracle(make):
+    """Products of conjugates c·r^±m·c⁻¹ of canonical words, as the
+    kernel benchmark builds its members, some times a canonical tail."""
+    gog = make()
+    T = gog.transversals
+    rng = random.Random(0x4E1D + ALL_MODELS.index(make))
+    for _ in range(30):
+        r = _loop(gog, rng, rng.randrange(1, 5))
+        rm = r * r * r if rng.randrange(2) else r
+        w = identity_word(gog, 0)
+        for _ in range(rng.randrange(1, 4)):
+            c = _loop(gog, rng, rng.randrange(0, 12))
+            part = rm if rng.randrange(2) else rm.inverse()
+            w = w * c * part * c.inverse()
+        if rng.randrange(2):
+            w = w * _loop(gog, rng, 3)
+        assert agrees_with_oracle(w, gog, T), w
+
+
+@pytest.mark.parametrize("make", ALL_MODELS, ids=sorted(MODELS))
+def test_cascades_that_run_off_the_end_or_reach_the_head(make):
+    """v·v⁻¹ cancels in one cascade: after u it runs off the end of the
+    word, and in front of u it pops the stack down to the head, after
+    which the scan resumes on u."""
+    gog = make()
+    T = gog.transversals
+    rng = random.Random(0xCA5C + ALL_MODELS.index(make))
+    for _ in range(30):
+        u = _loop(gog, rng, rng.randrange(0, 8))
+        v = _loop(gog, rng, rng.randrange(1, 12))
+        assert reduce_word(v * v.inverse()).is_identity()
+        assert reduce_word(u * v * v.inverse()) == u
+        assert reduce_word(v * v.inverse() * u) == u
+        for w in (v * v.inverse(), u * v * v.inverse(),
+                  v * v.inverse() * u, u * v * v.inverse() * u.inverse()):
+            assert agrees_with_oracle(w, gog, T), w
+
+
+def test_all_held_words_that_never_reverse_an_edge():
+    """t^k over hnn_c6 with every element in the image of its edge: every
+    pair is held and none reverses the one before, so no run is copied
+    past any of them and none pinches."""
+    gog = hnn_c6()
+    T = gog.transversals
+    rng = random.Random(0x7A11)
+    for e in (0, 1):
+        for k in (1, 2, 3, 10, 40):
+            w = GroupWord(gog, 0, rng.randrange(6),
+                          [(e, rng.choice(gog.inj[e].map)) for _ in range(k)])
+            assert all(p in T.held for p in w.pairs)
+            assert agrees_with_oracle(w, gog, T), w
+
+
+@pytest.mark.parametrize("make", ALL_MODELS, ids=sorted(MODELS))
+def test_held_pairs_at_the_first_and_last_index(make):
+    """A held pair at index 0 that the pair at index 1 reverses, so the
+    pass pinches before any slice, and a held pair at index n − 1, with
+    nothing after it to pinch it."""
+    gog = make()
+    g, T = gog.graph, gog.transversals
+    rng = random.Random(0x0E4D + ALL_MODELS.index(make))
+    for _ in range(40):
+        e, f = rng.choice(g.edges_at(0)), rng.choice(g.edges_at(0))
+        pairs = [(e, rng.choice(gog.inj[e].map)),
+                 (e ^ 1, rng.randrange(gog.vgroup(0).order)),
+                 *_path(gog, rng, 0, rng.randrange(0, 6), end=0).pairs,
+                 (f, rng.choice(gog.inj[f].map))]
+        w = GroupWord(gog, 0, rng.randrange(gog.vgroup(0).order), pairs)
+        assert w.pairs[0] in T.held and w.pairs[-1] in T.held
+        assert agrees_with_oracle(w, gog, T), w
+        assert agrees_with_oracle(GroupWord(gog, 0, w.head, pairs[2:]),
+                                  gog, T)
+
+
+@pytest.mark.parametrize("make", ALL_MODELS, ids=sorted(MODELS))
+def test_splices_whose_seams_are_held(make):
+    """An interior splice (a Dehn seam) whose entry top (e, x) is held and
+    reversed by mid[0], and whose mid often ends on a held pair that the
+    first suffix pair reverses."""
+    gog = make()
+    g, T = gog.graph, gog.transversals
+    rng = random.Random(0x5EA3 + ALL_MODELS.index(make))
+    for _ in range(100):
+        w = _loop(gog, rng, rng.randrange(1, 10))
+        if not w.pairs:
+            continue
+        n = len(w.pairs)
+        i = rng.randrange(1, n + 1)
+        k = rng.randrange(i, n + 1)
+        e = w.pairs[i - 1][0]
+        x = rng.choice(gog.inj[e].map)
+        assert (e, x) in T.held
+        mid = [(e ^ 1, rng.randrange(gog.vgroup(g.o(e)).order))]
+        end = g.o(w.pairs[k][0]) if k < n else w.end
+        if k < n and rng.randrange(2):
+            f = w.pairs[k][0] ^ 1
+            mid += _path(gog, rng, g.o(e), rng.randrange(0, 4),
+                         end=g.o(f)).pairs
+            mid.append((f, rng.choice(gog.inj[f].map)))
+        else:
+            mid += _path(gog, rng, g.o(e), rng.randrange(0, 4),
+                         end=end).pairs
+        assert _splice_agrees(w, i, x, mid, k), (w, i, x, mid, k)
+
+
+@pytest.mark.parametrize("make", [c4c6_free, sl2z], ids=MODEL_IDS.get)
+def test_reduction_work_does_not_grow_with_length(make):
+    """Reducing a canonical word of 8,000 pairs takes no more line events
+    in ``gog.py`` than one of 1,000: the pass copies every run in front of
+    a held pair as a slice, so its Python work follows the held pairs and
+    pinches, not the length."""
+    gog = make()
+    rng = random.Random(0x8000)
+    counts = []
+    for n in (1000, 8000):
+        # a cyclic core: canonical, ending on the held pair (e, 1)
+        w = cyclically_reduce(_long_conjugator(gog, rng, n))[0]
+        assert len(w.pairs) >= 0.95 * n and reduce_word(w) == w
+        assert w.pairs[-1] in gog.transversals.held
+        counts.append(_lines_in_gog(reduce_word, w))
+    assert counts[1] <= counts[0], counts
